@@ -589,10 +589,6 @@ def export_presentation(name: str) -> dict:
     return dict(PRESENTATIONS[name])
 
 
-def import_presentation(doc: dict):
-    return load_presentation(doc)
-
-
 # ---------------------------------------------------------------------------
 # quantum-plane unit certificate
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import argparse
 import json
 import sys
 
+from .builtin import UnknownNameError
 from .numgeom import GridConfig
 from .suites import ConfigError, SuiteConfig, list_suites, run_suite
 
@@ -95,10 +96,7 @@ def main(argv=None) -> int:
         else:
             print(report.to_json())
         return report.exit_code
-    except ConfigError as e:
-        print(f"CONFIG_ERROR: {e}", file=sys.stderr)
-        return 2
-    except KeyError as e:
+    except (ConfigError, UnknownNameError) as e:
         print(f"CONFIG_ERROR: {e}", file=sys.stderr)
         return 2
 

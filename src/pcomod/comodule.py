@@ -284,12 +284,6 @@ class SmashProduct(ComoduleAlgebra):
             )
         return self.b_system.normal_form(out)
 
-    def include_base(self, p: NCPoly) -> NCPoly:
-        return self.system.normal_form(NCPoly(self.system.alphabet, dict(p.terms)))
-
-    def include_hopf(self, p: NCPoly) -> NCPoly:
-        return self.system.normal_form(NCPoly(self.system.alphabet, dict(p.terms)))
-
     def cleaving(self) -> CleavingMap:
         j = gens_map(
             f"j_{self.name}",

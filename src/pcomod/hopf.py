@@ -69,13 +69,6 @@ class HopfAlgebra:
             out = out + self.delta_word(w).scale(c)
         return out
 
-    def delta_n(self, p: NCPoly, n: int) -> Tensor:
-        """Iterated coproduct with n+1 legs (n = 1 is delta)."""
-        out = self.delta(p)
-        for _ in range(n - 1):
-            out = out.expand_leg(0, self.delta_word)
-        return out
-
     def counit_word(self, w: Word) -> Scalar:
         out = S_ONE
         for g in w:
@@ -89,9 +82,6 @@ class HopfAlgebra:
         for w, c in p.terms.items():
             out = out + c * self.counit_word(w)
         return out
-
-    def counit_poly(self, p: NCPoly) -> NCPoly:
-        return NCPoly.const(self.system.alphabet, self.counit(p))
 
     def antipode_word(self, w: Word) -> NCPoly:
         hit = self._antipode_word_cache.get(w)

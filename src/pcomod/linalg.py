@@ -77,12 +77,6 @@ def span_of(vectors: Iterable[Vec]) -> RowSpace:
     return sp
 
 
-def kernel_is_zero(vectors: Sequence[Vec], dim_domain: int) -> bool:
-    """True iff `vectors` (images of a basis) are linearly independent."""
-    sp = span_of(vectors)
-    return sp.rank == dim_domain
-
-
 def intersect_spans(a: Sequence[Vec], b: Sequence[Vec]) -> list[Vec]:
     """Basis of span(a) /\\ span(b) via the standard stacked-kernel trick."""
     # vectors live in V; build W = rows of [a; b] with tags and solve

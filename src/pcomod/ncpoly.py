@@ -59,9 +59,6 @@ class Alphabet:
         r = self.rank
         return (len(word), len(nc), tuple(r[g] for g in nc), tuple(sorted(r[g] for g in c)))
 
-    def word_lt(self, a: Word, b: Word) -> bool:
-        return self.key(a) < self.key(b)
-
     def __eq__(self, other):
         return (
             isinstance(other, Alphabet)
@@ -203,9 +200,6 @@ class NCPoly:
 
     def coeff(self, w: Word) -> Scalar:
         return self.terms.get(self.alphabet.canon(tuple(w)), S_ZERO)
-
-    def constant_part(self) -> Scalar:
-        return self.terms.get(EMPTY, S_ZERO)
 
     def map_scalars(self, f) -> "NCPoly":
         return NCPoly(self.alphabet, {w: f(c) for w, c in self.terms.items()})

@@ -33,10 +33,6 @@ def phi_hat(i: int, theta) -> np.ndarray:
     return np.clip(2.0 - (4.0 / np.pi) * _angdist(theta, center), -1.0, 1.0)
 
 
-def phi_hat_on_z(i: int, z) -> np.ndarray:
-    return phi_hat(i, np.angle(z))
-
-
 def phi_hat_grid(i: int, n: int) -> np.ndarray:
     """Exact-rational sampling on the uniform grid; bit-exact oddness."""
     if n % 8:

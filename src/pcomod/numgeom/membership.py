@@ -4,12 +4,13 @@ quantum disc; the six-face atlas; and the Z2-decomposition isomorphisms."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from ..ncpoly import NCPoly
-from ..scalars import S_ONE
+from ..scalars import S_ONE, Scalar
 from .circle import delta_angle, phi_gauged_pullback, psi_pullback
 from .grids import GridConfig, Z2, interval_nodes
 from .toeplitz import symbol, toeplitz_flip
@@ -44,11 +45,6 @@ class SphereElement:
                 (p0 + q0, p1 + q1)
                 for (p0, p1), (q0, q1) in zip(self.components, other.components)
             ]
-        )
-
-    def sup_bound(self) -> float:
-        return max(
-            symbol(p).sup_norm_bound() for pair in self.components for p in pair
         )
 
 
@@ -171,7 +167,7 @@ def quantum_space_membership(space: str, tup, cfg: GridConfig) -> tuple[bool, fl
 
 def equivariant_parts(elt: SphereElement) -> tuple[SphereElement, SphereElement]:
     """Unique splitting into the +1 and -1 eigenparts of the diagonal action."""
-    half = S_ONE.__class__.of(__import__("fractions").Fraction(1, 2))
+    half = Scalar.of(Fraction(1, 2))
     flipped = elt.flip()
     plus = elt.add(flipped).scale(half)
     minus = elt.sub(flipped).scale(half)
@@ -194,10 +190,6 @@ def pi_n_inverse(triple: Sequence[NCPoly], n: int, sign: int) -> SphereElement:
     """n = 1: alpha_{-1}(p) (x) 1_{+1} +- p (x) 1_{-1};
     n = 2: p (x) 1_{-1} +- alpha_{-1}(p) (x) 1_{+1};
     with the indicators 1_{+-1} = (1 +- u)/2."""
-    from fractions import Fraction
-
-    from ..scalars import Scalar
-
     half = Scalar.of(Fraction(1, 2))
     sgn = S_ONE if sign > 0 else -S_ONE
     comps = []

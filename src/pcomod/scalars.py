@@ -6,11 +6,20 @@ rational coefficients (den monic, gcd(num, den) = 1, common q-powers
 stripped).  Constants and Gaussian rationals are the degree-0 special case,
 so one representation serves all three declared towers; each algebra just
 declares which tower its coefficients must stay inside.
+
+A Gaussian rational is three Python ints ``(a, b, d)`` standing for
+``(a + b*i)/d`` over one common denominator, so each ring operation takes at
+most one gcd, a sum of equal denominators needs no cross products, and a sum
+over denominator 1 takes no gcd at all (after Henrici; Knuth, TAOCP Vol. 2,
+4.5.1).  A constant Scalar (no q)
+adds and multiplies its single coefficient directly, without the polynomial
+helpers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence, Union
 
 IntLike = Union[int, Fraction]
@@ -20,72 +29,132 @@ class ScalarError(ValueError):
     pass
 
 
-class GaussRat:
-    """Gaussian rational a + b*i with exact Fraction parts."""
+_new = object.__new__
 
-    __slots__ = ("re", "im")
+
+class GaussRat:
+    """Gaussian rational (a + b*i)/d held as three ints.
+
+    Invariant: d > 0 and gcd(a, b, d) = 1, so every value has exactly one
+    representation and equality is field by field; zero is (0, 0, 1).  The
+    real and imaginary parts are available as :class:`Fraction` properties.
+    """
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re: IntLike = 0, im: IntLike = 0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+        re, im = Fraction(re), Fraction(im)
+        d = lcm(re.denominator, im.denominator)
+        self.a = int(re * d)
+        self.b = int(im * d)
+        self.d = d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     def __add__(self, other: "GaussRat") -> "GaussRat":
-        return GaussRat(self.re + other.re, self.im + other.im)
+        d = self.d
+        if d == other.d:
+            a = self.a + other.a
+            b = self.b + other.b
+        else:
+            a = self.a * other.d + other.a * d
+            b = self.b * other.d + other.b * d
+            d *= other.d
+        if d != 1:
+            g = gcd(a, b, d)
+            if g != 1:
+                a //= g
+                b //= g
+                d //= g
+        r = _new(GaussRat)
+        r.a, r.b, r.d = a, b, d
+        return r
 
     def __sub__(self, other: "GaussRat") -> "GaussRat":
-        return GaussRat(self.re - other.re, self.im - other.im)
+        return self + (-other)
 
     def __neg__(self) -> "GaussRat":
-        return GaussRat(-self.re, -self.im)
+        r = _new(GaussRat)
+        r.a, r.b, r.d = -self.a, -self.b, self.d
+        return r
 
     def __mul__(self, other: "GaussRat") -> "GaussRat":
-        if not self.im and not other.im:
-            return GaussRat(self.re * other.re)
-        return GaussRat(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        d = self.d * other.d
+        if not self.b and not other.b:
+            a = self.a * other.a
+            b = 0
+            g = gcd(a, d)
+        else:
+            a = self.a * other.a - self.b * other.b
+            b = self.a * other.b + self.b * other.a
+            g = gcd(a, b, d)
+        r = _new(GaussRat)
+        if g == 1:
+            r.a, r.b, r.d = a, b, d
+        else:
+            r.a, r.b, r.d = a // g, b // g, d // g
+        return r
 
     def inv(self) -> "GaussRat":
-        n = self.re * self.re + self.im * self.im
+        # d / (a + b*i) = d*(a - b*i) / (a^2 + b^2)
+        a, b = self.a, self.b
+        n = a * a + b * b
         if n == 0:
             raise ZeroDivisionError("inverse of 0 in Q(i)")
-        return GaussRat(self.re / n, -self.im / n)
+        a *= self.d
+        b *= -self.d
+        g = gcd(a, b, n)
+        r = _new(GaussRat)
+        r.a, r.b, r.d = a // g, b // g, n // g
+        return r
 
     def __truediv__(self, other: "GaussRat") -> "GaussRat":
         return self * other.inv()
 
     def conj(self) -> "GaussRat":
-        return GaussRat(self.re, -self.im)
+        r = _new(GaussRat)
+        r.a, r.b, r.d = self.a, -self.b, self.d
+        return r
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, GaussRat)
-            and self.re == other.re
-            and self.im == other.im
+            and self.a == other.a
+            and self.b == other.b
+            and self.d == other.d
         )
 
     def __hash__(self):
+        # equal to hash((re, im)) of the Fraction parts
+        if self.d == 1:
+            return hash((self.a, self.b))
         return hash((self.re, self.im))
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self.a or self.b)
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self.b
 
     def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+        return complex(self.a / self.d, self.b / self.d)
 
     def __repr__(self) -> str:
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return f"{self.im}*I" if self.im != 1 else "I"
-        sign = "+" if self.im > 0 else "-"
-        mag = abs(self.im)
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        if not re:
+            return f"{im}*I" if im != 1 else "I"
+        sign = "+" if im > 0 else "-"
+        mag = abs(im)
         istr = "I" if mag == 1 else f"{mag}*I"
-        return f"({self.re}{sign}{istr})"
+        return f"({re}{sign}{istr})"
 
 
 GR_ZERO = GaussRat(0)
@@ -286,6 +355,9 @@ class Scalar:
             return other
         if not other.num:
             return self
+        if len(self.num) == 1 == len(other.num) and len(self.den) == 1 == len(other.den):
+            c = self.num[0] + other.num[0]
+            return Scalar((c,), P_ONE, _reduced=True) if c else S_ZERO
         if self.den == other.den:
             return Scalar(_padd(self.num, other.num), self.den)
         return Scalar(
@@ -306,6 +378,8 @@ class Scalar:
             return other
         if other.num == P_ONE and other.den == P_ONE:
             return self
+        if len(self.num) == 1 == len(other.num) and len(self.den) == 1 == len(other.den):
+            return Scalar((self.num[0] * other.num[0],), P_ONE, _reduced=True)
         if self.den == P_ONE and other.den == P_ONE:
             return Scalar(_pmul(self.num, other.num), P_ONE)
         return Scalar(_pmul(self.num, other.num), _pmul(self.den, other.den))
@@ -404,7 +478,3 @@ S_QINV = Scalar.q_power(-1)
 
 #: minimal polynomial q^2 + q + 1 of a primitive cube root of unity
 CUBE_ROOT_MINPOLY: Poly = (GR_ONE, GR_ONE, GR_ONE)
-
-
-def frac(n: int, m: int = 1) -> Scalar:
-    return Scalar.of(Fraction(n, m))

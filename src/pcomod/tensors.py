@@ -185,15 +185,6 @@ class Tensor:
             acc[tuple(kk)] = c
         return Tensor(systems, acc, _normalized=True)
 
-    def drop_unit_leg(self, i: int) -> "Tensor":
-        """Remove leg i, requiring it to be the empty word in every term."""
-        acc: dict[tuple, Scalar] = {}
-        for k, c in self.terms.items():
-            if k[i]:
-                raise ValueError(f"leg {i} is not scalar in {self!r}")
-            acc[k[:i] + k[i + 1 :]] = c
-        return Tensor(self.systems[:i] + self.systems[i + 1 :], acc, _normalized=True)
-
     def leg_poly(self, i: int) -> NCPoly:
         """Collapse a rank-1 tensor factor: only valid when all other legs are empty."""
         alph = self.systems[i].alphabet

@@ -5,7 +5,95 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from pcomod.scalars import GaussRat, S_ONE, Scalar
+
+# ---------------------------------------------------------------------------
+# Gaussian rationals as two Fractions (reference for scalars.GaussRat)
+# ---------------------------------------------------------------------------
+
+class FracGauss:
+    """Gaussian rational re + im*i with one exact Fraction per part."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re = Fraction(re)
+        self.im = Fraction(im)
+
+    def __add__(self, other):
+        return FracGauss(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return FracGauss(self.re - other.re, self.im - other.im)
+
+    def __neg__(self):
+        return FracGauss(-self.re, -self.im)
+
+    def __mul__(self, other):
+        return FracGauss(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    def inv(self):
+        n = self.re * self.re + self.im * self.im
+        if n == 0:
+            raise ZeroDivisionError("inverse of 0 in Q(i)")
+        return FracGauss(self.re / n, -self.im / n)
+
+    def __truediv__(self, other):
+        return self * other.inv()
+
+    def conj(self):
+        return FracGauss(self.re, -self.im)
+
+    def __eq__(self, other):
+        return isinstance(other, FracGauss) and self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __bool__(self):
+        return bool(self.re) or bool(self.im)
+
+    def is_real(self):
+        return self.im == 0
+
+    def to_complex(self):
+        return complex(self.re) + 1j * complex(self.im)
+
+    def __repr__(self):
+        if not self.im:
+            return str(self.re)
+        if not self.re:
+            return f"{self.im}*I" if self.im != 1 else "I"
+        sign = "+" if self.im > 0 else "-"
+        mag = abs(self.im)
+        istr = "I" if mag == 1 else f"{mag}*I"
+        return f"({self.re}{sign}{istr})"
+
+
+def frac_gauss_eval(coeffs, x):
+    """Horner evaluation of sum_k coeffs[k] x^k."""
+    out = FracGauss()
+    for c in reversed(coeffs):
+        out = out * x + c
+    return out
+
+
+def frac_gauss_rem(a, b):
+    """Remainder of the coefficient list a (lowest degree first) by b, whose
+    leading coefficient is nonzero; trailing zeros are dropped."""
+    r = list(a)
+    while r and not r[-1]:
+        r.pop()
+    while len(r) >= len(b):
+        c = r[-1] / b[-1]
+        shift = len(r) - len(b)
+        for i, x in enumerate(b):
+            r[i + shift] = r[i + shift] - c * x
+        while r and not r[-1]:
+            r.pop()
+    return r
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from pcomod import suites
 from pcomod.cli import main
 from pcomod.numgeom import GridConfig
 from pcomod.suites import (
@@ -101,6 +102,22 @@ def test_cli_verify_and_errors(capsys):
     capsys.readouterr()
     code = main(["verify", "--suite", "frame-obstruction", "--q", "pi"])
     assert code == 2
+
+
+def test_cli_unknown_names_are_config_errors(capsys):
+    assert main(["verify", "--suite", "hopf-axioms", "--algebra", "no_such_algebra"]) == 2
+    assert "CONFIG_ERROR" in capsys.readouterr().err
+    assert main(["export", "--algebra", "no_such_algebra"]) == 2
+    assert "CONFIG_ERROR" in capsys.readouterr().err
+
+
+def test_cli_internal_key_error_is_not_a_config_error(monkeypatch):
+    def broken_suite(cfg):
+        return {}["missing"]
+
+    monkeypatch.setitem(suites.SUITES, "covering", (broken_suite, "raises an internal KeyError"))
+    with pytest.raises(KeyError, match="missing"):
+        main(["verify", "--suite", "covering"])
 
 
 def test_covering_json_file(tmp_path):
