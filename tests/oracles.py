@@ -1,9 +1,13 @@
 """Independent oracles used to freeze expected values: small hand-rolled models
-that do not share code with the engine under test."""
+that do not share code with the engine under test, and exhaustive searches that
+use only the engine's single rewriting step and normal form."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from pcomod.rewrite import Conflict, ConfluenceReport, SizeLimitError
+from pcomod.scalars import S_ONE, S_ZERO
 
 
 # ---------------------------------------------------------------------------
@@ -182,3 +186,62 @@ def toeplitz_normal_word(word: tuple[str, ...]) -> tuple[int, int]:
         else:
             b += 1
     return a, b
+
+
+# ---------------------------------------------------------------------------
+# rewriting: exhaustive confluence search and every reduction path
+# ---------------------------------------------------------------------------
+
+def brute_force_confluence(system, degree_bound: int) -> ConfluenceReport:
+    """Brute-force: every canonical word up to the bound, every one-step reduct,
+    all reducts must share one full normal form. Never throws on conflicts."""
+    report = ConfluenceReport(degree_bound=degree_bound, words_checked=0)
+    for w in system.all_words(degree_bound):
+        reducts = system.one_step_reducts(w)
+        if not reducts:
+            continue
+        report.words_checked += 1
+        nfs = [system.normal_form(r) for r in reducts]
+        first = nfs[0]
+        for other in nfs[1:]:
+            if other != first:
+                report.conflicts.append(Conflict(w, first, other))
+                break
+    return report
+
+
+def normal_forms_all_paths(system, word, cap: int = 2000) -> set:
+    """The set of fully reduced forms reachable by *any* reduction strategy
+    (as hashable term-sets). Exponential; small inputs only."""
+    word = system.alphabet.canon(word)
+    start = frozenset({(word, S_ONE)})
+    seen = {start}
+    frontier = [start]
+    finals = set()
+    while frontier:
+        if len(seen) > cap:
+            raise SizeLimitError("all-paths search exceeded cap")
+        poly = frontier.pop()
+        branched = False
+        for w, c in poly:
+            for step in system.one_step_reducts(w):
+                branched = True
+                acc = {ww: cc for ww, cc in poly if ww != w}
+                for ww, cc in step.terms.items():
+                    v = acc.get(ww, S_ZERO) + c * cc
+                    if v.is_zero():
+                        acc.pop(ww, None)
+                    else:
+                        acc[ww] = v
+                nxt = frozenset(acc.items())
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+        if not branched:
+            # fully reduced except possibly zone canon
+            if system.suffix_system is not None:
+                acc = system._zone_canon(dict(poly))
+                finals.add(frozenset(acc.items()))
+            else:
+                finals.add(poly)
+    return finals

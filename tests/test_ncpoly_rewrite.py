@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -6,11 +7,17 @@ from hypothesis import strategies as st
 
 from pcomod import builtin
 from pcomod.exprs import parse_poly
-from pcomod.ncpoly import Alphabet, NCPoly
+from pcomod.ncpoly import Alphabet, NCPoly, word_str
 from pcomod.rewrite import NoStarError, OrderViolation, RewriteSystem, SizeLimitError
 from pcomod.scalars import GaussRat, S_ONE, S_Q, S_QINV, Scalar
 
-from oracles import Z2Model, plane_normal_form, toeplitz_normal_word
+from oracles import (
+    Z2Model,
+    brute_force_confluence,
+    normal_forms_all_paths,
+    plane_normal_form,
+    toeplitz_normal_word,
+)
 
 
 def test_normal_form_gl_examples(gl):
@@ -77,8 +84,10 @@ def test_order_violation_reported():
 
 def test_confluence_reports(z2, su):
     assert z2.system.check_local_confluence(4).confluent
+    oracle = brute_force_confluence(su.system, 6)
+    assert oracle.confluent and oracle.words_checked > 1000
     rep = su.system.check_local_confluence(6)
-    assert rep.confluent and rep.words_checked > 1000
+    assert rep.confluent and rep.words_checked == 15
 
 
 def test_confluence_conflict_detected():
@@ -91,6 +100,110 @@ def test_confluence_conflict_detected():
     rep = sys.check_local_confluence(3)
     assert not rep.confluent
     assert any(len(c.word) == 3 for c in rep.conflicts)
+
+
+def _assert_agrees_with_brute_force(system, bound):
+    """Same verdict and same smallest conflict word as the exhaustive search;
+    a confluent complete report also holds one degree past its bound."""
+    rep = system.check_local_confluence(bound)
+    oracle = brute_force_confluence(system, bound)
+    assert rep.confluent == oracle.confluent, (system.rules, bound)
+    if not rep.confluent:
+        smallest = min((c.word for c in oracle.conflicts), key=system.alphabet.key)
+        assert rep.conflicts[0].word == smallest
+    elif rep.complete:
+        assert brute_force_confluence(system, bound + 1).confluent
+    return rep
+
+
+@pytest.mark.parametrize("q", ["formal", 3])
+@pytest.mark.parametrize("name", builtin.HOPF_NAMES)
+def test_ambiguity_check_agrees_on_builtins(name, q):
+    system = builtin.build(name, q).system
+    for bound in range(2, 7):
+        assert _assert_agrees_with_brute_force(system, bound).confluent
+
+
+@pytest.mark.parametrize("name", builtin.COMODULE_NAMES)
+def test_ambiguity_check_agrees_on_comodule_builtins(name):
+    """Includes plane_gl_smash, whose normal forms pass through a suffix system."""
+    obj = builtin.build(name)
+    system = (obj[0] if isinstance(obj, tuple) else obj).system
+    for bound in range(2, 5):
+        assert _assert_agrees_with_brute_force(system, bound).confluent
+
+
+def _scaled_copies(system):
+    """The rule table with one right-side coefficient doubled, every way."""
+    al = system.alphabet
+    base = [(r.lhs_word, r.rhs) for r in system.rules]
+    for i, (lhs, rhs) in enumerate(base):
+        for w in rhs.terms:
+            terms = dict(rhs.terms)
+            terms[w] = terms[w] * Scalar.of(2)
+            rules = list(base)
+            rules[i] = (lhs, NCPoly(al, terms))
+            yield RewriteSystem(al, rules)
+
+
+@pytest.mark.parametrize("name", ["su_q2", "sl_q2", "gl_q2", "o_u1"])
+def test_ambiguity_check_agrees_on_corrupted_tables(name):
+    verdicts = [
+        _assert_agrees_with_brute_force(system, 4).confluent
+        for system in _scaled_copies(builtin.build(name).system)
+    ]
+    if name != "o_u1":  # u*ui -> 2 is its only rule and has no partner to conflict with
+        assert not all(verdicts)
+
+
+@st.composite
+def small_systems(draw):
+    """1-3 order-decreasing rules over 2-3 letters, 0-2 of them central."""
+    n = draw(st.integers(2, 3))
+    gens = ["a", "b", "c"][:n]
+    al = Alphabet(gens, gens[n - draw(st.integers(0, 2)):])
+    words = sorted(
+        {al.canon(w) for k in range(4) for w in product(gens, repeat=k)}, key=al.key
+    )
+    rules = []
+    for _ in range(draw(st.integers(1, 3))):
+        lhs = draw(st.sampled_from(words[1:]))
+        smaller = [w for w in words if al.key(w) < al.key(lhs)]
+        rhs = draw(st.dictionaries(st.sampled_from(smaller), st.sampled_from([-1, 1, 2]), max_size=2))
+        rules.append((lhs, NCPoly(al, {w: Scalar.of(c) for w, c in rhs.items()})))
+    return RewriteSystem(al, rules)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_systems(), st.integers(2, 5))
+def test_ambiguity_check_agrees_on_random_systems(system, bound):
+    _assert_agrees_with_brute_force(system, bound)
+
+
+def test_central_letter_shared_by_disjoint_redexes():
+    """c*z -> 2 with z central: the two c's of c*a*c*z compete for one z, an
+    ambiguity no overlap of noncentral parts shows."""
+    al = Alphabet(["a", "c", "z"], central=["z"])
+    system = RewriteSystem(al, [(("c", "z"), NCPoly.const(al, Scalar.of(2)))])
+    rep = _assert_agrees_with_brute_force(system, 4)
+    assert not rep.confluent and not rep.complete
+    assert rep.conflicts[0].word == ("c", "a", "c", "z")
+
+
+def test_confluence_report_complete(z2, u1, su, gl, sl):
+    for H in (su, sl, z2, u1):
+        assert H.system.check_local_confluence(6).complete
+    assert not gl.system.check_local_confluence(6).complete
+    assert not su.system.check_local_confluence(2).complete
+
+
+def test_duplicate_rules_dropped(u1, gl):
+    assert len(u1.system.rules) == 1
+    assert [word_str(r.lhs_word) for r in gl.system.rules].count("b*c*Di") == 1
+    al = Alphabet(["x", "y"])
+    yx, xy = NCPoly.word(al, ("y", "x")), NCPoly.word(al, ("x", "y"))
+    system = RewriteSystem(al, [(("y", "x"), xy), (("y", "y"), yx), (("y", "x"), xy)])
+    assert [r.lhs_word for r in system.rules] == [("y", "x"), ("y", "y")]
 
 
 def test_star_su_examples(su):
@@ -148,7 +261,7 @@ def test_all_paths_oracle_agrees(su):
     rng = random.Random(19)
     words = [w for w in su.system.all_words(4) if len(w) >= 2]
     for w in rng.sample(words, k=25):
-        finals = su.system.normal_forms_all_paths(w)
+        finals = normal_forms_all_paths(su.system, w)
         assert len(finals) == 1
         nf = su.system.normal_form(NCPoly.word(su.system.alphabet, w))
         assert finals == {frozenset(nf.terms.items())}
