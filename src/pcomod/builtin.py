@@ -6,6 +6,7 @@ pieces, and the end-to-end frame-bundle obstruction computation."""
 from __future__ import annotations
 
 import difflib
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -296,7 +297,9 @@ def quantum_plane(q="formal") -> RewriteSystem:
     return _specialize_system(system, qv) if qv is not None else system
 
 
+@functools.cache
 def toeplitz_system() -> RewriteSystem:
+    """The Toeplitz algebra's rewrite system, parsed once; callers share it."""
     system, _ = load_presentation(PRESENTATIONS["toeplitz"])
     return system
 
@@ -413,11 +416,15 @@ def u1_mod_z2_ideal(H: HopfAlgebra | None = None) -> HopfIdeal:
     return HopfIdeal(H, [u.concat(u) - one, ui - u], name="<u^2-1>")
 
 
-def gl_mod_det_ideal(H: HopfAlgebra | None = None) -> HopfIdeal:
-    """<D - 1> in O(GL_q(2)), saturated with Di - 1 (same two-sided ideal)."""
-    H = H or gl_q2()
+def gl_mod_det_ideal(H: HopfAlgebra | None = None, q="formal") -> HopfIdeal:
+    """<D - 1> in O(GL_q(2)), saturated with Di - 1 (same two-sided ideal);
+    q must be the value H is specialised to."""
+    H = H or gl_q2(q)
     al = H.system.alphabet
     D = parse_poly("a*d - Q*b*c", al)
+    qv = q_value(q)
+    if qv is not None:
+        D = D.substitute_q(qv)
     Di = NCPoly.gen(al, "Di")
     one = NCPoly.one(al)
     return HopfIdeal(H, [D - one, Di - one], name="<D-1>")

@@ -3,6 +3,8 @@ matrix realizations for spot checks."""
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from ..ncpoly import NCPoly
@@ -139,15 +141,21 @@ class ToeplitzNum:
         return ToeplitzNum(toeplitz_flip(self.poly), self.n)
 
 
+@cache
+def _toeplitz_basis(max_deg: int) -> tuple:
+    from ..builtin import toeplitz_system
+
+    return tuple(toeplitz_system().basis_words(max_deg))
+
+
 def random_toeplitz_poly(rng, max_deg: int, coeff_range: int = 3) -> NCPoly:
     """Random *-polynomial in s, ss with small Gaussian-integer coefficients."""
     from ..builtin import toeplitz_system
     from ..scalars import GaussRat
 
     sys = toeplitz_system()
-    words = sys.basis_words(max_deg)
     terms = {}
-    for w in words:
+    for w in _toeplitz_basis(max_deg):
         re = int(rng.integers(-coeff_range, coeff_range + 1))
         im = int(rng.integers(-coeff_range, coeff_range + 1))
         if re or im:

@@ -225,44 +225,67 @@ class RewriteSystem:
         return word[:k], word[k:]
 
     def _nf_word(self, word: Word) -> NCPoly:
-        cached = self._nf_cache.get(word)
+        """Normal form of a canonical word by leftmost reduction.
+
+        Reduction is linear, so nf(w) = sum of coeff * nf(w') over the terms
+        of w's leftmost one-step reduct. The reduction tree is evaluated in
+        post-order with an explicit stack, and each word's normal form is
+        memoised for the rest of the call: no word is matched or rewritten
+        twice in one call. Only the requested word enters the persistent
+        cache. ``SizeLimitError`` is raised when the pending words on the
+        stack plus the terms of the last assembled normal form exceed
+        ``term_cap``; nothing is cached then.
+        """
+        cache = self._nf_cache
+        cached = cache.get(word)
         if cached is not None:
             return cached
-        a = self.alphabet
+        memo: dict[Word, dict[Word, Scalar]] = {}
         acc: dict[Word, Scalar] = {}
-        work: list[tuple[Word, Scalar]] = [(word, S_ONE)]
-        while work:
-            if len(work) + len(acc) > self.term_cap:
+        # (word, None) is still to be matched; (word, reduct) waits for the
+        # normal forms of its reduct's words, which sit above it
+        stack: list[tuple[Word, list | None]] = [(word, None)]
+        while stack:
+            w, reduct = stack.pop()
+            if reduct is None:
+                if w in memo:
+                    continue
+                hit = cache.get(w)
+                if hit is not None:
+                    memo[w] = hit.terms
+                    continue
+                m = self._match(w)
+                if m is None:
+                    memo[w] = {w: S_ONE}
+                    continue
+                reduct = list(self._apply(*m))
+                stack.append((w, reduct))
+                stack += [(ww, None) for ww, _ in reduct if ww not in memo]
+            else:
+                acc = {}
+                # last term first: the order in which a path-by-path search meets the leaves
+                for ww, cc in reversed(reduct):
+                    for x, cx in memo[ww].items():
+                        v = cc * cx
+                        prev = acc.get(x)
+                        if prev is not None:
+                            v = prev + v
+                            if v.is_zero():
+                                del acc[x]
+                                continue
+                        acc[x] = v
+                memo[w] = acc
+            if len(stack) + len(acc) > self.term_cap:
                 raise SizeLimitError(
                     f"term count exceeded cap {self.term_cap} while reducing {word_str(word)}"
                 )
-            w, coeff = work.pop()
-            hit = self._nf_cache.get(w)
-            if hit is not None:
-                for ww, cc in hit.terms.items():
-                    v = acc.get(ww, S_ZERO) + coeff * cc
-                    if v.is_zero():
-                        acc.pop(ww, None)
-                    else:
-                        acc[ww] = v
-                continue
-            m = self._match(w)
-            if m is None:
-                v = acc.get(w, S_ZERO) + coeff
-                if v.is_zero():
-                    acc.pop(w, None)
-                else:
-                    acc[w] = v
-            else:
-                rule, pos, nc, c = m
-                for ww, cc in self._apply(rule, pos, nc, c):
-                    work.append((ww, coeff * cc))
+        acc = memo[word]
         if self.suffix_system is not None:
             acc = self._zone_canon(acc)
-        out = NCPoly(a, acc)
-        if len(self._nf_cache) > 400_000:
-            self._nf_cache.clear()
-        self._nf_cache[word] = out
+        out = NCPoly(self.alphabet, acc)
+        if len(cache) > 400_000:
+            cache.clear()
+        cache[word] = out
         return out
 
     def _zone_canon(self, acc: dict[Word, Scalar]) -> dict[Word, Scalar]:

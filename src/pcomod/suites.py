@@ -268,7 +268,7 @@ def suite_strong_connection(cfg: SuiteConfig) -> list[CheckRecord]:
     # tensor-over-base balancing, which multiplication erases
     for name, J_builder, H_builder, pair_bound in (
         ("o_u1-mod-z2", builtin.u1_mod_z2_ideal, builtin.o_u1, min(cfg.degree, 3)),
-        ("gl-mod-det", builtin.gl_mod_det_ideal, lambda: builtin.gl_q2(cfg.q), 1),
+        ("gl-mod-det", lambda H: builtin.gl_mod_det_ideal(H, cfg.q), lambda: builtin.gl_q2(cfg.q), 1),
     ):
         t0 = time.monotonic()
         H = H_builder()
@@ -569,7 +569,7 @@ def suite_reduction_theorem(cfg: SuiteConfig) -> list[CheckRecord]:
     piece = CoveringPiece(sm, base_gens=("x", "y"))
     cov = Covering([piece], {}, name="frame-bundle-single-piece")
     triv = Trivialisation(cov, sm.hopf, [sm.cleaving()], name="frame")
-    JG = builtin.gl_mod_det_ideal(sm.hopf)
+    JG = builtin.gl_mod_det_ideal(sm.hopf, run_q)
     verdict = reducibility_check(triv, JG, bound=2)
     expected_obstructed = not (isinstance(run_q, int) and run_q == 1)
     good = (not verdict.reducible) if expected_obstructed else verdict.reducible
@@ -594,7 +594,7 @@ def suite_reduction_theorem(cfg: SuiteConfig) -> list[CheckRecord]:
     )
     gl = builtin.gl_q2(cfg.q)
     sl = builtin.sl_q2(cfg.q)
-    qg, _ = quotient_hopf(gl, builtin.gl_mod_det_ideal(gl))
+    qg, _ = quotient_hopf(gl, builtin.gl_mod_det_ideal(gl, cfg.q))
     gm = {g: NCPoly.gen(sl.system.alphabet, g) for g in ("a", "b", "c", "d")}
     gm["Di"] = NCPoly.one(sl.system.alphabet)
     fails += generator_map_isomorphism_problems(qg, sl, gm, 3)

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from pcomod.ncpoly import NCPoly
 from pcomod.rewrite import Conflict, ConfluenceReport, SizeLimitError
 from pcomod.scalars import S_ONE, S_ZERO
 
@@ -189,7 +190,8 @@ def toeplitz_normal_word(word: tuple[str, ...]) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# rewriting: exhaustive confluence search and every reduction path
+# rewriting: exhaustive confluence search, every reduction path, path-by-path
+# normal form
 # ---------------------------------------------------------------------------
 
 def brute_force_confluence(system, degree_bound: int) -> ConfluenceReport:
@@ -245,3 +247,38 @@ def normal_forms_all_paths(system, word, cap: int = 2000) -> set:
             else:
                 finals.add(poly)
     return finals
+
+
+def worklist_normal_form(system, word):
+    """Normal form of a canonical word by following every leftmost reduction
+    path to its leaf, one path at a time: the former ``_nf_word``, without the
+    persistent cache, so that it shares no stored result with the engine."""
+    acc = {}
+    work = [(word, S_ONE)]
+    while work:
+        if len(work) + len(acc) > system.term_cap:
+            raise SizeLimitError(f"term count exceeded cap {system.term_cap}")
+        w, coeff = work.pop()
+        m = system._match(w)
+        if m is None:
+            v = acc.get(w, S_ZERO) + coeff
+            if v.is_zero():
+                acc.pop(w, None)
+            else:
+                acc[w] = v
+        else:
+            rule, pos, nc, c = m
+            for ww, cc in system._apply(rule, pos, nc, c):
+                work.append((ww, coeff * cc))
+    if system.suffix_system is not None:
+        zoned = {}
+        for w, coeff in acc.items():
+            pre, suf = system._split_zone(w)
+            for sw, sc in worklist_normal_form(system.suffix_system, suf).terms.items():
+                v = zoned.get(pre + sw, S_ZERO) + coeff * sc
+                if v.is_zero():
+                    zoned.pop(pre + sw, None)
+                else:
+                    zoned[pre + sw] = v
+        acc = zoned
+    return NCPoly(system.alphabet, acc)

@@ -17,6 +17,7 @@ from oracles import (
     normal_forms_all_paths,
     plane_normal_form,
     toeplitz_normal_word,
+    worklist_normal_form,
 )
 
 
@@ -277,6 +278,93 @@ def test_size_limit_guard():
     al = gl.system.alphabet
     with pytest.raises(SizeLimitError):
         small.normal_form(NCPoly.word(al, ("d", "a", "d", "a", "d", "a")))
+
+
+def test_size_limit_leaves_no_cache_entry():
+    gl = builtin.gl_q2()
+    small = RewriteSystem(
+        gl.system.alphabet, [(r.lhs_word, r.rhs) for r in gl.system.rules], term_cap=3
+    )
+    word = ("d", "a", "d", "a", "d", "a")
+    with pytest.raises(SizeLimitError):
+        small._nf_word(word)
+    assert word not in small._nf_cache
+
+
+def _assert_agrees_with_worklist(system, words):
+    """The memoised normal form equals the path-by-path one, word by word, on
+    a copy of the system whose normal-form cache starts empty."""
+    fresh = system.extend([])
+    for w in words:
+        assert fresh._nf_word(w) == worklist_normal_form(system, w), (system.rules, w)
+
+
+@pytest.mark.parametrize("q", ["formal", 3])
+@pytest.mark.parametrize("name", builtin.HOPF_NAMES)
+def test_normal_form_agrees_with_worklist_on_builtins(name, q):
+    system = builtin.build(name, q).system
+    words = system.all_words(5)
+    _assert_agrees_with_worklist(system, random.Random(23).sample(words, min(150, len(words))))
+
+
+@pytest.mark.parametrize("name", builtin.COMODULE_NAMES)
+def test_normal_form_agrees_with_worklist_on_comodule_builtins(name):
+    """Includes plane_gl_smash, whose normal forms pass through a suffix system."""
+    obj = builtin.build(name)
+    system = (obj[0] if isinstance(obj, tuple) else obj).system
+    words = system.all_words(4)
+    _assert_agrees_with_worklist(system, random.Random(29).sample(words, min(150, len(words))))
+
+
+@pytest.mark.parametrize("name", ["su_q2", "sl_q2", "gl_q2", "o_u1"])
+def test_normal_form_agrees_with_worklist_on_corrupted_tables(name):
+    """Non-confluent tables: the result depends on the reduction path, so it
+    must follow the same leftmost steps as the oracle."""
+    rng = random.Random(31)
+    for system in _scaled_copies(builtin.build(name).system):
+        words = system.all_words(4)
+        _assert_agrees_with_worklist(system, rng.sample(words, min(40, len(words))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_systems(), st.data())
+def test_normal_form_agrees_with_worklist_on_random_systems(system, data):
+    words = system.all_words(5)
+    _assert_agrees_with_worklist(system, data.draw(st.lists(st.sampled_from(words), min_size=1, max_size=5)))
+
+
+def _matched_words(system, word, normal_form):
+    """The words ``normal_form(system, word)`` passes to ``_match``."""
+    seen = []
+    match = system._match
+
+    def wrapped(w):
+        seen.append(w)
+        return match(w)
+
+    system._match = wrapped
+    normal_form(system, word)
+    return seen
+
+
+def test_normal_form_matches_each_word_once(gl):
+    """One top-level call on a fresh system matches every word at most once,
+    where the path-by-path oracle repeats words; only the requested word is
+    kept in the persistent cache."""
+    word = ("d", "d", "c", "b", "a", "a")
+    system = gl.system.extend([])
+    seen = _matched_words(system, word, RewriteSystem._nf_word)
+    assert seen and len(seen) == len(set(seen))
+    assert list(system._nf_cache) == [word]
+    seen = _matched_words(gl.system.extend([]), word, worklist_normal_form)
+    assert len(seen) > len(set(seen))
+    # c -> a + b puts a on the stack before b -> a reaches it a second time
+    al = Alphabet(["a", "b", "c"])
+    a, b = NCPoly.gen(al, "a"), NCPoly.gen(al, "b")
+    system = RewriteSystem(al, [(("c",), a + b), (("b",), a)])
+    seen = _matched_words(system, ("c",), RewriteSystem._nf_word)
+    assert sorted(seen) == [("a",), ("b",), ("c",)]
+    assert system._nf_cache[("c",)] == a.scale(Scalar.of(2))
 
 
 def test_central_canonicalization(gl):

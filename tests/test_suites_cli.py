@@ -30,6 +30,14 @@ def test_run_single_suites():
         assert all(r.claim for r in rep.records)
 
 
+@pytest.mark.parametrize("q", [3, 2])
+def test_determinant_ideal_at_integer_q(q):
+    """<D - 1> is a Hopf ideal of O(GL_q(2)) at every q, not only formal q."""
+    for name in ("strong-connection", "reduction-theorem"):
+        rep = run_suite(SuiteConfig(suite=name, q=q))
+        assert rep.passed, (name, [r for r in rep.records if r.status != "pass"])
+
+
 def test_unknown_suite_nearest_match():
     with pytest.raises(ConfigError) as exc:
         run_suite(mini_cfg("hopf-axiom"))
