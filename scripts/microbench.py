@@ -1,0 +1,47 @@
+#!/usr/bin/env python3
+"""Time Scalar ``+``, ``*`` and unary ``-`` on four kinds of operand.
+
+    PYTHONPATH=src python3 scripts/microbench.py [--number N] [--repeat R]
+
+Kinds: constant (a Gaussian rational), monomial (c * q^k), Laurent (a
+polynomial in q and 1/q) and general (a denominator that is not a power of
+q).  Each line is the best of R repeats of N operations, in ns per
+operation.  Standard library only; it prints timings and asserts none.
+"""
+
+import argparse
+import timeit
+from fractions import Fraction
+
+from pcomod.scalars import S_I, S_ONE, S_Q, GaussRat, Scalar
+
+
+def operands() -> dict[str, tuple[Scalar, Scalar]]:
+    c = Scalar.of(GaussRat(Fraction(2, 3), 1))
+    e = Scalar.of(GaussRat(-5, Fraction(1, 7)))
+    laurent = (Scalar.of(2) - S_Q + Scalar.of(Fraction(1, 3)) * S_Q**3) / S_Q
+    return {
+        "constant": (c, e),
+        "monomial": (c * S_Q**2, e / S_Q),
+        "laurent": (laurent, S_ONE + S_I * S_Q - S_Q**2),
+        "general": ((S_ONE + S_Q) / (S_ONE - S_Q + S_Q**2), c / (S_Q**2 + Scalar.of(3))),
+    }
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--number", type=int, default=20000, help="operations per repeat")
+    ap.add_argument("--repeat", type=int, default=5, help="repeats; the best one is reported")
+    args = ap.parse_args()
+    if args.number < 1 or args.repeat < 1:
+        ap.error("--number and --repeat must be at least 1")
+    for kind, (a, b) in operands().items():
+        for op, stmt in (("+", "a + b"), ("*", "a * b"), ("neg", "-a")):
+            t = timeit.Timer(stmt, globals={"a": a, "b": b})
+            best = min(t.repeat(repeat=args.repeat, number=args.number))
+            print(f"{kind:9s} {op:4s} {best / args.number * 1e9:10.1f} ns/op")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -14,7 +14,7 @@ import re
 from fractions import Fraction
 
 from .ncpoly import Alphabet, NCPoly, Word
-from .scalars import GaussRat, Scalar
+from .scalars import P_ONE, GaussRat, Scalar
 
 _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|\d+|\^|\*|\+|-|#|\(|\)|/|=)")
 
@@ -271,10 +271,8 @@ def parse_tensor_terms(s: str, alphabet: Alphabet, legs: int) -> dict:
 # ---------------------------------------------------------------------------
 
 def scalar_to_expr(c: Scalar) -> str:
-    num, den = c.num, c.den
-    if len(den) > 1 and any(den[:-1]):
+    if c.d is not P_ONE:
         raise ParseError(f"cannot render denominator of {c!r} in the expression grammar")
-    qshift = -(len(den) - 1)
 
     def gauss(g: GaussRat) -> str:
         parts = []
@@ -289,10 +287,10 @@ def scalar_to_expr(c: Scalar) -> str:
         return f"({s})" if (g.re and g.im) else s
 
     terms = []
-    for k, g in enumerate(num):
+    for k, g in enumerate(c.n):
         if not g:
             continue
-        p = k + qshift
+        p = k + c.v
         qpart = "" if p == 0 else ("Q" if p == 1 else f"Q^{p}" if p > 0 else f"Q^-{-p}")
         gs = gauss(g)
         if qpart and gs == "1":

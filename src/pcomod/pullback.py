@@ -400,6 +400,18 @@ def _is_commutative(system: RewriteSystem) -> bool:
     return True
 
 
+def _central_fiber_rules(fiber_sys: RewriteSystem, alpha: Alphabet) -> list[tuple[Word, NCPoly]]:
+    """The rules of a commutative fiber algebra over ``alpha``, in which its
+    generators are central.  A commutation rule then reads w -> w after
+    canonicalisation and is dropped."""
+    rules = []
+    for r in fiber_sys.rules:
+        rhs = NCPoly(alpha, dict(r.rhs.terms))
+        if rhs != NCPoly.word(alpha, alpha.canon(r.lhs_word)):
+            rules.append((r.lhs_word, rhs))
+    return rules
+
+
 def _rename_system(system: RewriteSystem, names: dict[str, str], name: str) -> RewriteSystem:
     alpha = Alphabet(
         tuple(names[g] for g in system.alphabet.gens),
@@ -480,9 +492,7 @@ def prolong(
             (r.lhs_word, NCPoly(alpha, dict(r.rhs.terms))) for r in base_sub_rules
         ]
         if h_comm:
-            rules.extend(
-                (r.lhs_word, NCPoly(alpha, dict(r.rhs.terms))) for r in fiber_sys.rules
-            )
+            rules.extend(_central_fiber_rules(fiber_sys, alpha))
         else:
             for z in fiber_sys.alphabet.gens:
                 for b in bgens:
@@ -573,9 +583,7 @@ def prolong(
             suffix = fiber_sys
         rules = [(r.lhs_word, NCPoly(alpha, dict(r.rhs.terms))) for r in tsys.rules]
         if h_comm:
-            rules.extend(
-                (r.lhs_word, NCPoly(alpha, dict(r.rhs.terms))) for r in fiber_sys.rules
-            )
+            rules.extend(_central_fiber_rules(fiber_sys, alpha))
         else:
             for z in fiber_sys.alphabet.gens:
                 for b in tsys.alphabet.gens:

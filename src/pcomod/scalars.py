@@ -1,19 +1,25 @@
 """Exact scalar tower: Q, Q(i), and rational functions in one parameter q over Q(i).
 
 Every coefficient in the symbolic layer is a :class:`Scalar`, a reduced
-rational function num/den where num, den are polynomials in q with Gaussian
-rational coefficients (den monic, gcd(num, den) = 1, common q-powers
-stripped).  Constants and Gaussian rationals are the degree-0 special case,
-so one representation serves all three declared towers; each algebra just
-declares which tower its coefficients must stay inside.
+rational function q^v * n/d where n, d are polynomials in q with Gaussian
+rational coefficients, neither divisible by q (d monic, gcd(n, d) = 1).
+Constants and Gaussian rationals are the degree-0 special case, so one
+representation serves all three declared towers; each algebra just declares
+which tower its coefficients must stay inside.
+
+In practice the coefficients of the q-deformed algebras are Laurent
+polynomials (d = 1).  A product of two of them adds the exponents and
+multiplies the coefficient tuples, and a sum aligns the exponents and strips
+zeros from the two ends; neither takes a gcd, and the power of q is never
+stored as zero coefficients.  Only a genuine denominator d != 1 reaches the
+polynomial gcd.
 
 A Gaussian rational is three Python ints ``(a, b, d)`` standing for
 ``(a + b*i)/d`` over one common denominator, so each ring operation takes at
 most one gcd, a sum of equal denominators needs no cross products, and a sum
 over denominator 1 takes no gcd at all (after Henrici; Knuth, TAOCP Vol. 2,
-4.5.1).  A constant Scalar (no q)
-adds and multiplies its single coefficient directly, without the polynomial
-helpers.
+4.5.1).  A constant Scalar (no q) adds and multiplies its single coefficient
+directly, without the polynomial helpers.
 """
 
 from __future__ import annotations
@@ -183,30 +189,18 @@ def _padd(a: Poly, b: Poly) -> Poly:
     return _trim(out)
 
 
-def _pneg(a: Poly) -> Poly:
-    return tuple(-x for x in a)
-
-
 def _pmul(a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return ()
-    # monomial fast paths (trailing coefficient is nonzero by the trim invariant)
-    if not any(b[:-1]):
-        c = b[-1]
-        shifted = a if c == GR_ONE else tuple(x * c for x in a)
-        return (GR_ZERO,) * (len(b) - 1) + tuple(shifted)
-    if not any(a[:-1]):
-        c = a[-1]
-        shifted = b if c == GR_ONE else tuple(x * c for x in b)
-        return (GR_ZERO,) * (len(a) - 1) + tuple(shifted)
+    """Product of two polynomials with nonzero leading coefficients; the
+    product's leading coefficient is then nonzero too, so nothing is trimmed."""
     out = [GR_ZERO] * (len(a) + len(b) - 1)
+    bz = [(j, y) for j, y in enumerate(b) if y]
     for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] = out[i + j] + x * y
-    return _trim(out)
+        if x:
+            for j, y in bz:
+                k = i + j
+                o = out[k]
+                out[k] = x * y if o is GR_ZERO else o + x * y
+    return tuple(out)
 
 
 def _pscale(a: Poly, c: GaussRat) -> Poly:
@@ -241,11 +235,6 @@ def _pgcd(a: Poly, b: Poly) -> Poly:
     return a
 
 
-def _is_q_power(p: Poly) -> bool:
-    """True for monic monomials c_k q^k with c_k = 1 (includes the constant 1)."""
-    return bool(p) and p[-1] == GR_ONE and not any(p[:-1])
-
-
 def _peval(a: Poly, x: GaussRat) -> GaussRat:
     out = GR_ZERO
     for c in reversed(a):
@@ -260,85 +249,134 @@ def _pconj(a: Poly) -> Poly:
 P_ONE: Poly = (GR_ONE,)
 
 
-class Scalar:
-    """Reduced rational function in q over the Gaussian rationals."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly, den: Poly = P_ONE, _reduced: bool = False):
-        if _reduced:
-            self.num = num
-            self.den = den
-            return
-        num = _trim(num)
-        den = _trim(den)
-        if not den:
-            raise ZeroDivisionError("Scalar with zero denominator")
-        if not num:
-            self.num, self.den = (), P_ONE
-            return
-        # strip common power of q
-        shift = 0
-        while shift < len(num) and shift < len(den) and not num[shift] and not den[shift]:
-            shift += 1
-        if shift:
-            num, den = num[shift:], den[shift:]
-        if _is_q_power(den):
-            # after the strip, gcd(num, q^k) = 1; den is already monic
-            self.num = num
-            self.den = den
-            return
+def _reduce(num: Sequence[GaussRat], den: Sequence[GaussRat], v: int) -> tuple[Poly, Poly, int]:
+    """Normal form ``(n, d, v')`` of q^v * num/den (see :class:`Scalar`)."""
+    num = _trim(num)
+    den = _trim(den)
+    if not den:
+        raise ZeroDivisionError("Scalar with zero denominator")
+    if not num:
+        return (), P_ONE, 0
+    k = 0
+    while not num[k]:
+        k += 1
+    j = 0
+    while not den[j]:
+        j += 1
+    num, den, v = num[k:], den[j:], v + k - j
+    if len(den) > 1:
         g = _pgcd(num, den)
         if len(g) > 1:
             num = _pdivmod(num, g)[0]
             den = _pdivmod(den, g)[0]
-        lead = den[-1]
-        if lead != GR_ONE:
-            inv = lead.inv()
-            num = _pscale(num, inv)
-            den = _pscale(den, inv)
-        self.num = num
-        self.den = den
+    lead = den[-1]
+    if lead != GR_ONE:
+        inv = lead.inv()
+        num = _pscale(num, inv)
+        den = _pscale(den, inv)
+    return num, (P_ONE if len(den) == 1 else den), v
+
+
+def _scalar(n: Poly, d: Poly, v: int) -> "Scalar":
+    """A Scalar from fields already in normal form."""
+    r = _new(Scalar)
+    r.n, r.d, r.v = n, d, v
+    return r
+
+
+def _laurent_add(n1: Poly, v1: int, n2: Poly, v2: int) -> "Scalar":
+    """q^v1 * n1 + q^v2 * n2 for nonzero Laurent polynomials."""
+    if v1 > v2:
+        n1, v1, n2, v2 = n2, v2, n1, v1
+    k = v2 - v1  # n2 starts k places above n1
+    m = len(n1)
+    top = k + len(n2)
+    if k >= m:  # no overlap, nothing cancels
+        return _scalar(n1 + (GR_ZERO,) * (k - m) + n2, P_ONE, v1)
+    out = list(n1)
+    if top > m:
+        out += n2[m - k:]
+    for i, x in enumerate(n2[: m - k], k):
+        out[i] = out[i] + x
+    # Only coefficients both operands reach can cancel: the lowest when the
+    # exponents agree, the highest when the tops agree.
+    hi = max(m, top)
+    if top == m:
+        while hi and not out[hi - 1]:
+            hi -= 1
+        if not hi:
+            return S_ZERO
+    lo = 0
+    if not k:
+        while not out[lo]:
+            lo += 1
+    return _scalar(tuple(out[lo:hi]), P_ONE, v1 + lo)
+
+
+class Scalar:
+    """Reduced rational function q^v * n / d in q over the Gaussian rationals.
+
+    Invariant: ``n`` and ``d`` are coefficient tuples, lowest degree first,
+    with nonzero lowest and highest coefficients; ``d`` is monic and
+    gcd(n, d) = 1, and ``d is P_ONE`` exactly when the value is a Laurent
+    polynomial.  Zero is ``((), P_ONE, 0)`` and a constant has ``v == 0`` and
+    ``len(n) == 1``.  Every value has one representation, so equality is
+    field by field.  ``num`` and ``den`` give the dense reduced numerator and
+    denominator polynomials with the power of q folded in.
+    """
+
+    __slots__ = ("n", "d", "v")
+
+    def __init__(self, num: Poly, den: Poly = P_ONE):
+        self.n, self.d, self.v = _reduce(num, den, 0)
+
+    @property
+    def num(self) -> Poly:
+        v = self.v
+        return (GR_ZERO,) * v + self.n if v > 0 else self.n
+
+    @property
+    def den(self) -> Poly:
+        v = self.v
+        return (GR_ZERO,) * -v + self.d if v < 0 else self.d
 
     # -- constructors ---------------------------------------------------
     @staticmethod
     def of(x: Union["Scalar", GaussRat, Fraction, int]) -> "Scalar":
         if isinstance(x, Scalar):
             return x
-        if isinstance(x, GaussRat):
-            return Scalar((x,)) if x else S_ZERO
-        return Scalar((GaussRat(x),)) if x else S_ZERO
+        if not isinstance(x, GaussRat):
+            x = GaussRat(x)
+        return _scalar((x,), P_ONE, 0) if x else S_ZERO
 
     @staticmethod
     def i() -> "Scalar":
-        return Scalar((GaussRat(0, 1),))
+        return _scalar((GaussRat(0, 1),), P_ONE, 0)
 
     @staticmethod
     def q_power(k: int) -> "Scalar":
-        if k >= 0:
-            return Scalar(tuple([GR_ZERO] * k + [GR_ONE]))
-        return Scalar(P_ONE, tuple([GR_ZERO] * (-k) + [GR_ONE]))
+        return _scalar(P_ONE, P_ONE, k)
 
     # -- predicates ------------------------------------------------------
     def is_zero(self) -> bool:
-        return not self.num
+        return not self.n
 
     def is_one(self) -> bool:
-        return self.num == P_ONE and self.den == P_ONE
+        return not self.v and self.d is P_ONE and self.n == P_ONE
 
     def is_constant(self) -> bool:
-        return len(self.num) <= 1 and self.den == P_ONE
+        return len(self.n) <= 1 and not self.v and self.d is P_ONE
 
     def constant_value(self) -> GaussRat:
         if not self.is_constant():
             raise ScalarError(f"{self} is not a constant")
-        return self.num[0] if self.num else GR_ZERO
+        return self.n[0] if self.n else GR_ZERO
 
     def uses_i(self) -> bool:
-        return any(not c.is_real() for c in self.num + self.den)
+        return any(not c.is_real() for c in self.n + self.d)
 
     def uses_q(self) -> bool:
-        return len(self.num) > 1 or len(self.den) > 1
+        return bool(self.v) or len(self.n) > 1 or self.d is not P_ONE
 
     def in_tower(self, tower: str) -> bool:
         if tower == "Q":
@@ -351,43 +389,81 @@ class Scalar:
 
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other: "Scalar") -> "Scalar":
-        if not self.num:
+        n1 = self.n
+        if not n1:
             return other
-        if not other.num:
+        n2 = other.n
+        if not n2:
             return self
-        if len(self.num) == 1 == len(other.num) and len(self.den) == 1 == len(other.den):
-            c = self.num[0] + other.num[0]
-            return Scalar((c,), P_ONE, _reduced=True) if c else S_ZERO
-        if self.den == other.den:
-            return Scalar(_padd(self.num, other.num), self.den)
-        return Scalar(
-            _padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
-            _pmul(self.den, other.den),
-        )
+        d1, d2 = self.d, other.d
+        if d1 is P_ONE is d2:
+            v = self.v
+            if len(n1) == 1 == len(n2) and v == other.v:
+                c = n1[0] + n2[0]
+                if not c:
+                    return S_ZERO
+                r = _new(Scalar)
+                r.n, r.d, r.v = (c,), P_ONE, v
+                return r
+            return _laurent_add(n1, v, n2, other.v)
+        v = min(self.v, other.v)
+        a = (GR_ZERO,) * (self.v - v) + n1
+        b = (GR_ZERO,) * (other.v - v) + n2
+        if d1 == d2:
+            return _scalar(*_reduce(_padd(a, b), d1, v))
+        return _scalar(*_reduce(_padd(_pmul(a, d2), _pmul(b, d1)), _pmul(d1, d2), v))
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         return self + (-other)
 
     def __neg__(self) -> "Scalar":
-        return Scalar(_pneg(self.num), self.den, _reduced=True)
+        n = self.n
+        r = _new(Scalar)
+        r.n = (-n[0],) if len(n) == 1 else tuple([-x for x in n])
+        r.d, r.v = self.d, self.v
+        return r
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        if not self.num or not other.num:
+        n1, n2 = self.n, other.n
+        if not n1 or not n2:
             return S_ZERO
-        if self.num == P_ONE and self.den == P_ONE:
+        d1, d2 = self.d, other.d
+        if not self.v and d1 is P_ONE and n1 == P_ONE:
             return other
-        if other.num == P_ONE and other.den == P_ONE:
+        if not other.v and d2 is P_ONE and n2 == P_ONE:
             return self
-        if len(self.num) == 1 == len(other.num) and len(self.den) == 1 == len(other.den):
-            return Scalar((self.num[0] * other.num[0],), P_ONE, _reduced=True)
-        if self.den == P_ONE and other.den == P_ONE:
-            return Scalar(_pmul(self.num, other.num), P_ONE)
-        return Scalar(_pmul(self.num, other.num), _pmul(self.den, other.den))
+        v = self.v + other.v
+        if d1 is P_ONE is d2:
+            if len(n1) == 1:
+                c = n1[0]
+                if len(n2) == 1:
+                    n = (c * n2[0],)
+                elif c == GR_ONE:
+                    n = n2
+                else:
+                    n = tuple([c * x for x in n2])
+            elif len(n2) == 1:
+                c = n2[0]
+                n = n1 if c == GR_ONE else tuple([x * c for x in n1])
+            else:
+                n = _pmul(n1, n2)
+            r = _new(Scalar)
+            r.n, r.d, r.v = n, P_ONE, v
+            return r
+        return _scalar(*_reduce(_pmul(n1, n2), _pmul(d1, d2), v))
 
     def inv(self) -> "Scalar":
-        if not self.num:
+        n = self.n
+        if not n:
             raise ZeroDivisionError("inverse of zero Scalar")
-        return Scalar(self.den, self.num)
+        # q^-v * d/n, scaled so that n becomes monic; gcd(d, n) = 1 already
+        c = n[-1].inv()
+        d = self.d
+        return _scalar(
+            (c,) if d is P_ONE else tuple([x * c for x in d]),
+            P_ONE if len(n) == 1 else tuple([x * c for x in n]),
+            -self.v,
+        )
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         return self * other.inv()
@@ -406,7 +482,8 @@ class Scalar:
 
     def conj(self) -> "Scalar":
         """Complex conjugation; the parameter q is fixed (treated as real)."""
-        return Scalar(_pconj(self.num), _pconj(self.den))
+        d = self.d
+        return _scalar(_pconj(self.n), d if d is P_ONE else _pconj(d), self.v)
 
     # -- specialization ---------------------------------------------------
     def substitute_q(self, value: GaussRat) -> "Scalar":
@@ -422,7 +499,7 @@ class Scalar:
             n = sum(c.to_complex() * q**k for k, c in enumerate(self.num))
             d = sum(c.to_complex() * q**k for k, c in enumerate(self.den))
             return n / d
-        return self.constant_value().to_complex() if self.num else 0j
+        return self.constant_value().to_complex() if self.n else 0j
 
     def vanishes_mod(self, minpoly: Poly) -> bool:
         """True iff this scalar is 0 after reducing q by the given minimal polynomial."""
@@ -435,12 +512,13 @@ class Scalar:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Scalar)
-            and self.num == other.num
-            and self.den == other.den
+            and self.v == other.v
+            and self.n == other.n
+            and self.d == other.d
         )
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self.n, self.d, self.v))
 
     def __repr__(self) -> str:
         def poly_str(p: Poly) -> str:
@@ -463,15 +541,16 @@ class Scalar:
             s = " + ".join(parts)
             return s.replace("+ -", "- ")
 
-        if self.den == P_ONE:
-            if len(self.num) <= 1:
-                return poly_str(self.num)
-            return f"({poly_str(self.num)})"
-        return f"({poly_str(self.num)})/({poly_str(self.den)})"
+        num, den = self.num, self.den
+        if den == P_ONE:
+            if len(num) <= 1:
+                return poly_str(num)
+            return f"({poly_str(num)})"
+        return f"({poly_str(num)})/({poly_str(den)})"
 
 
-S_ZERO = Scalar((), P_ONE, _reduced=True)
-S_ONE = Scalar(P_ONE, P_ONE, _reduced=True)
+S_ZERO = _scalar((), P_ONE, 0)
+S_ONE = _scalar(P_ONE, P_ONE, 0)
 S_I = Scalar.i()
 S_Q = Scalar.q_power(1)
 S_QINV = Scalar.q_power(-1)

@@ -197,6 +197,20 @@ def test_patch_prolongation_reduces_back():
         assert gb.rule_compatibility_problems() == []
 
 
+def test_prolong_at_the_classical_point():
+    """At q = 1 the fiber algebra is commutative: its commutation rules hold
+    already among the central fiber generators and are not installed."""
+    pro = builtin.patch_prolonged(1)
+    assert pro.report == []
+    psys = pro.trivialisation.covering.pieces[0].comodule.system
+    al = psys.alphabet
+    assert {"A", "As", "G", "Gs"} <= al.central
+    assert all(r.rhs != NCPoly.word(al, r.lhs_word) for r in psys.rules)
+    ag = NCPoly.word(al, ("A", "G"))
+    assert psys.normal_form(ag) == NCPoly.word(al, ("G", "A"))
+    assert reducibility_check(pro.trivialisation, builtin.su_gamma_ideal(builtin.su_q2(1)), bound=2).reducible
+
+
 def test_prolong_requires_surjection(sphere):
     H = builtin.o_u1()
     z2 = builtin.c_z2()

@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 
 from oracles import FracGauss, frac_gauss_eval, frac_gauss_rem
 from pcomod import scalars
+from pcomod.exprs import ParseError, parse_scalar, scalar_to_expr
 from pcomod.scalars import (
     CUBE_ROOT_MINPOLY,
     GR_ONE,
     GaussRat,
+    S_I,
     S_ONE,
     S_Q,
+    S_QINV,
     S_ZERO,
     Scalar,
     ScalarError,
@@ -242,3 +245,181 @@ def test_vanishes_mod_matches_oracle(coeffs, force_multiple, shift):
     assert s.vanishes_mod(CUBE_ROOT_MINPOLY) == (not frac_gauss_rem(onum, minpoly))
     if force_multiple:
         assert s.vanishes_mod(CUBE_ROOT_MINPOLY)
+
+
+# ---------------------------------------------------------------------------
+# the (n, d, v) representation against evaluation at Gaussian-rational q
+# ---------------------------------------------------------------------------
+
+small_parts = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+small_coeffs = st.lists(st.tuples(small_parts, small_parts), min_size=1, max_size=4)
+# closed under conjugation, so conj(f(conj(x))) is defined wherever f(x) is
+Q_POINTS = [
+    FracGauss(2),
+    FracGauss(Fraction(-1, 3)),
+    FracGauss(1, 1),
+    FracGauss(1, -1),
+    FracGauss(Fraction(3, 2), -2),
+    FracGauss(Fraction(3, 2), 2),
+]
+
+
+@st.composite
+def scalar_cases(draw):
+    """(Scalar, value at q) built from oracle coefficient lists: a Laurent
+    polynomial q^k * p with k in -4..4, or a general quotient p / r."""
+    num = [FracGauss(*c) for c in draw(small_coeffs)]
+    if draw(st.booleans()):
+        k = draw(st.integers(-4, 4))
+        if k >= 0:
+            s = Scalar(to_engine([FracGauss()] * k + num))
+        else:
+            s = Scalar(to_engine(num), to_engine([FracGauss()] * -k + [FracGauss(1)]))
+        return s, lambda x: x_power(x, k) * frac_gauss_eval(num, x)
+    den = [FracGauss(*c) for c in draw(small_coeffs)]
+    assume(all(frac_gauss_eval(den, x) for x in Q_POINTS))
+    return Scalar(to_engine(num), to_engine(den)), lambda x: frac_gauss_eval(num, x) / frac_gauss_eval(den, x)
+
+
+def to_engine(coeffs) -> tuple:
+    return tuple(GaussRat(c.re, c.im) for c in coeffs)
+
+
+def to_oracle(poly) -> list:
+    return [FracGauss(c.re, c.im) for c in poly]
+
+
+def x_power(x: FracGauss, k: int) -> FracGauss:
+    out = FracGauss(1)
+    for _ in range(abs(k)):
+        out = out * x
+    return out if k >= 0 else out.inv()
+
+
+def oracle_gcd_is_one(a, b) -> bool:
+    while b:
+        a, b = b, frac_gauss_rem(a, b)
+    return len(a) == 1
+
+
+def value_at(s: Scalar, x: FracGauss) -> FracGauss:
+    """Evaluate through the dense num/den views."""
+    return frac_gauss_eval(to_oracle(s.num), x) / frac_gauss_eval(to_oracle(s.den), x)
+
+
+def assert_scalar_normal(s: Scalar) -> None:
+    n, d, v = s.n, s.d, s.v
+    assert type(n) is tuple and type(d) is tuple and type(v) is int
+    assert all(type(c) is GaussRat for c in n + d)
+    if not n:
+        assert (d, v) == (scalars.P_ONE, 0) and d is scalars.P_ONE
+        return
+    assert n[0] and n[-1] and d[0]
+    assert d[-1] == GR_ONE
+    assert (len(d) == 1) == (d is scalars.P_ONE)
+    assert oracle_gcd_is_one(to_oracle(n), to_oracle(d))
+    rebuilt = Scalar(s.num, s.den)
+    assert (rebuilt.n, rebuilt.d, rebuilt.v) == (n, d, v)
+    assert rebuilt == s and hash(rebuilt) == hash(s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scalar_cases(), scalar_cases())
+def test_laurent_and_general_paths_match_evaluation(x, y):
+    a, fa = x
+    b, fb = y
+    results = {
+        "+": (a + b, lambda p: fa(p) + fb(p)),
+        "-": (a - b, lambda p: fa(p) - fb(p)),
+        "*": (a * b, lambda p: fa(p) * fb(p)),
+        "neg": (-a, lambda p: -fa(p)),
+        "conj": (a.conj(), lambda p: fa(p.conj()).conj()),
+    }
+    if not b.is_zero():
+        results["inv"] = (b.inv(), lambda p: fb(p).inv())
+        results["/"] = (a / b, lambda p: fa(p) / fb(p))
+    for s in (a, b):
+        assert_scalar_normal(s)
+    for op, (got, want) in results.items():
+        assert_scalar_normal(got)
+        for p in Q_POINTS:
+            if op in ("inv", "/") and not fb(p):
+                continue
+            assert value_at(got, p) == want(p), (op, p)
+    assert a + b == b + a and hash(a + b) == hash(b + a)
+    assert a * b == b * a and hash(a * b) == hash(b * a)
+    zero = a - a
+    assert zero == S_ZERO and (zero.n, zero.d, zero.v) == ((), scalars.P_ONE, 0)
+
+
+def test_laurent_arithmetic_skips_gcd(monkeypatch):
+    """Sums and products of Laurent polynomials (denominator a power of q)
+    never take a polynomial gcd or division; constants never reach the
+    polynomial helpers at all."""
+    half = Scalar.of(Fraction(1, 2))
+    a = (S_ONE - S_Q**2) / S_Q                      # q^-1 - q
+    b = S_Q + Scalar.of(GaussRat(0, 1)) * S_Q**3     # q + I q^3
+    c = half * Scalar.q_power(-4)
+    expected = {
+        "a+b": a + b, "a*b": a * b, "a+c": a + c, "c*c": c * c, "b-b": b - b,
+        "a+q": a + S_Q, "1/c": c.inv(), "-a": -a,
+    }
+
+    def refuse(*args):
+        raise AssertionError("Laurent arithmetic reached a gcd or division")
+
+    monkeypatch.setattr(scalars, "_pgcd", refuse)
+    monkeypatch.setattr(scalars, "_pdivmod", refuse)
+    got = {
+        "a+b": a + b, "a*b": a * b, "a+c": a + c, "c*c": c * c, "b-b": b - b,
+        "a+q": a + S_Q, "1/c": c.inv(), "-a": -a,
+    }
+    assert got == expected
+    assert repr(got["a+q"]) == "(1)/(q)" and got["b-b"] is S_ZERO
+    assert repr(got["a*b"]) == "(1 + (-1+I)*q^2 - 1*I*q^4)"
+
+    def refuse_poly(*args):
+        raise AssertionError("constant arithmetic reached the polynomial helpers")
+
+    monkeypatch.setattr(scalars, "_padd", refuse_poly)
+    monkeypatch.setattr(scalars, "_pmul", refuse_poly)
+    two_thirds = Scalar.of(Fraction(2, 3))
+    assert (half + two_thirds) * two_thirds - half == Scalar.of(Fraction(5, 18))
+    assert (half * Scalar.q_power(3)) * (two_thirds * S_QINV) == Scalar.of(Fraction(1, 3)) * S_Q**2
+
+
+# repr and the expression-grammar rendering appear in failure witnesses and
+# exported presentations; these strings are the ones the dense num/den
+# representation printed.
+REPR_PINS = [
+    (lambda: S_ZERO, "0", "0"),
+    (lambda: S_ONE, "1", "1"),
+    (lambda: -S_ONE, "-1", "-1"),
+    (lambda: Scalar.of(Fraction(2, 3)), "2/3", "2/3"),
+    (lambda: Scalar.of(GaussRat(Fraction(1, 2), -1)), "(1/2-I)", "(1/2 - I)"),
+    (lambda: Scalar.q_power(-3), "(1)/(q^3)", "Q^-3"),
+    (lambda: -S_Q, "(-q)", "-Q"),
+    (lambda: (S_ONE - S_Q**2) / S_Q, "(1 - q^2)/(q)", "Q^-1 - Q"),
+    (lambda: S_I * S_Q**2 + Scalar.of(Fraction(1, 2)), "(1/2 + I*q^2)", "1/2 + I*Q^2"),
+    (lambda: S_ONE / (S_ONE + S_Q), "(1)/(1 + q)", None),
+    (lambda: S_Q**2 - S_ONE, "(-1 + q^2)", "-1 + Q^2"),
+    (
+        lambda: Scalar.of(GaussRat(Fraction(1, 3), Fraction(1, 3))) * Scalar.q_power(-2) - S_Q,
+        "((1/3+1/3*I) - q^3)/(q^2)",
+        "(1/3 + 1/3*I)*Q^-2 - Q",
+    ),
+    (lambda: (Scalar.of(2) * S_Q - S_ONE) / (S_Q**2 * (S_Q**2 + S_ONE)), "(-1 + 2*q)/(q^2 + q^4)", None),
+    (lambda: S_Q**3 * (S_ONE + S_Q) / Scalar.of(3), "(1/3*q^3 + 1/3*q^4)", "1/3*Q^3 + 1/3*Q^4"),
+]
+
+
+@pytest.mark.parametrize("make, text, expr", REPR_PINS)
+def test_repr_and_expression_pins(make, text, expr):
+    s = make()
+    assert repr(s) == text
+    if expr is None:
+        with pytest.raises(ParseError, match="cannot render denominator"):
+            scalar_to_expr(s)
+    else:
+        assert scalar_to_expr(s) == expr
+        assert parse_scalar(expr) == s

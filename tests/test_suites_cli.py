@@ -38,6 +38,16 @@ def test_determinant_ideal_at_integer_q(q):
         assert rep.passed, (name, [r for r in rep.records if r.status != "pass"])
 
 
+def test_classical_point_reduction_and_prolong(capsys):
+    """At q = 1 SU_q(2) is commutative and the prolongation along it takes its
+    fiber generators as central; both suites give a verdict and pass."""
+    for name in ("reduction-theorem", "prolong"):
+        rep = run_suite(SuiteConfig(suite=name, q=1))
+        assert rep.passed, (name, [r for r in rep.records if r.status != "pass"])
+    assert main(["verify", "--suite", "reduction-theorem", "--q", "1"]) == 0
+    capsys.readouterr()
+
+
 def test_unknown_suite_nearest_match():
     with pytest.raises(ConfigError) as exc:
         run_suite(mini_cfg("hopf-axiom"))
