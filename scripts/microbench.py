@@ -1,18 +1,24 @@
 #!/usr/bin/env python3
-"""Time Scalar ``+``, ``*`` and unary ``-`` on four kinds of operand.
+"""Time the hot operations of the scalar, rewriting and numeric layers.
 
     PYTHONPATH=src python3 scripts/microbench.py [--number N] [--repeat R]
 
-Kinds: constant (a Gaussian rational), monomial (c * q^k), Laurent (a
-polynomial in q and 1/q) and general (a denominator that is not a power of
-q).  Each line is the best of R repeats of N operations, in ns per
-operation.  Standard library only; it prints timings and asserts none.
+Scalar ``+``, ``*`` and unary ``-`` on four kinds of operand: constant (a
+Gaussian rational), monomial (c * q^k), Laurent (a polynomial in q and 1/q)
+and general (a denominator that is not a power of q).  ``RewriteSystem._nf_word``
+of a degree-6 su_q2 word at q formal, with the normal-form cache cleared before
+every call.  ``FourierPoly.eval`` of a degree-3 symbol at 4 angles (the size
+the surjectivity-criterion probe evaluates) and on the 720-point circle grid.
+Each line is the best of R repeats of N operations, in ns per operation.
+Standard library only; it prints timings and asserts none.
 """
 
 import argparse
 import timeit
 from fractions import Fraction
 
+from pcomod.builtin import su_q2
+from pcomod.numgeom import GridConfig, circle_angles, random_toeplitz_poly, symbol
 from pcomod.scalars import S_I, S_ONE, S_Q, GaussRat, Scalar
 
 
@@ -28,6 +34,21 @@ def operands() -> dict[str, tuple[Scalar, Scalar]]:
     }
 
 
+def cases() -> list[tuple[str, str, str, dict]]:
+    """(kind, operation, statement, globals) for every timed line."""
+    out = []
+    for kind, (a, b) in operands().items():
+        for op, stmt in (("+", "a + b"), ("*", "a * b"), ("neg", "-a")):
+            out.append((kind, op, stmt, {"a": a, "b": b}))
+    system = su_q2().system
+    word = system.alphabet.canon(("as", "as", "as", "a", "a", "a"))
+    out.append(("nf_word", "cold", "s._nf_cache.clear(); s._nf_word(w)", {"s": system, "w": word}))
+    F = symbol(random_toeplitz_poly(GridConfig().rng(0), 3))
+    for n, theta in ((4, circle_angles(8)[:4]), (720, circle_angles(720))):
+        out.append(("fourier", f"eval {n}", "F.eval(t)", {"F": F, "t": theta}))
+    return out
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--number", type=int, default=20000, help="operations per repeat")
@@ -35,11 +56,10 @@ def main() -> int:
     args = ap.parse_args()
     if args.number < 1 or args.repeat < 1:
         ap.error("--number and --repeat must be at least 1")
-    for kind, (a, b) in operands().items():
-        for op, stmt in (("+", "a + b"), ("*", "a * b"), ("neg", "-a")):
-            t = timeit.Timer(stmt, globals={"a": a, "b": b})
-            best = min(t.repeat(repeat=args.repeat, number=args.number))
-            print(f"{kind:9s} {op:4s} {best / args.number * 1e9:10.1f} ns/op")
+    for kind, op, stmt, env in cases():
+        t = timeit.Timer(stmt, globals=env)
+        best = min(t.repeat(repeat=args.repeat, number=args.number))
+        print(f"{kind:9s} {op:9s} {best / args.number * 1e9:10.1f} ns/op")
     return 0
 
 

@@ -12,7 +12,6 @@ from .circle import (
 )
 from .toeplitz import (
     FourierPoly,
-    ToeplitzNum,
     masked_residual,
     random_toeplitz_poly,
     symbol,
@@ -27,7 +26,6 @@ from .membership import (
     face_atlas,
     pi_n,
     pi_n_inverse,
-    quantum_space_membership,
     rp2_membership,
     sphere_membership,
 )

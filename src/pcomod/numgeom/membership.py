@@ -13,7 +13,9 @@ from ..ncpoly import NCPoly
 from ..scalars import S_ONE, Scalar
 from .circle import delta_angle, phi_gauged_pullback, psi_pullback
 from .grids import GridConfig, Z2, interval_nodes
-from .toeplitz import symbol, toeplitz_flip
+from .toeplitz import _toeplitz_basis, symbol, toeplitz_flip
+
+_HALF = Scalar.of(Fraction(1, 2))
 
 
 @dataclass
@@ -90,7 +92,6 @@ def sphere_membership(elt: SphereElement, cfg: GridConfig) -> tuple[bool, float]
     rhs = phi_gauged_pullback("01", lambda A, T, C: _component_eval(c1, 1, A, T, C))(a, t, c)
     r = max(r, float(np.max(np.abs(lhs - rhs))))
     # (sigma_2 x id)(c0)(t,a,c) = Phi_02 (sigma_1 x id)(c2)
-    lhs = _component_eval(c0, 2, a, t, c)  # note sigma_2 takes (t, k): reuse with roles swapped
     lhs2 = _sigma_eval(c0[0], 2, a, t) + _sigma_eval(c0[1], 2, a, t) * c
     rhs2 = phi_gauged_pullback("02", lambda A, T, C: _component_eval(c2, 1, A, T, C))(
         t, a, c
@@ -123,11 +124,6 @@ def face_atlas(elt: SphereElement, cfg: GridConfig) -> dict:
         for j in (1.0, -1.0):
             faces[(i, int(j))] = p0 + p1.scale(S_ONE if j > 0 else -S_ONE)
     edges = {}
-    specs = [
-        ("01", 1, 1),
-        ("02", 2, 1),
-        ("12", 2, 2),
-    ]
     c0, c1, c2 = elt.components
     pair_of = {"01": (c0, c1), "02": (c0, c2), "12": (c1, c2)}
     sig_of = {"01": (1, 1), "02": (2, 1), "12": (2, 2)}
@@ -137,28 +133,10 @@ def face_atlas(elt: SphereElement, cfg: GridConfig) -> dict:
         for a in (1.0, -1.0):
             for c in (1.0, -1.0):
                 lhs = _sigma_eval(left[0], si, a, x) + _sigma_eval(left[1], si, a, x) * c
-                if key == "01":
-                    rhs = _sigma_eval(right[0], sj, c, x) + _sigma_eval(right[1], sj, c, x) * a
-                elif key == "02":
-                    rhs = _sigma_eval(right[0], sj, c, x) + _sigma_eval(right[1], sj, c, x) * a
-                else:
-                    rhs = _sigma_eval(right[0], sj, c, x) + _sigma_eval(right[1], sj, c, x) * a
+                rhs = _sigma_eval(right[0], sj, c, x) + _sigma_eval(right[1], sj, c, x) * a
                 edges[(key, int(a), int(c))] = float(np.max(np.abs(lhs - rhs)))
     worst = max(edges.values())
     return {"edges": edges, "max_residual": worst, "pass": worst < cfg.tol, "faces": list(faces)}
-
-
-def quantum_space_membership(space: str, tup, cfg: GridConfig) -> tuple[bool, float]:
-    """Dispatch by space tag: 'rp2' and 'disc' take Toeplitz-polynomial
-    triples, 'sphere' takes a SphereElement."""
-    if space == "rp2":
-        return rp2_membership(tup, cfg)
-    if space == "disc":
-        return disc_membership(tup, cfg)
-    if space == "sphere":
-        elt = tup if isinstance(tup, SphereElement) else SphereElement(list(tup))
-        return sphere_membership(elt, cfg)
-    raise ValueError(f"unknown space {space!r}; expected rp2, sphere or disc")
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +145,9 @@ def quantum_space_membership(space: str, tup, cfg: GridConfig) -> tuple[bool, fl
 
 def equivariant_parts(elt: SphereElement) -> tuple[SphereElement, SphereElement]:
     """Unique splitting into the +1 and -1 eigenparts of the diagonal action."""
-    half = Scalar.of(Fraction(1, 2))
     flipped = elt.flip()
-    plus = elt.add(flipped).scale(half)
-    minus = elt.sub(flipped).scale(half)
+    plus = elt.add(flipped).scale(_HALF)
+    minus = elt.sub(flipped).scale(_HALF)
     return plus, minus
 
 
@@ -190,61 +167,68 @@ def pi_n_inverse(triple: Sequence[NCPoly], n: int, sign: int) -> SphereElement:
     """n = 1: alpha_{-1}(p) (x) 1_{+1} +- p (x) 1_{-1};
     n = 2: p (x) 1_{-1} +- alpha_{-1}(p) (x) 1_{+1};
     with the indicators 1_{+-1} = (1 +- u)/2."""
-    half = Scalar.of(Fraction(1, 2))
     sgn = S_ONE if sign > 0 else -S_ONE
     comps = []
     for p in triple:
         ap = toeplitz_flip(p)
         if n == 1:
-            p0 = (ap + p.scale(sgn)).scale(half)
-            p1 = (ap - p.scale(sgn)).scale(half)
+            p0 = (ap + p.scale(sgn)).scale(_HALF)
+            p1 = (ap - p.scale(sgn)).scale(_HALF)
         else:
-            p0 = (p + ap.scale(sgn)).scale(half)
-            p1 = (ap.scale(sgn) - p).scale(half)
+            p0 = (p + ap.scale(sgn)).scale(_HALF)
+            p1 = (ap.scale(sgn) - p).scale(_HALF)
         comps.append((p0, p1))
     return SphereElement(comps)
 
 
-def decomposition_report(cfg: GridConfig, n_random: int = 1000, max_deg: int = 3) -> dict:
-    """Round trips pi_n^{+-} o (pi_n^{+-})^{-1} = id on random disc triples and
-    (pi_n^{+-})^{-1} o pi_n^{+-} = id on random equivariant sphere elements;
-    plus exactness and uniqueness of the +-splitting."""
-    from .toeplitz import random_toeplitz_poly
+def decomposition_report() -> dict:
+    """Exact certificate for the Z2 decomposition of the sphere into disc pieces:
+    pi_n^{+-} o (pi_n^{+-})^{-1} = id on disc triples (forward),
+    (pi_n^{+-})^{-1} o pi_n^{+-} = id on the image of the inverse (backward),
+    and the inverse lands in the +-1 eigenspace of the diagonal action.
 
-    rng = cfg.rng(3)
-    worst_fwd = 0.0
-    worst_bwd = 0.0
-    worst_split = 0.0
-    for trial in range(n_random):
-        n = 1 if trial % 2 == 0 else 2
-        sign = 1 if trial % 4 < 2 else -1
-        triple = [random_toeplitz_poly(rng, max_deg) for _ in range(3)]
-        elt = pi_n_inverse(triple, n, sign)
-        back = pi_n(elt, n)
-        for p, q in zip(back, triple):
-            if not (p - q).is_zero():
-                worst_fwd = max(worst_fwd, symbol(p - q).sup_norm_bound())
-        # the inverse lands in the +- eigenspace
-        plus, minus = equivariant_parts(elt)
-        want_zero = minus if sign > 0 else plus
-        for p0, p1 in want_zero.components:
-            if not p0.is_zero() or not p1.is_zero():
-                worst_split = max(
-                    worst_split, symbol(p0).sup_norm_bound() + symbol(p1).sup_norm_bound()
-                )
-        # backward: start from the equivariant element
-        back_elt = pi_n_inverse(pi_n(elt, n), n, sign)
-        diffelt = back_elt.sub(elt)
-        for p0, p1 in diffelt.components:
-            if not p0.is_zero() or not p1.is_zero():
-                worst_bwd = max(
-                    worst_bwd, symbol(p0).sup_norm_bound() + symbol(p1).sup_norm_bound()
-                )
-    ok = max(worst_fwd, worst_bwd, worst_split) < cfg.tol
+    toeplitz_flip, pi_n, pi_n_inverse and equivariant_parts are Q(i)-linear,
+    act slot by slot, and send each word w to a multiple of w that depends
+    only on len(w) % 2, n and the sign.  So each identity holds on every
+    triple once it holds on every (word, slot, n, sign) case.  The cases run
+    here, in exact NCPoly arithmetic, are the 10 basis words of degree <= 3
+    (both parities) in each of the 3 slots for the 4 (n, sign) pairs; by the
+    parity argument they prove the identities for Toeplitz *-polynomial
+    triples of every degree.  A residual is the symbol sup-norm bound of the
+    worst nonzero difference, 0.0 on a pass."""
+    from ..builtin import toeplitz_system
+
+    alphabet = toeplitz_system().alphabet
+    worst_fwd = worst_bwd = worst_split = 0.0
+    exact = True
+    cases = 0
+    for w in _toeplitz_basis(3):
+        # the maps act slot by slot, so w in every slot is three cases at once
+        triple = [NCPoly(alphabet, {w: S_ONE})] * 3
+        for n, sign in ((1, 1), (2, 1), (1, -1), (2, -1)):
+            cases += 3
+            elt = pi_n_inverse(triple, n, sign)
+            back = pi_n(elt, n)
+            plus, minus = equivariant_parts(elt)
+            split = (minus if sign > 0 else plus).components
+            again = pi_n_inverse(back, n, sign)
+            if back == triple and again == elt and all(
+                p0.is_zero() and p1.is_zero() for p0, p1 in split
+            ):
+                continue
+            exact = False
+            worst_fwd = max([worst_fwd] + [symbol(p - q).sup_norm_bound() for p, q in zip(back, triple)])
+            worst_split = max([worst_split] + [_pair_bound(pair) for pair in split])
+            worst_bwd = max([worst_bwd] + [_pair_bound(pair) for pair in again.sub(elt).components])
     return {
         "forward_roundtrip": worst_fwd,
         "backward_roundtrip": worst_bwd,
         "eigenspace": worst_split,
-        "pass": ok,
-        "trials": n_random,
+        "pass": exact,
+        "cases": cases,
     }
+
+
+def _pair_bound(pair) -> float:
+    p0, p1 = pair
+    return symbol(p0).sup_norm_bound() + symbol(p1).sup_norm_bound()

@@ -123,24 +123,6 @@ def masked_residual(a: np.ndarray, b: np.ndarray, margin: int) -> float:
     return float(np.max(np.abs(a[:m, :m] - b[:m, :m]))) if m > 0 else 0.0
 
 
-class ToeplitzNum:
-    """Exact *-polynomial in the isometry plus a truncation size; the symbol is
-    always computed from the polynomial, the matrix is for spot numerics only."""
-
-    def __init__(self, poly: NCPoly, n: int = 64):
-        self.poly = poly
-        self.n = n
-
-    def symbol(self) -> FourierPoly:
-        return symbol(self.poly)
-
-    def matrix(self) -> np.ndarray:
-        return toeplitz_matrix(self.poly, self.n)
-
-    def flip(self) -> "ToeplitzNum":
-        return ToeplitzNum(toeplitz_flip(self.poly), self.n)
-
-
 @cache
 def _toeplitz_basis(max_deg: int) -> tuple:
     from ..builtin import toeplitz_system

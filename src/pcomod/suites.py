@@ -779,7 +779,7 @@ def suite_disc_decomposition(cfg: SuiteConfig) -> list[CheckRecord]:
     ok, r = disc_membership([one, one, one], cfg.grid)
     out.append(_timed(CheckRecord("disc/unit-member", "the unit triple is a disc element", "pass" if ok else "fail", residual=r), t0))
     t0 = time.monotonic()
-    rep = decomposition_report(cfg.grid, n_random=1000)
+    rep = decomposition_report()
     worst = max(rep["forward_roundtrip"], rep["backward_roundtrip"], rep["eigenspace"])
     out.append(
         _timed(

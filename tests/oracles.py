@@ -1,12 +1,19 @@
 """Independent oracles used to freeze expected values: small hand-rolled models
-that do not share code with the engine under test, and exhaustive searches that
-use only the engine's single rewriting step and normal form."""
+that do not share code with the engine under test, exhaustive searches that
+use only the engine's single rewriting step and normal form, and the sampling
+loops that exact certificates and precomputed tables replaced."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 from pcomod.ncpoly import NCPoly
+from pcomod.numgeom import membership
+from pcomod.numgeom.circle import delta_angle, omega_hat
+from pcomod.numgeom.grids import Z2
+from pcomod.numgeom.toeplitz import random_toeplitz_poly, symbol
 from pcomod.rewrite import Conflict, ConfluenceReport, SizeLimitError
 from pcomod.scalars import S_ONE, S_ZERO
 
@@ -282,3 +289,91 @@ def worklist_normal_form(system, word):
                     zoned[pre + sw] = v
         acc = zoned
     return NCPoly(system.alphabet, acc)
+
+
+# ---------------------------------------------------------------------------
+# numgeom: the sampling loops the fast paths replaced
+# ---------------------------------------------------------------------------
+
+def random_decomposition_roundtrips(cfg, n_random: int, max_deg: int = 3) -> dict:
+    """The Z2-decomposition round trips on n_random random disc triples drawn
+    from cfg.rng(3): the sampling check that membership.decomposition_report
+    replaced by its per-word certificate.  It calls the maps through the module
+    so that a test can swap one of them for a mutant."""
+    rng = cfg.rng(3)
+    worst_fwd = 0.0
+    worst_bwd = 0.0
+    worst_split = 0.0
+    for trial in range(n_random):
+        n = 1 if trial % 2 == 0 else 2
+        sign = 1 if trial % 4 < 2 else -1
+        triple = [random_toeplitz_poly(rng, max_deg) for _ in range(3)]
+        elt = membership.pi_n_inverse(triple, n, sign)
+        back = membership.pi_n(elt, n)
+        for p, q in zip(back, triple):
+            if not (p - q).is_zero():
+                worst_fwd = max(worst_fwd, symbol(p - q).sup_norm_bound())
+        # the inverse lands in the +- eigenspace
+        plus, minus = membership.equivariant_parts(elt)
+        want_zero = minus if sign > 0 else plus
+        for p0, p1 in want_zero.components:
+            if not p0.is_zero() or not p1.is_zero():
+                worst_split = max(
+                    worst_split, symbol(p0).sup_norm_bound() + symbol(p1).sup_norm_bound()
+                )
+        # backward: start from the equivariant element
+        back_elt = membership.pi_n_inverse(membership.pi_n(elt, n), n, sign)
+        diffelt = back_elt.sub(elt)
+        for p0, p1 in diffelt.components:
+            if not p0.is_zero() or not p1.is_zero():
+                worst_bwd = max(
+                    worst_bwd, symbol(p0).sup_norm_bound() + symbol(p1).sup_norm_bound()
+                )
+    ok = max(worst_fwd, worst_bwd, worst_split) < cfg.tol
+    return {
+        "forward_roundtrip": worst_fwd,
+        "backward_roundtrip": worst_bwd,
+        "eigenspace": worst_split,
+        "pass": ok,
+        "trials": n_random,
+    }
+
+
+def condition2_closures(rng, n_random: int) -> float:
+    """Condition (2) of probes.mattprop_report by composing the circle-map
+    closures (omega_hat, the Phi swaps) for every trial: the loop that
+    probes._condition2_residual replaced by grid-only tables.  It draws the
+    same random numbers in the same order."""
+    worst_c2 = 0.0
+    for _ in range(n_random):
+        b = random_toeplitz_poly(rng, 3)
+        Fb = symbol(b)
+        g0, g1 = rng.normal(size=2)
+        g = lambda cc: g0 + g1 * np.asarray(cc)
+        # path A: pi^{01}_2 (pi^{02}_1)^{-1} pi^{20}_1 of [b (x) g]
+        X = lambda aa, xx, cc: Fb.eval(delta_angle(1, aa, xx)) * g(cc)
+        PhiX = lambda tt, aa, cc: X(cc, tt, aa)  # Phi_02 swap
+        YA = {}
+        for cval in (1.0, -1.0):
+            f = lambda tt, kk, cv=cval: PhiX(tt, kk, cv)
+            YA[cval] = omega_hat(2, f)
+        ZA = lambda aa, xx, cc: np.where(
+            np.asarray(cc) > 0, YA[1.0](delta_angle(1, aa, xx)), YA[-1.0](delta_angle(1, aa, xx))
+        )
+        # path B: pi^{10}_2 (pi^{12}_0)^{-1} pi^{21}_0 of [b (x) g]
+        W = lambda tt, aa, cc: Fb.eval(delta_angle(2, aa, tt)) * g(cc)
+        PhiW = lambda tt, aa, cc: W(tt, cc, aa)  # Phi_12 swap
+        YB = {}
+        for cval in (1.0, -1.0):
+            f = lambda tt, kk, cv=cval: PhiW(tt, kk, cv)
+            YB[cval] = omega_hat(2, f)
+        SB = lambda aa, xx, cc: np.where(
+            np.asarray(cc) > 0, YB[1.0](delta_angle(1, aa, xx)), YB[-1.0](delta_angle(1, aa, xx))
+        )
+        ZB = lambda aa, xx, cc: SB(cc, xx, aa)  # Phi_01 swap
+        # compare the classes modulo C(Z2) (x) ker iota^* (x) C(Z2): evaluate at x = +-1
+        aas = Z2[:, None, None]
+        xs = np.array([1.0, -1.0])[None, :, None]
+        cs = Z2[None, None, :]
+        worst_c2 = max(worst_c2, float(np.max(np.abs(ZA(aas, xs, cs) - ZB(aas, xs, cs)))))
+    return worst_c2

@@ -1,6 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from oracles import condition2_closures, random_decomposition_roundtrips
 from pcomod import builtin
 from pcomod.ncpoly import NCPoly
 from pcomod.numgeom import (
@@ -28,6 +31,7 @@ from pcomod.numgeom import (
     symbol,
     winding_number,
 )
+from pcomod.numgeom import membership, probes
 from pcomod.numgeom.grids import circle_angles
 from pcomod.numgeom.toeplitz import random_toeplitz_poly
 from pcomod.scalars import S_ONE, Scalar
@@ -116,8 +120,8 @@ def test_symbol_exactness_and_flip():
 
 
 def test_decomposition_roundtrips_and_split():
-    rep = decomposition_report(CFG, n_random=200)
-    assert rep["pass"]
+    rep = decomposition_report()
+    assert rep["pass"] and rep["cases"] == 10 * 3 * 4
     ts = builtin.toeplitz_system()
     al = ts.alphabet
     s = NCPoly.gen(al, "s")
@@ -130,6 +134,58 @@ def test_decomposition_roundtrips_and_split():
     # eigenparts really are eigenvectors
     fp = plus.flip().sub(plus)
     assert all(p0.is_zero() and p1.is_zero() for p0, p1 in fp.components)
+
+
+ROUNDTRIP_KEYS = ("forward_roundtrip", "backward_roundtrip", "eigenspace", "pass")
+
+
+@pytest.mark.parametrize("seed", [20130915, 1, 7])
+def test_decomposition_certificate_agrees_with_sampling(seed):
+    cert = decomposition_report()
+    sampled = random_decomposition_roundtrips(GridConfig(seed=seed), n_random=200)
+    assert {k: cert[k] for k in ROUNDTRIP_KEYS} == {k: sampled[k] for k in ROUNDTRIP_KEYS}
+    assert cert["pass"]
+
+
+def _third_for_half(pi_inv):
+    """pi_n_inverse with the indicator factor 1/2 replaced by 1/3."""
+    two_thirds = Scalar.of(Fraction(2, 3))
+    return lambda triple, n, sign: pi_inv(triple, n, sign).scale(two_thirds)
+
+
+def _odd_words_sign_swapped(pi_inv):
+    """pi_n_inverse with the opposite sign on odd-length words."""
+
+    def mutant(triple, n, sign):
+        even = [NCPoly(p.alphabet, {w: c for w, c in p.terms.items() if len(w) % 2 == 0}) for p in triple]
+        odd = [p - e for p, e in zip(triple, even)]
+        return pi_inv(even, n, sign).add(pi_inv(odd, n, -sign))
+
+    return mutant
+
+
+@pytest.mark.parametrize(
+    "mutate, broken",
+    [(_third_for_half, "forward_roundtrip"), (_odd_words_sign_swapped, "eigenspace")],
+)
+def test_decomposition_mutants_rejected(monkeypatch, mutate, broken):
+    monkeypatch.setattr(membership, "pi_n_inverse", mutate(membership.pi_n_inverse))
+    cert = decomposition_report()
+    sampled = random_decomposition_roundtrips(CFG, n_random=40)
+    for rep in (cert, sampled):
+        assert not rep["pass"] and rep[broken] > CFG.tol
+
+
+@pytest.mark.parametrize("seed", [20130915, 1, 31])
+def test_mattprop_condition2_matches_closures(monkeypatch, seed):
+    cfg = GridConfig(seed=seed)
+    for n_random in (100, 1000):
+        fast = mattprop_report(cfg, n_random)
+        with monkeypatch.context() as m:
+            m.setattr(probes, "_condition2_residual", condition2_closures)
+            slow = mattprop_report(cfg, n_random)
+        assert fast["condition2_residual"] == slow["condition2_residual"]
+        assert fast == slow
 
 
 def test_winding_numbers_and_guards():
