@@ -31,7 +31,6 @@ def make_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, default=20130915)
     v.add_argument("--trials", type=int, default=100)
     v.add_argument("--samples", type=int, default=10_000, help="Monte-Carlo sample count")
-    v.add_argument("--jobs", type=int, default=1)
     v.add_argument("--format", choices=("json", "md"), default="json")
     v.add_argument("--out", help="write the report to this path (atomic)")
 
@@ -82,11 +81,9 @@ def main(argv=None) -> int:
                 tol=args.tol,
                 trunc=args.trunc,
                 seed=args.seed,
-                trials=args.trials,
             ),
             trials=args.trials,
             mc_samples=args.samples,
-            jobs=args.jobs,
             fmt=args.format,
             out=args.out,
         )

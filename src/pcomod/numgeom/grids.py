@@ -15,7 +15,6 @@ class GridConfig:
     tol: float = 1e-9
     trunc: int = 64              # Toeplitz truncation size for matrix spot checks
     seed: int = 20130915
-    trials: int = 100
 
     def rng(self, salt: int = 0) -> np.random.Generator:
         return np.random.default_rng((self.seed * 1_000_003 + salt) % (2**63))

@@ -1,23 +1,33 @@
 """Named verification suites: declarative compositions of the module
-operations, producing machine-readable reports with exit-code semantics."""
+operations, producing machine-readable reports with exit-code semantics.
+
+A suite body is a generator that does its work and yields one
+``CheckRecord`` per check; ``run_suite`` times and labels the records."""
 
 from __future__ import annotations
 
+import difflib
 import json
 import os
 import tempfile
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 
 from . import builtin
-from .comodule import strong_connection_from_cleaving, verify_strong_connection
+from .comodule import (
+    CleavingMap,
+    principal_quotient_pair_certificate,
+    smash_product,
+    strong_connection_from_cleaving,
+    verify_strong_connection,
+)
+from .exprs import parse_poly
 from .hopf import (
-    HopfIdeal,
     check_hopf_axioms,
+    coinvariant_compatibility_check,
     generator_map_isomorphism_problems,
-    left_coinvariant_test,
     quotient_hopf,
 )
 from .maps import gens_map
@@ -33,14 +43,19 @@ from .numgeom import (
     mattprop_report,
     peter_weyl_report,
     phi_identities_report,
+    random_toeplitz_poly,
     rp2_membership,
     sphere_membership,
     splitting_identities_report,
+    symbol,
 )
 from .pullback import (
+    Covering,
+    CoveringPiece,
+    IncompatibleError,
+    Trivialisation,
     multipullback_membership,
     piece_glue,
-    IncompatibleError,
     reducibility_check,
     transition_checks,
 )
@@ -53,6 +68,10 @@ class ConfigError(ValueError):
 
 @dataclass
 class CheckRecord:
+    """One check's verdict.  ``run_suite`` sets ``runtime_ms`` (wall time
+    since the suite's previous record, or since the suite started) and
+    ``seed`` (``crc32(id) & 0xFFFF``, a label no check draws from)."""
+
     id: str
     claim: str
     status: str  # pass | fail | undecided
@@ -72,7 +91,6 @@ class SuiteConfig:
     grid: GridConfig = field(default_factory=GridConfig)
     trials: int = 100
     mc_samples: int = 10_000
-    jobs: int = 1
     fmt: str = "json"
     out: str | None = None
 
@@ -148,121 +166,67 @@ class SuiteReport:
         os.replace(tmp, path)
 
 
-def _record(id_: str, claim: str, failures=None, residual=None, tol=None, witness="") -> CheckRecord:
-    t = None
-    if failures is not None:
-        ok = not failures
-        wit = witness or ("" if ok else f"{failures[0]}")
-        status = "pass" if ok else "fail"
-        return CheckRecord(id_, claim, status, wit, residual, seed=None)
-    if residual is not None and tol is not None:
-        status = "pass" if residual < tol else "fail"
-        return CheckRecord(id_, claim, status, witness, residual)
-    return CheckRecord(id_, claim, "pass", witness, residual)
+def _check(id_: str, claim: str, ok, witness: str = "", residual=None) -> CheckRecord:
+    return CheckRecord(id_, claim, "pass" if ok else "fail", witness, residual)
 
 
-def _timed(rec: CheckRecord, t0: float) -> CheckRecord:
-    rec.runtime_ms = (time.monotonic() - t0) * 1000.0
-    rec.seed = zlib.crc32(rec.id.encode()) & 0xFFFF
-    return rec
+def _no_failures(id_: str, claim: str, failures) -> CheckRecord:
+    return _check(id_, claim, not failures, f"{failures[0]}" if failures else "")
 
 
 # ---------------------------------------------------------------------------
 # suite bodies
 # ---------------------------------------------------------------------------
 
-def suite_hopf_axioms(cfg: SuiteConfig) -> list[CheckRecord]:
-    names = [cfg.algebra] if cfg.algebra else list(builtin.HOPF_NAMES)
-    out = []
-    for name in names:
-        t0 = time.monotonic()
+def suite_hopf_axioms(cfg: SuiteConfig) -> Iterator[CheckRecord]:
+    for name in builtin.HOPF_NAMES:
+        if cfg.algebra not in (None, name):
+            continue
         H = builtin.build(name, cfg.q)
         conf = H.system.check_local_confluence(min(6, cfg.degree + 2))
-        out.append(
-            _timed(
-                _record(
-                    f"confluence/{name}",
-                    "all one-step reductions share one normal form up to the bound",
-                    failures=conf.conflicts,
-                ),
-                t0,
-            )
+        yield _no_failures(
+            f"confluence/{name}",
+            "all one-step reductions share one normal form up to the bound",
+            conf.conflicts,
         )
-        t0 = time.monotonic()
-        fails = check_hopf_axioms(H, cfg.degree)
-        out.append(
-            _timed(
-                _record(
-                    f"hopf-axioms/{name}",
-                    "coassociativity, counit, antipode laws and S-invertibility on the basis",
-                    failures=fails,
-                ),
-                t0,
-            )
+        yield _no_failures(
+            f"hopf-axioms/{name}",
+            "coassociativity, counit, antipode laws and S-invertibility on the basis",
+            check_hopf_axioms(H, cfg.degree),
         )
-    return out
 
 
-def suite_comodule_axioms(cfg: SuiteConfig) -> list[CheckRecord]:
-    names = [cfg.algebra] if cfg.algebra else list(builtin.COMODULE_NAMES)
-    out = []
-    for name in names:
-        t0 = time.monotonic()
+def suite_comodule_axioms(cfg: SuiteConfig) -> Iterator[CheckRecord]:
+    for name in builtin.COMODULE_NAMES:
+        if cfg.algebra not in (None, name):
+            continue
         obj = builtin.build(name, cfg.q)
         P = obj[0] if isinstance(obj, tuple) else obj
-        fails = P.check_axioms(cfg.degree)
-        out.append(
-            _timed(
-                _record(
-                    f"comodule-axioms/{name}",
-                    "coaction well-defined, coassociative, counital on the basis",
-                    failures=fails,
-                ),
-                t0,
-            )
+        yield _no_failures(
+            f"comodule-axioms/{name}",
+            "coaction well-defined, coassociative, counital on the basis",
+            P.check_axioms(cfg.degree),
         )
-    return out
 
 
-def suite_strong_connection(cfg: SuiteConfig) -> list[CheckRecord]:
-    out = []
+def suite_strong_connection(cfg: SuiteConfig) -> Iterator[CheckRecord]:
     deg = min(cfg.degree, 4)
     instances = [
         ("toeplitz_z2_smash", builtin.toeplitz_z2_smash()),
         ("toeplitz_u1_smash", builtin.toeplitz_u1_smash()),
     ]
     for name, sm in instances:
-        t0 = time.monotonic()
         cl = sm.cleaving()
-        fails = cl.verify(deg)
-        out.append(
-            _timed(
-                _record(f"cleaving/{name}", "unital colinear convolution-invertible cleaving", failures=fails),
-                t0,
-            )
-        )
-        t0 = time.monotonic()
+        yield _no_failures(f"cleaving/{name}", "unital colinear convolution-invertible cleaving", cl.verify(deg))
         ell = strong_connection_from_cleaving(cl, deg)
-        fails = verify_strong_connection(ell, deg)
-        out.append(
-            _timed(
-                _record(
-                    f"strong-connection/{name}",
-                    "three lifting axioms plus h^[1] h^[2] = eps(h) on every basis word",
-                    failures=fails,
-                ),
-                t0,
-            )
+        yield _no_failures(
+            f"strong-connection/{name}",
+            "three lifting axioms plus h^[1] h^[2] = eps(h) on every basis word",
+            verify_strong_connection(ell, deg),
         )
-    t0 = time.monotonic()
     P, cl = builtin.pw_patch()
     fails = cl.verify(2) + verify_strong_connection(strong_connection_from_cleaving(cl, 2), 2)
-    out.append(
-        _timed(
-            _record("strong-connection/pw_patch", "patch cleaving and its connection at degree 2", failures=fails),
-            t0,
-        )
-    )
+    yield _no_failures("strong-connection/pw_patch", "patch cleaving and its connection at degree 2", fails)
     # the determinant pair carries a degree-one certificate: beyond the
     # generators the canonical lifts satisfy the axioms only up to
     # tensor-over-base balancing, which multiplication erases
@@ -270,49 +234,24 @@ def suite_strong_connection(cfg: SuiteConfig) -> list[CheckRecord]:
         ("o_u1-mod-z2", builtin.u1_mod_z2_ideal, builtin.o_u1, min(cfg.degree, 3)),
         ("gl-mod-det", lambda H: builtin.gl_mod_det_ideal(H, cfg.q), lambda: builtin.gl_q2(cfg.q), 1),
     ):
-        t0 = time.monotonic()
         H = H_builder()
         J = J_builder(H)
-        fails = _principal_pair_certificate(H, J, pair_bound)
-        out.append(
-            _timed(
-                _record(
-                    f"quotient-pair-principal/{name}",
-                    "explicit strong connection for the quotient coaction on the pair",
-                    failures=fails,
-                ),
-                t0,
-            )
+        fails, _, _ = principal_quotient_pair_certificate(H, J, pair_bound)
+        yield _no_failures(
+            f"quotient-pair-principal/{name}",
+            "explicit strong connection for the quotient coaction on the pair",
+            fails,
         )
-    return out
 
 
-def _principal_pair_certificate(H, J, bound):
-    from .comodule import principal_quotient_pair_certificate
-
-    failures, _, _ = principal_quotient_pair_certificate(H, J, bound)
-    return failures
-
-
-def suite_smash(cfg: SuiteConfig) -> list[CheckRecord]:
-    out = []
-    t0 = time.monotonic()
+def suite_smash(cfg: SuiteConfig) -> Iterator[CheckRecord]:
     sm = builtin.plane_gl_smash(cfg.q)
-    fails = sm.action.module_algebra_problems()
-    out.append(
-        _timed(
-            _record(
-                "smash/plane-gl-action",
-                "declared action respects both presentations (module-algebra axioms)",
-                failures=fails,
-            ),
-            t0,
-        )
+    yield _no_failures(
+        "smash/plane-gl-action",
+        "declared action respects both presentations (module-algebra axioms)",
+        sm.action.module_algebra_problems(),
     )
-    t0 = time.monotonic()
-    fails = sm.check_axioms(min(cfg.degree, 3))
-    out.append(_timed(_record("smash/plane-gl-comodule", "smash coaction axioms", failures=fails), t0))
-    t0 = time.monotonic()
+    yield _no_failures("smash/plane-gl-comodule", "smash coaction axioms", sm.check_axioms(min(cfg.degree, 3)))
     sm2 = builtin.toeplitz_z2_smash()
     bad = []
     for b in sm2.b_gens:
@@ -321,21 +260,13 @@ def suite_smash(cfg: SuiteConfig) -> list[CheckRecord]:
     for z in sm2.h_gens:
         if sm2.is_coinvariant(NCPoly.gen(sm2.system.alphabet, z)):
             bad.append(z)
-    out.append(
-        _timed(
-            CheckRecord(
-                "smash/coinvariants",
-                "base generators are coinvariant, group-like fiber generators are not",
-                "pass" if not bad else "fail",
-                witness=",".join(bad),
-            ),
-            t0,
-        )
+    yield _check(
+        "smash/coinvariants",
+        "base generators are coinvariant, group-like fiber generators are not",
+        not bad,
+        witness=",".join(bad),
     )
-    t0 = time.monotonic()
     trivial = builtin.trivial_action(builtin.c_z2(), builtin.toeplitz_system())
-    from .comodule import smash_product
-
     tensor_like = smash_product(
         builtin.toeplitz_system(), builtin.c_z2(), trivial, name="tensor-check", h_central=True
     )
@@ -343,55 +274,34 @@ def suite_smash(cfg: SuiteConfig) -> list[CheckRecord]:
         NCPoly.word(tensor_like.system.alphabet, ("u", "s"))
         - NCPoly.word(tensor_like.system.alphabet, ("s", "u"))
     )
-    out.append(
-        _timed(
-            CheckRecord(
-                "smash/trivial-action-tensor",
-                "the trivial action yields the tensor-product algebra",
-                "pass" if diff.is_zero() else "fail",
-                witness="" if diff.is_zero() else repr(diff),
-            ),
-            t0,
-        )
+    yield _check(
+        "smash/trivial-action-tensor",
+        "the trivial action yields the tensor-product algebra",
+        diff.is_zero(),
+        witness="" if diff.is_zero() else repr(diff),
     )
-    return out
 
 
-def suite_covering(cfg: SuiteConfig) -> list[CheckRecord]:
-    out = []
-    t0 = time.monotonic()
+def suite_covering(cfg: SuiteConfig) -> Iterator[CheckRecord]:
     triv = _load_trivialisation(cfg)
-    fails = triv.validate(min(cfg.degree, 2))
-    out.append(
-        _timed(
-            _record(
-                "covering/validate",
-                "pieces, base generators and double-quotient maps are colinear and well-defined",
-                failures=fails,
-            ),
-            t0,
-        )
+    yield _no_failures(
+        "covering/validate",
+        "pieces, base generators and double-quotient maps are colinear and well-defined",
+        triv.validate(min(cfg.degree, 2)),
     )
-    t0 = time.monotonic()
     al = triv.covering.pieces[0].comodule.system.alphabet
     one = NCPoly.one(al)
     zero = NCPoly.zero(al)
     ok1, _ = multipullback_membership(triv.covering, [one] * triv.covering.size)
     bad_tuple = [one] + [zero] * (triv.covering.size - 1)
-    ok2, fails2 = multipullback_membership(triv.covering, bad_tuple)
+    ok2, _ = multipullback_membership(triv.covering, bad_tuple)
     good = ok1 and (not ok2 if triv.covering.size > 1 else True)
-    out.append(
-        _timed(
-            CheckRecord(
-                "covering/membership",
-                "compatible tuples pass, mismatched tuples are rejected with the difference",
-                "pass" if good else "fail",
-                witness="" if good else "membership oracle inconsistent",
-            ),
-            t0,
-        )
+    yield _check(
+        "covering/membership",
+        "compatible tuples pass, mismatched tuples are rejected with the difference",
+        good,
+        witness="" if good else "membership oracle inconsistent",
     )
-    t0 = time.monotonic()
     try:
         piece_glue(triv, [one] * triv.covering.size, NCPoly.one(triv.hopf.system.alphabet))
         glue_ok = True
@@ -399,13 +309,7 @@ def suite_covering(cfg: SuiteConfig) -> list[CheckRecord]:
     except IncompatibleError as e:
         glue_ok = False
         wit = str(e)
-    out.append(
-        _timed(
-            CheckRecord("covering/glue-unit", "the unit tuple glues", "pass" if glue_ok else "fail", wit),
-            t0,
-        )
-    )
-    return out
+    yield _check("covering/glue-unit", "the unit tuple glues", glue_ok, wit)
 
 
 def _load_trivialisation(cfg: SuiteConfig):
@@ -417,10 +321,6 @@ def _load_trivialisation(cfg: SuiteConfig):
 def load_covering_file(path: str):
     """Covering JSON: {"base": builtin-name, "pieces": [{"kernel": [...],
     "cleaving": {...}}, ...]}; kernels/cleavings parsed over the base."""
-    from .exprs import parse_poly
-    from .pullback import Covering, Trivialisation
-    from .comodule import CleavingMap
-
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -450,120 +350,66 @@ def load_covering_file(path: str):
     return Trivialisation(cov, base.hopf, cleavings, name=doc.get("name", "file-covering"))
 
 
-def suite_transition(cfg: SuiteConfig) -> list[CheckRecord]:
-    out = []
-    t0 = time.monotonic()
+def suite_transition(cfg: SuiteConfig) -> Iterator[CheckRecord]:
     triv = _load_trivialisation(cfg)
-    fails = transition_checks(triv, min(cfg.degree, 2))
-    out.append(
-        _timed(
-            _record(
-                "transition/laws",
-                "T_ii = eta eps, T_ij * T_ji = eta eps, images coaction-invariant",
-                failures=fails,
-            ),
-            t0,
-        )
+    yield _no_failures(
+        "transition/laws",
+        "T_ii = eta eps, T_ij * T_ji = eta eps, images coaction-invariant",
+        transition_checks(triv, min(cfg.degree, 2)),
     )
-    t0 = time.monotonic()
     tv = triv.transition(0, 1, ("u",)) if "u" in triv.hopf.system.alphabet.rank else None
-    witness = f"T_01(u) = {tv!r}" if tv is not None else ""
-    out.append(
-        _timed(
-            CheckRecord(
-                "transition/values",
-                "the Z2 transition function is the base parity class (identity twisting)",
-                "pass" if tv is None or not tv.is_zero() else "fail",
-                witness=witness,
-            ),
-            t0,
-        )
+    yield _check(
+        "transition/values",
+        "the Z2 transition function is the base parity class (identity twisting)",
+        tv is None or not tv.is_zero(),
+        witness=f"T_01(u) = {tv!r}" if tv is not None else "",
     )
-    return out
 
 
-def suite_reduction_theorem(cfg: SuiteConfig) -> list[CheckRecord]:
-    out = []
+def suite_reduction_theorem(cfg: SuiteConfig) -> Iterator[CheckRecord]:
     # the positive instance: prolonged sphere reduced back along the parity kernel
-    t0 = time.monotonic()
     pro = builtin.sphere_prolonged(min(cfg.degree, 3))
-    out.append(
-        _timed(
-            _record("reduction/prolong-certificates", "cotensor membership and imported relations", failures=pro.report),
-            t0,
-        )
-    )
-    t0 = time.monotonic()
+    yield _no_failures("reduction/prolong-certificates", "cotensor membership and imported relations", pro.report)
     J = builtin.u1_mod_z2_ideal()
-    out.append(_timed(_record("reduction/ideal-axioms", "the reducing ideal is a Hopf ideal", failures=J.validate()), t0))
-    t0 = time.monotonic()
+    yield _no_failures("reduction/ideal-axioms", "the reducing ideal is a Hopf ideal", J.validate())
     verdict = reducibility_check(pro.trivialisation, J, bound=min(cfg.degree, 3))
-    out.append(
-        _timed(
-            CheckRecord(
-                "reduction/sphere-instance",
-                "transition functions annihilate the ideal and its base action vanishes",
-                "pass" if verdict.reducible else "fail",
-                witness="" if verdict.reducible else str(verdict.witnesses[0]),
-            ),
-            t0,
-        )
+    yield _check(
+        "reduction/sphere-instance",
+        "transition functions annihilate the ideal and its base action vanishes",
+        verdict.reducible,
+        witness="" if verdict.reducible else str(verdict.witnesses[0]),
     )
     # exact transition values on the ideal generators
-    t0 = time.monotonic()
     vals = []
     for (i, j) in ((0, 1), (1, 0), (0, 2), (1, 2)):
         for g in J.gens:
             vals.append(pro.trivialisation.transition_poly(i, j, g))
     ok = all(v.is_zero() for v in vals)
-    out.append(
-        _timed(
-            CheckRecord(
-                "reduction/transition-kills-ideal",
-                "T_ij of every ideal generator is exactly zero",
-                "pass" if ok else "fail",
-                witness="" if ok else repr(next(v for v in vals if not v.is_zero())),
-            ),
-            t0,
-        )
+    yield _check(
+        "reduction/transition-kills-ideal",
+        "T_ij of every ideal generator is exactly zero",
+        ok,
+        witness="" if ok else repr(next(v for v in vals if not v.is_zero())),
     )
-    t0 = time.monotonic()
-    from .hopf import coinvariant_compatibility_check
-
-    fails = coinvariant_compatibility_check(pro.trivialisation, J, 2)
-    out.append(
-        _timed(
-            _record(
-                "reduction/coinvariant-compatibility",
-                "the trivialisations agree on the coinvariant subalgebra through the double quotients",
-                failures=fails,
-            ),
-            t0,
-        )
+    yield _no_failures(
+        "reduction/coinvariant-compatibility",
+        "the trivialisations agree on the coinvariant subalgebra through the double quotients",
+        coinvariant_compatibility_check(pro.trivialisation, J, 2),
     )
     # the second positive instance: the quantum-group prolongation of the
     # Peter-Weyl patch reduces along the gamma kernel
-    t0 = time.monotonic()
     ppro = builtin.patch_prolonged("formal" if cfg.q == "cbrt1" else cfg.q)
     JS = builtin.su_gamma_ideal(ppro.trivialisation.hopf)
     pverdict = reducibility_check(ppro.trivialisation, JS, bound=2)
-    out.append(
-        _timed(
-            CheckRecord(
-                "reduction/patch-instance",
-                "the quantum-group prolongation of the patch reduces along the gamma kernel",
-                "pass" if (ppro.report == [] and pverdict.reducible) else "fail",
-                witness="" if pverdict.reducible else str(pverdict.witnesses[0]),
-            ),
-            t0,
-        )
+    yield _check(
+        "reduction/patch-instance",
+        "the quantum-group prolongation of the patch reduces along the gamma kernel",
+        ppro.report == [] and pverdict.reducible,
+        witness="" if pverdict.reducible else str(pverdict.witnesses[0]),
     )
     # the obstructed instance: the quantum-plane frame bundle at generic q
     # (the cube-root mode belongs to the frame-obstruction suite, which reduces
     # the obstruction modulo the minimal polynomial; here run the formal check)
-    t0 = time.monotonic()
-    from .pullback import Covering, CoveringPiece, Trivialisation
-
     run_q = "formal" if cfg.q in ("formal", "cbrt1") else cfg.q
     sm = builtin.plane_gl_smash(run_q)
     piece = CoveringPiece(sm, base_gens=("x", "y"))
@@ -572,20 +418,13 @@ def suite_reduction_theorem(cfg: SuiteConfig) -> list[CheckRecord]:
     JG = builtin.gl_mod_det_ideal(sm.hopf, run_q)
     verdict = reducibility_check(triv, JG, bound=2)
     expected_obstructed = not (isinstance(run_q, int) and run_q == 1)
-    good = (not verdict.reducible) if expected_obstructed else verdict.reducible
-    out.append(
-        _timed(
-            CheckRecord(
-                "reduction/frame-bundle-obstructed",
-                "the determinant ideal acts nontrivially on the plane unless q^3 = 1",
-                "pass" if good else "fail",
-                witness=str(verdict.witnesses[0]) if verdict.witnesses else "",
-            ),
-            t0,
-        )
+    yield _check(
+        "reduction/frame-bundle-obstructed",
+        "the determinant ideal acts nontrivially on the plane unless q^3 = 1",
+        (not verdict.reducible) if expected_obstructed else verdict.reducible,
+        witness=str(verdict.witnesses[0]) if verdict.witnesses else "",
     )
     # quotient identifications
-    t0 = time.monotonic()
     u1 = builtin.o_u1()
     z2 = builtin.c_z2()
     qh, _ = quotient_hopf(u1, builtin.u1_mod_z2_ideal(u1))
@@ -598,32 +437,19 @@ def suite_reduction_theorem(cfg: SuiteConfig) -> list[CheckRecord]:
     gm = {g: NCPoly.gen(sl.system.alphabet, g) for g in ("a", "b", "c", "d")}
     gm["Di"] = NCPoly.one(sl.system.alphabet)
     fails += generator_map_isomorphism_problems(qg, sl, gm, 3)
-    out.append(
-        _timed(
-            _record(
-                "reduction/quotient-identifications",
-                "circle mod parity is the order-two group algebra; GL mod determinant is SL",
-                failures=fails,
-            ),
-            t0,
-        )
+    yield _no_failures(
+        "reduction/quotient-identifications",
+        "circle mod parity is the order-two group algebra; GL mod determinant is SL",
+        fails,
     )
-    return out
 
 
-def suite_prolong(cfg: SuiteConfig) -> list[CheckRecord]:
-    out = []
-    t0 = time.monotonic()
+def suite_prolong(cfg: SuiteConfig) -> Iterator[CheckRecord]:
     pro = builtin.sphere_prolonged(min(cfg.degree, 3))
-    out.append(_timed(_record("prolong/sphere", "prolonged pieces certified", failures=pro.report), t0))
-    t0 = time.monotonic()
+    yield _no_failures("prolong/sphere", "prolonged pieces certified", pro.report)
     triv = pro.trivialisation
-    fails = triv.validate(2)
-    out.append(_timed(_record("prolong/covering-valid", "prolonged covering validates", failures=fails), t0))
-    t0 = time.monotonic()
-    fails = transition_checks(triv, 2)
-    out.append(_timed(_record("prolong/transitions", "prolonged transition laws", failures=fails), t0))
-    t0 = time.monotonic()
+    yield _no_failures("prolong/covering-valid", "prolonged covering validates", triv.validate(2))
+    yield _no_failures("prolong/transitions", "prolonged transition laws", transition_checks(triv, 2))
     # membership of the u^2-glued tuple (the coinvariant fiber square)
     H = builtin.o_u1()
     u2 = NCPoly.word(H.system.alphabet, ("u", "u"))
@@ -633,57 +459,29 @@ def suite_prolong(cfg: SuiteConfig) -> list[CheckRecord]:
         ok, wit = True, ""
     except IncompatibleError as e:
         ok, wit = False, str(e)
-    out.append(
-        _timed(
-            CheckRecord("prolong/glue-even-fiber", "the even fiber power glues across all faces", "pass" if ok else "fail", wit),
-            t0,
-        )
-    )
-    t0 = time.monotonic()
+    yield _check("prolong/glue-even-fiber", "the even fiber power glues across all faces", ok, wit)
     u1g = NCPoly.gen(H.system.alphabet, "u")
     try:
         piece_glue(triv, [one] * 3, u1g)
         ok, wit = False, "odd fiber glued but the bundle is nontrivial"
     except IncompatibleError as e:
         ok, wit = True, f"difference {e.difference!r}"
-    out.append(
-        _timed(
-            CheckRecord(
-                "prolong/odd-fiber-rejected",
-                "the odd fiber power does not glue (nontriviality)",
-                "pass" if ok else "fail",
-                wit,
-            ),
-            t0,
-        )
-    )
-    return out
+    yield _check("prolong/odd-fiber-rejected", "the odd fiber power does not glue (nontriviality)", ok, wit)
 
 
-def suite_quantum_rp2(cfg: SuiteConfig) -> list[CheckRecord]:
-    from .numgeom.toeplitz import random_toeplitz_poly, symbol
-
-    out = []
+def suite_quantum_rp2(cfg: SuiteConfig) -> Iterator[CheckRecord]:
     ts = builtin.toeplitz_system()
     al = ts.alphabet
     one, zero, s = NCPoly.one(al), NCPoly.zero(al), NCPoly.gen(al, "s")
-    t0 = time.monotonic()
     ok, r = rp2_membership([one, one, one], cfg.grid)
-    out.append(_timed(CheckRecord("rp2/unit-member", "the unit tuple satisfies all identifications", "pass" if ok else "fail", residual=r), t0))
-    t0 = time.monotonic()
+    yield _check("rp2/unit-member", "the unit tuple satisfies all identifications", ok, residual=r)
     ok, r = rp2_membership([s, zero, zero], cfg.grid)
-    out.append(
-        _timed(
-            CheckRecord(
-                "rp2/generator-not-member",
-                "an unmatched isometry component is rejected with unit residual",
-                "pass" if (not ok and abs(r - 1.0) < 1e-6) else "fail",
-                residual=r,
-            ),
-            t0,
-        )
+    yield _check(
+        "rp2/generator-not-member",
+        "an unmatched isometry component is rejected with unit residual",
+        not ok and abs(r - 1.0) < 1e-6,
+        residual=r,
     )
-    t0 = time.monotonic()
     rng = cfg.grid.rng(7)
     worst = 0.0
     for _ in range(50):
@@ -693,222 +491,123 @@ def suite_quantum_rp2(cfg: SuiteConfig) -> list[CheckRecord]:
         rhs = symbol(p) * symbol(q)
         if not (lhs + rhs.scale(-S_ONE)).is_zero():
             worst = max(worst, (lhs + rhs.scale(-S_ONE)).sup_norm_bound())
-    out.append(
-        _timed(
-            CheckRecord(
-                "rp2/symbol-homomorphism",
-                "the symbol map is exactly multiplicative on *-polynomials",
-                "pass" if worst == 0.0 else "fail",
-                residual=worst,
-            ),
-            t0,
-        )
+    yield _check(
+        "rp2/symbol-homomorphism",
+        "the symbol map is exactly multiplicative on *-polynomials",
+        worst == 0.0,
+        residual=worst,
     )
-    return out
 
 
-def suite_sphere_gluing(cfg: SuiteConfig) -> list[CheckRecord]:
-    out = []
-    t0 = time.monotonic()
-    rep = phi_identities_report(cfg.grid)
-    worst = max(rep.values())
-    out.append(
-        _timed(
-            CheckRecord("sphere/chart-identities", "quarter-chart compositions and oddness", "pass" if worst < 1e-12 else "fail", residual=worst),
-            t0,
-        )
+def suite_sphere_gluing(cfg: SuiteConfig) -> Iterator[CheckRecord]:
+    worst = max(phi_identities_report(cfg.grid).values())
+    yield _check("sphere/chart-identities", "quarter-chart compositions and oddness", worst < 1e-12, residual=worst)
+    worst = max(splitting_identities_report(cfg.grid).values())
+    yield _check(
+        "sphere/splitting-identities", "the colinear splittings invert the charts", worst < cfg.grid.tol, residual=worst
     )
-    t0 = time.monotonic()
-    rep = splitting_identities_report(cfg.grid)
-    worst = max(rep.values())
-    out.append(
-        _timed(
-            CheckRecord("sphere/splitting-identities", "the colinear splittings invert the charts", "pass" if worst < cfg.grid.tol else "fail", residual=worst),
-            t0,
-        )
+    worst = max(gauge_conjugation_report(cfg.grid).values())
+    yield _check(
+        "sphere/gauge-conjugation",
+        "the gauge is involutive and conjugates the gluings to the swaps",
+        worst < 1e-9,
+        residual=worst,
     )
-    t0 = time.monotonic()
-    rep = gauge_conjugation_report(cfg.grid)
-    worst = max(rep.values())
-    out.append(
-        _timed(
-            CheckRecord("sphere/gauge-conjugation", "the gauge is involutive and conjugates the gluings to the swaps", "pass" if worst < 1e-9 else "fail", residual=worst),
-            t0,
-        )
-    )
-    t0 = time.monotonic()
     ts = builtin.toeplitz_system()
     one, zero = NCPoly.one(ts.alphabet), NCPoly.zero(ts.alphabet)
     elt = SphereElement([(one, zero)] * 3)
     ok, r = sphere_membership(elt, cfg.grid)
     fa = face_atlas(elt, cfg.grid)
-    good = ok and fa["pass"]
-    out.append(
-        _timed(
-            CheckRecord("sphere/membership-and-faces", "glued tuples satisfy the cube conditions and all twelve edges match", "pass" if good else "fail", residual=max(r, fa["max_residual"])),
-            t0,
-        )
+    yield _check(
+        "sphere/membership-and-faces",
+        "glued tuples satisfy the cube conditions and all twelve edges match",
+        ok and fa["pass"],
+        residual=max(r, fa["max_residual"]),
     )
-    return out
 
 
-def suite_mattprop(cfg: SuiteConfig) -> list[CheckRecord]:
-    t0 = time.monotonic()
+def suite_mattprop(cfg: SuiteConfig) -> Iterator[CheckRecord]:
     rep = mattprop_report(cfg.grid, n_random=min(1000, max(100, cfg.trials * 10)))
-    recs = []
     for key in ("condition1_splitting", "condition1_kernel_image", "corner_identity", "condition2_residual"):
-        recs.append(
-            _timed(
-                CheckRecord(
-                    f"mattprop/{key}",
-                    "surjectivity-criterion condition holds on the sampled family",
-                    "pass" if rep[key] < cfg.grid.tol else "fail",
-                    residual=rep[key],
-                ),
-                t0,
-            )
+        yield _check(
+            f"mattprop/{key}",
+            "surjectivity-criterion condition holds on the sampled family",
+            rep[key] < cfg.grid.tol,
+            residual=rep[key],
         )
-    return recs
 
 
-def suite_disc_decomposition(cfg: SuiteConfig) -> list[CheckRecord]:
-    out = []
+def suite_disc_decomposition(cfg: SuiteConfig) -> Iterator[CheckRecord]:
     ts = builtin.toeplitz_system()
     one = NCPoly.one(ts.alphabet)
-    t0 = time.monotonic()
     ok, r = disc_membership([one, one, one], cfg.grid)
-    out.append(_timed(CheckRecord("disc/unit-member", "the unit triple is a disc element", "pass" if ok else "fail", residual=r), t0))
-    t0 = time.monotonic()
+    yield _check("disc/unit-member", "the unit triple is a disc element", ok, residual=r)
     rep = decomposition_report()
-    worst = max(rep["forward_roundtrip"], rep["backward_roundtrip"], rep["eigenspace"])
-    out.append(
-        _timed(
-            CheckRecord(
-                "disc/z2-decomposition-roundtrips",
-                "the disc-restriction isomorphisms invert each other on both eigenparts",
-                "pass" if rep["pass"] else "fail",
-                residual=worst,
-            ),
-            t0,
-        )
+    yield _check(
+        "disc/z2-decomposition-roundtrips",
+        "the disc-restriction isomorphisms invert each other on both eigenparts",
+        rep["pass"],
+        residual=max(rep["forward_roundtrip"], rep["backward_roundtrip"], rep["eigenspace"]),
     )
-    return out
 
 
-def suite_parity_probe(cfg: SuiteConfig) -> list[CheckRecord]:
-    t0 = time.monotonic()
+def suite_parity_probe(cfg: SuiteConfig) -> Iterator[CheckRecord]:
     rep = equivariant_parity_probe(2, cfg.trials, cfg.grid)
-    recs = [
-        _timed(
-            CheckRecord(
-                "parity/equivariant-all-odd",
-                "every equivariant determinant loop has odd winding",
-                "pass" if rep.all_odd else "fail",
-                witness=f"{sum(1 for w in rep.windings if w % 2)} of {len(rep.windings)} odd; resamples {rep.resamples}",
-            ),
-            t0,
-        )
-    ]
-    recs.append(
-        _timed(
-            CheckRecord(
-                "parity/control-both-parities",
-                "the unconstrained-control family shows both parities",
-                "pass" if rep.control_has_both else "fail",
-                witness=f"parities {{{', '.join(str(w % 2) for w in rep.control_windings[:6])}...}}",
-            ),
-            t0,
-        )
+    yield _check(
+        "parity/equivariant-all-odd",
+        "every equivariant determinant loop has odd winding",
+        rep.all_odd,
+        witness=f"{sum(1 for w in rep.windings if w % 2)} of {len(rep.windings)} odd; resamples {rep.resamples}",
     )
-    return recs
+    yield _check(
+        "parity/control-both-parities",
+        "the unconstrained-control family shows both parities",
+        rep.control_has_both,
+        witness=f"parities {{{', '.join(str(w % 2) for w in rep.control_windings[:6])}...}}",
+    )
 
 
-def suite_peter_weyl(cfg: SuiteConfig) -> list[CheckRecord]:
-    t0 = time.monotonic()
+def suite_peter_weyl(cfg: SuiteConfig) -> Iterator[CheckRecord]:
     rep = peter_weyl_report(cfg.mc_samples, cfg.grid)
-    recs = []
     for key in ("zero_identity", "cleaving_multiplicative", "line_bundle_equivariance"):
-        recs.append(
-            _timed(
-                CheckRecord(
-                    f"peter-weyl/{key}",
-                    "patch identity holds over the Monte-Carlo sample",
-                    "pass" if rep[key] < cfg.grid.tol else "fail",
-                    residual=rep[key],
-                ),
-                t0,
-            )
+        yield _check(
+            f"peter-weyl/{key}",
+            "patch identity holds over the Monte-Carlo sample",
+            rep[key] < cfg.grid.tol,
+            residual=rep[key],
         )
-    return recs
 
 
-def suite_frame_obstruction(cfg: SuiteConfig) -> list[CheckRecord]:
-    t0 = time.monotonic()
+def suite_frame_obstruction(cfg: SuiteConfig) -> Iterator[CheckRecord]:
     v = builtin.frame_bundle_obstruction(cfg.q)
-    recs = []
     if v.mode == "formal":
-        from .scalars import S_ONE, Scalar
-
-        expected = Scalar.q_power(3) - S_ONE
-        ok = v.obstruction == expected
-        recs.append(
-            _timed(
-                CheckRecord(
-                    "frame/obstruction-polynomial",
-                    "the reduction constraint forces exactly the cubic-root condition",
-                    "pass" if ok else "fail",
-                    witness=f"obstruction {v.obstruction!r}",
-                ),
-                t0,
-            )
+        yield _check(
+            "frame/obstruction-polynomial",
+            "the reduction constraint forces exactly the cubic-root condition",
+            v.obstruction == Scalar.q_power(3) - S_ONE,
+            witness=f"obstruction {v.obstruction!r}",
         )
     else:
-        status = "pass" if v.consistent else "fail"
-        recs.append(
-            _timed(
-                CheckRecord(
-                    f"frame/consistency@q={cfg.q}",
-                    "reduction data exists iff q^3 = 1",
-                    status,
-                    witness=v.witness,
-                ),
-                t0,
-            )
-        )
-    t0 = time.monotonic()
-    recs.append(
-        _timed(
-            CheckRecord(
-                "frame/theta-commutation-witness",
-                "the generic unital-map candidate violates the commutation rule",
-                "pass" if (v.failures if v.consistent in (None, False) else True) else "fail",
-                witness=str(v.failures[0]) if v.failures else "no violation at this q",
-            ),
-            t0,
-        )
+        yield _check(f"frame/consistency@q={cfg.q}", "reduction data exists iff q^3 = 1", v.consistent, witness=v.witness)
+    yield _check(
+        "frame/theta-commutation-witness",
+        "the generic unital-map candidate violates the commutation rule",
+        v.failures if v.consistent in (None, False) else True,
+        witness=str(v.failures[0]) if v.failures else "no violation at this q",
     )
-    return recs
 
 
-def suite_negative_controls(cfg: SuiteConfig) -> list[CheckRecord]:
+def suite_negative_controls(cfg: SuiteConfig) -> Iterator[CheckRecord]:
     from .mutants import MUTANTS
 
-    out = []
     for m in MUTANTS:
-        t0 = time.monotonic()
         witnesses = m.detect()
-        out.append(
-            _timed(
-                CheckRecord(
-                    f"mutant/{m.suite}/{m.name}",
-                    "the corrupted table is rejected with a localized witness",
-                    "pass" if witnesses else "fail",
-                    witness=witnesses[0] if witnesses else "NOT DETECTED",
-                ),
-                t0,
-            )
+        yield _check(
+            f"mutant/{m.suite}/{m.name}",
+            "the corrupted table is rejected with a localized witness",
+            witnesses,
+            witness=witnesses[0] if witnesses else "NOT DETECTED",
         )
-    return out
 
 
 SUITES = {
@@ -930,27 +629,40 @@ SUITES = {
     "negative-controls": (suite_negative_controls, "every shipped corrupted table is detected"),
 }
 
+# the builtins each axiom suite checks; SuiteConfig.algebra picks one of them
+AXIOM_SUITES = {"hopf-axioms": builtin.HOPF_NAMES, "comodule-axioms": builtin.COMODULE_NAMES}
 
-def run_suite(cfg: SuiteConfig) -> SuiteReport:
-    t0 = time.monotonic()
+
+def _suite_names(cfg: SuiteConfig) -> list[str]:
+    """The suites ``cfg`` selects, after rejecting settings no suite can run."""
     if cfg.suite == "all":
-        names = [n for n in SUITES]
+        names = list(SUITES)
     elif cfg.suite in SUITES:
         names = [cfg.suite]
     else:
-        import difflib
-
         near = difflib.get_close_matches(cfg.suite, list(SUITES) + ["all"], n=1)
         hint = f"; nearest match: {near[0]}" if near else ""
         raise ConfigError(f"unknown suite {cfg.suite!r}{hint}")
+    for key, value in (("degree", cfg.degree), ("trials", cfg.trials), ("mc_samples", cfg.mc_samples)):
+        if value < 1:
+            raise ConfigError(f"{key} must be at least 1, got {value}")
+    if cfg.algebra is not None and not any(cfg.algebra in AXIOM_SUITES.get(n, ()) for n in names):
+        takes = "; ".join(f"{n} takes {', '.join(b)}" for n, b in AXIOM_SUITES.items())
+        raise ConfigError(f"suite {cfg.suite!r} checks no algebra {cfg.algebra!r} ({takes})")
+    return names
+
+
+def run_suite(cfg: SuiteConfig) -> SuiteReport:
+    t0 = time.monotonic()
     records: list[CheckRecord] = []
-    if cfg.jobs > 1 and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as ex:
-            for recs in ex.map(lambda n: SUITES[n][0](cfg), names):
-                records.extend(recs)
-    else:
-        for n in names:
-            records.extend(SUITES[n][0](cfg))
+    for name in _suite_names(cfg):
+        last = time.monotonic()
+        for rec in SUITES[name][0](cfg):
+            now = time.monotonic()
+            rec.runtime_ms = (now - last) * 1000.0
+            rec.seed = zlib.crc32(rec.id.encode()) & 0xFFFF
+            records.append(rec)
+            last = now
     records.sort(key=lambda r: r.id)
     params = {
         "suite": cfg.suite,
@@ -962,7 +674,9 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
         "trunc": cfg.grid.trunc,
         "seed": cfg.grid.seed,
         "trials": cfg.trials,
-        "jobs": cfg.jobs,
+        # suites run one after another; the key stays because the reports in
+        # benchmark/reference/ hold it and canonical_json() must match them
+        "jobs": 1,
     }
     report = SuiteReport(cfg.suite, params, records, runtime_ms=(time.monotonic() - t0) * 1000.0)
     if cfg.out:

@@ -1,5 +1,6 @@
 import json
 import os
+import zlib
 
 import pytest
 
@@ -17,9 +18,8 @@ from pcomod.suites import (
 
 
 def mini_cfg(suite, **kw):
-    grid = GridConfig(n_circle=720, m_interval=65, seed=7, trials=10)
-    return SuiteConfig(suite=suite, degree=kw.pop("degree", 2), grid=grid, trials=10,
-                       mc_samples=500, **kw)
+    grid = GridConfig(n_circle=720, m_interval=65, seed=7)
+    return SuiteConfig(suite=suite, grid=grid, **{"degree": 2, "trials": 10, "mc_samples": 500, **kw})
 
 
 def test_run_single_suites():
@@ -83,13 +83,27 @@ def test_reports_reproducible():
     assert r3.canonical_json() == r4.canonical_json()
 
 
-def test_jobs_parallel_matches_serial():
-    cfg1 = mini_cfg("all")
-    cfg1.suite = "all"
-    # restrict to two quick suites by monkeypatching is overkill; compare one suite with jobs
-    cfg = mini_cfg("transition", jobs=4)
-    rep = run_suite(cfg)
-    assert rep.passed
+@pytest.mark.parametrize("name", ["mattprop", "peter-weyl"])
+def test_record_runtimes_add_up_to_at_most_the_report(name):
+    """Both suites compute one report and then yield several records; each
+    record carries only the time since the one before it."""
+    rep = run_suite(mini_cfg(name))
+    assert len(rep.records) > 1
+    assert sum(r.runtime_ms for r in rep.records) <= rep.runtime_ms
+
+
+def test_record_seeds_are_id_labels():
+    rep = run_suite(mini_cfg("all"))
+    assert len(rep.records) > 40
+    assert all(r.seed == zlib.crc32(r.id.encode()) & 0xFFFF for r in rep.records)
+
+
+def test_jobs_is_a_constant_and_not_a_flag(capsys):
+    assert run_suite(mini_cfg("transition")).params["jobs"] == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "transition", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_cli_list_and_export(tmp_path, capsys):
@@ -126,6 +140,31 @@ def test_cli_unknown_names_are_config_errors(capsys):
     assert main(["verify", "--suite", "hopf-axioms", "--algebra", "no_such_algebra"]) == 2
     assert "CONFIG_ERROR" in capsys.readouterr().err
     assert main(["export", "--algebra", "no_such_algebra"]) == 2
+    assert "CONFIG_ERROR" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite, algebra", [("hopf-axioms", "toeplitz"), ("comodule-axioms", "su_q2")])
+def test_cli_algebra_of_the_wrong_kind_is_a_config_error(capsys, suite, algebra):
+    assert main(["verify", "--suite", suite, "--algebra", algebra]) == 2
+    assert "CONFIG_ERROR" in capsys.readouterr().err
+
+
+def test_cli_algebra_restricts_only_the_axiom_suite_that_has_it(capsys):
+    args = ["--degree", "2", "--trials", "10", "--samples", "500", "--grid-interval", "65"]
+    assert main(["verify", "--suite", "all", "--algebra", "su_q2", *args]) == 0
+    ids = [r["id"] for r in json.loads(capsys.readouterr().out)["records"]]
+    assert [i for i in ids if i.startswith("hopf-axioms/")] == ["hopf-axioms/su_q2"]
+    assert not [i for i in ids if i.startswith("comodule-axioms/")]
+    assert "covering/validate" in ids
+
+
+@pytest.mark.parametrize(
+    "suite, flag, value",
+    [("peter-weyl", "--samples", "0"), ("parity-probe", "--trials", "0"), ("covering", "--degree", "-1"),
+     ("covering", "--degree", "0")],
+)
+def test_cli_counts_below_one_are_config_errors(capsys, suite, flag, value):
+    assert main(["verify", "--suite", suite, flag, value]) == 2
     assert "CONFIG_ERROR" in capsys.readouterr().err
 
 
