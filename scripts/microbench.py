@@ -3,9 +3,11 @@
 
     PYTHONPATH=src python3 scripts/microbench.py [--number N] [--repeat R]
 
-Scalar ``+``, ``*`` and unary ``-`` on four kinds of operand: constant (a
-Gaussian rational), monomial (c * q^k), Laurent (a polynomial in q and 1/q)
-and general (a denominator that is not a power of q).  ``RewriteSystem._nf_word``
+Scalar ``+``, ``-``, ``*`` and unary ``-`` on four kinds of operand: constant
+(a Gaussian rational), monomial (c * q^k), Laurent (a polynomial in q and 1/q)
+and general (a denominator that is not a power of q).  ``GaussRat(int, int)``
+construction and ``random_toeplitz_poly(rng, 3)``, which draws ten such
+coefficients in one call.  ``RewriteSystem._nf_word``
 of a degree-6 su_q2 word at q formal, with the normal-form cache cleared before
 every call.  ``FourierPoly.eval`` of a degree-3 symbol at 4 angles (the size
 the surjectivity-criterion probe evaluates) and on the 720-point circle grid.
@@ -38,8 +40,12 @@ def cases() -> list[tuple[str, str, str, dict]]:
     """(kind, operation, statement, globals) for every timed line."""
     out = []
     for kind, (a, b) in operands().items():
-        for op, stmt in (("+", "a + b"), ("*", "a * b"), ("neg", "-a")):
+        for op, stmt in (("+", "a + b"), ("-", "a - b"), ("*", "a * b"), ("neg", "-a")):
             out.append((kind, op, stmt, {"a": a, "b": b}))
+    out.append(("gaussrat", "int", "GaussRat(3, -2)", {"GaussRat": GaussRat}))
+    out.append(
+        ("toeplitz", "random 3", "f(rng, 3)", {"f": random_toeplitz_poly, "rng": GridConfig().rng(0)})
+    )
     system = su_q2().system
     word = system.alphabet.canon(("as", "as", "as", "a", "a", "a"))
     out.append(("nf_word", "cold", "s._nf_cache.clear(); s._nf_word(w)", {"s": system, "w": word}))

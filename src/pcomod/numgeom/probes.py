@@ -57,10 +57,11 @@ def random_fourier_entry(rng, parity: str, max_deg: int = 3) -> np.ndarray:
     return c
 
 
-def eval_fourier(c: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    max_deg = (c.size - 1) // 2
+def fourier_table(theta: np.ndarray, max_deg: int = 3) -> np.ndarray:
+    """exp(i k theta) for k = -max_deg..max_deg (rows) at every angle (columns);
+    the coefficients of random_fourier_entry contract against its first axis."""
     ks = np.arange(-max_deg, max_deg + 1)
-    return np.tensordot(c, np.exp(1j * np.outer(ks, theta)), axes=(0, 0))
+    return np.exp(1j * np.outer(ks, theta))
 
 
 @dataclass
@@ -81,16 +82,19 @@ class ParityReport:
         return pars == {0, 1}
 
 
-def _random_loop(rng, n: int, theta: np.ndarray, first_row: str, max_deg: int = 3):
+def _random_loop(rng, n: int, theta: np.ndarray, first_row: str, max_deg: int = 3, table=None):
     """Matrix loop with the requested first-row parity, other rows even for the
-    equivariant family and unconstrained for the control."""
+    equivariant family and unconstrained for the control.  ``table`` is
+    ``fourier_table(theta, max_deg)``, built here when not given."""
+    if table is None:
+        table = fourier_table(theta, max_deg)
     other = "even" if first_row == "odd" else "any"
     while True:
         mats = np.zeros((theta.size, n, n), dtype=complex)
         for i in range(n):
             parity = first_row if i == 0 else other
             for j in range(n):
-                mats[:, i, j] = eval_fourier(random_fourier_entry(rng, parity, max_deg), theta)
+                mats[:, i, j] = np.tensordot(random_fourier_entry(rng, parity, max_deg), table, axes=(0, 0))
         dets = np.linalg.det(mats)
         if np.min(np.abs(dets)) > 1e-3:
             return mats, dets
@@ -102,11 +106,12 @@ def equivariant_parity_probe(n: int, trials: int, cfg: GridConfig) -> ParityRepo
     shows both parities."""
     rng = cfg.rng(4)
     theta = circle_angles(cfg.n_circle)
+    table = fourier_table(theta)
     report = ParityReport(size=n, trials=trials)
 
     def sample(first_row: str) -> int:
         while True:
-            _, dets = _random_loop(rng, n, theta, first_row)
+            _, dets = _random_loop(rng, n, theta, first_row, table=table)
             if first_row == "odd":
                 flip = np.roll(dets, -(cfg.n_circle // 2))
                 assert np.max(np.abs(dets + flip)) < 1e-6 * np.max(np.abs(dets))

@@ -8,7 +8,7 @@ from functools import cache
 import numpy as np
 
 from ..ncpoly import NCPoly
-from ..scalars import S_ZERO, Scalar
+from ..scalars import S_ZERO, GaussRat, Scalar
 
 
 class FourierPoly:
@@ -131,15 +131,18 @@ def _toeplitz_basis(max_deg: int) -> tuple:
 
 
 def random_toeplitz_poly(rng, max_deg: int, coeff_range: int = 3) -> NCPoly:
-    """Random *-polynomial in s, ss with small Gaussian-integer coefficients."""
+    """Random *-polynomial in s, ss with small Gaussian-integer coefficients.
+
+    One batched draw gives the (re, im) pairs of the basis words in order: the
+    same integers, and the same generator state after, as two scalar draws
+    per word (tests/oracles.scalar_draw_toeplitz_poly)."""
     from ..builtin import toeplitz_system
-    from ..scalars import GaussRat
 
     sys = toeplitz_system()
+    basis = _toeplitz_basis(max_deg)
+    parts = rng.integers(-coeff_range, coeff_range + 1, size=2 * len(basis)).tolist()
     terms = {}
-    for w in _toeplitz_basis(max_deg):
-        re = int(rng.integers(-coeff_range, coeff_range + 1))
-        im = int(rng.integers(-coeff_range, coeff_range + 1))
+    for w, re, im in zip(basis, parts[::2], parts[1::2]):
         if re or im:
             terms[w] = Scalar.of(GaussRat(re, im))
     p = NCPoly(sys.alphabet, terms)

@@ -646,6 +646,13 @@ def _suite_names(cfg: SuiteConfig) -> list[str]:
     for key, value in (("degree", cfg.degree), ("trials", cfg.trials), ("mc_samples", cfg.mc_samples)):
         if value < 1:
             raise ConfigError(f"{key} must be at least 1, got {value}")
+    # 8 | n puts the charts' quarter breakpoints on circle grid points, and the
+    # interval grid holds both endpoints
+    circle, interval = cfg.grid.n_circle, cfg.grid.m_interval
+    if circle < 8 or circle % 8:
+        raise ConfigError(f"grid_circle must be a positive multiple of 8, got {circle}")
+    if interval < 2:
+        raise ConfigError(f"grid_interval must be at least 2, got {interval}")
     if cfg.algebra is not None and not any(cfg.algebra in AXIOM_SUITES.get(n, ()) for n in names):
         takes = "; ".join(f"{n} takes {', '.join(b)}" for n, b in AXIOM_SUITES.items())
         raise ConfigError(f"suite {cfg.suite!r} checks no algebra {cfg.algebra!r} ({takes})")

@@ -6,16 +6,18 @@ loops that exact certificates and precomputed tables replaced."""
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
+from pcomod.builtin import toeplitz_system
 from pcomod.ncpoly import NCPoly
-from pcomod.numgeom import membership
+from pcomod.numgeom import membership, probes
 from pcomod.numgeom.circle import delta_angle, omega_hat
-from pcomod.numgeom.grids import Z2
-from pcomod.numgeom.toeplitz import random_toeplitz_poly, symbol
+from pcomod.numgeom.grids import Z2, circle_angles
+from pcomod.numgeom.toeplitz import _toeplitz_basis, random_toeplitz_poly, symbol
 from pcomod.rewrite import Conflict, ConfluenceReport, SizeLimitError
-from pcomod.scalars import S_ONE, S_ZERO
+from pcomod.scalars import S_ONE, S_ZERO, GaussRat, Scalar
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +84,21 @@ class FracGauss:
         mag = abs(self.im)
         istr = "I" if mag == 1 else f"{mag}*I"
         return f"({self.re}{sign}{istr})"
+
+
+def gauss_triple(re, im) -> tuple[int, int, int]:
+    """(a, b, d) with (a + b*i)/d = re + im*i over the least common
+    denominator, computed through Fraction whatever the input type."""
+    re, im = Fraction(re), Fraction(im)
+    d = lcm(re.denominator, im.denominator)
+    return int(re * d), int(im * d), d
+
+
+def gauss_rat(re, im) -> GaussRat:
+    """The GaussRat holding gauss_triple(re, im), set without its constructor."""
+    g = object.__new__(GaussRat)
+    g.a, g.b, g.d = gauss_triple(re, im)
+    return g
 
 
 def frac_gauss_eval(coeffs, x):
@@ -321,9 +338,11 @@ def random_decomposition_roundtrips(cfg, n_random: int, max_deg: int = 3) -> dic
                 worst_split = max(
                     worst_split, symbol(p0).sup_norm_bound() + symbol(p1).sup_norm_bound()
                 )
-        # backward: start from the equivariant element
-        back_elt = membership.pi_n_inverse(membership.pi_n(elt, n), n, sign)
-        diffelt = back_elt.sub(elt)
+        # backward: on the eigenpart of a sphere element the inverse did not
+        # build, legs (t0, t1), (t1, t2), (t2, t0)
+        mixed = membership.SphereElement(list(zip(triple, triple[1:] + triple[:1])))
+        x = membership.equivariant_parts(mixed)[0 if sign > 0 else 1]
+        diffelt = membership.pi_n_inverse(membership.pi_n(x, n), n, sign).sub(x)
         for p0, p1 in diffelt.components:
             if not p0.is_zero() or not p1.is_zero():
                 worst_bwd = max(
@@ -377,3 +396,57 @@ def condition2_closures(rng, n_random: int) -> float:
         cs = Z2[None, None, :]
         worst_c2 = max(worst_c2, float(np.max(np.abs(ZA(aas, xs, cs) - ZB(aas, xs, cs)))))
     return worst_c2
+
+
+def per_entry_parity_probe(n: int, trials: int, cfg) -> tuple:
+    """probes.equivariant_parity_probe with exp(i k theta) rebuilt for every
+    matrix entry of every sampled loop: the loop the per-probe table replaced.
+    It draws the same random numbers in the same order and returns the report
+    with the determinant samples of every loop it handed to winding_number."""
+    rng = cfg.rng(4)
+    theta = circle_angles(cfg.n_circle)
+    report = probes.ParityReport(size=n, trials=trials)
+    dets_seen = []
+
+    def eval_fourier(c):
+        max_deg = (c.size - 1) // 2
+        ks = np.arange(-max_deg, max_deg + 1)
+        return np.tensordot(c, np.exp(1j * np.outer(ks, theta)), axes=(0, 0))
+
+    def loop(first_row):
+        other = "even" if first_row == "odd" else "any"
+        while True:
+            mats = np.zeros((theta.size, n, n), dtype=complex)
+            for i in range(n):
+                for j in range(n):
+                    mats[:, i, j] = eval_fourier(probes.random_fourier_entry(rng, first_row if i == 0 else other))
+            dets = np.linalg.det(mats)
+            if np.min(np.abs(dets)) > 1e-3:
+                return dets
+
+    def sample(first_row):
+        while True:
+            dets = loop(first_row)
+            dets_seen.append(dets)
+            try:
+                return probes.winding_number(dets)
+            except probes.WindingError:
+                report.resamples += 1
+
+    report.windings = [sample("odd") for _ in range(trials)]
+    report.control_windings = [sample("even") for _ in range(trials)]
+    return report, dets_seen
+
+
+def scalar_draw_toeplitz_poly(rng, max_deg: int, coeff_range: int = 3) -> NCPoly:
+    """toeplitz.random_toeplitz_poly with two scalar draws per basis word, the
+    real part first: the loop the one batched draw replaced."""
+    alphabet = toeplitz_system().alphabet
+    terms = {}
+    for w in _toeplitz_basis(max_deg):
+        re = int(rng.integers(-coeff_range, coeff_range + 1))
+        im = int(rng.integers(-coeff_range, coeff_range + 1))
+        if re or im:
+            terms[w] = Scalar.of(gauss_rat(re, im))
+    p = NCPoly(alphabet, terms)
+    return p if not p.is_zero() else NCPoly.one(alphabet)

@@ -3,7 +3,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import condition2_closures, random_decomposition_roundtrips
+from oracles import (
+    condition2_closures,
+    gauss_triple,
+    per_entry_parity_probe,
+    random_decomposition_roundtrips,
+    scalar_draw_toeplitz_poly,
+)
 from pcomod import builtin
 from pcomod.ncpoly import NCPoly
 from pcomod.numgeom import (
@@ -34,7 +40,7 @@ from pcomod.numgeom import (
 from pcomod.numgeom import membership, probes
 from pcomod.numgeom.grids import circle_angles
 from pcomod.numgeom.toeplitz import random_toeplitz_poly
-from pcomod.scalars import S_ONE, Scalar
+from pcomod.scalars import S_ONE, GaussRat, Scalar
 
 CFG = GridConfig()
 
@@ -176,6 +182,24 @@ def test_decomposition_mutants_rejected(monkeypatch, mutate, broken):
         assert not rep["pass"] and rep[broken] > CFG.tol
 
 
+def _coefficients_dropped(pi_inv):
+    """pi_n_inverse that reads which words its inputs hold but not their
+    coefficients: right on the unit word triples of the forward check, wrong
+    on the -w that pi_n gives for some eigenvectors w (x) 1 and w (x) u."""
+    return lambda triple, n, sign: pi_inv(
+        [NCPoly(p.alphabet, dict.fromkeys(p.terms, S_ONE)) for p in triple], n, sign
+    )
+
+
+def test_decomposition_backward_roundtrip_is_an_independent_claim(monkeypatch):
+    monkeypatch.setattr(membership, "pi_n_inverse", _coefficients_dropped(membership.pi_n_inverse))
+    cert = decomposition_report()
+    assert not cert["pass"]
+    assert cert["forward_roundtrip"] == 0.0 and cert["eigenspace"] == 0.0
+    assert cert["backward_roundtrip"] > CFG.tol
+    assert not random_decomposition_roundtrips(CFG, n_random=8)["pass"]
+
+
 @pytest.mark.parametrize("seed", [20130915, 1, 31])
 def test_mattprop_condition2_matches_closures(monkeypatch, seed):
     cfg = GridConfig(seed=seed)
@@ -220,6 +244,57 @@ def test_parity_probe_small():
     assert rep.all_odd
     rep2 = equivariant_parity_probe(2, 25, CFG)
     assert rep2.all_odd and rep2.control_has_both
+
+
+@pytest.mark.parametrize("seed", [20130915, 1, 2, 7, 31, 99])
+def test_parity_probe_matches_per_entry_oracle(monkeypatch, seed):
+    cfg = GridConfig(seed=seed)
+    seen = []
+    winding = probes.winding_number
+    with monkeypatch.context() as m:
+        m.setattr(probes, "winding_number", lambda dets: seen.append(dets) or winding(dets))
+        fast = probes.equivariant_parity_probe(2, 12, cfg)
+    slow, slow_dets = per_entry_parity_probe(2, 12, cfg)
+    assert (fast.windings, fast.control_windings, fast.resamples) == (
+        slow.windings,
+        slow.control_windings,
+        slow.resamples,
+    )
+    assert [d.tobytes() for d in seen] == [d.tobytes() for d in slow_dets]
+
+
+def test_random_loop_without_a_table_builds_the_same_one():
+    theta = circle_angles(CFG.n_circle)
+    given = probes._random_loop(CFG.rng(100), 2, theta, "even", table=probes.fourier_table(theta))
+    built = probes._random_loop(CFG.rng(100), 2, theta, "even")
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(given, built))
+
+
+@pytest.mark.parametrize("re, im", [(0, 0), (0, 5), (-7, 0), (-3, -4), (10**40, -(10**30)), (-(2**200), 1)])
+def test_gaussrat_int_path_matches_fraction_path(re, im):
+    fast = GaussRat(re, im)
+    slow = GaussRat(Fraction(re), Fraction(im))
+    assert (fast.a, fast.b, fast.d) == (slow.a, slow.b, slow.d) == gauss_triple(re, im)
+    assert type(fast.a) is type(fast.b) is type(fast.d) is int
+
+
+def test_gaussrat_non_int_parts_take_the_fraction_path():
+    for re, im in ((True, np.int64(-2)), (np.int64(3), 0), (Fraction(6, 3), False)):
+        g = GaussRat(re, im)
+        assert (g.a, g.b, g.d) == gauss_triple(re, im)
+        assert type(g.a) is type(g.b) is type(g.d) is int
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_random_toeplitz_poly_matches_scalar_draws(seed):
+    fast, slow = GridConfig(seed=seed).rng(6), GridConfig(seed=seed).rng(6)
+    for max_deg, coeff_range in ((3, 3), (3, 3), (1, 1), (2, 0), (3, 5)):
+        p = random_toeplitz_poly(fast, max_deg, coeff_range)
+        q = scalar_draw_toeplitz_poly(slow, max_deg, coeff_range)
+        assert p == q
+        assert all(type(g) is int for c in p.terms.values() for g in (c.n[0].a, c.n[0].b, c.n[0].d))
+    assert fast.bit_generator.state == slow.bit_generator.state
+    assert fast.integers(-3, 4) == slow.integers(-3, 4)
 
 
 def test_peter_weyl_spot_values():

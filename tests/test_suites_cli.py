@@ -168,6 +168,16 @@ def test_cli_counts_below_one_are_config_errors(capsys, suite, flag, value):
     assert "CONFIG_ERROR" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "suite, flag, value",
+    [("sphere-gluing", "--grid-circle", "100"), ("disc-decomposition", "--grid-circle", "0"),
+     ("quantum-rp2", "--grid-interval", "1"), ("parity-probe", "--grid-circle", "100")],
+)
+def test_cli_grids_the_charts_do_not_fit_are_config_errors(capsys, suite, flag, value):
+    assert main(["verify", "--suite", suite, flag, value]) == 2
+    assert "CONFIG_ERROR" in capsys.readouterr().err
+
+
 def test_cli_internal_key_error_is_not_a_config_error(monkeypatch):
     def broken_suite(cfg):
         return {}["missing"]
