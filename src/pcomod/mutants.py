@@ -295,15 +295,15 @@ def _omega_wrong_denominator() -> list[str]:
 
 def _parity_mislabeled_generator() -> list[str]:
     from .numgeom.grids import GridConfig, circle_angles
-    from .numgeom.probes import _random_loop, winding_number
+    from .numgeom.probes import _random_loop, fourier_table, winding_number
 
     cfg = GridConfig()
     rng = cfg.rng(100)
-    theta = circle_angles(cfg.n_circle)
+    table = fourier_table(circle_angles(cfg.n_circle))
     evens = 0
     for _ in range(20):
         while True:
-            _, dets = _random_loop(rng, 2, theta, "even")
+            _, dets = _random_loop(rng, 2, table, "even")
             try:
                 w = winding_number(dets)
                 break

@@ -151,23 +151,7 @@ class NCPoly:
         return out
 
     def __sub__(self, other: "NCPoly") -> "NCPoly":
-        # __add__ of -other, negating only the words self does not hold
-        if not other.terms:
-            return self
-        if not self.terms:
-            return -other
-        t = dict(self.terms)
-        for w, c in other.terms.items():
-            prev = t.get(w)
-            c = prev - c if prev is not None else -c
-            if c.is_zero():
-                t.pop(w, None)
-            else:
-                t[w] = c
-        out = NCPoly.__new__(NCPoly)
-        out.alphabet = self.alphabet
-        out.terms = t
-        return out
+        return self + (-other)
 
     def __neg__(self) -> "NCPoly":
         out = NCPoly.__new__(NCPoly)

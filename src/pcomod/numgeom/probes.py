@@ -82,15 +82,14 @@ class ParityReport:
         return pars == {0, 1}
 
 
-def _random_loop(rng, n: int, theta: np.ndarray, first_row: str, max_deg: int = 3, table=None):
+def _random_loop(rng, n: int, table: np.ndarray, first_row: str):
     """Matrix loop with the requested first-row parity, other rows even for the
-    equivariant family and unconstrained for the control.  ``table`` is
-    ``fourier_table(theta, max_deg)``, built here when not given."""
-    if table is None:
-        table = fourier_table(theta, max_deg)
+    equivariant family and unconstrained for the control, sampled at the
+    angles of ``table = fourier_table(theta, max_deg)``."""
+    max_deg = table.shape[0] // 2
     other = "even" if first_row == "odd" else "any"
     while True:
-        mats = np.zeros((theta.size, n, n), dtype=complex)
+        mats = np.zeros((table.shape[1], n, n), dtype=complex)
         for i in range(n):
             parity = first_row if i == 0 else other
             for j in range(n):
@@ -105,13 +104,12 @@ def equivariant_parity_probe(n: int, trials: int, cfg: GridConfig) -> ParityRepo
     odd winding; the control family (even first row, unconstrained others)
     shows both parities."""
     rng = cfg.rng(4)
-    theta = circle_angles(cfg.n_circle)
-    table = fourier_table(theta)
+    table = fourier_table(circle_angles(cfg.n_circle))
     report = ParityReport(size=n, trials=trials)
 
     def sample(first_row: str) -> int:
         while True:
-            _, dets = _random_loop(rng, n, theta, first_row, table=table)
+            _, dets = _random_loop(rng, n, table, first_row)
             if first_row == "odd":
                 flip = np.roll(dets, -(cfg.n_circle // 2))
                 assert np.max(np.abs(dets + flip)) < 1e-6 * np.max(np.abs(dets))

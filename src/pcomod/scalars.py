@@ -86,24 +86,7 @@ class GaussRat:
         return r
 
     def __sub__(self, other: "GaussRat") -> "GaussRat":
-        # __add__ with other's parts negated, without building -other
-        d = self.d
-        if d == other.d:
-            a = self.a - other.a
-            b = self.b - other.b
-        else:
-            a = self.a * other.d - other.a * d
-            b = self.b * other.d - other.b * d
-            d *= other.d
-        if d != 1:
-            g = gcd(a, b, d)
-            if g != 1:
-                a //= g
-                b //= g
-                d //= g
-        r = _new(GaussRat)
-        r.a, r.b, r.d = a, b, d
-        return r
+        return self + (-other)
 
     def __neg__(self) -> "GaussRat":
         r = _new(GaussRat)
@@ -434,24 +417,6 @@ class Scalar:
         return _scalar(*_reduce(_padd(_pmul(a, d2), _pmul(b, d1)), _pmul(d1, d2), v))
 
     def __sub__(self, other: "Scalar") -> "Scalar":
-        # __add__ without building the negated Scalar on the constant and
-        # Laurent paths; a genuine denominator goes through __add__
-        n2 = other.n
-        if not n2:
-            return self
-        n1 = self.n
-        if not n1:
-            return -other
-        if self.d is P_ONE is other.d:
-            v = self.v
-            if len(n1) == 1 == len(n2) and v == other.v:
-                c = n1[0] - n2[0]
-                if not c:
-                    return S_ZERO
-                r = _new(Scalar)
-                r.n, r.d, r.v = (c,), P_ONE, v
-                return r
-            return _laurent_add(n1, v, tuple([-x for x in n2]), other.v)
         return self + (-other)
 
     def __neg__(self) -> "Scalar":

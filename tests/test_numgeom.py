@@ -263,13 +263,6 @@ def test_parity_probe_matches_per_entry_oracle(monkeypatch, seed):
     assert [d.tobytes() for d in seen] == [d.tobytes() for d in slow_dets]
 
 
-def test_random_loop_without_a_table_builds_the_same_one():
-    theta = circle_angles(CFG.n_circle)
-    given = probes._random_loop(CFG.rng(100), 2, theta, "even", table=probes.fourier_table(theta))
-    built = probes._random_loop(CFG.rng(100), 2, theta, "even")
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(given, built))
-
-
 @pytest.mark.parametrize("re, im", [(0, 0), (0, 5), (-7, 0), (-3, -4), (10**40, -(10**30)), (-(2**200), 1)])
 def test_gaussrat_int_path_matches_fraction_path(re, im):
     fast = GaussRat(re, im)
