@@ -1,7 +1,10 @@
 """Ready-made algebra zoo: the group algebra of Z2, Laurent polynomials on U(1),
 the quantum SU(2) and GL(2)/SL(2) coordinate rings, the quantum plane with its
 GL_q(2) action, Toeplitz *-polynomials with their Z2-coaction, smash-product
-pieces, and the end-to-end frame-bundle obstruction computation."""
+pieces, and the end-to-end frame-bundle obstruction computation.
+
+Every q-taking builder parses its presentation at that q: at a fixed q the
+parser reads `Q` as the value itself, so every table holds constant scalars."""
 
 from __future__ import annotations
 
@@ -11,12 +14,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .comodule import (
-    ActionData,
     CleavingMap,
     ComoduleAlgebra,
     SmashProduct,
     smash_product,
-    theta_backward,
     verify_theta_properties,
 )
 from .exprs import load_presentation, parse_poly, parse_tensor_terms
@@ -230,45 +231,13 @@ def q_value(q) -> GaussRat | None:
     return v
 
 
-def _specialize_system(system: RewriteSystem, qv: GaussRat) -> RewriteSystem:
-    rules = [(r.lhs_word, r.rhs.substitute_q(qv)) for r in system.rules]
-    star = (
-        {g: p.substitute_q(qv) for g, p in system.star_table.items()}
-        if system.star_table
-        else None
-    )
-    suffix = _specialize_system(system.suffix_system, qv) if system.suffix_system else None
-    return RewriteSystem(
-        system.alphabet,
-        rules,
-        star=star,
-        name=f"{system.name}@q",
-        term_cap=system.term_cap,
-        suffix_system=suffix,
-        scalar_tower=system.scalar_tower,
-    )
-
-
-def _specialize_hopf(H: HopfAlgebra, qv: GaussRat) -> HopfAlgebra:
-    qs = _specialize_system(H.system, qv)
-    delta = {
-        g: Tensor((qs, qs), {k: c.substitute_q(qv) for k, c in t.terms.items()})
-        for g, t in H.delta_table.items()
-    }
-    counit = {g: c.substitute_q(qv) for g, c in H.counit_table.items()}
-    antipode = {g: p.substitute_q(qv) for g, p in H.antipode_table.items()}
-    antipode_inv = {g: p.substitute_q(qv) for g, p in H.antipode_inv_table.items()}
-    return HopfAlgebra(qs, delta, counit, antipode, antipode_inv, name=f"{H.name}@q")
-
-
 # ---------------------------------------------------------------------------
 # builders
 # ---------------------------------------------------------------------------
 
 def _hopf(name: str, q=None) -> HopfAlgebra:
-    system, hopf = load_presentation(PRESENTATIONS[name])
-    qv = q_value(q) if q is not None else None
-    return _specialize_hopf(hopf, qv) if qv is not None else hopf
+    _, hopf = load_presentation(PRESENTATIONS[name], q_value(q))
+    return hopf
 
 
 def c_z2() -> HopfAlgebra:
@@ -292,9 +261,8 @@ def sl_q2(q="formal") -> HopfAlgebra:
 
 
 def quantum_plane(q="formal") -> RewriteSystem:
-    system, _ = load_presentation(PRESENTATIONS["quantum_plane"])
-    qv = q_value(q)
-    return _specialize_system(system, qv) if qv is not None else system
+    system, _ = load_presentation(PRESENTATIONS["quantum_plane"], q_value(q))
+    return system
 
 
 @functools.cache
@@ -371,14 +339,9 @@ def toeplitz_u1_smash() -> SmashProduct:
 
 
 def plane_action_table(q="formal") -> dict[tuple[str, str], NCPoly]:
-    B = quantum_plane(q)
-    table = {}
-    for key, e in PLANE_ACTION.items():
-        z, b = key.split(",")
-        p = parse_poly(e, B.alphabet)
-        qv = q_value(q)
-        table[(z, b)] = p.substitute_q(qv) if qv is not None else p
-    return table
+    al = quantum_plane(q).alphabet
+    qv = q_value(q)
+    return {tuple(key.split(",")): parse_poly(e, al, qv) for key, e in PLANE_ACTION.items()}
 
 
 def plane_gl_smash(q="formal") -> SmashProduct:
@@ -388,22 +351,20 @@ def plane_gl_smash(q="formal") -> SmashProduct:
     return smash_product(B, H, plane_action_table(q), name="plane_gl_smash")
 
 
+def _su_u1_images(al: Alphabet) -> dict[str, NCPoly]:
+    """The surjection onto the circle on generators: alpha -> u, gamma -> 0."""
+    return {
+        "a": NCPoly.gen(al, "u"),
+        "as": NCPoly.gen(al, "ui"),
+        "g": NCPoly.zero(al),
+        "gs": NCPoly.zero(al),
+    }
+
+
 def su_q2_to_u1_map(q="formal") -> LinearMap:
     su = su_q2(q)
     u1 = o_u1()
-    al = u1.system.alphabet
-    return gens_map(
-        "pi_su_u1",
-        su.system,
-        u1.system,
-        {
-            "a": NCPoly.gen(al, "u"),
-            "as": NCPoly.gen(al, "ui"),
-            "g": NCPoly.zero(al),
-            "gs": NCPoly.zero(al),
-        },
-        check=True,
-    )
+    return gens_map("pi_su_u1", su.system, u1.system, _su_u1_images(u1.system.alphabet), check=True)
 
 
 def u1_mod_z2_ideal(H: HopfAlgebra | None = None) -> HopfIdeal:
@@ -416,15 +377,12 @@ def u1_mod_z2_ideal(H: HopfAlgebra | None = None) -> HopfIdeal:
     return HopfIdeal(H, [u.concat(u) - one, ui - u], name="<u^2-1>")
 
 
-def gl_mod_det_ideal(H: HopfAlgebra | None = None, q="formal") -> HopfIdeal:
+def gl_mod_det_ideal(H: HopfAlgebra | None = None) -> HopfIdeal:
     """<D - 1> in O(GL_q(2)), saturated with Di - 1 (same two-sided ideal);
-    q must be the value H is specialised to."""
-    H = H or gl_q2(q)
+    D = S(Di) = a*d - q*b*c at the q that H was built at."""
+    H = H or gl_q2()
     al = H.system.alphabet
-    D = parse_poly("a*d - Q*b*c", al)
-    qv = q_value(q)
-    if qv is not None:
-        D = D.substitute_q(qv)
+    D = H.antipode_table["Di"]
     Di = NCPoly.gen(al, "Di")
     one = NCPoly.one(al)
     return HopfIdeal(H, [D - one, Di - one], name="<D-1>")
@@ -475,8 +433,6 @@ def pi_u1_to_z2() -> LinearMap:
 def _sphere_edge() -> "ComoduleAlgebra":
     """Edge avatar for one face pair: two circle unitaries (untwisted and
     twisted symbol images), the base Z2 coordinate v, and the fiber copy w."""
-    from .ncpoly import Alphabet
-
     gens = ("z", "zi", "z2", "z2i", "v", "w")
     alpha = Alphabet(gens, central=gens)
     one = NCPoly.one(alpha)
@@ -675,11 +631,7 @@ def frame_bundle_obstruction(q="formal") -> ObstructionVerdict:
     H = smash.hopf
     B = smash.b_system
     al = H.system.alphabet
-    Di = NCPoly.gen(al, "Di")
-    D = parse_poly("a*d - Q*b*c", al)
-    qv = q_value(q)
-    if qv is not None:
-        D = D.substitute_q(qv)
+    D = H.antipode_table["Di"]  # a*d - q*b*c
     steps.append("anti-multiplicativity: theta(D Di) = theta(Di) theta(D) = theta(1) = 1, so mu is invertible")
     # commutation rule b*theta(k) = theta(k_(1)) (k_(2) |> b) at k = Di (group-like), b = x, mu = 1
     x = NCPoly.gen(B.alphabet, "x")
@@ -699,7 +651,7 @@ def frame_bundle_obstruction(q="formal") -> ObstructionVerdict:
     )
     dpolys = [NCPoly.word(al, ("Di",)), D]
     failures = verify_theta_properties(theta, smash, dpolys)
-    if qv is not None:
+    if q_value(q) is not None:
         consistent = obstruction.is_zero()
     elif q == "cbrt1":
         consistent = obstruction.vanishes_mod(CUBE_ROOT_MINPOLY)
@@ -719,15 +671,8 @@ def su_q2_to_u1_checks(q="formal") -> list[CheckFailure]:
     """pi(alpha) = u, pi(gamma) = 0: well-defined, a *-coalgebra map, kills <gamma, gamma*>."""
     su = su_q2(q)
     u1 = o_u1()
-    al = u1.system.alphabet
-    images = {
-        "a": NCPoly.gen(al, "u"),
-        "as": NCPoly.gen(al, "ui"),
-        "g": NCPoly.zero(al),
-        "gs": NCPoly.zero(al),
-    }
     failures: list[CheckFailure] = []
-    pi = gens_map("pi_su_u1", su.system, u1.system, images, check=False)
+    pi = gens_map("pi_su_u1", su.system, u1.system, _su_u1_images(u1.system.alphabet), check=False)
     for msg in pi.rule_compatibility_problems():
         failures.append(CheckFailure("surjection-well-defined", "relations", msg))
     for g in su.system.alphabet.gens:
@@ -745,12 +690,7 @@ def su_q2_to_u1_checks(q="formal") -> list[CheckFailure]:
         then_star = pi.apply(su.system.star(NCPoly.gen(su.system.alphabet, g)))
         if star_then != then_star:
             failures.append(CheckFailure("surjection-star", g, f"{star_then!r} != {then_star!r}"))
-    gamma_ideal = HopfIdeal(
-        su,
-        [NCPoly.gen(su.system.alphabet, "g"), NCPoly.gen(su.system.alphabet, "gs")],
-        name="<g,gs>",
-    )
-    failures.extend(gamma_ideal.validate())
+    failures.extend(su_gamma_ideal(su).validate())
     for g in ("g", "gs"):
         if not pi.apply_word((g,)).is_zero():
             failures.append(CheckFailure("surjection-kills-ideal", g, f"pi({g}) != 0"))

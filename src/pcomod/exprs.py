@@ -2,7 +2,8 @@
 
 Expression grammar (whitespace insignificant):
     atoms:  generator names, integer literals `n` or `n/m`, `I` (imaginary
-            unit), `Q` (the formal parameter q)
+            unit), `Q` (the parameter q: formal, or the value the parser
+            was given, so a presentation is built once at its q)
     ops:    `*` (left-assoc), `+`, `-` (binary and unary), `^` integer power
             (negative exponents only on scalar atoms), `#` (tensor separator,
             binds between `*` and `+`), parentheses.
@@ -14,7 +15,7 @@ import re
 from fractions import Fraction
 
 from .ncpoly import Alphabet, NCPoly, Word
-from .scalars import P_ONE, GaussRat, Scalar
+from .scalars import P_ONE, S_Q, GaussRat, Scalar
 
 _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|\d+|\^|\*|\+|-|#|\(|\)|/|=)")
 
@@ -75,10 +76,11 @@ class Value:
 
 
 class Parser:
-    def __init__(self, s: str, alphabet: Alphabet):
+    def __init__(self, s: str, alphabet: Alphabet, q: GaussRat | None = None):
         self.tokens = tokenize(s)
         self.i = 0
         self.alphabet = alphabet
+        self.q = S_Q if q is None else Scalar.of(q)
 
     def peek(self) -> str:
         return self.tokens[self.i]
@@ -158,7 +160,7 @@ class Parser:
         if tok == "I":
             return Value.scalar(Scalar.i())
         if tok == "Q":
-            return Value.scalar(Scalar.q_power(1))
+            return Value.scalar(self.q)
         if tok in self.alphabet.rank:
             return Value.poly(NCPoly.gen(self.alphabet, tok))
         raise ParseError(f"unknown atom {tok!r}")
@@ -243,27 +245,27 @@ def _pow(v: Value, k: int, alphabet: Alphabet) -> Value:
     raise ParseError("cannot raise a tensor to a power")
 
 
-def parse_poly(s: str, alphabet: Alphabet) -> NCPoly:
-    return Parser(s, alphabet).finish().as_poly(alphabet)
+def parse_poly(s: str, alphabet: Alphabet, q: GaussRat | None = None) -> NCPoly:
+    return Parser(s, alphabet, q).finish().as_poly(alphabet)
 
 
-def parse_scalar(s: str) -> Scalar:
-    v = Parser(s, Alphabet(())).finish()
+def parse_scalar(s: str, q: GaussRat | None = None) -> Scalar:
+    v = Parser(s, Alphabet(()), q).finish()
     if v.kind != "scalar":
         raise ParseError(f"{s!r} is not a scalar expression")
     return v.data
 
 
-def parse_relation(s: str, alphabet: Alphabet) -> tuple[NCPoly, NCPoly]:
+def parse_relation(s: str, alphabet: Alphabet, q: GaussRat | None = None) -> tuple[NCPoly, NCPoly]:
     if s.count("=") != 1:
         raise ParseError(f"relation must contain exactly one '=': {s!r}")
     left, right = s.split("=")
-    return parse_poly(left, alphabet), parse_poly(right, alphabet)
+    return parse_poly(left, alphabet, q), parse_poly(right, alphabet, q)
 
 
-def parse_tensor_terms(s: str, alphabet: Alphabet, legs: int) -> dict:
+def parse_tensor_terms(s: str, alphabet: Alphabet, legs: int, q: GaussRat | None = None) -> dict:
     """Raw tensor terms dict[(Word,)*legs -> Scalar] over a union alphabet."""
-    return Parser(s, alphabet).finish().as_tensor_terms(alphabet, legs)
+    return Parser(s, alphabet, q).finish().as_tensor_terms(alphabet, legs)
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +359,10 @@ def tensor_to_expr(terms: dict) -> str:
 # presentation JSON
 # ---------------------------------------------------------------------------
 
-def load_presentation(doc: dict):
+def load_presentation(doc: dict, q: GaussRat | None = None):
     """Build a RewriteSystem (plus optional Hopf structure) from a presentation
-    document.  Returns (system, hopf_or_none)."""
+    document, reading `Q` as q (formal when q is None).  Returns
+    (system, hopf_or_none)."""
     from .hopf import HopfAlgebra
     from .rewrite import RewriteSystem
     from .tensors import Tensor
@@ -370,10 +373,10 @@ def load_presentation(doc: dict):
         raise ParseError("precedence must be a permutation of generators")
     alphabet = Alphabet(precedence, central=doc.get("central", ()))
     tower = doc.get("scalar_tower", "Q(i)(q)")
-    relations = [parse_relation(r, alphabet) for r in doc.get("relations", ())]
+    relations = [parse_relation(r, alphabet, q) for r in doc.get("relations", ())]
     star = None
     if doc.get("star"):
-        star = {g: parse_poly(e, alphabet) for g, e in doc["star"].items()}
+        star = {g: parse_poly(e, alphabet, q) for g, e in doc["star"].items()}
         for g in gens:
             star.setdefault(g, NCPoly.gen(alphabet, g))
     system = RewriteSystem.from_relations(
@@ -387,13 +390,13 @@ def load_presentation(doc: dict):
     if doc.get("hopf"):
         h = doc["hopf"]
         delta = {
-            g: Tensor((system, system), parse_tensor_terms(e, alphabet, 2))
+            g: Tensor((system, system), parse_tensor_terms(e, alphabet, 2, q))
             for g, e in h["delta"].items()
         }
-        counit = {g: parse_scalar(e) for g, e in h["counit"].items()}
-        antipode = {g: system.normal_form(parse_poly(e, alphabet)) for g, e in h["antipode"].items()}
+        counit = {g: parse_scalar(e, q) for g, e in h["counit"].items()}
+        antipode = {g: system.normal_form(parse_poly(e, alphabet, q)) for g, e in h["antipode"].items()}
         antipode_inv = {
-            g: system.normal_form(parse_poly(e, alphabet)) for g, e in h["antipode_inv"].items()
+            g: system.normal_form(parse_poly(e, alphabet, q)) for g, e in h["antipode_inv"].items()
         }
         hopf = HopfAlgebra(system, delta, counit, antipode, antipode_inv, name=doc.get("name", ""))
     return system, hopf

@@ -201,12 +201,6 @@ class NCPoly:
     def coeff(self, w: Word) -> Scalar:
         return self.terms.get(self.alphabet.canon(tuple(w)), S_ZERO)
 
-    def map_scalars(self, f) -> "NCPoly":
-        return NCPoly(self.alphabet, {w: f(c) for w, c in self.terms.items()})
-
-    def substitute_q(self, value) -> "NCPoly":
-        return self.map_scalars(lambda c: c.substitute_q(value))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, NCPoly)

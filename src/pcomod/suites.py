@@ -23,7 +23,7 @@ from .comodule import (
     strong_connection_from_cleaving,
     verify_strong_connection,
 )
-from .exprs import parse_poly
+from .exprs import ParseError, parse_poly
 from .hopf import (
     check_hopf_axioms,
     coinvariant_compatibility_check,
@@ -232,7 +232,7 @@ def suite_strong_connection(cfg: SuiteConfig) -> Iterator[CheckRecord]:
     # tensor-over-base balancing, which multiplication erases
     for name, J_builder, H_builder, pair_bound in (
         ("o_u1-mod-z2", builtin.u1_mod_z2_ideal, builtin.o_u1, min(cfg.degree, 3)),
-        ("gl-mod-det", lambda H: builtin.gl_mod_det_ideal(H, cfg.q), lambda: builtin.gl_q2(cfg.q), 1),
+        ("gl-mod-det", builtin.gl_mod_det_ideal, lambda: builtin.gl_q2(cfg.q), 1),
     ):
         H = H_builder()
         J = J_builder(H)
@@ -326,7 +326,9 @@ def load_covering_file(path: str):
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read covering file {path}: {e}")
-    base_name = doc.get("base")
+    base_name = doc.get("base") if isinstance(doc, dict) else None
+    if not isinstance(base_name, str):
+        raise ConfigError(f"covering file {path} names no base builtin (key 'base')")
     obj = builtin.build(base_name)
     base = obj[0] if isinstance(obj, tuple) else obj
     if not hasattr(base, "coact_word"):
@@ -334,7 +336,7 @@ def load_covering_file(path: str):
     kernels = []
     cleavings_exprs = []
     for piece in doc.get("pieces", ()):
-        kernels.append([parse_poly(e, base.system.alphabet) for e in piece.get("kernel", ())])
+        kernels.append([_parse_file_poly(path, e, base.system.alphabet) for e in piece.get("kernel", ())])
         cleavings_exprs.append(piece.get("cleaving"))
     bg = doc.get("base_gens")
     cov = Covering.from_kernels(base, kernels, base_gens=[tuple(b) for b in bg] if bg else None,
@@ -344,10 +346,17 @@ def load_covering_file(path: str):
         psys = cov.pieces[idx].comodule.system
         if not expr:
             raise ConfigError("each piece needs a cleaving table for a trivialisation")
-        images = {g: parse_poly(e, psys.alphabet) for g, e in expr.items()}
+        images = {g: _parse_file_poly(path, e, psys.alphabet) for g, e in expr.items()}
         j = gens_map(f"gamma[{idx}]", base.hopf.system, psys, images, check=True)
         cleavings.append(CleavingMap(cov.pieces[idx].comodule, j))
     return Trivialisation(cov, base.hopf, cleavings, name=doc.get("name", "file-covering"))
+
+
+def _parse_file_poly(path: str, expr: str, alphabet) -> NCPoly:
+    try:
+        return parse_poly(expr, alphabet)
+    except ParseError as e:
+        raise ConfigError(f"covering file {path}: cannot parse {expr!r}: {e}")
 
 
 def suite_transition(cfg: SuiteConfig) -> Iterator[CheckRecord]:
@@ -398,7 +407,7 @@ def suite_reduction_theorem(cfg: SuiteConfig) -> Iterator[CheckRecord]:
     )
     # the second positive instance: the quantum-group prolongation of the
     # Peter-Weyl patch reduces along the gamma kernel
-    ppro = builtin.patch_prolonged("formal" if cfg.q == "cbrt1" else cfg.q)
+    ppro = builtin.patch_prolonged(cfg.q)
     JS = builtin.su_gamma_ideal(ppro.trivialisation.hopf)
     pverdict = reducibility_check(ppro.trivialisation, JS, bound=2)
     yield _check(
@@ -409,15 +418,15 @@ def suite_reduction_theorem(cfg: SuiteConfig) -> Iterator[CheckRecord]:
     )
     # the obstructed instance: the quantum-plane frame bundle at generic q
     # (the cube-root mode belongs to the frame-obstruction suite, which reduces
-    # the obstruction modulo the minimal polynomial; here run the formal check)
-    run_q = "formal" if cfg.q in ("formal", "cbrt1") else cfg.q
-    sm = builtin.plane_gl_smash(run_q)
+    # the obstruction modulo the minimal polynomial; the builders read cbrt1
+    # as formal q, so here it runs the formal check)
+    sm = builtin.plane_gl_smash(cfg.q)
     piece = CoveringPiece(sm, base_gens=("x", "y"))
     cov = Covering([piece], {}, name="frame-bundle-single-piece")
     triv = Trivialisation(cov, sm.hopf, [sm.cleaving()], name="frame")
-    JG = builtin.gl_mod_det_ideal(sm.hopf, run_q)
+    JG = builtin.gl_mod_det_ideal(sm.hopf)
     verdict = reducibility_check(triv, JG, bound=2)
-    expected_obstructed = not (isinstance(run_q, int) and run_q == 1)
+    expected_obstructed = cfg.q != 1
     yield _check(
         "reduction/frame-bundle-obstructed",
         "the determinant ideal acts nontrivially on the plane unless q^3 = 1",
@@ -433,7 +442,7 @@ def suite_reduction_theorem(cfg: SuiteConfig) -> Iterator[CheckRecord]:
     )
     gl = builtin.gl_q2(cfg.q)
     sl = builtin.sl_q2(cfg.q)
-    qg, _ = quotient_hopf(gl, builtin.gl_mod_det_ideal(gl, cfg.q))
+    qg, _ = quotient_hopf(gl, builtin.gl_mod_det_ideal(gl))
     gm = {g: NCPoly.gen(sl.system.alphabet, g) for g in ("a", "b", "c", "d")}
     gm["Di"] = NCPoly.one(sl.system.alphabet)
     fails += generator_map_isomorphism_problems(qg, sl, gm, 3)
@@ -643,6 +652,10 @@ def _suite_names(cfg: SuiteConfig) -> list[str]:
         near = difflib.get_close_matches(cfg.suite, list(SUITES) + ["all"], n=1)
         hint = f"; nearest match: {near[0]}" if near else ""
         raise ConfigError(f"unknown suite {cfg.suite!r}{hint}")
+    try:
+        builtin.q_value(cfg.q)
+    except builtin.QZeroError as e:
+        raise ConfigError(str(e))
     for key, value in (("degree", cfg.degree), ("trials", cfg.trials), ("mc_samples", cfg.mc_samples)):
         if value < 1:
             raise ConfigError(f"{key} must be at least 1, got {value}")

@@ -1,7 +1,8 @@
 """Independent oracles used to freeze expected values: small hand-rolled models
 that do not share code with the engine under test, exhaustive searches that
-use only the engine's single rewriting step and normal form, and the sampling
-loops that exact certificates and precomputed tables replaced."""
+use only the engine's single rewriting step and normal form, the sampling
+loops that exact certificates and precomputed tables replaced, and the
+build-at-formal-q-then-substitute path that parsing at a fixed q replaced."""
 
 from __future__ import annotations
 
@@ -10,14 +11,17 @@ from math import lcm
 
 import numpy as np
 
+from pcomod import builtin
 from pcomod.builtin import toeplitz_system
+from pcomod.hopf import HopfAlgebra
 from pcomod.ncpoly import NCPoly
 from pcomod.numgeom import membership, probes
 from pcomod.numgeom.circle import delta_angle, omega_hat
 from pcomod.numgeom.grids import Z2, circle_angles
 from pcomod.numgeom.toeplitz import _toeplitz_basis, random_toeplitz_poly, symbol
-from pcomod.rewrite import Conflict, ConfluenceReport, SizeLimitError
+from pcomod.rewrite import Conflict, ConfluenceReport, RewriteSystem, SizeLimitError
 from pcomod.scalars import S_ONE, S_ZERO, GaussRat, Scalar
+from pcomod.tensors import Tensor
 
 
 # ---------------------------------------------------------------------------
@@ -450,3 +454,56 @@ def scalar_draw_toeplitz_poly(rng, max_deg: int, coeff_range: int = 3) -> NCPoly
             terms[w] = Scalar.of(gauss_rat(re, im))
     p = NCPoly(alphabet, terms)
     return p if not p.is_zero() else NCPoly.one(alphabet)
+
+
+# ---------------------------------------------------------------------------
+# q substituted after a formal build (reference for parsing at a fixed q)
+# ---------------------------------------------------------------------------
+
+def substituted_poly(p: NCPoly, qv: GaussRat) -> NCPoly:
+    return NCPoly(p.alphabet, {w: c.substitute_q(qv) for w, c in p.terms.items()})
+
+
+def substituted_system(system: RewriteSystem, qv: GaussRat) -> RewriteSystem:
+    """A rewrite system built over Q(i)(q), with q set to qv in every rule and
+    star image afterwards."""
+    rules = [(r.lhs_word, substituted_poly(r.rhs, qv)) for r in system.rules]
+    star = (
+        {g: substituted_poly(p, qv) for g, p in system.star_table.items()}
+        if system.star_table
+        else None
+    )
+    suffix = substituted_system(system.suffix_system, qv) if system.suffix_system else None
+    return RewriteSystem(
+        system.alphabet,
+        rules,
+        star=star,
+        name=f"{system.name}@q",
+        term_cap=system.term_cap,
+        suffix_system=suffix,
+        scalar_tower=system.scalar_tower,
+    )
+
+
+def substituted_hopf(H: HopfAlgebra, qv: GaussRat) -> HopfAlgebra:
+    qs = substituted_system(H.system, qv)
+    delta = {
+        g: Tensor((qs, qs), {k: c.substitute_q(qv) for k, c in t.terms.items()})
+        for g, t in H.delta_table.items()
+    }
+    counit = {g: c.substitute_q(qv) for g, c in H.counit_table.items()}
+    antipode = {g: substituted_poly(p, qv) for g, p in H.antipode_table.items()}
+    antipode_inv = {g: substituted_poly(p, qv) for g, p in H.antipode_inv_table.items()}
+    return HopfAlgebra(qs, delta, counit, antipode, antipode_inv, name=f"{H.name}@q")
+
+
+def substituted_build(name: str, qv: GaussRat):
+    """builtin.build(name) at formal q, then q set to qv in every table."""
+    obj = builtin.build(name)
+    if isinstance(obj, HopfAlgebra):
+        return substituted_hopf(obj, qv)
+    return substituted_system(obj, qv)
+
+
+def substituted_plane_action(qv: GaussRat) -> dict:
+    return {key: substituted_poly(p, qv) for key, p in builtin.plane_action_table().items()}

@@ -1,10 +1,16 @@
+from fractions import Fraction
+
 import pytest
 
+import oracles
 from pcomod import builtin
 from pcomod.exprs import parse_poly, parse_tensor_terms
+from pcomod.hopf import HopfAlgebra
 from pcomod.ncpoly import NCPoly
 from pcomod.scalars import GaussRat, S_ONE, Scalar
 from pcomod.tensors import Tensor
+
+FIXED_Q = (1, 2, 3, -1, Fraction(1, 2))
 
 
 def test_registry_and_errors():
@@ -88,3 +94,74 @@ def test_toeplitz_matrix_spot_check():
     # the isometry relation holds strictly away from the truncation corner
     ident = toeplitz_matrix(T.mul(NCPoly.gen(al, "ss"), NCPoly.gen(al, "s")), n)
     assert masked_residual(ident, np.eye(n), n // 8) < 1e-12
+
+
+def _ordered(p):
+    """Terms in stored order: reports print them in this order."""
+    return list(p.terms.items())
+
+
+def _system_tables(system):
+    star = system.star_table or {}
+    return [(r.lhs_word, _ordered(r.rhs)) for r in system.rules], {g: _ordered(p) for g, p in star.items()}
+
+
+def _hopf_tables(H):
+    return (
+        _system_tables(H.system),
+        {g: list(t.terms.items()) for g, t in H.delta_table.items()},
+        H.counit_table,
+        {g: _ordered(p) for g, p in H.antipode_table.items()},
+        {g: _ordered(p) for g, p in H.antipode_inv_table.items()},
+    )
+
+
+@pytest.mark.parametrize("q", FIXED_Q, ids=str)
+@pytest.mark.parametrize("name", (*builtin.HOPF_NAMES, "quantum_plane"))
+def test_build_at_q_matches_substitution_oracle(name, q):
+    """Parsing at q gives the tables of the formal build with q substituted:
+    same rules, star, coproduct, counit and antipodes, terms in the same order."""
+    got = builtin.build(name, q)
+    want = oracles.substituted_build(name, builtin.q_value(q))
+    if isinstance(want, HopfAlgebra):
+        assert got.system == want.system
+        assert _hopf_tables(got) == _hopf_tables(want)
+    else:
+        assert got == want
+        assert _system_tables(got) == _system_tables(want)
+
+
+@pytest.mark.parametrize("q", FIXED_Q, ids=str)
+def test_plane_action_at_q_matches_substitution_oracle(q):
+    got = builtin.plane_action_table(q)
+    want = oracles.substituted_plane_action(builtin.q_value(q))
+    assert {k: _ordered(p) for k, p in got.items()} == {k: _ordered(p) for k, p in want.items()}
+
+
+@pytest.mark.parametrize("q", ("formal", 3, 2, 1, -1), ids=str)
+def test_determinant_is_the_antipode_of_its_inverse(q):
+    """gl_mod_det_ideal and the obstruction read D as S(Di); it is the
+    parsed a*d - q*b*c at every q, term for term."""
+    gl = builtin.gl_q2(q)
+    D = parse_poly("a*d - Q*b*c", gl.system.alphabet)
+    qv = builtin.q_value(q)
+    if qv is not None:
+        D = oracles.substituted_poly(D, qv)
+    assert _ordered(gl.antipode_table["Di"]) == _ordered(D)
+    assert builtin.gl_mod_det_ideal(gl).gens[0] == D - NCPoly.one(gl.system.alphabet)
+
+
+def test_fixed_q_builders_never_make_formal_q(monkeypatch):
+    """At a fixed q no builder goes through Q(i)(q): the parser reads Q as the value."""
+
+    def formal_q(k):
+        raise AssertionError(f"formal q^{k} built at a fixed q")
+
+    monkeypatch.setattr(Scalar, "q_power", staticmethod(formal_q))
+    for name in builtin.registry():
+        builtin.build(name, 3)
+    builtin.plane_action_table(3)
+    builtin.gl_mod_det_ideal(builtin.gl_q2(3))
+    assert builtin.patch_prolonged(3).report == []
+    assert builtin.su_q2_to_u1_checks(3) == []
+    assert builtin.frame_bundle_obstruction(3).consistent is False

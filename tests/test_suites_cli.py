@@ -161,7 +161,7 @@ def test_cli_algebra_restricts_only_the_axiom_suite_that_has_it(capsys):
 @pytest.mark.parametrize(
     "suite, flag, value",
     [("peter-weyl", "--samples", "0"), ("parity-probe", "--trials", "0"), ("covering", "--degree", "-1"),
-     ("covering", "--degree", "0")],
+     ("covering", "--degree", "0"), ("hopf-axioms", "--q", "0")],
 )
 def test_cli_counts_below_one_are_config_errors(capsys, suite, flag, value):
     assert main(["verify", "--suite", suite, flag, value]) == 2
@@ -205,3 +205,25 @@ def test_covering_json_file(tmp_path):
     cfg = mini_cfg("transition", covering=str(path))
     rep = run_suite(cfg)
     assert rep.passed
+
+
+def test_covering_file_without_base_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps({"pieces": [{"kernel": [], "cleaving": {"u": "u"}}]}))
+    with pytest.raises(ConfigError, match="base"):
+        run_suite(mini_cfg("covering", covering=str(path)))
+    assert main(["verify", "--suite", "covering", "--covering", str(path)]) == 2
+    assert "CONFIG_ERROR" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "piece", [{"kernel": ["s**"], "cleaving": {"u": "u"}}, {"kernel": [], "cleaving": {"u": "u*"}}],
+    ids=["kernel", "cleaving"],
+)
+def test_covering_file_that_does_not_parse_is_a_config_error(tmp_path, capsys, piece):
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps({"base": "toeplitz_z2_smash", "pieces": [piece]}))
+    with pytest.raises(ConfigError, match="cannot parse"):
+        run_suite(mini_cfg("transition", covering=str(path)))
+    assert main(["verify", "--suite", "transition", "--covering", str(path)]) == 2
+    assert "CONFIG_ERROR" in capsys.readouterr().err
