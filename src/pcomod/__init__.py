@@ -20,11 +20,9 @@ from .comodule import (
     SmashProduct,
     StrongConnection,
     canonical_map,
-    is_coinvariant,
     miyashita_ulbrich_check,
     reduction_ideal,
     smash_product,
-    strong_connection_from_cleaving,
     tensor_over_base_equal,
     theta_backward,
     theta_forward,

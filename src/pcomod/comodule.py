@@ -7,11 +7,11 @@ from typing import Sequence
 
 from .hopf import CheckFailure, HopfAlgebra, HopfIdeal, quotient_hopf
 from .linalg import RowSpace
-from .maps import LinearMap, gens_map
+from .maps import DegreeExceededError, LinearMap, gens_map
 from .ncpoly import NCPoly, Word, word_str
 from .rewrite import RewriteSystem
 from .scalars import S_ONE
-from .tensors import Tensor
+from .tensors import Tensor, linear_image
 
 
 class NotModuleAlgebraError(ValueError):
@@ -50,10 +50,17 @@ class ComoduleAlgebra:
         return out
 
     def coact(self, p: NCPoly) -> Tensor:
-        out = Tensor.zero((self.system, self.hopf.system))
-        for w, c in p.terms.items():
-            out = out + self.coact_word(w).scale(c)
-        return out
+        return linear_image(p, self.coact_word, Tensor.zero((self.system, self.hopf.system)))
+
+    def over(
+        self, system: RewriteSystem, hopf: HopfAlgebra | None = None, name: str = ""
+    ) -> "ComoduleAlgebra":
+        """The same coaction table read in ``system``, a quotient of this
+        algebra, over ``hopf`` (a quotient of this Hopf algebra; the same one
+        when omitted)."""
+        hopf = hopf or self.hopf
+        coaction = {g: Tensor((system, hopf.system), t.terms) for g, t in self.coaction_table.items()}
+        return ComoduleAlgebra(system, hopf, coaction, name=name)
 
     def is_coinvariant(self, p: NCPoly) -> bool:
         p = self.system.normal_form(p)
@@ -95,10 +102,6 @@ class ComoduleAlgebra:
         return f"ComoduleAlgebra({self.name})"
 
 
-def is_coinvariant(P: ComoduleAlgebra, p: NCPoly) -> bool:
-    return P.is_coinvariant(p)
-
-
 def canonical_map(P: ComoduleAlgebra, t: Tensor) -> Tensor:
     """can(p (x) q) = p q_(0) (x) q_(1), over P (x) P (B-balancing is a separate check)."""
     expanded = t.expand_leg(1, P.coact_word)  # (P, P, H)
@@ -123,7 +126,7 @@ class CleavingMap:
                 raise PreconditionError(
                     f"{j.name}: non-algebra cleaving needs an explicit convolution inverse"
                 )
-            j_inv = j.compose(P.hopf.antipode_map(), name=f"{j.name}oS")
+            j_inv = j.compose(P.hopf.S, name=f"{j.name}oS")
         self.j_inv = j_inv
 
     def verify(self, degree_bound: int) -> list[CheckFailure]:
@@ -178,16 +181,11 @@ class StrongConnection:
 
     def apply_word(self, w: Word) -> Tensor:
         if w not in self.table:
-            from .maps import DegreeExceededError
-
             raise DegreeExceededError(f"strong connection untabulated at {word_str(w)}")
         return self.table[w]
 
     def apply(self, p: NCPoly) -> Tensor:
-        out = Tensor.zero((self.P.system, self.P.system))
-        for w, c in p.terms.items():
-            out = out + self.apply_word(w).scale(c)
-        return out
+        return linear_image(p, self.apply_word, Tensor.zero((self.P.system, self.P.system)))
 
     def translation_sandwich(self, h: NCPoly, mid: NCPoly) -> NCPoly:
         """h^[1] * mid * h^[2], multiplied out in P."""
@@ -199,13 +197,6 @@ class StrongConnection:
                     [NCPoly.word(P.alphabet, a), mid, NCPoly.word(P.alphabet, b)]
                 ).scale(c * cc)
         return P.normal_form(out)
-
-    def verify(self, degree_bound: int) -> list[CheckFailure]:
-        return verify_strong_connection(self, degree_bound)
-
-
-def strong_connection_from_cleaving(j: CleavingMap, bound: int = 4) -> StrongConnection:
-    return StrongConnection.from_cleaving(j, bound)
 
 
 def verify_strong_connection(ell: StrongConnection, degree_bound: int) -> list[CheckFailure]:
@@ -229,7 +220,7 @@ def verify_strong_connection(ell: StrongConnection, degree_bound: int) -> list[C
         if got != want:
             failures.append(CheckFailure("connection-axiom-1", ws, f"{got!r} != {want!r}"))
         # axiom 2: S(h1) (x) ell(h2)  =  ell(h)<1>_(1) (x) ell(h)<1>_(0) (x) ell(h)<2>
-        lhs2 = H.delta_word(w).map_leg(0, H.antipode_word).expand_leg(1, ell.apply_word)
+        lhs2 = H.delta_word(w).map_leg(0, H.S.apply_word).expand_leg(1, ell.apply_word)
         rhs2 = lw.expand_leg(0, P.coact_word).swap_legs(0, 1)
         if lhs2 != rhs2:
             failures.append(CheckFailure("connection-axiom-2", ws, f"{lhs2!r} != {rhs2!r}"))
@@ -330,16 +321,10 @@ class ActionData:
         return out
 
     def act_poly(self, hw: Word, bp: NCPoly) -> NCPoly:
-        out = self.b_system.zero()
-        for bw, c in bp.terms.items():
-            out = out + self.act(hw, bw).scale(c)
-        return self.b_system.normal_form(out)
+        return linear_image(bp, lambda bw: self.act(hw, bw), self.b_system.zero())
 
     def act_hpoly(self, hp: NCPoly, bp: NCPoly) -> NCPoly:
-        out = self.b_system.zero()
-        for hw, c in hp.terms.items():
-            out = out + self.act_poly(hw, bp).scale(c)
-        return self.b_system.normal_form(out)
+        return linear_image(hp, lambda hw: self.act_poly(hw, bp), self.b_system.zero())
 
     def module_algebra_problems(self) -> list[CheckFailure]:
         """Well-definedness on both presentations: every (B-rule, H-gen) and
@@ -466,7 +451,7 @@ def miyashita_ulbrich_check(
         arg = H.system.zero()
         for (w1, w2), c in H.delta(h).terms.items():
             arg = arg + H.system.mul_many(
-                [H.antipode_word(w1), k, NCPoly.word(H.system.alphabet, w2)]
+                [H.S.apply_word(w1), k, NCPoly.word(H.system.alphabet, w2)]
             ).scale(c)
         lhs = f.apply(H.system.normal_form(arg))
         rhs = ell.translation_sandwich(h, f.apply(k))
@@ -531,24 +516,15 @@ def verify_theta_properties(
     H = smash.hopf
     B = smash.b_system
     act = smash.action
-
-    from .maps import DegreeExceededError
-
-    def theta_poly(p: NCPoly) -> NCPoly:
-        out = B.zero()
-        for w, c in p.terms.items():
-            out = out + theta.apply_word(w).scale(c)
-        return B.normal_form(out)
-
     one = B.one()
-    if theta_poly(H.system.one()) != one:
-        failures.append(CheckFailure("theta-unital", "1", f"theta(1) = {theta_poly(H.system.one())!r}"))
+    if theta.apply(H.system.one()) != one:
+        failures.append(CheckFailure("theta-unital", "1", f"theta(1) = {theta.apply(H.system.one())!r}"))
     for k in dpolys:
         for l in dpolys:
             kl = H.system.mul(k, l)
             try:
-                lhs = theta_poly(kl)
-                rhs = B.mul(theta_poly(l), theta_poly(k))
+                lhs = theta.apply(kl)
+                rhs = B.mul(theta.apply(l), theta.apply(k))
             except DegreeExceededError:
                 continue
             if B.normal_form(lhs - rhs) != B.zero():
@@ -563,7 +539,7 @@ def verify_theta_properties(
         for b in smash.b_gens:
             bp = NCPoly.gen(B.alphabet, b)
             try:
-                lhs = B.mul(bp, theta_poly(k))
+                lhs = B.mul(bp, theta.apply(k))
                 rhs = B.zero()
                 for (w1, w2), c in H.delta(k).terms.items():
                     rhs = rhs + B.mul(
@@ -584,11 +560,11 @@ def verify_theta_properties(
             arg = H.system.zero()
             for (w1, w2), c in H.delta(h).terms.items():
                 arg = arg + H.system.mul_many(
-                    [H.antipode_word(w1), k, NCPoly.word(H.system.alphabet, w2)]
+                    [H.S.apply_word(w1), k, NCPoly.word(H.system.alphabet, w2)]
                 ).scale(c)
             try:
-                lhs = theta_poly(H.system.normal_form(arg))
-                rhs = act.act_hpoly(H.antipode(h), theta_poly(k))
+                lhs = theta.apply(H.system.normal_form(arg))
+                rhs = act.act_hpoly(H.S.apply(h), theta.apply(k))
             except DegreeExceededError:
                 continue
             if B.normal_form(lhs - rhs) != B.zero():
@@ -673,7 +649,7 @@ def reduction_ideal(
     qsys = P.system.extend_by_ideal(gens, name=f"{P.name}/I_f")
     inverse_table: dict[Word, NCPoly] = {}
     for w in dwords:
-        sk = H.antipode_inv(NCPoly.word(H.system.alphabet, w))
+        sk = H.S_inv.apply_word(w)
         acc = P.system.zero()
         for ww, c in sk.terms.items():
             for (a, b), cc in ell.apply_word(ww).terms.items():
@@ -727,7 +703,7 @@ def principal_quotient_pair_certificate(H: HopfAlgebra, J: HopfIdeal, bound: int
                 {
                     (sa + a, b + g2): c * cc * sc
                     for (a, b), cc in prev.terms.items()
-                    for sa, sc in H.antipode_word(g1).terms.items()
+                    for sa, sc in H.S.apply_word(g1).terms.items()
                 },
             )
             acc = acc + part

@@ -7,6 +7,7 @@ from typing import Callable
 
 from .ncpoly import NCPoly, Word, word_str
 from .rewrite import RewriteSystem
+from .tensors import linear_image
 
 class DegreeExceededError(KeyError):
     """A table-backed map was applied outside its tabulated degree range."""
@@ -24,7 +25,8 @@ class LinearMap:
     - mode "table": linear extension of a normal-form word table.
 
     Generator-table maps are checked to respect every domain rewrite rule at
-    construction (both sides of each rule must agree in the codomain).
+    construction (both sides of each rule must agree in the codomain), and
+    memoise their word images.
     """
 
     def __init__(
@@ -50,6 +52,7 @@ class LinearMap:
             else None
         )
         self.bound = bound
+        self._word_cache: dict[Word, NCPoly] = {}
         if mode in ("algebra", "anti"):
             missing = set(domain.alphabet.gens) - set(gen_images or ())
             if missing:
@@ -69,20 +72,20 @@ class LinearMap:
                     f"{self.name}: word {word_str(key)} outside tabulated range"
                 )
             return hit
-        letters = reversed(w) if self.mode == "anti" else w
-        out = NCPoly.one(self.codomain.alphabet)
-        for g in letters:
-            out = self.codomain.mul(out, self.gen_images[g])
+        hit = self._word_cache.get(w)
+        if hit is not None:
+            return hit
+        if not w:
+            out = NCPoly.one(self.codomain.alphabet)
+        elif self.mode == "anti":
+            out = self.codomain.mul(self.apply_word(w[1:]), self.gen_images[w[0]])
+        else:
+            out = self.codomain.mul(self.apply_word(w[:-1]), self.gen_images[w[-1]])
+        self._word_cache[w] = out
         return out
 
     def apply(self, p: NCPoly) -> NCPoly:
-        out = NCPoly.zero(self.codomain.alphabet)
-        for w, c in p.terms.items():
-            out = out + self.apply_word(w).scale(c)
-        return self.codomain.normal_form(out)
-
-    def __call__(self, p: NCPoly) -> NCPoly:
-        return self.apply(p)
+        return linear_image(p, self.apply_word, self.codomain.zero())
 
     # -- checks -------------------------------------------------------------------
     def rule_compatibility_problems(self) -> list[str]:

@@ -151,9 +151,11 @@ def psi_pullback(ij: str, F):
 
 
 def phi_tilde_pullback(ij: str, F):
-    """The rightmost-coaction gluings: pullbacks of
+    """The rightmost-coaction gluings, built from Psi and the f = id
+    transition: pullbacks along
     (a,t,c) -> (a, at, ac)   [01]
-    (t,a,c) -> (a, at, ac)?  -- built from Psi and the f=id transition."""
+    (t,a,c) -> (a, at, ac)   [02]
+    (t,a,c) -> (at, a, ac)   [12]"""
     if ij == "01":
         return lambda a, t, c: F(a, a * t, a * c)
     if ij == "02":
@@ -246,8 +248,7 @@ def splitting_identities_report(cfg: GridConfig, n_random: int = 32) -> dict:
             worst["split2"], float(np.max(np.abs(back2(t[:, None], Z2[None, :]) - f2(t[:, None], Z2[None, :]))))
         )
         g2 = delta_pullback(1, F2)  # in C(Z2) (x) C(I)
-        want2 = lambda kk, tt: h0(np.asarray(kk, dtype=float)) * np.ones_like(tt) + np.asarray(kk, dtype=float) * 0 + iota_z2_pushforward(lambda x: np.asarray(x, dtype=float))(tt) * h1(np.asarray(kk, dtype=float)) * 0 + iota_z2_pushforward(lambda x: np.ones_like(np.asarray(x)))(tt) * 0
-        # delta_1^* o omega_2 = iota^*_Z2 (x) iota_*^Z2: (h0 + u h1) -> h0(k)... careful:
+        # delta_1^* o omega_2 = iota^*_Z2 (x) iota_*^Z2:
         # f2 = h0 (x) 1 + h1 (x) u maps to iota^*(h0) (x) 1 + iota^*(h1) (x) iota
         want2 = lambda kk, tt: h0(np.asarray(kk, dtype=float)) + h1(np.asarray(kk, dtype=float)) * np.asarray(tt)
         worst["mixed2"] = max(
@@ -267,7 +268,7 @@ def gauge_conjugation_report(cfg: GridConfig, n_random: int = 200) -> dict:
     a = Z2[:, None, None]
     tt = t[None, :, None]
     c = Z2[None, None, :]
-    out = {"involution": 0.0, "sigma_conj": 0.0, "phi_closed_form": 0.0, "phi_homogeneous": 0.0}
+    out = {"involution": 0.0, "sigma_conj": 0.0, "phi_closed_form": 0.0}
     for _ in range(n_random):
         h0 = interval_fn(rng.normal(size=cfg.m_interval), t)
         h1 = interval_fn(rng.normal(size=cfg.m_interval), t)
@@ -303,5 +304,4 @@ def gauge_conjugation_report(cfg: GridConfig, n_random: int = 200) -> dict:
             out["phi_closed_form"] = max(
                 out["phi_closed_form"], float(np.max(np.abs(conj(a, tt, c) - closed(a, tt, c))))
             )
-            out["phi_homogeneous"] = out["phi_closed_form"]
     return out

@@ -12,8 +12,7 @@ from .linalg import RowSpace, intersect_spans, same_span, span_of
 from .maps import LinearMap, gens_map
 from .ncpoly import Alphabet, NCPoly, Word, word_str
 from .rewrite import RewriteSystem
-from .scalars import S_ONE
-from .tensors import Tensor
+from .tensors import Tensor, linear_image
 
 
 class IncompatibleError(ValueError):
@@ -83,13 +82,9 @@ class Covering:
         name: str = "covering",
     ) -> "Covering":
         pieces = []
-        H = base.hopf
         for idx, kern in enumerate(kernels):
             qsys = base.system.extend_by_ideal(list(kern), name=f"{base.name}/k{idx}")
-            coaction = {
-                g: Tensor((qsys, H.system), t.terms) for g, t in base.coaction_table.items()
-            }
-            piece = ComoduleAlgebra(qsys, H, coaction, name=f"{base.name}[{idx}]")
+            piece = base.over(qsys, name=f"{base.name}[{idx}]")
             pieces.append(
                 CoveringPiece(piece, tuple(base_gens[idx]) if base_gens else ())
             )
@@ -99,10 +94,7 @@ class Covering:
                 qsys = base.system.extend_by_ideal(
                     list(kernels[i]) + list(kernels[j]), name=f"{base.name}/k{i}{j}"
                 )
-                coaction = {
-                    g: Tensor((qsys, H.system), t.terms) for g, t in base.coaction_table.items()
-                }
-                target = ComoduleAlgebra(qsys, H, coaction, name=f"{base.name}[{i},{j}]")
+                target = base.over(qsys, name=f"{base.name}[{i},{j}]")
                 ident = {g: NCPoly.gen(qsys.alphabet, g) for g in base.system.alphabet.gens}
                 pairs[(i, j)] = PairData(
                     target,
@@ -217,7 +209,7 @@ class Trivialisation:
         gamma_j = self.cleavings[j].j
         for (w1, w2), c in H.delta_word(h_word).terms.items():
             left = gamma_i.apply_word(w1)
-            right = gamma_j.apply(H.antipode_word(w2))
+            right = gamma_j.apply(H.S.apply_word(w2))
             if mi is not None:
                 left = mi.apply(left)
                 right = mj.apply(right)
@@ -230,10 +222,7 @@ class Trivialisation:
             if i == j
             else self.covering.pair_maps(i, j)[0].system
         )
-        out = target_sys.zero()
-        for w, c in h.terms.items():
-            out = out + self.transition(i, j, w).scale(c)
-        return target_sys.normal_form(out)
+        return linear_image(h, lambda w: self.transition(i, j, w), target_sys.zero())
 
 
 def transition_functions(triv: Trivialisation, bound: int = 3) -> dict:
@@ -326,7 +315,7 @@ def reducibility_check(triv: Trivialisation, J: HopfIdeal, bound: int = 3) -> Re
                 acc = psys.zero()
                 for (w1, w2), c in H.delta(g).terms.items():
                     acc = acc + psys.mul_many(
-                        [gamma.apply_word(w1), bp, gamma.apply(H.antipode_word(w2))]
+                        [gamma.apply_word(w1), bp, gamma.apply(H.S.apply_word(w2))]
                     ).scale(c)
                 acc = psys.normal_form(acc)
                 if not acc.is_zero():
@@ -348,11 +337,7 @@ def reducibility_check(triv: Trivialisation, J: HopfIdeal, bound: int = 3) -> Re
         psys = piece.comodule.system
         image_gens = [gamma.apply(g) for g in J.gens]
         rsys = psys.extend_by_ideal(image_gens, name=f"{psys.name}/gamma(J)")
-        coaction = {
-            g: Tensor((rsys, qH.system), t.terms)
-            for g, t in piece.comodule.coaction_table.items()
-        }
-        reduced.append(ComoduleAlgebra(rsys, qH, coaction, name=f"{piece.comodule.name}/J"))
+        reduced.append(piece.comodule.over(rsys, qH, name=f"{piece.comodule.name}/J"))
         descended.append(
             gens_map(
                 f"gammabar[{i}]",
@@ -461,46 +446,56 @@ def prolong(
     def fiber_word(w: Word) -> Word:
         return tuple(fiber_names[z] for z in w)
 
+    h_comm = _is_commutative(H.system)
+    fiber_gens = fiber_sys.alphabet.gens
+
+    def cotensor(
+        base: ComoduleAlgebra, letters: Sequence[str], rules, central: Sequence[str]
+    ) -> ComoduleAlgebra:
+        """``base`` (x) H presented on ``letters`` plus the fiber letters, with
+        the given base rules.  Base letters are coinvariant and fiber letters
+        carry Delta_H.  A commutative H makes the fiber (and ``central``)
+        central; otherwise fiber letters move right past base letters."""
+        if h_comm:
+            alpha = Alphabet(tuple(letters) + fiber_gens, central=tuple(central) + fiber_gens)
+        else:
+            alpha = Alphabet(tuple(letters) + fiber_gens)
+        lifted = [(r.lhs_word, NCPoly(alpha, dict(r.rhs.terms))) for r in rules]
+        if h_comm:
+            lifted.extend(_central_fiber_rules(fiber_sys, alpha))
+        else:
+            lifted.extend(((z, b), NCPoly.word(alpha, (b, z))) for z in fiber_gens for b in letters)
+        system = RewriteSystem(
+            alpha, lifted, name=f"{base.system.name} box {H.name}", scalar_tower="Q(i)(q)",
+            suffix_system=None if h_comm else fiber_sys,
+        )
+        coaction = {
+            b: Tensor.of((system, H.system), NCPoly.gen(alpha, b), H.system.one()) for b in letters
+        }
+        for z in H.system.alphabet.gens:
+            coaction[fiber_names[z]] = Tensor(
+                (system, H.system),
+                {(fiber_word(w1), w2): c for (w1, w2), c in H.delta_word((z,)).terms.items()},
+            )
+        return ComoduleAlgebra(system, H, coaction, name=f"{base.name} box {H.name}")
+
     pieces: list[CoveringPiece] = []
     cleavings: list[CleavingMap] = []
     dictionaries: list[dict[str, Tensor]] = []
-    h_comm = _is_commutative(H.system)
-    n = base_triv.covering.size
-    for i in range(n):
+    for i in range(base_triv.covering.size):
         base_piece = base_triv.covering.pieces[i]
         gbar = base_triv.cleavings[i].j
         bsys = base_piece.comodule.system
         bgens = base_piece.base_gens
-        # declared presentation of Pbar_i box H
-        base_sub_rules = []
+        # declared presentation of Pbar_i box H: the rules among base generators
         bset = set(bgens)
-        for r in bsys.rules:
-            if all(g in bset for g in r.lhs_word) and all(
-                all(g in bset for g in w) for w in r.rhs.terms
-            ):
-                base_sub_rules.append(r)
-        if h_comm:
-            alpha = Alphabet(
-                tuple(bgens) + fiber_sys.alphabet.gens,
-                central=tuple(fiber_sys.alphabet.gens),
-            )
-            suffix = None
-        else:
-            alpha = Alphabet(tuple(bgens) + fiber_sys.alphabet.gens)
-            suffix = fiber_sys
-        rules = [
-            (r.lhs_word, NCPoly(alpha, dict(r.rhs.terms))) for r in base_sub_rules
+        base_sub_rules = [
+            r
+            for r in bsys.rules
+            if all(g in bset for g in r.lhs_word) and all(all(g in bset for g in w) for w in r.rhs.terms)
         ]
-        if h_comm:
-            rules.extend(_central_fiber_rules(fiber_sys, alpha))
-        else:
-            for z in fiber_sys.alphabet.gens:
-                for b in bgens:
-                    rules.append(((z, b), NCPoly.word(alpha, (b, z))))
-        psys = RewriteSystem(
-            alpha, rules, name=f"{bsys.name} box {H.name}", scalar_tower="Q(i)(q)",
-            suffix_system=suffix,
-        )
+        prolonged = cotensor(base_piece.comodule, bgens, base_sub_rules, ())
+        psys = prolonged.system
         # fiber dictionary U_z -> gammabar(pi(z1)) (x) z2 and its certificates
         dct: dict[str, Tensor] = {}
         for z in H.system.alphabet.gens:
@@ -534,9 +529,7 @@ def prolong(
 
         for r in psys.rules:
             lhs_t = dict_map(r.lhs_word)
-            rhs_t = Tensor.zero((bsys, H.system))
-            for w, c in r.rhs.terms.items():
-                rhs_t = rhs_t + dict_map(w).scale(c)
+            rhs_t = linear_image(r.rhs, dict_map, Tensor.zero((bsys, H.system)))
             if lhs_t != rhs_t:
                 report.append(
                     CheckFailure(
@@ -545,67 +538,24 @@ def prolong(
                         f"{lhs_t!r} != {rhs_t!r}",
                     )
                 )
-        # coaction: base gens are coinvariant, fiber gens carry Delta_H
-        coaction: dict[str, Tensor] = {}
-        for b in bgens:
-            coaction[b] = Tensor.of((psys, H.system), NCPoly.gen(alpha, b), H.system.one())
-        for z in H.system.alphabet.gens:
-            coaction[fiber_names[z]] = Tensor(
-                (psys, H.system),
-                {
-                    (fiber_word(w1), w2): c
-                    for (w1, w2), c in H.delta_word((z,)).terms.items()
-                },
-            )
-        prolonged = ComoduleAlgebra(psys, H, coaction, name=f"{base_piece.comodule.name} box {H.name}")
         pieces.append(CoveringPiece(prolonged, tuple(bgens)))
         gamma = gens_map(
             f"gamma[{i}]",
             H.system,
             psys,
-            {z: NCPoly.gen(alpha, fiber_names[z]) for z in H.system.alphabet.gens},
+            {z: NCPoly.gen(psys.alphabet, fiber_names[z]) for z in H.system.alphabet.gens},
             check=True,
         )
         cleavings.append(CleavingMap(prolonged, gamma))
         dictionaries.append(dct)
-    # prolonged double quotients: base pair target extended by the same fiber
+    # prolonged double quotients: base pair target extended by the same fiber;
+    # every old-target generator sits in the base leg, hence is coinvariant
     pairs: dict[tuple[int, int], PairData] = {}
     for (i, j), pair in base_triv.covering.pairs.items():
         tsys = pair.target.system
-        if h_comm:
-            alpha = Alphabet(
-                tsys.alphabet.gens + fiber_sys.alphabet.gens,
-                central=tuple(tsys.alphabet.central) + fiber_sys.alphabet.gens,
-            )
-            suffix = None
-        else:
-            alpha = Alphabet(tsys.alphabet.gens + fiber_sys.alphabet.gens)
-            suffix = fiber_sys
-        rules = [(r.lhs_word, NCPoly(alpha, dict(r.rhs.terms))) for r in tsys.rules]
-        if h_comm:
-            rules.extend(_central_fiber_rules(fiber_sys, alpha))
-        else:
-            for z in fiber_sys.alphabet.gens:
-                for b in tsys.alphabet.gens:
-                    rules.append(((z, b), NCPoly.word(alpha, (b, z))))
-        qsys = RewriteSystem(
-            alpha, rules, name=f"{tsys.name} box {H.name}", scalar_tower="Q(i)(q)",
-            suffix_system=suffix,
-        )
-        # the prolonged target is (old target) (x) H with coaction id (x) Delta:
-        # every old-target generator sits in the base leg, hence is coinvariant
-        coaction = {}
-        for g in tsys.alphabet.gens:
-            coaction[g] = Tensor((qsys, H.system), {((g,), ()): S_ONE})
-        for z in H.system.alphabet.gens:
-            coaction[fiber_names[z]] = Tensor(
-                (qsys, H.system),
-                {
-                    (fiber_word(w1), w2): c
-                    for (w1, w2), c in H.delta_word((z,)).terms.items()
-                },
-            )
-        target = ComoduleAlgebra(qsys, H, coaction, name=f"{pair.target.name} box {H.name}")
+        target = cotensor(pair.target, tsys.alphabet.gens, tsys.rules, tsys.alphabet.central)
+        qsys = target.system
+        alpha = qsys.alphabet
 
         def prolonged_map(base_map: LinearMap, piece_idx: int, label: str) -> LinearMap:
             images = {}
@@ -615,14 +565,11 @@ def prolong(
             for z in H.system.alphabet.gens:
                 acc = NCPoly.zero(alpha)
                 for (w1, w2), c in H.delta_word((z,)).terms.items():
-                    bar_img = base_map.apply(gbar_for(piece_idx).apply(pi.apply_word(w1)))
+                    bar_img = base_map.apply(base_triv.cleavings[piece_idx].j.apply(pi.apply_word(w1)))
                     for bw, bc in bar_img.terms.items():
                         acc = acc + NCPoly.word(alpha, bw + fiber_word(w2)).scale(c * bc)
                 images[fiber_names[z]] = qsys.normal_form(acc)
             return gens_map(label, pieces[piece_idx].comodule.system, qsys, images, check=True)
-
-        def gbar_for(idx: int) -> LinearMap:
-            return base_triv.cleavings[idx].j
 
         pairs[(i, j)] = PairData(
             target,

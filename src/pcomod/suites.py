@@ -18,9 +18,9 @@ from dataclasses import asdict, dataclass, field
 from . import builtin
 from .comodule import (
     CleavingMap,
+    StrongConnection,
     principal_quotient_pair_certificate,
     smash_product,
-    strong_connection_from_cleaving,
     verify_strong_connection,
 )
 from .exprs import ParseError, parse_poly
@@ -30,7 +30,7 @@ from .hopf import (
     generator_map_isomorphism_problems,
     quotient_hopf,
 )
-from .maps import gens_map
+from .maps import NotWellDefinedError, gens_map
 from .ncpoly import NCPoly
 from .numgeom import (
     GridConfig,
@@ -218,14 +218,14 @@ def suite_strong_connection(cfg: SuiteConfig) -> Iterator[CheckRecord]:
     for name, sm in instances:
         cl = sm.cleaving()
         yield _no_failures(f"cleaving/{name}", "unital colinear convolution-invertible cleaving", cl.verify(deg))
-        ell = strong_connection_from_cleaving(cl, deg)
+        ell = StrongConnection.from_cleaving(cl, deg)
         yield _no_failures(
             f"strong-connection/{name}",
             "three lifting axioms plus h^[1] h^[2] = eps(h) on every basis word",
             verify_strong_connection(ell, deg),
         )
     P, cl = builtin.pw_patch()
-    fails = cl.verify(2) + verify_strong_connection(strong_connection_from_cleaving(cl, 2), 2)
+    fails = cl.verify(2) + verify_strong_connection(StrongConnection.from_cleaving(cl, 2), 2)
     yield _no_failures("strong-connection/pw_patch", "patch cleaving and its connection at degree 2", fails)
     # the determinant pair carries a degree-one certificate: beyond the
     # generators the canonical lifts satisfy the axioms only up to
@@ -320,36 +320,72 @@ def _load_trivialisation(cfg: SuiteConfig):
 
 def load_covering_file(path: str):
     """Covering JSON: {"base": builtin-name, "pieces": [{"kernel": [...],
-    "cleaving": {...}}, ...]}; kernels/cleavings parsed over the base."""
+    "cleaving": {...}}, ...], "base_gens": [[...], ...]}; kernels/cleavings
+    parsed over the base.  A file of any other shape is a ConfigError."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read covering file {path}: {e}")
-    base_name = doc.get("base") if isinstance(doc, dict) else None
-    if not isinstance(base_name, str):
-        raise ConfigError(f"covering file {path} names no base builtin (key 'base')")
-    obj = builtin.build(base_name)
+    _check_covering_shape(path, doc)
+    obj = builtin.build(doc["base"])
     base = obj[0] if isinstance(obj, tuple) else obj
     if not hasattr(base, "coact_word"):
-        raise ConfigError(f"base {base_name!r} is not a comodule algebra")
-    kernels = []
-    cleavings_exprs = []
-    for piece in doc.get("pieces", ()):
-        kernels.append([_parse_file_poly(path, e, base.system.alphabet) for e in piece.get("kernel", ())])
-        cleavings_exprs.append(piece.get("cleaving"))
+        raise ConfigError(f"base {doc['base']!r} is not a comodule algebra")
+    hgens = set(base.hopf.system.alphabet.gens)
+    for idx, piece in enumerate(doc["pieces"]):
+        if set(piece["cleaving"]) != hgens:
+            raise ConfigError(
+                f"covering file {path}: piece {idx} cleaving must give an image for each of "
+                f"{sorted(hgens)}, got {sorted(piece['cleaving'])}"
+            )
     bg = doc.get("base_gens")
+    unknown = sorted({b for gens in bg or () for b in gens} - set(base.system.alphabet.gens))
+    if unknown:
+        raise ConfigError(f"covering file {path}: base_gens {unknown} are not generators of {doc['base']}")
+    kernels = [[_parse_file_poly(path, e, base.system.alphabet) for e in piece.get("kernel", ())]
+               for piece in doc["pieces"]]
     cov = Covering.from_kernels(base, kernels, base_gens=[tuple(b) for b in bg] if bg else None,
                                 name=doc.get("name", os.path.basename(path)))
     cleavings = []
-    for idx, expr in enumerate(cleavings_exprs):
+    for idx, piece in enumerate(doc["pieces"]):
         psys = cov.pieces[idx].comodule.system
-        if not expr:
-            raise ConfigError("each piece needs a cleaving table for a trivialisation")
-        images = {g: _parse_file_poly(path, e, psys.alphabet) for g, e in expr.items()}
-        j = gens_map(f"gamma[{idx}]", base.hopf.system, psys, images, check=True)
+        images = {g: _parse_file_poly(path, e, psys.alphabet) for g, e in piece["cleaving"].items()}
+        try:
+            j = gens_map(f"gamma[{idx}]", base.hopf.system, psys, images, check=True)
+        except NotWellDefinedError as e:
+            raise ConfigError(f"covering file {path}: piece {idx} cleaving is not an algebra map: {e}")
         cleavings.append(CleavingMap(cov.pieces[idx].comodule, j))
     return Trivialisation(cov, base.hopf, cleavings, name=doc.get("name", "file-covering"))
+
+
+def _check_covering_shape(path: str, doc) -> None:
+    """Raise ConfigError unless ``doc`` has the JSON types load_covering_file reads."""
+
+    def str_list(x) -> bool:
+        return isinstance(x, list) and all(isinstance(e, str) for e in x)
+
+    if not isinstance(doc, dict) or not isinstance(doc.get("base"), str):
+        raise ConfigError(f"covering file {path} names no base builtin (key 'base')")
+    pieces = doc.get("pieces")
+    if not isinstance(pieces, list) or not pieces:
+        raise ConfigError(f"covering file {path}: 'pieces' must be a non-empty list of objects")
+    for idx, piece in enumerate(pieces):
+        if not isinstance(piece, dict):
+            raise ConfigError(f"covering file {path}: piece {idx} is not an object")
+        if not str_list(piece.get("kernel", [])):
+            raise ConfigError(f"covering file {path}: piece {idx} 'kernel' must be a list of strings")
+        cleaving = piece.get("cleaving")
+        if not (isinstance(cleaving, dict) and cleaving and str_list(list(cleaving.values()))):
+            raise ConfigError(
+                f"covering file {path}: piece {idx} needs a cleaving table (generator -> string) "
+                "for a trivialisation"
+            )
+    bg = doc.get("base_gens")
+    if bg is not None and not (isinstance(bg, list) and len(bg) == len(pieces) and all(map(str_list, bg))):
+        raise ConfigError(f"covering file {path}: 'base_gens' must hold one list of generators per piece")
+    if not isinstance(doc.get("name", ""), str):
+        raise ConfigError(f"covering file {path}: 'name' must be a string")
 
 
 def _parse_file_poly(path: str, expr: str, alphabet) -> NCPoly:

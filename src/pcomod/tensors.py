@@ -2,11 +2,39 @@
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 from .ncpoly import NCPoly, Word
 from .rewrite import RewriteSystem
 from .scalars import S_ONE, S_ZERO, Scalar
+
+V = TypeVar("V", NCPoly, "Tensor")
+
+
+def linear_image(p: NCPoly, f: Callable[[Word], V], zero: V) -> V:
+    """The linear extension of a word map: sum of c*f(w) over the terms c*w of p.
+
+    ``f`` returns values of the same kind as ``zero`` (NCPoly or Tensor), which
+    also fixes the result's alphabet or systems.  A sum of normal forms is a
+    normal form, so the result is one whenever every f(w) is.
+    """
+    acc: dict = {}
+    for w, c in p.terms.items():
+        for k, cc in f(w).terms.items():
+            v = cc * c
+            prev = acc.get(k)
+            if prev is not None:
+                v = prev + v
+            if v.is_zero():
+                acc.pop(k, None)
+            else:
+                acc[k] = v
+    if isinstance(zero, Tensor):
+        return Tensor(zero.systems, acc, _normalized=True)
+    out = NCPoly.__new__(NCPoly)
+    out.alphabet = zero.alphabet
+    out.terms = acc
+    return out
 
 
 class Tensor:

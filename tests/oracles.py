@@ -507,3 +507,25 @@ def substituted_build(name: str, qv: GaussRat):
 
 def substituted_plane_action(qv: GaussRat) -> dict:
     return {key: substituted_poly(p, qv) for key, p in builtin.plane_action_table().items()}
+
+
+# ---------------------------------------------------------------------------
+# linear and multiplicative extension of word maps (reference for
+# tensors.linear_image and the memoised LinearMap.apply_word)
+# ---------------------------------------------------------------------------
+
+def summed_image(p: NCPoly, f, zero):
+    """Sum of c*f(w) over the terms c*w of p, one full `+` per term."""
+    out = zero
+    for w, c in p.terms.items():
+        out = out + f(w).scale(c)
+    return out
+
+
+def multiplied_word_image(system: RewriteSystem, images: dict, w, anti: bool) -> NCPoly:
+    """The product of the generator images along w (reversed when anti), left
+    to right in ``system``, with nothing cached."""
+    out = system.one()
+    for g in (reversed(w) if anti else w):
+        out = system.mul(out, images[g])
+    return out

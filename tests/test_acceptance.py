@@ -7,7 +7,7 @@ import pytest
 
 from oracles import random_decomposition_roundtrips
 from pcomod import builtin
-from pcomod.comodule import strong_connection_from_cleaving, verify_strong_connection
+from pcomod.comodule import StrongConnection, verify_strong_connection
 from pcomod.hopf import check_hopf_axioms
 from pcomod.ncpoly import NCPoly
 from pcomod.numgeom import (
@@ -56,7 +56,7 @@ def test_criterion_2_strong_connection_degree_4():
     for sm in (builtin.toeplitz_z2_smash(), builtin.toeplitz_u1_smash()):
         cl = sm.cleaving()
         failures += cl.verify(4)
-        ell = strong_connection_from_cleaving(cl, 4)
+        ell = StrongConnection.from_cleaving(cl, 4)
         failures += verify_strong_connection(ell, 4)
     report(
         "2. smash strong connections: all axioms + translation on basis words of degree <= 4, exactly",

@@ -15,7 +15,6 @@ from pcomod.comodule import (
     principal_quotient_pair_certificate,
     reduction_ideal,
     smash_product,
-    strong_connection_from_cleaving,
     tensor_over_base_equal,
     theta_backward,
     theta_forward,
@@ -53,7 +52,7 @@ def test_canonical_map_examples(z2_smash):
     got = canonical_map(T, Tensor.of((sysm, sysm), one, s))
     assert got == Tensor((sysm, T.hopf.system), {(("s",), ("u",)): S_ONE})
     # axiom-1 composition on every basis word of the fiber
-    ell = strong_connection_from_cleaving(z2_smash.cleaving(), 4)
+    ell = StrongConnection.from_cleaving(z2_smash.cleaving(), 4)
     H = z2_smash.hopf
     for w in H.system.basis_words(4):
         got = canonical_map(z2_smash, ell.apply_word(w))
@@ -61,7 +60,7 @@ def test_canonical_map_examples(z2_smash):
 
 
 def test_smash_strong_connection_values(z2_smash):
-    ell = strong_connection_from_cleaving(z2_smash.cleaving(), 4)
+    ell = StrongConnection.from_cleaving(z2_smash.cleaving(), 4)
     sysm = z2_smash.system
     u = sysm.alphabet
     # ell(u) = (1 (x) u) (x) (1 (x) u) in the flat presentation
@@ -71,14 +70,14 @@ def test_smash_strong_connection_values(z2_smash):
 
 
 def test_u1_smash_strong_connection(u1_smash):
-    ell = strong_connection_from_cleaving(u1_smash.cleaving(), 4)
+    ell = StrongConnection.from_cleaving(u1_smash.cleaving(), 4)
     assert verify_strong_connection(ell, 4) == []
 
 
 def test_pw_patch_connection():
     P, cl = builtin.pw_patch()
     assert cl.verify(2) == []
-    ell = strong_connection_from_cleaving(cl, 2)
+    ell = StrongConnection.from_cleaving(cl, 2)
     sysm = P.system
     # ell(u) = (omega a)^* (x) (omega a) in the patch avatar
     assert ell.apply_word(("u",)) == Tensor(
@@ -88,7 +87,7 @@ def test_pw_patch_connection():
 
 
 def test_corrupted_connection_fails_axiom_1(z2_smash):
-    ell = strong_connection_from_cleaving(z2_smash.cleaving(), 2)
+    ell = StrongConnection.from_cleaving(z2_smash.cleaving(), 2)
     ell.table[("u",)] = Tensor(
         (z2_smash.system, z2_smash.system), {(("u",), ()): S_ONE}
     )
@@ -155,7 +154,7 @@ def test_miyashita_ulbrich(u1_smash):
     al = H.system.alphabet
     J = builtin.u1_mod_z2_ideal(H)
     cl = u1_smash.cleaving()
-    ell = strong_connection_from_cleaving(cl, 4)
+    ell = StrongConnection.from_cleaving(cl, 4)
     dwords = [
         w for w in H.system.basis_words(3)
         if left_coinvariant_test(H, J, NCPoly.word(al, w))
@@ -214,7 +213,7 @@ def test_reduction_ideal_trivial_and_patch(u1_smash):
 
     J0 = HopfIdeal(H, [], name="<0>")
     cl = u1_smash.cleaving()
-    ell = strong_connection_from_cleaving(cl, 4)
+    ell = StrongConnection.from_cleaving(cl, 4)
     red = reduction_ideal(u1_smash, cl.j, J0, ell, bound=2, base_gens=("s", "ss"))
     assert red.generators == [] and red.report == []
     J = builtin.u1_mod_z2_ideal(H)
@@ -234,7 +233,7 @@ def test_reduction_ideal_trivial_and_patch(u1_smash):
 def test_reduction_preconditions_enforced(u1_smash):
     H = u1_smash.hopf
     J = builtin.u1_mod_z2_ideal(H)
-    ell = strong_connection_from_cleaving(u1_smash.cleaving(), 4)
+    ell = StrongConnection.from_cleaving(u1_smash.cleaving(), 4)
     bad = H.unit_counit_map(u1_smash.system).compose(
         gens_map(
             "twist",

@@ -1,7 +1,7 @@
 import pytest
 
 from pcomod import builtin
-from pcomod.comodule import strong_connection_from_cleaving
+from pcomod.comodule import StrongConnection
 from pcomod.exprs import parse_poly
 from pcomod.hopf import HopfIdeal
 from pcomod.maps import gens_map
@@ -241,7 +241,7 @@ def test_piece_glue(sphere, sphere_pro):
 
 
 def test_ideal_base_correspondence(z2_smash):
-    ell = strong_connection_from_cleaving(z2_smash.cleaving(), 4)
+    ell = StrongConnection.from_cleaving(z2_smash.cleaving(), 4)
     alS = z2_smash.system.alphabet
     alB = z2_smash.b_system.alphabet
     b0 = NCPoly.one(alB) - NCPoly.word(alB, ("s", "ss"))

@@ -216,14 +216,34 @@ def test_covering_file_without_base_is_a_config_error(tmp_path, capsys):
     assert "CONFIG_ERROR" in capsys.readouterr().err
 
 
+_UNIT_PIECE = {"kernel": [], "cleaving": {"u": "u"}}
+
+
 @pytest.mark.parametrize(
-    "piece", [{"kernel": ["s**"], "cleaving": {"u": "u"}}, {"kernel": [], "cleaving": {"u": "u*"}}],
-    ids=["kernel", "cleaving"],
+    "doc, match",
+    [
+        ({"pieces": [{"kernel": ["s**"], "cleaving": {"u": "u"}}]}, "cannot parse"),
+        ({"pieces": [{"kernel": [], "cleaving": {"u": "u*"}}]}, "cannot parse"),
+        ({"pieces": 7}, "'pieces' must be"),
+        ({"pieces": []}, "'pieces' must be"),
+        ({"pieces": ["x"]}, "piece 0 is not an object"),
+        ({"pieces": [{"kernel": [1], "cleaving": {"u": "u"}}]}, "'kernel' must be"),
+        ({"pieces": [_UNIT_PIECE], "base_gens": 5}, "'base_gens' must"),
+        ({"pieces": [_UNIT_PIECE], "base_gens": [["zz"]]}, r"base_gens \['zz'\]"),
+        ({"pieces": [{"kernel": [], "cleaving": ["u"]}]}, "cleaving table"),
+        ({"pieces": [{"kernel": [], "cleaving": {"zz": "u"}}]}, "image for each of"),
+        ({"pieces": [{"kernel": [], "cleaving": {"u": "s"}}]}, "not an algebra map"),
+    ],
+    ids=[
+        "kernel", "cleaving", "pieces-not-a-list", "no-pieces", "piece-not-an-object",
+        "kernel-not-strings", "base-gens-not-lists", "base-gens-unknown", "cleaving-not-an-object",
+        "cleaving-misses-a-generator", "cleaving-not-an-algebra-map",
+    ],
 )
-def test_covering_file_that_does_not_parse_is_a_config_error(tmp_path, capsys, piece):
+def test_covering_file_that_does_not_parse_is_a_config_error(tmp_path, capsys, doc, match):
     path = tmp_path / "cover.json"
-    path.write_text(json.dumps({"base": "toeplitz_z2_smash", "pieces": [piece]}))
-    with pytest.raises(ConfigError, match="cannot parse"):
+    path.write_text(json.dumps({"base": "toeplitz_z2_smash", **doc}))
+    with pytest.raises(ConfigError, match=match):
         run_suite(mini_cfg("transition", covering=str(path)))
     assert main(["verify", "--suite", "transition", "--covering", str(path)]) == 2
     assert "CONFIG_ERROR" in capsys.readouterr().err

@@ -7,9 +7,9 @@ from pcomod.hopf import convolution
 from pcomod.maps import DegreeExceededError, LinearMap, NotWellDefinedError, gens_map, identity_map
 from pcomod.ncpoly import NCPoly
 from pcomod.scalars import GaussRat, S_ONE, Scalar
-from pcomod.tensors import Tensor
+from pcomod.tensors import Tensor, linear_image
 
-from oracles import LaurentModel
+from oracles import LaurentModel, multiplied_word_image, summed_image
 
 
 def test_tensor_leg_normalization(gl):
@@ -66,11 +66,11 @@ def test_convolution_unit_and_antipode(z2, u1):
     for w in z2.system.basis_words(2):
         assert conv.apply_word(w) == idm.apply_word(w)
     # (id * S)(u) = eps(u) 1 = 1, matching the Laurent/group models
-    s_map = z2.antipode_map()
+    s_map = z2.S
     conv2 = convolution(identity_map(z2.system), s_map, z2, bound=2)
     u = ("u",)
     assert conv2.apply_word(u) == NCPoly.one(z2.system.alphabet)
-    s1 = u1.antipode_map()
+    s1 = u1.S
     conv3 = convolution(identity_map(u1.system), s1, u1, bound=3)
     got = conv3.apply_word(("u", "u"))
     oracle = LaurentModel.convolution_id_S(2)
@@ -105,3 +105,67 @@ def test_convolution_associative_randomized(u1):
         f_gh = convolution(f, convolution(g, h, u1, bound=3), u1, bound=3)
         for w in u1.system.basis_words(2):
             assert fg_h.apply_word(w) == f_gh.apply_word(w)
+
+
+def _random_poly(rng, alphabet, words, n_terms):
+    return NCPoly(alphabet, {rng.choice(words): Scalar.of(rng.choice((-2, -1, 1, 2, 3))) for _ in range(n_terms)})
+
+
+@pytest.mark.parametrize("kind", ["ncpoly", "tensor"])
+def test_linear_image_matches_summed_oracle(su, kind):
+    """linear_image equals the term-by-term sum on random word maps, including
+    sums that cancel to zero in some or all terms."""
+    rng = random.Random(41)
+    sysm = su.system
+    al = sysm.alphabet
+    words = sysm.basis_words(2)
+    if kind == "ncpoly":
+        zero = sysm.zero()
+        pool = [_random_poly(rng, al, words, 3) for _ in range(4)]
+    else:
+        zero = Tensor.zero((sysm, sysm))
+        pool = [
+            Tensor.of((sysm, sysm), _random_poly(rng, al, words, 2), _random_poly(rng, al, words, 2))
+            for _ in range(4)
+        ]
+    domain = sysm.basis_words(3)
+    for trial in range(30):
+        images = {w: rng.choice(pool) for w in domain}
+        p = _random_poly(rng, al, domain, rng.randint(1, 6))
+        got = linear_image(p, images.__getitem__, zero)
+        assert got == summed_image(p, images.__getitem__, zero)
+        assert all(not c.is_zero() for c in got.terms.values())
+    # w1 - w2 with f(w1) = f(w2), and 2 w1 - w2 - w3 with f(w2) = f(w3) = 2 f(w1)
+    w1, w2, w3 = domain[1], domain[2], domain[3]
+    images = {w1: pool[0], w2: pool[0], w3: pool[0].scale(Scalar.of(2))}
+    p = NCPoly(al, {w1: S_ONE, w2: -S_ONE})
+    assert linear_image(p, images.__getitem__, zero) == zero == summed_image(p, images.__getitem__, zero)
+    p = NCPoly(al, {w1: Scalar.of(4), w3: -S_ONE, w2: Scalar.of(-2)})
+    assert linear_image(p, images.__getitem__, zero).is_zero()
+
+
+@pytest.mark.parametrize("name", ["su_q2", "gl_q2"])
+def test_memoised_apply_word_matches_uncached_product(name):
+    """S, S^-1 (anti mode) and S^2 (algebra mode) agree with the plain
+    left-to-right product on every basis word of degree <= 3: on first use,
+    longest words first so the memo fills through the recursion, and on a
+    second pass served from the memo."""
+    H = builtin.build(name)
+    sysm = H.system
+    s2 = {
+        g: summed_image(
+            H.antipode_table[g],
+            lambda w: multiplied_word_image(sysm, H.antipode_table, w, True),
+            sysm.zero(),
+        )
+        for g in sysm.alphabet.gens
+    }
+    maps = [
+        (H.S, H.antipode_table, True),
+        (H.S_inv, H.antipode_inv_table, True),
+        (gens_map("S2", sysm, sysm, s2, check=False), s2, False),
+    ]
+    words = sysm.basis_words(3)
+    for m, images, anti in maps:
+        for w in list(reversed(words)) + words:
+            assert m.apply_word(w) == multiplied_word_image(sysm, images, w, anti), (m.name, w)
