@@ -208,7 +208,7 @@ class RewriteSystem:
         if self.suffix_system is not None:
             pre, suf = self._split_zone(word)
             if suf:
-                nf = self.suffix_system._nf_word(suf)
+                nf = self.suffix_system._nf_word(self.suffix_system.alphabet.canon(suf))
                 if list(nf.terms.items()) != [(suf, S_ONE)]:
                     return False
         return True
@@ -295,7 +295,7 @@ class RewriteSystem:
             if not suf:
                 out[w] = out.get(w, S_ZERO) + coeff
                 continue
-            nf = self.suffix_system._nf_word(suf)
+            nf = self.suffix_system._nf_word(self.suffix_system.alphabet.canon(suf))
             for sw, sc in nf.terms.items():
                 ww = pre + sw
                 v = out.get(ww, S_ZERO) + coeff * sc

@@ -302,6 +302,7 @@ def worklist_normal_form(system, word):
         zoned = {}
         for w, coeff in acc.items():
             pre, suf = system._split_zone(w)
+            suf = system.suffix_system.alphabet.canon(suf)
             for sw, sc in worklist_normal_form(system.suffix_system, suf).terms.items():
                 v = zoned.get(pre + sw, S_ZERO) + coeff * sc
                 if v.is_zero():

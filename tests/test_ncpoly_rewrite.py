@@ -258,6 +258,25 @@ def test_normal_form_idempotent_and_associative(gl):
         assert nf(gl.system.mul(gl.system.mul(p, r), t)) == nf(gl.system.mul(p, gl.system.mul(r, t)))
 
 
+def _builtin_system(name, q):
+    obj = builtin.build(name, q)
+    obj = obj[0] if isinstance(obj, tuple) else obj
+    return obj if isinstance(obj, RewriteSystem) else obj.system
+
+
+@pytest.mark.parametrize("q", ["formal", 1, 3])
+@pytest.mark.parametrize("name", [n for n in builtin.registry() if n != "su_q2_to_u1"])
+def test_normal_form_idempotent_on_every_word(name, q):
+    """nf(nf(w)) = nf(w) for every word of degree <= 4.  In plane_gl_smash the
+    suffix zone (gl_q2, where Di is central) is canonicalised before it is
+    reduced: b*Di*a is b*a*Di there, whose normal form is (1/q)*a*b*Di."""
+    system = _builtin_system(name, q)
+    nf = system.normal_form
+    for w in system.all_words(4):
+        p = nf(NCPoly.word(system.alphabet, w))
+        assert nf(p) == p, (name, word_str(w), p)
+
+
 def test_all_paths_oracle_agrees(su):
     rng = random.Random(19)
     words = [w for w in su.system.all_words(4) if len(w) >= 2]
