@@ -3,6 +3,7 @@ reduction data and the unital-map correspondence on smash products."""
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Sequence
 
 from .hopf import CheckFailure, HopfAlgebra, HopfIdeal, quotient_hopf
@@ -142,15 +143,12 @@ class CleavingMap:
             rhs = H.delta_word(w).map_leg(0, self.j.apply_word, codomain=P.system)
             if lhs != rhs:
                 failures.append(CheckFailure("cleaving-colinear", ws, f"{lhs!r} != {rhs!r}"))
-            conv = P.system.zero()
-            vnoc = P.system.zero()
-            for (w1, w2), c in H.delta_word(w).terms.items():
-                conv = conv + P.system.mul(self.j.apply_word(w1), self.j_inv.apply_word(w2)).scale(c)
-                vnoc = vnoc + P.system.mul(self.j_inv.apply_word(w1), self.j.apply_word(w2)).scale(c)
+            conv = H.convolve(w, self.j.apply_word, self.j_inv.apply_word, P.system)
+            vnoc = H.convolve(w, self.j_inv.apply_word, self.j.apply_word, P.system)
             target = one.scale(H.counit_word(w))
-            if P.system.normal_form(conv) != target:
+            if conv != target:
                 failures.append(CheckFailure("cleaving-inverse-right", ws, f"{conv!r} != {target!r}"))
-            if P.system.normal_form(vnoc) != target:
+            if vnoc != target:
                 failures.append(CheckFailure("cleaving-inverse-left", ws, f"{vnoc!r} != {target!r}"))
         return failures
 
@@ -169,14 +167,12 @@ class StrongConnection:
     def from_cleaving(j: CleavingMap, bound: int) -> "StrongConnection":
         """ell = (j^-1 (x) j) o Delta."""
         P, H = j.P, j.P.hopf
-        table: dict[Word, Tensor] = {}
-        for w in H.system.basis_words(bound):
-            acc = Tensor.zero((P.system, P.system))
-            for (w1, w2), c in H.delta_word(w).terms.items():
-                acc = acc + Tensor.of(
-                    (P.system, P.system), j.j_inv.apply_word(w1), j.j.apply_word(w2)
-                ).scale(c)
-            table[w] = acc
+        table = {
+            w: H.delta_word(w)
+            .map_leg(0, j.j_inv.apply_word, codomain=P.system)
+            .map_leg(1, j.j.apply_word, codomain=P.system)
+            for w in H.system.basis_words(bound)
+        }
         return StrongConnection(P, table, bound)
 
     def apply_word(self, w: Word) -> Tensor:
@@ -190,13 +186,10 @@ class StrongConnection:
     def translation_sandwich(self, h: NCPoly, mid: NCPoly) -> NCPoly:
         """h^[1] * mid * h^[2], multiplied out in P."""
         P = self.P.system
-        out = P.zero()
-        for w, c in h.terms.items():
-            for (a, b), cc in self.apply_word(w).terms.items():
-                out = out + P.mul_many(
-                    [NCPoly.word(P.alphabet, a), mid, NCPoly.word(P.alphabet, b)]
-                ).scale(c * cc)
-        return P.normal_form(out)
+        word = partial(NCPoly.word, P.alphabet)
+        return linear_image(
+            self.apply(h), lambda k: P.mul_many([word(k[0]), mid, word(k[1])]), P.zero()
+        )
 
 
 def verify_strong_connection(ell: StrongConnection, degree_bound: int) -> list[CheckFailure]:
@@ -266,14 +259,13 @@ class SmashProduct(ComoduleAlgebra):
 
     def project_base(self, p: NCPoly) -> NCPoly:
         """(id (x) eps): collapse the H-part of each normal-form word."""
-        p = self.system.normal_form(p)
-        out = NCPoly.zero(self.b_system.alphabet)
-        for w, c in p.terms.items():
+        B = self.b_system
+
+        def collapse(w: Word) -> NCPoly:
             bw, hw = self.split_word(w)
-            out = out + NCPoly.word(self.b_system.alphabet, bw).scale(
-                c * self.hopf.counit_word(hw)
-            )
-        return self.b_system.normal_form(out)
+            return NCPoly.word(B.alphabet, bw, self.hopf.counit_word(hw))
+
+        return linear_image(self.system.normal_form(p), collapse, B.zero())
 
     def cleaving(self) -> CleavingMap:
         j = gens_map(
@@ -303,20 +295,17 @@ class ActionData:
             return hit
         B = self.b_system
         if not hw:
-            out = NCPoly.word(B.alphabet, bw)
+            out = B.normal_form(NCPoly.word(B.alphabet, bw))
         elif len(hw) > 1:
             out = self.act_poly(hw[:1], self.act(hw[1:], bw))
+        elif not bw:
+            out = NCPoly.const(B.alphabet, self.hopf.counit_table[hw[0]])
+        elif len(bw) == 1:
+            out = self.table[(hw[0], bw[0])]
         else:
-            g = hw[0]
-            if not bw:
-                out = NCPoly.const(B.alphabet, self.hopf.counit_table[g])
-            elif len(bw) == 1:
-                out = self.table[(g, bw[0])]
-            else:
-                out = B.zero()
-                for (w1, w2), c in self.hopf.delta_word(hw).terms.items():
-                    out = out + B.mul(self.act(w1, bw[:1]), self.act(w2, bw[1:])).scale(c)
-        out = B.normal_form(out)
+            out = self.hopf.convolve(
+                hw, lambda v: self.act(v, bw[:1]), lambda v: self.act(v, bw[1:]), B
+            )
         self._cache[key] = out
         return out
 
@@ -406,11 +395,12 @@ def smash_product(
         suffix = H.system
         for z in h_gens:
             for b in b_gens:
-                rhs = NCPoly.zero(alpha)
-                for (w1, w2), c in H.delta_word((z,)).terms.items():
-                    acted = action.act(w1, (b,))
-                    for bw, cc in acted.terms.items():
-                        rhs = rhs + NCPoly.word(alpha, bw + w2).scale(c * cc)
+                # z b = (z_(1) |> b) z_(2)
+                rhs = linear_image(
+                    H.delta_word((z,)),
+                    lambda k: NCPoly(alpha, {bw + k[1]: c for bw, c in action.act(k[0], (b,)).terms.items()}),
+                    NCPoly.zero(alpha),
+                )
                 rules.append(((z, b), rhs))
     system = RewriteSystem(
         alpha,
@@ -437,6 +427,18 @@ def smash_product(
 # Miyashita-Ulbrich compatibility
 # ---------------------------------------------------------------------------
 
+def _adjoint(H: HopfAlgebra, h: NCPoly, k: NCPoly) -> NCPoly:
+    """S(h_(1)) k h_(2), in normal form in H."""
+    Hs = H.system
+    return linear_image(
+        h,
+        lambda w: H.convolve(
+            w, lambda v: Hs.mul(H.S.apply_word(v), k), partial(NCPoly.word, Hs.alphabet), Hs
+        ),
+        Hs.zero(),
+    )
+
+
 def miyashita_ulbrich_check(
     f: LinearMap,
     ell: StrongConnection,
@@ -448,12 +450,7 @@ def miyashita_ulbrich_check(
     H = P.hopf
     failures = []
     for k, h in samples:
-        arg = H.system.zero()
-        for (w1, w2), c in H.delta(h).terms.items():
-            arg = arg + H.system.mul_many(
-                [H.S.apply_word(w1), k, NCPoly.word(H.system.alphabet, w2)]
-            ).scale(c)
-        lhs = f.apply(H.system.normal_form(arg))
+        lhs = f.apply(_adjoint(H, h, k))
         rhs = ell.translation_sandwich(h, f.apply(k))
         if P.system.normal_form(lhs - rhs) != P.system.zero():
             failures.append(
@@ -486,14 +483,13 @@ def theta_forward(f: LinearMap, smash: SmashProduct, dwords: Sequence[Word]) -> 
 def theta_backward(theta: LinearMap, smash: SmashProduct, dwords: Sequence[Word]) -> LinearMap:
     """f_theta = (theta (x) id_H) o Delta, tabulated on the given words."""
     H = smash.hopf
-    table: dict[Word, NCPoly] = {}
-    for w in dwords:
-        acc = smash.system.zero()
-        for (w1, w2), c in H.delta_word(w).terms.items():
-            bpart = theta.apply_word(w1)
-            for bw, cc in bpart.terms.items():
-                acc = acc + NCPoly.word(smash.system.alphabet, bw + w2).scale(c * cc)
-        table[w] = smash.system.normal_form(acc)
+    table = {
+        w: H.delta_word(w)
+        .map_leg(0, theta.apply_word, codomain=smash.b_system)
+        .merge_legs(0, smash.system)
+        .leg_poly(0)
+        for w in dwords
+    }
     return LinearMap(
         f"f[{theta.name}]",
         H.system,
@@ -540,30 +536,25 @@ def verify_theta_properties(
             bp = NCPoly.gen(B.alphabet, b)
             try:
                 lhs = B.mul(bp, theta.apply(k))
-                rhs = B.zero()
-                for (w1, w2), c in H.delta(k).terms.items():
-                    rhs = rhs + B.mul(
-                        theta.apply_word(w1), act.act(w2, (b,))
-                    ).scale(c)
+                rhs = linear_image(
+                    k,
+                    lambda w: H.convolve(w, theta.apply_word, lambda v: act.act(v, (b,)), B),
+                    B.zero(),
+                )
             except DegreeExceededError:
                 continue
-            if B.normal_form(lhs - rhs) != B.zero():
+            if lhs != rhs:
                 failures.append(
                     CheckFailure(
                         "theta-commutation",
                         f"(k={k!r}, b={b})",
-                        f"b theta(k) = {B.normal_form(lhs)!r} != theta(k1)(k2|>b) = {B.normal_form(rhs)!r}",
+                        f"b theta(k) = {lhs!r} != theta(k1)(k2|>b) = {rhs!r}",
                     )
                 )
     for k in dpolys:
         for h in hpolys:
-            arg = H.system.zero()
-            for (w1, w2), c in H.delta(h).terms.items():
-                arg = arg + H.system.mul_many(
-                    [H.S.apply_word(w1), k, NCPoly.word(H.system.alphabet, w2)]
-                ).scale(c)
             try:
-                lhs = theta.apply(H.system.normal_form(arg))
+                lhs = theta.apply(_adjoint(H, h, k))
                 rhs = act.act_hpoly(H.S.apply(h), theta.apply(k))
             except DegreeExceededError:
                 continue
@@ -649,15 +640,12 @@ def reduction_ideal(
     qsys = P.system.extend_by_ideal(gens, name=f"{P.name}/I_f")
     inverse_table: dict[Word, NCPoly] = {}
     for w in dwords:
-        sk = H.S_inv.apply_word(w)
-        acc = P.system.zero()
-        for ww, c in sk.terms.items():
-            for (a, b), cc in ell.apply_word(ww).terms.items():
-                projected = qsys.normal_form(NCPoly.word(P.system.alphabet, b))
-                acc = acc + P.system.mul(
-                    NCPoly.word(P.system.alphabet, a), projected
-                ).scale(c * cc)
-        inverse_table[w] = P.system.normal_form(acc)
+        inverse_table[w] = (
+            ell.apply(H.S_inv.apply_word(w))
+            .map_leg(1, lambda b: qsys.normal_form(NCPoly.word(qsys.alphabet, b)), codomain=qsys)
+            .merge_legs(0, P.system)
+            .leg_poly(0)
+        )
         diff = qsys.normal_form(inverse_table[w] - f.apply_word(w))
         if not diff.is_zero():
             report.append(
@@ -688,26 +676,22 @@ def principal_quotient_pair_certificate(H: HopfAlgebra, J: HopfIdeal, bound: int
     }
     P = ComoduleAlgebra(H.system, qH, coaction, name=f"{H.name} over {qH.name}")
     Hs = H.system
-    table: dict[Word, Tensor] = {(): Tensor.of((Hs, Hs), Hs.one(), Hs.one())}
+    one = Hs.one()
+    table: dict[Word, Tensor] = {(): Tensor.of((Hs, Hs), one, one)}
     words = sorted(qH.system.basis_words(bound), key=len)
     for w in words:
         if not w:
             continue
         v, g = w[:-1], w[-1]
         prev = table[v]
-        acc = Tensor.zero((Hs, Hs))
-        for (g1, g2), c in H.delta_word((g,)).terms.items():
-            # left-multiply leg 0 by S(g1), right-multiply leg 1 by g2
-            part = Tensor(
-                (Hs, Hs),
-                {
-                    (sa + a, b + g2): c * cc * sc
-                    for (a, b), cc in prev.terms.items()
-                    for sa, sc in H.S.apply_word(g1).terms.items()
-                },
-            )
-            acc = acc + part
-        table[w] = acc
+        # left-multiply leg 0 by S(g_(1)), right-multiply leg 1 by g_(2)
+        table[w] = linear_image(
+            H.delta_word((g,)),
+            lambda k: Tensor.of((Hs, Hs), H.S.apply_word(k[0]), one)
+            .mul(prev)
+            .mul(Tensor.of((Hs, Hs), one, NCPoly.word(Hs.alphabet, k[1]))),
+            Tensor.zero((Hs, Hs)),
+        )
     ell = StrongConnection(P, table, bound)
     return verify_strong_connection(ell, bound), ell, P
 

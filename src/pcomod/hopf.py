@@ -4,6 +4,8 @@ convolution, Hopf ideals, quotients, and left-coinvariant membership."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 from .maps import LinearMap, gens_map
 from .ncpoly import NCPoly, Word, word_str
@@ -71,6 +73,16 @@ class HopfAlgebra:
     def delta(self, p: NCPoly) -> Tensor:
         return linear_image(p, self.delta_word, Tensor.zero((self.system, self.system)))
 
+    def convolve(
+        self,
+        w: Word,
+        f: Callable[[Word], NCPoly],
+        g: Callable[[Word], NCPoly],
+        cod: RewriteSystem,
+    ) -> NCPoly:
+        """(f*g)(w) = f(w_(1)) g(w_(2)) summed over Delta(w), in normal form in ``cod``."""
+        return linear_image(self.delta_word(w), lambda k: cod.mul(f(k[0]), g(k[1])), cod.zero())
+
     def counit_word(self, w: Word) -> Scalar:
         out = S_ONE
         for g in w:
@@ -118,6 +130,7 @@ def check_hopf_axioms(H: HopfAlgebra, degree_bound: int) -> list[CheckFailure]:
     failures: list[CheckFailure] = []
     sysm = H.system
     one = sysm.one()
+    word = partial(NCPoly.word, sysm.alphabet)
     for w in sysm.basis_words(degree_bound):
         ws = word_str(w)
         d = H.delta_word(w)
@@ -127,16 +140,16 @@ def check_hopf_axioms(H: HopfAlgebra, degree_bound: int) -> list[CheckFailure]:
             failures.append(CheckFailure("coassociativity", ws, f"{left!r} != {right!r}"))
         ce_l = d.contract_leg(0, H.counit_word).leg_poly(0)
         ce_r = d.contract_leg(1, H.counit_word).leg_poly(0)
-        wp = sysm.normal_form(NCPoly.word(sysm.alphabet, w))
+        wp = sysm.normal_form(word(w))
         if ce_l != wp:
             failures.append(CheckFailure("counit-left", ws, f"{ce_l!r} != {wp!r}"))
         if ce_r != wp:
             failures.append(CheckFailure("counit-right", ws, f"{ce_r!r} != {wp!r}"))
         target = one.scale(H.counit_word(w))
-        s_id = d.map_leg(0, H.S.apply_word).merge_legs(0).leg_poly(0)
+        s_id = H.convolve(w, H.S.apply_word, word, sysm)
         if s_id != target:
             failures.append(CheckFailure("antipode-left", ws, f"{s_id!r} != {target!r}"))
-        id_s = d.map_leg(1, H.S.apply_word).merge_legs(0).leg_poly(0)
+        id_s = H.convolve(w, word, H.S.apply_word, sysm)
         if id_s != target:
             failures.append(CheckFailure("antipode-right", ws, f"{id_s!r} != {target!r}"))
         sw = H.S.apply_word(w)
@@ -164,12 +177,7 @@ def convolution(
 ) -> LinearMap:
     """(f*g)(h) = f(h_(1)) g(h_(2)), tabulated on basis words up to the bound."""
     cod = codomain or f.codomain
-    table: dict[Word, NCPoly] = {}
-    for w in H.system.basis_words(bound):
-        acc = cod.zero()
-        for (w1, w2), c in H.delta_word(w).terms.items():
-            acc = acc + cod.mul(f.apply_word(w1), g.apply_word(w2)).scale(c)
-        table[w] = cod.normal_form(acc)
+    table = {w: H.convolve(w, f.apply_word, g.apply_word, cod) for w in H.system.basis_words(bound)}
     return LinearMap(f"({f.name}*{g.name})", H.system, cod, mode="table", table=table, bound=bound)
 
 

@@ -197,24 +197,22 @@ class Trivialisation:
     def transition(self, i: int, j: int, h_word: Word) -> NCPoly:
         """T_ij(h) = pi^i_j(gamma_i(h_(1))) pi^j_i(gamma_j(S(h_(2))))."""
         H = self.hopf
-        if i == j:
-            target_sys = self.covering.pieces[i].comodule.system
-            mi = mj = None
-        else:
-            target, mi_map, mj_map = self.covering.pair_maps(i, j)
-            target_sys = target.system
-            mi, mj = mi_map, mj_map
-        acc = target_sys.zero()
         gamma_i = self.cleavings[i].j
         gamma_j = self.cleavings[j].j
-        for (w1, w2), c in H.delta_word(h_word).terms.items():
-            left = gamma_i.apply_word(w1)
-            right = gamma_j.apply(H.S.apply_word(w2))
-            if mi is not None:
-                left = mi.apply(left)
-                right = mj.apply(right)
-            acc = acc + target_sys.mul(left, right).scale(c)
-        return target_sys.normal_form(acc)
+        if i == j:
+            return H.convolve(
+                h_word,
+                gamma_i.apply_word,
+                lambda v: gamma_i.apply(H.S.apply_word(v)),
+                self.covering.pieces[i].comodule.system,
+            )
+        target, mi, mj = self.covering.pair_maps(i, j)
+        return H.convolve(
+            h_word,
+            lambda v: mi.apply(gamma_i.apply_word(v)),
+            lambda v: mj.apply(gamma_j.apply(H.S.apply_word(v))),
+            target.system,
+        )
 
     def transition_poly(self, i: int, j: int, h: NCPoly) -> NCPoly:
         target_sys = (
@@ -260,13 +258,14 @@ def transition_checks(triv: Trivialisation, bound: int = 3) -> list[CheckFailure
                     failures.append(
                         CheckFailure("transition-coinvariant", f"T_{i}{j}({word_str(w)})", f"{img!r}")
                     )
-                conv = target.system.zero()
-                for (w1, w2), c in H.delta_word(w).terms.items():
-                    conv = conv + target.system.mul(
-                        triv.transition(i, j, w1), triv.transition(j, i, w2)
-                    ).scale(c)
+                conv = H.convolve(
+                    w,
+                    lambda v: triv.transition(i, j, v),
+                    lambda v: triv.transition(j, i, v),
+                    target.system,
+                )
                 want = target.system.one().scale(H.counit_word(w))
-                if target.system.normal_form(conv) != want:
+                if conv != want:
                     failures.append(
                         CheckFailure("transition-convolution", f"(T_{i}{j}*T_{j}{i})({word_str(w)})", f"{conv!r}")
                     )
@@ -312,12 +311,16 @@ def reducibility_check(triv: Trivialisation, J: HopfIdeal, bound: int = 3) -> Re
         for g_idx, g in enumerate(J.gens):
             for b in piece.base_gens:
                 bp = NCPoly.gen(psys.alphabet, b)
-                acc = psys.zero()
-                for (w1, w2), c in H.delta(g).terms.items():
-                    acc = acc + psys.mul_many(
-                        [gamma.apply_word(w1), bp, gamma.apply(H.S.apply_word(w2))]
-                    ).scale(c)
-                acc = psys.normal_form(acc)
+                acc = linear_image(
+                    g,
+                    lambda w: H.convolve(
+                        w,
+                        lambda v: psys.mul(gamma.apply_word(v), bp),
+                        lambda v: gamma.apply(H.S.apply_word(v)),
+                        psys,
+                    ),
+                    psys.zero(),
+                )
                 if not acc.is_zero():
                     witnesses.append(
                         CheckFailure(
@@ -562,13 +565,17 @@ def prolong(
             for b in pieces[piece_idx].base_gens:
                 img = base_map.apply_word((b,))
                 images[b] = NCPoly(alpha, dict(img.terms))
+            gbar = base_triv.cleavings[piece_idx].j
+
+            def fiber_image(k: tuple[Word, Word]) -> NCPoly:
+                # pi^i_j(gammabar(pi(z_(1)))) z_(2)'
+                bar_img = base_map.apply(gbar.apply(pi.apply_word(k[0])))
+                return qsys.normal_form(
+                    NCPoly(alpha, {bw + fiber_word(k[1]): c for bw, c in bar_img.terms.items()})
+                )
+
             for z in H.system.alphabet.gens:
-                acc = NCPoly.zero(alpha)
-                for (w1, w2), c in H.delta_word((z,)).terms.items():
-                    bar_img = base_map.apply(base_triv.cleavings[piece_idx].j.apply(pi.apply_word(w1)))
-                    for bw, bc in bar_img.terms.items():
-                        acc = acc + NCPoly.word(alpha, bw + fiber_word(w2)).scale(c * bc)
-                images[fiber_names[z]] = qsys.normal_form(acc)
+                images[fiber_names[z]] = linear_image(H.delta_word((z,)), fiber_image, qsys.zero())
             return gens_map(label, pieces[piece_idx].comodule.system, qsys, images, check=True)
 
         pairs[(i, j)] = PairData(

@@ -11,9 +11,10 @@ from .scalars import S_ONE, S_ZERO, Scalar
 V = TypeVar("V", NCPoly, "Tensor")
 
 
-def linear_image(p: NCPoly, f: Callable[[Word], V], zero: V) -> V:
+def linear_image(p: NCPoly | Tensor, f: Callable[[Word], V], zero: V) -> V:
     """The linear extension of a word map: sum of c*f(w) over the terms c*w of p.
 
+    On a Tensor, ``f`` takes each term's key, the tuple of its leg words.
     ``f`` returns values of the same kind as ``zero`` (NCPoly or Tensor), which
     also fixes the result's alphabet or systems.  A sum of normal forms is a
     normal form, so the result is one whenever every f(w) is.

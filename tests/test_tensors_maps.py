@@ -3,9 +3,10 @@ import random
 import pytest
 
 from pcomod import builtin
+from pcomod.comodule import _adjoint
 from pcomod.hopf import convolution
 from pcomod.maps import DegreeExceededError, LinearMap, NotWellDefinedError, gens_map, identity_map
-from pcomod.ncpoly import NCPoly
+from pcomod.ncpoly import NCPoly, word_str
 from pcomod.scalars import GaussRat, S_ONE, Scalar
 from pcomod.tensors import Tensor, linear_image
 
@@ -109,6 +110,44 @@ def test_convolution_associative_randomized(u1):
 
 def _random_poly(rng, alphabet, words, n_terms):
     return NCPoly(alphabet, {rng.choice(words): Scalar.of(rng.choice((-2, -1, 1, 2, 3))) for _ in range(n_terms)})
+
+
+@pytest.mark.parametrize("q", ["formal", 3])
+@pytest.mark.parametrize("name", ["su_q2", "gl_q2"])
+def test_convolve_and_adjoint_match_summed_oracle(name, q):
+    """H.convolve(w, f, g) equals the free products f(w_(1)) g(w_(2)) summed
+    term by term over Delta(w) and normalised once, for random table maps and
+    for the antipode laws; _adjoint(h, k) equals S(h_(1)) k h_(2) summed the
+    same way."""
+    rng = random.Random(31)
+    H = builtin.build(name, q)
+    sysm = H.system
+    al = sysm.alphabet
+    words = sysm.basis_words(3)
+
+    def oracle(w, f, g):
+        return sysm.normal_form(
+            summed_image(H.delta_word(w), lambda k: f(k[0]).concat(g(k[1])), sysm.zero())
+        )
+
+    word = lambda v: NCPoly.word(al, v)
+    pairs = [(H.S.apply_word, word), (word, H.S.apply_word)]
+    for _ in range(6):
+        f, g = ({w: _random_poly(rng, al, words, 2) for w in words} for _ in range(2))
+        pairs.append((f.__getitem__, g.__getitem__))
+    for f, g in pairs:
+        for w in rng.sample(words, k=20):
+            assert H.convolve(w, f, g, sysm) == oracle(w, f, g), word_str(w)
+    for _ in range(10):
+        h, k = _random_poly(rng, al, sysm.basis_words(2), 2), _random_poly(rng, al, words, 2)
+        want = sysm.normal_form(
+            summed_image(
+                H.delta(h),
+                lambda t: sysm.mul_many([H.S.apply_word(t[0]), k, word(t[1])]),
+                sysm.zero(),
+            )
+        )
+        assert _adjoint(H, h, k) == want, (h, k)
 
 
 @pytest.mark.parametrize("kind", ["ncpoly", "tensor"])
