@@ -4,7 +4,7 @@
 Usage: python scripts/verify_all.py [outdir]
 """
 
-import sys
+import argparse
 import time
 from pathlib import Path
 
@@ -12,8 +12,13 @@ from pcomod.numgeom import GridConfig
 from pcomod.suites import SUITES, SuiteConfig, run_suite
 
 
-def main() -> int:
-    outdir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("reports")
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument(
+        "outdir", nargs="?", type=Path, default=Path("reports"),
+        help="directory for the <suite>.json reports (default: reports)",
+    )
+    outdir = ap.parse_args(argv).outdir
     outdir.mkdir(parents=True, exist_ok=True)
     worst = 0
     for name in SUITES:

@@ -1,6 +1,9 @@
 import json
 import os
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import pytest
 
@@ -247,3 +250,16 @@ def test_covering_file_that_does_not_parse_is_a_config_error(tmp_path, capsys, d
         run_suite(mini_cfg("transition", covering=str(path)))
     assert main(["verify", "--suite", "transition", "--covering", str(path)]) == 2
     assert "CONFIG_ERROR" in capsys.readouterr().err
+
+
+def test_verify_all_help_prints_usage_and_runs_nothing(tmp_path):
+    """--help prints usage and exits 0; it is not taken as the output directory."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = subprocess.run(
+        [sys.executable, str(root / "scripts" / "verify_all.py"), "--help"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert "usage:" in out.stdout and "outdir" in out.stdout
+    assert list(tmp_path.iterdir()) == []
