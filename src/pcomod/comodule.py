@@ -8,7 +8,7 @@ from typing import Sequence
 
 from .hopf import CheckFailure, HopfAlgebra, HopfIdeal, quotient_hopf
 from .linalg import RowSpace
-from .maps import DegreeExceededError, LinearMap, gens_map
+from .maps import DegreeExceededError, LinearMap, gens_map, relation_mismatches
 from .ncpoly import NCPoly, Word, word_str
 from .rewrite import RewriteSystem
 from .scalars import S_ONE
@@ -70,23 +70,25 @@ class ComoduleAlgebra:
         )
         return self.coact(p) == target
 
-    def check_axioms(self, degree_bound: int) -> list[CheckFailure]:
-        """Well-definedness on the rewrite rules, coaction coassociativity and
-        the counit law on basis words up to the bound."""
-        failures = []
+    def check_axioms(self) -> list[CheckFailure]:
+        """The coaction respects every defining relation of P
+        (``RewriteSystem.relations``), then is coassociative and counital on
+        the words of degree <= 1, which generate P.
+
+        Together these hold in every degree. Respecting the relations, the
+        coaction rho is an algebra map P -> P (x) H. With Delta and eps algebra
+        maps (``check_hopf_axioms``), (rho (x) id) rho and (id (x) Delta) rho
+        are algebra maps P -> P (x) H (x) H, and (id (x) eps) rho and id are
+        algebra maps P -> P; agreeing on generators, each pair agrees
+        everywhere. Equal normal forms prove equality in the quotients
+        whether or not their rules are confluent.
+        """
         H = self.hopf
-        for rule in self.system.rules:
-            lhs = self.coact_word(rule.lhs_word)
-            rhs = self.coact(rule.rhs)
-            if lhs != rhs:
-                failures.append(
-                    CheckFailure(
-                        "coaction-well-defined",
-                        word_str(rule.lhs_word),
-                        f"{lhs!r} != {rhs!r}",
-                    )
-                )
-        for w in self.system.basis_words(degree_bound):
+        failures = [
+            CheckFailure("coaction-well-defined", word_str(w), f"{lhs!r} != {rhs!r}")
+            for w, _, lhs, rhs in relation_mismatches(self.system, self.coact_word, self.coact)
+        ]
+        for w in self.system.basis_words(1):
             ws = word_str(w)
             d = self.coact_word(w)
             lhs = d.expand_leg(0, self.coact_word)

@@ -9,6 +9,29 @@ from .ncpoly import NCPoly, Word, word_str
 from .rewrite import RewriteSystem
 from .tensors import linear_image
 
+
+def relation_mismatches(
+    domain: RewriteSystem,
+    word_image: Callable[[Word], object],
+    poly_image: Callable[[NCPoly], object],
+) -> list[tuple[Word, NCPoly, object, object]]:
+    """The defining relations w = p of ``domain`` whose images differ, as
+    (w, p, image of w, image of p).
+
+    ``word_image`` must multiply generator images along the word as written,
+    so that a centrality pair c*x is mapped as it stands. Images are compared
+    as normal forms; reductions keep the class in the quotient, so equal
+    normal forms prove the relation holds there whether or not the codomain's
+    rules are confluent.
+    """
+    out = []
+    for w, p in domain.relations:
+        lhs, rhs = word_image(w), poly_image(p)
+        if lhs != rhs:
+            out.append((w, p, lhs, rhs))
+    return out
+
+
 class DegreeExceededError(KeyError):
     """A table-backed map was applied outside its tabulated degree range."""
 
@@ -89,16 +112,16 @@ class LinearMap:
 
     # -- checks -------------------------------------------------------------------
     def rule_compatibility_problems(self) -> list[str]:
-        problems = []
-        for rule in self.domain.rules:
-            lhs_img = self.apply_word(rule.lhs_word)
-            rhs_img = self.apply(rule.rhs)
-            if self.codomain.normal_form(lhs_img - rhs_img) != NCPoly.zero(self.codomain.alphabet):
-                problems.append(
-                    f"rule {rule!r} not respected: "
-                    f"{self.codomain.normal_form(lhs_img)!r} vs {self.codomain.normal_form(rhs_img)!r}"
-                )
-        return problems
+        """One message per defining relation of the domain (rules and
+        centrality pairs, ``RewriteSystem.relations``) whose two sides this
+        map sends to different normal forms."""
+        nf = self.codomain.normal_form
+        return [
+            f"rule {word_str(w)} -> {p!r} not respected: {lhs!r} vs {rhs!r}"
+            for w, p, lhs, rhs in relation_mismatches(
+                self.domain, lambda w: nf(self.apply_word(w)), lambda p: nf(self.apply(p))
+            )
+        ]
 
     # -- composition -----------------------------------------------------------------
     def compose(self, inner: "LinearMap", name: str | None = None) -> "LinearMap":

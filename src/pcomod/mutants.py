@@ -25,10 +25,23 @@ from .tensors import Tensor
 
 
 class Mutant:
-    def __init__(self, name: str, suite: str, detect: Callable[[], list[str]]):
+    def __init__(
+        self,
+        name: str,
+        suite: str,
+        detect: Callable[[], list[str]],
+        table: Callable[[], HopfAlgebra | ComoduleAlgebra] | None = None,
+    ):
         self.name = name
         self.suite = suite
         self.detect = detect  # returns nonempty witness list iff caught
+        self.table = table  # builds the corrupted structure an axiom check rejects
+
+
+def _axiom_mutant(name: str, suite: str, table: Callable[[], HopfAlgebra | ComoduleAlgebra]) -> Mutant:
+    """A corrupted Hopf or comodule table, caught by its suite's axiom check."""
+    check = check_hopf_axioms if suite == "hopf-axioms" else ComoduleAlgebra.check_axioms
+    return Mutant(name, suite, lambda: _witnesses(check(table())), table)
 
 
 def _witnesses(failures) -> list[str]:
@@ -37,9 +50,9 @@ def _witnesses(failures) -> list[str]:
 
 # -- hopf-axioms mutants -----------------------------------------------------
 
-def _z2_delta_u_x_1() -> list[str]:
+def _z2_delta_u_x_1() -> HopfAlgebra:
     H = builtin.c_z2()
-    bad = HopfAlgebra(
+    return HopfAlgebra(
         H.system,
         {"u": Tensor((H.system, H.system), {(("u",), ()): S_ONE})},
         dict(H.counit_table),
@@ -47,55 +60,54 @@ def _z2_delta_u_x_1() -> list[str]:
         dict(H.antipode_inv_table),
         name="c_z2/corrupt-delta",
     )
-    return _witnesses(check_hopf_axioms(bad, 2))
 
 
-def _su_antipode_sign() -> list[str]:
+def _su_antipode_sign() -> HopfAlgebra:
     H = builtin.su_q2()
     anti = dict(H.antipode_table)
     anti["g"] = -anti["g"]  # S(gamma) = +q gamma instead of -q gamma
-    bad = HopfAlgebra(H.system, dict(H.delta_table), dict(H.counit_table), anti,
-                      dict(H.antipode_inv_table), name="su_q2/corrupt-S")
-    return _witnesses(check_hopf_axioms(bad, 2))
+    return HopfAlgebra(H.system, dict(H.delta_table), dict(H.counit_table), anti,
+                       dict(H.antipode_inv_table), name="su_q2/corrupt-S")
 
 
-def _gl_counit_zero() -> list[str]:
+def _gl_counit_zero() -> HopfAlgebra:
     H = builtin.gl_q2()
     eps = dict(H.counit_table)
     eps["a"] = Scalar.of(0)
-    bad = HopfAlgebra(H.system, dict(H.delta_table), eps, dict(H.antipode_table),
-                      dict(H.antipode_inv_table), name="gl_q2/corrupt-eps")
-    return _witnesses(check_hopf_axioms(bad, 2))
+    return HopfAlgebra(H.system, dict(H.delta_table), eps, dict(H.antipode_table),
+                       dict(H.antipode_inv_table), name="gl_q2/corrupt-eps")
 
 
 # -- comodule-axioms mutants ---------------------------------------------------
 
-def _toeplitz_coaction_degree_drop() -> list[str]:
+def _toeplitz_coaction_degree_drop() -> ComoduleAlgebra:
     T = builtin.toeplitz_comodule()
     coact = dict(T.coaction_table)
     coact["ss"] = Tensor((T.system, T.hopf.system), {(("ss",), ()): S_ONE})
-    bad = ComoduleAlgebra(T.system, T.hopf, coact, name="toeplitz/corrupt-coaction")
-    return _witnesses(bad.check_axioms(2))
+    return ComoduleAlgebra(T.system, T.hopf, coact, name="toeplitz/corrupt-coaction")
+
+
+def _smash_coaction_flip_table() -> ComoduleAlgebra:
+    sm = builtin.toeplitz_z2_smash()
+    coact = dict(sm.coaction_table)
+    coact["u"] = Tensor((sm.system, sm.hopf.system), {(("u",), ()): S_ONE})
+    return ComoduleAlgebra(sm.system, sm.hopf, coact, name="smash/corrupt-coaction")
 
 
 def _smash_coaction_flip() -> list[str]:
     """Trivializing the fiber coaction is formally consistent but breaks the
     smash-product invariant: a group-like fiber generator becomes coinvariant."""
-    sm = builtin.toeplitz_z2_smash()
-    coact = dict(sm.coaction_table)
-    coact["u"] = Tensor((sm.system, sm.hopf.system), {(("u",), ()): S_ONE})
-    bad = ComoduleAlgebra(sm.system, sm.hopf, coact, name="smash/corrupt-coaction")
-    if bad.is_coinvariant(NCPoly.gen(sm.system.alphabet, "u")):
+    bad = _smash_coaction_flip_table()
+    if bad.is_coinvariant(NCPoly.gen(bad.system.alphabet, "u")):
         return ["group-like fiber generator u became coaction-invariant"]
     return []
 
 
-def _pw_patch_wrong_grade() -> list[str]:
+def _pw_patch_wrong_grade() -> ComoduleAlgebra:
     P, _ = builtin.pw_patch()
     coact = dict(P.coaction_table)
     coact["wi"] = Tensor((P.system, P.hopf.system), {(("wi",), ("u",)): S_ONE})
-    bad = ComoduleAlgebra(P.system, P.hopf, coact, name="pw_patch/corrupt-grade")
-    return _witnesses(bad.check_axioms(2))
+    return ComoduleAlgebra(P.system, P.hopf, coact, name="pw_patch/corrupt-grade")
 
 
 # -- strong-connection mutants ---------------------------------------------------
@@ -315,12 +327,12 @@ def _parity_mislabeled_generator() -> list[str]:
 
 
 MUTANTS: list[Mutant] = [
-    Mutant("z2-coproduct-drops-leg", "hopf-axioms", _z2_delta_u_x_1),
-    Mutant("su-antipode-sign", "hopf-axioms", _su_antipode_sign),
-    Mutant("gl-counit-zero", "hopf-axioms", _gl_counit_zero),
-    Mutant("toeplitz-coaction-degree-drop", "comodule-axioms", _toeplitz_coaction_degree_drop),
-    Mutant("smash-coaction-flip", "comodule-axioms", _smash_coaction_flip),
-    Mutant("patch-coaction-wrong-grade", "comodule-axioms", _pw_patch_wrong_grade),
+    _axiom_mutant("z2-coproduct-drops-leg", "hopf-axioms", _z2_delta_u_x_1),
+    _axiom_mutant("su-antipode-sign", "hopf-axioms", _su_antipode_sign),
+    _axiom_mutant("gl-counit-zero", "hopf-axioms", _gl_counit_zero),
+    _axiom_mutant("toeplitz-coaction-degree-drop", "comodule-axioms", _toeplitz_coaction_degree_drop),
+    Mutant("smash-coaction-flip", "comodule-axioms", _smash_coaction_flip, _smash_coaction_flip_table),
+    _axiom_mutant("patch-coaction-wrong-grade", "comodule-axioms", _pw_patch_wrong_grade),
     Mutant("connection-drops-fiber", "strong-connection", _connection_drops_fiber),
     Mutant("connection-not-unital", "strong-connection", _connection_not_unital),
     Mutant("cleaving-not-colinear", "strong-connection", _cleaving_not_colinear),

@@ -109,7 +109,7 @@ class Covering:
         for idx, piece in enumerate(self.pieces):
             failures.extend(
                 CheckFailure(f.check, f"piece[{idx}] {f.where}", f.detail)
-                for f in piece.comodule.check_axioms(min(degree_bound, 2))
+                for f in piece.comodule.check_axioms()
             )
             for b in piece.base_gens:
                 if not piece.comodule.is_coinvariant(NCPoly.gen(piece.comodule.system.alphabet, b)):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -161,6 +162,28 @@ class RewriteSystem:
             rest = NCPoly(self.alphabet, {w: c for w, c in g.terms.items() if w != lead})
             rules.append((lead, rest.scale(-(lc.inv()))))
         return self.extend(rules, name=name)
+
+    @cached_property
+    def relations(self) -> list[tuple[Word, NCPoly]]:
+        """The defining relations w = p of the presented algebra, as (w, p):
+
+        - each rule lhs -> rhs;
+        - for each central letter c and each other generator x, the word c*x
+          as written (not canonicalised) against x*c, once per pair;
+        - the suffix system's relations, read in this alphabet.
+
+        An algebra map (or anti-algebra map) out of the free algebra that
+        multiplies generator images along a word as written passes to the
+        quotient exactly when it agrees on the two sides of every pair.
+        """
+        a = self.alphabet
+        rels = [(r.lhs_word, r.rhs) for r in self.rules]
+        central = [g for g in a.gens if g in a.central]
+        for i, c in enumerate(central):
+            rels += [((c, x), NCPoly.word(a, (x, c))) for x in a.gens if x != c and x not in central[:i]]
+        if self.suffix_system is not None:
+            rels += [(w, NCPoly(a, p.terms)) for w, p in self.suffix_system.relations]
+        return rels
 
     # -- matching ------------------------------------------------------------
     def _match(self, word: Word):

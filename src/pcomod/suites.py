@@ -192,7 +192,7 @@ def suite_hopf_axioms(cfg: SuiteConfig) -> Iterator[CheckRecord]:
         yield _no_failures(
             f"hopf-axioms/{name}",
             "coassociativity, counit, antipode laws and S-invertibility on the basis",
-            check_hopf_axioms(H, cfg.degree),
+            check_hopf_axioms(H),
         )
 
 
@@ -205,7 +205,7 @@ def suite_comodule_axioms(cfg: SuiteConfig) -> Iterator[CheckRecord]:
         yield _no_failures(
             f"comodule-axioms/{name}",
             "coaction well-defined, coassociative, counital on the basis",
-            P.check_axioms(cfg.degree),
+            P.check_axioms(),
         )
 
 
@@ -251,7 +251,7 @@ def suite_smash(cfg: SuiteConfig) -> Iterator[CheckRecord]:
         "declared action respects both presentations (module-algebra axioms)",
         sm.action.module_algebra_problems(),
     )
-    yield _no_failures("smash/plane-gl-comodule", "smash coaction axioms", sm.check_axioms(min(cfg.degree, 3)))
+    yield _no_failures("smash/plane-gl-comodule", "smash coaction axioms", sm.check_axioms())
     sm2 = builtin.toeplitz_z2_smash()
     bad = []
     for b in sm2.b_gens:

@@ -1,20 +1,24 @@
 """Independent oracles used to freeze expected values: small hand-rolled models
 that do not share code with the engine under test, exhaustive searches that
 use only the engine's single rewriting step and normal form, the sampling
-loops that exact certificates and precomputed tables replaced, and the
-build-at-formal-q-then-substitute path that parsing at a fixed q replaced."""
+loops that exact certificates and precomputed tables replaced, the
+degree-bounded axiom loops that the relation-plus-generator certificates
+replaced, and the build-at-formal-q-then-substitute path that parsing at a
+fixed q replaced."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import lcm
 
 import numpy as np
 
 from pcomod import builtin
 from pcomod.builtin import toeplitz_system
-from pcomod.hopf import HopfAlgebra
-from pcomod.ncpoly import NCPoly
+from pcomod.comodule import ComoduleAlgebra
+from pcomod.hopf import CheckFailure, HopfAlgebra
+from pcomod.ncpoly import NCPoly, word_str
 from pcomod.numgeom import membership, probes
 from pcomod.numgeom.circle import delta_angle, omega_hat
 from pcomod.numgeom.grids import Z2, circle_angles
@@ -530,3 +534,78 @@ def multiplied_word_image(system: RewriteSystem, images: dict, w, anti: bool) ->
     for g in (reversed(w) if anti else w):
         out = system.mul(out, images[g])
     return out
+
+
+# ---------------------------------------------------------------------------
+# the axioms on every basis word up to a degree bound (reference for the
+# relation-plus-generator certificates of check_hopf_axioms and
+# ComoduleAlgebra.check_axioms)
+# ---------------------------------------------------------------------------
+
+def bounded_hopf_axioms(H: HopfAlgebra, bound: int) -> list[CheckFailure]:
+    """Coassociativity, counit law, antipode law, antipode invertibility and
+    the anti-coalgebra property of S on every normal-form word up to the
+    bound. Checks no relation, so a coproduct that is no algebra map on the
+    quotient passes."""
+    failures: list[CheckFailure] = []
+    sysm = H.system
+    one = sysm.one()
+    word = partial(NCPoly.word, sysm.alphabet)
+    for w in sysm.basis_words(bound):
+        ws = word_str(w)
+        d = H.delta_word(w)
+        left = d.expand_leg(0, H.delta_word)
+        right = d.expand_leg(1, H.delta_word)
+        if left != right:
+            failures.append(CheckFailure("coassociativity", ws, f"{left!r} != {right!r}"))
+        ce_l = d.contract_leg(0, H.counit_word).leg_poly(0)
+        ce_r = d.contract_leg(1, H.counit_word).leg_poly(0)
+        wp = sysm.normal_form(word(w))
+        if ce_l != wp:
+            failures.append(CheckFailure("counit-left", ws, f"{ce_l!r} != {wp!r}"))
+        if ce_r != wp:
+            failures.append(CheckFailure("counit-right", ws, f"{ce_r!r} != {wp!r}"))
+        target = one.scale(H.counit_word(w))
+        s_id = H.convolve(w, H.S.apply_word, word, sysm)
+        if s_id != target:
+            failures.append(CheckFailure("antipode-left", ws, f"{s_id!r} != {target!r}"))
+        id_s = H.convolve(w, word, H.S.apply_word, sysm)
+        if id_s != target:
+            failures.append(CheckFailure("antipode-right", ws, f"{id_s!r} != {target!r}"))
+        sw = H.S.apply_word(w)
+        if H.S_inv.apply(sw) != wp:
+            failures.append(CheckFailure("antipode-inverse", ws, f"S^-1(S({ws})) != {ws}"))
+        if H.S.apply(H.S_inv.apply_word(w)) != wp:
+            failures.append(CheckFailure("antipode-inverse", ws, f"S(S^-1({ws})) != {ws}"))
+        lhs = d.map_leg(0, H.S.apply_word).map_leg(1, H.S.apply_word).swap_legs(0, 1)
+        rhs = H.delta(sw)
+        if lhs != rhs:
+            failures.append(CheckFailure("anti-coalgebra", ws, f"{lhs!r} != {rhs!r}"))
+    return failures
+
+
+def bounded_coaction_axioms(P: ComoduleAlgebra, bound: int) -> list[CheckFailure]:
+    """The coaction on both sides of every rewrite rule (not the centrality
+    pairs), then coassociativity and the counit law on every normal-form word
+    up to the bound."""
+    failures = []
+    H = P.hopf
+    for rule in P.system.rules:
+        lhs = P.coact_word(rule.lhs_word)
+        rhs = P.coact(rule.rhs)
+        if lhs != rhs:
+            failures.append(
+                CheckFailure("coaction-well-defined", word_str(rule.lhs_word), f"{lhs!r} != {rhs!r}")
+            )
+    for w in P.system.basis_words(bound):
+        ws = word_str(w)
+        d = P.coact_word(w)
+        lhs = d.expand_leg(0, P.coact_word)
+        rhs = d.expand_leg(1, H.delta_word)
+        if lhs != rhs:
+            failures.append(CheckFailure("coaction-coassociativity", ws, f"{lhs!r} != {rhs!r}"))
+        ce = d.contract_leg(1, H.counit_word).leg_poly(0)
+        wp = P.system.normal_form(NCPoly.word(P.system.alphabet, w))
+        if ce != wp:
+            failures.append(CheckFailure("coaction-counit", ws, f"{ce!r} != {wp!r}"))
+    return failures

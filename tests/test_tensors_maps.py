@@ -6,7 +6,8 @@ from pcomod import builtin
 from pcomod.comodule import _adjoint
 from pcomod.hopf import convolution
 from pcomod.maps import DegreeExceededError, LinearMap, NotWellDefinedError, gens_map, identity_map
-from pcomod.ncpoly import NCPoly, word_str
+from pcomod.ncpoly import Alphabet, NCPoly, word_str
+from pcomod.rewrite import RewriteSystem
 from pcomod.scalars import GaussRat, S_ONE, Scalar
 from pcomod.tensors import Tensor, linear_image
 
@@ -49,6 +50,17 @@ def test_linear_map_modes_and_validation(z2, u1):
                       table={(): NCPoly.one(alz), ("u",): NCPoly.gen(alz, "u")}, bound=1)
     with pytest.raises(DegreeExceededError):
         table.apply_word(("u", "u", "u"))  # tables hold normal-form words only
+
+
+def test_algebra_map_must_respect_a_central_letter():
+    """c is central in the domain, so its image y must commute with x's."""
+    dom = RewriteSystem(Alphabet(["x", "c"], central=["c"]), [], name="dom")
+    free = Alphabet(["x", "y"])
+    cod = RewriteSystem(free, [], name="free")
+    with pytest.raises(NotWellDefinedError, match="c\\*x"):
+        gens_map("m", dom, cod, {"x": NCPoly.gen(free, "x"), "c": NCPoly.gen(free, "y")})
+    # a central image is accepted
+    gens_map("ok", dom, cod, {"x": NCPoly.gen(free, "x"), "c": NCPoly.one(free)})
 
 
 def test_table_maps_use_canonical_keys(z2):
