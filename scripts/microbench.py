@@ -9,8 +9,10 @@ and general (a denominator that is not a power of q).  ``GaussRat(int, int)``
 construction and ``random_toeplitz_poly(rng, 3)``, which draws ten such
 coefficients in one call.  ``RewriteSystem._nf_word``
 of a degree-6 su_q2 word at q formal, with the normal-form cache cleared before
-every call.  ``FourierPoly.eval`` of a degree-3 symbol at 4 angles (the size
-the surjectivity-criterion probe evaluates) and on the 720-point circle grid.
+every call.  ``FourierPoly.eval`` of a degree-3 symbol at 4 angles and on
+the 720-point circle grid, ``circle_angles(720)`` (the default circle grid),
+and condition (2) of the surjectivity criterion,
+``probes._condition2_residual``, over 100 random trials in one call.
 Each line is the best of R repeats of N operations, in ns per operation.
 Standard library only; it prints timings and asserts none.
 """
@@ -20,7 +22,7 @@ import timeit
 from fractions import Fraction
 
 from pcomod.builtin import su_q2
-from pcomod.numgeom import GridConfig, circle_angles, random_toeplitz_poly, symbol
+from pcomod.numgeom import GridConfig, circle_angles, probes, random_toeplitz_poly, symbol
 from pcomod.scalars import S_I, S_ONE, S_Q, GaussRat, Scalar
 
 
@@ -52,6 +54,15 @@ def cases() -> list[tuple[str, str, str, dict]]:
     F = symbol(random_toeplitz_poly(GridConfig().rng(0), 3))
     for n, theta in ((4, circle_angles(8)[:4]), (720, circle_angles(720))):
         out.append(("fourier", f"eval {n}", "F.eval(t)", {"F": F, "t": theta}))
+    out.append(("grid", "circle_angles 720", "f(720)", {"f": circle_angles}))
+    out.append(
+        (
+            "mattprop",
+            "condition2 100",
+            "f(rng, 100)",
+            {"f": probes._condition2_residual, "rng": GridConfig().rng(6)},
+        )
+    )
     return out
 
 
@@ -65,7 +76,7 @@ def main() -> int:
     for kind, op, stmt, env in cases():
         t = timeit.Timer(stmt, globals=env)
         best = min(t.repeat(repeat=args.repeat, number=args.number))
-        print(f"{kind:9s} {op:9s} {best / args.number * 1e9:10.1f} ns/op")
+        print(f"{kind:9s} {op:17s} {best / args.number * 1e9:12.1f} ns/op")
     return 0
 
 

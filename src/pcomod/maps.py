@@ -115,12 +115,9 @@ class LinearMap:
         """One message per defining relation of the domain (rules and
         centrality pairs, ``RewriteSystem.relations``) whose two sides this
         map sends to different normal forms."""
-        nf = self.codomain.normal_form
         return [
             f"rule {word_str(w)} -> {p!r} not respected: {lhs!r} vs {rhs!r}"
-            for w, p, lhs, rhs in relation_mismatches(
-                self.domain, lambda w: nf(self.apply_word(w)), lambda p: nf(self.apply(p))
-            )
+            for w, p, lhs, rhs in relation_mismatches(self.domain, self.apply_word, self.apply)
         ]
 
     # -- composition -----------------------------------------------------------------

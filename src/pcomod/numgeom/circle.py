@@ -8,7 +8,6 @@ so exact identities stay exact here up to machine precision.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -34,20 +33,18 @@ def phi_hat(i: int, theta) -> np.ndarray:
 
 
 def phi_hat_grid(i: int, n: int) -> np.ndarray:
-    """Exact-rational sampling on the uniform grid; bit-exact oddness."""
+    """phi_hat_i on the uniform grid, clip(2 - 8m/n, -1, 1) with m the grid
+    distance to the centre of the profile.  (2n - 8m) / n is the correctly
+    rounded quotient of exact integers and clipping at the floats +-1 commutes
+    with rounding, so every value is the rounded exact rational
+    (tests/oracles.fraction_phi_hat_grid); oddness is bit-exact."""
     if n % 8:
         raise ValueError("need 8 | n so quarter breakpoints land on grid points")
-    vals = []
-    for j in range(n):
-        if i == 1:
-            m = min(j % n, (n - j) % n)
-        else:
-            jj = (j - n // 4) % n
-            m = min(jj, n - jj)
-        r = 2 - Fraction(8 * m, n)
-        r = max(Fraction(-1), min(Fraction(1), r))
-        vals.append(float(r))
-    return np.array(vals)
+    j = np.arange(n)
+    if i != 1:
+        j = (j - n // 4) % n
+    m = np.minimum(j, (n - j) % n)
+    return np.clip((2 * n - 8 * m) / n, -1.0, 1.0)
 
 
 def delta_angle(i: int, k, t) -> np.ndarray:

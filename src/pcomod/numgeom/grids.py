@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -21,8 +20,9 @@ class GridConfig:
 
 
 def circle_angles(n: int) -> np.ndarray:
-    """theta_j = 2 pi j / n computed through exact rationals (float(-r) = -float(r))."""
-    return np.array([2.0 * np.pi * float(Fraction(j, n)) for j in range(n)])
+    """theta_j = 2 pi (j / n), with j / n the correctly rounded quotient of
+    exact integers, as float(Fraction(j, n)) is (tests/oracles.fraction_circle_angles)."""
+    return 2.0 * np.pi * (np.arange(n) / n)
 
 
 def interval_nodes(m: int) -> np.ndarray:

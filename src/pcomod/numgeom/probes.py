@@ -18,7 +18,7 @@ from .circle import (
     phi_hat,
 )
 from .grids import GridConfig, Z2, circle_angles, interval_nodes
-from .toeplitz import random_toeplitz_poly, symbol
+from .toeplitz import random_symbol_coeffs, random_toeplitz_poly, symbol
 
 
 class WindingError(RuntimeError):
@@ -243,39 +243,46 @@ def _condition2_residual(rng, n_random: int) -> float:
     A = pi^{01}_2 (pi^{02}_1)^{-1} pi^{20}_1 and B = pi^{10}_2 (pi^{12}_0)^{-1} pi^{21}_0
     agree modulo C(Z2) (x) ker iota^* (x) C(Z2), i.e. at x = +-1.
 
-    Both paths read the symbol of b only at angles fixed by the grid, so the
-    angles, phi_hat and the exp(i k theta) tables are built once per call.  Each
-    trial sums the symbol over each angle set in symbol order and combines the
-    Z2 parts as omega_2 does, so every float operation is the one the composed
-    closures make (tests/oracles.condition2_closures)."""
+    Both paths read the symbol of b only at angles fixed by the grid: the
+    four angle sets (path A or B, c = +-1) and their exp(i k theta) tables are
+    built once per call and stacked into one array.  Each trial draws b, then
+    g, as the composed closures do (tests/oracles.condition2_closures);
+    toeplitz.random_symbol_coeffs folds the drawn integers straight into
+    the symbol of b, padded here with zero terms to 2*max_deg + 1.  One pass
+    over all trials then sums every symbol over the four angle sets a term at
+    a time and combines the Z2 parts as omega_2 does.  So every element gets
+    the float operations the closures make; a zero term adds a signed zero,
+    which the final abs erases."""
     max_deg = 3
+    n_terms = 2 * max_deg + 1
     aas = Z2[:, None, None]
     xs = np.array([1.0, -1.0])[None, :, None]
     cs = Z2[None, None, :]
     # Path A evaluates omega_2 at delta_1(a, x); path B, behind the Phi_01
     # swap, at delta_1(c, x).  omega_2 reads the symbol at phi_1 of its angle.
     th = {"A": delta_angle(1, aas, xs), "B": delta_angle(1, cs, xs)}
-    phi2 = {path: phi_hat(2, t) for path, t in th.items()}
-    angles = {}
-    for cv in (1.0, -1.0):
-        angles["A", cv] = delta_angle(1, cv, phi_hat(1, th["A"]))
-        angles["B", cv] = delta_angle(2, cv, phi_hat(1, th["B"]))
-    ks = range(-max_deg, max_deg + 1)
-    tables = {key: {k: np.exp(1j * k * a) for k in ks} for key, a in angles.items()}
-    worst = 0.0
-    for _ in range(n_random):
-        b = random_toeplitz_poly(rng, max_deg)
-        coeffs = [(k, c.to_complex()) for k, c in symbol(b).coeffs.items()]
-        g0, g1 = rng.normal(size=2)
-        gp = g0 + g1 * np.asarray(1.0)
-        gm = g0 + g1 * np.asarray(-1.0)
-        y = {}
-        for key, tab in tables.items():
-            e = np.zeros(tab[0].shape, dtype=complex)
-            for k, c in coeffs:
-                e = e + c * tab[k]
-            y[key] = 0.5 * (e * gp + e * gm) + phi2[key[0]] * (0.5 * (e * gp - e * gm))
-        za = np.where(cs > 0, y["A", 1.0], y["A", -1.0])
-        zb = np.where(aas > 0, y["B", 1.0], y["B", -1.0])
-        worst = max(worst, float(np.max(np.abs(za - zb))))
-    return worst
+    keys = (("A", 1.0), ("A", -1.0), ("B", 1.0), ("B", -1.0))
+    angles, phi2 = np.empty((2, len(keys), 4))
+    for i, (path, cv) in enumerate(keys):
+        angles[i] = delta_angle(1 if path == "A" else 2, cv, phi_hat(1, th[path])).ravel()
+        phi2[i] = phi_hat(2, th[path]).ravel()
+    tables = np.stack([np.exp(1j * k * angles) for k in range(-max_deg, max_deg + 1)])
+    ks = np.zeros((n_random, n_terms), dtype=np.intp)
+    coeffs = np.zeros((n_random, n_terms, 1, 1), dtype=complex)
+    g = np.empty((n_random, 2, 1, 1))
+    for t in range(n_random):
+        symb = random_symbol_coeffs(rng, max_deg)
+        ks[t, : len(symb)] = list(symb)
+        coeffs[t, : len(symb), 0, 0] = list(symb.values())
+        g[t, :, 0, 0] = rng.normal(size=2)
+    ks += max_deg
+    gp = g[:, 0] + g[:, 1] * np.asarray(1.0)
+    gm = g[:, 0] + g[:, 1] * np.asarray(-1.0)
+    e = np.zeros((n_random,) + angles.shape, dtype=complex)
+    for j in range(n_terms):
+        e += coeffs[:, j] * tables[ks[:, j]]
+    ep, em = e * gp, e * gm
+    y = 0.5 * (ep + em) + phi2 * (0.5 * (ep - em))
+    za = np.where(cs > 0, y[:, 0].reshape(-1, 2, 2, 1), y[:, 1].reshape(-1, 2, 2, 1))
+    zb = np.where(aas > 0, y[:, 2].reshape(-1, 1, 2, 2), y[:, 3].reshape(-1, 1, 2, 2))
+    return float(np.max(np.abs(za - zb), initial=0.0))

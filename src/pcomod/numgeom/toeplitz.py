@@ -80,12 +80,17 @@ class FourierPoly:
         return " + ".join(f"{c!r}*z^{k}" for k, c in sorted(self.coeffs.items()))
 
 
+def symbol_degree(w) -> int:
+    """The k with symbol(w) = z^k: the number of s in w minus the number of ss."""
+    return sum(1 if g == "s" else -1 for g in w)
+
+
 def symbol(p: NCPoly) -> FourierPoly:
     """The symbol map s -> z applied to a Toeplitz *-polynomial; exact and
     multiplicative (a *-homomorphism on symbols)."""
     out: dict[int, Scalar] = {}
     for w, c in p.terms.items():
-        k = sum(1 if g == "s" else -1 for g in w)
+        k = symbol_degree(w)
         v = out.get(k, S_ZERO) + c
         if v.is_zero():
             out.pop(k, None)
@@ -130,20 +135,51 @@ def _toeplitz_basis(max_deg: int) -> tuple:
     return tuple(toeplitz_system().basis_words(max_deg))
 
 
-def random_toeplitz_poly(rng, max_deg: int, coeff_range: int = 3) -> NCPoly:
-    """Random *-polynomial in s, ss with small Gaussian-integer coefficients.
+@cache
+def _basis_degrees(max_deg: int) -> tuple:
+    return tuple(symbol_degree(w) for w in _toeplitz_basis(max_deg))
+
+
+def draw_toeplitz_terms(rng, max_deg: int, coeff_range: int = 3):
+    """(word, k, re, im) for every basis word of degree <= max_deg, in basis
+    order: re + i*im is its coefficient, drawn uniformly from
+    [-coeff_range, coeff_range], and z^k its symbol.
 
     One batched draw gives the (re, im) pairs of the basis words in order: the
     same integers, and the same generator state after, as two scalar draws
     per word (tests/oracles.scalar_draw_toeplitz_poly)."""
+    words = _toeplitz_basis(max_deg)
+    parts = rng.integers(-coeff_range, coeff_range + 1, size=2 * len(words)).tolist()
+    return zip(words, _basis_degrees(max_deg), parts[::2], parts[1::2])
+
+
+def random_toeplitz_poly(rng, max_deg: int, coeff_range: int = 3) -> NCPoly:
+    """Random *-polynomial in s, ss with small Gaussian-integer coefficients
+    (draw_toeplitz_terms); the unit if every coefficient drawn is 0."""
     from ..builtin import toeplitz_system
 
-    sys = toeplitz_system()
-    basis = _toeplitz_basis(max_deg)
-    parts = rng.integers(-coeff_range, coeff_range + 1, size=2 * len(basis)).tolist()
+    alphabet = toeplitz_system().alphabet
     terms = {}
-    for w, re, im in zip(basis, parts[::2], parts[1::2]):
+    for w, _, re, im in draw_toeplitz_terms(rng, max_deg, coeff_range):
         if re or im:
             terms[w] = Scalar.of(GaussRat(re, im))
-    p = NCPoly(sys.alphabet, terms)
-    return p if not p.is_zero() else NCPoly.one(sys.alphabet)
+    p = NCPoly(alphabet, terms)
+    return p if not p.is_zero() else NCPoly.one(alphabet)
+
+
+def random_symbol_coeffs(rng, max_deg: int, coeff_range: int = 3) -> dict[int, complex]:
+    """symbol(random_toeplitz_poly(rng, max_deg, coeff_range)) as {k: complex},
+    with the same draw, the same keys in the same order and the same values,
+    folded straight from the drawn integers: keys are inserted, summed and
+    popped as symbol does, and the integer sums are exact in floats."""
+    out: dict[int, complex] = {}
+    drawn = False
+    for _, k, re, im in draw_toeplitz_terms(rng, max_deg, coeff_range):
+        if re or im:
+            drawn = True
+            v = out.get(k, 0) + complex(re, im)
+            if v:
+                out[k] = v
+            else:
+                out.pop(k)
+    return out if drawn else {0: 1 + 0j}

@@ -312,6 +312,11 @@ class RewriteSystem:
         return out
 
     def _zone_canon(self, acc: dict[Word, Scalar]) -> dict[Word, Scalar]:
+        """Reduce the suffix zone of each word (irreducible under the main
+        rules) with the suffix system.  A word whose zone this rewrote can
+        match a main rule again: in a quotient with the rule G -> 0, the zone
+        A*As becomes 1 + (-q^2)*G*Gs.  Such a word is reduced again, zone and
+        all, so that no rule matches any word of the result."""
         out: dict[Word, Scalar] = {}
         for w, coeff in acc.items():
             pre, suf = self._split_zone(w)
@@ -321,11 +326,16 @@ class RewriteSystem:
             nf = self.suffix_system._nf_word(self.suffix_system.alphabet.canon(suf))
             for sw, sc in nf.terms.items():
                 ww = pre + sw
-                v = out.get(ww, S_ZERO) + coeff * sc
-                if v.is_zero():
-                    out.pop(ww, None)
+                if sw == suf or self._match(ww) is None:
+                    terms = ((ww, sc),)
                 else:
-                    out[ww] = v
+                    terms = ((x, sc * cx) for x, cx in self._nf_word(ww).terms.items())
+                for x, cx in terms:
+                    v = out.get(x, S_ZERO) + coeff * cx
+                    if v.is_zero():
+                        out.pop(x, None)
+                    else:
+                        out[x] = v
         return {w: c for w, c in out.items() if not c.is_zero()}
 
     def normal_form(self, p: NCPoly) -> NCPoly:

@@ -314,6 +314,13 @@ def worklist_normal_form(system, word):
                 else:
                     zoned[pre + sw] = v
         acc = zoned
+        # a rewritten zone can match a main rule again: reduce the whole
+        # result once more until it is a fixed point
+        if any(system._match(w) is not None for w in acc):
+            out = NCPoly(system.alphabet, {})
+            for w, coeff in acc.items():
+                out = out + worklist_normal_form(system, w).scale(coeff)
+            return out
     return NCPoly(system.alphabet, acc)
 
 
@@ -459,6 +466,35 @@ def scalar_draw_toeplitz_poly(rng, max_deg: int, coeff_range: int = 3) -> NCPoly
             terms[w] = Scalar.of(gauss_rat(re, im))
     p = NCPoly(alphabet, terms)
     return p if not p.is_zero() else NCPoly.one(alphabet)
+
+
+def fraction_circle_angles(n: int) -> np.ndarray:
+    """grids.circle_angles through exact rationals: the loop the integer
+    quotient replaced."""
+    return np.array([2.0 * np.pi * float(Fraction(j, n)) for j in range(n)])
+
+
+def fraction_phi_hat_grid(i: int, n: int) -> np.ndarray:
+    """circle.phi_hat_grid through exact rationals: the loop the integer
+    quotient replaced."""
+    vals = []
+    for j in range(n):
+        if i == 1:
+            m = min(j % n, (n - j) % n)
+        else:
+            jj = (j - n // 4) % n
+            m = min(jj, n - jj)
+        r = 2 - Fraction(8 * m, n)
+        r = max(Fraction(-1), min(Fraction(1), r))
+        vals.append(float(r))
+    return np.array(vals)
+
+
+def symbol_coefficients(rng, max_deg: int = 3) -> list[tuple[int, complex]]:
+    """The ordered (k, complex) coefficients of the symbol of one
+    random_toeplitz_poly draw, through the exact NCPoly and FourierPoly: what
+    probes._condition2_residual folds from the integers of the draw."""
+    return [(k, c.to_complex()) for k, c in symbol(random_toeplitz_poly(rng, max_deg)).coeffs.items()]
 
 
 # ---------------------------------------------------------------------------

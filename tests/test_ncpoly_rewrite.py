@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcomod import builtin
+from pcomod import builtin, suites
 from pcomod.exprs import parse_poly
 from pcomod.ncpoly import Alphabet, NCPoly, word_str
 from pcomod.rewrite import NoStarError, OrderViolation, RewriteSystem, SizeLimitError
@@ -275,6 +275,44 @@ def test_normal_form_idempotent_on_every_word(name, q):
     for w in system.all_words(4):
         p = nf(NCPoly.word(system.alphabet, w))
         assert nf(p) == p, (name, word_str(w), p)
+
+
+@pytest.fixture(scope="module")
+def suite_quotients():
+    """Every quotient system (RewriteSystem.extend_by_ideal) that the suites
+    build at their defaults, in the order they build them."""
+    built = []
+    extend = RewriteSystem.extend_by_ideal
+
+    def record(self, gens, name=""):
+        built.append(extend(self, gens, name))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(RewriteSystem, "extend_by_ideal", record)
+        for suite in suites.SUITES:
+            suites.run_suite(suites.SuiteConfig(suite))
+    return built
+
+
+def test_normal_form_idempotent_on_suite_quotients(suite_quotients):
+    """nf(nf(p)) = nf(p) for every basis word of degree <= 3 and every product
+    of two generators, in every quotient the suites build, and nf agrees with
+    the worklist oracle there.  In pw_patch box su_q2/gamma(J), with G -> 0, the
+    suffix zone turns A*As into 1 + (-q^2)*G*Gs, which must be reduced again."""
+    assert "pw_patch box su_q2/gamma(J)" in {system.name for system in suite_quotients}
+    for system in suite_quotients:
+        nf = system.normal_form
+        gens = [system.gen(g) for g in system.alphabet.gens]
+        polys = [NCPoly.word(system.alphabet, w) for w in system.basis_words(3)]
+        polys += [x.concat(y) for x in gens for y in gens]
+        for p in polys:
+            once = nf(p)
+            assert nf(once) == once, (system.name, p, once)
+            want = NCPoly(system.alphabet, {})
+            for w, c in p.terms.items():
+                want = want + worklist_normal_form(system, system.alphabet.canon(w)).scale(c)
+            assert once == want, (system.name, p)
 
 
 def test_all_paths_oracle_agrees(su):

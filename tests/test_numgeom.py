@@ -5,10 +5,13 @@ import pytest
 
 from oracles import (
     condition2_closures,
+    fraction_circle_angles,
+    fraction_phi_hat_grid,
     gauss_triple,
     per_entry_parity_probe,
     random_decomposition_roundtrips,
     scalar_draw_toeplitz_poly,
+    symbol_coefficients,
 )
 from pcomod import builtin
 from pcomod.ncpoly import NCPoly
@@ -39,7 +42,7 @@ from pcomod.numgeom import (
 )
 from pcomod.numgeom import membership, probes
 from pcomod.numgeom.grids import circle_angles
-from pcomod.numgeom.toeplitz import random_toeplitz_poly
+from pcomod.numgeom.toeplitz import random_symbol_coeffs, random_toeplitz_poly
 from pcomod.scalars import S_ONE, GaussRat, Scalar
 
 CFG = GridConfig()
@@ -70,6 +73,13 @@ def test_grid_oddness_bit_exact():
     for i in (1, 2):
         v = phi_hat_grid(i, CFG.n_circle)
         assert np.max(np.abs(v + np.roll(v, -(CFG.n_circle // 2)))) == 0.0
+
+
+@pytest.mark.parametrize("n", [8, 16, 24, 64, 720, 7200, 14400])
+def test_grid_tables_match_fraction_loops(n):
+    assert circle_angles(n).tobytes() == fraction_circle_angles(n).tobytes()
+    for i in (1, 2):
+        assert phi_hat_grid(i, n).tobytes() == fraction_phi_hat_grid(i, n).tobytes()
 
 
 def test_chart_and_splitting_reports():
@@ -200,16 +210,31 @@ def test_decomposition_backward_roundtrip_is_an_independent_claim(monkeypatch):
     assert not random_decomposition_roundtrips(CFG, n_random=8)["pass"]
 
 
+def _state_after(residual, states):
+    """residual, recording the generator state it leaves behind."""
+
+    def run(rng, n_random):
+        out = residual(rng, n_random)
+        states.append(rng.bit_generator.state)
+        return out
+
+    return run
+
+
 @pytest.mark.parametrize("seed", [20130915, 1, 31])
 def test_mattprop_condition2_matches_closures(monkeypatch, seed):
     cfg = GridConfig(seed=seed)
-    for n_random in (100, 1000):
-        fast = mattprop_report(cfg, n_random)
+    for n_random in (0, 1, 100, 1000):
+        states = []
         with monkeypatch.context() as m:
-            m.setattr(probes, "_condition2_residual", condition2_closures)
+            m.setattr(probes, "_condition2_residual", _state_after(probes._condition2_residual, states))
+            fast = mattprop_report(cfg, n_random)
+        with monkeypatch.context() as m:
+            m.setattr(probes, "_condition2_residual", _state_after(condition2_closures, states))
             slow = mattprop_report(cfg, n_random)
         assert fast["condition2_residual"] == slow["condition2_residual"]
         assert fast == slow
+        assert states[0] == states[1]
 
 
 def test_winding_numbers_and_guards():
@@ -288,6 +313,52 @@ def test_random_toeplitz_poly_matches_scalar_draws(seed):
         assert all(type(g) is int for c in p.terms.values() for g in (c.n[0].a, c.n[0].b, c.n[0].d))
     assert fast.bit_generator.state == slow.bit_generator.state
     assert fast.integers(-3, 4) == slow.integers(-3, 4)
+
+
+def test_random_symbol_coeffs_matches_exact_symbol():
+    for seed in range(2000):
+        fast, slow = GridConfig(seed=seed).rng(6), GridConfig(seed=seed).rng(6)
+        assert list(random_symbol_coeffs(fast, 3).items()) == symbol_coefficients(slow, 3)
+        assert fast.bit_generator.state == slow.bit_generator.state
+
+
+class ScriptedDraws:
+    """Generator stand-in whose integers() returns the scripted draws in turn."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def integers(self, low, high, size):
+        out = np.array(self.draws.pop(0))
+        assert out.shape == (size,) and low <= out.min() and out.max() < high
+        return out
+
+
+def _draw(**coeffs):
+    """The 20 integers of a degree-<=3 draw: (re, im) per basis word in basis
+    order, named e, s, ss, s2, s_ss, ss2, s3, s2_ss, s_ss2, ss3; 0 elsewhere."""
+    names = ("e", "s", "ss", "s2", "s_ss", "ss2", "s3", "s2_ss", "s_ss2", "ss3")
+    return [part for name in names for part in coeffs.get(name, (0, 0))]
+
+
+@pytest.mark.parametrize(
+    "draw, expected",
+    [
+        # all zero: random_toeplitz_poly returns the unit
+        (_draw(), [(0, 1 + 0j)]),
+        # the first word of the k = 0 pair is 0, so k = 0 enters after k = 1
+        (_draw(s=(1, 1), s_ss=(2, -1)), [(1, 1 + 1j), (0, 2 - 1j)]),
+        # the k = 1 pair cancels: k = 1 is popped after k = -1 entered
+        (_draw(s=(3, 0), ss=(0, -2), s2_ss=(-3, 0), e=(1, 0)), [(0, 1 + 0j), (-1, -2j)]),
+        # the k = 0 pair cancels and nothing else is drawn: the symbol is 0
+        (_draw(e=(-2, 3), s_ss=(2, -3)), []),
+        # the k = -1 pair adds up
+        (_draw(ss=(1, -1), s_ss2=(2, 3), ss3=(0, 1)), [(-1, 3 + 2j), (-3, 1j)]),
+    ],
+)
+def test_random_symbol_coeffs_edge_cases(draw, expected):
+    got = list(random_symbol_coeffs(ScriptedDraws(draw), 3).items())
+    assert got == symbol_coefficients(ScriptedDraws(draw), 3) == expected
 
 
 def test_peter_weyl_spot_values():
