@@ -492,7 +492,7 @@ def sphere_covering():
     return Trivialisation(cov, H, cleavings, name="quantum_sphere_trivialisation")
 
 
-def sphere_prolonged(degree_bound: int = 3):
+def sphere_prolonged():
     """Prolongation of the sphere trivialisation to O(U(1)) along the parity
     surjection; the reduction back is the shipped instance of the criterion."""
     from .pullback import prolong
@@ -502,7 +502,6 @@ def sphere_prolonged(degree_bound: int = 3):
         pi_u1_to_z2(),
         o_u1(),
         fiber_names={"u": "U", "ui": "Ui"},
-        degree_bound=degree_bound,
         preimages={"u": ("u",)},
     )
 

@@ -27,7 +27,6 @@ def make_parser() -> argparse.ArgumentParser:
     v.add_argument("--grid-circle", type=int, default=720)
     v.add_argument("--grid-interval", type=int, default=257)
     v.add_argument("--tol", type=float, default=1e-9)
-    v.add_argument("--trunc", type=int, default=64)
     v.add_argument("--seed", type=int, default=20130915)
     v.add_argument("--trials", type=int, default=100)
     v.add_argument("--samples", type=int, default=10_000, help="Monte-Carlo sample count")
@@ -79,7 +78,6 @@ def main(argv=None) -> int:
                 n_circle=args.grid_circle,
                 m_interval=args.grid_interval,
                 tol=args.tol,
-                trunc=args.trunc,
                 seed=args.seed,
             ),
             trials=args.trials,

@@ -158,10 +158,9 @@ class CleavingMap:
 class StrongConnection:
     """Linear lifting ell: H -> P (x) P tabulated on normal-form words."""
 
-    def __init__(self, P: ComoduleAlgebra, table: dict[Word, Tensor], bound: int):
+    def __init__(self, P: ComoduleAlgebra, table: dict[Word, Tensor]):
         self.P = P
         self.table = dict(table)
-        self.bound = bound
         if () not in self.table:
             self.table[()] = Tensor.of((P.system, P.system), P.system.one(), P.system.one())
 
@@ -175,7 +174,7 @@ class StrongConnection:
             .map_leg(1, j.j.apply_word, codomain=P.system)
             for w in H.system.basis_words(bound)
         }
-        return StrongConnection(P, table, bound)
+        return StrongConnection(P, table)
 
     def apply_word(self, w: Word) -> Tensor:
         if w not in self.table:
@@ -356,17 +355,15 @@ def smash_product(
     action_table: dict[tuple[str, str], NCPoly],
     name: str = "",
     h_central: bool = False,
-    check: bool = True,
 ) -> SmashProduct:
     """Build B x| H; raises NotModuleAlgebraError when the action fails
     the module-algebra axioms (checked on all generator/relation pairs)."""
     from .ncpoly import Alphabet
 
     action = ActionData(H, b_system, action_table)
-    if check:
-        problems = action.module_algebra_problems()
-        if problems:
-            raise NotModuleAlgebraError(f"{name or 'smash'}: {problems[0]}")
+    problems = action.module_algebra_problems()
+    if problems:
+        raise NotModuleAlgebraError(f"{name or 'smash'}: {problems[0]}")
     b_gens = b_system.alphabet.gens
     h_gens = H.system.alphabet.gens
     overlap = set(b_gens) & set(h_gens)
@@ -478,7 +475,6 @@ def theta_forward(f: LinearMap, smash: SmashProduct, dwords: Sequence[Word]) -> 
         smash.b_system,
         mode="table",
         table=table,
-        bound=max((len(w) for w in dwords), default=0),
     )
 
 
@@ -498,7 +494,6 @@ def theta_backward(theta: LinearMap, smash: SmashProduct, dwords: Sequence[Word]
         smash.system,
         mode="table",
         table=table,
-        bound=max((len(w) for w in dwords), default=0),
     )
 
 
@@ -694,7 +689,7 @@ def principal_quotient_pair_certificate(H: HopfAlgebra, J: HopfIdeal, bound: int
             .mul(Tensor.of((Hs, Hs), one, NCPoly.word(Hs.alphabet, k[1]))),
             Tensor.zero((Hs, Hs)),
         )
-    ell = StrongConnection(P, table, bound)
+    ell = StrongConnection(P, table)
     return verify_strong_connection(ell, bound), ell, P
 
 

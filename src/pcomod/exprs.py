@@ -118,7 +118,7 @@ class Parser:
         v = self.unary()
         while self.peek() == "*":
             self.take()
-            v = _mul(v, self.unary(), self.alphabet)
+            v = _mul(v, self.unary())
         return v
 
     def unary(self) -> Value:
@@ -199,7 +199,7 @@ def _add(a: Value, b: Value, alphabet: Alphabet) -> Value:
     return Value.poly(a.as_poly(alphabet) + b.as_poly(alphabet))
 
 
-def _mul(a: Value, b: Value, alphabet: Alphabet) -> Value:
+def _mul(a: Value, b: Value) -> Value:
     if a.kind == "scalar" and b.kind == "scalar":
         return Value.scalar(a.data * b.data)
     if a.kind == "scalar":

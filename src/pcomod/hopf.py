@@ -211,7 +211,7 @@ def convolution(
     """(f*g)(h) = f(h_(1)) g(h_(2)), tabulated on basis words up to the bound."""
     cod = codomain or f.codomain
     table = {w: H.convolve(w, f.apply_word, g.apply_word, cod) for w in H.system.basis_words(bound)}
-    return LinearMap(f"({f.name}*{g.name})", H.system, cod, mode="table", table=table, bound=bound)
+    return LinearMap(f"({f.name}*{g.name})", H.system, cod, mode="table", table=table)
 
 
 # ----------------------------------------------------------------------------

@@ -60,7 +60,6 @@ class LinearMap:
         mode: str = "algebra",
         gen_images: dict[str, NCPoly] | None = None,
         table: dict[Word, NCPoly] | None = None,
-        bound: int | None = None,
         check: bool = True,
     ):
         assert mode in ("algebra", "anti", "table")
@@ -74,7 +73,6 @@ class LinearMap:
             if table is not None
             else None
         )
-        self.bound = bound
         self._word_cache: dict[Word, NCPoly] = {}
         if mode in ("algebra", "anti"):
             missing = set(domain.alphabet.gens) - set(gen_images or ())
@@ -144,7 +142,6 @@ class FunctionMap(LinearMap):
         self.mode = "function"
         self.gen_images = None
         self.table = None
-        self.bound = None
         self._fn = fn
 
     def apply_word(self, w: Word) -> NCPoly:

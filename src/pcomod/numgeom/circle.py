@@ -1,6 +1,7 @@
 """The explicit circle maps: piecewise-linear quarter parametrizations phi-hat,
 the quarter charts delta_i, their pullbacks, the colinear splittings omega-hat,
-the gluing point maps, and the gauge conjugation checks.
+the point maps of the 01 gluing and of the gauge, and the gauge conjugation
+checks.  The three gluings themselves are membership.GLUINGS.
 
 Everything is evaluated structurally (exact closed forms composed as closures),
 so exact identities stay exact here up to machine precision.
@@ -107,11 +108,6 @@ def omega_hat(i: int, f) -> CircleFn:
     return lambda th: h0(phi_hat(1, th)) + phi_hat(2, th) * h1(phi_hat(1, th))
 
 
-def iota_z2_pullback(h) -> Callable:
-    """iota_Z2^*: C(I) -> C(Z2), restriction to the endpoints."""
-    return lambda k: h(np.asarray(k, dtype=float))
-
-
 def iota_z2_pushforward(g) -> Callable:
     """iota^Z2_*: C(Z2) -> C(I): 1 -> 1, u -> t (the colinear splitting)."""
     g1 = g(1.0)
@@ -122,69 +118,24 @@ def iota_z2_pushforward(g) -> Callable:
 
 
 # ---------------------------------------------------------------------------
-# point maps of the gluing isomorphisms (all grid-closed on symmetric grids)
+# point maps of the 01 gluing and of the gauge
 # ---------------------------------------------------------------------------
 
-def psi_point(ij: str, *args):
-    """Point maps whose pullbacks are the base gluings Psi_ij."""
-    if ij == "01":  # C(Z2)xC(I) -> C(Z2)xC(I), pullback of (k,t) -> (k, kt)
-        k, t = args
-        return (k, k * t)
-    if ij == "02":  # pullback sends F in C(Z2)xC(I) to (t,k) -> F(k, kt)
-        t, k = args
-        return (k, k * t)
-    if ij == "12":  # C(I)xC(Z2) -> C(I)xC(Z2): (t,k) -> (kt, k)
-        t, k = args
-        return (k * t, k)
-    raise ValueError(ij)
+def phi_tilde_pullback(F):
+    """The rightmost-coaction gluing Phi~_01, built from Psi_01 and the f = id
+    transition: pullback along (a,t,c) -> (a, at, ac)."""
+    return lambda a, t, c: F(a, a * t, a * c)
 
 
-def psi_pullback(ij: str, F):
-    if ij == "01":
-        return lambda k, t: F(*psi_point("01", k, t))
-    if ij == "02":
-        return lambda t, k: F(*psi_point("02", t, k))
-    return lambda t, k: F(*psi_point("12", t, k))
+def phi_gauged_pullback(F):
+    """The gauged gluing Phi_01(h (x) p (x) k) = k (x) p (x) h."""
+    return lambda a, t, c: F(c, t, a)
 
 
-def phi_tilde_pullback(ij: str, F):
-    """The rightmost-coaction gluings, built from Psi and the f = id
-    transition: pullbacks along
-    (a,t,c) -> (a, at, ac)   [01]
-    (t,a,c) -> (a, at, ac)   [02]
-    (t,a,c) -> (at, a, ac)   [12]"""
-    if ij == "01":
-        return lambda a, t, c: F(a, a * t, a * c)
-    if ij == "02":
-        return lambda t, a, c: F(a, a * t, a * c)
-    if ij == "12":
-        return lambda t, a, c: F(a * t, a, a * c)
-    raise ValueError(ij)
-
-
-def phi_gauged_pullback(ij: str, F):
-    """The gauged gluings: Phi_01(h (x) p (x) k) = k (x) p (x) h etc."""
-    if ij == "01":
-        return lambda a, t, c: F(c, t, a)
-    if ij == "02":
-        return lambda t, a, c: F(c, t, a)
-    if ij == "12":
-        return lambda t, a, c: F(t, c, a)
-    raise ValueError(ij)
-
-
-def gauge_pullback(kind: str, F):
-    """g_B: b (x) h -> b_(0) (x) b_(1) h as a point map:
-    kind 'z2i' : (a,t,c) -> (ac, ct, c)    on C(Z2) (x) C(I) (x) C(Z2)
-    kind 'iz2' : (t,a,c) -> (ct, ac, c)    on C(I) (x) C(Z2) (x) C(Z2)
-    kind 'circle' : (z,c) -> (cz, c)       on the symbol side of T (x) C(Z2)."""
-    if kind == "z2i":
-        return lambda a, t, c: F(a * c, c * t, c)
-    if kind == "iz2":
-        return lambda t, a, c: F(c * t, a * c, c)
-    if kind == "circle":
-        return lambda z, c: F(c * z, c)
-    raise ValueError(kind)
+def gauge_pullback(F):
+    """g_B: b (x) h -> b_(0) (x) b_(1) h on C(Z2) (x) C(I) (x) C(Z2), as the
+    point map (a,t,c) -> (ac, ct, c)."""
+    return lambda a, t, c: F(a * c, c * t, c)
 
 
 # ---------------------------------------------------------------------------
@@ -283,21 +234,18 @@ def gauge_conjugation_report(cfg: GridConfig, n_random: int = 200) -> dict:
         for u_deg in (0, 1):
             # X = (sigma_1 (x) id)(p (x) u^deg)
             X = lambda aa, xx, cc: Fp.eval(ang(aa, xx)) * (cc**u_deg)
-            gX = gauge_pullback("z2i", X)
+            gX = gauge_pullback(X)
             # conjugate on the source: p (x) u^deg is Z2-homogeneous of degree len-parity
-            # g(p (x) t) needs the T-side action; on symbols: z -> cz
+            # g(p (x) t) needs the T-side action; on symbols: (z, c) -> (cz, c)
             src = lambda zz, cc: Fp.eval_at(zz) * (cc**u_deg)
-            gsrc = gauge_pullback("circle", src)
-            Y = lambda aa, xx, cc: gsrc(np.exp(1j * ang(aa, xx)), cc)
+            Y = lambda aa, xx, cc: src(cc * np.exp(1j * ang(aa, xx)), cc)
             lhs = gX(a, tt, c)
             # sigma_1 (x) id applied after the source gauge:
             rhs = Y(a, tt, c)
             out["sigma_conj"] = max(out["sigma_conj"], float(np.max(np.abs(lhs - rhs))))
             # gauged Phi_01 = g o Phi~_01 o g vs the closed-form swap
-            conj = lambda aa, xx, cc: gauge_pullback(
-                "z2i", phi_tilde_pullback("01", gauge_pullback("z2i", X))
-            )(aa, xx, cc)
-            closed = phi_gauged_pullback("01", X)
+            conj = gauge_pullback(phi_tilde_pullback(gauge_pullback(X)))
+            closed = phi_gauged_pullback(X)
             out["phi_closed_form"] = max(
                 out["phi_closed_form"], float(np.max(np.abs(conj(a, tt, c) - closed(a, tt, c))))
             )

@@ -12,7 +12,6 @@ class GridConfig:
     n_circle: int = 720          # uniform angles, 8 | n so quarter breakpoints are grid points
     m_interval: int = 257        # Chebyshev nodes on [-1, 1], endpoints included
     tol: float = 1e-9
-    trunc: int = 64              # Toeplitz truncation size for matrix spot checks
     seed: int = 20130915
 
     def rng(self, salt: int = 0) -> np.random.Generator:

@@ -11,7 +11,7 @@ import numpy as np
 
 from ..ncpoly import NCPoly
 from ..scalars import S_ONE, Scalar
-from .circle import delta_angle, phi_gauged_pullback, psi_pullback
+from .circle import delta_angle
 from .grids import GridConfig, Z2, interval_nodes
 from .toeplitz import _toeplitz_basis, symbol, toeplitz_flip
 
@@ -53,93 +53,68 @@ class SphereElement:
         return all(p0.is_zero() and p1.is_zero() for p0, p1 in self.components)
 
 
-def _sigma_eval(p: NCPoly, i: int, k, t) -> np.ndarray:
-    """sigma_i(p) evaluated on the grids (exact symbol, exact chart angles)."""
-    return symbol(p).eval(delta_angle(i, k, t))
+GLUINGS = (("01", 0, 1, 1, 1), ("02", 0, 2, 2, 1), ("12", 1, 2, 2, 2))
+"""The three edges of the triple pullbacks, as (edge, piece a, piece b, chart
+of a, chart of b): piece a seen through sigma_(chart of a) is glued to piece b
+seen through sigma_(chart of b).  Every membership check below reads this
+table; each chart is evaluated at (k, t) as in delta_angle."""
+
+
+def _sup(x: np.ndarray) -> float:
+    return float(np.max(np.abs(x)))
 
 
 def rp2_membership(tup: Sequence[NCPoly], cfg: GridConfig) -> tuple[bool, float]:
-    """The three defining identifications of the quantum projective plane:
-    sigma_1(t0) = Psi_01 sigma_1(t1), sigma_2(t0) = Psi_02 sigma_1(t2),
-    sigma_2(t1) = Psi_12 sigma_2(t2)."""
-    t0, t1, t2 = tup
-    x = interval_nodes(cfg.m_interval)[None, :]
+    """The quantum projective plane: sigma_i(t_a)(k, t) = sigma_j(t_b)(k, kt)
+    along each gluing (a, b, i, j)."""
     k = Z2[:, None]
-    F1 = {i: (lambda p: (lambda kk, tt: _sigma_eval(p, 1, kk, tt)))(p) for i, p in enumerate(tup)}
-    F2 = {i: (lambda p: (lambda tt, kk: _sigma_eval(p, 2, kk, tt)))(p) for i, p in enumerate(tup)}
+    t = interval_nodes(cfg.m_interval)[None, :]
+    F = [symbol(p) for p in tup]
     r = 0.0
-    r = max(r, float(np.max(np.abs(F1[0](k, x) - psi_pullback("01", F1[1])(k, x)))))
-    xx = x.T
-    kk = Z2[None, :]
-    r = max(r, float(np.max(np.abs(F2[0](xx, kk) - psi_pullback("02", F1[2])(xx, kk)))))
-    r = max(r, float(np.max(np.abs(F2[1](xx, kk) - psi_pullback("12", F2[2])(xx, kk)))))
-    return r < cfg.tol, r
-
-
-def _component_eval(pair, i: int, a, t, c) -> np.ndarray:
-    """(sigma_i (x) id) of p0 (x) 1 + p1 (x) u, evaluated at (a, t, c) or (t, a, c)."""
-    p0, p1 = pair
-    return _sigma_eval(p0, i, a, t) + _sigma_eval(p1, i, a, t) * c
-
-
-def sphere_membership(elt: SphereElement, cfg: GridConfig) -> tuple[bool, float]:
-    """The gauged gluing conditions of the quantum-sphere triple pullback."""
-    x = interval_nodes(cfg.m_interval)
-    a = Z2[:, None, None]
-    t = x[None, :, None]
-    c = Z2[None, None, :]
-    c0, c1, c2 = elt.components
-    r = 0.0
-    # (sigma_1 x id)(c0)(a,t,c) = (sigma_1 x id)(c1) after Phi_01 swap (c,t,a)
-    lhs = _component_eval(c0, 1, a, t, c)
-    rhs = phi_gauged_pullback("01", lambda A, T, C: _component_eval(c1, 1, A, T, C))(a, t, c)
-    r = max(r, float(np.max(np.abs(lhs - rhs))))
-    # (sigma_2 x id)(c0)(t,a,c) = Phi_02 (sigma_1 x id)(c2)
-    lhs2 = _sigma_eval(c0[0], 2, a, t) + _sigma_eval(c0[1], 2, a, t) * c
-    rhs2 = phi_gauged_pullback("02", lambda A, T, C: _component_eval(c2, 1, A, T, C))(
-        t, a, c
-    )
-    r = max(r, float(np.max(np.abs(lhs2 - rhs2))))
-    # (sigma_2 x id)(c1)(t,a,c) = Phi_12 (sigma_2 x id)(c2)
-    lhs3 = _sigma_eval(c1[0], 2, a, t) + _sigma_eval(c1[1], 2, a, t) * c
-    rhs3 = phi_gauged_pullback("12", lambda T, A, C: _sigma_eval(c2[0], 2, A, T) + _sigma_eval(c2[1], 2, A, T) * C)(t, a, c)
-    r = max(r, float(np.max(np.abs(lhs3 - rhs3))))
+    for _, a, b, i, j in GLUINGS:
+        r = max(r, _sup(F[a].eval(delta_angle(i, k, t)) - F[b].eval(delta_angle(j, k, k * t))))
     return r < cfg.tol, r
 
 
 def disc_membership(tup: Sequence[NCPoly], cfg: GridConfig) -> tuple[bool, float]:
-    """The quantum-disc triple: boundary edges glued along three interval maps."""
-    p0, p1, p2 = tup
-    x = interval_nodes(cfg.m_interval)
+    """The quantum-disc triple: sigma_i(p_a)(-1, t) = sigma_j(p_b)(-1, t)
+    along each gluing (a, b, i, j)."""
+    t = interval_nodes(cfg.m_interval)
+    F = [symbol(p) for p in tup]
     r = 0.0
-    r = max(r, float(np.max(np.abs(_sigma_eval(p0, 1, -1.0, x) - _sigma_eval(p1, 1, -1.0, x)))))
-    r = max(r, float(np.max(np.abs(_sigma_eval(p0, 2, -1.0, x) - _sigma_eval(p2, 1, -1.0, x)))))
-    r = max(r, float(np.max(np.abs(_sigma_eval(p1, 2, -1.0, x) - _sigma_eval(p2, 2, -1.0, x)))))
+    for _, a, b, i, j in GLUINGS:
+        r = max(r, _sup(F[a].eval(delta_angle(i, -1.0, t)) - F[b].eval(delta_angle(j, -1.0, t))))
     return r < cfg.tol, r
 
 
 def face_atlas(elt: SphereElement, cfg: GridConfig) -> dict:
-    """Evaluate the six faces T_{i,+-1} and certify the twelve edge
-    identifications (the three gluing conditions at the four Z2 x Z2 corners)."""
-    x = interval_nodes(cfg.m_interval)
-    faces = {}
-    for i, (p0, p1) in enumerate(elt.components):
-        for j in (1.0, -1.0):
-            faces[(i, int(j))] = p0 + p1.scale(S_ONE if j > 0 else -S_ONE)
+    """The twelve edge identifications of the six faces T_{i,+-1}: at each
+    corner (a, c) of Z2 x Z2 and each gluing, (sigma_i (x) id)(piece a) at
+    (a, t, c) equals (sigma_j (x) id)(piece b) at the swapped point (c, t, a),
+    where (sigma (x) id)(p0 (x) 1 + p1 (x) u) at (a, t, c) is
+    sigma(p0)(a, t) + sigma(p1)(a, t) c."""
+    t = interval_nodes(cfg.m_interval)
+    F = [(symbol(p0), symbol(p1)) for p0, p1 in elt.components]
+
+    def face(piece: int, i: int, a: float, c: float) -> np.ndarray:
+        F0, F1 = F[piece]
+        theta = delta_angle(i, a, t)
+        return F0.eval(theta) + F1.eval(theta) * c
+
     edges = {}
-    c0, c1, c2 = elt.components
-    pair_of = {"01": (c0, c1), "02": (c0, c2), "12": (c1, c2)}
-    sig_of = {"01": (1, 1), "02": (2, 1), "12": (2, 2)}
-    for key in ("01", "02", "12"):
-        left, right = pair_of[key]
-        si, sj = sig_of[key]
+    for key, pa, pb, i, j in GLUINGS:
         for a in (1.0, -1.0):
             for c in (1.0, -1.0):
-                lhs = _sigma_eval(left[0], si, a, x) + _sigma_eval(left[1], si, a, x) * c
-                rhs = _sigma_eval(right[0], sj, c, x) + _sigma_eval(right[1], sj, c, x) * a
-                edges[(key, int(a), int(c))] = float(np.max(np.abs(lhs - rhs)))
+                edges[(key, int(a), int(c))] = _sup(face(pa, i, a, c) - face(pb, j, c, a))
     worst = max(edges.values())
-    return {"edges": edges, "max_residual": worst, "pass": worst < cfg.tol, "faces": list(faces)}
+    return {"edges": edges, "max_residual": worst, "pass": worst < cfg.tol}
+
+
+def sphere_membership(elt: SphereElement, cfg: GridConfig) -> tuple[bool, float]:
+    """The gauged gluing conditions of the quantum-sphere triple pullback: the
+    worst of face_atlas's twelve edges."""
+    atlas = face_atlas(elt, cfg)
+    return atlas["pass"], atlas["max_residual"]
 
 
 # ---------------------------------------------------------------------------

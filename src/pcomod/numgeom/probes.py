@@ -11,10 +11,7 @@ from .circle import (
     delta_angle,
     delta_pullback,
     interval_fn,
-    iota_z2_pullback,
-    iota_z2_pushforward,
     omega_hat,
-    phi_gauged_pullback,
     phi_hat,
 )
 from .grids import GridConfig, Z2, circle_angles, interval_nodes

@@ -287,7 +287,7 @@ class ReducibilityVerdict:
         return "reducible-witnessed" if self.reducible else f"obstructed({self.witnesses[:1]})"
 
 
-def reducibility_check(triv: Trivialisation, J: HopfIdeal, bound: int = 3) -> ReducibilityVerdict:
+def reducibility_check(triv: Trivialisation, J: HopfIdeal) -> ReducibilityVerdict:
     """(a) T_ij(J) = 0 for all pairs; (b) J |>_i B_i = 0 with
     h |>_i b = gamma_i(h_(1)) b gamma_i(S(h_(2))).  On success, emits reduced
     pieces and descended H/J-cleavings."""
@@ -421,7 +421,6 @@ def prolong(
     pi: LinearMap,
     H: HopfAlgebra,
     fiber_names: dict[str, str] | None = None,
-    degree_bound: int = 3,
     preimages: dict[str, Word] | None = None,
 ) -> Prolongation:
     """Prolongation along a Hopf surjection pi: H -> Hbar.

@@ -1,7 +1,8 @@
 """Independent oracles used to freeze expected values: small hand-rolled models
 that do not share code with the engine under test, exhaustive searches that
 use only the engine's single rewriting step and normal form, the sampling
-loops that exact certificates and precomputed tables replaced, the
+loops that exact certificates and precomputed tables replaced, the per-check
+copies of the three gluings that one table replaced, the
 degree-bounded axiom loops that the relation-plus-generator certificates
 replaced, and the build-at-formal-q-then-substitute path that parsing at a
 fixed q replaced."""
@@ -21,7 +22,7 @@ from pcomod.hopf import CheckFailure, HopfAlgebra
 from pcomod.ncpoly import NCPoly, word_str
 from pcomod.numgeom import membership, probes
 from pcomod.numgeom.circle import delta_angle, omega_hat
-from pcomod.numgeom.grids import Z2, circle_angles
+from pcomod.numgeom.grids import Z2, circle_angles, interval_nodes
 from pcomod.numgeom.toeplitz import _toeplitz_basis, random_toeplitz_poly, symbol
 from pcomod.rewrite import Conflict, ConfluenceReport, RewriteSystem, SizeLimitError
 from pcomod.scalars import S_ONE, S_ZERO, GaussRat, Scalar
@@ -412,6 +413,127 @@ def condition2_closures(rng, n_random: int) -> float:
         cs = Z2[None, None, :]
         worst_c2 = max(worst_c2, float(np.max(np.abs(ZA(aas, xs, cs) - ZB(aas, xs, cs)))))
     return worst_c2
+
+
+# The three gluings written out once per membership check, with string-keyed
+# point maps and the exact symbol rebuilt on every evaluation: the copies that
+# membership.GLUINGS replaced.
+
+def psi_point(ij: str, *args):
+    """Point maps whose pullbacks are the base gluings Psi_ij."""
+    if ij == "01":  # C(Z2)xC(I) -> C(Z2)xC(I), pullback of (k,t) -> (k, kt)
+        k, t = args
+        return (k, k * t)
+    if ij == "02":  # pullback sends F in C(Z2)xC(I) to (t,k) -> F(k, kt)
+        t, k = args
+        return (k, k * t)
+    if ij == "12":  # C(I)xC(Z2) -> C(I)xC(Z2): (t,k) -> (kt, k)
+        t, k = args
+        return (k * t, k)
+    raise ValueError(ij)
+
+
+def psi_pullback(ij: str, F):
+    if ij == "01":
+        return lambda k, t: F(*psi_point("01", k, t))
+    if ij == "02":
+        return lambda t, k: F(*psi_point("02", t, k))
+    return lambda t, k: F(*psi_point("12", t, k))
+
+
+def phi_gauged_pullback(ij: str, F):
+    """The gauged gluings: Phi_01(h (x) p (x) k) = k (x) p (x) h etc."""
+    if ij == "01":
+        return lambda a, t, c: F(c, t, a)
+    if ij == "02":
+        return lambda t, a, c: F(c, t, a)
+    if ij == "12":
+        return lambda t, a, c: F(t, c, a)
+    raise ValueError(ij)
+
+
+def _sigma_eval(p: NCPoly, i: int, k, t) -> np.ndarray:
+    """sigma_i(p) evaluated on the grids (exact symbol, exact chart angles)."""
+    return symbol(p).eval(delta_angle(i, k, t))
+
+
+def _component_eval(pair, i: int, a, t, c) -> np.ndarray:
+    """(sigma_i (x) id) of p0 (x) 1 + p1 (x) u, evaluated at (a, t, c) or (t, a, c)."""
+    p0, p1 = pair
+    return _sigma_eval(p0, i, a, t) + _sigma_eval(p1, i, a, t) * c
+
+
+def rp2_membership(tup, cfg) -> tuple[bool, float]:
+    """The three defining identifications of the quantum projective plane:
+    sigma_1(t0) = Psi_01 sigma_1(t1), sigma_2(t0) = Psi_02 sigma_1(t2),
+    sigma_2(t1) = Psi_12 sigma_2(t2)."""
+    x = interval_nodes(cfg.m_interval)[None, :]
+    k = Z2[:, None]
+    F1 = {i: (lambda p: (lambda kk, tt: _sigma_eval(p, 1, kk, tt)))(p) for i, p in enumerate(tup)}
+    F2 = {i: (lambda p: (lambda tt, kk: _sigma_eval(p, 2, kk, tt)))(p) for i, p in enumerate(tup)}
+    r = 0.0
+    r = max(r, float(np.max(np.abs(F1[0](k, x) - psi_pullback("01", F1[1])(k, x)))))
+    xx = x.T
+    kk = Z2[None, :]
+    r = max(r, float(np.max(np.abs(F2[0](xx, kk) - psi_pullback("02", F1[2])(xx, kk)))))
+    r = max(r, float(np.max(np.abs(F2[1](xx, kk) - psi_pullback("12", F2[2])(xx, kk)))))
+    return r < cfg.tol, r
+
+
+def sphere_membership(elt, cfg) -> tuple[bool, float]:
+    """The gauged gluing conditions of the quantum-sphere triple pullback."""
+    x = interval_nodes(cfg.m_interval)
+    a = Z2[:, None, None]
+    t = x[None, :, None]
+    c = Z2[None, None, :]
+    c0, c1, c2 = elt.components
+    r = 0.0
+    # (sigma_1 x id)(c0)(a,t,c) = (sigma_1 x id)(c1) after Phi_01 swap (c,t,a)
+    lhs = _component_eval(c0, 1, a, t, c)
+    rhs = phi_gauged_pullback("01", lambda A, T, C: _component_eval(c1, 1, A, T, C))(a, t, c)
+    r = max(r, float(np.max(np.abs(lhs - rhs))))
+    # (sigma_2 x id)(c0)(t,a,c) = Phi_02 (sigma_1 x id)(c2)
+    lhs2 = _sigma_eval(c0[0], 2, a, t) + _sigma_eval(c0[1], 2, a, t) * c
+    rhs2 = phi_gauged_pullback("02", lambda A, T, C: _component_eval(c2, 1, A, T, C))(t, a, c)
+    r = max(r, float(np.max(np.abs(lhs2 - rhs2))))
+    # (sigma_2 x id)(c1)(t,a,c) = Phi_12 (sigma_2 x id)(c2)
+    lhs3 = _sigma_eval(c1[0], 2, a, t) + _sigma_eval(c1[1], 2, a, t) * c
+    rhs3 = phi_gauged_pullback(
+        "12", lambda T, A, C: _sigma_eval(c2[0], 2, A, T) + _sigma_eval(c2[1], 2, A, T) * C
+    )(t, a, c)
+    r = max(r, float(np.max(np.abs(lhs3 - rhs3))))
+    return r < cfg.tol, r
+
+
+def disc_membership(tup, cfg) -> tuple[bool, float]:
+    """The quantum-disc triple: boundary edges glued along three interval maps."""
+    p0, p1, p2 = tup
+    x = interval_nodes(cfg.m_interval)
+    r = 0.0
+    r = max(r, float(np.max(np.abs(_sigma_eval(p0, 1, -1.0, x) - _sigma_eval(p1, 1, -1.0, x)))))
+    r = max(r, float(np.max(np.abs(_sigma_eval(p0, 2, -1.0, x) - _sigma_eval(p2, 1, -1.0, x)))))
+    r = max(r, float(np.max(np.abs(_sigma_eval(p1, 2, -1.0, x) - _sigma_eval(p2, 2, -1.0, x)))))
+    return r < cfg.tol, r
+
+
+def face_atlas(elt, cfg) -> dict:
+    """The twelve edge identifications (the three gluing conditions at the
+    four Z2 x Z2 corners), each gluing written out by its own key."""
+    x = interval_nodes(cfg.m_interval)
+    edges = {}
+    c0, c1, c2 = elt.components
+    pair_of = {"01": (c0, c1), "02": (c0, c2), "12": (c1, c2)}
+    sig_of = {"01": (1, 1), "02": (2, 1), "12": (2, 2)}
+    for key in ("01", "02", "12"):
+        left, right = pair_of[key]
+        si, sj = sig_of[key]
+        for a in (1.0, -1.0):
+            for c in (1.0, -1.0):
+                lhs = _sigma_eval(left[0], si, a, x) + _sigma_eval(left[1], si, a, x) * c
+                rhs = _sigma_eval(right[0], sj, c, x) + _sigma_eval(right[1], sj, c, x) * a
+                edges[(key, int(a), int(c))] = float(np.max(np.abs(lhs - rhs)))
+    worst = max(edges.values())
+    return {"edges": edges, "max_residual": worst, "pass": worst < cfg.tol}
 
 
 def per_entry_parity_probe(n: int, trials: int, cfg) -> tuple:

@@ -69,9 +69,9 @@ def test_criterion_2_strong_connection_degree_4():
 
 
 def test_criterion_3_reduction_theorem_instance():
-    pro = builtin.sphere_prolonged(3)
+    pro = builtin.sphere_prolonged()
     J = builtin.u1_mod_z2_ideal()
-    verdict = reducibility_check(pro.trivialisation, J, bound=3)
+    verdict = reducibility_check(pro.trivialisation, J)
     tij_zero = True
     for i in range(3):
         for j in range(3):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
 from oracles import (
     condition2_closures,
     fraction_circle_angles,
@@ -123,6 +124,31 @@ def test_face_atlas_localizes_corruption():
     assert not bad["pass"]
     broken = [k for k, v in bad["edges"].items() if v > CFG.tol]
     assert broken and all(k[0] in ("01", "12") for k in broken)
+
+
+@pytest.mark.parametrize("grid", [(720, 257), (64, 33)])
+def test_gluing_table_matches_per_check_oracles(grid):
+    """Every membership check read from membership.GLUINGS gives the floats,
+    and face_atlas the edge dict in order, of the per-check copies in
+    tests/oracles.py, on 200 random degree-<=3 tuples and sphere elements.
+    Every fifth case repeats one random constant in every slot, a member,
+    so residuals of exactly 0 are compared too."""
+    cfg = GridConfig(n_circle=grid[0], m_interval=grid[1])
+    rng = cfg.rng(61)
+    zero = NCPoly.zero(builtin.toeplitz_system().alphabet)
+    for trial in range(200):
+        if trial % 5 == 0:
+            tup = [random_toeplitz_poly(rng, 0)] * 3
+            elt = SphereElement([(tup[0], zero)] * 3)
+        else:
+            tup = [random_toeplitz_poly(rng, 3) for _ in range(3)]
+            elt = SphereElement([(random_toeplitz_poly(rng, 3), random_toeplitz_poly(rng, 3)) for _ in range(3)])
+        assert rp2_membership(tup, cfg) == oracles.rp2_membership(tup, cfg)
+        assert disc_membership(tup, cfg) == oracles.disc_membership(tup, cfg)
+        assert sphere_membership(elt, cfg) == oracles.sphere_membership(elt, cfg)
+        got, want = face_atlas(elt, cfg), oracles.face_atlas(elt, cfg)
+        assert list(got["edges"].items()) == list(want["edges"].items())
+        assert got == want
 
 
 def test_symbol_exactness_and_flip():

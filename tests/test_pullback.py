@@ -83,7 +83,7 @@ def test_equal_cleavings_give_counit_transitions(z2_smash):
 
 def test_reducibility_positive_and_negative(sphere_pro, plane_smash):
     J = builtin.u1_mod_z2_ideal()
-    verdict = reducibility_check(sphere_pro.trivialisation, J, bound=3)
+    verdict = reducibility_check(sphere_pro.trivialisation, J)
     assert verdict.reducible
     assert len(verdict.reduced_pieces) == 3
     # descended cleavings land in the reduced pieces and respect H/J
@@ -94,13 +94,13 @@ def test_reducibility_positive_and_negative(sphere_pro, plane_smash):
     cov = Covering([CoveringPiece(sm, base_gens=("x", "y"))], {}, name="single")
     triv = Trivialisation(cov, sm.hopf, [sm.cleaving()])
     JG = builtin.gl_mod_det_ideal(sm.hopf)
-    verdict = reducibility_check(triv, JG, bound=2)
+    verdict = reducibility_check(triv, JG)
     assert not verdict.reducible
     w = next(f for f in verdict.witnesses if f.check == "action-annihilates-base")
     assert "x" in w.detail and "q^3" in w.detail
     # and trivially reducible for the zero ideal
     J0 = HopfIdeal(sm.hopf, [], name="<0>")
-    assert reducibility_check(triv, J0, bound=2).reducible
+    assert reducibility_check(triv, J0).reducible
 
 
 def test_transition_kills_ideal_exactly(sphere_pro):
@@ -187,7 +187,7 @@ def test_patch_prolongation_reduces_back():
     pro = builtin.patch_prolonged()
     J = builtin.su_gamma_ideal()
     assert J.validate() == []
-    verdict = reducibility_check(pro.trivialisation, J, bound=2)
+    verdict = reducibility_check(pro.trivialisation, J)
     assert verdict.reducible
     # the reduced piece identifies the gamma fibers with zero
     rsys = verdict.reduced_pieces[0].system
@@ -208,7 +208,7 @@ def test_prolong_at_the_classical_point():
     assert all(r.rhs != NCPoly.word(al, r.lhs_word) for r in psys.rules)
     ag = NCPoly.word(al, ("A", "G"))
     assert psys.normal_form(ag) == NCPoly.word(al, ("G", "A"))
-    assert reducibility_check(pro.trivialisation, builtin.su_gamma_ideal(builtin.su_q2(1)), bound=2).reducible
+    assert reducibility_check(pro.trivialisation, builtin.su_gamma_ideal(builtin.su_q2(1))).reducible
 
 
 def test_prolong_requires_surjection(sphere):

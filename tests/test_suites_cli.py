@@ -102,11 +102,14 @@ def test_record_seeds_are_id_labels():
 
 
 def test_jobs_is_a_constant_and_not_a_flag(capsys):
-    assert run_suite(mini_cfg("transition")).params["jobs"] == 1
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--suite", "transition", "--jobs", "2"])
-    assert exc.value.code == 2
-    assert "--jobs" in capsys.readouterr().err
+    """Neither "jobs" nor "trunc" is a flag; the report keeps both as constants."""
+    params = run_suite(mini_cfg("transition")).params
+    for key, value in (("jobs", 1), ("trunc", 64)):
+        assert params[key] == value
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "transition", f"--{key}", "2"])
+        assert exc.value.code == 2
+        assert f"--{key}" in capsys.readouterr().err
 
 
 def test_cli_list_and_export(tmp_path, capsys):

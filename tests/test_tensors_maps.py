@@ -47,7 +47,7 @@ def test_linear_map_modes_and_validation(z2, u1):
     with pytest.raises(NotWellDefinedError):
         gens_map("bad", u1.system, z2.system, {"u": NCPoly.gen(alz, "u"), "ui": NCPoly.one(alz)})
     table = LinearMap("t", z2.system, z2.system, mode="table",
-                      table={(): NCPoly.one(alz), ("u",): NCPoly.gen(alz, "u")}, bound=1)
+                      table={(): NCPoly.one(alz), ("u",): NCPoly.gen(alz, "u")})
     with pytest.raises(DegreeExceededError):
         table.apply_word(("u", "u", "u"))  # tables hold normal-form words only
 
@@ -66,7 +66,7 @@ def test_algebra_map_must_respect_a_central_letter():
 def test_table_maps_use_canonical_keys(z2):
     alz = z2.system.alphabet
     table = LinearMap("t", z2.system, z2.system, mode="table",
-                      table={(): NCPoly.one(alz), ("u",): NCPoly.gen(alz, "u")}, bound=1)
+                      table={(): NCPoly.one(alz), ("u",): NCPoly.gen(alz, "u")})
     # the canonical form of u^3 in the table's domain is not reduced by the map itself
     assert table.apply(z2.system.normal_form(NCPoly.word(alz, ("u",) * 3))) == NCPoly.gen(alz, "u")
 
@@ -110,7 +110,7 @@ def test_convolution_associative_randomized(u1):
             c = Scalar.of(GaussRat(rng.randint(-2, 2), rng.randint(-1, 1)))
             k = rng.choice(words)
             table[w] = NCPoly.word(alz, k, c) if not c.is_zero() else NCPoly.zero(alz)
-        return LinearMap(f"r{rng.random()}", u1.system, u1.system, mode="table", table=table, bound=3)
+        return LinearMap(f"r{rng.random()}", u1.system, u1.system, mode="table", table=table)
 
     for _ in range(12):
         f, g, h = rand_table(), rand_table(), rand_table()
