@@ -12,7 +12,7 @@ from .maps import DegreeExceededError, LinearMap, gens_map, relation_mismatches
 from .ncpoly import NCPoly, Word, word_str
 from .rewrite import RewriteSystem
 from .scalars import S_ONE
-from .tensors import Tensor, linear_image
+from .tensors import Tensor, TensorSpace, linear_image
 
 
 class NotModuleAlgebraError(ValueError):
@@ -25,7 +25,9 @@ class PreconditionError(ValueError):
 
 class ComoduleAlgebra:
     """Presented algebra P with an H-coaction declared on generators and
-    extended as an algebra map."""
+    extended as an algebra map, the memoised LinearMap ``rho`` into
+    ``TensorSpace((system, hopf.system))``. Nothing is checked at
+    construction; ``check_axioms`` certifies it."""
 
     def __init__(
         self,
@@ -38,20 +40,15 @@ class ComoduleAlgebra:
         self.hopf = hopf
         self.coaction_table = coaction
         self.name = name or f"{system.name} over {hopf.name}"
-        self._coact_cache: dict[Word, Tensor] = {}
+        self.rho = LinearMap(
+            f"rho_{self.name}", system, TensorSpace((system, hopf.system)), gen_images=coaction, check=False
+        )
 
     def coact_word(self, w: Word) -> Tensor:
-        hit = self._coact_cache.get(w)
-        if hit is not None:
-            return hit
-        out = Tensor.of((self.system, self.hopf.system), self.system.one(), self.hopf.system.one())
-        for g in w:
-            out = out.mul(self.coaction_table[g])
-        self._coact_cache[w] = out
-        return out
+        return self.rho.apply_word(w)
 
     def coact(self, p: NCPoly) -> Tensor:
-        return linear_image(p, self.coact_word, Tensor.zero((self.system, self.hopf.system)))
+        return self.rho.apply(p)
 
     def over(
         self, system: RewriteSystem, hopf: HopfAlgebra | None = None, name: str = ""
@@ -116,21 +113,27 @@ def canonical_map(P: ComoduleAlgebra, t: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 class CleavingMap:
-    """Unital right-colinear convolution-invertible j: H -> P.
+    """Unital right-colinear convolution-invertible j: H -> P, an algebra map.
 
-    For algebra-map cleavings the convolution inverse is j o S automatically.
+    The convolution inverse of an algebra-map cleaving is j o S, an
+    anti-algebra map (S is one): ``j_inv`` is the memoised anti LinearMap
+    with generator images j(S(g)).
     """
 
-    def __init__(self, P: ComoduleAlgebra, j: LinearMap, j_inv: LinearMap | None = None):
+    def __init__(self, P: ComoduleAlgebra, j: LinearMap):
+        if j.mode != "algebra":
+            raise PreconditionError(f"{j.name}: a cleaving must be an algebra map")
         self.P = P
         self.j = j
-        if j_inv is None:
-            if j.mode != "algebra":
-                raise PreconditionError(
-                    f"{j.name}: non-algebra cleaving needs an explicit convolution inverse"
-                )
-            j_inv = j.compose(P.hopf.S, name=f"{j.name}oS")
-        self.j_inv = j_inv
+        H = P.hopf
+        self.j_inv = LinearMap(
+            f"{j.name}oS",
+            H.system,
+            j.codomain,
+            mode="anti",
+            gen_images={g: j.apply(H.S.apply_word((g,))) for g in H.system.alphabet.gens},
+            check=False,
+        )
 
     def verify(self, degree_bound: int) -> list[CheckFailure]:
         failures = []

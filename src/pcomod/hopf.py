@@ -11,7 +11,7 @@ from .maps import LinearMap, gens_map, relation_mismatches
 from .ncpoly import NCPoly, Word, word_str
 from .rewrite import RewriteSystem
 from .scalars import S_ONE, S_ZERO, Scalar
-from .tensors import Tensor, linear_image
+from .tensors import Tensor, TensorSpace, linear_image
 
 
 class NotHopfIdealError(ValueError):
@@ -31,8 +31,10 @@ class CheckFailure:
 class HopfAlgebra:
     """Presented algebra plus generator-level Delta, counit, antipode.
 
-    Delta and the counit extend as algebra maps, the antipode ``S`` (and its
-    inverse ``S_inv``, supplied explicitly) as anti-algebra LinearMaps.
+    Delta (into ``TensorSpace((system, system))``) and the counit extend as
+    algebra maps, the antipode ``S`` (and its inverse ``S_inv``, supplied
+    explicitly) as anti-algebra maps; Delta, S and S_inv are memoised
+    LinearMaps.
     Nothing is checked at construction; ``check_hopf_axioms`` certifies that
     the tables respect the relations and satisfy the axioms.
     """
@@ -52,7 +54,9 @@ class HopfAlgebra:
         self.counit_table = counit
         self.antipode_table = antipode
         self.antipode_inv_table = antipode_inv
-        self._delta_word_cache: dict[Word, Tensor] = {}
+        self.Delta = LinearMap(
+            f"Delta_{self.name}", system, TensorSpace((system, system)), gen_images=delta, check=False
+        )
         self.S = LinearMap(
             f"S_{self.name}", system, system, mode="anti", gen_images=antipode, check=False
         )
@@ -62,18 +66,10 @@ class HopfAlgebra:
 
     # -- structure maps ------------------------------------------------------
     def delta_word(self, w: Word) -> Tensor:
-        hit = self._delta_word_cache.get(w)
-        if hit is not None:
-            return hit
-        sys2 = (self.system, self.system)
-        out = Tensor.of(sys2, self.system.one(), self.system.one())
-        for g in w:
-            out = out.mul(self.delta_table[g])
-        self._delta_word_cache[w] = out
-        return out
+        return self.Delta.apply_word(w)
 
     def delta(self, p: NCPoly) -> Tensor:
-        return linear_image(p, self.delta_word, Tensor.zero((self.system, self.system)))
+        return self.Delta.apply(p)
 
     def convolve(
         self,

@@ -7,7 +7,7 @@ from typing import Callable
 
 from .ncpoly import NCPoly, Word, word_str
 from .rewrite import RewriteSystem
-from .tensors import linear_image
+from .tensors import Tensor, TensorSpace, linear_image
 
 
 def relation_mismatches(
@@ -49,16 +49,17 @@ class LinearMap:
 
     Generator-table maps are checked to respect every domain rewrite rule at
     construction (both sides of each rule must agree in the codomain), and
-    memoise their word images.
+    memoise their word images. The codomain of a generator-table map may be
+    a ``TensorSpace``, whose images are Tensors.
     """
 
     def __init__(
         self,
         name: str,
         domain: RewriteSystem,
-        codomain: RewriteSystem,
+        codomain: RewriteSystem | TensorSpace,
         mode: str = "algebra",
-        gen_images: dict[str, NCPoly] | None = None,
+        gen_images: dict[str, NCPoly | Tensor] | None = None,
         table: dict[Word, NCPoly] | None = None,
         check: bool = True,
     ):
@@ -73,7 +74,7 @@ class LinearMap:
             if table is not None
             else None
         )
-        self._word_cache: dict[Word, NCPoly] = {}
+        self._word_cache: dict[Word, NCPoly | Tensor] = {}
         if mode in ("algebra", "anti"):
             missing = set(domain.alphabet.gens) - set(gen_images or ())
             if missing:
@@ -84,7 +85,7 @@ class LinearMap:
                     raise NotWellDefinedError(f"{name}: {problems[0]}")
 
     # -- application -----------------------------------------------------------
-    def apply_word(self, w: Word) -> NCPoly:
+    def apply_word(self, w: Word) -> NCPoly | Tensor:
         if self.mode == "table":
             key = self.domain.alphabet.canon(tuple(w))
             hit = self.table.get(key)
@@ -97,7 +98,7 @@ class LinearMap:
         if hit is not None:
             return hit
         if not w:
-            out = NCPoly.one(self.codomain.alphabet)
+            out = self.codomain.one()
         elif self.mode == "anti":
             out = self.codomain.mul(self.apply_word(w[1:]), self.gen_images[w[0]])
         else:
@@ -105,7 +106,7 @@ class LinearMap:
         self._word_cache[w] = out
         return out
 
-    def apply(self, p: NCPoly) -> NCPoly:
+    def apply(self, p: NCPoly) -> NCPoly | Tensor:
         return linear_image(p, self.apply_word, self.codomain.zero())
 
     # -- checks -------------------------------------------------------------------
@@ -118,37 +119,8 @@ class LinearMap:
             for w, p, lhs, rhs in relation_mismatches(self.domain, self.apply_word, self.apply)
         ]
 
-    # -- composition -----------------------------------------------------------------
-    def compose(self, inner: "LinearMap", name: str | None = None) -> "LinearMap":
-        """self o inner as a closure-backed map (tabulated lazily on demand)."""
-        return FunctionMap(
-            name or f"{self.name}o{inner.name}",
-            inner.domain,
-            self.codomain,
-            lambda p: self.apply(inner.apply(p)),
-        )
-
     def __repr__(self):
         return f"LinearMap({self.name}: {self.domain.name} -> {self.codomain.name}, {self.mode})"
-
-
-class FunctionMap(LinearMap):
-    """Linear map given by an arbitrary python function NCPoly -> NCPoly."""
-
-    def __init__(self, name, domain, codomain, fn: Callable[[NCPoly], NCPoly]):
-        self.name = name
-        self.domain = domain
-        self.codomain = codomain
-        self.mode = "function"
-        self.gen_images = None
-        self.table = None
-        self._fn = fn
-
-    def apply_word(self, w: Word) -> NCPoly:
-        return self._fn(NCPoly.word(self.domain.alphabet, w))
-
-    def apply(self, p: NCPoly) -> NCPoly:
-        return self.codomain.normal_form(self._fn(p))
 
 
 def identity_map(system: RewriteSystem, name: str = "id") -> LinearMap:

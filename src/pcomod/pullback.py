@@ -9,10 +9,10 @@ from typing import Callable, Sequence
 from .comodule import CleavingMap, ComoduleAlgebra, SmashProduct, StrongConnection
 from .hopf import CheckFailure, HopfAlgebra, HopfIdeal, quotient_hopf
 from .linalg import RowSpace, intersect_spans, same_span, span_of
-from .maps import LinearMap, gens_map
+from .maps import LinearMap, gens_map, relation_mismatches
 from .ncpoly import Alphabet, NCPoly, Word, word_str
 from .rewrite import RewriteSystem
-from .tensors import Tensor, linear_image
+from .tensors import Tensor, TensorSpace, linear_image
 
 
 class IncompatibleError(ValueError):
@@ -372,7 +372,7 @@ def cotensor_membership(
 class Prolongation:
     trivialisation: Trivialisation
     fiber_names: dict[str, str]
-    dictionaries: list[dict[str, Tensor]]
+    dictionaries: list[LinearMap]  # Pbar_i box H -> Pbar_i (x) H, one per piece
     report: list[CheckFailure] = field(default_factory=list)
 
 
@@ -427,9 +427,12 @@ def prolong(
 
     Builds the cotensor pieces Pbar_i box H as presented algebras (base
     generators plus fiber generators U_z = gammabar_i(pi(z_(1))) (x) z_(2)),
-    certifies the declared generators by cotensor membership and by mapping
-    every declared relation into Pbar_i (x) H, and installs the prolonged
-    covering maps so transition functions can be computed.
+    certifies the declared generators by cotensor membership and the
+    dictionary (the algebra map sending U_z to its cotensor and each base
+    generator b to b (x) 1) on every defining relation of Pbar_i box H
+    (``RewriteSystem.relations``: rules, centrality pairs, the fiber's suffix
+    relations), and installs the prolonged covering maps so transition
+    functions can be computed.
     """
     Hbar = base_triv.hopf
     report: list[CheckFailure] = []
@@ -483,7 +486,7 @@ def prolong(
 
     pieces: list[CoveringPiece] = []
     cleavings: list[CleavingMap] = []
-    dictionaries: list[dict[str, Tensor]] = []
+    dictionaries: list[LinearMap] = []
     for i in range(base_triv.covering.size):
         base_piece = base_triv.covering.pieces[i]
         gbar = base_triv.cleavings[i].j
@@ -517,29 +520,26 @@ def prolong(
                 report.append(
                     CheckFailure("cotensor-membership", f"piece[{i}] fiber {z}", f"{t!r}")
                 )
-        # relations imported: the dictionary map must kill every declared rule
-        def dict_map(w: Word) -> Tensor:
-            out = Tensor.of((bsys, H.system), bsys.one(), H.system.one())
-            for g in w:
-                if g in dct:
-                    out = out.mul(dct[g])
-                else:
-                    out = out.mul(
-                        Tensor.of((bsys, H.system), NCPoly.gen(bsys.alphabet, g), H.system.one())
-                    )
-            return out
-
-        for r in psys.rules:
-            lhs_t = dict_map(r.lhs_word)
-            rhs_t = linear_image(r.rhs, dict_map, Tensor.zero((bsys, H.system)))
-            if lhs_t != rhs_t:
-                report.append(
-                    CheckFailure(
-                        "imported-relation",
-                        f"piece[{i}] rule {r!r}",
-                        f"{lhs_t!r} != {rhs_t!r}",
-                    )
+        # relations imported: the dictionary, an algebra map into Pbar_i (x) H,
+        # must respect every defining relation of the declared presentation
+        dmap = LinearMap(
+            f"dict[{i}]",
+            psys,
+            TensorSpace((bsys, H.system)),
+            gen_images={
+                **{b: Tensor.of((bsys, H.system), bsys.gen(b), H.system.one()) for b in bgens},
+                **dct,
+            },
+            check=False,
+        )
+        for w, p, lhs_t, rhs_t in relation_mismatches(psys, dmap.apply_word, dmap.apply):
+            report.append(
+                CheckFailure(
+                    "imported-relation",
+                    f"piece[{i}] rule {word_str(w)} -> {p!r}",
+                    f"{lhs_t!r} != {rhs_t!r}",
                 )
+            )
         pieces.append(CoveringPiece(prolonged, tuple(bgens)))
         gamma = gens_map(
             f"gamma[{i}]",
@@ -549,7 +549,7 @@ def prolong(
             check=True,
         )
         cleavings.append(CleavingMap(prolonged, gamma))
-        dictionaries.append(dct)
+        dictionaries.append(dmap)
     # prolonged double quotients: base pair target extended by the same fiber;
     # every old-target generator sits in the base leg, hence is coinvariant
     pairs: dict[tuple[int, int], PairData] = {}

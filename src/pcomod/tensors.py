@@ -235,3 +235,21 @@ class Tensor:
             body = " # ".join(word_str(w) for w in k)
             parts.append(body if c.is_one() else f"{c!r}*({body})")
         return " + ".join(parts)
+
+
+class TensorSpace:
+    """The tensor product of presented algebras as a codomain: the ``name``,
+    ``one``, ``zero`` and ``mul`` that ``LinearMap`` calls on a RewriteSystem."""
+
+    def __init__(self, systems: Sequence[RewriteSystem]):
+        self.systems = tuple(systems)
+        self.name = " (x) ".join(s.name for s in self.systems)
+
+    def one(self) -> Tensor:
+        return Tensor.of(self.systems, *(s.one() for s in self.systems))
+
+    def zero(self) -> Tensor:
+        return Tensor.zero(self.systems)
+
+    def mul(self, a: Tensor, b: Tensor) -> Tensor:
+        return a.mul(b)

@@ -674,7 +674,8 @@ def substituted_plane_action(qv: GaussRat) -> dict:
 
 # ---------------------------------------------------------------------------
 # linear and multiplicative extension of word maps (reference for
-# tensors.linear_image and the memoised LinearMap.apply_word)
+# tensors.linear_image and the memoised LinearMap.apply_word: S, Delta, every
+# coaction, the prolongation dictionary and j o S)
 # ---------------------------------------------------------------------------
 
 def summed_image(p: NCPoly, f, zero):
@@ -692,6 +693,44 @@ def multiplied_word_image(system: RewriteSystem, images: dict, w, anti: bool) ->
     for g in (reversed(w) if anti else w):
         out = system.mul(out, images[g])
     return out
+
+
+def looped_delta_word(H: HopfAlgebra, w) -> Tensor:
+    """Delta(w) as the former ``HopfAlgebra.delta_word`` built it: the
+    generator coproducts multiplied into 1 (x) 1 left to right, uncached."""
+    out = Tensor.of((H.system, H.system), H.system.one(), H.system.one())
+    for g in w:
+        out = out.mul(H.delta_table[g])
+    return out
+
+
+def looped_coact_word(P: ComoduleAlgebra, w) -> Tensor:
+    """The coaction of w as the former ``ComoduleAlgebra.coact_word`` built
+    it, uncached."""
+    out = Tensor.of((P.system, P.hopf.system), P.system.one(), P.hopf.system.one())
+    for g in w:
+        out = out.mul(P.coaction_table[g])
+    return out
+
+
+def looped_dictionary_word(bsys: RewriteSystem, hsys: RewriteSystem, fiber: dict, w) -> Tensor:
+    """The prolongation dictionary on w as the former ``prolong.dict_map``
+    built it: a fiber letter goes to its cotensor in ``fiber``, any other
+    letter b to b (x) 1, multiplied left to right, uncached."""
+    out = Tensor.of((bsys, hsys), bsys.one(), hsys.one())
+    for g in w:
+        if g in fiber:
+            out = out.mul(fiber[g])
+        else:
+            out = out.mul(Tensor.of((bsys, hsys), NCPoly.gen(bsys.alphabet, g), hsys.one()))
+    return out
+
+
+def composed_word_image(outer, inner, w) -> NCPoly:
+    """outer(inner(w)) as the former ``LinearMap.compose`` closure gave it:
+    inner applied to the word, then outer to the result, in normal form."""
+    p = NCPoly.word(inner.domain.alphabet, w)
+    return outer.codomain.normal_form(outer.apply(inner.apply(p)))
 
 
 # ---------------------------------------------------------------------------

@@ -234,15 +234,14 @@ def test_reduction_preconditions_enforced(u1_smash):
     H = u1_smash.hopf
     J = builtin.u1_mod_z2_ideal(H)
     ell = StrongConnection.from_cleaving(u1_smash.cleaving(), 4)
-    bad = H.unit_counit_map(u1_smash.system).compose(
-        gens_map(
-            "twist",
-            H.system,
-            H.system,
-            {"u": NCPoly.gen(H.system.alphabet, "u").scale(Scalar.of(2)),
-             "ui": NCPoly.gen(H.system.alphabet, "ui")},
-            check=False,
-        )
+    # eta o eps after the twist u -> 2u: u -> 2, ui -> 1, not an algebra map
+    al = u1_smash.system.alphabet
+    bad = gens_map(
+        "eta.eps o twist",
+        H.system,
+        u1_smash.system,
+        {"u": NCPoly.const(al, Scalar.of(2)), "ui": NCPoly.const(al, S_ONE)},
+        check=False,
     )
     with pytest.raises(PreconditionError):
         reduction_ideal(u1_smash, bad, J, ell, bound=2, base_gens=("s",))

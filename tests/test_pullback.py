@@ -169,8 +169,8 @@ def test_prolong_su_patches():
     # the fiber dictionary sends A to w (x) a and G to wi (x) g
     d = pro.dictionaries[0]
     sysP = P.system
-    assert d["A"] == Tensor((sysP, su.system), {(("w",), ("a",)): S_ONE})
-    assert d["G"] == Tensor((sysP, su.system), {(("wi",), ("g",)): S_ONE})
+    assert d.apply_word(("A",)) == Tensor((sysP, su.system), {(("w",), ("a",)): S_ONE})
+    assert d.apply_word(("G",)) == Tensor((sysP, su.system), {(("wi",), ("g",)): S_ONE})
     # the prolonged piece carries the quantum-group relations on the fiber
     psys = pro.trivialisation.covering.pieces[0].comodule.system
     ag = NCPoly.word(psys.alphabet, ("A", "G"))

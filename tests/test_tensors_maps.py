@@ -1,9 +1,10 @@
 import random
+from pathlib import Path
 
 import pytest
 
 from pcomod import builtin
-from pcomod.comodule import _adjoint
+from pcomod.comodule import CleavingMap, _adjoint
 from pcomod.hopf import convolution
 from pcomod.maps import DegreeExceededError, LinearMap, NotWellDefinedError, gens_map, identity_map
 from pcomod.ncpoly import Alphabet, NCPoly, word_str
@@ -11,7 +12,15 @@ from pcomod.rewrite import RewriteSystem
 from pcomod.scalars import GaussRat, S_ONE, Scalar
 from pcomod.tensors import Tensor, linear_image
 
-from oracles import LaurentModel, multiplied_word_image, summed_image
+from oracles import (
+    LaurentModel,
+    composed_word_image,
+    looped_coact_word,
+    looped_delta_word,
+    looped_dictionary_word,
+    multiplied_word_image,
+    summed_image,
+)
 
 
 def test_tensor_leg_normalization(gl):
@@ -220,3 +229,79 @@ def test_memoised_apply_word_matches_uncached_product(name):
     for m, images, anti in maps:
         for w in list(reversed(words)) + words:
             assert m.apply_word(w) == multiplied_word_image(sysm, images, w, anti), (m.name, w)
+
+
+def _same_terms(got, want):
+    """Equal, with the terms in the same order (it shapes witness strings)."""
+    return got == want and list(got.terms.items()) == list(want.terms.items())
+
+
+def _words_twice(system):
+    """All words of degree <= 3, longest first so the memo fills through the
+    recursion, then again served from the memo."""
+    words = system.all_words(3)
+    return list(reversed(words)) + words
+
+
+@pytest.mark.parametrize("q", ["formal", 3, "cbrt1"])
+@pytest.mark.parametrize("name", builtin.HOPF_NAMES)
+def test_coproduct_map_matches_product_loop(name, q):
+    H = builtin.build(name, q)
+    for w in _words_twice(H.system):
+        assert _same_terms(H.delta_word(w), looped_delta_word(H, w)), w
+
+
+def _prolonged(name, q):
+    return builtin.sphere_prolonged() if name == "sphere_prolonged" else builtin.patch_prolonged(q)
+
+
+def _coaction_cases():
+    for q in ("formal", 3, "cbrt1"):
+        for name in builtin.COMODULE_NAMES:
+            yield pytest.param(name, q, id=f"{name}-{q}")
+        yield pytest.param("patch_prolonged", q, id=f"patch_prolonged-{q}")
+    yield pytest.param("sphere_prolonged", None, id="sphere_prolonged")
+
+
+@pytest.mark.parametrize("name, q", list(_coaction_cases()))
+def test_coaction_map_matches_product_loop(name, q):
+    """Every builtin comodule algebra and every prolonged piece; on the
+    prolonged pieces the dictionary map too."""
+    if name.endswith("_prolonged"):
+        pro = _prolonged(name, q)
+        comodules = [piece.comodule for piece in pro.trivialisation.covering.pieces]
+        for piece, d in zip(comodules, pro.dictionaries):
+            bsys, hsys = d.codomain.systems
+            fiber = {f: d.gen_images[f] for f in pro.fiber_names.values()}
+            for w in _words_twice(piece.system):
+                assert _same_terms(d.apply_word(w), looped_dictionary_word(bsys, hsys, fiber, w)), w
+    else:
+        obj = builtin.build(name, q)
+        comodules = [obj[0] if isinstance(obj, tuple) else obj]
+    for P in comodules:
+        for w in _words_twice(P.system):
+            assert _same_terms(P.coact_word(w), looped_coact_word(P, w)), (P.name, w)
+
+
+def test_cleaving_inverse_matches_composition(monkeypatch):
+    """j_inv, the anti-algebra map with images j(S(g)), equals j applied after
+    S on every basis word of degree <= 3, for every cleaving the suites build."""
+    from pcomod.suites import SuiteConfig, run_suite
+
+    built = []
+    init = CleavingMap.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(CleavingMap, "__init__", recording_init)
+    for q in ("formal", 3):
+        run_suite(SuiteConfig(suite="all", q=q))
+    example = Path(__file__).resolve().parents[1] / "scripts" / "example_covering.json"
+    run_suite(SuiteConfig(suite="covering", covering=str(example)))
+    assert len(built) > 10
+    for cl in built:
+        H = cl.P.hopf
+        for w in H.system.basis_words(3):
+            assert cl.j_inv.apply_word(w) == composed_word_image(cl.j, H.S, w), (cl.j.name, w)
