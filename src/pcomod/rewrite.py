@@ -38,6 +38,11 @@ class Rule:
         return f"{word_str(self.lhs_word)} -> {self.rhs!r}"
 
 
+def _holds_central(c: Word, rule: Rule) -> bool:
+    """The central part c of a word holds the central part of the rule's left side."""
+    return all(c.count(g) >= k for g, k in Counter(rule.lhs_central).items())
+
+
 @dataclass
 class Conflict:
     word: Word
@@ -186,31 +191,23 @@ class RewriteSystem:
         return rels
 
     # -- matching ------------------------------------------------------------
+    def _redexes(self, word: Word):
+        """The redexes of a canonical word as (rule, pos, nc, c), leftmost
+        first: central-only rules (position 0), then by start in the
+        noncentral part, rules in order at each start."""
+        nc, c = self.alphabet.split_central(word)
+        if c:
+            for r in self._central_only:
+                if _holds_central(c, r):
+                    yield r, 0, nc, c
+        for i in range(len(nc)):
+            for r in self._by_first.get(nc[i], ()):
+                if nc[i : i + len(r.lhs_nc)] == r.lhs_nc and (not r.lhs_central or _holds_central(c, r)):
+                    yield r, i, nc, c
+
     def _match(self, word: Word):
         """Leftmost redex in a canonical word; returns (rule, pos, nc, c) or None."""
-        a = self.alphabet
-        nc, c = a.split_central(word)
-        if self._central_only and c:
-            cc = Counter(c)
-            for r in self._central_only:
-                need = Counter(r.lhs_central)
-                if all(cc[g] >= k for g, k in need.items()):
-                    return r, 0, nc, c
-        for i in range(len(nc)):
-            cands = self._by_first.get(nc[i])
-            if not cands:
-                continue
-            for r in cands:
-                L = len(r.lhs_nc)
-                if nc[i : i + L] != r.lhs_nc:
-                    continue
-                if r.lhs_central:
-                    cc = Counter(c)
-                    need = Counter(r.lhs_central)
-                    if not all(cc[g] >= k for g, k in need.items()):
-                        continue
-                return r, i, nc, c
-        return None
+        return next(self._redexes(word), None)
 
     def _apply(self, rule: Rule, pos: int, nc: Word, c: Word):
         """One rewriting step; yields (word, coeff) pairs (words canonical)."""
@@ -408,25 +405,7 @@ class RewriteSystem:
     def one_step_reducts(self, word: Word) -> list[NCPoly]:
         """Every single rewriting step applicable to the word (all rules, all positions)."""
         a = self.alphabet
-        word = a.canon(word)
-        nc, c = a.split_central(word)
-        cc = Counter(c)
-        outs = []
-        for r in self._central_only:
-            need = Counter(r.lhs_central)
-            if all(cc[g] >= k for g, k in need.items()):
-                outs.append(NCPoly(a, dict(self._apply(r, 0, nc, c))))
-        for i in range(len(nc)):
-            for r in self._by_first.get(nc[i], ()):  # noqa: B905
-                L = len(r.lhs_nc)
-                if nc[i : i + L] != r.lhs_nc:
-                    continue
-                if r.lhs_central:
-                    need = Counter(r.lhs_central)
-                    if not all(cc[g] >= k for g, k in need.items()):
-                        continue
-                outs.append(NCPoly(a, dict(self._apply(r, i, nc, c))))
-        return outs
+        return [NCPoly(a, dict(self._apply(*m))) for m in self._redexes(a.canon(word))]
 
     def _ambiguity_words(self, degree_bound: int) -> tuple[list[Word], bool]:
         """Canonical words of degree <= degree_bound on which two redexes overlap,

@@ -1,14 +1,17 @@
 """Independent oracles used to freeze expected values: small hand-rolled models
 that do not share code with the engine under test, exhaustive searches that
-use only the engine's single rewriting step and normal form, the sampling
-loops that exact certificates and precomputed tables replaced, the per-check
-copies of the three gluings that one table replaced, the
-degree-bounded axiom loops that the relation-plus-generator certificates
-replaced, and the build-at-formal-q-then-substitute path that parsing at a
-fixed q replaced."""
+find redexes with their own scan and use only the engine's single rewriting
+step and normal form, the sampling loops that exact certificates and
+precomputed tables replaced, the per-check copies of the three gluings that
+one table replaced, the product loops and the composition that the memoised
+algebra maps (Delta, the coactions, the prolongation dictionary, j o S)
+replaced, the degree-bounded axiom loops that the relation-plus-generator
+certificates replaced, and the build-at-formal-q-then-substitute path that
+parsing at a fixed q replaced."""
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 from math import lcm
@@ -227,12 +230,38 @@ def toeplitz_normal_word(word: tuple[str, ...]) -> tuple[int, int]:
 # normal form
 # ---------------------------------------------------------------------------
 
+def scanned_one_step_reducts(system, word) -> list[NCPoly]:
+    """Every single rewriting step applicable to the word, found by the
+    former ``RewriteSystem.one_step_reducts`` scan: central-only rules first,
+    then every start position of the noncentral part, rules in index order."""
+    a = system.alphabet
+    word = a.canon(word)
+    nc, c = a.split_central(word)
+    cc = Counter(c)
+    outs = []
+    for r in system._central_only:
+        need = Counter(r.lhs_central)
+        if all(cc[g] >= k for g, k in need.items()):
+            outs.append(NCPoly(a, dict(system._apply(r, 0, nc, c))))
+    for i in range(len(nc)):
+        for r in system._by_first.get(nc[i], ()):
+            L = len(r.lhs_nc)
+            if nc[i : i + L] != r.lhs_nc:
+                continue
+            if r.lhs_central:
+                need = Counter(r.lhs_central)
+                if not all(cc[g] >= k for g, k in need.items()):
+                    continue
+            outs.append(NCPoly(a, dict(system._apply(r, i, nc, c))))
+    return outs
+
+
 def brute_force_confluence(system, degree_bound: int) -> ConfluenceReport:
     """Brute-force: every canonical word up to the bound, every one-step reduct,
     all reducts must share one full normal form. Never throws on conflicts."""
     report = ConfluenceReport(degree_bound=degree_bound, words_checked=0)
     for w in system.all_words(degree_bound):
-        reducts = system.one_step_reducts(w)
+        reducts = scanned_one_step_reducts(system, w)
         if not reducts:
             continue
         report.words_checked += 1
@@ -259,7 +288,7 @@ def normal_forms_all_paths(system, word, cap: int = 2000) -> set:
         poly = frontier.pop()
         branched = False
         for w, c in poly:
-            for step in system.one_step_reducts(w):
+            for step in scanned_one_step_reducts(system, w):
                 branched = True
                 acc = {ww: cc for ww, cc in poly if ww != w}
                 for ww, cc in step.terms.items():

@@ -16,6 +16,7 @@ from oracles import (
     brute_force_confluence,
     normal_forms_all_paths,
     plane_normal_form,
+    scanned_one_step_reducts,
     toeplitz_normal_word,
     worklist_normal_form,
 )
@@ -437,3 +438,21 @@ def test_basis_words_degree_counts(su):
     words = su.system.basis_words(3)
     expected = sum(2 * (d + 1) * (d + 2) // 2 - (d + 1) for d in range(4))
     assert len(words) == expected
+
+
+@pytest.mark.parametrize("name", [n for n in builtin.registry() if n != "su_q2_to_u1"])
+def test_redex_scan_agrees_with_scanning_oracle(name):
+    """one_step_reducts (and _match, its first redex) against the former
+    two-loop scan, reducts in the same order, on random words of up to six
+    letters, central letters anywhere."""
+    system = _builtin_system(name, "formal")
+    rng = random.Random(31)
+    gens = system.alphabet.gens
+    for _ in range(200):
+        w = tuple(rng.choice(gens) for _ in range(rng.randint(0, 6)))
+        got, want = system.one_step_reducts(w), scanned_one_step_reducts(system, w)
+        assert [list(p.terms.items()) for p in got] == [list(p.terms.items()) for p in want], w
+        m = system._match(system.alphabet.canon(w))
+        assert (m is None) == (not want), w
+        if m is not None:
+            assert NCPoly(system.alphabet, dict(system._apply(*m))) == want[0], w
