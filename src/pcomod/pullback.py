@@ -4,7 +4,7 @@ cotensor prolongations and the reducibility criterion."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .comodule import CleavingMap, ComoduleAlgebra, SmashProduct, StrongConnection
 from .hopf import CheckFailure, HopfAlgebra, HopfIdeal, quotient_hopf
@@ -160,17 +160,23 @@ class Covering:
         return []
 
 
-def multipullback_membership(cov: Covering, tup: Sequence[NCPoly]) -> tuple[bool, list[CheckFailure]]:
-    """True iff all double-quotient images agree."""
-    assert len(tup) == cov.size
-    failures = []
+def pair_differences(cov: Covering, tup: Sequence[NCPoly]) -> Iterator[tuple[int, int, NCPoly]]:
+    """(i, j, pi^i_j(t_i) - pi^j_i(t_j)) in normal form, for each pair of the
+    covering where the two double-quotient images of the tuple differ."""
     for (i, j) in cov.pairs:
         target, mi, mj = cov.pair_maps(i, j)
         diff = target.system.normal_form(mi.apply(tup[i]) - mj.apply(tup[j]))
         if not diff.is_zero():
-            failures.append(
-                CheckFailure("multipullback", f"({i},{j})", f"difference {diff!r}")
-            )
+            yield i, j, diff
+
+
+def multipullback_membership(cov: Covering, tup: Sequence[NCPoly]) -> tuple[bool, list[CheckFailure]]:
+    """True iff all double-quotient images agree."""
+    assert len(tup) == cov.size
+    failures = [
+        CheckFailure("multipullback", f"({i},{j})", f"difference {diff!r}")
+        for i, j, diff in pair_differences(cov, tup)
+    ]
     return (not failures, failures)
 
 
@@ -602,11 +608,9 @@ def piece_glue(
     for i in range(cov.size):
         psys = cov.pieces[i].comodule.system
         tup.append(psys.mul(base_tuple[i], triv.cleavings[i].j.apply(fiber)))
-    for (i, j) in cov.pairs:
-        target, mi, mj = cov.pair_maps(i, j)
-        diff = target.system.normal_form(mi.apply(tup[i]) - mj.apply(tup[j]))
-        if not diff.is_zero():
-            raise IncompatibleError(i, j, diff)
+    first = next(pair_differences(cov, tup), None)
+    if first is not None:
+        raise IncompatibleError(*first)
     return tup
 
 

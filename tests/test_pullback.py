@@ -19,6 +19,7 @@ from pcomod.pullback import (
     ideal_distributivity_check,
     in_ideal,
     multipullback_membership,
+    pair_differences,
     piece_glue,
     prolong,
     reducibility_check,
@@ -238,6 +239,22 @@ def test_piece_glue(sphere, sphere_pro):
     u2 = NCPoly.word(builtin.o_u1().system.alphabet, ("u", "u"))
     tup = piece_glue(triv, [NCPoly.one(alp)] * 3, u2)
     assert all(p == NCPoly.word(alp, ("U", "U")) for p in tup)
+
+
+def test_membership_and_glue_share_the_pair_differences(sphere):
+    """multipullback_membership reports every pair that pair_differences
+    yields, and piece_glue raises on the first, with the same difference."""
+    u = NCPoly.gen(sphere.hopf.system.alphabet, "u")
+    pieces = sphere.covering.pieces
+    tup = [cl.j.apply(u) for cl in sphere.cleavings]
+    diffs = list(pair_differences(sphere.covering, tup))
+    assert diffs
+    ok, fails = multipullback_membership(sphere.covering, tup)
+    assert not ok
+    assert [(f.where, f.detail) for f in fails] == [(f"({i},{j})", f"difference {d!r}") for i, j, d in diffs]
+    with pytest.raises(IncompatibleError) as exc:
+        piece_glue(sphere, [NCPoly.one(p.comodule.system.alphabet) for p in pieces], u)
+    assert (exc.value.i, exc.value.j, exc.value.difference) == diffs[0]
 
 
 def test_ideal_base_correspondence(z2_smash):
