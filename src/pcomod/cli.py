@@ -82,10 +82,10 @@ def main(argv=None) -> int:
             ),
             trials=args.trials,
             mc_samples=args.samples,
-            fmt=args.format,
-            out=args.out,
         )
         report = run_suite(cfg)
+        if args.out:
+            report.write(args.out, args.format)
         if args.format == "md":
             print(report.to_markdown())
         else:

@@ -90,8 +90,6 @@ class SuiteConfig:
     grid: GridConfig = field(default_factory=GridConfig)
     trials: int = 100
     mc_samples: int = 10_000
-    fmt: str = "json"
-    out: str | None = None
 
 
 @dataclass
@@ -734,10 +732,10 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
         "trials": cfg.trials,
         "jobs": 1,
     }
-    report = SuiteReport(cfg.suite, params, records, runtime_ms=(time.monotonic() - t0) * 1000.0)
-    if cfg.out:
-        report.write(cfg.out, cfg.fmt)
-    return report
+    # what was checked, when it is not the default; left out otherwise, so
+    # default reports keep the keys of the reports in benchmark/reference/
+    params.update({k: v for k, v in (("algebra", cfg.algebra), ("covering", cfg.covering)) if v is not None})
+    return SuiteReport(cfg.suite, params, records, runtime_ms=(time.monotonic() - t0) * 1000.0)
 
 
 def list_suites(machine: bool = False) -> str:

@@ -112,6 +112,35 @@ def test_jobs_is_a_constant_and_not_a_flag(capsys):
         assert f"--{key}" in capsys.readouterr().err
 
 
+EXAMPLE_COVERING = str(Path(__file__).resolve().parents[1] / "scripts" / "example_covering.json")
+DEFAULT_PARAMS = ["suite", "degree", "q", "grid_circle", "grid_interval", "tol", "trunc", "seed", "trials", "jobs"]
+
+
+def test_params_name_the_covering_and_the_algebra():
+    """A report says which covering file or algebra it checked; a default
+    report keeps exactly the keys of the reference reports."""
+    builtin_cover = run_suite(SuiteConfig(suite="covering"))
+    assert list(builtin_cover.params) == DEFAULT_PARAMS
+    file_cover = run_suite(SuiteConfig(suite="covering", covering=EXAMPLE_COVERING))
+    assert list(file_cover.params) == DEFAULT_PARAMS + ["covering"]
+    assert file_cover.params["covering"] == EXAMPLE_COVERING
+    assert file_cover.canonical_json() != builtin_cover.canonical_json()
+    one = run_suite(SuiteConfig(suite="hopf-axioms", algebra="su_q2"))
+    assert list(one.params) == DEFAULT_PARAMS + ["algebra"] and one.params["algebra"] == "su_q2"
+
+
+@pytest.mark.parametrize("fmt", ["md", "json"])
+def test_cli_out_writes_the_printed_report(fmt, tmp_path, capsys):
+    path = tmp_path / f"r.{fmt}"
+    assert main(["verify", "--suite", "transition", "--out", str(path), "--format", fmt]) == 0
+    printed = capsys.readouterr().out
+    assert path.read_text() + "\n" == printed
+    if fmt == "md":
+        assert printed.startswith("# suite transition")
+    else:
+        assert json.loads(printed)["suite"] == "transition"
+
+
 def test_cli_list_and_export(tmp_path, capsys):
     assert main(["list-suites"]) == 0
     out = capsys.readouterr().out
