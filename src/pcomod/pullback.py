@@ -204,19 +204,19 @@ class Trivialisation:
         """T_ij(h) = pi^i_j(gamma_i(h_(1))) pi^j_i(gamma_j(S(h_(2))))."""
         H = self.hopf
         gamma_i = self.cleavings[i].j
-        gamma_j = self.cleavings[j].j
+        gamma_j_inv = self.cleavings[j].j_inv
         if i == j:
             return H.convolve(
                 h_word,
                 gamma_i.apply_word,
-                lambda v: gamma_i.apply(H.S.apply_word(v)),
+                gamma_j_inv.apply_word,
                 self.covering.pieces[i].comodule.system,
             )
         target, mi, mj = self.covering.pair_maps(i, j)
         return H.convolve(
             h_word,
             lambda v: mi.apply(gamma_i.apply_word(v)),
-            lambda v: mj.apply(gamma_j.apply(H.S.apply_word(v))),
+            lambda v: mj.apply(gamma_j_inv.apply_word(v)),
             target.system,
         )
 
@@ -312,7 +312,7 @@ def reducibility_check(triv: Trivialisation, J: HopfIdeal) -> ReducibilityVerdic
                     )
     for i in range(n):
         piece = triv.covering.pieces[i]
-        gamma = triv.cleavings[i].j
+        gamma, gamma_inv = triv.cleavings[i].j, triv.cleavings[i].j_inv
         psys = piece.comodule.system
         for g_idx, g in enumerate(J.gens):
             for b in piece.base_gens:
@@ -322,7 +322,7 @@ def reducibility_check(triv: Trivialisation, J: HopfIdeal) -> ReducibilityVerdic
                     lambda w: H.convolve(
                         w,
                         lambda v: psys.mul(gamma.apply_word(v), bp),
-                        lambda v: gamma.apply(H.S.apply_word(v)),
+                        gamma_inv.apply_word,
                         psys,
                     ),
                     psys.zero(),
