@@ -251,10 +251,6 @@ def test_coproduct_map_matches_product_loop(name, q):
         assert _same_terms(H.delta_word(w), looped_delta_word(H, w)), w
 
 
-def _prolonged(name, q):
-    return builtin.sphere_prolonged() if name == "sphere_prolonged" else builtin.patch_prolonged(q)
-
-
 def _coaction_cases():
     for q in ("formal", 3, "cbrt1"):
         for name in builtin.COMODULE_NAMES:
@@ -268,7 +264,7 @@ def test_coaction_map_matches_product_loop(name, q):
     """Every builtin comodule algebra and every prolonged piece; on the
     prolonged pieces the dictionary map too."""
     if name.endswith("_prolonged"):
-        pro = _prolonged(name, q)
+        pro = builtin.sphere_prolonged() if name == "sphere_prolonged" else builtin.patch_prolonged(q)
         comodules = [piece.comodule for piece in pro.trivialisation.covering.pieces]
         for piece, d in zip(comodules, pro.dictionaries):
             bsys, hsys = d.codomain.systems
