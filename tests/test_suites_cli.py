@@ -295,3 +295,13 @@ def test_verify_all_help_prints_usage_and_runs_nothing(tmp_path):
     assert out.returncode == 0, out.stderr
     assert "usage:" in out.stdout and "outdir" in out.stdout
     assert list(tmp_path.iterdir()) == []
+
+
+def test_hash_sweep_matches_the_manifest():
+    """Every report of the sweep is byte-identical to the one the manifest hashed."""
+    root = Path(__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, str(root / "scripts" / "hash_sweep.py"), "--check"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stdout + out.stderr
