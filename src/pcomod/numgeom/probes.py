@@ -183,35 +183,8 @@ def mattprop_report(cfg: GridConfig, n_random: int = 1000) -> dict:
     at the endpoints, on random degree-<=3 Toeplitz elements; plus the corner
     identity (id (x) iota^*) delta_1^* = (iota^* (x) id) delta_2^*."""
     rng = cfg.rng(6)
-    nodes = interval_nodes(cfg.m_interval)
     out = {}
-    # condition (1)
-    worst_split = 0.0
-    worst_kernel = 0.0
-    for _ in range(24):
-        vals = rng.normal(size=cfg.m_interval) + 1j * rng.normal(size=cfg.m_interval)
-        vals[0] = vals[-1] = 0.0  # vanishes at the endpoints
-        h = interval_fn(vals, nodes)
-        for e0, e1 in ((1.0, 0.0), (0.0, 1.0), (0.7, -0.4)):
-            f1 = lambda kk, tt: (e0 + e1 * np.asarray(kk)) * h(tt)
-            F = omega_hat(1, f1)
-            back = delta_pullback(1, F)
-            k = Z2[:, None]
-            t = nodes[None, :]
-            worst_split = max(worst_split, float(np.max(np.abs(back(k, t) - f1(k, t)))))
-            other = delta_pullback(2, F)
-            worst_kernel = max(
-                worst_kernel, float(np.max(np.abs(other(nodes[:, None], Z2[None, :]))))
-            )
-            f2 = lambda tt, kk: (e0 + e1 * np.asarray(kk)) * h(tt)
-            G = omega_hat(2, f2)
-            back2 = delta_pullback(2, G)
-            worst_split = max(
-                worst_split,
-                float(np.max(np.abs(back2(nodes[:, None], Z2[None, :]) - f2(nodes[:, None], Z2[None, :])))),
-            )
-            other2 = delta_pullback(1, G)
-            worst_kernel = max(worst_kernel, float(np.max(np.abs(other2(k, t)))))
+    worst_split, worst_kernel = _condition1_residuals(rng, interval_nodes(cfg.m_interval))
     out["condition1_splitting"] = worst_split
     out["condition1_kernel_image"] = worst_kernel
     # corner identity
@@ -232,6 +205,37 @@ def mattprop_report(cfg: GridConfig, n_random: int = 1000) -> dict:
     )
     out["trials"] = n_random
     return out
+
+
+def _condition1_residuals(rng, nodes: np.ndarray) -> tuple[float, float]:
+    """Condition (1) on 24 random h vanishing at the interval endpoints, each
+    paired with (e0, e1) in {(1, 0), (0, 1), (0.7, -0.4)}: the worst
+    splitting and kernel-image residuals.  One generator call draws all
+    trials, in the order a trial-at-a-time loop draws them
+    (tests/oracles.condition1_loop), and each pair is one array pass over all
+    trials, with the trial axis leading."""
+    draws = rng.normal(size=(24, 2, nodes.size))
+    vals = draws[:, 0] + 1j * draws[:, 1]
+    vals[:, 0] = vals[:, -1] = 0.0  # vanishes at the endpoints
+    h = interval_fn(vals, nodes)
+    k = Z2[:, None]
+    t = nodes[None, :]
+    worst_split = 0.0
+    worst_kernel = 0.0
+    for e0, e1 in ((1.0, 0.0), (0.0, 1.0), (0.7, -0.4)):
+        f1 = lambda kk, tt: (e0 + e1 * np.asarray(kk)) * h(tt)
+        F = omega_hat(1, f1)
+        back = delta_pullback(1, F)
+        worst_split = max(worst_split, float(np.max(np.abs(back(k, t) - f1(k, t)))))
+        other = delta_pullback(2, F)
+        worst_kernel = max(worst_kernel, float(np.max(np.abs(other(t, k)))))
+        f2 = lambda tt, kk: (e0 + e1 * np.asarray(kk)) * h(tt)
+        G = omega_hat(2, f2)
+        back2 = delta_pullback(2, G)
+        worst_split = max(worst_split, float(np.max(np.abs(back2(t, k) - f2(t, k)))))
+        other2 = delta_pullback(1, G)
+        worst_kernel = max(worst_kernel, float(np.max(np.abs(other2(k, t)))))
+    return worst_split, worst_kernel
 
 
 def _condition2_residual(rng, n_random: int) -> float:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import difflib
 import json
+import math
 import os
 import tempfile
 import time
@@ -30,9 +31,10 @@ from .hopf import (
     generator_map_isomorphism_problems,
     quotient_hopf,
 )
-from .maps import NotWellDefinedError, gens_map
+from .maps import NotWellDefinedError, gens_map, relation_mismatches
 from .ncpoly import NCPoly
 from .numgeom import (
+    FourierPoly,
     GridConfig,
     SphereElement,
     decomposition_report,
@@ -43,11 +45,11 @@ from .numgeom import (
     mattprop_report,
     peter_weyl_report,
     phi_identities_report,
-    random_toeplitz_poly,
     rp2_membership,
     splitting_identities_report,
     symbol,
 )
+from .numgeom.toeplitz import symbol_degree
 from .pullback import (
     Covering,
     CoveringPiece,
@@ -511,6 +513,24 @@ def suite_prolong(cfg: SuiteConfig) -> Iterator[CheckRecord]:
     yield _check("prolong/odd-fiber-rejected", "the odd fiber power does not glue (nontriviality)", ok, wit)
 
 
+def symbol_relation_residual(system) -> float:
+    """0.0 when the symbol map s -> z, ss -> 1/z is multiplicative on the
+    algebra ``system`` presents, else the sup-norm bound of the worst
+    relation mismatch.
+
+    On free words w -> z^symbol_degree(w) is multiplicative, as degrees add.
+    It is then multiplicative on the quotient exactly when it kills the ideal
+    of the relations, that is when both sides of every defining relation
+    w = p have the same image.  symbol is that map read on normal forms, so
+    a relation-by-relation check proves symbol(pq) = symbol(p) symbol(q) for
+    all p, q in every degree."""
+    worst = 0.0
+    word = lambda w: FourierPoly({symbol_degree(w): S_ONE})
+    for _, _, lhs, rhs in relation_mismatches(system, word, symbol):
+        worst = max(worst, (lhs + rhs.scale(-S_ONE)).sup_norm_bound())
+    return worst
+
+
 def suite_quantum_rp2(cfg: SuiteConfig) -> Iterator[CheckRecord]:
     ts = builtin.toeplitz_system()
     al = ts.alphabet
@@ -524,15 +544,7 @@ def suite_quantum_rp2(cfg: SuiteConfig) -> Iterator[CheckRecord]:
         not ok and abs(r - 1.0) < 1e-6,
         residual=r,
     )
-    rng = cfg.grid.rng(7)
-    worst = 0.0
-    for _ in range(50):
-        p = random_toeplitz_poly(rng, 3)
-        q = random_toeplitz_poly(rng, 3)
-        lhs = symbol(ts.mul(p, q))
-        rhs = symbol(p) * symbol(q)
-        if not (lhs + rhs.scale(-S_ONE)).is_zero():
-            worst = max(worst, (lhs + rhs.scale(-S_ONE)).sup_norm_bound())
+    worst = symbol_relation_residual(ts)
     yield _check(
         "rp2/symbol-homomorphism",
         "the symbol map is exactly multiplicative on *-polynomials",
@@ -698,6 +710,11 @@ def _suite_names(cfg: SuiteConfig) -> list[str]:
         raise ConfigError(f"grid_circle must be a positive multiple of 8, got {circle}")
     if interval < 2:
         raise ConfigError(f"grid_interval must be at least 2, got {interval}")
+    # a residual passes when it is below tol: at nan or tol <= 0 nothing
+    # passes, and at inf everything does
+    tol = cfg.grid.tol
+    if not (math.isfinite(tol) and tol > 0):
+        raise ConfigError(f"tol must be finite and positive, got {tol}")
     if cfg.algebra is not None and not any(cfg.algebra in AXIOM_SUITES.get(n, ()) for n in names):
         takes = "; ".join(f"{n} takes {', '.join(b)}" for n, b in AXIOM_SUITES.items())
         raise ConfigError(f"suite {cfg.suite!r} checks no algebra {cfg.algebra!r} ({takes})")

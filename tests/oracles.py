@@ -2,7 +2,9 @@
 that do not share code with the engine under test, exhaustive searches that
 find redexes with their own scan and use only the engine's single rewriting
 step and normal form, the sampling loops that exact certificates and
-precomputed tables replaced, the per-check copies of the three gluings that
+precomputed tables replaced, the trial-at-a-time loops that one array pass
+per block of trials replaced, the random product loop that the symbol
+relation certificate replaced, the per-check copies of the three gluings that
 one table replaced, the product loops and the composition that the memoised
 algebra maps (Delta, the coactions, the prolongation dictionary, j o S)
 replaced, the degree-bounded axiom loops that the relation-plus-generator
@@ -24,7 +26,15 @@ from pcomod.comodule import ComoduleAlgebra
 from pcomod.hopf import CheckFailure, HopfAlgebra
 from pcomod.ncpoly import NCPoly, word_str
 from pcomod.numgeom import membership, probes
-from pcomod.numgeom.circle import delta_angle, omega_hat
+from pcomod.numgeom.circle import (
+    delta_angle,
+    delta_pullback,
+    gauge_pullback,
+    iota_z2_pushforward,
+    omega_hat,
+    phi_tilde_pullback,
+)
+from pcomod.numgeom.circle import phi_gauged_pullback as circle_phi_gauged_pullback
 from pcomod.numgeom.grids import Z2, circle_angles, interval_nodes
 from pcomod.numgeom.toeplitz import _toeplitz_basis, random_toeplitz_poly, symbol
 from pcomod.rewrite import Conflict, ConfluenceReport, RewriteSystem, SizeLimitError
@@ -442,6 +452,138 @@ def condition2_closures(rng, n_random: int) -> float:
         cs = Z2[None, None, :]
         worst_c2 = max(worst_c2, float(np.max(np.abs(ZA(aas, xs, cs) - ZB(aas, xs, cs)))))
     return worst_c2
+
+
+# The trial-at-a-time sampling loops that one array pass per block of trials
+# replaced, with the per-trial np.interp closure they interpolated through.
+
+def interp_fn(samples: np.ndarray, nodes: np.ndarray):
+    """np.interp of one row of samples on the node grid, complex rows part by
+    part: the closure circle.interval_fn replaced."""
+    samples = np.asarray(samples)
+    if np.iscomplexobj(samples):
+        re = samples.real.copy()
+        im = samples.imag.copy()
+        return lambda t: np.interp(t, nodes, re) + 1j * np.interp(t, nodes, im)
+    s = samples.copy()
+    return lambda t: np.interp(t, nodes, s)
+
+
+def splitting_identities_loop(cfg, n_random: int = 32) -> dict:
+    """circle.splitting_identities_report one trial at a time."""
+    rng = cfg.rng(1)
+    nodes = interval_nodes(cfg.m_interval)
+    t = nodes
+    k = Z2[:, None]
+    worst = {"split1": 0.0, "split2": 0.0, "mixed1": 0.0, "mixed2": 0.0, "unital": 0.0}
+    one = omega_hat(1, lambda kk, tt: np.ones_like(np.asarray(kk) * np.asarray(tt)))
+    worst["unital"] = float(np.max(np.abs(one(circle_angles(cfg.n_circle)) - 1.0)))
+    for _ in range(n_random):
+        h0 = interp_fn(rng.normal(size=cfg.m_interval) + 1j * rng.normal(size=cfg.m_interval), nodes)
+        h1 = interp_fn(rng.normal(size=cfg.m_interval) + 1j * rng.normal(size=cfg.m_interval), nodes)
+        f1 = lambda kk, tt: h0(tt) + np.asarray(kk) * h1(tt)
+        F = omega_hat(1, f1)
+        back = delta_pullback(1, F)
+        worst["split1"] = max(worst["split1"], float(np.max(np.abs(back(k, t[None, :]) - f1(k, t[None, :])))))
+        g = delta_pullback(2, F)
+        want = lambda tt, kk: iota_z2_pushforward(lambda x: np.ones_like(np.asarray(x)))(tt) * h0(
+            np.asarray(kk, dtype=float)
+        ) + iota_z2_pushforward(lambda x: np.asarray(x, dtype=float))(tt) * h1(np.asarray(kk, dtype=float))
+        worst["mixed1"] = max(
+            worst["mixed1"],
+            float(np.max(np.abs(g(t[:, None], Z2[None, :]) - want(t[:, None], Z2[None, :])))),
+        )
+        f2 = lambda tt, kk: h0(tt) + np.asarray(kk) * h1(tt)
+        F2 = omega_hat(2, f2)
+        back2 = delta_pullback(2, F2)
+        worst["split2"] = max(
+            worst["split2"], float(np.max(np.abs(back2(t[:, None], Z2[None, :]) - f2(t[:, None], Z2[None, :]))))
+        )
+        g2 = delta_pullback(1, F2)
+        want2 = lambda kk, tt: h0(np.asarray(kk, dtype=float)) + h1(np.asarray(kk, dtype=float)) * np.asarray(tt)
+        worst["mixed2"] = max(
+            worst["mixed2"],
+            float(np.max(np.abs(g2(k, t[None, :]) - want2(k, t[None, :])))),
+        )
+    return worst
+
+
+def gauge_conjugation_loop(cfg, n_random: int = 200) -> dict:
+    """circle.gauge_conjugation_report with the involution checked one trial
+    at a time."""
+    rng = cfg.rng(2)
+    t = interval_nodes(cfg.m_interval)
+    a = Z2[:, None, None]
+    tt = t[None, :, None]
+    c = Z2[None, None, :]
+    out = {"involution": 0.0, "sigma_conj": 0.0, "phi_closed_form": 0.0}
+    for _ in range(n_random):
+        h0 = interp_fn(rng.normal(size=cfg.m_interval), t)
+        h1 = interp_fn(rng.normal(size=cfg.m_interval), t)
+        e0, e1, e2, e3 = rng.normal(size=4)
+        F = lambda aa, xx, cc: (e0 + e1 * aa) * h0(xx) + (e2 + e3 * aa) * h1(xx) * cc
+        g = lambda aa, xx, cc: F(aa * cc, cc * xx, cc)
+        gg = lambda aa, xx, cc: g(aa * cc, cc * xx, cc)
+        out["involution"] = max(out["involution"], float(np.max(np.abs(gg(a, tt, c) - F(a, tt, c)))))
+    for _ in range(max(4, n_random // 40)):
+        p = random_toeplitz_poly(rng, 3)
+        Fp = symbol(p)
+        ang = lambda kk, xx: delta_angle(1, kk, xx)
+        for u_deg in (0, 1):
+            X = lambda aa, xx, cc: Fp.eval(ang(aa, xx)) * (cc**u_deg)
+            gX = gauge_pullback(X)
+            src = lambda zz, cc: Fp.eval_at(zz) * (cc**u_deg)
+            Y = lambda aa, xx, cc: src(cc * np.exp(1j * ang(aa, xx)), cc)
+            out["sigma_conj"] = max(out["sigma_conj"], float(np.max(np.abs(gX(a, tt, c) - Y(a, tt, c)))))
+            conj = gauge_pullback(phi_tilde_pullback(gauge_pullback(X)))
+            closed = circle_phi_gauged_pullback(X)
+            out["phi_closed_form"] = max(
+                out["phi_closed_form"], float(np.max(np.abs(conj(a, tt, c) - closed(a, tt, c))))
+            )
+    return out
+
+
+def condition1_loop(rng, nodes: np.ndarray) -> tuple[float, float]:
+    """probes._condition1_residuals one trial at a time."""
+    worst_split = 0.0
+    worst_kernel = 0.0
+    for _ in range(24):
+        vals = rng.normal(size=nodes.size) + 1j * rng.normal(size=nodes.size)
+        vals[0] = vals[-1] = 0.0
+        h = interp_fn(vals, nodes)
+        for e0, e1 in ((1.0, 0.0), (0.0, 1.0), (0.7, -0.4)):
+            f1 = lambda kk, tt: (e0 + e1 * np.asarray(kk)) * h(tt)
+            F = omega_hat(1, f1)
+            back = delta_pullback(1, F)
+            k = Z2[:, None]
+            t = nodes[None, :]
+            worst_split = max(worst_split, float(np.max(np.abs(back(k, t) - f1(k, t)))))
+            other = delta_pullback(2, F)
+            worst_kernel = max(worst_kernel, float(np.max(np.abs(other(nodes[:, None], Z2[None, :])))))
+            f2 = lambda tt, kk: (e0 + e1 * np.asarray(kk)) * h(tt)
+            G = omega_hat(2, f2)
+            back2 = delta_pullback(2, G)
+            worst_split = max(
+                worst_split,
+                float(np.max(np.abs(back2(nodes[:, None], Z2[None, :]) - f2(nodes[:, None], Z2[None, :])))),
+            )
+            other2 = delta_pullback(1, G)
+            worst_kernel = max(worst_kernel, float(np.max(np.abs(other2(k, t)))))
+    return worst_split, worst_kernel
+
+
+def symbol_products_residual(system: RewriteSystem, rng, n: int = 50) -> float:
+    """The symbol map's multiplicativity on n random products of degree-<=3
+    Toeplitz elements, multiplied in ``system``: the loop the relation
+    certificate of the quantum-rp2 suite replaced."""
+    worst = 0.0
+    for _ in range(n):
+        p = random_toeplitz_poly(rng, 3)
+        q = random_toeplitz_poly(rng, 3)
+        diff = symbol(system.mul(p, q)) + (symbol(p) * symbol(q)).scale(-S_ONE)
+        if not diff.is_zero():
+            worst = max(worst, diff.sup_norm_bound())
+    return worst
 
 
 # The three gluings written out once per membership check, with string-keyed

@@ -42,9 +42,12 @@ from pcomod.numgeom import (
     winding_number,
 )
 from pcomod.numgeom import membership, probes
-from pcomod.numgeom.grids import circle_angles
+from pcomod.exprs import load_presentation
+from pcomod.numgeom.circle import interval_fn
+from pcomod.numgeom.grids import circle_angles, interval_nodes
 from pcomod.numgeom.toeplitz import random_symbol_coeffs, random_toeplitz_poly
 from pcomod.scalars import S_ONE, GaussRat, Scalar
+from pcomod.suites import symbol_relation_residual
 
 CFG = GridConfig()
 
@@ -261,6 +264,86 @@ def test_mattprop_condition2_matches_closures(monkeypatch, seed):
         assert fast["condition2_residual"] == slow["condition2_residual"]
         assert fast == slow
         assert states[0] == states[1]
+
+
+class RecordingGrid(GridConfig):
+    """A GridConfig that keeps every generator it hands out, so that a test
+    can read the state a report leaves them in."""
+
+    def rng(self, salt: int = 0):
+        gen = super().rng(salt)
+        self.__dict__.setdefault("handed", []).append(gen)
+        return gen
+
+
+def _report_and_states(report, cfg, *args):
+    grid = RecordingGrid(cfg.n_circle, cfg.m_interval, cfg.tol, cfg.seed)
+    out = report(grid, *args)
+    return out, [gen.bit_generator.state for gen in grid.handed]
+
+
+SAMPLED_GRIDS = [(720, 257), (8, 2), (64, 33), (1440, 129)]
+
+
+@pytest.mark.parametrize("m", [2, 33, 257])
+def test_interval_fn_matches_np_interp_row_by_row(m):
+    rng = np.random.default_rng(m)
+    nodes = interval_nodes(m)
+    t = np.concatenate([rng.uniform(-1.5, 1.5, size=300), nodes, [-1.0, 1.0, -3.0, 3.0, -0.0, 0.0]])
+    rows = rng.normal(size=(5, m)) + 1j * rng.normal(size=(5, m))
+    for samples in (rows.real, rows):
+        for query in (t, t[: t.size // 2 * 2].reshape(-1, 2), t[-1]):
+            got = interval_fn(samples, nodes)(query)
+            assert got.shape == (5,) + np.shape(query)
+            for row, sample_row in zip(got, samples):
+                assert row.tobytes() == oracles.interp_fn(sample_row, nodes)(query).tobytes()
+
+
+def test_interval_fn_at_a_zero_sample_differs_at_most_in_its_sign():
+    nodes = interval_nodes(5)
+    row = np.array([-0.0, 1.0, -0.0, -2.0, 0.0])
+    t = np.concatenate([nodes, [-0.9, -0.3, 0.4]])
+    got = interval_fn(row[None, :], nodes)(t)[0]
+    want = oracles.interp_fn(row, nodes)(t)
+    assert np.array_equal(got, want)
+    assert got[5:].tobytes() == want[5:].tobytes()
+
+
+@pytest.mark.parametrize("seed", [20130915, 1, 7])
+@pytest.mark.parametrize("grid", SAMPLED_GRIDS)
+def test_sampled_identity_blocks_match_trial_loops(grid, seed):
+    """The block passes give the trial-at-a-time residuals bit for bit and
+    leave the generator where the loops leave it, also when n_random is not
+    a multiple of the block size."""
+    cfg = GridConfig(n_circle=grid[0], m_interval=grid[1], seed=seed)
+    for fast, slow in (
+        (splitting_identities_report, oracles.splitting_identities_loop),
+        (gauge_conjugation_report, oracles.gauge_conjugation_loop),
+    ):
+        for args in ((), (0,), (1,), (8,), (17,), (60,)):
+            assert _report_and_states(fast, cfg, *args) == _report_and_states(slow, cfg, *args)
+
+
+@pytest.mark.parametrize("seed", [20130915, 1, 7])
+@pytest.mark.parametrize("grid", SAMPLED_GRIDS)
+def test_mattprop_condition1_matches_trial_loop(monkeypatch, grid, seed):
+    cfg = GridConfig(n_circle=grid[0], m_interval=grid[1], seed=seed)
+    fast = _report_and_states(mattprop_report, cfg, 100)
+    monkeypatch.setattr(probes, "_condition1_residuals", oracles.condition1_loop)
+    assert fast == _report_and_states(mattprop_report, cfg, 100)
+
+
+def test_symbol_certificate_agrees_with_random_products():
+    ts = builtin.toeplitz_system()
+    assert symbol_relation_residual(ts) == 0.0
+    assert oracles.symbol_products_residual(ts, GridConfig().rng(7)) == 0.0
+
+
+def test_symbol_certificate_rejects_a_mutant_relation():
+    """ss*s -> 0 in place of ss*s -> 1: the symbol of ss*s is still 1."""
+    mutant, _ = load_presentation({**builtin.PRESENTATIONS["toeplitz"], "relations": ["ss*s = 0"]})
+    assert symbol_relation_residual(mutant) == 1.0
+    assert oracles.symbol_products_residual(mutant, GridConfig().rng(7)) > 0.0
 
 
 def test_winding_numbers_and_guards():

@@ -213,6 +213,13 @@ def test_cli_grids_the_charts_do_not_fit_are_config_errors(capsys, suite, flag, 
     assert "CONFIG_ERROR" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
+def test_cli_tol_not_finite_and_positive_is_a_config_error(capsys, tol):
+    """At nan or tol <= 0 every numeric check would fail, at inf every one pass."""
+    assert main(["verify", "--suite", "sphere-gluing", "--tol", tol]) == 2
+    assert "CONFIG_ERROR" in capsys.readouterr().err
+
+
 def test_cli_internal_key_error_is_not_a_config_error(monkeypatch):
     def broken_suite(cfg):
         return {}["missing"]
