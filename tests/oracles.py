@@ -3,8 +3,7 @@ that do not share code with the engine under test, exhaustive searches that
 find redexes with their own scan and use only the engine's single rewriting
 step and normal form, the sampling loops that exact certificates and
 precomputed tables replaced, the trial-at-a-time loops that one array pass
-per block of trials replaced, the random product loop that the symbol
-relation certificate replaced, the per-check copies of the three gluings that
+per block of trials replaced, the per-check copies of the three gluings that
 one table replaced, the product loops and the composition that the memoised
 algebra maps (Delta, the coactions, the prolongation dictionary, j o S)
 replaced, the degree-bounded axiom loops that the relation-plus-generator

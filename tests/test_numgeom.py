@@ -15,6 +15,7 @@ from oracles import (
     symbol_coefficients,
 )
 from pcomod import builtin
+from pcomod.exprs import load_presentation
 from pcomod.ncpoly import NCPoly
 from pcomod.numgeom import (
     FourierPoly,
@@ -42,7 +43,6 @@ from pcomod.numgeom import (
     winding_number,
 )
 from pcomod.numgeom import membership, probes
-from pcomod.exprs import load_presentation
 from pcomod.numgeom.circle import interval_fn
 from pcomod.numgeom.grids import circle_angles, interval_nodes
 from pcomod.numgeom.toeplitz import random_symbol_coeffs, random_toeplitz_poly
