@@ -4,7 +4,14 @@ GL_q(2) action, Toeplitz *-polynomials with their Z2-coaction, smash-product
 pieces, and the end-to-end frame-bundle obstruction computation.
 
 Every q-taking builder parses its presentation at that q: at a fixed q the
-parser reads `Q` as the value itself, so every table holds constant scalars."""
+parser reads `Q` as the value itself, so every table holds constant scalars.
+
+Each builder builds its object once per process and returns that same object
+on every later call; q-taking builders are memoised on ``q_value(q)``, so
+'formal' and 'cbrt1' share one object, as do 3 and GaussRat(3).  Outputs are
+shared and read-only by contract: a caller that wants a changed table or map
+copies it first (``dict(table)``, ``dataclasses.replace``) and builds its own
+object from the copy."""
 
 from __future__ import annotations
 
@@ -231,6 +238,18 @@ def q_value(q) -> GaussRat | None:
     return v
 
 
+def _memo_by_q(builder):
+    """Memoise a q-taking builder on ``q_value(q)``; its body receives that
+    value.  q = 0 raises QZeroError on every call, before the memo is read."""
+    memo = functools.cache(builder)
+
+    @functools.wraps(builder)
+    def build_at(q="formal"):
+        return memo(q_value(q))
+
+    return build_at
+
+
 # ---------------------------------------------------------------------------
 # builders
 # ---------------------------------------------------------------------------
@@ -240,26 +259,32 @@ def _hopf(name: str, q=None) -> HopfAlgebra:
     return hopf
 
 
+@functools.cache
 def c_z2() -> HopfAlgebra:
     return _hopf("c_z2")
 
 
+@functools.cache
 def o_u1() -> HopfAlgebra:
     return _hopf("o_u1")
 
 
+@_memo_by_q
 def su_q2(q="formal") -> HopfAlgebra:
     return _hopf("su_q2", q)
 
 
+@_memo_by_q
 def gl_q2(q="formal") -> HopfAlgebra:
     return _hopf("gl_q2", q)
 
 
+@_memo_by_q
 def sl_q2(q="formal") -> HopfAlgebra:
     return _hopf("sl_q2", q)
 
 
+@_memo_by_q
 def quantum_plane(q="formal") -> RewriteSystem:
     system, _ = load_presentation(PRESENTATIONS["quantum_plane"], q_value(q))
     return system
@@ -267,11 +292,12 @@ def quantum_plane(q="formal") -> RewriteSystem:
 
 @functools.cache
 def toeplitz_system() -> RewriteSystem:
-    """The Toeplitz algebra's rewrite system, parsed once; callers share it."""
+    """The Toeplitz algebra's rewrite system."""
     system, _ = load_presentation(PRESENTATIONS["toeplitz"])
     return system
 
 
+@functools.cache
 def toeplitz_comodule() -> ComoduleAlgebra:
     """Toeplitz *-polynomials with the gauged coaction s -> s (x) u over C(Z2)."""
     system = toeplitz_system()
@@ -283,6 +309,7 @@ def toeplitz_comodule() -> ComoduleAlgebra:
     return ComoduleAlgebra(system, H, coaction, name="toeplitz over c_z2")
 
 
+@functools.cache
 def o_u1_over_z2() -> ComoduleAlgebra:
     """O(U(1)) as a C(Z2)-comodule algebra via the parity surjection."""
     system, _ = load_presentation(PRESENTATIONS["o_u1"])
@@ -295,6 +322,7 @@ def o_u1_over_z2() -> ComoduleAlgebra:
     return ComoduleAlgebra(system, H, coaction, name="o_u1 over c_z2")
 
 
+@functools.cache
 def pw_patch() -> tuple[ComoduleAlgebra, CleavingMap]:
     """Peter-Weyl patch avatar over O(U(1)) with its algebra-map cleaving."""
     doc = PRESENTATIONS["pw_patch"]
@@ -324,6 +352,7 @@ def trivial_action(H: HopfAlgebra, B: RewriteSystem) -> dict[tuple[str, str], NC
     return table
 
 
+@functools.cache
 def toeplitz_z2_smash() -> SmashProduct:
     """The sphere building block T (x) C(Z2): smash with trivial action."""
     B = toeplitz_system()
@@ -331,6 +360,7 @@ def toeplitz_z2_smash() -> SmashProduct:
     return smash_product(B, H, trivial_action(H, B), name="toeplitz_z2_smash", h_central=True)
 
 
+@functools.cache
 def toeplitz_u1_smash() -> SmashProduct:
     """Prolonged building block T (x) O(U(1))."""
     B = toeplitz_system()
@@ -338,12 +368,14 @@ def toeplitz_u1_smash() -> SmashProduct:
     return smash_product(B, H, trivial_action(H, B), name="toeplitz_u1_smash", h_central=True)
 
 
+@_memo_by_q
 def plane_action_table(q="formal") -> dict[tuple[str, str], NCPoly]:
     al = quantum_plane(q).alphabet
     qv = q_value(q)
     return {tuple(key.split(",")): parse_poly(e, al, qv) for key, e in PLANE_ACTION.items()}
 
 
+@_memo_by_q
 def plane_gl_smash(q="formal") -> SmashProduct:
     """A(C^2_q) x| A(GL_q(2)) with the declared left action."""
     B = quantum_plane(q)
@@ -361,6 +393,7 @@ def _su_u1_images(al: Alphabet) -> dict[str, NCPoly]:
     }
 
 
+@_memo_by_q
 def su_q2_to_u1_map(q="formal") -> LinearMap:
     su = su_q2(q)
     u1 = o_u1()
@@ -395,6 +428,7 @@ def su_gamma_ideal(H: HopfAlgebra | None = None) -> HopfIdeal:
     return HopfIdeal(H, [NCPoly.gen(al, "g"), NCPoly.gen(al, "gs")], name="<g,gs>")
 
 
+@_memo_by_q
 def patch_prolonged(q="formal"):
     """Prolongation of the Peter-Weyl patch trivialisation along the
     quantum-group surjection; the piece is the disc-times-SU_q(2) pattern."""
@@ -416,6 +450,7 @@ def patch_prolonged(q="formal"):
 # the quantum-sphere covering (three Toeplitz-smash faces over C(Z2))
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def pi_u1_to_z2() -> LinearMap:
     """The parity surjection O(U(1)) -> C(Z2), u and u^-1 both to the order-2 generator."""
     H = o_u1()
@@ -430,6 +465,7 @@ def pi_u1_to_z2() -> LinearMap:
     )
 
 
+@functools.cache
 def _sphere_edge() -> "ComoduleAlgebra":
     """Edge avatar for one face pair: two circle unitaries (untwisted and
     twisted symbol images), the base Z2 coordinate v, and the fiber copy w."""
@@ -454,6 +490,7 @@ def _sphere_edge() -> "ComoduleAlgebra":
     return ComoduleAlgebra(sys, H, coaction, name="sphere_edge over c_z2")
 
 
+@functools.cache
 def sphere_covering():
     """The ungauged quantum-sphere trivialisation: three T (x) C(Z2) faces,
     pairwise glued through edge avatars with the identity twisting choice
@@ -492,6 +529,7 @@ def sphere_covering():
     return Trivialisation(cov, H, cleavings, name="quantum_sphere_trivialisation")
 
 
+@functools.cache
 def sphere_prolonged():
     """Prolongation of the sphere trivialisation to O(U(1)) along the parity
     surjection; the reduction back is the shipped instance of the criterion."""

@@ -401,37 +401,3 @@ def load_presentation(doc: dict, q: GaussRat | None = None):
         hopf = HopfAlgebra(system, delta, counit, antipode, antipode_inv, name=doc.get("name", ""))
     return system, hopf
 
-
-def dump_presentation(
-    name: str,
-    system,
-    hopf=None,
-    relations_src: list[str] | None = None,
-    extra: dict | None = None,
-) -> dict:
-    doc = {
-        "name": name,
-        "generators": list(system.alphabet.gens),
-        "precedence": list(system.alphabet.gens),
-        "scalar_tower": system.scalar_tower,
-        "relations": relations_src
-        if relations_src is not None
-        else [
-            f"{poly_to_expr(NCPoly.word(system.alphabet, r.lhs_word))} = {poly_to_expr(r.rhs)}"
-            for r in system.rules
-        ],
-    }
-    if system.alphabet.central:
-        doc["central"] = sorted(system.alphabet.central)
-    if system.star_table:
-        doc["star"] = {g: poly_to_expr(p) for g, p in system.star_table.items()}
-    if hopf is not None:
-        doc["hopf"] = {
-            "delta": {g: tensor_to_expr(t.terms) for g, t in hopf.delta_table.items()},
-            "counit": {g: scalar_to_expr(c) for g, c in hopf.counit_table.items()},
-            "antipode": {g: poly_to_expr(p) for g, p in hopf.antipode_table.items()},
-            "antipode_inv": {g: poly_to_expr(p) for g, p in hopf.antipode_inv_table.items()},
-        }
-    if extra:
-        doc.update(extra)
-    return doc

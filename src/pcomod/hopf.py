@@ -95,25 +95,6 @@ class HopfAlgebra:
             out = out + c * self.counit_word(w)
         return out
 
-    def unit_counit_map(self, codomain: RewriteSystem | None = None) -> LinearMap:
-        """eta o eps: the convolution unit, as an algebra map."""
-        cod = codomain or self.system
-        images = {
-            g: NCPoly.const(cod.alphabet, self.counit_table[g])
-            for g in self.system.alphabet.gens
-        }
-        return gens_map(f"eta.eps_{self.name}", self.system, cod, images, check=False)
-
-    def is_group_like(self, w: Word) -> bool:
-        sys2 = (self.system, self.system)
-        return (
-            self.delta_word(w) == Tensor(sys2, {(w, w): S_ONE})
-            and self.counit_word(w) == S_ONE
-        )
-
-    def group_like_words(self, bound: int) -> list[Word]:
-        return [w for w in self.system.basis_words(bound) if self.is_group_like(w)]
-
     def __repr__(self):
         return f"HopfAlgebra({self.name})"
 

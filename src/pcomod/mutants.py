@@ -3,6 +3,7 @@ must be caught by the standard verifiers with a localized witness."""
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import partial
 from typing import Callable
 
@@ -20,7 +21,7 @@ from .comodule import (
 from .hopf import HopfAlgebra, HopfIdeal, check_hopf_axioms
 from .maps import NotWellDefinedError, gens_map
 from .ncpoly import NCPoly
-from .pullback import multipullback_membership
+from .pullback import Covering, multipullback_membership
 from .scalars import S_ONE, Scalar
 from .tensors import Tensor
 
@@ -149,7 +150,7 @@ def _cleaving_not_colinear() -> list[str]:
 def _plane_action_mutant(z: str, b: str, power: int) -> list[str]:
     """The GL_q(2) action on the quantum plane with z |> b = q^power b, a
     weight that breaks the module-algebra axioms."""
-    table = builtin.plane_action_table("formal")
+    table = dict(builtin.plane_action_table("formal"))
     B = builtin.quantum_plane()
     table[(z, b)] = NCPoly.gen(B.alphabet, b).scale(Scalar.q_power(power))
     try:
@@ -162,18 +163,19 @@ def _plane_action_mutant(z: str, b: str, power: int) -> list[str]:
 # -- covering / transition mutants ----------------------------------------------------
 
 def _edge_map_forgets_twist() -> list[str]:
-    triv = builtin.sphere_covering()
-    pair = triv.covering.pairs[(0, 1)]
+    cov = builtin.sphere_covering().covering
+    pair = cov.pairs[(0, 1)]
     al = pair.target.system.alphabet
     bad_map = gens_map(
         "pi^1_0-bad",
-        triv.covering.pieces[1].comodule.system,
+        cov.pieces[1].comodule.system,
         pair.target.system,
         {"s": NCPoly.gen(al, "z2"), "ss": NCPoly.gen(al, "z2i"), "u": NCPoly.gen(al, "v")},
         check=True,
     )
-    pair.map_j = bad_map
-    return _witnesses(triv.covering.validate(2))
+    pairs = {**cov.pairs, (0, 1): replace(pair, map_j=bad_map)}
+    bad = Covering(cov.pieces, pairs, base=cov.base, kernels=cov.kernels, name=cov.name)
+    return _witnesses(bad.validate(2))
 
 
 def _constant_fiber_tuple_rejected() -> list[str]:
@@ -186,8 +188,6 @@ def _constant_fiber_tuple_rejected() -> list[str]:
 
 
 def _kernel_overlap_detected() -> list[str]:
-    from .pullback import Covering
-
     sm = builtin.toeplitz_z2_smash()
     al = sm.system.alphabet
     proj = NCPoly.one(al) - NCPoly.word(al, ("s", "ss"))

@@ -8,7 +8,8 @@ one table replaced, the product loops and the composition that the memoised
 algebra maps (Delta, the coactions, the prolongation dictionary, j o S)
 replaced, the degree-bounded axiom loops that the relation-plus-generator
 certificates replaced, and the build-at-formal-q-then-substitute path that
-parsing at a fixed q replaced."""
+parsing at a fixed q replaced.  It also holds the helpers only tests call: the
+presentation dumper, eta o eps and the group-like basis words."""
 
 from __future__ import annotations
 
@@ -22,8 +23,10 @@ import numpy as np
 from pcomod import builtin
 from pcomod.builtin import toeplitz_system
 from pcomod.comodule import ComoduleAlgebra
+from pcomod.exprs import poly_to_expr, scalar_to_expr, tensor_to_expr
 from pcomod.hopf import CheckFailure, HopfAlgebra
-from pcomod.ncpoly import NCPoly, word_str
+from pcomod.maps import LinearMap, gens_map
+from pcomod.ncpoly import NCPoly, Word, word_str
 from pcomod.numgeom import membership, probes
 from pcomod.numgeom.circle import (
     delta_angle,
@@ -976,3 +979,59 @@ def bounded_coaction_axioms(P: ComoduleAlgebra, bound: int) -> list[CheckFailure
         if ce != wp:
             failures.append(CheckFailure("coaction-counit", ws, f"{ce!r} != {wp!r}"))
     return failures
+
+
+# ---------------------------------------------------------------------------
+# helpers only tests call
+# ---------------------------------------------------------------------------
+
+def dump_presentation(
+    name: str,
+    system,
+    hopf=None,
+    relations_src: list[str] | None = None,
+    extra: dict | None = None,
+) -> dict:
+    doc = {
+        "name": name,
+        "generators": list(system.alphabet.gens),
+        "precedence": list(system.alphabet.gens),
+        "scalar_tower": system.scalar_tower,
+        "relations": relations_src
+        if relations_src is not None
+        else [
+            f"{poly_to_expr(NCPoly.word(system.alphabet, r.lhs_word))} = {poly_to_expr(r.rhs)}"
+            for r in system.rules
+        ],
+    }
+    if system.alphabet.central:
+        doc["central"] = sorted(system.alphabet.central)
+    if system.star_table:
+        doc["star"] = {g: poly_to_expr(p) for g, p in system.star_table.items()}
+    if hopf is not None:
+        doc["hopf"] = {
+            "delta": {g: tensor_to_expr(t.terms) for g, t in hopf.delta_table.items()},
+            "counit": {g: scalar_to_expr(c) for g, c in hopf.counit_table.items()},
+            "antipode": {g: poly_to_expr(p) for g, p in hopf.antipode_table.items()},
+            "antipode_inv": {g: poly_to_expr(p) for g, p in hopf.antipode_inv_table.items()},
+        }
+    if extra:
+        doc.update(extra)
+    return doc
+
+
+def unit_counit_map(H: HopfAlgebra, codomain: RewriteSystem | None = None) -> LinearMap:
+    """eta o eps: the convolution unit, as an algebra map."""
+    cod = codomain or H.system
+    images = {g: NCPoly.const(cod.alphabet, H.counit_table[g]) for g in H.system.alphabet.gens}
+    return gens_map(f"eta.eps_{H.name}", H.system, cod, images, check=False)
+
+
+def group_like_words(H: HopfAlgebra, bound: int) -> list[Word]:
+    """Basis words w up to the bound with Delta(w) = w (x) w and eps(w) = 1."""
+    sys2 = (H.system, H.system)
+    return [
+        w
+        for w in H.system.basis_words(bound)
+        if H.delta_word(w) == Tensor(sys2, {(w, w): S_ONE}) and H.counit_word(w) == S_ONE
+    ]

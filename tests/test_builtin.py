@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import oracles
 from pcomod import builtin
+from pcomod.cli import main
 from pcomod.exprs import parse_poly, parse_tensor_terms
 from pcomod.hopf import HopfAlgebra
 from pcomod.ncpoly import NCPoly
@@ -151,17 +156,51 @@ def test_determinant_is_the_antipode_of_its_inverse(q):
     assert builtin.gl_mod_det_ideal(gl).gens[0] == D - NCPoly.one(gl.system.alphabet)
 
 
-def test_fixed_q_builders_never_make_formal_q(monkeypatch):
-    """At a fixed q no builder goes through Q(i)(q): the parser reads Q as the value."""
+_FIXED_Q_BUILDS = """
+from pcomod import builtin
+from pcomod.scalars import Scalar
 
-    def formal_q(k):
-        raise AssertionError(f"formal q^{k} built at a fixed q")
+def formal_q(k):
+    raise AssertionError(f"formal q^{k} built at a fixed q")
 
-    monkeypatch.setattr(Scalar, "q_power", staticmethod(formal_q))
-    for name in builtin.registry():
-        builtin.build(name, 3)
-    builtin.plane_action_table(3)
-    builtin.gl_mod_det_ideal(builtin.gl_q2(3))
-    assert builtin.patch_prolonged(3).report == []
-    assert builtin.su_q2_to_u1_checks(3) == []
-    assert builtin.frame_bundle_obstruction(3).consistent is False
+Scalar.q_power = staticmethod(formal_q)
+for name in builtin.registry():
+    builtin.build(name, 3)
+builtin.plane_action_table(3)
+builtin.gl_mod_det_ideal(builtin.gl_q2(3))
+assert builtin.patch_prolonged(3).report == []
+assert builtin.su_q2_to_u1_checks(3) == []
+assert builtin.frame_bundle_obstruction(3).consistent is False
+"""
+
+
+def test_fixed_q_builders_never_make_formal_q():
+    """At a fixed q no builder goes through Q(i)(q): the parser reads Q as the
+    value.  Builders memoise, so this runs in a fresh interpreter: a q = 3
+    object another test built would come back without being built again."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", _FIXED_Q_BUILDS], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+
+
+def test_builders_are_memoised_on_the_q_value(capsys):
+    """One object per q value: 'formal' and 'cbrt1' share one, as do 3,
+    GaussRat(3) and Fraction(3); q = 0 raises on every call."""
+    assert builtin.gl_q2(3) is builtin.gl_q2(GaussRat(3)) is builtin.gl_q2(Fraction(3))
+    assert builtin.su_q2("formal") is builtin.su_q2("cbrt1") is builtin.su_q2()
+    assert builtin.plane_gl_smash(3) is builtin.build("plane_gl_smash", GaussRat(3))
+    assert builtin.plane_gl_smash(3) is not builtin.plane_gl_smash(2)
+    assert builtin.build("toeplitz_z2_smash", 3) is builtin.toeplitz_z2_smash()
+    assert builtin.sphere_covering() is builtin.sphere_covering()
+    for _ in range(2):
+        with pytest.raises(builtin.QZeroError):
+            builtin.gl_q2(0)
+        with pytest.raises(builtin.QZeroError):
+            builtin.plane_action_table(0)
+        assert main(["verify", "--suite", "all", "--q", "0"]) == 2
+        assert "CONFIG_ERROR" in capsys.readouterr().err
+    with pytest.raises(builtin.UnknownNameError, match="nearest match: gl_q2"):
+        builtin.build("gl_q3")

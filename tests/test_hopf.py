@@ -22,7 +22,7 @@ from pcomod.rewrite import RewriteSystem
 from pcomod.scalars import S_ONE, S_Q, S_ZERO
 from pcomod.tensors import Tensor
 
-from oracles import Z2Model, bounded_coaction_axioms, bounded_hopf_axioms
+from oracles import Z2Model, bounded_coaction_axioms, bounded_hopf_axioms, group_like_words
 
 
 def test_delta_examples(z2, su):
@@ -121,7 +121,7 @@ def test_coinvariant_words_closed_under_multiplication(u1):
 
 def test_group_like_inverse_property(gl, u1, z2):
     for H in (gl, u1, z2):
-        for w in H.group_like_words(2):
+        for w in group_like_words(H, 2):
             p = NCPoly.word(H.system.alphabet, w)
             assert H.system.mul(H.S.apply(p), p) == H.system.one()
 

@@ -3,7 +3,6 @@ import pytest
 from pcomod import builtin
 from pcomod.exprs import (
     ParseError,
-    dump_presentation,
     load_presentation,
     parse_poly,
     parse_relation,
@@ -14,6 +13,8 @@ from pcomod.exprs import (
 )
 from pcomod.ncpoly import Alphabet, NCPoly
 from pcomod.scalars import GaussRat, S_ONE, Scalar
+
+from oracles import dump_presentation
 
 
 AL = Alphabet(["a", "b"])

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from pcomod import suites
+from pcomod import builtin, suites
 from pcomod.cli import main
+from pcomod.exprs import parse_poly
 from pcomod.numgeom import GridConfig
 from pcomod.suites import (
     CheckRecord,
@@ -302,6 +303,26 @@ def test_verify_all_help_prints_usage_and_runs_nothing(tmp_path):
     assert out.returncode == 0, out.stderr
     assert "usage:" in out.stdout and "outdir" in out.stdout
     assert list(tmp_path.iterdir()) == []
+
+
+EXACT_SUITES = [name for name in suites.SUITES if name not in (
+    "quantum-rp2", "sphere-gluing", "mattprop", "disc-decomposition", "parity-probe", "peter-weyl"
+)]
+
+
+def test_no_state_leaks_between_suites():
+    """Builders hand every suite the same objects, so no suite may change
+    them: the exact suites give the same reports run again in reverse order,
+    negative controls first, and the builder outputs the mutants copy from
+    stay as built."""
+    first = [run_suite(SuiteConfig(suite=name)).canonical_json() for name in EXACT_SUITES]
+    assert EXACT_SUITES[-1] == "negative-controls"
+    again = [run_suite(SuiteConfig(suite=name)).canonical_json() for name in reversed(EXACT_SUITES)]
+    assert again[::-1] == first
+    assert builtin.sphere_covering().covering.pairs[(0, 1)].map_j.name == "pi^1_0"
+    al = builtin.quantum_plane().alphabet
+    parsed = {tuple(key.split(",")): parse_poly(e, al) for key, e in builtin.PLANE_ACTION.items()}
+    assert builtin.plane_action_table("formal") == parsed
 
 
 def test_hash_sweep_matches_the_manifest():

@@ -20,6 +20,7 @@ from oracles import (
     looped_dictionary_word,
     multiplied_word_image,
     summed_image,
+    unit_counit_map,
 )
 
 
@@ -82,7 +83,7 @@ def test_table_maps_use_canonical_keys(z2):
 
 def test_convolution_unit_and_antipode(z2, u1):
     # eta o eps is the convolution unit
-    e = z2.unit_counit_map()
+    e = unit_counit_map(z2)
     idm = identity_map(z2.system)
     conv = convolution(e, idm, z2, bound=2)
     for w in z2.system.basis_words(2):
@@ -281,7 +282,8 @@ def test_coaction_map_matches_product_loop(name, q):
 
 def test_cleaving_inverse_matches_composition(monkeypatch):
     """j_inv, the anti-algebra map with images j(S(g)), equals j applied after
-    S on every basis word of degree <= 3, for every cleaving the suites build."""
+    S on every basis word of degree <= 3, for every cleaving the suites build
+    or take from a builder (builders memoise, so theirs may predate the run)."""
     from pcomod.suites import SuiteConfig, run_suite
 
     built = []
@@ -297,7 +299,11 @@ def test_cleaving_inverse_matches_composition(monkeypatch):
     example = Path(__file__).resolve().parents[1] / "scripts" / "example_covering.json"
     run_suite(SuiteConfig(suite="covering", covering=str(example)))
     assert len(built) > 10
-    for cl in built:
+    built += [builtin.pw_patch()[1], *builtin.sphere_covering().cleavings]
+    built += builtin.sphere_prolonged().trivialisation.cleavings
+    for q in ("formal", 3):
+        built += builtin.patch_prolonged(q).trivialisation.cleavings
+    for cl in {id(cl): cl for cl in built}.values():
         H = cl.P.hopf
         for w in H.system.basis_words(3):
             assert cl.j_inv.apply_word(w) == composed_word_image(cl.j, H.S, w), (cl.j.name, w)
