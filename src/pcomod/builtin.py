@@ -312,7 +312,7 @@ def toeplitz_comodule() -> ComoduleAlgebra:
 @functools.cache
 def o_u1_over_z2() -> ComoduleAlgebra:
     """O(U(1)) as a C(Z2)-comodule algebra via the parity surjection."""
-    system, _ = load_presentation(PRESENTATIONS["o_u1"])
+    system = o_u1().system
     H = c_z2()
     Ts = (system, H.system)
     coaction = {

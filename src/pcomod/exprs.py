@@ -15,7 +15,7 @@ import re
 from fractions import Fraction
 
 from .ncpoly import Alphabet, NCPoly, Word
-from .scalars import P_ONE, S_Q, GaussRat, Scalar
+from .scalars import S_Q, GaussRat, Scalar
 
 _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|\d+|\^|\*|\+|-|#|\(|\)|/|=)")
 
@@ -266,93 +266,6 @@ def parse_relation(s: str, alphabet: Alphabet, q: GaussRat | None = None) -> tup
 def parse_tensor_terms(s: str, alphabet: Alphabet, legs: int, q: GaussRat | None = None) -> dict:
     """Raw tensor terms dict[(Word,)*legs -> Scalar] over a union alphabet."""
     return Parser(s, alphabet, q).finish().as_tensor_terms(alphabet, legs)
-
-
-# ---------------------------------------------------------------------------
-# rendering (inverse of the grammar, used by the exporters)
-# ---------------------------------------------------------------------------
-
-def scalar_to_expr(c: Scalar) -> str:
-    if c.d is not P_ONE:
-        raise ParseError(f"cannot render denominator of {c!r} in the expression grammar")
-
-    def gauss(g: GaussRat) -> str:
-        parts = []
-        if g.re:
-            parts.append(str(g.re))
-        if g.im:
-            istr = "I" if g.im == 1 else ("-I" if g.im == -1 else f"{g.im}*I")
-            parts.append(istr if not parts else (f"+ {istr}" if g.im > 0 else f"- {abs(g.im)}*I".replace("1*I", "I") if g.im == -1 else f"+ {g.im}*I"))
-        if not parts:
-            return "0"
-        s = " ".join(parts)
-        return f"({s})" if (g.re and g.im) else s
-
-    terms = []
-    for k, g in enumerate(c.n):
-        if not g:
-            continue
-        p = k + c.v
-        qpart = "" if p == 0 else ("Q" if p == 1 else f"Q^{p}" if p > 0 else f"Q^-{-p}")
-        gs = gauss(g)
-        if qpart and gs == "1":
-            terms.append(qpart)
-        elif qpart and gs == "-1":
-            terms.append(f"-{qpart}")
-        elif qpart:
-            terms.append(f"{gs}*{qpart}")
-        else:
-            terms.append(gs)
-    if not terms:
-        return "0"
-    out = terms[0]
-    for t in terms[1:]:
-        out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-    return out
-
-
-def poly_to_expr(p: NCPoly) -> str:
-    if not p.terms:
-        return "0"
-    parts = []
-    for w in sorted(p.terms, key=p.alphabet.key):
-        c = p.terms[w]
-        cs = scalar_to_expr(c)
-        body = "*".join(w) if w else ""
-        if not body:
-            parts.append(cs if ("+" not in cs or cs.startswith("(")) else f"({cs})")
-        elif cs == "1":
-            parts.append(body)
-        elif cs == "-1":
-            parts.append(f"-{body}")
-        else:
-            wrapped = cs if (" " not in cs) else f"({cs})"
-            parts.append(f"{wrapped}*{body}")
-    out = parts[0]
-    for t in parts[1:]:
-        out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-    return out
-
-
-def tensor_to_expr(terms: dict) -> str:
-    parts = []
-    for key in sorted(terms, key=repr):
-        c = terms[key]
-        cs = scalar_to_expr(c)
-        body = " # ".join("*".join(w) if w else "1" for w in key)
-        if cs == "1":
-            parts.append(body)
-        elif cs == "-1":
-            parts.append(f"-({body})")
-        else:
-            wrapped = cs if (" " not in cs) else f"({cs})"
-            parts.append(f"{wrapped}*({body})")
-    if not parts:
-        return "0"
-    out = parts[0]
-    for t in parts[1:]:
-        out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-    return out
 
 
 # ---------------------------------------------------------------------------

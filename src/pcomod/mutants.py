@@ -285,19 +285,17 @@ def _omega_wrong_denominator() -> list[str]:
 
 def _parity_mislabeled_generator() -> list[str]:
     from .numgeom.grids import GridConfig, circle_angles
-    from .numgeom.probes import _random_loop, fourier_table, winding_number
+    from .numgeom.probes import LoopSampler, WindingError, winding_number
 
     cfg = GridConfig()
-    rng = cfg.rng(100)
-    table = fourier_table(circle_angles(cfg.n_circle))
+    loops = LoopSampler(cfg.rng(100), 2, circle_angles(cfg.n_circle))
     evens = 0
     for _ in range(20):
         while True:
-            _, dets = _random_loop(rng, 2, table, "even")
             try:
-                w = winding_number(dets)
+                w = winding_number(loops.next_dets("even"))
                 break
-            except Exception:
+            except WindingError:
                 continue
         if w % 2 == 0:
             evens += 1

@@ -117,26 +117,20 @@ def interval_fn(samples: np.ndarray, nodes: np.ndarray) -> Callable:
     return fn
 
 
-def z2_parts(f, flip_first: bool):
-    """Even/odd parts of f in its Z2 slot; f is a callable of (k, t) or (t, k)."""
-    if flip_first:
-        h0 = lambda t: 0.5 * (f(1.0, t) + f(-1.0, t))
-        h1 = lambda t: 0.5 * (f(1.0, t) - f(-1.0, t))
-    else:
-        h0 = lambda t: 0.5 * (f(t, 1.0) + f(t, -1.0))
-        h1 = lambda t: 0.5 * (f(t, 1.0) - f(t, -1.0))
-    return h0, h1
-
-
 def omega_hat(i: int, f) -> CircleFn:
     """The unital right-colinear splittings of delta_i^*:
     omega_1(1 (x) h) = h o phi_2,   omega_1(u (x) h) = phi_1 * (h o phi_2),
-    omega_2(h (x) 1) = h o phi_1,   omega_2(h (x) u) = phi_2 * (h o phi_1)."""
-    if i == 1:
-        h0, h1 = z2_parts(f, flip_first=True)
-        return lambda th: h0(phi_hat(2, th)) + phi_hat(1, th) * h1(phi_hat(2, th))
-    h0, h1 = z2_parts(f, flip_first=False)
-    return lambda th: h0(phi_hat(1, th)) + phi_hat(2, th) * h1(phi_hat(1, th))
+    omega_2(h (x) 1) = h o phi_1,   omega_2(h (x) u) = phi_2 * (h o phi_1).
+    f is a callable of (k, t) for i = 1 and of (t, k) for i = 2; an
+    evaluation calls it once at each point of Z2 and forms its even and odd
+    parts 0.5 * (f(1) +- f(-1)) from those two values."""
+
+    def F(th):
+        x = phi_hat(3 - i, th)
+        fp, fm = (f(1.0, x), f(-1.0, x)) if i == 1 else (f(x, 1.0), f(x, -1.0))
+        return 0.5 * (fp + fm) + phi_hat(i, th) * (0.5 * (fp - fm))
+
+    return F
 
 
 def iota_z2_pushforward(g) -> Callable:
@@ -267,26 +261,30 @@ def gauge_conjugation_report(cfg: GridConfig, n_random: int = 200) -> dict:
         g = lambda aa, xx, cc: F(aa * cc, cc * xx, cc)
         gg = lambda aa, xx, cc: g(aa * cc, cc * xx, cc)
         out["involution"] = max(out["involution"], float(np.max(np.abs(gg(*points) - F(*points)))))
+    # X = (sigma_1 (x) id)(p (x) u^deg) is read at the points where the three
+    # pullbacks below send (a, t, c), and the source gauge reads the symbol at
+    # z = c exp(i delta_1(a, t)).  Those points are fixed by the grid, so their
+    # exp(i k theta) and z**k tables are built once, for every p and both deg.
+    ks = range(-3, 4)
+    ang = lambda kk, xx: delta_angle(1, kk, xx)
+    args = lambda *xs: xs
+    X_points = {
+        "gX": gauge_pullback(args)(a, tt, c),
+        # gauged Phi_01 = g o Phi~_01 o g vs the closed-form swap
+        "conj": gauge_pullback(phi_tilde_pullback(gauge_pullback(args)))(a, tt, c),
+        "closed": phi_gauged_pullback(args)(a, tt, c),
+    }
+    X_powers = {
+        key: ({k: np.exp(1j * k * ang(aa, xx)) for k in ks}, cc) for key, (aa, xx, cc) in X_points.items()
+    }
+    z = c * np.exp(1j * ang(a, tt))
+    z_powers = {k: z**k for k in ks}
     for _ in range(max(4, n_random // 40)):
-        p = random_toeplitz_poly(rng, 3)
-        Fp = symbol(p)
-        ang = lambda kk, xx: delta_angle(1, kk, xx)
+        Fp = symbol(random_toeplitz_poly(rng, 3))
         for u_deg in (0, 1):
-            # X = (sigma_1 (x) id)(p (x) u^deg)
-            X = lambda aa, xx, cc: Fp.eval(ang(aa, xx)) * (cc**u_deg)
-            gX = gauge_pullback(X)
-            # conjugate on the source: p (x) u^deg is Z2-homogeneous of degree len-parity
-            # g(p (x) t) needs the T-side action; on symbols: (z, c) -> (cz, c)
-            src = lambda zz, cc: Fp.eval_at(zz) * (cc**u_deg)
-            Y = lambda aa, xx, cc: src(cc * np.exp(1j * ang(aa, xx)), cc)
-            lhs = gX(a, tt, c)
-            # sigma_1 (x) id applied after the source gauge:
-            rhs = Y(a, tt, c)
-            out["sigma_conj"] = max(out["sigma_conj"], float(np.max(np.abs(lhs - rhs))))
-            # gauged Phi_01 = g o Phi~_01 o g vs the closed-form swap
-            conj = gauge_pullback(phi_tilde_pullback(gauge_pullback(X)))
-            closed = phi_gauged_pullback(X)
-            out["phi_closed_form"] = max(
-                out["phi_closed_form"], float(np.max(np.abs(conj(a, tt, c) - closed(a, tt, c))))
-            )
+            X = {key: Fp.eval_powers(powers) * (cc**u_deg) for key, (powers, cc) in X_powers.items()}
+            # conjugate on the source: on symbols, g acts as (z, c) -> (cz, c)
+            Y = Fp.eval_powers(z_powers) * (c**u_deg)
+            out["sigma_conj"] = max(out["sigma_conj"], float(np.max(np.abs(X["gX"] - Y))))
+            out["phi_closed_form"] = max(out["phi_closed_form"], float(np.max(np.abs(X["conj"] - X["closed"]))))
     return out

@@ -74,6 +74,15 @@ class FourierPoly:
             out = out + c.to_complex() * z**k
         return out
 
+    def eval_powers(self, powers: dict) -> np.ndarray:
+        """The sum eval and eval_at form, with exp(i k theta) or z**k read from
+        ``powers`` (k -> array, k = 0 included): a table built once for points
+        that stay fixed while the polynomial changes."""
+        out = np.zeros(powers[0].shape, dtype=complex)
+        for k, c in self.coeffs.items():
+            out = out + c.to_complex() * powers[k]
+        return out
+
     def __repr__(self):
         if not self.coeffs:
             return "0"

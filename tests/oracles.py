@@ -23,7 +23,7 @@ import numpy as np
 from pcomod import builtin
 from pcomod.builtin import toeplitz_system
 from pcomod.comodule import ComoduleAlgebra
-from pcomod.exprs import poly_to_expr, scalar_to_expr, tensor_to_expr
+from pcomod.exprs import ParseError
 from pcomod.hopf import CheckFailure, HopfAlgebra
 from pcomod.maps import LinearMap, gens_map
 from pcomod.ncpoly import NCPoly, Word, word_str
@@ -33,14 +33,14 @@ from pcomod.numgeom.circle import (
     delta_pullback,
     gauge_pullback,
     iota_z2_pushforward,
-    omega_hat,
+    phi_hat,
     phi_tilde_pullback,
 )
 from pcomod.numgeom.circle import phi_gauged_pullback as circle_phi_gauged_pullback
-from pcomod.numgeom.grids import Z2, circle_angles, interval_nodes
+from pcomod.numgeom.grids import Z2, GridConfig, circle_angles, interval_nodes
 from pcomod.numgeom.toeplitz import _toeplitz_basis, random_toeplitz_poly, symbol
 from pcomod.rewrite import Conflict, ConfluenceReport, RewriteSystem, SizeLimitError
-from pcomod.scalars import S_ONE, S_ZERO, GaussRat, Scalar
+from pcomod.scalars import P_ONE, S_ONE, S_ZERO, GaussRat, Scalar
 from pcomod.tensors import Tensor
 
 
@@ -416,9 +416,31 @@ def random_decomposition_roundtrips(cfg, n_random: int, max_deg: int = 3) -> dic
     }
 
 
+def z2_parts(f, flip_first: bool):
+    """Even/odd parts of f in its Z2 slot; f is a callable of (k, t) or (t, k)."""
+    if flip_first:
+        h0 = lambda t: 0.5 * (f(1.0, t) + f(-1.0, t))
+        h1 = lambda t: 0.5 * (f(1.0, t) - f(-1.0, t))
+    else:
+        h0 = lambda t: 0.5 * (f(t, 1.0) + f(t, -1.0))
+        h1 = lambda t: 0.5 * (f(t, 1.0) - f(t, -1.0))
+    return h0, h1
+
+
+def z2_parts_omega_hat(i: int, f):
+    """circle.omega_hat through the closure pair z2_parts, which calls f twice
+    at each point of Z2 per evaluation: the splitting that calls it once
+    replaced."""
+    if i == 1:
+        h0, h1 = z2_parts(f, flip_first=True)
+        return lambda th: h0(phi_hat(2, th)) + phi_hat(1, th) * h1(phi_hat(2, th))
+    h0, h1 = z2_parts(f, flip_first=False)
+    return lambda th: h0(phi_hat(1, th)) + phi_hat(2, th) * h1(phi_hat(1, th))
+
+
 def condition2_closures(rng, n_random: int) -> float:
     """Condition (2) of probes.mattprop_report by composing the circle-map
-    closures (omega_hat, the Phi swaps) for every trial: the loop that
+    closures (z2_parts_omega_hat, the Phi swaps) for every trial: the loop that
     probes._condition2_residual replaced by grid-only tables.  It draws the
     same random numbers in the same order."""
     worst_c2 = 0.0
@@ -433,7 +455,7 @@ def condition2_closures(rng, n_random: int) -> float:
         YA = {}
         for cval in (1.0, -1.0):
             f = lambda tt, kk, cv=cval: PhiX(tt, kk, cv)
-            YA[cval] = omega_hat(2, f)
+            YA[cval] = z2_parts_omega_hat(2, f)
         ZA = lambda aa, xx, cc: np.where(
             np.asarray(cc) > 0, YA[1.0](delta_angle(1, aa, xx)), YA[-1.0](delta_angle(1, aa, xx))
         )
@@ -443,7 +465,7 @@ def condition2_closures(rng, n_random: int) -> float:
         YB = {}
         for cval in (1.0, -1.0):
             f = lambda tt, kk, cv=cval: PhiW(tt, kk, cv)
-            YB[cval] = omega_hat(2, f)
+            YB[cval] = z2_parts_omega_hat(2, f)
         SB = lambda aa, xx, cc: np.where(
             np.asarray(cc) > 0, YB[1.0](delta_angle(1, aa, xx)), YB[-1.0](delta_angle(1, aa, xx))
         )
@@ -478,13 +500,13 @@ def splitting_identities_loop(cfg, n_random: int = 32) -> dict:
     t = nodes
     k = Z2[:, None]
     worst = {"split1": 0.0, "split2": 0.0, "mixed1": 0.0, "mixed2": 0.0, "unital": 0.0}
-    one = omega_hat(1, lambda kk, tt: np.ones_like(np.asarray(kk) * np.asarray(tt)))
+    one = z2_parts_omega_hat(1, lambda kk, tt: np.ones_like(np.asarray(kk) * np.asarray(tt)))
     worst["unital"] = float(np.max(np.abs(one(circle_angles(cfg.n_circle)) - 1.0)))
     for _ in range(n_random):
         h0 = interp_fn(rng.normal(size=cfg.m_interval) + 1j * rng.normal(size=cfg.m_interval), nodes)
         h1 = interp_fn(rng.normal(size=cfg.m_interval) + 1j * rng.normal(size=cfg.m_interval), nodes)
         f1 = lambda kk, tt: h0(tt) + np.asarray(kk) * h1(tt)
-        F = omega_hat(1, f1)
+        F = z2_parts_omega_hat(1, f1)
         back = delta_pullback(1, F)
         worst["split1"] = max(worst["split1"], float(np.max(np.abs(back(k, t[None, :]) - f1(k, t[None, :])))))
         g = delta_pullback(2, F)
@@ -496,7 +518,7 @@ def splitting_identities_loop(cfg, n_random: int = 32) -> dict:
             float(np.max(np.abs(g(t[:, None], Z2[None, :]) - want(t[:, None], Z2[None, :])))),
         )
         f2 = lambda tt, kk: h0(tt) + np.asarray(kk) * h1(tt)
-        F2 = omega_hat(2, f2)
+        F2 = z2_parts_omega_hat(2, f2)
         back2 = delta_pullback(2, F2)
         worst["split2"] = max(
             worst["split2"], float(np.max(np.abs(back2(t[:, None], Z2[None, :]) - f2(t[:, None], Z2[None, :]))))
@@ -555,7 +577,7 @@ def condition1_loop(rng, nodes: np.ndarray) -> tuple[float, float]:
         h = interp_fn(vals, nodes)
         for e0, e1 in ((1.0, 0.0), (0.0, 1.0), (0.7, -0.4)):
             f1 = lambda kk, tt: (e0 + e1 * np.asarray(kk)) * h(tt)
-            F = omega_hat(1, f1)
+            F = z2_parts_omega_hat(1, f1)
             back = delta_pullback(1, F)
             k = Z2[:, None]
             t = nodes[None, :]
@@ -563,7 +585,7 @@ def condition1_loop(rng, nodes: np.ndarray) -> tuple[float, float]:
             other = delta_pullback(2, F)
             worst_kernel = max(worst_kernel, float(np.max(np.abs(other(nodes[:, None], Z2[None, :])))))
             f2 = lambda tt, kk: (e0 + e1 * np.asarray(kk)) * h(tt)
-            G = omega_hat(2, f2)
+            G = z2_parts_omega_hat(2, f2)
             back2 = delta_pullback(2, G)
             worst_split = max(
                 worst_split,
@@ -709,9 +731,24 @@ def face_atlas(elt, cfg) -> dict:
     return {"edges": edges, "max_residual": worst, "pass": worst < cfg.tol}
 
 
+def random_fourier_entry(rng, parity: str, max_deg: int = 3) -> np.ndarray:
+    """Coefficients c_k, k = -max_deg..max_deg, with the off-parity ones zeroed.
+    parity: 'odd' (f(-z) = -f(z)), 'even' (f(-z) = f(z)), or 'any'.  One
+    matrix entry of a parity loop: the draw probes.LoopSampler makes a block
+    of loops at a time."""
+    ks = np.arange(-max_deg, max_deg + 1)
+    c = rng.normal(size=ks.size) + 1j * rng.normal(size=ks.size)
+    if parity == "odd":
+        c[ks % 2 == 0] = 0.0
+    elif parity == "even":
+        c[ks % 2 == 1] = 0.0
+    return c
+
+
 def per_entry_parity_probe(n: int, trials: int, cfg) -> tuple:
-    """probes.equivariant_parity_probe with exp(i k theta) rebuilt for every
-    matrix entry of every sampled loop: the loop the per-probe table replaced.
+    """probes.equivariant_parity_probe one loop and one matrix entry at a
+    time, with exp(i k theta) rebuilt for every entry: the loop that the
+    per-probe table and then probes.LoopSampler's block passes replaced.
     It draws the same random numbers in the same order and returns the report
     with the determinant samples of every loop it handed to winding_number."""
     rng = cfg.rng(4)
@@ -730,7 +767,7 @@ def per_entry_parity_probe(n: int, trials: int, cfg) -> tuple:
             mats = np.zeros((theta.size, n, n), dtype=complex)
             for i in range(n):
                 for j in range(n):
-                    mats[:, i, j] = eval_fourier(probes.random_fourier_entry(rng, first_row if i == 0 else other))
+                    mats[:, i, j] = eval_fourier(random_fourier_entry(rng, first_row if i == 0 else other))
             dets = np.linalg.det(mats)
             if np.min(np.abs(dets)) > 1e-3:
                 return dets
@@ -747,6 +784,88 @@ def per_entry_parity_probe(n: int, trials: int, cfg) -> tuple:
     report.windings = [sample("odd") for _ in range(trials)]
     report.control_windings = [sample("even") for _ in range(trials)]
     return report, dets_seen
+
+
+def random_loop(rng, n: int, table: np.ndarray, first_row: str):
+    """One matrix loop an entry at a time, with the requested first-row
+    parity, other rows even for the equivariant family and unconstrained for
+    the control, sampled at the angles of ``table = probes.fourier_table``;
+    redrawn until min |det| > 1e-3: the loop probes.LoopSampler replaced."""
+    max_deg = table.shape[0] // 2
+    other = "even" if first_row == "odd" else "any"
+    while True:
+        mats = np.zeros((table.shape[1], n, n), dtype=complex)
+        for i in range(n):
+            parity = first_row if i == 0 else other
+            for j in range(n):
+                mats[:, i, j] = np.tensordot(random_fourier_entry(rng, parity, max_deg), table, axes=(0, 0))
+        dets = np.linalg.det(mats)
+        if np.min(np.abs(dets)) > 1e-3:
+            return mats, dets
+
+
+def parity_mislabeled_loop() -> list[str]:
+    """The witness of the parity-family-mislabeled mutant (mutants.py), one
+    random_loop at a time."""
+    cfg = GridConfig()
+    rng = cfg.rng(100)
+    table = probes.fourier_table(circle_angles(cfg.n_circle))
+    evens = 0
+    for _ in range(20):
+        while True:
+            _, dets = random_loop(rng, 2, table, "even")
+            try:
+                w = probes.winding_number(dets)
+                break
+            except Exception:
+                continue
+        if w % 2 == 0:
+            evens += 1
+    return [f"{evens}/20 even windings from the mislabeled family"] if evens else []
+
+
+def peter_weyl_loop(samples: int, cfg, degrees=(-2, -1, 0, 1, 2)) -> dict:
+    """probes.peter_weyl_report with the line-bundle residual taken degree by
+    degree, omega * a recomputed at the rotated samples for every degree and
+    angle: the loop that computes it once per angle replaced."""
+    rng = cfg.rng(5)
+    v = rng.normal(size=(samples, 4))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    a = v[:, 0] + 1j * v[:, 1]
+    c = v[:, 2] + 1j * v[:, 3]
+    aa = np.abs(a) ** 2
+    cc = np.abs(c) ** 2
+    omega2 = 2.0 / (1.0 + np.abs(aa - cc))
+    out = {}
+    out["zero_identity"] = float(np.max(np.abs((1 - omega2 * aa) * (1 - omega2 * cc))))
+    apatch = aa >= 0.5
+    out["a_patch_unitary"] = float(np.max(np.abs(omega2[apatch] * aa[apatch] - 1.0)))
+    out["c_patch_unitary"] = float(np.max(np.abs(omega2[~apatch] * cc[~apatch] - 1.0)))
+    omega = np.sqrt(omega2)
+    wa = omega[apatch] * a[apatch]
+
+    def power(z, k):
+        return z**k if k >= 0 else np.conj(z) ** (-k)
+
+    worst = 0.0
+    for nn in degrees:
+        for mm in degrees:
+            lhs = power(wa, nn + mm)
+            rhs = power(wa, nn) * power(wa, mm)
+            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    out["cleaving_multiplicative"] = worst
+    phis = rng.uniform(0, 2 * np.pi, size=8)
+    worst = 0.0
+    for nn in degrees:
+        f = lambda av, cv: power(np.sqrt(2.0 / (1.0 + np.abs(np.abs(av) ** 2 - np.abs(cv) ** 2))) * av, nn)
+        base = f(a, c)
+        for phi in phis:
+            g = np.exp(1j * phi)
+            worst = max(worst, float(np.max(np.abs(f(a * g, c * g) - base * np.exp(1j * nn * phi)))))
+    out["line_bundle_equivariance"] = worst
+    out["pass"] = max(out["zero_identity"], out["cleaving_multiplicative"], out["line_bundle_equivariance"]) < cfg.tol
+    out["samples"] = samples
+    return out
 
 
 def scalar_draw_toeplitz_poly(rng, max_deg: int, coeff_range: int = 3) -> NCPoly:
@@ -984,6 +1103,94 @@ def bounded_coaction_axioms(P: ComoduleAlgebra, bound: int) -> list[CheckFailure
 # ---------------------------------------------------------------------------
 # helpers only tests call
 # ---------------------------------------------------------------------------
+
+# ---------------------------------------------------------------------------
+# rendering: the inverse of the exprs grammar, for dump_presentation and the
+# parser round-trip tests
+# ---------------------------------------------------------------------------
+
+def scalar_to_expr(c: Scalar) -> str:
+    if c.d is not P_ONE:
+        raise ParseError(f"cannot render denominator of {c!r} in the expression grammar")
+
+    def gauss(g: GaussRat) -> str:
+        parts = []
+        if g.re:
+            parts.append(str(g.re))
+        if g.im:
+            istr = "I" if g.im == 1 else ("-I" if g.im == -1 else f"{g.im}*I")
+            parts.append(istr if not parts else (f"+ {istr}" if g.im > 0 else f"- {abs(g.im)}*I".replace("1*I", "I") if g.im == -1 else f"+ {g.im}*I"))
+        if not parts:
+            return "0"
+        s = " ".join(parts)
+        return f"({s})" if (g.re and g.im) else s
+
+    terms = []
+    for k, g in enumerate(c.n):
+        if not g:
+            continue
+        p = k + c.v
+        qpart = "" if p == 0 else ("Q" if p == 1 else f"Q^{p}" if p > 0 else f"Q^-{-p}")
+        gs = gauss(g)
+        if qpart and gs == "1":
+            terms.append(qpart)
+        elif qpart and gs == "-1":
+            terms.append(f"-{qpart}")
+        elif qpart:
+            terms.append(f"{gs}*{qpart}")
+        else:
+            terms.append(gs)
+    if not terms:
+        return "0"
+    out = terms[0]
+    for t in terms[1:]:
+        out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
+    return out
+
+
+def poly_to_expr(p: NCPoly) -> str:
+    if not p.terms:
+        return "0"
+    parts = []
+    for w in sorted(p.terms, key=p.alphabet.key):
+        c = p.terms[w]
+        cs = scalar_to_expr(c)
+        body = "*".join(w) if w else ""
+        if not body:
+            parts.append(cs if ("+" not in cs or cs.startswith("(")) else f"({cs})")
+        elif cs == "1":
+            parts.append(body)
+        elif cs == "-1":
+            parts.append(f"-{body}")
+        else:
+            wrapped = cs if (" " not in cs) else f"({cs})"
+            parts.append(f"{wrapped}*{body}")
+    out = parts[0]
+    for t in parts[1:]:
+        out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
+    return out
+
+
+def tensor_to_expr(terms: dict) -> str:
+    parts = []
+    for key in sorted(terms, key=repr):
+        c = terms[key]
+        cs = scalar_to_expr(c)
+        body = " # ".join("*".join(w) if w else "1" for w in key)
+        if cs == "1":
+            parts.append(body)
+        elif cs == "-1":
+            parts.append(f"-({body})")
+        else:
+            wrapped = cs if (" " not in cs) else f"({cs})"
+            parts.append(f"{wrapped}*({body})")
+    if not parts:
+        return "0"
+    out = parts[0]
+    for t in parts[1:]:
+        out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
+    return out
+
 
 def dump_presentation(
     name: str,

@@ -14,7 +14,7 @@ from oracles import (
     scalar_draw_toeplitz_poly,
     symbol_coefficients,
 )
-from pcomod import builtin
+from pcomod import builtin, mutants
 from pcomod.exprs import load_presentation
 from pcomod.ncpoly import NCPoly
 from pcomod.numgeom import (
@@ -23,6 +23,7 @@ from pcomod.numgeom import (
     SphereElement,
     WindingError,
     decomposition_report,
+    delta_angle,
     delta_map,
     disc_membership,
     equivariant_parity_probe,
@@ -30,6 +31,7 @@ from pcomod.numgeom import (
     face_atlas,
     gauge_conjugation_report,
     mattprop_report,
+    omega_hat,
     peter_weyl_report,
     phi_hat,
     phi_hat_grid,
@@ -44,7 +46,7 @@ from pcomod.numgeom import (
 )
 from pcomod.numgeom import membership, probes
 from pcomod.numgeom.circle import interval_fn
-from pcomod.numgeom.grids import circle_angles, interval_nodes
+from pcomod.numgeom.grids import Z2, circle_angles, interval_nodes
 from pcomod.numgeom.toeplitz import random_symbol_coeffs, random_toeplitz_poly
 from pcomod.scalars import S_ONE, GaussRat, Scalar
 from pcomod.suites import symbol_relation_residual
@@ -395,6 +397,72 @@ def test_parity_probe_matches_per_entry_oracle(monkeypatch, seed):
         slow.resamples,
     )
     assert [d.tobytes() for d in seen] == [d.tobytes() for d in slow_dets]
+
+
+@pytest.mark.parametrize("seed", [20130915, 1, 2, 7, 31, 99])
+def test_parity_block_draws_match_per_entry_oracle(monkeypatch, seed):
+    """Every loop size, and trial counts at the block edges: one loop, one
+    short of, equal to and one past a block, and a run of several blocks.
+    Loops drawn but not used by the odd phase go on into the control phase."""
+    cfg = GridConfig(seed=seed)
+    winding = probes.winding_number
+    for n in (1, 2, 3):
+        for trials in (1, 15, 16, 17, 40):
+            seen = []
+            with monkeypatch.context() as m:
+                m.setattr(probes, "winding_number", lambda dets: seen.append(dets) or winding(dets))
+                fast = probes.equivariant_parity_probe(n, trials, cfg)
+            slow, slow_dets = per_entry_parity_probe(n, trials, cfg)
+            assert (fast.windings, fast.control_windings, fast.resamples) == (
+                slow.windings,
+                slow.control_windings,
+                slow.resamples,
+            ), (n, trials)
+            assert [d.tobytes() for d in seen] == [d.tobytes() for d in slow_dets], (n, trials)
+
+
+def test_parity_mutant_witness_matches_loop_oracle():
+    witness = mutants._parity_mislabeled_generator()
+    assert witness and witness == oracles.parity_mislabeled_loop()
+
+
+@pytest.mark.parametrize("seed", [20130915, 1, 7])
+def test_omega_hat_matches_z2_parts_closures(seed):
+    """Bit for bit, on blocks of random interpolants, for both splittings,
+    at circle angles and at chart angles of both argument orders, with a
+    scalar Z2 argument and with Z2 broadcast against the interval."""
+    rng = GridConfig(seed=seed).rng(11)
+    nodes = interval_nodes(33)
+    draws = rng.normal(size=(5, 4, nodes.size))
+    h0 = interval_fn(draws[:, 0] + 1j * draws[:, 1], nodes)
+    h1 = interval_fn(draws[:, 2] + 1j * draws[:, 3], nodes)
+    fs = {
+        1: lambda kk, tt: h0(tt) + np.asarray(kk) * h1(tt),
+        2: lambda tt, kk: h0(tt) + np.asarray(kk) * h1(tt),
+    }
+    t = nodes[None, :]
+    angles = [circle_angles(64)]
+    angles += [delta_angle(j, k, t) for j in (1, 2) for k in (1.0, -1.0, Z2[:, None])]
+    for i, f in fs.items():
+        for th in angles:
+            got = omega_hat(i, f)(th)
+            want = oracles.z2_parts_omega_hat(i, f)(th)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_omega_hat_calls_f_once_at_each_z2_point():
+    for i in (1, 2):
+        calls = []
+        # the Z2 argument comes first for omega_1 and second for omega_2
+        omega_hat(i, lambda *xs: calls.append(xs[i - 1]) or xs[0] * xs[1])(circle_angles(16))
+        assert calls == [1.0, -1.0]
+
+
+@pytest.mark.parametrize("seed", [20130915, 1, 7])
+def test_peter_weyl_matches_degree_loop(seed):
+    cfg = GridConfig(seed=seed)
+    for samples, degrees in ((2000, (-2, -1, 0, 1, 2)), (300, (3, -1)), (50, (0,))):
+        assert peter_weyl_report(samples, cfg, degrees) == oracles.peter_weyl_loop(samples, cfg, degrees)
 
 
 @pytest.mark.parametrize("re, im", [(0, 0), (0, 5), (-7, 0), (-3, -4), (10**40, -(10**30)), (-(2**200), 1)])

@@ -8,13 +8,11 @@ from pcomod.exprs import (
     parse_relation,
     parse_scalar,
     parse_tensor_terms,
-    poly_to_expr,
-    scalar_to_expr,
 )
 from pcomod.ncpoly import Alphabet, NCPoly
 from pcomod.scalars import GaussRat, S_ONE, Scalar
 
-from oracles import dump_presentation
+from oracles import dump_presentation, poly_to_expr, scalar_to_expr
 
 
 AL = Alphabet(["a", "b"])

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import FracGauss, frac_gauss_eval, frac_gauss_rem
+from oracles import FracGauss, frac_gauss_eval, frac_gauss_rem, scalar_to_expr
 from pcomod import scalars
-from pcomod.exprs import ParseError, parse_scalar, scalar_to_expr
+from pcomod.exprs import ParseError, parse_scalar
 from pcomod.scalars import (
     CUBE_ROOT_MINPOLY,
     GR_ONE,

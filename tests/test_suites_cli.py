@@ -333,3 +333,24 @@ def test_hash_sweep_matches_the_manifest():
         capture_output=True, text=True, timeout=120,
     )
     assert out.returncode == 0, out.stdout + out.stderr
+
+
+def test_bench_records_have_every_key(tmp_path):
+    """Every committed BENCH_*.json passes bench_record.py --check, and the
+    check names what an incomplete record lacks."""
+    root = Path(__file__).resolve().parents[1]
+    script = root / "scripts" / "bench_record.py"
+    out = subprocess.run([sys.executable, str(script), "--check"], capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stdout + out.stderr
+    sys.path.insert(0, str(script.parent))
+    try:
+        import bench_record
+    finally:
+        sys.path.remove(str(script.parent))
+    bad = tmp_path / "BENCH_3.json"
+    bad.write_text(json.dumps({"n": 4, "result": {"correct": True}, "detail": {"numeric": {}}}))
+    found = bench_record.problems(bad)
+    assert "missing key 'tier1_wall_s'" in found
+    assert "result lacks 'metrics'" in found
+    assert "detail 'numeric' lacks 'machine'" in found
+    assert "n = 4 does not match the file name" in found
