@@ -2,9 +2,8 @@
 """Record one point of the benchmark trajectory as BENCH_<n>.json, or check
 the files already recorded.
 
-    python3 scripts/bench_record.py 18                 write BENCH_18.json at the repo root
-    python3 scripts/bench_record.py 18 --seconds 6     shorter benchmark window per workload
-    python3 scripts/bench_record.py --check            check the keys of every BENCH_*.json
+    python3 scripts/bench_record.py 18        write BENCH_18.json at the repo root
+    python3 scripts/bench_record.py --check   check the keys of every BENCH_*.json
 
 Writing runs the benchmark as it stands, ``benchmark/run.py --workload all``,
 then times one Tier-1 run (``python -m pytest -q --continue-on-collection-errors``
@@ -28,10 +27,8 @@ RESULT_KEYS = {"correct", "attempted", "failed", "metrics"}
 FILE_KEYS = {"n", "benchmark_argv", "result", "detail", "tier1_wall_s", "tier1_summary"}
 
 
-def run_benchmark(seconds):
+def run_benchmark():
     argv = [sys.executable, "benchmark/run.py", "--workload", "all"]
-    if seconds is not None:
-        argv += ["--seconds", str(seconds)]
     out = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
     lines = out.stdout.splitlines()
     if out.returncode != 0 or not lines:
@@ -72,7 +69,6 @@ def problems(path: Path) -> list[str]:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("n", nargs="?", type=int, help="trajectory index: writes BENCH_<n>.json")
-    ap.add_argument("--seconds", type=float, help="benchmark window per workload (default: run_seconds of BENCHMARK.json)")
     ap.add_argument("--check", action="store_true", help="check every committed BENCH_*.json instead")
     args = ap.parse_args(argv)
     if args.check:
@@ -84,7 +80,7 @@ def main(argv=None) -> int:
         return 1 if bad else 0
     if args.n is None:
         ap.error("give the trajectory index n, or --check")
-    bench_argv, result, detail = run_benchmark(args.seconds)
+    bench_argv, result, detail = run_benchmark()
     if not result["correct"] or result["failed"]:
         sys.exit(f"benchmark gate: correct {result['correct']}, {result['failed']} suite runs failed")
     wall, summary = run_tier1()

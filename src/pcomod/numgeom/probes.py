@@ -68,29 +68,23 @@ class ParityReport:
         return pars == {0, 1}
 
 
-# Loops per generator call of the parity probe.
-PARITY_BLOCK = 16
-
-
 class LoopSampler:
     """Random matrix loops theta -> M(theta) in dimension n, each entry a
     Fourier polynomial of degree <= max_deg, as their determinants at the
     angles theta; only loops with min |det| > 1e-3 are handed out.
 
-    A loop draws, entry by entry in row-major order, the real and then the
-    imaginary parts of its 2*max_deg + 1 coefficients.  One generator call
-    draws PARITY_BLOCK loops in that order, so the stream of loops is the
-    one an entry-at-a-time loop draws (tests/oracles.per_entry_parity_probe).
+    A loop is one generator call: entry by entry in row-major order, the real
+    and then the imaginary parts of its 2*max_deg + 1 coefficients, the order
+    an entry-at-a-time loop draws them (tests/oracles.per_entry_parity_probe).
     The parity of a loop is imposed after the draw by zeroing coefficients:
     with an odd first row the other rows are even, with an even first row
-    they are unconstrained.  Loops drawn but not yet used stay for the next
-    call, whichever parity it asks for.
+    they are unconstrained.
 
     The entries of a loop are one stacked product (n * n, 1, nk) @ table,
     which rounds as the per-entry np.tensordot does (a 2-D product
     (n * n, nk) @ table need not), and its determinants one np.linalg.det
-    call.  Evaluating a whole block at once is no faster, since both costs
-    are per matrix, and its arrays raised the peak RSS of an exact benchmark
+    call.  Evaluating many loops at once is no faster, since both costs are
+    per matrix, and its arrays raised the peak RSS of an exact benchmark
     pass, which runs this sampler in a negative control, by 0.45 MB."""
 
     def __init__(self, rng, n: int, theta: np.ndarray, max_deg: int = 3):
@@ -103,16 +97,13 @@ class LoopSampler:
             "odd": np.broadcast_to(np.where(first, ~odd, odd), (n, n, odd.size)),
             "even": np.broadcast_to(first & odd, (n, n, odd.size)),
         }
-        self.raw = np.empty((0, n, n, 2, odd.size))
 
     def next_dets(self, first_row: str) -> np.ndarray:
         """The (N,) determinant samples of the next loop whose first row has
         parity ``first_row`` ('odd' or 'even')."""
+        n, _, nk = self.drop[first_row].shape
         while True:
-            if not len(self.raw):
-                self.raw = self.rng.normal(size=(PARITY_BLOCK,) + self.raw.shape[1:])
-            raw, self.raw = self.raw[0], self.raw[1:]
-            n, _, _, nk = raw.shape
+            raw = self.rng.normal(size=(n, n, 2, nk))
             c = raw[..., 0, :] + 1j * raw[..., 1, :]
             c[self.drop[first_row]] = 0.0
             entries = (c.reshape(n * n, 1, nk) @ self.table).reshape(n, n, -1)

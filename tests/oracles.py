@@ -734,8 +734,8 @@ def face_atlas(elt, cfg) -> dict:
 def random_fourier_entry(rng, parity: str, max_deg: int = 3) -> np.ndarray:
     """Coefficients c_k, k = -max_deg..max_deg, with the off-parity ones zeroed.
     parity: 'odd' (f(-z) = -f(z)), 'even' (f(-z) = f(z)), or 'any'.  One
-    matrix entry of a parity loop: the draw probes.LoopSampler makes a block
-    of loops at a time."""
+    matrix entry of a parity loop: the draw probes.LoopSampler makes a whole
+    loop at a time."""
     ks = np.arange(-max_deg, max_deg + 1)
     c = rng.normal(size=ks.size) + 1j * rng.normal(size=ks.size)
     if parity == "odd":
@@ -748,7 +748,7 @@ def random_fourier_entry(rng, parity: str, max_deg: int = 3) -> np.ndarray:
 def per_entry_parity_probe(n: int, trials: int, cfg) -> tuple:
     """probes.equivariant_parity_probe one loop and one matrix entry at a
     time, with exp(i k theta) rebuilt for every entry: the loop that the
-    per-probe table and then probes.LoopSampler's block passes replaced.
+    per-probe table and then probes.LoopSampler's stacked products replaced.
     It draws the same random numbers in the same order and returns the report
     with the determinant samples of every loop it handed to winding_number."""
     rng = cfg.rng(4)

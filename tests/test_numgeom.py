@@ -400,10 +400,10 @@ def test_parity_probe_matches_per_entry_oracle(monkeypatch, seed):
 
 
 @pytest.mark.parametrize("seed", [20130915, 1, 2, 7, 31, 99])
-def test_parity_block_draws_match_per_entry_oracle(monkeypatch, seed):
-    """Every loop size, and trial counts at the block edges: one loop, one
-    short of, equal to and one past a block, and a run of several blocks.
-    Loops drawn but not used by the odd phase go on into the control phase."""
+def test_parity_sampler_matches_per_entry_oracle(monkeypatch, seed):
+    """Every loop size and several trial counts, from one loop to 40: each
+    loop is one generator call, in the entry-at-a-time order, and the control
+    phase draws on from where the odd phase stopped."""
     cfg = GridConfig(seed=seed)
     winding = probes.winding_number
     for n in (1, 2, 3):

@@ -335,13 +335,10 @@ def test_hash_sweep_matches_the_manifest():
     assert out.returncode == 0, out.stdout + out.stderr
 
 
-def test_bench_records_have_every_key(tmp_path):
-    """Every committed BENCH_*.json passes bench_record.py --check, and the
-    check names what an incomplete record lacks."""
-    root = Path(__file__).resolve().parents[1]
-    script = root / "scripts" / "bench_record.py"
-    out = subprocess.run([sys.executable, str(script), "--check"], capture_output=True, text=True, timeout=60)
-    assert out.returncode == 0, out.stdout + out.stderr
+def test_bench_record_check_names_what_a_record_lacks(tmp_path):
+    """bench_record.py --check (a CI step on the committed files) names what
+    an incomplete record lacks."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "bench_record.py"
     sys.path.insert(0, str(script.parent))
     try:
         import bench_record
