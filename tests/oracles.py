@@ -747,14 +747,17 @@ def random_fourier_entry(rng, parity: str, max_deg: int = 3) -> np.ndarray:
 
 def per_entry_parity_probe(n: int, trials: int, cfg) -> tuple:
     """probes.equivariant_parity_probe one loop and one matrix entry at a
-    time, with exp(i k theta) rebuilt for every entry: the loop that the
-    per-probe table and then probes.LoopSampler's stacked products replaced.
-    It draws the same random numbers in the same order and returns the report
-    with the determinant samples of every loop it handed to winding_number."""
+    time, with exp(i k theta) rebuilt for every entry and the determinants
+    taken by LAPACK at every sample: the loop that probes.LoopSampler's
+    determinant coefficients replaced.  It draws the same random numbers in
+    the same order and returns the report, the determinant samples of every
+    loop it handed to winding_number, and the (n, n, 7) coefficients of
+    every loop it drew, those the min |det| filter rejected included."""
     rng = cfg.rng(4)
     theta = circle_angles(cfg.n_circle)
     report = probes.ParityReport(size=n, trials=trials)
     dets_seen = []
+    draws = []
 
     def eval_fourier(c):
         max_deg = (c.size - 1) // 2
@@ -764,10 +767,14 @@ def per_entry_parity_probe(n: int, trials: int, cfg) -> tuple:
     def loop(first_row):
         other = "even" if first_row == "odd" else "any"
         while True:
+            coeffs = np.array(
+                [[random_fourier_entry(rng, first_row if i == 0 else other) for _ in range(n)] for i in range(n)]
+            )
+            draws.append(coeffs)
             mats = np.zeros((theta.size, n, n), dtype=complex)
             for i in range(n):
                 for j in range(n):
-                    mats[:, i, j] = eval_fourier(random_fourier_entry(rng, first_row if i == 0 else other))
+                    mats[:, i, j] = eval_fourier(coeffs[i, j])
             dets = np.linalg.det(mats)
             if np.min(np.abs(dets)) > 1e-3:
                 return dets
@@ -783,7 +790,44 @@ def per_entry_parity_probe(n: int, trials: int, cfg) -> tuple:
 
     report.windings = [sample("odd") for _ in range(trials)]
     report.control_windings = [sample("even") for _ in range(trials)]
-    return report, dets_seen
+    return report, dets_seen, draws
+
+
+def fraction_det_coeffs(c: np.ndarray) -> tuple[list, list]:
+    """The exact Fourier coefficients of the determinant of a matrix loop
+    whose entries have the float coefficients c, shape (n, n, 2*max_deg + 1),
+    by Laplace expansion along the first row over FracGauss; and at each
+    degree the majorant M = sum over the Leibniz terms of prod(|re| + |im|)
+    of their factors.  The reference for probes.det_coeffs: every float is
+    a dyadic rational, so both are exact.  Lists run over degrees
+    -n*max_deg..n*max_deg."""
+    n = c.shape[0]
+    exact = [[[FracGauss(Fraction(z.real), Fraction(z.imag)) for z in c[i, j]] for j in range(n)] for i in range(n)]
+
+    def mul(a, b, zero):
+        out = [zero] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = out[i + j] + x * y
+        return out
+
+    def add(a, b):
+        return [x + y for x, y in zip(a, b)] if a else b
+
+    def expand(rows, cols):
+        """(det, majorant) of the minor on these rows and columns."""
+        if not rows:
+            return [FracGauss(1)], [Fraction(1)]
+        det, maj = [], []
+        for pos, j in enumerate(cols):
+            sub_det, sub_maj = expand(rows[1:], cols[:pos] + cols[pos + 1:])
+            entry = exact[rows[0]][j]
+            term = mul(entry, sub_det, FracGauss())
+            det = add(det, term if pos % 2 == 0 else [-x for x in term])
+            maj = add(maj, mul([abs(x.re) + abs(x.im) for x in entry], sub_maj, Fraction(0)))
+        return det, maj
+
+    return expand(tuple(range(n)), tuple(range(n)))
 
 
 def random_loop(rng, n: int, table: np.ndarray, first_row: str):
@@ -817,7 +861,7 @@ def parity_mislabeled_loop() -> list[str]:
             try:
                 w = probes.winding_number(dets)
                 break
-            except Exception:
+            except probes.WindingError:
                 continue
         if w % 2 == 0:
             evens += 1

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 import pytest
@@ -382,21 +383,32 @@ def test_parity_probe_small():
     assert rep2.all_odd and rep2.control_has_both
 
 
-@pytest.mark.parametrize("seed", [20130915, 1, 2, 7, 31, 99])
-def test_parity_probe_matches_per_entry_oracle(monkeypatch, seed):
-    cfg = GridConfig(seed=seed)
-    seen = []
-    winding = probes.winding_number
+def _assert_parity_probe_matches_per_entry_oracle(monkeypatch, n, trials, cfg):
+    """The probe against tests/oracles.per_entry_parity_probe, which takes
+    LAPACK determinants at every sample: the same windings and resamples, the
+    same drawn coefficients byte for byte, and determinant samples within
+    1e-12 * max|det| of LAPACK's on every loop handed to winding_number."""
+    drawn, seen = [], []
+    coeffs, winding = probes.det_coeffs, probes.winding_number
     with monkeypatch.context() as m:
+        m.setattr(probes, "det_coeffs", lambda c: drawn.append(c.copy()) or coeffs(c))
         m.setattr(probes, "winding_number", lambda dets: seen.append(dets) or winding(dets))
-        fast = probes.equivariant_parity_probe(2, 12, cfg)
-    slow, slow_dets = per_entry_parity_probe(2, 12, cfg)
+        fast = probes.equivariant_parity_probe(n, trials, cfg)
+    slow, slow_dets, slow_draws = per_entry_parity_probe(n, trials, cfg)
     assert (fast.windings, fast.control_windings, fast.resamples) == (
         slow.windings,
         slow.control_windings,
         slow.resamples,
-    )
-    assert [d.tobytes() for d in seen] == [d.tobytes() for d in slow_dets]
+    ), (n, trials)
+    assert [c.tobytes() for c in drawn] == [c.tobytes() for c in slow_draws], (n, trials)
+    assert len(seen) == len(slow_dets)
+    for dets, ref in zip(seen, slow_dets):
+        assert np.max(np.abs(dets - ref)) <= 1e-12 * np.max(np.abs(ref)), (n, trials)
+
+
+@pytest.mark.parametrize("seed", [20130915, 1, 2, 7, 31, 99])
+def test_parity_probe_matches_per_entry_oracle(monkeypatch, seed):
+    _assert_parity_probe_matches_per_entry_oracle(monkeypatch, 2, 12, GridConfig(seed=seed))
 
 
 @pytest.mark.parametrize("seed", [20130915, 1, 2, 7, 31, 99])
@@ -405,20 +417,50 @@ def test_parity_sampler_matches_per_entry_oracle(monkeypatch, seed):
     loop is one generator call, in the entry-at-a-time order, and the control
     phase draws on from where the odd phase stopped."""
     cfg = GridConfig(seed=seed)
-    winding = probes.winding_number
     for n in (1, 2, 3):
         for trials in (1, 15, 16, 17, 40):
-            seen = []
-            with monkeypatch.context() as m:
-                m.setattr(probes, "winding_number", lambda dets: seen.append(dets) or winding(dets))
-                fast = probes.equivariant_parity_probe(n, trials, cfg)
-            slow, slow_dets = per_entry_parity_probe(n, trials, cfg)
-            assert (fast.windings, fast.control_windings, fast.resamples) == (
-                slow.windings,
-                slow.control_windings,
-                slow.resamples,
-            ), (n, trials)
-            assert [d.tobytes() for d in seen] == [d.tobytes() for d in slow_dets], (n, trials)
+            _assert_parity_probe_matches_per_entry_oracle(monkeypatch, n, trials, cfg)
+
+
+@pytest.mark.parametrize("seed", [20130915, 1, 7])
+def test_det_coeffs_match_fraction_leibniz(monkeypatch, seed):
+    """probes.det_coeffs on the sampler's own draws against the exact
+    determinant coefficients (oracles.fraction_det_coeffs).  Bound, a priori:
+    on any path from a real monomial of the Leibniz sum to a computed
+    coefficient there are at most K = 8 * (n - 1) + n! - 1 roundings, namely
+    per np.convolve stage one real product, one combination of two into a
+    part of a complex product and at most 6 additions over at most 7 terms,
+    then n! - 1 additions across the permutations.  So each real part errs by
+    at most gamma_K * M, M the majorant sum of the monomials' absolute values
+    and gamma_K = K u / (1 - K u), u = 2**-53.  For n = 1, K = 0: exact.
+    An odd loop's even-degree coefficients are exactly 0."""
+    u = Fraction(1, 2**53)
+    for n in (1, 2, 3):
+        k = 8 * (n - 1) + factorial(n) - 1
+        gamma = k * u / (1 - k * u)
+        recorded = []
+        coeffs = probes.det_coeffs
+
+        def record(c):
+            d = coeffs(c)
+            recorded[-1].append((c.copy(), d))
+            return d
+
+        with monkeypatch.context() as m:
+            m.setattr(probes, "det_coeffs", record)
+            loops = probes.LoopSampler(GridConfig(seed=seed).rng(4), n, circle_angles(64))
+            for first_row in ("odd", "even", "odd", "even"):
+                recorded.append([first_row])
+                loops.next_dets(first_row)
+        for first_row, *pairs in recorded:
+            for c, got in pairs:
+                exact, majorant = oracles.fraction_det_coeffs(c)
+                assert len(exact) == got.size == 6 * n + 1
+                for deg, (z, e, mj) in enumerate(zip(got, exact, majorant), start=-3 * n):
+                    assert abs(Fraction(z.real) - e.re) <= gamma * mj, (n, deg)
+                    assert abs(Fraction(z.imag) - e.im) <= gamma * mj, (n, deg)
+                    if first_row == "odd" and deg % 2 == 0:
+                        assert not e and z == 0, (n, deg)
 
 
 def test_parity_mutant_witness_matches_loop_oracle():
