@@ -5,12 +5,11 @@ from .scalars import GaussRat, Scalar, S_ONE, S_ZERO
 from .ncpoly import Alphabet, NCPoly
 from .rewrite import RewriteSystem, OrderViolation, SizeLimitError
 from .tensors import Tensor
-from .maps import LinearMap, gens_map, identity_map
+from .maps import LinearMap, gens_map
 from .hopf import (
     HopfAlgebra,
     HopfIdeal,
     check_hopf_axioms,
-    convolution,
     left_coinvariant_test,
     quotient_hopf,
 )
@@ -20,12 +19,7 @@ from .comodule import (
     SmashProduct,
     StrongConnection,
     canonical_map,
-    miyashita_ulbrich_check,
-    reduction_ideal,
     smash_product,
-    tensor_over_base_equal,
-    theta_backward,
-    theta_forward,
     verify_strong_connection,
     verify_theta_properties,
 )
@@ -33,12 +27,10 @@ from .pullback import (
     Covering,
     Trivialisation,
     cotensor_membership,
-    ideal_base_correspondence,
     multipullback_membership,
     piece_glue,
     prolong,
     reducibility_check,
-    transition_functions,
 )
 from . import builtin
 

@@ -1,15 +1,14 @@
-"""Comodule algebras, cleaving maps, strong connections, smash products,
-reduction data and the unital-map correspondence on smash products."""
+"""Comodule algebras, cleaving maps, strong connections, smash products, the
+reduction-data properties of a map theta: D -> B on a smash product, and the
+principality certificate for quotient pairs."""
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Sequence
 
 from .hopf import CheckFailure, HopfAlgebra, HopfIdeal, quotient_hopf
-from .linalg import RowSpace
-from .maps import DegreeExceededError, LinearMap, gens_map, relation_mismatches
-from .ncpoly import NCPoly, Word, word_str
+from .maps import LinearMap, gens_map, relation_mismatches
+from .ncpoly import Alphabet, NCPoly, Word, word_str
 from .rewrite import RewriteSystem
 from .scalars import S_ONE
 from .tensors import Tensor, TensorSpace, linear_image
@@ -21,6 +20,10 @@ class NotModuleAlgebraError(ValueError):
 
 class PreconditionError(ValueError):
     pass
+
+
+class DegreeExceededError(KeyError):
+    """A strong connection was applied outside its tabulated degree range."""
 
 
 class ComoduleAlgebra:
@@ -187,14 +190,6 @@ class StrongConnection:
     def apply(self, p: NCPoly) -> Tensor:
         return linear_image(p, self.apply_word, Tensor.zero((self.P.system, self.P.system)))
 
-    def translation_sandwich(self, h: NCPoly, mid: NCPoly) -> NCPoly:
-        """h^[1] * mid * h^[2], multiplied out in P."""
-        P = self.P.system
-        word = partial(NCPoly.word, P.alphabet)
-        return linear_image(
-            self.apply(h), lambda k: P.mul_many([word(k[0]), mid, word(k[1])]), P.zero()
-        )
-
 
 def verify_strong_connection(ell: StrongConnection, degree_bound: int) -> list[CheckFailure]:
     """The three strong-connection axioms plus h^[1] h^[2] = eps(h), on basis
@@ -254,22 +249,6 @@ class SmashProduct(ComoduleAlgebra):
     @property
     def h_gens(self) -> tuple[str, ...]:
         return self.hopf.system.alphabet.gens
-
-    def split_word(self, w: Word) -> tuple[Word, Word]:
-        hset = set(self.h_gens)
-        b = tuple(g for g in w if g not in hset)
-        h = tuple(g for g in w if g in hset)
-        return b, h
-
-    def project_base(self, p: NCPoly) -> NCPoly:
-        """(id (x) eps): collapse the H-part of each normal-form word."""
-        B = self.b_system
-
-        def collapse(w: Word) -> NCPoly:
-            bw, hw = self.split_word(w)
-            return NCPoly.word(B.alphabet, bw, self.hopf.counit_word(hw))
-
-        return linear_image(self.system.normal_form(p), collapse, B.zero())
 
     def cleaving(self) -> CleavingMap:
         j = gens_map(
@@ -361,8 +340,6 @@ def smash_product(
 ) -> SmashProduct:
     """Build B x| H; raises NotModuleAlgebraError when the action fails
     the module-algebra axioms (checked on all generator/relation pairs)."""
-    from .ncpoly import Alphabet
-
     action = ActionData(H, b_system, action_table)
     problems = action.module_algebra_problems()
     if problems:
@@ -426,88 +403,17 @@ def smash_product(
 
 
 # ---------------------------------------------------------------------------
-# Miyashita-Ulbrich compatibility
+# reduction data on smash products
 # ---------------------------------------------------------------------------
-
-def _adjoint(H: HopfAlgebra, h: NCPoly, k: NCPoly) -> NCPoly:
-    """S(h_(1)) k h_(2), in normal form in H."""
-    Hs = H.system
-    return linear_image(
-        h,
-        lambda w: H.convolve(
-            w, lambda v: Hs.mul(H.S.apply_word(v), k), partial(NCPoly.word, Hs.alphabet), Hs
-        ),
-        Hs.zero(),
-    )
-
-
-def miyashita_ulbrich_check(
-    f: LinearMap,
-    ell: StrongConnection,
-    samples: Sequence[tuple[NCPoly, NCPoly]],
-    P: ComoduleAlgebra | None = None,
-) -> list[CheckFailure]:
-    """f(S(h_(1)) k h_(2)) = h^[1] f(k) h^[2] on the given (k, h) samples."""
-    P = P or ell.P
-    H = P.hopf
-    failures = []
-    for k, h in samples:
-        lhs = f.apply(_adjoint(H, h, k))
-        rhs = ell.translation_sandwich(h, f.apply(k))
-        if P.system.normal_form(lhs - rhs) != P.system.zero():
-            failures.append(
-                CheckFailure(
-                    "miyashita-ulbrich",
-                    f"(k={k!r}, h={h!r})",
-                    f"{lhs!r} != {rhs!r}",
-                )
-            )
-    return failures
-
-
-# ---------------------------------------------------------------------------
-# theta correspondence on smash products
-# ---------------------------------------------------------------------------
-
-def theta_forward(f: LinearMap, smash: SmashProduct, dwords: Sequence[Word]) -> LinearMap:
-    """theta_f = (id_B (x) eps) o f, tabulated on the given coinvariant words."""
-    table = {w: smash.project_base(f.apply_word(w)) for w in dwords}
-    return LinearMap(
-        f"theta[{f.name}]",
-        smash.hopf.system,
-        smash.b_system,
-        mode="table",
-        table=table,
-    )
-
-
-def theta_backward(theta: LinearMap, smash: SmashProduct, dwords: Sequence[Word]) -> LinearMap:
-    """f_theta = (theta (x) id_H) o Delta, tabulated on the given words."""
-    H = smash.hopf
-    table = {
-        w: H.delta_word(w)
-        .map_leg(0, theta.apply_word, codomain=smash.b_system)
-        .merge_legs(0, smash.system)
-        .leg_poly(0)
-        for w in dwords
-    }
-    return LinearMap(
-        f"f[{theta.name}]",
-        H.system,
-        smash.system,
-        mode="table",
-        table=table,
-    )
-
 
 def verify_theta_properties(
-    theta: LinearMap,
-    smash: SmashProduct,
-    dpolys: Sequence[NCPoly],
-    hpolys: Sequence[NCPoly] = (),
+    theta: LinearMap, smash: SmashProduct, dpolys: Sequence[NCPoly]
 ) -> list[CheckFailure]:
-    """The three reduction-data properties of a unital map theta: D -> B:
-    anti-multiplicativity, the commutation rule, and S-equivariance."""
+    """Check a map theta: D -> B as reduction data on the smash product.
+    theta must send 1 to 1 and, on the given elements k, l of D, have the two
+    properties: anti-multiplicativity, theta(kl) = theta(l) theta(k), and the
+    commutation rule, b theta(k) = theta(k_(1)) (k_(2) |> b) for each
+    generator b of B."""
     failures = []
     H = smash.hopf
     B = smash.b_system
@@ -517,12 +423,8 @@ def verify_theta_properties(
         failures.append(CheckFailure("theta-unital", "1", f"theta(1) = {theta.apply(H.system.one())!r}"))
     for k in dpolys:
         for l in dpolys:
-            kl = H.system.mul(k, l)
-            try:
-                lhs = theta.apply(kl)
-                rhs = B.mul(theta.apply(l), theta.apply(k))
-            except DegreeExceededError:
-                continue
+            lhs = theta.apply(H.system.mul(k, l))
+            rhs = B.mul(theta.apply(l), theta.apply(k))
             if B.normal_form(lhs - rhs) != B.zero():
                 failures.append(
                     CheckFailure(
@@ -533,16 +435,12 @@ def verify_theta_properties(
                 )
     for k in dpolys:
         for b in smash.b_gens:
-            bp = NCPoly.gen(B.alphabet, b)
-            try:
-                lhs = B.mul(bp, theta.apply(k))
-                rhs = linear_image(
-                    k,
-                    lambda w: H.convolve(w, theta.apply_word, lambda v: act.act(v, (b,)), B),
-                    B.zero(),
-                )
-            except DegreeExceededError:
-                continue
+            lhs = B.mul(NCPoly.gen(B.alphabet, b), theta.apply(k))
+            rhs = linear_image(
+                k,
+                lambda w: H.convolve(w, theta.apply_word, lambda v: act.act(v, (b,)), B),
+                B.zero(),
+            )
             if lhs != rhs:
                 failures.append(
                     CheckFailure(
@@ -551,107 +449,7 @@ def verify_theta_properties(
                         f"b theta(k) = {lhs!r} != theta(k1)(k2|>b) = {rhs!r}",
                     )
                 )
-    for k in dpolys:
-        for h in hpolys:
-            try:
-                lhs = theta.apply(_adjoint(H, h, k))
-                rhs = act.act_hpoly(H.S.apply(h), theta.apply(k))
-            except DegreeExceededError:
-                continue
-            if B.normal_form(lhs - rhs) != B.zero():
-                failures.append(
-                    CheckFailure(
-                        "theta-S-equivariance",
-                        f"(k={k!r}, h={h!r})",
-                        f"{lhs!r} != {rhs!r}",
-                    )
-                )
     return failures
-
-
-# ---------------------------------------------------------------------------
-# reduction ideal (Hopf-Galois reduction data)
-# ---------------------------------------------------------------------------
-
-class ReductionIdeal:
-    def __init__(self, P, generators, quotient_system, inverse_table, report):
-        self.P = P
-        self.generators = generators
-        self.quotient_system = quotient_system
-        self.inverse_table = inverse_table
-        self.report = report
-
-
-def reduction_ideal(
-    P: ComoduleAlgebra,
-    f: LinearMap,
-    J: HopfIdeal,
-    ell: StrongConnection,
-    bound: int = 3,
-    base_gens: Sequence[str] = (),
-) -> ReductionIdeal:
-    """I_f = P f(D /\\ ker eps), with the inverse correspondence
-    f_I(k) = S^-1(k)^[1] (i_B o pi_I)(S^-1(k)^[2]) round-trip-tested on the table.
-
-    Preconditions (colinearity, centrality against declared base generators,
-    Miyashita-Ulbrich compatibility on degree-bounded samples) are enforced.
-    """
-    from .hopf import left_coinvariant_test
-
-    H = P.hopf
-    report: list[CheckFailure] = []
-    dwords = [
-        w
-        for w in H.system.basis_words(bound)
-        if left_coinvariant_test(H, J, NCPoly.word(H.system.alphabet, w))
-    ]
-    # colinearity of f on D
-    for w in dwords:
-        img = f.apply_word(w)
-        lhs = P.coact(img)
-        rhs = H.delta_word(w).map_leg(0, f.apply_word, codomain=P.system)
-        if lhs != rhs:
-            report.append(CheckFailure("reduction-colinearity", word_str(w), f"{lhs!r} != {rhs!r}"))
-    # centrality in Z_P(B)
-    for w in dwords:
-        img = f.apply_word(w)
-        for b in base_gens:
-            bp = NCPoly.gen(P.system.alphabet, b)
-            diff = P.system.mul(img, bp) - P.system.mul(bp, img)
-            if P.system.normal_form(diff) != P.system.zero():
-                report.append(
-                    CheckFailure("reduction-centrality", f"f({word_str(w)}) vs {b}", f"{P.system.normal_form(diff)!r} != 0")
-                )
-    hsamples = [NCPoly.word(H.system.alphabet, w) for w in H.system.basis_words(max(1, bound - 1))]
-    dsamples = [NCPoly.word(H.system.alphabet, w) for w in dwords]
-    report.extend(
-        miyashita_ulbrich_check(f, ell, [(k, h) for k in dsamples for h in hsamples], P)
-    )
-    if report:
-        raise PreconditionError(f"reduction_ideal preconditions failed: {report[0]}")
-    gens = []
-    for w in dwords:
-        g = f.apply(
-            NCPoly.word(H.system.alphabet, w)
-            - NCPoly.const(H.system.alphabet, H.counit_word(w))
-        )
-        if not g.is_zero():
-            gens.append(g)
-    qsys = P.system.extend_by_ideal(gens, name=f"{P.name}/I_f")
-    inverse_table: dict[Word, NCPoly] = {}
-    for w in dwords:
-        inverse_table[w] = (
-            ell.apply(H.S_inv.apply_word(w))
-            .map_leg(1, lambda b: qsys.normal_form(NCPoly.word(qsys.alphabet, b)), codomain=qsys)
-            .merge_legs(0, P.system)
-            .leg_poly(0)
-        )
-        diff = qsys.normal_form(inverse_table[w] - f.apply_word(w))
-        if not diff.is_zero():
-            report.append(
-                CheckFailure("reduction-roundtrip", word_str(w), f"f_I != f mod I at {word_str(w)}: {diff!r}")
-            )
-    return ReductionIdeal(P, gens, qsys, inverse_table, report)
 
 
 # ---------------------------------------------------------------------------
@@ -694,70 +492,3 @@ def principal_quotient_pair_certificate(H: HopfAlgebra, J: HopfIdeal, bound: int
         )
     ell = StrongConnection(P, table)
     return verify_strong_connection(ell, bound), ell, P
-
-
-# ---------------------------------------------------------------------------
-# graded-basis lemma (rank-one case) and bounded tensor-over-base equality
-# ---------------------------------------------------------------------------
-
-def graded_basis_check(
-    A: ComoduleAlgebra, gamma: Word, gamma_inv: Word, e: NCPoly, f: NCPoly
-) -> list[CheckFailure]:
-    """{e} is a basis of the gamma-graded component iff f in the inverse
-    component satisfies e f = 1 = f e (the rank-one instance)."""
-    failures = []
-    S = A.system
-    Hs = A.hopf.system
-    for name, elt, grade in (("e", e, gamma), ("f", f, gamma_inv)):
-        got = A.coact(elt)
-        want = Tensor((S, Hs), {(w, grade): c for w, c in S.normal_form(elt).terms.items()})
-        if got != want:
-            failures.append(CheckFailure("graded-component", name, f"{got!r} != {want!r}"))
-    if S.mul(e, f) != S.one():
-        failures.append(CheckFailure("graded-basis-ef", "e*f", f"{S.mul(e, f)!r} != 1"))
-    if S.mul(f, e) != S.one():
-        failures.append(CheckFailure("graded-basis-fe", "f*e", f"{S.mul(f, e)!r} != 1"))
-    return failures
-
-
-def tensor_over_base_equal(
-    t1: Tensor,
-    t2: Tensor,
-    P: RewriteSystem,
-    base_gens: Sequence[str],
-    degree_cap: int = 8,
-    gens_generate_base: bool = False,
-):
-    """Equality in P (x)_B P, decided against the span of balancing relations
-    u b (x) v - u (x) b v over the listed base generators, degree by degree.
-
-    Returns True, False, or "UNDECIDED" (the listed generators may not
-    exhaust B, so failure to balance is inconclusive unless the caller
-    asserts they generate it).
-    """
-    diff = t1 - t2
-    if diff.is_zero():
-        return True
-    deg = max(len(a) + len(b) for (a, b) in diff.terms)
-    if deg > degree_cap:
-        return "UNDECIDED"
-    relations = []
-    words = P.all_words(deg)
-    base = set(base_gens)
-    for a in words:
-        if not a or a[-1] not in base:
-            continue
-        for b in words:
-            if len(a) + len(b) > deg:
-                continue
-            t_left = Tensor((P, P), {(a, b): S_ONE})
-            t_right = Tensor((P, P), {(a[:-1], (a[-1],) + b): S_ONE})
-            rel = t_left - t_right
-            if not rel.is_zero():
-                relations.append({k: c for k, c in rel.terms.items()})
-    space = RowSpace()
-    for rel in relations:
-        space.add(rel)
-    if space.contains(dict(diff.terms)):
-        return True
-    return False if gens_generate_base else "UNDECIDED"

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
-from .maps import LinearMap, gens_map, relation_mismatches
+from .linalg import RowSpace
+from .maps import LinearMap, NotWellDefinedError, gens_map, relation_mismatches
 from .ncpoly import NCPoly, Word, word_str
 from .rewrite import RewriteSystem
 from .scalars import S_ONE, S_ZERO, Scalar
@@ -175,23 +176,6 @@ def check_hopf_axioms(H: HopfAlgebra) -> list[CheckFailure]:
 
 
 # ----------------------------------------------------------------------------
-# convolution
-# ----------------------------------------------------------------------------
-
-def convolution(
-    f: LinearMap,
-    g: LinearMap,
-    H: HopfAlgebra,
-    codomain: RewriteSystem | None = None,
-    bound: int = 4,
-) -> LinearMap:
-    """(f*g)(h) = f(h_(1)) g(h_(2)), tabulated on basis words up to the bound."""
-    cod = codomain or f.codomain
-    table = {w: H.convolve(w, f.apply_word, g.apply_word, cod) for w in H.system.basis_words(bound)}
-    return LinearMap(f"({f.name}*{g.name})", H.system, cod, mode="table", table=table)
-
-
-# ----------------------------------------------------------------------------
 # Hopf ideals and quotients
 # ----------------------------------------------------------------------------
 
@@ -273,13 +257,9 @@ def generator_map_isomorphism_problems(
     """Certify that the generator assignment extends to a Hopf isomorphism
     up to the degree bound: well-defined algebra map, intertwines Delta,
     counit and S on generators, and bijective on the degree-bounded basis."""
-    from .linalg import RowSpace
-    from .maps import gens_map as _gens_map
-    from .maps import NotWellDefinedError
-
     failures: list[CheckFailure] = []
     try:
-        phi = _gens_map("phi", H1.system, H2.system, gen_map, check=True)
+        phi = gens_map("phi", H1.system, H2.system, gen_map, check=True)
     except NotWellDefinedError as e:
         return [CheckFailure("iso-well-defined", "rules", str(e))]
     for g in H1.system.alphabet.gens:

@@ -1,5 +1,5 @@
-"""Linear maps between presented algebras: generator tables with an extension mode,
-or basis-word tables up to a degree bound."""
+"""Linear maps between presented algebras: generator tables extended as algebra
+or anti-algebra maps."""
 
 from __future__ import annotations
 
@@ -32,25 +32,20 @@ def relation_mismatches(
     return out
 
 
-class DegreeExceededError(KeyError):
-    """A table-backed map was applied outside its tabulated degree range."""
-
-
 class NotWellDefinedError(ValueError):
     """A generator-table map does not respect the domain's rewrite rules."""
 
 
 class LinearMap:
-    """Map domain -> codomain, one of:
+    """Map domain -> codomain extending a generator table, in one of two modes:
 
-    - mode "algebra": multiplicative extension of a generator table,
-    - mode "anti": anti-multiplicative extension (words reversed),
-    - mode "table": linear extension of a normal-form word table.
+    - "algebra": multiplicative extension,
+    - "anti": anti-multiplicative extension (words reversed).
 
-    Generator-table maps are checked to respect every domain rewrite rule at
-    construction (both sides of each rule must agree in the codomain), and
-    memoise their word images. The codomain of a generator-table map may be
-    a ``TensorSpace``, whose images are Tensors.
+    With ``check`` the map is certified at construction to respect every
+    defining relation of the domain (both sides must agree in the codomain).
+    Word images are memoised. The codomain may be a ``TensorSpace``, whose
+    images are Tensors.
     """
 
     def __init__(
@@ -60,40 +55,25 @@ class LinearMap:
         codomain: RewriteSystem | TensorSpace,
         mode: str = "algebra",
         gen_images: dict[str, NCPoly | Tensor] | None = None,
-        table: dict[Word, NCPoly] | None = None,
         check: bool = True,
     ):
-        assert mode in ("algebra", "anti", "table")
+        assert mode in ("algebra", "anti")
         self.name = name
         self.domain = domain
         self.codomain = codomain
         self.mode = mode
         self.gen_images = gen_images
-        self.table = (
-            {domain.alphabet.canon(tuple(w)): codomain.normal_form(p) for w, p in table.items()}
-            if table is not None
-            else None
-        )
         self._word_cache: dict[Word, NCPoly | Tensor] = {}
-        if mode in ("algebra", "anti"):
-            missing = set(domain.alphabet.gens) - set(gen_images or ())
-            if missing:
-                raise NotWellDefinedError(f"{name}: no image for generators {sorted(missing)}")
-            if check:
-                problems = self.rule_compatibility_problems()
-                if problems:
-                    raise NotWellDefinedError(f"{name}: {problems[0]}")
+        missing = set(domain.alphabet.gens) - set(gen_images or ())
+        if missing:
+            raise NotWellDefinedError(f"{name}: no image for generators {sorted(missing)}")
+        if check:
+            problems = self.rule_compatibility_problems()
+            if problems:
+                raise NotWellDefinedError(f"{name}: {problems[0]}")
 
     # -- application -----------------------------------------------------------
     def apply_word(self, w: Word) -> NCPoly | Tensor:
-        if self.mode == "table":
-            key = self.domain.alphabet.canon(tuple(w))
-            hit = self.table.get(key)
-            if hit is None:
-                raise DegreeExceededError(
-                    f"{self.name}: word {word_str(key)} outside tabulated range"
-                )
-            return hit
         hit = self._word_cache.get(w)
         if hit is not None:
             return hit
@@ -123,23 +103,11 @@ class LinearMap:
         return f"LinearMap({self.name}: {self.domain.name} -> {self.codomain.name}, {self.mode})"
 
 
-def identity_map(system: RewriteSystem, name: str = "id") -> LinearMap:
-    return LinearMap(
-        name,
-        system,
-        system,
-        mode="algebra",
-        gen_images={g: NCPoly.gen(system.alphabet, g) for g in system.alphabet.gens},
-        check=False,
-    )
-
-
 def gens_map(
     name: str,
     domain: RewriteSystem,
     codomain: RewriteSystem,
     images: dict[str, NCPoly],
-    mode: str = "algebra",
     check: bool = True,
 ) -> LinearMap:
-    return LinearMap(name, domain, codomain, mode=mode, gen_images=images, check=check)
+    return LinearMap(name, domain, codomain, gen_images=images, check=check)

@@ -1,7 +1,6 @@
 from .grids import GridConfig, circle_angles, interval_nodes
 from .circle import (
     delta_angle,
-    delta_map,
     delta_pullback,
     gauge_conjugation_report,
     omega_hat,
@@ -12,11 +11,9 @@ from .circle import (
 )
 from .toeplitz import (
     FourierPoly,
-    masked_residual,
     random_toeplitz_poly,
     symbol,
     toeplitz_flip,
-    toeplitz_matrix,
 )
 from .membership import (
     SphereElement,
@@ -27,7 +24,6 @@ from .membership import (
     pi_n,
     pi_n_inverse,
     rp2_membership,
-    sphere_membership,
 )
 from .probes import (
     ParityReport,

@@ -67,10 +67,6 @@ def delta_angle(i: int, k, t) -> np.ndarray:
     raise ValueError("i must be 1 or 2")
 
 
-def delta_map(i: int, k, t) -> np.ndarray:
-    return np.exp(1j * delta_angle(i, k, t))
-
-
 CircleFn = Callable[[np.ndarray], np.ndarray]  # functions of the angle
 
 

@@ -110,13 +110,6 @@ def face_atlas(elt: SphereElement, cfg: GridConfig) -> dict:
     return {"edges": edges, "max_residual": worst, "pass": worst < cfg.tol}
 
 
-def sphere_membership(elt: SphereElement, cfg: GridConfig) -> tuple[bool, float]:
-    """The gauged gluing conditions of the quantum-sphere triple pullback: the
-    worst of face_atlas's twelve edges."""
-    atlas = face_atlas(elt, cfg)
-    return atlas["pass"], atlas["max_residual"]
-
-
 # ---------------------------------------------------------------------------
 # Z2 decomposition (the disc pieces of the sphere)
 # ---------------------------------------------------------------------------

@@ -24,7 +24,13 @@ class WindingError(RuntimeError):
     pass
 
 
-def winding_number(dets: np.ndarray, tol_det: float = 1e-9, max_jump: float = np.pi / 2) -> int:
+# winding_number's guards: a sample below SINGULAR_TOL in modulus, or a phase
+# step of MAX_PHASE_JUMP or more between neighbours, rejects the loop
+SINGULAR_TOL = 1e-9
+MAX_PHASE_JUMP = np.pi / 2
+
+
+def winding_number(dets: np.ndarray) -> int:
     """Accumulated phase of a sampled loop of determinants divided by 2 pi.
 
     dets: (N,) complex samples of the loop at N angles in order.
@@ -32,12 +38,12 @@ def winding_number(dets: np.ndarray, tol_det: float = 1e-9, max_jump: float = np
     WindingError('DENSITY...') if a phase jump exceeds the guard (then the
     rounding of the total phase would not be provably correct)."""
     dets = np.asarray(dets)
-    small = np.abs(dets) < tol_det
+    small = np.abs(dets) < SINGULAR_TOL
     if np.any(small):
         raise WindingError(f"SINGULAR at sample {int(np.argmax(small))}")
     closed = np.concatenate([dets, dets[:1]])
     jumps = np.angle(closed[1:] / closed[:-1])
-    if np.max(np.abs(jumps)) >= max_jump:
+    if np.max(np.abs(jumps)) >= MAX_PHASE_JUMP:
         raise WindingError("DENSITY: phase jump exceeds the guard; resample more densely")
     total = float(np.sum(jumps))
     return int(round(total / (2 * np.pi)))

@@ -1,5 +1,5 @@
-"""Exact Fourier-polynomial symbols of Toeplitz *-polynomials and truncated
-matrix realizations for spot checks."""
+"""Exact Fourier-polynomial symbols of Toeplitz *-polynomials, and seeded
+random Toeplitz *-polynomials and symbols."""
 
 from __future__ import annotations
 
@@ -67,17 +67,10 @@ class FourierPoly:
             out = out + c.to_complex() * np.exp(1j * k * theta)
         return out
 
-    def eval_at(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        out = np.zeros(z.shape, dtype=complex)
-        for k, c in self.coeffs.items():
-            out = out + c.to_complex() * z**k
-        return out
-
     def eval_powers(self, powers: dict) -> np.ndarray:
-        """The sum eval and eval_at form, with exp(i k theta) or z**k read from
-        ``powers`` (k -> array, k = 0 included): a table built once for points
-        that stay fixed while the polynomial changes."""
+        """The sum eval forms, with exp(i k theta) (or z**k at points z of the
+        circle) read from ``powers`` (k -> array, k = 0 included): a table built
+        once for points that stay fixed while the polynomial changes."""
         out = np.zeros(powers[0].shape, dtype=complex)
         for k, c in self.coeffs.items():
             out = out + c.to_complex() * powers[k]
@@ -113,28 +106,6 @@ def toeplitz_flip(p: NCPoly) -> NCPoly:
     return NCPoly(
         p.alphabet, {w: (c if len(w) % 2 == 0 else -c) for w, c in p.terms.items()}
     )
-
-
-def toeplitz_matrix(p: NCPoly, n: int) -> np.ndarray:
-    """Truncated realization: s acts as the lower shift on C^n."""
-    S = np.zeros((n, n))
-    for k in range(n - 1):
-        S[k + 1, k] = 1.0
-    imgs = {"s": S, "ss": S.T}
-    out = np.zeros((n, n), dtype=complex)
-    for w, c in p.terms.items():
-        m = np.eye(n)
-        for g in w:
-            m = m @ imgs[g]
-        out = out + c.to_complex() * m
-    return out
-
-
-def masked_residual(a: np.ndarray, b: np.ndarray, margin: int) -> float:
-    """Max |a-b| ignoring the truncation corner (last `margin` rows/columns)."""
-    n = a.shape[0]
-    m = n - margin
-    return float(np.max(np.abs(a[:m, :m] - b[:m, :m]))) if m > 0 else 0.0
 
 
 @cache
@@ -176,14 +147,14 @@ def random_toeplitz_poly(rng, max_deg: int, coeff_range: int = 3) -> NCPoly:
     return p if not p.is_zero() else NCPoly.one(alphabet)
 
 
-def random_symbol_coeffs(rng, max_deg: int, coeff_range: int = 3) -> dict[int, complex]:
-    """symbol(random_toeplitz_poly(rng, max_deg, coeff_range)) as {k: complex},
+def random_symbol_coeffs(rng, max_deg: int) -> dict[int, complex]:
+    """symbol(random_toeplitz_poly(rng, max_deg)) as {k: complex},
     with the same draw, the same keys in the same order and the same values,
     folded straight from the drawn integers: keys are inserted, summed and
     popped as symbol does, and the integer sums are exact in floats."""
     out: dict[int, complex] = {}
     drawn = False
-    for _, k, re, im in draw_toeplitz_terms(rng, max_deg, coeff_range):
+    for _, k, re, im in draw_toeplitz_terms(rng, max_deg):
         if re or im:
             drawn = True
             v = out.get(k, 0) + complex(re, im)

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
-from .comodule import CleavingMap, ComoduleAlgebra, SmashProduct, StrongConnection
+from .comodule import CleavingMap, ComoduleAlgebra
 from .hopf import CheckFailure, HopfAlgebra, HopfIdeal, quotient_hopf
 from .linalg import RowSpace, intersect_spans, same_span, span_of
 from .maps import LinearMap, gens_map, relation_mismatches
@@ -227,17 +227,6 @@ class Trivialisation:
             else self.covering.pair_maps(i, j)[0].system
         )
         return linear_image(h, lambda w: self.transition(i, j, w), target_sys.zero())
-
-
-def transition_functions(triv: Trivialisation, bound: int = 3) -> dict:
-    """Tabulated T_ij for all ordered pairs, plus diagonal units."""
-    out = {}
-    n = triv.covering.size
-    words = triv.hopf.system.basis_words(bound)
-    for i in range(n):
-        for j in range(n):
-            out[(i, j)] = {w: triv.transition(i, j, w) for w in words}
-    return out
 
 
 def transition_checks(triv: Trivialisation, bound: int = 3) -> list[CheckFailure]:
@@ -615,7 +604,7 @@ def piece_glue(
 
 
 # ---------------------------------------------------------------------------
-# ideal/base correspondence and lattice instances
+# ideal spans and lattice instances
 # ---------------------------------------------------------------------------
 
 def ideal_span(system: RewriteSystem, gens: Sequence[NCPoly], bound: int) -> RowSpace:
@@ -636,72 +625,6 @@ def ideal_span(system: RewriteSystem, gens: Sequence[NCPoly], bound: int) -> Row
                 if not elt.is_zero():
                     space.add(dict(elt.terms))
     return space
-
-
-def in_ideal(system: RewriteSystem, gens: Sequence[NCPoly], p: NCPoly, bound: int) -> bool:
-    return ideal_span(system, gens, bound).contains(dict(system.normal_form(p).terms))
-
-
-def ideal_base_correspondence(
-    P: SmashProduct,
-    ell: StrongConnection,
-    K_gens: Sequence[NCPoly],
-    L_gens: Sequence[NCPoly],
-    bound: int = 3,
-) -> list[CheckFailure]:
-    """K = L P if and only if L = K /\\ B, checked on degree-bounded data:
-    every K-generator splits through s(p) = p_(0) ell(p_(1))<1> (x) ell(p_(1))<2>
-    with coinvariant first legs inside L, and every coinvariant basis element
-    of K lies in L."""
-    failures = []
-    Ps = P.system
-    B = P.b_system
-    l_span = ideal_span(B, list(L_gens), bound)
-    for idx, k in enumerate(K_gens):
-        knf = Ps.normal_form(k)
-        split = Tensor.zero((Ps, Ps))
-        for (w1, w2), c in P.coact(knf).terms.items():
-            try:
-                lw = ell.apply_word(w2)
-            except KeyError:
-                failures.append(CheckFailure("correspondence-bound", f"K[{idx}]", f"ell untabulated at {word_str(w2)}"))
-                continue
-            split = split + Tensor(
-                (Ps, Ps), {(w1 + a, b): c * cc for (a, b), cc in lw.terms.items()}
-            )
-        # m o s = id
-        recombined = split.merge_legs(0, Ps).leg_poly(0)
-        if recombined != knf:
-            failures.append(
-                CheckFailure("correspondence-splitting", f"K[{idx}]", f"{recombined!r} != {knf!r}")
-            )
-        # group by the second leg: the first-leg combinations are the B-coefficients
-        by_second: dict[Word, NCPoly] = {}
-        for (a, b), c in split.terms.items():
-            prev = by_second.get(b, Ps.zero())
-            by_second[b] = prev + NCPoly.word(Ps.alphabet, a).scale(c)
-        for b, first in by_second.items():
-            first = Ps.normal_form(first)
-            if not P.is_coinvariant(first):
-                failures.append(
-                    CheckFailure("correspondence-first-leg", f"K[{idx}]", f"{first!r} not coinvariant")
-                )
-                continue
-            base_elt = P.project_base(first)
-            if not l_span.contains(dict(base_elt.terms)):
-                failures.append(
-                    CheckFailure("correspondence-K-in-LP", f"K[{idx}]", f"first leg {base_elt!r} not in L")
-                )
-    # direction 2: coinvariant part of K sampled from the basis lies in L
-    k_span = ideal_span(Ps, list(K_gens), bound)
-    for w in B.basis_words(bound):
-        inc = NCPoly.word(Ps.alphabet, w)
-        if k_span.contains(dict(Ps.normal_form(inc).terms)):
-            if not l_span.contains(dict(B.normal_form(NCPoly.word(B.alphabet, w)).terms)):
-                failures.append(
-                    CheckFailure("correspondence-BcapK-in-L", word_str(w), "coinvariant element of K not in L")
-                )
-    return failures
 
 
 def ideal_distributivity_check(

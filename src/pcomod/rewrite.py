@@ -6,7 +6,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .ncpoly import EMPTY, Alphabet, NCPoly, Word, word_str
 from .scalars import S_ONE, S_ZERO, Scalar
@@ -41,6 +41,14 @@ class Rule:
 def _holds_central(c: Word, rule: Rule) -> bool:
     """The central part c of a word holds the central part of the rule's left side."""
     return all(c.count(g) >= k for g, k in Counter(rule.lhs_central).items())
+
+
+def _orient(p: NCPoly) -> tuple[Word, NCPoly]:
+    """The rule lead -> rest that sets the nonzero p to zero: its leading word
+    rewrites to minus the other terms over the leading coefficient."""
+    lead = p.leading_word()
+    rest = NCPoly(p.alphabet, {w: c for w, c in p.terms.items() if w != lead})
+    return lead, rest.scale(-(p.terms[lead].inv()))
 
 
 @dataclass
@@ -132,16 +140,8 @@ class RewriteSystem:
         **kw,
     ) -> "RewriteSystem":
         """Orient each relation lhs = rhs by its leading word automatically."""
-        rules = []
-        for left, right in relations:
-            diff = left - right
-            if diff.is_zero():
-                continue
-            lead = diff.leading_word()
-            lc = diff.terms[lead]
-            rest = NCPoly(alphabet, {w: c for w, c in diff.terms.items() if w != lead})
-            rules.append((lead, rest.scale(-(lc.inv()))))
-        return RewriteSystem(alphabet, rules, **kw)
+        diffs = (left - right for left, right in relations)
+        return RewriteSystem(alphabet, [_orient(d) for d in diffs if not d.is_zero()], **kw)
 
     def extend(self, extra_rules: Sequence[tuple[Word, NCPoly]], name: str = "") -> "RewriteSystem":
         base = [(r.lhs_word, r.rhs) for r in self.rules]
@@ -157,16 +157,8 @@ class RewriteSystem:
 
     def extend_by_ideal(self, gens: Sequence[NCPoly], name: str = "") -> "RewriteSystem":
         """Quotient rewrite system: orient each (normalized) ideal generator by its leading word."""
-        rules = []
-        for g in gens:
-            g = self.normal_form(g)
-            if g.is_zero():
-                continue
-            lead = g.leading_word()
-            lc = g.terms[lead]
-            rest = NCPoly(self.alphabet, {w: c for w, c in g.terms.items() if w != lead})
-            rules.append((lead, rest.scale(-(lc.inv()))))
-        return self.extend(rules, name=name)
+        nfs = (self.normal_form(g) for g in gens)
+        return self.extend([_orient(g) for g in nfs if not g.is_zero()], name=name)
 
     @cached_property
     def relations(self) -> list[tuple[Word, NCPoly]]:
@@ -349,12 +341,6 @@ class RewriteSystem:
 
     def mul(self, p: NCPoly, r: NCPoly) -> NCPoly:
         return self.normal_form(p.concat(r))
-
-    def mul_many(self, ps: Iterable[NCPoly]) -> NCPoly:
-        out = NCPoly.one(self.alphabet)
-        for p in ps:
-            out = self.mul(out, p)
-        return out
 
     def gen(self, g: str) -> NCPoly:
         return NCPoly.gen(self.alphabet, g)

@@ -238,13 +238,6 @@ def _pgcd(a: Poly, b: Poly) -> Poly:
     return a
 
 
-def _peval(a: Poly, x: GaussRat) -> GaussRat:
-    out = GR_ZERO
-    for c in reversed(a):
-        out = out * x + c
-    return out
-
-
 def _pconj(a: Poly) -> Poly:
     return tuple(c.conj() for c in a)
 
@@ -489,12 +482,6 @@ class Scalar:
         return _scalar(_pconj(self.n), d if d is P_ONE else _pconj(d), self.v)
 
     # -- specialization ---------------------------------------------------
-    def substitute_q(self, value: GaussRat) -> "Scalar":
-        den = _peval(self.den, value)
-        if not den:
-            raise ScalarError(f"denominator of {self} vanishes at q={value}")
-        return Scalar.of(_peval(self.num, value) / den)
-
     def to_complex(self, q: complex | None = None) -> complex:
         if self.uses_q():
             if q is None:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence, TypeVar
 
-from .ncpoly import NCPoly, Word
+from .ncpoly import NCPoly, Word, word_str
 from .rewrite import RewriteSystem
 from .scalars import S_ONE, S_ZERO, Scalar
 
@@ -225,8 +225,6 @@ class Tensor:
         return NCPoly(alph, acc)
 
     def __repr__(self):
-        from .ncpoly import word_str
-
         if not self.terms:
             return "0"
         parts = []

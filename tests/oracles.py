@@ -9,7 +9,10 @@ algebra maps (Delta, the coactions, the prolongation dictionary, j o S)
 replaced, the degree-bounded axiom loops that the relation-plus-generator
 certificates replaced, and the build-at-formal-q-then-substitute path that
 parsing at a fixed q replaced.  It also holds the helpers only tests call: the
-presentation dumper, eta o eps and the group-like basis words."""
+presentation dumper, eta o eps, the group-like basis words, the identity and
+the convolution tabulated on basis words, q substituted into a scalar, a
+symbol evaluated at points z, the chart delta_i as a point of the circle, and
+the truncated Toeplitz matrices."""
 
 from __future__ import annotations
 
@@ -40,7 +43,7 @@ from pcomod.numgeom.circle import phi_gauged_pullback as circle_phi_gauged_pullb
 from pcomod.numgeom.grids import Z2, GridConfig, circle_angles, interval_nodes
 from pcomod.numgeom.toeplitz import _toeplitz_basis, random_toeplitz_poly, symbol
 from pcomod.rewrite import Conflict, ConfluenceReport, RewriteSystem, SizeLimitError
-from pcomod.scalars import P_ONE, S_ONE, S_ZERO, GaussRat, Scalar
+from pcomod.scalars import GR_ZERO, P_ONE, S_ONE, S_ZERO, GaussRat, Scalar, ScalarError
 from pcomod.tensors import Tensor
 
 
@@ -556,7 +559,7 @@ def gauge_conjugation_loop(cfg, n_random: int = 200) -> dict:
         for u_deg in (0, 1):
             X = lambda aa, xx, cc: Fp.eval(ang(aa, xx)) * (cc**u_deg)
             gX = gauge_pullback(X)
-            src = lambda zz, cc: Fp.eval_at(zz) * (cc**u_deg)
+            src = lambda zz, cc: fourier_eval_at(Fp, zz) * (cc**u_deg)
             Y = lambda aa, xx, cc: src(cc * np.exp(1j * ang(aa, xx)), cc)
             out["sigma_conj"] = max(out["sigma_conj"], float(np.max(np.abs(gX(a, tt, c) - Y(a, tt, c)))))
             conj = gauge_pullback(phi_tilde_pullback(gauge_pullback(X)))
@@ -960,7 +963,7 @@ def symbol_coefficients(rng, max_deg: int = 3) -> list[tuple[int, complex]]:
 # ---------------------------------------------------------------------------
 
 def substituted_poly(p: NCPoly, qv: GaussRat) -> NCPoly:
-    return NCPoly(p.alphabet, {w: c.substitute_q(qv) for w, c in p.terms.items()})
+    return NCPoly(p.alphabet, {w: substitute_q(c, qv) for w, c in p.terms.items()})
 
 
 def substituted_system(system: RewriteSystem, qv: GaussRat) -> RewriteSystem:
@@ -987,10 +990,10 @@ def substituted_system(system: RewriteSystem, qv: GaussRat) -> RewriteSystem:
 def substituted_hopf(H: HopfAlgebra, qv: GaussRat) -> HopfAlgebra:
     qs = substituted_system(H.system, qv)
     delta = {
-        g: Tensor((qs, qs), {k: c.substitute_q(qv) for k, c in t.terms.items()})
+        g: Tensor((qs, qs), {k: substitute_q(c, qv) for k, c in t.terms.items()})
         for g, t in H.delta_table.items()
     }
-    counit = {g: c.substitute_q(qv) for g, c in H.counit_table.items()}
+    counit = {g: substitute_q(c, qv) for g, c in H.counit_table.items()}
     antipode = {g: substituted_poly(p, qv) for g, p in H.antipode_table.items()}
     antipode_inv = {g: substituted_poly(p, qv) for g, p in H.antipode_inv_table.items()}
     return HopfAlgebra(qs, delta, counit, antipode, antipode_inv, name=f"{H.name}@q")
@@ -1286,3 +1289,66 @@ def group_like_words(H: HopfAlgebra, bound: int) -> list[Word]:
         for w in H.system.basis_words(bound)
         if H.delta_word(w) == Tensor(sys2, {(w, w): S_ONE}) and H.counit_word(w) == S_ONE
     ]
+
+
+def identity_table(system: RewriteSystem, bound: int) -> dict:
+    """The identity map on the basis words of degree <= bound, as a dict."""
+    return {w: NCPoly.word(system.alphabet, w) for w in system.basis_words(bound)}
+
+
+def convolution_table(H: HopfAlgebra, f, g, words, cod: RewriteSystem | None = None) -> dict:
+    """f*g tabulated on ``words``: w -> H.convolve(w, f, g) in ``cod`` (H's
+    own algebra by default), for word maps f and g such as ``dict.__getitem__``."""
+    cod = cod or H.system
+    return {w: H.convolve(w, f, g, cod) for w in words}
+
+
+def _peval(a, x: GaussRat) -> GaussRat:
+    out = GR_ZERO
+    for c in reversed(a):
+        out = out * x + c
+    return out
+
+
+def substitute_q(s: Scalar, value: GaussRat) -> Scalar:
+    """s with q set to value; ScalarError when the denominator vanishes there."""
+    den = _peval(s.den, value)
+    if not den:
+        raise ScalarError(f"denominator of {s} vanishes at q={value}")
+    return Scalar.of(_peval(s.num, value) / den)
+
+
+def fourier_eval_at(F, z) -> np.ndarray:
+    """The FourierPoly F as the Laurent polynomial sum c_k z^k at the points z."""
+    z = np.asarray(z, dtype=complex)
+    out = np.zeros(z.shape, dtype=complex)
+    for k, c in F.coeffs.items():
+        out = out + c.to_complex() * z**k
+    return out
+
+
+def delta_map(i: int, k, t) -> np.ndarray:
+    """The chart delta_i at (k, t), as a point of the unit circle."""
+    return np.exp(1j * delta_angle(i, k, t))
+
+
+def toeplitz_matrix(p: NCPoly, n: int) -> np.ndarray:
+    """Truncated realization: s acts as the lower shift on C^n."""
+    S = np.zeros((n, n))
+    for k in range(n - 1):
+        S[k + 1, k] = 1.0
+    imgs = {"s": S, "ss": S.T}
+    out = np.zeros((n, n), dtype=complex)
+    for w, c in p.terms.items():
+        m = np.eye(n)
+        for g in w:
+            m = m @ imgs[g]
+        out = out + c.to_complex() * m
+    return out
+
+
+def masked_residual(a: np.ndarray, b: np.ndarray, margin: int) -> float:
+    """Max |a-b| ignoring the truncation corner (last `margin` rows/columns)."""
+    n = a.shape[0]
+    m = n - margin
+    return float(np.max(np.abs(a[:m, :m] - b[:m, :m]))) if m > 0 else 0.0

@@ -86,7 +86,7 @@ def test_gl_antipode_squares():
 def test_toeplitz_matrix_spot_check():
     import numpy as np
 
-    from pcomod.numgeom.toeplitz import masked_residual, toeplitz_matrix
+    from oracles import masked_residual, toeplitz_matrix
 
     T = builtin.toeplitz_system()
     al = T.alphabet

@@ -25,7 +25,6 @@ from pcomod.numgeom import (
     WindingError,
     decomposition_report,
     delta_angle,
-    delta_map,
     disc_membership,
     equivariant_parity_probe,
     equivariant_parts,
@@ -41,7 +40,6 @@ from pcomod.numgeom import (
     pi_n_inverse,
     rp2_membership,
     splitting_identities_report,
-    sphere_membership,
     symbol,
     winding_number,
 )
@@ -64,16 +62,16 @@ def test_phi_hat_values():
 
 
 def test_delta_values_match_square_corners():
-    assert delta_map(1, 1, 1) == pytest.approx(np.exp(9j * np.pi / 4))
-    assert delta_map(1, 1, -1) == pytest.approx(np.exp(7j * np.pi / 4))
-    assert delta_map(1, -1, 1) == pytest.approx(np.exp(3j * np.pi / 4))
-    assert delta_map(1, -1, -1) == pytest.approx(np.exp(5j * np.pi / 4))
-    assert delta_map(2, 1, 1) == pytest.approx(np.exp(1j * np.pi / 4))
+    assert oracles.delta_map(1, 1, 1) == pytest.approx(np.exp(9j * np.pi / 4))
+    assert oracles.delta_map(1, 1, -1) == pytest.approx(np.exp(7j * np.pi / 4))
+    assert oracles.delta_map(1, -1, 1) == pytest.approx(np.exp(3j * np.pi / 4))
+    assert oracles.delta_map(1, -1, -1) == pytest.approx(np.exp(5j * np.pi / 4))
+    assert oracles.delta_map(2, 1, 1) == pytest.approx(np.exp(1j * np.pi / 4))
     # Z2-equivariance: delta(-k, -t) = -delta(k, t)
     k = np.array([1.0, -1.0])[:, None]
     t = np.linspace(-1, 1, 33)[None, :]
     for i in (1, 2):
-        assert np.max(np.abs(delta_map(i, -k, -t) + delta_map(i, k, t))) < 1e-14
+        assert np.max(np.abs(oracles.delta_map(i, -k, -t) + oracles.delta_map(i, k, t))) < 1e-14
 
 
 def test_grid_oddness_bit_exact():
@@ -113,12 +111,10 @@ def test_memberships():
     assert not ok and r == pytest.approx(1.0, abs=1e-12)
     ok, _ = disc_membership([one, one, one], CFG)
     assert ok
-    elt = SphereElement([(one, zero)] * 3)
-    ok, r = sphere_membership(elt, CFG)
-    assert ok and r == 0.0
-    bad = SphereElement([(zero, one)] * 3)
-    ok, r = sphere_membership(bad, CFG)
-    assert not ok and r == pytest.approx(2.0, abs=1e-12)
+    atlas = face_atlas(SphereElement([(one, zero)] * 3), CFG)
+    assert atlas["pass"] and atlas["max_residual"] == 0.0
+    atlas = face_atlas(SphereElement([(zero, one)] * 3), CFG)
+    assert not atlas["pass"] and atlas["max_residual"] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_face_atlas_localizes_corruption():
@@ -151,8 +147,8 @@ def test_gluing_table_matches_per_check_oracles(grid):
             elt = SphereElement([(random_toeplitz_poly(rng, 3), random_toeplitz_poly(rng, 3)) for _ in range(3)])
         assert rp2_membership(tup, cfg) == oracles.rp2_membership(tup, cfg)
         assert disc_membership(tup, cfg) == oracles.disc_membership(tup, cfg)
-        assert sphere_membership(elt, cfg) == oracles.sphere_membership(elt, cfg)
         got, want = face_atlas(elt, cfg), oracles.face_atlas(elt, cfg)
+        assert (got["pass"], got["max_residual"]) == oracles.sphere_membership(elt, cfg)
         assert list(got["edges"].items()) == list(want["edges"].items())
         assert got == want
 
