@@ -10,7 +10,6 @@ from .circle import (
     splitting_identities_report,
 )
 from .toeplitz import (
-    FourierPoly,
     random_toeplitz_poly,
     symbol,
     toeplitz_flip,

@@ -1,5 +1,9 @@
-"""Exact Fourier-polynomial symbols of Toeplitz *-polynomials, and seeded
-random Toeplitz *-polynomials and symbols."""
+"""Float views of Toeplitz symbols, and seeded random Toeplitz *-polynomials
+and symbols.
+
+The symbol map kills the compacts. Exactly, it is the algebra map s -> u,
+ss -> ui into O(U(1)) (``suites.symbol_relation_residual`` certifies it on
+the defining relations); ``FourierPoly`` is its float view on the circle."""
 
 from __future__ import annotations
 
@@ -12,59 +16,22 @@ from ..scalars import S_ZERO, GaussRat, Scalar
 
 
 class FourierPoly:
-    """Finite map k -> Scalar representing sum c_k z^k on the circle; exact."""
+    """sum c_k z^k on the circle as {k: complex}: the float view of a symbol,
+    whose exact value is its image u^k (ui^-k for k < 0) in O(U(1))."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: dict | None = None):
-        self.coeffs = {k: c for k, c in (coeffs or {}).items() if not c.is_zero()}
-
-    def __add__(self, other: "FourierPoly") -> "FourierPoly":
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            v = out.get(k, S_ZERO) + c
-            if v.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = v
-        return FourierPoly(out)
-
-    def __mul__(self, other: "FourierPoly") -> "FourierPoly":
-        out: dict[int, Scalar] = {}
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in other.coeffs.items():
-                k = k1 + k2
-                v = out.get(k, S_ZERO) + c1 * c2
-                if v.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = v
-        return FourierPoly(out)
-
-    def scale(self, c: Scalar) -> "FourierPoly":
-        return FourierPoly({k: cc * c for k, cc in self.coeffs.items()})
-
-    def star(self) -> "FourierPoly":
-        return FourierPoly({-k: c.conj() for k, c in self.coeffs.items()})
-
-    def flip(self) -> "FourierPoly":
-        """Pullback of z -> -z."""
-        return FourierPoly({k: (c if k % 2 == 0 else -c) for k, c in self.coeffs.items()})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FourierPoly) and self.coeffs == other.coeffs
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    def __init__(self, coeffs: dict[int, complex]):
+        self.coeffs = coeffs
 
     def sup_norm_bound(self) -> float:
-        return float(sum(abs(c.to_complex()) for c in self.coeffs.values()))
+        return float(sum(abs(c) for c in self.coeffs.values()))
 
     def eval(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
         out = np.zeros(theta.shape, dtype=complex)
         for k, c in self.coeffs.items():
-            out = out + c.to_complex() * np.exp(1j * k * theta)
+            out = out + c * np.exp(1j * k * theta)
         return out
 
     def eval_powers(self, powers: dict) -> np.ndarray:
@@ -73,13 +40,8 @@ class FourierPoly:
         once for points that stay fixed while the polynomial changes."""
         out = np.zeros(powers[0].shape, dtype=complex)
         for k, c in self.coeffs.items():
-            out = out + c.to_complex() * powers[k]
+            out = out + c * powers[k]
         return out
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        return " + ".join(f"{c!r}*z^{k}" for k, c in sorted(self.coeffs.items()))
 
 
 def symbol_degree(w) -> int:
@@ -88,8 +50,8 @@ def symbol_degree(w) -> int:
 
 
 def symbol(p: NCPoly) -> FourierPoly:
-    """The symbol map s -> z applied to a Toeplitz *-polynomial; exact and
-    multiplicative (a *-homomorphism on symbols)."""
+    """The symbol s -> z of a Toeplitz *-polynomial as floats: each degree is
+    summed exactly, then read as a complex number once."""
     out: dict[int, Scalar] = {}
     for w, c in p.terms.items():
         k = symbol_degree(w)
@@ -98,7 +60,7 @@ def symbol(p: NCPoly) -> FourierPoly:
             out.pop(k, None)
         else:
             out[k] = v
-    return FourierPoly(out)
+    return FourierPoly({k: c.to_complex() for k, c in out.items()})
 
 
 def toeplitz_flip(p: NCPoly) -> NCPoly:

@@ -34,7 +34,6 @@ from .hopf import (
 from .maps import NotWellDefinedError, gens_map, relation_mismatches
 from .ncpoly import NCPoly
 from .numgeom import (
-    FourierPoly,
     GridConfig,
     SphereElement,
     decomposition_report,
@@ -47,9 +46,7 @@ from .numgeom import (
     phi_identities_report,
     rp2_membership,
     splitting_identities_report,
-    symbol,
 )
-from .numgeom.toeplitz import symbol_degree
 from .pullback import (
     Covering,
     CoveringPiece,
@@ -514,20 +511,21 @@ def suite_prolong(cfg: SuiteConfig) -> Iterator[CheckRecord]:
 
 
 def symbol_relation_residual(system) -> float:
-    """0.0 when the symbol map s -> z, ss -> 1/z is multiplicative on the
-    algebra ``system`` presents, else the sup-norm bound of the worst
-    relation mismatch.
+    """0.0 when the symbol s -> u, ss -> ui is an algebra map from the algebra
+    ``system`` presents into O(U(1)), else the worst relation mismatch: the
+    sum of |c| over the terms of lhs - rhs.
 
-    On free words w -> z^symbol_degree(w) is multiplicative, as degrees add.
-    It is then multiplicative on the quotient exactly when it kills the ideal
-    of the relations, that is when both sides of every defining relation
-    w = p have the same image.  symbol is that map read on normal forms, so
+    On free words the generator table extends to an algebra map. It passes to
+    the quotient exactly when it kills the ideal of the relations, that is
+    when both sides of every defining relation w = p have the same image. So
     a relation-by-relation check proves symbol(pq) = symbol(p) symbol(q) for
     all p, q in every degree."""
+    U = builtin.o_u1().system
+    u, ui = NCPoly.gen(U.alphabet, "u"), NCPoly.gen(U.alphabet, "ui")
+    S = gens_map("symbol", system, U, {"s": u, "ss": ui}, check=False)
     worst = 0.0
-    word = lambda w: FourierPoly({symbol_degree(w): S_ONE})
-    for _, _, lhs, rhs in relation_mismatches(system, word, symbol):
-        worst = max(worst, (lhs + rhs.scale(-S_ONE)).sup_norm_bound())
+    for _, _, lhs, rhs in relation_mismatches(system, S.apply_word, S.apply):
+        worst = max(worst, float(sum(abs(c.to_complex()) for c in (lhs - rhs).terms.values())))
     return worst
 
 

@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from pcomod import builtin
+
+# Every Tier-1 run draws the same hypothesis cases: each test's examples are
+# seeded from the test itself, and no example database is replayed.
+settings.register_profile("tier1", derandomize=True)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

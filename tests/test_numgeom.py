@@ -17,9 +17,9 @@ from oracles import (
 )
 from pcomod import builtin, mutants
 from pcomod.exprs import load_presentation
+from pcomod.maps import NotWellDefinedError, gens_map
 from pcomod.ncpoly import NCPoly
 from pcomod.numgeom import (
-    FourierPoly,
     GridConfig,
     SphereElement,
     WindingError,
@@ -153,14 +153,38 @@ def test_gluing_table_matches_per_check_oracles(grid):
         assert got == want
 
 
+def _exact_symbol_map():
+    """The exact symbol: the algebra map s -> u, ss -> ui into O(U(1)),
+    certified on the Toeplitz relation."""
+    U = builtin.o_u1().system
+    gens = {"s": NCPoly.gen(U.alphabet, "u"), "ss": NCPoly.gen(U.alphabet, "ui")}
+    return gens_map("symbol", builtin.toeplitz_system(), U, gens), U
+
+
 def test_symbol_exactness_and_flip():
     ts = builtin.toeplitz_system()
+    S, U = _exact_symbol_map()
     rng = CFG.rng(41)
     for _ in range(40):
         p = random_toeplitz_poly(rng, 3)
         r = random_toeplitz_poly(rng, 3)
-        assert symbol(ts.mul(p, r)).coeffs == (symbol(p) * symbol(r)).coeffs
-        assert symbol(ts.star(p)).coeffs == symbol(p).star().coeffs
+        assert S.apply(ts.mul(p, r)) == U.mul(S.apply(p), S.apply(r))
+        assert S.apply(ts.star(p)) == U.star(S.apply(p))
+
+
+def test_float_symbol_is_the_exact_symbol_read_by_degree():
+    """symbol(p).coeffs is the image of p in O(U(1)) with u^k read as degree
+    k and ui^k as -k, in the same order."""
+    S, _ = _exact_symbol_map()
+    rng = CFG.rng(43)
+    for max_deg in (0, 1, 2, 3, 4):
+        for _ in range(40):
+            p = random_toeplitz_poly(rng, max_deg)
+            exact = [
+                (sum(1 if g == "u" else -1 for g in w), c.to_complex()) for w, c in S.apply(p).terms.items()
+            ]
+            assert list(symbol(p).coeffs.items()) == exact
+            assert all(type(c) is complex for c in symbol(p).coeffs.values())
 
 
 def test_decomposition_roundtrips_and_split():
@@ -343,6 +367,14 @@ def test_symbol_certificate_rejects_a_mutant_relation():
     mutant, _ = load_presentation({**builtin.PRESENTATIONS["toeplitz"], "relations": ["ss*s = 0"]})
     assert symbol_relation_residual(mutant) == 1.0
     assert oracles.symbol_products_residual(mutant, GridConfig().rng(7)) > 0.0
+
+
+def test_symbol_map_rejects_a_mutant_generator_table():
+    """s -> u, ss -> u sends ss*s to u^2, not 1: the relation check fails."""
+    U = builtin.o_u1().system
+    u = NCPoly.gen(U.alphabet, "u")
+    with pytest.raises(NotWellDefinedError, match="ss\\*s"):
+        gens_map("symbol", builtin.toeplitz_system(), U, {"s": u, "ss": u})
 
 
 def test_winding_numbers_and_guards():

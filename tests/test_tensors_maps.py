@@ -124,7 +124,7 @@ def _random_poly(rng, alphabet, words, n_terms):
 
 @pytest.mark.parametrize("q", ["formal", 3])
 @pytest.mark.parametrize("name", ["su_q2", "gl_q2"])
-def test_convolve_and_adjoint_match_summed_oracle(name, q):
+def test_convolve_matches_summed_oracle(name, q):
     """H.convolve(w, f, g) equals the free products f(w_(1)) g(w_(2)) summed
     term by term over Delta(w) and normalised once, for random table maps and
     for the antipode laws."""
