@@ -1,7 +1,6 @@
 from .grids import GridConfig, circle_angles, interval_nodes
 from .circle import (
     delta_angle,
-    delta_pullback,
     gauge_conjugation_report,
     omega_hat,
     phi_hat,

@@ -19,9 +19,10 @@ TWO_PI = 2.0 * np.pi
 
 # Trials per array pass of the sampled identity loops.  Larger blocks cost
 # memory for no time: at the default grid, one pass over all 200 gauge trials
-# raises the peak RSS of a numeric benchmark pass from 40.0 to 46.7 MB, and
-# one over all 32 splitting trials by 0.1 MB (2 vCPU, numpy 2.4).
-SPLITTING_BLOCK = 16
+# raises the peak RSS of a numeric benchmark pass from 39.6 to 46.4 MB, and
+# one over all 32 splitting trials to 41.3 MB (2 vCPU, numpy 2.4).  A block
+# of 8 splitting trials allocates at most 1.1 MB, one of 16 2.1 MB.
+SPLITTING_BLOCK = 8
 GAUGE_BLOCK = 25
 
 
@@ -70,14 +71,6 @@ def delta_angle(i: int, k, t) -> np.ndarray:
 CircleFn = Callable[[np.ndarray], np.ndarray]  # functions of the angle
 
 
-def delta_pullback(i: int, F: CircleFn):
-    """delta_i^*: C(S^1) -> C(Z2) (x) C(I) (i=1, arguments (k,t)) or
-    C(I) (x) C(Z2) (i=2, arguments (t,k))."""
-    if i == 1:
-        return lambda k, t: F(delta_angle(1, k, t))
-    return lambda t, k: F(delta_angle(2, k, t))
-
-
 def interval_fn(samples: np.ndarray, nodes: np.ndarray) -> Callable:
     """Piecewise-linear interpolants of the rows of ``samples`` (shape (B, m))
     on the ascending node grid, as t -> array of shape (B,) + t.shape.
@@ -124,9 +117,28 @@ def omega_hat(i: int, f) -> CircleFn:
     def F(th):
         x = phi_hat(3 - i, th)
         fp, fm = (f(1.0, x), f(-1.0, x)) if i == 1 else (f(x, 1.0), f(x, -1.0))
-        return 0.5 * (fp + fm) + phi_hat(i, th) * (0.5 * (fp - fm))
+        return z2_split(fp, fm, phi_hat(i, th))
 
     return F
+
+
+def z2_split(fp, fm, phi):
+    """omega_hat from f at the points 1, -1 of Z2: even part + phi * odd part."""
+    return 0.5 * (fp + fm) + phi * (0.5 * (fp - fm))
+
+
+def chart_points(nodes: np.ndarray) -> dict:
+    """phi_hat_j(delta_i(k, t)), k in Z2 (rows), t in nodes, keyed (j, i).
+    On chart delta_i, omega_hat_j reads f at (3 - j, i) and multiplies the
+    odd part by (j, i)."""
+    return {(j, i): phi_hat(j, delta_angle(i, Z2[:, None], nodes[None, :])) for j in (1, 2) for i in (1, 2)}
+
+
+def read_once(fn, points) -> np.ndarray:
+    """fn at a point set, read-only: one value that several identities share."""
+    v = fn(points)
+    v.setflags(write=False)
+    return v
 
 
 def iota_z2_pushforward(g) -> Callable:
@@ -189,44 +201,35 @@ def phi_identities_report(cfg: GridConfig) -> dict:
 
 def splitting_identities_report(cfg: GridConfig, n_random: int = 32) -> dict:
     """delta_i^* o omega_i = id and the mixed identities
-    delta_2^* o omega_1 = iota_* (x) iota^*, delta_1^* o omega_2 = iota^* (x) iota_*."""
+    delta_2^* o omega_1 = iota_* (x) iota^*, delta_1^* o omega_2 = iota^* (x) iota_*.
+    A block reads h0 and h1 once at each chart point set, at t and at Z2:
+    12 evaluations where the composed closures make 24."""
     rng = cfg.rng(1)
     nodes = interval_nodes(cfg.m_interval)
-    t = nodes
+    t = nodes[None, :]
     k = Z2[:, None]
     worst = {"split1": 0.0, "split2": 0.0, "mixed1": 0.0, "mixed2": 0.0, "unital": 0.0}
     one = omega_hat(1, lambda kk, tt: np.ones_like(np.asarray(kk) * np.asarray(tt)))
     worst["unital"] = float(np.max(np.abs(one(circle_angles(cfg.n_circle)) - 1.0)))
+    phis = chart_points(nodes)
+    names = {(1, 1): "split1", (2, 2): "split2", (1, 2): "mixed1", (2, 1): "mixed2"}
+    iota_one = iota_z2_pushforward(lambda x: np.ones_like(np.asarray(x)))(t)
+    iota_u = iota_z2_pushforward(lambda x: np.asarray(x, dtype=float))(t)
     for start in range(0, n_random, SPLITTING_BLOCK):
         # one pass per block: the trial axis leads every array below; the
         # normals come in the order the trials drew them one at a time
         draws = rng.normal(size=(min(SPLITTING_BLOCK, n_random - start), 4, cfg.m_interval))
         h0 = interval_fn(draws[:, 0] + 1j * draws[:, 1], nodes)
         h1 = interval_fn(draws[:, 2] + 1j * draws[:, 3], nodes)
-        f1 = lambda kk, tt: h0(tt) + np.asarray(kk) * h1(tt)  # element of C(Z2) (x) C(I)
-        F = omega_hat(1, f1)
-        back = delta_pullback(1, F)
-        worst["split1"] = max(worst["split1"], float(np.max(np.abs(back(k, t[None, :]) - f1(k, t[None, :])))))
-        g = delta_pullback(2, F)  # in C(I) (x) C(Z2)
-        want = lambda tt, kk: iota_z2_pushforward(lambda x: np.ones_like(np.asarray(x)))(tt) * h0(np.asarray(kk, dtype=float)) + iota_z2_pushforward(lambda x: np.asarray(x, dtype=float))(tt) * h1(np.asarray(kk, dtype=float))
-        worst["mixed1"] = max(
-            worst["mixed1"],
-            float(np.max(np.abs(g(t[None, :], k) - want(t[None, :], k)))),
-        )
-        f2 = lambda tt, kk: h0(tt) + np.asarray(kk) * h1(tt)  # element of C(I) (x) C(Z2)
-        F2 = omega_hat(2, f2)
-        back2 = delta_pullback(2, F2)
-        worst["split2"] = max(
-            worst["split2"], float(np.max(np.abs(back2(t[None, :], k) - f2(t[None, :], k))))
-        )
-        g2 = delta_pullback(1, F2)  # in C(Z2) (x) C(I)
-        # delta_1^* o omega_2 = iota^*_Z2 (x) iota_*^Z2:
-        # f2 = h0 (x) 1 + h1 (x) u maps to iota^*(h0) (x) 1 + iota^*(h1) (x) iota
-        want2 = lambda kk, tt: h0(np.asarray(kk, dtype=float)) + h1(np.asarray(kk, dtype=float)) * np.asarray(tt)
-        worst["mixed2"] = max(
-            worst["mixed2"],
-            float(np.max(np.abs(g2(k, t[None, :]) - want2(k, t[None, :])))),
-        )
+        h0t, h0k, h1t, h1k = (read_once(h, x) for h in (h0, h1) for x in (t, k))
+        # delta_i^* o omega_i = id on f = h0 (x) 1 + h1 (x) u, and
+        # delta_2^* o omega_1 = iota_* (x) iota^*, delta_1^* o omega_2 = iota^* (x) iota_*
+        want = {(1, 2): iota_one * h0k + iota_u * h1k, (2, 1): h0k + h1k * np.asarray(t)}
+        want[1, 1] = want[2, 2] = h0t + np.asarray(k) * h1t
+        for (j, i), phi in phis.items():
+            x0, x1 = read_once(h0, phis[3 - j, i]), read_once(h1, phis[3 - j, i])
+            split = z2_split(x0 + np.asarray(1.0) * x1, x0 + np.asarray(-1.0) * x1, phi)
+            worst[names[j, i]] = max(worst[names[j, i]], float(np.max(np.abs(split - want[j, i]))))
     return worst
 
 

@@ -109,19 +109,21 @@ def random_toeplitz_poly(rng, max_deg: int, coeff_range: int = 3) -> NCPoly:
     return p if not p.is_zero() else NCPoly.one(alphabet)
 
 
-def random_symbol_coeffs(rng, max_deg: int) -> dict[int, complex]:
-    """symbol(random_toeplitz_poly(rng, max_deg)) as {k: complex},
-    with the same draw, the same keys in the same order and the same values,
-    folded straight from the drawn integers: keys are inserted, summed and
-    popped as symbol does, and the integer sums are exact in floats."""
-    out: dict[int, complex] = {}
-    drawn = False
-    for _, k, re, im in draw_toeplitz_terms(rng, max_deg):
-        if re or im:
-            drawn = True
-            v = out.get(k, 0) + complex(re, im)
-            if v:
-                out[k] = v
-            else:
-                out.pop(k)
-    return out if drawn else {0: 1 + 0j}
+def fold_symbol_draws(ints: np.ndarray, max_deg: int) -> tuple[np.ndarray, np.ndarray]:
+    """symbol(random_toeplitz_poly(...)) of each row of ints, the (re, im)
+    per basis word of one draw in draw_toeplitz_terms' order, as degrees and
+    complex coefficients in symbol's order, each (n, 2*max_deg + 1) with
+    (0, 0j) padding.  In one pass over the words a degree enters where its
+    exact running sum turns nonzero and leaves where it returns to zero, as
+    in tests/oracles.random_symbol_coeffs.  A draw of zeros is the unit."""
+    c = np.ascontiguousarray(ints, dtype=float).view(complex)
+    run = np.zeros((c.shape[0], 2 * max_deg + 1), dtype=complex)
+    entered = np.zeros(run.shape, dtype=np.intp)
+    for j, k in enumerate(_basis_degrees(max_deg)):
+        entered[:, k + max_deg] = np.where((c[:, j] != 0) & (run[:, k + max_deg] == 0), j, entered[:, k + max_deg])
+        run[:, k + max_deg] += c[:, j]
+    order = np.argsort(np.where(run != 0, entered, c.shape[1]), axis=1, kind="stable")
+    coeffs = np.take_along_axis(run, order, axis=1)  # a degree that is absent sums to +0
+    ks = np.where(coeffs != 0, order - max_deg, 0)
+    coeffs[~c.any(axis=1), 0] = 1.0
+    return ks, coeffs

@@ -33,7 +33,6 @@ from pcomod.ncpoly import NCPoly, Word, word_str
 from pcomod.numgeom import membership, probes
 from pcomod.numgeom.circle import (
     delta_angle,
-    delta_pullback,
     gauge_pullback,
     iota_z2_pushforward,
     phi_hat,
@@ -41,7 +40,7 @@ from pcomod.numgeom.circle import (
 )
 from pcomod.numgeom.circle import phi_gauged_pullback as circle_phi_gauged_pullback
 from pcomod.numgeom.grids import Z2, GridConfig, circle_angles, interval_nodes
-from pcomod.numgeom.toeplitz import _toeplitz_basis, random_toeplitz_poly, symbol
+from pcomod.numgeom.toeplitz import _toeplitz_basis, draw_toeplitz_terms, random_toeplitz_poly, symbol
 from pcomod.rewrite import Conflict, ConfluenceReport, RewriteSystem, SizeLimitError
 from pcomod.scalars import GR_ZERO, P_ONE, S_ONE, S_ZERO, GaussRat, Scalar, ScalarError
 from pcomod.tensors import Tensor
@@ -967,8 +966,38 @@ def fraction_phi_hat_grid(i: int, n: int) -> np.ndarray:
 def symbol_coefficients(rng, max_deg: int = 3) -> list[tuple[int, complex]]:
     """The ordered (k, complex) coefficients of the symbol of one
     random_toeplitz_poly draw, through the exact NCPoly and its symbol: what
-    probes._condition2_residual folds from the integers of the draw."""
+    toeplitz.fold_symbol_draws folds from the integers of a block of draws
+    for probes._condition2_residual."""
     return list(symbol(random_toeplitz_poly(rng, max_deg)).coeffs.items())
+
+
+def random_symbol_coeffs(rng, max_deg: int) -> dict[int, complex]:
+    """symbol(random_toeplitz_poly(rng, max_deg)) as {k: complex}, with the
+    same draw, the same keys in the same order and the same values, folded
+    from the drawn integers one dict entry at a time: keys are inserted,
+    summed and popped as symbol does, and the integer sums are exact in
+    floats.  The per-draw fold that toeplitz.fold_symbol_draws replaced."""
+    out: dict[int, complex] = {}
+    drawn = False
+    for _, k, re, im in draw_toeplitz_terms(rng, max_deg):
+        if re or im:
+            drawn = True
+            v = out.get(k, 0) + complex(re, im)
+            if v:
+                out[k] = v
+            else:
+                out.pop(k)
+    return out if drawn else {0: 1 + 0j}
+
+
+def delta_pullback(i: int, F):
+    """delta_i^*: C(S^1) -> C(Z2) (x) C(I) (i=1, arguments (k,t)) or
+    C(I) (x) C(Z2) (i=2, arguments (t,k)): the closure the splitting
+    identities and condition (1) composed before they read each interpolant
+    once per point set (circle.chart_points)."""
+    if i == 1:
+        return lambda k, t: F(delta_angle(1, k, t))
+    return lambda t, k: F(delta_angle(2, k, t))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from oracles import (
     gauss_triple,
     per_entry_parity_probe,
     random_decomposition_roundtrips,
+    random_symbol_coeffs,
     scalar_draw_toeplitz_poly,
     symbol_coefficients,
 )
@@ -44,11 +45,12 @@ from pcomod.numgeom import (
     winding_number,
 )
 from pcomod.numgeom import membership, probes
-from pcomod.numgeom.circle import interval_fn
+from pcomod.numgeom import circle
+from pcomod.numgeom.circle import interval_fn, read_once
 from pcomod.numgeom.grids import Z2, circle_angles, interval_nodes
-from pcomod.numgeom.toeplitz import random_symbol_coeffs, random_toeplitz_poly
+from pcomod.numgeom.toeplitz import fold_symbol_draws, random_toeplitz_poly
 from pcomod.scalars import S_ONE, GaussRat, Scalar
-from pcomod.suites import symbol_relation_residual
+from pcomod.suites import SuiteConfig, run_suite, symbol_relation_residual
 
 CFG = GridConfig()
 
@@ -562,11 +564,41 @@ def test_random_toeplitz_poly_matches_scalar_draws(seed):
     assert fast.integers(-3, 4) == slow.integers(-3, 4)
 
 
+def _folded_rows(ints, max_deg=3):
+    """fold_symbol_draws on a block of integer rows, as one (k, coefficient)
+    list per row, padding included."""
+    ks, coeffs = fold_symbol_draws(np.asarray(ints), max_deg)
+    return [list(zip(k.tolist(), c.tolist())) for k, c in zip(ks, coeffs)]
+
+
+def _padded(items, max_deg=3):
+    return list(items) + [(0, 0j)] * (2 * max_deg + 1 - len(items))
+
+
 def test_random_symbol_coeffs_matches_exact_symbol():
+    """The block fold, row by row, against the dict-at-a-time fold and the
+    exact symbol of the same draw (one draw per seed)."""
+    rows, want = [], []
     for seed in range(2000):
         fast, slow = GridConfig(seed=seed).rng(6), GridConfig(seed=seed).rng(6)
-        assert list(random_symbol_coeffs(fast, 3).items()) == symbol_coefficients(slow, 3)
+        items = list(random_symbol_coeffs(fast, 3).items())
+        assert items == symbol_coefficients(slow, 3)
         assert fast.bit_generator.state == slow.bit_generator.state
+        rows.append(GridConfig(seed=seed).rng(6).integers(-3, 4, size=20))
+        want.append(_padded(items))
+    got = _folded_rows(rows)
+    assert got == want
+    assert all(type(c) is complex for row in got for _, c in row)
+
+
+@pytest.mark.parametrize("max_deg", [0, 1, 2, 4])
+def test_symbol_fold_matches_dict_fold_at_other_degrees(max_deg):
+    """At degree 4 three basis words share degree 0, so a degree can leave
+    and enter again: it goes to the end, as in the dict."""
+    n_ints = (max_deg + 1) * (max_deg + 2)  # (re, im) for each basis word
+    rows = GridConfig(seed=max_deg).rng(12).integers(-3, 4, size=(3000, n_ints))
+    want = [_padded(random_symbol_coeffs(ScriptedDraws(row), max_deg).items(), max_deg) for row in rows]
+    assert _folded_rows(rows, max_deg) == want
 
 
 class ScriptedDraws:
@@ -606,6 +638,7 @@ def _draw(**coeffs):
 def test_random_symbol_coeffs_edge_cases(draw, expected):
     got = list(random_symbol_coeffs(ScriptedDraws(draw), 3).items())
     assert got == symbol_coefficients(ScriptedDraws(draw), 3) == expected
+    assert _folded_rows([draw]) == [_padded(expected)]
 
 
 def test_peter_weyl_spot_values():
@@ -623,3 +656,57 @@ def test_peter_weyl_spot_values():
 def test_mattprop_report():
     rep = mattprop_report(CFG, n_random=100)
     assert rep["pass"]
+
+
+def test_mattprop_pass_reads_the_configured_tolerance():
+    """At tol 1e-12, under the condition (1) splitting residual (3.6e-11 at
+    the default grid), the report's verdict agrees with the suite's records."""
+    grid = GridConfig(tol=1e-12)
+    rep = mattprop_report(grid, n_random=1000)
+    keys = ("condition1_splitting", "condition1_kernel_image", "corner_identity", "condition2_residual")
+    assert rep["pass"] == all(rep[key] < grid.tol for key in keys)
+    assert not rep["pass"]
+    records = run_suite(SuiteConfig(suite="mattprop", grid=grid)).records
+    assert rep["pass"] == all(r.status == "pass" for r in records)
+
+
+def _counting_interval_fn(calls):
+    """circle.interval_fn whose interpolants count their evaluations."""
+
+    def make(samples, nodes):
+        fn = interval_fn(samples, nodes)
+
+        def counted(t):
+            calls.append(np.shape(t))
+            return fn(t)
+
+        return counted
+
+    return make
+
+
+def test_condition1_reads_its_interpolant_once_per_point_set(monkeypatch):
+    calls = []
+    monkeypatch.setattr(probes, "interval_fn", _counting_interval_fn(calls))
+    probes._condition1_residuals(CFG.rng(6), interval_nodes(CFG.m_interval))
+    assert len(calls) <= 5
+
+
+@pytest.mark.parametrize("n_random", [circle.SPLITTING_BLOCK, 2 * circle.SPLITTING_BLOCK + 1])
+def test_splitting_block_reads_its_interpolants_once_per_point_set(monkeypatch, n_random):
+    calls = []
+    monkeypatch.setattr(circle, "interval_fn", _counting_interval_fn(calls))
+    splitting_identities_report(CFG, n_random)
+    n_blocks = -(-n_random // circle.SPLITTING_BLOCK)
+    assert len(calls) <= 12 * n_blocks
+
+
+def test_shared_interpolant_values_are_read_only():
+    nodes = interval_nodes(9)
+    h = interval_fn(np.arange(18.0).reshape(2, 9) * (1 + 1j), nodes)
+    for points in (*circle.chart_points(nodes).values(), nodes[None, :], Z2[:, None]):
+        v = read_once(h, points)
+        assert not v.flags.writeable
+        assert v.tobytes() == h(points).tobytes()
+        with pytest.raises(ValueError):
+            v += 1.0

@@ -351,3 +351,25 @@ def test_bench_record_check_names_what_a_record_lacks(tmp_path):
     assert "result lacks 'metrics'" in found
     assert "detail 'numeric' lacks 'machine'" in found
     assert "n = 4 does not match the file name" in found
+
+
+def test_bench_pairs_smoke_run_against_itself():
+    """bench_pairs.py with the tree as its own parent: one pair of gated
+    numeric passes, a table and a JSON last line."""
+    root = Path(__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, str(root / "scripts" / "bench_pairs.py"), "--parent", str(root),
+         "--workload", "numeric", "--pairs", "1", "--seed", "20130915"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stdout + out.stderr
+    lines = out.stdout.strip().splitlines()
+    assert any(line.startswith("wall_s") for line in lines)
+    result = json.loads(lines[-1])
+    assert result["correct"] and result["failed"] == {"parent": 0, "change": 0}
+    assert (result["workload"], result["seed"], result["pairs"]) == ("numeric", 20130915, 1)
+    for metric in ("wall_s", "setup_s", "cpu_s", "peak_rss_mb"):
+        r = result["metrics"][metric]
+        assert len(r["parent"]["runs"]) == len(r["change"]["runs"]) == 1
+        assert r["parent"]["q1"] == r["parent"]["median"] == r["parent"]["q3"] > 0
+        assert r["wins"] in (0, 1)
