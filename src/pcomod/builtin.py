@@ -15,7 +15,6 @@ object from the copy."""
 
 from __future__ import annotations
 
-import difflib
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -38,6 +37,14 @@ from .tensors import Tensor
 
 class UnknownNameError(KeyError):
     pass
+
+
+def nearest_match_hint(name: str, choices) -> str:
+    """"; nearest match: X" for the closest of ``choices`` to ``name``, or ""."""
+    import difflib  # only an unknown name needs it, so start-up skips it
+
+    near = difflib.get_close_matches(name, choices, n=1)
+    return f"; nearest match: {near[0]}" if near else ""
 
 
 class QZeroError(ValueError):
@@ -575,16 +582,13 @@ def registry() -> list[str]:
 def build(name: str, q="formal"):
     builder = _BUILDERS.get(name)
     if builder is None:
-        near = difflib.get_close_matches(name, _BUILDERS, n=1)
-        hint = f"; nearest match: {near[0]}" if near else ""
-        raise UnknownNameError(f"unknown builtin {name!r}{hint}")
+        raise UnknownNameError(f"unknown builtin {name!r}{nearest_match_hint(name, _BUILDERS)}")
     return builder(q)
 
 
 def export_presentation(name: str) -> dict:
     if name not in PRESENTATIONS:
-        near = difflib.get_close_matches(name, PRESENTATIONS, n=1)
-        hint = f"; nearest match: {near[0]}" if near else ""
+        hint = nearest_match_hint(name, PRESENTATIONS)
         raise UnknownNameError(f"no presentation document for {name!r}{hint}")
     return dict(PRESENTATIONS[name])
 

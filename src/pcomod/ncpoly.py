@@ -162,6 +162,8 @@ class NCPoly:
     def scale(self, c: Scalar) -> "NCPoly":
         if c.is_zero():
             return NCPoly.zero(self.alphabet)
+        if c.is_one():
+            return self
         out = NCPoly.__new__(NCPoly)
         out.alphabet = self.alphabet
         out.terms = {w: cc * c for w, cc in self.terms.items()}

@@ -20,9 +20,11 @@ _HALF = Scalar.of(Fraction(1, 2))
 
 @dataclass
 class SphereElement:
-    """Element of (T (x) C(Z2))^3: per component, the u-degree-0 and -1 parts."""
+    """Element of (T (x) C(Z2))^k, one pair (u-degree-0 part, u-degree-1 part)
+    per slot: k = 3 for a sphere element, k = 1 for the one-slot elements
+    of decomposition_report (every map here acts slot by slot)."""
 
-    components: list  # list of 3 pairs (p0: NCPoly, p1: NCPoly)
+    components: list  # one pair (p0: NCPoly, p1: NCPoly) per slot
 
     def flip(self) -> "SphereElement":
         """The diagonal Z2-action: alpha_T on the Toeplitz leg, u -> -u."""
@@ -161,15 +163,20 @@ def decomposition_report() -> dict:
     toeplitz_flip, pi_n, pi_n_inverse and equivariant_parts are Q(i)-linear,
     act slot by slot, and send each word w to a multiple of w that depends
     only on len(w) % 2, n and the sign.  So each identity holds on every
-    triple once it holds on every (word, slot, n, sign) case.  The cases run
-    here, in exact NCPoly arithmetic, are the 10 basis words of degree <= 3
-    (both parities) in each of the 3 slots for the 4 (n, sign) pairs; by the
-    parity argument they prove the identities for Toeplitz *-polynomial
-    triples of every degree.  The backward identity is checked on the
-    eigenparts of w (x) 1 and w (x) u, which span the eigenspace, not on the
-    image of the inverse, where it would follow from the forward one.  A
-    residual is the symbol sup-norm bound of the worst nonzero difference,
-    0.0 on a pass."""
+    triple once it holds on every (word, slot, n, sign) case.  The maps act
+    on every slot by the same function, so a case computed on a one-slot
+    element covers that word in each of the three slots: the 40 cases
+    computed here, in exact NCPoly arithmetic, are the 10 basis words of
+    degree <= 3 (both parities) for the 4 (n, sign) pairs, and ``cases``
+    counts the 120 (word, slot, n, sign) cases they cover.  By the parity
+    argument they prove the identities for Toeplitz *-polynomial triples of
+    every degree.  The backward identity is checked on the eigenparts of
+    w (x) 1 and w (x) u, which span the eigenspace, not on the image of the
+    inverse, where it would follow from the forward one.  A residual is the
+    symbol sup-norm bound of the worst nonzero difference, 0.0 on a pass.
+    The maps are read through this module, so a test can swap one of them
+    for a mutant (tests/oracles.decomposition_three_slot_loop computes every
+    case on three identical slots)."""
     from ..builtin import toeplitz_system
 
     alphabet = toeplitz_system().alphabet
@@ -178,22 +185,21 @@ def decomposition_report() -> dict:
     exact = True
     cases = 0
     for w in _toeplitz_basis(3):
-        # the maps act slot by slot, so w in every slot is three cases at once
         word = NCPoly(alphabet, {w: S_ONE})
-        triple = [word] * 3
-        parts = [equivariant_parts(SphereElement([leg] * 3)) for leg in ((word, zero), (zero, word))]
+        slot = [word]
+        parts = [equivariant_parts(SphereElement([leg])) for leg in ((word, zero), (zero, word))]
         for n, sign in ((1, 1), (2, 1), (1, -1), (2, -1)):
-            cases += 3
-            elt = pi_n_inverse(triple, n, sign)
+            cases += 3  # the one slot stands for each of the three
+            elt = pi_n_inverse(slot, n, sign)
             back = pi_n(elt, n)
             plus, minus = equivariant_parts(elt)
             split = minus if sign > 0 else plus
             eigen = [p[0] if sign > 0 else p[1] for p in parts]
             misses = [pi_n_inverse(pi_n(x, n), n, sign).sub(x) for x in eigen]
-            if back == triple and split.is_zero() and all(m.is_zero() for m in misses):
+            if back == slot and split.is_zero() and all(m.is_zero() for m in misses):
                 continue
             exact = False
-            worst_fwd = max([worst_fwd] + [symbol(p - q).sup_norm_bound() for p, q in zip(back, triple)])
+            worst_fwd = max([worst_fwd] + [symbol(p - q).sup_norm_bound() for p, q in zip(back, slot)])
             worst_split = max([worst_split] + [_pair_bound(pair) for pair in split.components])
             worst_bwd = max([worst_bwd] + [_pair_bound(pair) for m in misses for pair in m.components])
     return {

@@ -64,10 +64,13 @@ def symbol(p: NCPoly) -> FourierPoly:
 
 
 def toeplitz_flip(p: NCPoly) -> NCPoly:
-    """alpha_{-1}: s -> -s, ss -> -ss (the Z2 action on the quantum square)."""
-    return NCPoly(
-        p.alphabet, {w: (c if len(w) % 2 == 0 else -c) for w, c in p.terms.items()}
-    )
+    """alpha_{-1}: s -> -s, ss -> -ss (the Z2 action on the quantum square).
+    The words of p are canonical and a sign keeps a coefficient nonzero, so
+    the result is built as it stands."""
+    out = NCPoly.__new__(NCPoly)
+    out.alphabet = p.alphabet
+    out.terms = {w: (c if len(w) % 2 == 0 else -c) for w, c in p.terms.items()}
+    return out
 
 
 @cache

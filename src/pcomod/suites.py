@@ -6,7 +6,6 @@ A suite body is a generator that does its work and yields one
 
 from __future__ import annotations
 
-import difflib
 import json
 import math
 import os
@@ -14,7 +13,7 @@ import tempfile
 import time
 import zlib
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import builtin
 from .comodule import (
@@ -79,6 +78,12 @@ class CheckRecord:
     seed: int | None = None
 
 
+# a report's record dicts are built field by field: dataclasses.asdict would
+# deep-copy values that are already plain
+_RECORD_FIELDS = tuple(f.name for f in fields(CheckRecord))
+_CANONICAL_FIELDS = tuple(k for k in _RECORD_FIELDS if k != "runtime_ms")
+
+
 @dataclass
 class SuiteConfig:
     suite: str
@@ -122,7 +127,7 @@ class SuiteReport:
         doc = {
             "suite": self.suite,
             "params": self.params,
-            "records": [asdict(r) for r in self.records],
+            "records": [{k: getattr(r, k) for k in _RECORD_FIELDS} for r in self.records],
             "pass": self.passed,
             "fail": self.n_fail,
             "undecided": self.n_undecided,
@@ -136,10 +141,7 @@ class SuiteReport:
         doc = {
             "suite": self.suite,
             "params": self.params,
-            "records": [
-                {k: v for k, v in asdict(r).items() if k != "runtime_ms"}
-                for r in self.records
-            ],
+            "records": [{k: getattr(r, k) for k in _CANONICAL_FIELDS} for r in self.records],
             "pass": self.passed,
         }
         return json.dumps(doc, indent=2, sort_keys=True, default=str)
@@ -691,8 +693,7 @@ def _suite_names(cfg: SuiteConfig) -> list[str]:
     elif cfg.suite in SUITES:
         names = [cfg.suite]
     else:
-        near = difflib.get_close_matches(cfg.suite, list(SUITES) + ["all"], n=1)
-        hint = f"; nearest match: {near[0]}" if near else ""
+        hint = builtin.nearest_match_hint(cfg.suite, list(SUITES) + ["all"])
         raise ConfigError(f"unknown suite {cfg.suite!r}{hint}")
     try:
         builtin.q_value(cfg.q)

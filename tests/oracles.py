@@ -6,6 +6,7 @@ precomputed tables replaced, the trial-at-a-time loops that one array pass
 per block of trials replaced, the per-check copies of the three gluings that
 one table replaced, the product loops and the composition that the memoised
 algebra maps (Delta, the coactions, the prolongation dictionary, j o S)
+replaced, the three-slot decomposition loop that the one-slot certificate
 replaced, the degree-bounded axiom loops that the relation-plus-generator
 certificates replaced, and the build-at-formal-q-then-substitute path that
 parsing at a fixed q replaced.  It also holds the helpers only tests call: the
@@ -372,6 +373,50 @@ def worklist_normal_form(system, word):
 # numgeom: the sampling loops the fast paths replaced
 # ---------------------------------------------------------------------------
 
+def decomposition_three_slot_loop() -> dict:
+    """membership.decomposition_report with each (word, n, sign) case run on
+    three identical slots, [word] * 3, as it was before one slot stood for
+    all three.  It calls the maps through the module so that a test can swap
+    one of them for a mutant."""
+    alphabet = toeplitz_system().alphabet
+    zero = NCPoly.zero(alphabet)
+    worst_fwd = worst_bwd = worst_split = 0.0
+    exact = True
+    cases = 0
+
+    def bound(pair):
+        return symbol(pair[0]).sup_norm_bound() + symbol(pair[1]).sup_norm_bound()
+
+    for w in _toeplitz_basis(3):
+        word = NCPoly(alphabet, {w: S_ONE})
+        triple = [word] * 3
+        parts = [
+            membership.equivariant_parts(membership.SphereElement([leg] * 3))
+            for leg in ((word, zero), (zero, word))
+        ]
+        for n, sign in ((1, 1), (2, 1), (1, -1), (2, -1)):
+            cases += 3
+            elt = membership.pi_n_inverse(triple, n, sign)
+            back = membership.pi_n(elt, n)
+            plus, minus = membership.equivariant_parts(elt)
+            split = minus if sign > 0 else plus
+            eigen = [p[0] if sign > 0 else p[1] for p in parts]
+            misses = [membership.pi_n_inverse(membership.pi_n(x, n), n, sign).sub(x) for x in eigen]
+            if back == triple and split.is_zero() and all(m.is_zero() for m in misses):
+                continue
+            exact = False
+            worst_fwd = max([worst_fwd] + [symbol(p - q).sup_norm_bound() for p, q in zip(back, triple)])
+            worst_split = max([worst_split] + [bound(pair) for pair in split.components])
+            worst_bwd = max([worst_bwd] + [bound(pair) for m in misses for pair in m.components])
+    return {
+        "forward_roundtrip": worst_fwd,
+        "backward_roundtrip": worst_bwd,
+        "eigenspace": worst_split,
+        "pass": exact,
+        "cases": cases,
+    }
+
+
 def random_decomposition_roundtrips(cfg, n_random: int, max_deg: int = 3) -> dict:
     """The Z2-decomposition round trips on n_random random disc triples drawn
     from cfg.rng(3): the sampling check that membership.decomposition_report
@@ -535,8 +580,9 @@ def splitting_identities_loop(cfg, n_random: int = 32) -> dict:
 
 
 def gauge_conjugation_loop(cfg, n_random: int = 200) -> dict:
-    """circle.gauge_conjugation_report with the involution checked one trial
-    at a time."""
+    """circle.gauge_conjugation_report with the involution sampled one trial
+    at a time, on n_random random functions F as F o g o g - F, where the
+    report certifies it on the point map."""
     rng = cfg.rng(2)
     t = interval_nodes(cfg.m_interval)
     a = Z2[:, None, None]

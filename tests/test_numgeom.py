@@ -103,6 +103,14 @@ def test_gauge_report():
     assert rep["sigma_conj"] < 1e-12
 
 
+def test_gauge_involution_rejects_a_point_map_that_is_not_one(monkeypatch):
+    """(a, t, c) -> (ac, ct, -c) applied twice gives (-a, -t, c): the exact
+    involution check reads the point map, so it reports the difference 2."""
+    monkeypatch.setattr(circle, "gauge_pullback", lambda F: lambda a, t, c: F(a * c, c * t, -c))
+    rep = gauge_conjugation_report(CFG, 60)
+    assert rep["involution"] == 2.0
+
+
 def test_memberships():
     ts = builtin.toeplitz_system()
     al = ts.alphabet
@@ -262,6 +270,21 @@ def test_decomposition_backward_roundtrip_is_an_independent_claim(monkeypatch):
     assert cert["forward_roundtrip"] == 0.0 and cert["eigenspace"] == 0.0
     assert cert["backward_roundtrip"] > CFG.tol
     assert not random_decomposition_roundtrips(CFG, n_random=8)["pass"]
+
+
+@pytest.mark.parametrize(
+    "mutate", [None, _third_for_half, _odd_words_sign_swapped, _coefficients_dropped],
+    ids=["real-maps", "third-for-half", "odd-words-sign-swapped", "coefficients-dropped"],
+)
+def test_decomposition_certificate_matches_three_slot_loop(monkeypatch, mutate):
+    """One slot stands for three: the certificate's dict equals the loop's
+    that runs every case on [word] * 3, on the real maps and under each
+    pi_n_inverse mutant."""
+    if mutate is not None:
+        monkeypatch.setattr(membership, "pi_n_inverse", mutate(membership.pi_n_inverse))
+    cert = decomposition_report()
+    assert cert == oracles.decomposition_three_slot_loop()
+    assert cert["pass"] is (mutate is None)
 
 
 def _state_after(residual, states):
