@@ -284,21 +284,12 @@ def _omega_wrong_denominator() -> list[str]:
 
 
 def _parity_mislabeled_generator() -> list[str]:
-    from .numgeom.grids import GridConfig, circle_angles
-    from .numgeom.probes import LoopSampler, WindingError, winding_number
+    from .numgeom.grids import GridConfig
+    from .numgeom.probes import LoopSampler
 
     cfg = GridConfig()
-    loops = LoopSampler(cfg.rng(100), 2, circle_angles(cfg.n_circle))
-    evens = 0
-    for _ in range(20):
-        while True:
-            try:
-                w = winding_number(loops.next_dets("even"))
-                break
-            except WindingError:
-                continue
-        if w % 2 == 0:
-            evens += 1
+    windings, _ = LoopSampler(cfg.rng(100), 2, cfg.n_circle).windings("even", 20)
+    evens = sum(w % 2 == 0 for w in windings)
     return [f"{evens}/20 even windings from the mislabeled family"] if evens else []
 
 

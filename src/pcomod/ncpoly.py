@@ -151,7 +151,22 @@ class NCPoly:
         return out
 
     def __sub__(self, other: "NCPoly") -> "NCPoly":
-        return self + (-other)
+        """self + (-other) without the negated copy: the same terms in the
+        same order."""
+        if not other.terms:
+            return self
+        t = dict(self.terms)
+        for w, c in other.terms.items():
+            prev = t.get(w)
+            c = prev - c if prev is not None else -c
+            if c.is_zero():
+                t.pop(w, None)
+            else:
+                t[w] = c
+        out = NCPoly.__new__(NCPoly)
+        out.alphabet = self.alphabet
+        out.terms = t
+        return out
 
     def __neg__(self) -> "NCPoly":
         out = NCPoly.__new__(NCPoly)

@@ -9,7 +9,6 @@ from .circle import (
     splitting_identities_report,
 )
 from .toeplitz import (
-    random_toeplitz_poly,
     symbol,
     toeplitz_flip,
 )
@@ -25,9 +24,8 @@ from .membership import (
 )
 from .probes import (
     ParityReport,
-    WindingError,
     equivariant_parity_probe,
     mattprop_report,
     peter_weyl_report,
-    winding_number,
+    winding_numbers,
 )

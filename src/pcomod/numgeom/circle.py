@@ -240,7 +240,7 @@ def gauge_conjugation_report(cfg: GridConfig, n_random: int = 200) -> dict:
     it returns every grid point (a, t, c) coordinate by coordinate, so
     F o g o g = F for every function F on the grid.  "involution" is the
     largest coordinate difference, 0.0 exactly (c * c = 1 in floats)."""
-    from .toeplitz import random_toeplitz_poly, symbol
+    from .toeplitz import draw_symbols, eval_symbols
 
     rng = cfg.rng(2)
     t = interval_nodes(cfg.m_interval)
@@ -262,7 +262,8 @@ def gauge_conjugation_report(cfg: GridConfig, n_random: int = 200) -> dict:
     # X = (sigma_1 (x) id)(p (x) u^deg) is read at the points where the three
     # pullbacks below send (a, t, c), and the source gauge reads the symbol at
     # z = c exp(i delta_1(a, t)).  Those points are fixed by the grid, so their
-    # exp(i k theta) and z**k tables are built once, for every p and both deg.
+    # exp(i k theta) and z**k tables are built once, and the symbols of all
+    # trials, drawn in one block, are evaluated on them in one pass each.
     ks = range(-3, 4)
     ang = lambda kk, xx: delta_angle(1, kk, xx)
     X_points = {
@@ -271,17 +272,17 @@ def gauge_conjugation_report(cfg: GridConfig, n_random: int = 200) -> dict:
         "conj": gauge_pullback(phi_tilde_pullback(gauge_pullback(args)))(a, tt, c),
         "closed": phi_gauged_pullback(args)(a, tt, c),
     }
-    X_powers = {
-        key: ({k: np.exp(1j * k * ang(aa, xx)) for k in ks}, cc) for key, (aa, xx, cc) in X_points.items()
-    }
     z = c * np.exp(1j * ang(a, tt))
-    z_powers = {k: z**k for k in ks}
-    for _ in range(max(4, n_random // 40)):
-        Fp = symbol(random_toeplitz_poly(rng, 3))
-        for u_deg in (0, 1):
-            X = {key: Fp.eval_powers(powers) * (cc**u_deg) for key, (powers, cc) in X_powers.items()}
-            # conjugate on the source: on symbols, g acts as (z, c) -> (cz, c)
-            Y = Fp.eval_powers(z_powers) * (c**u_deg)
-            out["sigma_conj"] = max(out["sigma_conj"], float(np.max(np.abs(X["gX"] - Y))))
-            out["phi_closed_form"] = max(out["phi_closed_form"], float(np.max(np.abs(X["conj"] - X["closed"]))))
+    symbols = draw_symbols(rng, max(4, n_random // 40))
+    X = {
+        key: (eval_symbols(*symbols, np.stack([np.exp(1j * k * ang(aa, xx)) for k in ks])), cc)
+        for key, (aa, xx, cc) in X_points.items()
+    }
+    # conjugate on the source: on symbols, g acts as (z, c) -> (cz, c)
+    Y = eval_symbols(*symbols, np.stack([z**k for k in ks]))
+    for u_deg in (0, 1):
+        Xu = {key: vals * (cc**u_deg) for key, (vals, cc) in X.items()}
+        Yu = Y * (c**u_deg)
+        out["sigma_conj"] = max(out["sigma_conj"], float(np.max(np.abs(Xu["gX"] - Yu))))
+        out["phi_closed_form"] = max(out["phi_closed_form"], float(np.max(np.abs(Xu["conj"] - Xu["closed"]))))
     return out

@@ -18,44 +18,37 @@ from .circle import (
     z2_split,
 )
 from .grids import GridConfig, Z2, circle_angles, interval_nodes
-from .toeplitz import fold_symbol_draws, random_toeplitz_poly, symbol
+from .toeplitz import draw_symbols, eval_symbols, fold_symbol_draws
 
 
-class WindingError(RuntimeError):
-    pass
-
-
-# winding_number's guards: a sample below SINGULAR_TOL in modulus, or a phase
+# winding_numbers' guards: a sample below SINGULAR_TOL in modulus, or a phase
 # step of MAX_PHASE_JUMP or more between neighbours, rejects the loop
 SINGULAR_TOL = 1e-9
 MAX_PHASE_JUMP = np.pi / 2
 
-
-def winding_number(dets: np.ndarray) -> int:
-    """Accumulated phase of a sampled loop of determinants divided by 2 pi.
-
-    dets: (N,) complex samples of the loop at N angles in order.
-    Raises WindingError('SINGULAR...') if a sample is tiny and
-    WindingError('DENSITY...') if a phase jump exceeds the guard (then the
-    rounding of the total phase would not be provably correct)."""
-    dets = np.asarray(dets)
-    small = np.abs(dets) < SINGULAR_TOL
-    if np.any(small):
-        raise WindingError(f"SINGULAR at sample {int(np.argmax(small))}")
-    closed = np.concatenate([dets, dets[:1]])
-    jumps = np.angle(closed[1:] / closed[:-1])
-    if np.max(np.abs(jumps)) >= MAX_PHASE_JUMP:
-        raise WindingError("DENSITY: phase jump exceeds the guard; resample more densely")
-    total = float(np.sum(jumps))
-    return int(round(total / (2 * np.pi)))
+# Parity loops drawn and sampled together.  A block of 16 loops of 720
+# samples allocates at most 0.5 MB (tracemalloc; peter_weyl_report 2.2 MB).
+# A block of 32, no faster per probe, allocates 1.0 MB and raised the peak
+# RSS of an exact-formal benchmark pass, whose negative controls run the
+# sampler, from 38.2 to 38.4 MB (medians of 5, 2 vCPU, numpy 2.4).
+LOOP_BLOCK = 16
 
 
-def fourier_table(theta: np.ndarray, max_deg: int = 3) -> np.ndarray:
-    """exp(i k theta) for k = -max_deg..max_deg (rows) at every angle (columns);
-    Fourier coefficients c_k, k = -max_deg..max_deg, contract against its first
-    axis."""
-    ks = np.arange(-max_deg, max_deg + 1)
-    return np.exp(1j * np.outer(ks, theta))
+def winding_numbers(dets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Accumulated phase of each sampled loop of determinants divided by 2 pi.
+
+    dets: (..., N) complex samples of each loop at N angles in order.
+    Returns the windings and whether each loop passes the guards: no sample
+    below SINGULAR_TOL in modulus, and every phase step between neighbours
+    below MAX_PHASE_JUMP (otherwise the rounding of the total phase would not
+    be provably correct).  A loop that fails them has winding 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        jumps = np.roll(dets, -1, axis=-1)
+        jumps /= dets
+        jumps = np.angle(jumps)
+        ok = (np.abs(dets).min(axis=-1) >= SINGULAR_TOL) & (np.abs(jumps).max(axis=-1) < MAX_PHASE_JUMP)
+        total = np.where(ok, jumps.sum(axis=-1), 0.0)
+    return np.rint(total / (2 * np.pi)).astype(int), ok
 
 
 @dataclass
@@ -86,18 +79,25 @@ def _leibniz_terms(n: int) -> tuple:
 
 
 def det_coeffs(c: np.ndarray) -> np.ndarray:
-    """Fourier coefficients of the determinant of a matrix loop.
+    """Fourier coefficients of the determinants of a block of matrix loops.
 
-    c: (n, n, 2*max_deg + 1) complex coefficients c_k, k = -max_deg..max_deg,
-    of each entry.  Returns the 2*n*max_deg + 1 coefficients of det, degrees
-    -n*max_deg..n*max_deg: the Leibniz sum over the permutations of the
-    columns, each term a chain of np.convolve products (n! terms)."""
-    n = c.shape[0]
-    out = np.zeros(n * (c.shape[2] - 1) + 1, dtype=complex)
+    c: (B, n, n, 2*max_deg + 1) complex coefficients c_k, k = -max_deg..max_deg,
+    of each entry of each loop.  Returns the (B, 2*n*max_deg + 1)
+    coefficients of their determinants, degrees -n*max_deg..n*max_deg: the
+    Leibniz sum over the permutations of the columns (n! terms), each term
+    a chain of polynomial products over the whole block, one shifted
+    multiply-add per coefficient of the next factor."""
+    b, n, _, nk = c.shape
+    out = np.zeros((b, n * (nk - 1) + 1), dtype=complex)
     for perm, sign in _leibniz_terms(n):
-        term = c[0, perm[0]]
+        term = c[:, 0, perm[0]]
         for i in range(1, n):
-            term = np.convolve(term, c[i, perm[i]])
+            factor = c[:, i, perm[i]]
+            width = term.shape[1]
+            product = np.zeros((b, width + nk - 1), dtype=complex)
+            for k in range(nk):
+                product[:, k : k + width] += term * factor[:, k, None]
+            term = product
         if sign > 0:
             out += term
         else:
@@ -105,40 +105,70 @@ def det_coeffs(c: np.ndarray) -> np.ndarray:
     return out
 
 
+def replay(kept: np.ndarray, windings: np.ndarray, ok: np.ndarray, need: int) -> tuple[int, list, int]:
+    """Walk a block's loops in order until ``need`` windings are taken: a loop
+    that fails the min |det| filter is skipped, one that fails a winding
+    guard is a resample.  Returns the number of loops used, the windings
+    taken and the resamples."""
+    taken, resamples = [], 0
+    for i in np.flatnonzero(kept):
+        if not ok[i]:
+            resamples += 1
+            continue
+        taken.append(int(windings[i]))
+        if len(taken) == need:
+            return int(i) + 1, taken, resamples
+    return kept.size, taken, resamples
+
+
 class LoopSampler:
     """Random matrix loops theta -> M(theta) in dimension n, each entry a
-    Fourier polynomial of degree <= max_deg, as their determinants at the
-    angles theta; only loops with min |det| > 1e-3 are handed out.
+    Fourier polynomial of degree <= max_deg, read as the winding numbers of
+    their determinants at the n_circle angles of circle_angles; only loops
+    with min |det| > 1e-3 count.
 
-    A loop is one generator call: entry by entry in row-major order, the real
-    and then the imaginary parts of its 2*max_deg + 1 coefficients, the order
-    an entry-at-a-time loop draws them (tests/oracles.per_entry_parity_probe).
-    The parity of a loop is imposed after the draw by zeroing coefficients:
-    with an odd first row the other rows are even, with an even first row
-    they are unconstrained.
+    Loops are drawn LOOP_BLOCK at a time in one generator call, each entry by
+    entry in row-major order, the real and then the imaginary parts of its
+    2*max_deg + 1 coefficients: the values an entry-at-a-time loop draws
+    (tests/oracles.per_entry_parity_probe), because Generator.normal fills
+    its output in order.  Loops past the last one a call uses stay buffered
+    for the next call, which may ask for the other family.  The parity of a
+    loop is imposed after the draw by zeroing coefficients: with an odd
+    first row the other rows are even, with an even first row they are
+    unconstrained.
 
-    The determinant of a loop is a Fourier polynomial of degree <= n*max_deg.
-    det_coeffs forms its coefficients from the entry coefficients, and one
-    product against an exp(ik theta) table built once per sampler gives its
-    samples: no matrix is formed and no LAPACK call made per sample.  The
-    samples agree with LAPACK's determinants of the sampled matrices to
-    within rounding, not bit for bit (tests/test_numgeom.py bounds the gap).
-    An odd loop's determinant is odd, and that is checked exactly: each of
-    its even-degree coefficients is a sum of products with an exact-zero
-    factor, so it is exactly 0.
+    A block is one pass: det_coeffs forms the determinant coefficients of
+    every loop (a Fourier polynomial of degree <= n*max_deg), the samples
+    follow from them, winding_numbers reads every loop with its guards, and
+    replay walks the loops in order.  The samples are the even- and
+    odd-degree parts E and O of each determinant, each by Horner's rule in
+    z**2 on the first half of the grid times its lowest power of z: the
+    grid is symmetric (8 | n_circle), and at the antipode -z of a point z
+    the determinant is E - O.  No matrix is formed and no BLAS or LAPACK
+    call made.  The samples agree with LAPACK's determinants of the sampled
+    matrices to within rounding, not bit for bit (tests/test_numgeom.py
+    bounds the gap).  An odd loop's determinant is odd, and that is checked
+    exactly: each of its even-degree coefficients is a sum of products with
+    an exact-zero factor, so it is exactly 0, and its E is not evaluated.
 
-    The product is elementwise and summed over k, not ``d @ table``: the
-    matrix-vector product, 4x faster on its own, goes to OpenBLAS, whose
-    threads then spin on a second core (on 2 vCPUs a numeric benchmark
-    pass took 0.24 s CPU with it and 0.19 s without, at equal wall time),
-    and it raised the peak RSS of an exact pass, which runs this sampler in
-    a negative control, by about 0.2 MB."""
+    Every step is elementwise on the block, not a matrix product or an FFT:
+    a matrix product goes to OpenBLAS, whose threads then spin on a second
+    core (on 2 vCPUs a numeric benchmark pass took 0.24 s CPU with it and
+    0.19 s without, at equal wall time), and an inverse-FFT evaluation
+    would load numpy.fft inside the exact workloads' negative control."""
 
-    def __init__(self, rng, n: int, theta: np.ndarray, max_deg: int = 3):
+    def __init__(self, rng, n: int, n_circle: int, max_deg: int = 3):
         self.rng = rng
-        self.table = fourier_table(theta, n * max_deg)
-        # det coefficient i has degree i - n*max_deg
-        self.even_degree = slice((n * max_deg) % 2, None, 2)
+        # the first half of the grid; the second half is its antipodes
+        theta = circle_angles(n_circle)[: n_circle // 2]
+        self.w = np.exp(2j * theta)
+        # det coefficient i has degree i - n*max_deg; per degree parity, the
+        # coefficients and the lowest power of z
+        low = -n * max_deg
+        self.parts = {
+            parity: (slice(j, None, 2), np.exp(1j * (low + j) * theta))
+            for parity, j in (("even", low % 2), ("odd", 1 - low % 2))
+        }
         odd = np.arange(-max_deg, max_deg + 1) % 2 == 1
         first = np.arange(n)[:, None, None] == 0
         # coefficients zeroed, by (row, column, k), for each first-row parity
@@ -146,42 +176,71 @@ class LoopSampler:
             "odd": np.broadcast_to(np.where(first, ~odd, odd), (n, n, odd.size)),
             "even": np.broadcast_to(first & odd, (n, n, odd.size)),
         }
+        self.pending = np.empty((0, n, n, 2, odd.size))
 
-    def next_dets(self, first_row: str) -> np.ndarray:
-        """The (N,) determinant samples of the next loop whose first row has
-        parity ``first_row`` ('odd' or 'even')."""
-        n, _, nk = self.drop[first_row].shape
-        while True:
-            raw = self.rng.normal(size=(n, n, 2, nk))
-            c = raw[..., 0, :] + 1j * raw[..., 1, :]
-            c[self.drop[first_row]] = 0.0
-            d = det_coeffs(c)
-            if first_row == "odd":
-                assert not d[self.even_degree].any(), "an odd loop's det has an even-degree term"
-            dets = (d[:, None] * self.table).sum(axis=0)
-            if np.min(np.abs(dets)) > 1e-3:
-                return dets
+    def _part(self, d: np.ndarray, parity: str) -> np.ndarray:
+        """The even- or odd-degree part of each determinant at the first half
+        of the grid: Horner's rule in w = z**2, times the part's lowest power
+        of z."""
+        index, lowest = self.parts[parity]
+        coeffs = d[:, index]
+        out = np.repeat(coeffs[:, -1:], self.w.size, axis=1)
+        for i in range(coeffs.shape[1] - 2, -1, -1):
+            out *= self.w
+            out += coeffs[:, i, None]
+        out *= lowest
+        return out
+
+    def _samples(self, d: np.ndarray, first_row: str) -> np.ndarray:
+        """The determinants at every grid angle, from their coefficients d:
+        E + O on the first half of the grid and E - O on its antipodes."""
+        odd_part = self._part(d, "odd")
+        even_part = self._part(d, "even") if first_row == "even" else 0.0
+        half = self.w.size
+        dets = np.empty((d.shape[0], 2 * half), dtype=complex)
+        np.add(even_part, odd_part, out=dets[:, :half])
+        np.subtract(even_part, odd_part, out=dets[:, half:])
+        return dets
+
+    def _block(self, first_row: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The pending loops as the family ``first_row``: whether each passes
+        the min |det| filter, its winding and whether that passes the guards."""
+        raw = self.pending
+        c = raw[..., 0, :] + 1j * raw[..., 1, :]
+        c[:, self.drop[first_row]] = 0.0
+        d = det_coeffs(c)
+        if first_row == "odd":
+            assert not d[:, self.parts["even"][0]].any(), "an odd loop's det has an even-degree term"
+        dets = self._samples(d, first_row)
+        kept = np.abs(dets).min(axis=1) > 1e-3
+        return (kept, *winding_numbers(dets))
+
+    def windings(self, first_row: str, count: int) -> tuple[list, int]:
+        """The winding numbers of the next ``count`` loops whose first row has
+        parity ``first_row`` ('odd' or 'even') and that pass the filter and
+        the guards, and the number of loops the guards rejected on the way
+        (a loop the filter rejects is redrawn without a count)."""
+        taken, resamples = [], 0
+        while len(taken) < count:
+            if not len(self.pending):
+                self.pending = self.rng.normal(size=(LOOP_BLOCK,) + self.pending.shape[1:])
+            used, got, bad = replay(*self._block(first_row), count - len(taken))
+            self.pending = self.pending[used:]
+            taken += got
+            resamples += bad
+        return taken, resamples
 
 
 def equivariant_parity_probe(n: int, trials: int, cfg: GridConfig) -> ParityReport:
     """det of a loop with odd first row and even other rows is odd, hence has
     odd winding; the control family (even first row, unconstrained others)
-    shows both parities."""
-    loops = LoopSampler(cfg.rng(4), n, circle_angles(cfg.n_circle))
+    shows both parities.  One LoopSampler draws both families, the control
+    from where the odd family stopped."""
+    loops = LoopSampler(cfg.rng(4), n, cfg.n_circle)
     report = ParityReport(size=n, trials=trials)
-
-    def sample(first_row: str) -> int:
-        while True:
-            dets = loops.next_dets(first_row)
-            try:
-                return winding_number(dets)
-            except WindingError:
-                report.resamples += 1
-
-    for _ in range(trials):
-        report.windings.append(sample("odd"))
-    for _ in range(trials):
-        report.control_windings.append(sample("even"))
+    report.windings, odd_resamples = loops.windings("odd", trials)
+    report.control_windings, even_resamples = loops.windings("even", trials)
+    report.resamples = odd_resamples + even_resamples
     return report
 
 
@@ -259,16 +318,7 @@ def mattprop_report(cfg: GridConfig, n_random: int = 1000) -> dict:
     worst_split, worst_kernel = _condition1_residuals(rng, interval_nodes(cfg.m_interval))
     out["condition1_splitting"] = worst_split
     out["condition1_kernel_image"] = worst_kernel
-    # corner identity
-    k1 = Z2[:, None]
-    k2 = Z2[None, :]
-    worst_corner = 0.0
-    for _ in range(16):
-        p = random_toeplitz_poly(rng, 3)
-        F = symbol(p)
-        lhs = F.eval(delta_angle(1, k1, k2.astype(float)))  # (id x iota^*) delta_1^*
-        rhs = F.eval(delta_angle(2, k2, k1.astype(float)))  # (iota^* x id) delta_2^*
-        worst_corner = max(worst_corner, float(np.max(np.abs(lhs - rhs))))
+    worst_corner = _corner_residual(rng)
     out["corner_identity"] = worst_corner
     worst_c2 = _condition2_residual(rng, n_random)
     out["condition2_residual"] = worst_c2
@@ -305,6 +355,21 @@ def _condition1_residuals(rng, nodes: np.ndarray) -> tuple[float, float]:
     return worst_split, worst_kernel
 
 
+def _corner_residual(rng, trials: int = 16) -> float:
+    """The corner identity (id (x) iota^*) delta_1^* = (iota^* (x) id) delta_2^*
+    on the symbols of ``trials`` random degree-<=3 Toeplitz elements: the
+    worst residual at the four corners of Z2 x Z2.  toeplitz.draw_symbols
+    draws and folds all trials at once, and one pass evaluates them at the
+    corner angles of both sides, with symbol's float operations
+    (tests/oracles.corner_identity_loop)."""
+    k1 = Z2[:, None]
+    k2 = Z2[None, :]
+    angles = np.stack([delta_angle(1, k1, k2.astype(float)), delta_angle(2, k2, k1.astype(float))])
+    table = np.stack([np.exp(1j * k * angles) for k in range(-3, 4)])
+    sides = eval_symbols(*draw_symbols(rng, trials), table)
+    return float(np.max(np.abs(sides[:, 0] - sides[:, 1])))
+
+
 def _condition2_residual(rng, n_random: int) -> float:
     """Condition (2) on n_random random b (x) g, b a degree-<=3 Toeplitz
     element and g in C(Z2): the composite paths
@@ -316,9 +381,10 @@ def _condition2_residual(rng, n_random: int) -> float:
     built once per call and stacked into one array.  Each trial draws the
     integers of b, then g, as the composed closures do
     (tests/oracles.condition2_closures); toeplitz.fold_symbol_draws folds
-    all the integers into symbols in one array pass.  One pass over all
-    trials then sums every symbol over the four angle sets a term at a time,
-    in symbol's order, and combines the Z2 parts as omega_2 does.  So every
+    all the integers into symbols in one array pass, and
+    toeplitz.eval_symbols sums every symbol over the four angle sets a term
+    at a time, in symbol's order, in one pass over all trials; the Z2 parts
+    combine as omega_2 does.  So every
     element gets the closures' float operations; a zero (padding) term adds
     a signed zero, which the final abs erases."""
     max_deg = 3
@@ -339,13 +405,9 @@ def _condition2_residual(rng, n_random: int) -> float:
     for t in range(n_random):
         ints[t] = rng.integers(-3, 4, size=ints.shape[1])
         g[t, :, 0, 0] = rng.normal(size=2)
-    ks, coeffs = fold_symbol_draws(ints, max_deg)
-    ks += max_deg
+    e = eval_symbols(*fold_symbol_draws(ints, max_deg), tables)
     gp = g[:, 0] + g[:, 1] * np.asarray(1.0)
     gm = g[:, 0] + g[:, 1] * np.asarray(-1.0)
-    e = np.zeros((n_random,) + angles.shape, dtype=complex)
-    for j in range(coeffs.shape[1]):
-        e += coeffs[:, j, None, None] * tables[ks[:, j]]
     ep, em = e * gp, e * gm
     y = z2_split(ep, em, phi2)
     za = np.where(cs > 0, y[:, 0].reshape(-1, 2, 2, 1), y[:, 1].reshape(-1, 2, 2, 1))

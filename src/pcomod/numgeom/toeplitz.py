@@ -1,5 +1,5 @@
-"""Float views of Toeplitz symbols, and seeded random Toeplitz *-polynomials
-and symbols.
+"""Float views of Toeplitz symbols, and seeded random symbols drawn and
+evaluated a block of trials at a time.
 
 The symbol map kills the compacts. Exactly, it is the algebra map s -> u,
 ss -> ui into O(U(1)) (``suites.symbol_relation_residual`` certifies it on
@@ -12,7 +12,7 @@ from functools import cache
 import numpy as np
 
 from ..ncpoly import NCPoly
-from ..scalars import S_ZERO, GaussRat, Scalar
+from ..scalars import S_ZERO, Scalar
 
 
 class FourierPoly:
@@ -32,15 +32,6 @@ class FourierPoly:
         out = np.zeros(theta.shape, dtype=complex)
         for k, c in self.coeffs.items():
             out = out + c * np.exp(1j * k * theta)
-        return out
-
-    def eval_powers(self, powers: dict) -> np.ndarray:
-        """The sum eval forms, with exp(i k theta) (or z**k at points z of the
-        circle) read from ``powers`` (k -> array, k = 0 included): a table built
-        once for points that stay fixed while the polynomial changes."""
-        out = np.zeros(powers[0].shape, dtype=complex)
-        for k, c in self.coeffs.items():
-            out = out + c * powers[k]
         return out
 
 
@@ -85,36 +76,9 @@ def _basis_degrees(max_deg: int) -> tuple:
     return tuple(symbol_degree(w) for w in _toeplitz_basis(max_deg))
 
 
-def draw_toeplitz_terms(rng, max_deg: int, coeff_range: int = 3):
-    """(word, k, re, im) for every basis word of degree <= max_deg, in basis
-    order: re + i*im is its coefficient, drawn uniformly from
-    [-coeff_range, coeff_range], and z^k its symbol.
-
-    One batched draw gives the (re, im) pairs of the basis words in order: the
-    same integers, and the same generator state after, as two scalar draws
-    per word (tests/oracles.scalar_draw_toeplitz_poly)."""
-    words = _toeplitz_basis(max_deg)
-    parts = rng.integers(-coeff_range, coeff_range + 1, size=2 * len(words)).tolist()
-    return zip(words, _basis_degrees(max_deg), parts[::2], parts[1::2])
-
-
-def random_toeplitz_poly(rng, max_deg: int, coeff_range: int = 3) -> NCPoly:
-    """Random *-polynomial in s, ss with small Gaussian-integer coefficients
-    (draw_toeplitz_terms); the unit if every coefficient drawn is 0."""
-    from ..builtin import toeplitz_system
-
-    alphabet = toeplitz_system().alphabet
-    terms = {}
-    for w, _, re, im in draw_toeplitz_terms(rng, max_deg, coeff_range):
-        if re or im:
-            terms[w] = Scalar.of(GaussRat(re, im))
-    p = NCPoly(alphabet, terms)
-    return p if not p.is_zero() else NCPoly.one(alphabet)
-
-
 def fold_symbol_draws(ints: np.ndarray, max_deg: int) -> tuple[np.ndarray, np.ndarray]:
-    """symbol(random_toeplitz_poly(...)) of each row of ints, the (re, im)
-    per basis word of one draw in draw_toeplitz_terms' order, as degrees and
+    """symbol(tests/oracles.random_toeplitz_poly(...)) of each row of ints,
+    the (re, im) per basis word of one draw in basis order, as degrees and
     complex coefficients in symbol's order, each (n, 2*max_deg + 1) with
     (0, 0j) padding.  In one pass over the words a degree enters where its
     exact running sum turns nonzero and leaves where it returns to zero, as
@@ -130,3 +94,28 @@ def fold_symbol_draws(ints: np.ndarray, max_deg: int) -> tuple[np.ndarray, np.nd
     ks = np.where(coeffs != 0, order - max_deg, 0)
     coeffs[~c.any(axis=1), 0] = 1.0
     return ks, coeffs
+
+
+def draw_symbols(rng, trials: int, max_deg: int = 3) -> tuple[np.ndarray, np.ndarray]:
+    """The symbols of ``trials`` random *-polynomials in s, ss of degree
+    <= max_deg with Gaussian-integer coefficients in [-3, 3], folded by
+    fold_symbol_draws.  One generator call draws the (re, im) integers of
+    every basis word of every trial: the integers, and the generator state
+    after, of one rng.integers(-3, 4, size=...) call per trial, which is how
+    tests/oracles.random_toeplitz_poly draws one polynomial."""
+    ints = rng.integers(-3, 4, size=(trials, 2 * len(_toeplitz_basis(max_deg))))
+    return fold_symbol_draws(ints, max_deg)
+
+
+def eval_symbols(ks: np.ndarray, coeffs: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Each folded symbol (rows of fold_symbol_draws' ks and coeffs) at fixed
+    points: table[k + max_deg] holds z**k at every point.  The terms are
+    summed one at a time in symbol's order, as FourierPoly.eval sums them,
+    so every value is FourierPoly.eval's but for the sign of a zero (a
+    padding term adds 0j)."""
+    max_deg = table.shape[0] // 2
+    out = np.zeros(ks.shape[:1] + table.shape[1:], dtype=complex)
+    lead = (slice(None),) + (None,) * (table.ndim - 1)
+    for j in range(ks.shape[1]):
+        out += coeffs[:, j][lead] * table[ks[:, j] + max_deg]
+    return out

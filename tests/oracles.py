@@ -12,8 +12,9 @@ certificates replaced, and the build-at-formal-q-then-substitute path that
 parsing at a fixed q replaced.  It also holds the helpers only tests call: the
 presentation dumper, eta o eps, the group-like basis words, the identity and
 the convolution tabulated on basis words, q substituted into a scalar, a
-symbol evaluated at points z, the exact Laurent symbol, the chart delta_i as a
-point of the circle, and the truncated Toeplitz matrices."""
+symbol evaluated at points z, the exact Laurent symbol, random Toeplitz
+*-polynomials, the chart delta_i as a point of the circle, and the truncated
+Toeplitz matrices."""
 
 from __future__ import annotations
 
@@ -41,7 +42,7 @@ from pcomod.numgeom.circle import (
 )
 from pcomod.numgeom.circle import phi_gauged_pullback as circle_phi_gauged_pullback
 from pcomod.numgeom.grids import Z2, GridConfig, circle_angles, interval_nodes
-from pcomod.numgeom.toeplitz import _toeplitz_basis, draw_toeplitz_terms, random_toeplitz_poly, symbol
+from pcomod.numgeom.toeplitz import _basis_degrees, _toeplitz_basis, symbol
 from pcomod.rewrite import Conflict, ConfluenceReport, RewriteSystem, SizeLimitError
 from pcomod.scalars import GR_ZERO, P_ONE, S_ONE, S_ZERO, GaussRat, Scalar, ScalarError
 from pcomod.tensors import Tensor
@@ -644,6 +645,20 @@ def condition1_loop(rng, nodes: np.ndarray) -> tuple[float, float]:
     return worst_split, worst_kernel
 
 
+def corner_identity_loop(rng, trials: int = 16) -> float:
+    """probes._corner_residual one random_toeplitz_poly at a time, its symbol
+    evaluated by FourierPoly.eval at the corner angles of both sides."""
+    k1 = Z2[:, None]
+    k2 = Z2[None, :]
+    worst = 0.0
+    for _ in range(trials):
+        F = symbol(random_toeplitz_poly(rng, 3))
+        lhs = F.eval(delta_angle(1, k1, k2.astype(float)))  # (id x iota^*) delta_1^*
+        rhs = F.eval(delta_angle(2, k2, k1.astype(float)))  # (iota^* x id) delta_2^*
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst
+
+
 def exact_laurent_symbol(p: NCPoly) -> dict[int, Scalar]:
     """The symbol s -> z, ss -> 1/z of p as {k: Scalar}, summed degree by degree."""
     out: dict[int, Scalar] = {}
@@ -792,11 +807,39 @@ def face_atlas(elt, cfg) -> dict:
     return {"edges": edges, "max_residual": worst, "pass": worst < cfg.tol}
 
 
+class WindingError(RuntimeError):
+    pass
+
+
+def winding_number(dets: np.ndarray) -> int:
+    """Accumulated phase of one sampled loop of determinants divided by 2 pi,
+    raising WindingError('SINGULAR...') if a sample is below
+    probes.SINGULAR_TOL in modulus and WindingError('DENSITY...') if a phase
+    jump reaches probes.MAX_PHASE_JUMP: the loop-at-a-time reading that
+    probes.winding_numbers replaced."""
+    dets = np.asarray(dets)
+    small = np.abs(dets) < probes.SINGULAR_TOL
+    if np.any(small):
+        raise WindingError(f"SINGULAR at sample {int(np.argmax(small))}")
+    closed = np.concatenate([dets, dets[:1]])
+    jumps = np.angle(closed[1:] / closed[:-1])
+    if np.max(np.abs(jumps)) >= probes.MAX_PHASE_JUMP:
+        raise WindingError("DENSITY: phase jump exceeds the guard; resample more densely")
+    total = float(np.sum(jumps))
+    return int(round(total / (2 * np.pi)))
+
+
+def fourier_table(theta: np.ndarray, max_deg: int = 3) -> np.ndarray:
+    """exp(i k theta) for k = -max_deg..max_deg (rows) at every angle (columns)."""
+    ks = np.arange(-max_deg, max_deg + 1)
+    return np.exp(1j * np.outer(ks, theta))
+
+
 def random_fourier_entry(rng, parity: str, max_deg: int = 3) -> np.ndarray:
     """Coefficients c_k, k = -max_deg..max_deg, with the off-parity ones zeroed.
     parity: 'odd' (f(-z) = -f(z)), 'even' (f(-z) = f(z)), or 'any'.  One
-    matrix entry of a parity loop: the draw probes.LoopSampler makes a whole
-    loop at a time."""
+    matrix entry of a parity loop: the draw probes.LoopSampler makes a block
+    of loops at a time."""
     ks = np.arange(-max_deg, max_deg + 1)
     c = rng.normal(size=ks.size) + 1j * rng.normal(size=ks.size)
     if parity == "odd":
@@ -845,13 +888,69 @@ def per_entry_parity_probe(n: int, trials: int, cfg) -> tuple:
             dets = loop(first_row)
             dets_seen.append(dets)
             try:
-                return probes.winding_number(dets)
-            except probes.WindingError:
+                return winding_number(dets)
+            except WindingError:
                 report.resamples += 1
 
     report.windings = [sample("odd") for _ in range(trials)]
     report.control_windings = [sample("even") for _ in range(trials)]
     return report, dets_seen, draws
+
+
+def convolve_det_coeffs(c: np.ndarray) -> np.ndarray:
+    """probes.det_coeffs of one loop, c of shape (n, n, 2*max_deg + 1): the
+    Leibniz sum with each term a chain of np.convolve products, the per-loop
+    sum that the block's shifted multiply-adds replaced."""
+    n = c.shape[0]
+    out = np.zeros(n * (c.shape[2] - 1) + 1, dtype=complex)
+    for perm, sign in probes._leibniz_terms(n):
+        term = c[0, perm[0]]
+        for i in range(1, n):
+            term = np.convolve(term, c[i, perm[i]])
+        if sign > 0:
+            out += term
+        else:
+            out -= term
+    return out
+
+
+def per_loop_parity_probe(n: int, trials: int, cfg, max_deg: int = 3) -> tuple:
+    """probes.equivariant_parity_probe one loop at a time: one generator call
+    per loop, its parities imposed by zeroing coefficients, its determinant
+    coefficients by convolve_det_coeffs, its samples by one product against
+    a fourier_table and its winding by winding_number, redrawn until
+    min |det| > 1e-3 and resampled while a guard fails: the path the block
+    pipeline replaced.  Returns the report and the determinant samples of
+    every loop handed to winding_number."""
+    rng = cfg.rng(4)
+    table = fourier_table(circle_angles(cfg.n_circle), n * max_deg)
+    report = probes.ParityReport(size=n, trials=trials)
+    seen = []
+    ks = np.arange(-max_deg, max_deg + 1)
+
+    def next_dets(first_row):
+        while True:
+            raw = rng.normal(size=(n, n, 2, ks.size))
+            c = raw[..., 0, :] + 1j * raw[..., 1, :]
+            c[0, :, (ks % 2 == 0) if first_row == "odd" else (ks % 2 == 1)] = 0.0
+            if first_row == "odd":
+                c[1:, :, ks % 2 == 1] = 0.0
+            dets = (convolve_det_coeffs(c)[:, None] * table).sum(axis=0)
+            if np.min(np.abs(dets)) > 1e-3:
+                return dets
+
+    def sample(first_row):
+        while True:
+            dets = next_dets(first_row)
+            seen.append(dets)
+            try:
+                return winding_number(dets)
+            except WindingError:
+                report.resamples += 1
+
+    report.windings = [sample("odd") for _ in range(trials)]
+    report.control_windings = [sample("even") for _ in range(trials)]
+    return report, seen
 
 
 def fraction_det_coeffs(c: np.ndarray) -> tuple[list, list]:
@@ -894,7 +993,7 @@ def fraction_det_coeffs(c: np.ndarray) -> tuple[list, list]:
 def random_loop(rng, n: int, table: np.ndarray, first_row: str):
     """One matrix loop an entry at a time, with the requested first-row
     parity, other rows even for the equivariant family and unconstrained for
-    the control, sampled at the angles of ``table = probes.fourier_table``;
+    the control, sampled at the angles of ``table = fourier_table``;
     redrawn until min |det| > 1e-3: the loop probes.LoopSampler replaced."""
     max_deg = table.shape[0] // 2
     other = "even" if first_row == "odd" else "any"
@@ -914,15 +1013,15 @@ def parity_mislabeled_loop() -> list[str]:
     random_loop at a time."""
     cfg = GridConfig()
     rng = cfg.rng(100)
-    table = probes.fourier_table(circle_angles(cfg.n_circle))
+    table = fourier_table(circle_angles(cfg.n_circle))
     evens = 0
     for _ in range(20):
         while True:
             _, dets = random_loop(rng, 2, table, "even")
             try:
-                w = probes.winding_number(dets)
+                w = winding_number(dets)
                 break
-            except probes.WindingError:
+            except WindingError:
                 continue
         if w % 2 == 0:
             evens += 1
@@ -973,9 +1072,35 @@ def peter_weyl_loop(samples: int, cfg, degrees=(-2, -1, 0, 1, 2)) -> dict:
     return out
 
 
+def draw_toeplitz_terms(rng, max_deg: int, coeff_range: int = 3):
+    """(word, k, re, im) for every basis word of degree <= max_deg, in basis
+    order: re + i*im is its coefficient, drawn uniformly from
+    [-coeff_range, coeff_range], and z^k its symbol.
+
+    One batched draw gives the (re, im) pairs of the basis words in order: the
+    same integers, and the same generator state after, as two scalar draws
+    per word (scalar_draw_toeplitz_poly)."""
+    words = _toeplitz_basis(max_deg)
+    parts = rng.integers(-coeff_range, coeff_range + 1, size=2 * len(words)).tolist()
+    return zip(words, _basis_degrees(max_deg), parts[::2], parts[1::2])
+
+
+def random_toeplitz_poly(rng, max_deg: int, coeff_range: int = 3) -> NCPoly:
+    """Random *-polynomial in s, ss with small Gaussian-integer coefficients
+    (draw_toeplitz_terms); the unit if every coefficient drawn is 0.  One
+    trial of the per-trial loops that toeplitz.draw_symbols replaced."""
+    alphabet = toeplitz_system().alphabet
+    terms = {}
+    for w, _, re, im in draw_toeplitz_terms(rng, max_deg, coeff_range):
+        if re or im:
+            terms[w] = Scalar.of(GaussRat(re, im))
+    p = NCPoly(alphabet, terms)
+    return p if not p.is_zero() else NCPoly.one(alphabet)
+
+
 def scalar_draw_toeplitz_poly(rng, max_deg: int, coeff_range: int = 3) -> NCPoly:
-    """toeplitz.random_toeplitz_poly with two scalar draws per basis word, the
-    real part first: the loop the one batched draw replaced."""
+    """random_toeplitz_poly with two scalar draws per basis word, the real
+    part first: the loop the one batched draw replaced."""
     alphabet = toeplitz_system().alphabet
     terms = {}
     for w in _toeplitz_basis(max_deg):

@@ -456,3 +456,24 @@ def test_redex_scan_agrees_with_scanning_oracle(name):
         assert (m is None) == (not want), w
         if m is not None:
             assert NCPoly(system.alphabet, dict(system._apply(*m))) == want[0], w
+
+
+def _random_poly(rng, al, words, scalars):
+    """A polynomial on a random subset of words, in a random insertion order."""
+    return NCPoly(al, {w: rng.choice(scalars) for w in rng.sample(words, rng.randint(0, len(words)))})
+
+
+def test_subtraction_matches_adding_the_negation():
+    """p - q against p + (-q) on random polynomials that share words, cancel
+    terms and are empty: the same terms in the same insertion order, and no
+    zero coefficient kept."""
+    al = Alphabet(("a", "b"), ())
+    words = [w for k in range(3) for w in product("ab", repeat=k)]
+    scalars = [S_ONE, -S_ONE, S_Q, S_QINV, S_Q - S_ONE, Scalar.of(GaussRat(2, -1))]
+    rng = random.Random(11)
+    for _ in range(400):
+        p = _random_poly(rng, al, words, scalars)
+        q = p if rng.random() < 0.1 else _random_poly(rng, al, words, scalars)
+        got, want = p - q, p + (-q)
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert not any(c.is_zero() for c in got.terms.values())

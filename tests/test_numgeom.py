@@ -11,6 +11,8 @@ from oracles import (
     fraction_phi_hat_grid,
     gauss_triple,
     per_entry_parity_probe,
+    per_loop_parity_probe,
+    random_toeplitz_poly,
     random_decomposition_roundtrips,
     random_symbol_coeffs,
     scalar_draw_toeplitz_poly,
@@ -23,7 +25,6 @@ from pcomod.ncpoly import NCPoly
 from pcomod.numgeom import (
     GridConfig,
     SphereElement,
-    WindingError,
     decomposition_report,
     delta_angle,
     disc_membership,
@@ -42,13 +43,13 @@ from pcomod.numgeom import (
     rp2_membership,
     splitting_identities_report,
     symbol,
-    winding_number,
+    winding_numbers,
 )
 from pcomod.numgeom import membership, probes
 from pcomod.numgeom import circle
 from pcomod.numgeom.circle import interval_fn, read_once
 from pcomod.numgeom.grids import Z2, circle_angles, interval_nodes
-from pcomod.numgeom.toeplitz import fold_symbol_draws, random_toeplitz_poly
+from pcomod.numgeom.toeplitz import draw_symbols, fold_symbol_draws
 from pcomod.scalars import S_ONE, GaussRat, Scalar
 from pcomod.suites import SuiteConfig, run_suite, symbol_relation_residual
 
@@ -368,7 +369,7 @@ def test_sampled_identity_blocks_match_trial_loops(grid, seed):
         (splitting_identities_report, oracles.splitting_identities_loop),
         (gauge_conjugation_report, oracles.gauge_conjugation_loop),
     ):
-        for args in ((), (0,), (1,), (8,), (17,), (60,)):
+        for args in ((), (0,), (1,), (8,), (17,), (60,), (200,)):
             assert _report_and_states(fast, cfg, *args) == _report_and_states(slow, cfg, *args)
 
 
@@ -379,6 +380,34 @@ def test_mattprop_condition1_matches_trial_loop(monkeypatch, grid, seed):
     fast = _report_and_states(mattprop_report, cfg, 100)
     monkeypatch.setattr(probes, "_condition1_residuals", oracles.condition1_loop)
     assert fast == _report_and_states(mattprop_report, cfg, 100)
+
+
+@pytest.mark.parametrize("seed", [20130915, 1, 7])
+@pytest.mark.parametrize("grid", SAMPLED_GRIDS)
+def test_mattprop_corner_matches_trial_loop(monkeypatch, grid, seed):
+    """The corner identity from one block of symbols gives the residual of
+    one random_toeplitz_poly at a time bit for bit, and condition (2) reads
+    the generator from where each leaves it."""
+    cfg = GridConfig(n_circle=grid[0], m_interval=grid[1], seed=seed)
+    fast = _report_and_states(mattprop_report, cfg, 100)
+    monkeypatch.setattr(probes, "_corner_residual", oracles.corner_identity_loop)
+    assert fast == _report_and_states(mattprop_report, cfg, 100)
+
+
+@pytest.mark.parametrize("seed", [20130915, 1, 7])
+def test_symbol_blocks_match_per_trial_draws(seed):
+    """toeplitz.draw_symbols against one exact random_toeplitz_poly and its
+    symbol per trial: the same (k, coefficient) rows, padding aside, and the
+    same generator state after; and the corner residual bit for bit."""
+    for trials in (1, 5, 16, 41):
+        fast, slow = GridConfig(seed=seed).rng(6), GridConfig(seed=seed).rng(6)
+        ks, coeffs = draw_symbols(fast, trials)
+        got = [list(zip(k.tolist(), c.tolist())) for k, c in zip(ks, coeffs)]
+        assert got == [_padded(oracles.symbol_coefficients(slow, 3)) for _ in range(trials)]
+        assert fast.bit_generator.state == slow.bit_generator.state
+        fast, slow = GridConfig(seed=seed).rng(6), GridConfig(seed=seed).rng(6)
+        assert probes._corner_residual(fast, trials) == oracles.corner_identity_loop(slow, trials)
+        assert fast.bit_generator.state == slow.bit_generator.state
 
 
 def test_symbol_certificate_agrees_with_random_products():
@@ -404,16 +433,46 @@ def test_symbol_map_rejects_a_mutant_generator_table():
 
 def test_winding_numbers_and_guards():
     th = circle_angles(720)
-    assert winding_number(np.exp(1j * th)) == 1
-    assert winding_number(np.exp(3j * th)) == 3
-    assert winding_number(np.ones_like(th, dtype=complex)) == 0
+    assert winding_numbers(np.exp(1j * th)) == (1, True)
+    assert winding_numbers(np.exp(3j * th)) == (3, True)
+    assert winding_numbers(np.ones_like(th, dtype=complex)) == (0, True)
     # a 10x denser sampling gives the same winding (density oracle)
     th10 = circle_angles(7200)
-    assert winding_number(np.exp(3j * th10)) == 3
-    with pytest.raises(WindingError, match="SINGULAR"):
-        winding_number(np.exp(1j * th) - 1.0)
-    with pytest.raises(WindingError, match="DENSITY"):
-        winding_number(np.exp(40j * circle_angles(64)))
+    assert winding_numbers(np.exp(3j * th10)) == (3, True)
+    # a zero sample (SINGULAR) and a phase step past the guard (DENSITY)
+    singular, dense = np.exp(1j * th) - 1.0, np.exp(40j * circle_angles(64))
+    assert winding_numbers(singular) == (0, False)
+    assert winding_numbers(dense) == (0, False)
+    with pytest.raises(oracles.WindingError, match="SINGULAR"):
+        oracles.winding_number(singular)
+    with pytest.raises(oracles.WindingError, match="DENSITY"):
+        oracles.winding_number(dense)
+    # a block reads each row as it stands
+    block = np.stack([np.exp(1j * th), singular, np.exp(-2j * th), np.exp(1j * th) * 0.5 + 2.0])
+    windings, ok = winding_numbers(block)
+    assert windings.tolist() == [1, 0, -2, 0] and ok.tolist() == [True, False, True, True]
+
+
+@pytest.mark.parametrize("n_circle", [8, 16, 64, 720])
+def test_winding_numbers_match_loop_at_a_time_oracle(n_circle):
+    """Random Laurent polynomials of degree <= 6, many of which fail a guard
+    on the small grids: a loop passes the guards exactly when the oracle
+    does not raise, and then the windings agree."""
+    rng = np.random.default_rng(n_circle)
+    table = oracles.fourier_table(circle_angles(n_circle), 6)
+    coeffs = rng.normal(size=(400, 13)) + 1j * rng.normal(size=(400, 13))
+    coeffs[:100, 6] += 6.0  # a dominant constant term: winding 0
+    coeffs[100:200, 9] += 6.0  # a dominant z^3 term: winding 3
+    dets = coeffs @ table
+    windings, ok = winding_numbers(dets)
+    for row, w, passed in zip(dets, windings, ok):
+        try:
+            want = oracles.winding_number(row)
+        except oracles.WindingError:
+            assert not passed
+        else:
+            assert passed and w == want
+    assert ok.any() and (n_circle == 720 or not ok.all())
 
 
 def test_winding_additive_and_rotation_invariant():
@@ -423,10 +482,10 @@ def test_winding_additive_and_rotation_invariant():
         c1 = rng.normal(size=3) + 1j * rng.normal(size=3)
         f = np.exp(2j * th) * (2.5 + c1[0] * np.exp(1j * th) * 0.2 + c1[1] * 0.1)
         g = np.exp(-1j * th) * (3.0 + c1[2] * 0.2)
-        wf, wg = winding_number(f), winding_number(g)
-        assert winding_number(f * g) == wf + wg
+        (wf, wg, wfg), ok = winding_numbers(np.stack([f, g, f * g]))
+        assert ok.all() and wfg == wf + wg
         shift = int(rng.integers(0, 720))
-        assert winding_number(np.roll(f, shift)) == wf
+        assert winding_numbers(np.roll(f, shift)) == (wf, True)
 
 
 def test_parity_probe_small():
@@ -436,16 +495,41 @@ def test_parity_probe_small():
     assert rep2.all_odd and rep2.control_has_both
 
 
+def _watch_parity_blocks(m):
+    """Record, for each block the sampler evaluates, its coefficients (at
+    det_coeffs), its determinant samples (at winding_numbers), which loops
+    passed the min |det| filter and how many loops it used (at replay)."""
+    blocks = []
+    coeffs, windings, replay = probes.det_coeffs, probes.winding_numbers, probes.replay
+
+    def at_coeffs(c):
+        d = coeffs(c)
+        blocks.append({"c": c.copy(), "d": d})
+        return d
+
+    def at_windings(dets):
+        blocks[-1]["dets"] = dets.copy()
+        return windings(dets)
+
+    def at_replay(kept, w, ok, need):
+        used, taken, resamples = replay(kept, w, ok, need)
+        blocks[-1].update(kept=kept.copy(), used=used)
+        return used, taken, resamples
+
+    m.setattr(probes, "det_coeffs", at_coeffs)
+    m.setattr(probes, "winding_numbers", at_windings)
+    m.setattr(probes, "replay", at_replay)
+    return blocks
+
+
 def _assert_parity_probe_matches_per_entry_oracle(monkeypatch, n, trials, cfg):
     """The probe against tests/oracles.per_entry_parity_probe, which takes
-    LAPACK determinants at every sample: the same windings and resamples, the
-    same drawn coefficients byte for byte, and determinant samples within
-    1e-12 * max|det| of LAPACK's on every loop handed to winding_number."""
-    drawn, seen = [], []
-    coeffs, winding = probes.det_coeffs, probes.winding_number
+    LAPACK determinants at every sample: the same windings and resamples;
+    the loops each block used, block after block, are the oracle's drawn
+    coefficients byte for byte; and the determinant samples of every used
+    loop that passed the filter are within 1e-12 * max|det| of LAPACK's."""
     with monkeypatch.context() as m:
-        m.setattr(probes, "det_coeffs", lambda c: drawn.append(c.copy()) or coeffs(c))
-        m.setattr(probes, "winding_number", lambda dets: seen.append(dets) or winding(dets))
+        blocks = _watch_parity_blocks(m)
         fast = probes.equivariant_parity_probe(n, trials, cfg)
     slow, slow_dets, slow_draws = per_entry_parity_probe(n, trials, cfg)
     assert (fast.windings, fast.control_windings, fast.resamples) == (
@@ -453,7 +537,9 @@ def _assert_parity_probe_matches_per_entry_oracle(monkeypatch, n, trials, cfg):
         slow.control_windings,
         slow.resamples,
     ), (n, trials)
-    assert [c.tobytes() for c in drawn] == [c.tobytes() for c in slow_draws], (n, trials)
+    used = [b["c"][: b["used"]] for b in blocks]
+    assert [c.tobytes() for block in used for c in block] == [c.tobytes() for c in slow_draws], (n, trials)
+    seen = [dets for b in blocks for dets in b["dets"][: b["used"]][b["kept"][: b["used"]]]]
     assert len(seen) == len(slow_dets)
     for dets, ref in zip(seen, slow_dets):
         assert np.max(np.abs(dets - ref)) <= 1e-12 * np.max(np.abs(ref)), (n, trials)
@@ -466,47 +552,73 @@ def test_parity_probe_matches_per_entry_oracle(monkeypatch, seed):
 
 @pytest.mark.parametrize("seed", [20130915, 1, 2, 7, 31, 99])
 def test_parity_sampler_matches_per_entry_oracle(monkeypatch, seed):
-    """Every loop size and several trial counts, from one loop to 40: each
-    loop is one generator call, in the entry-at-a-time order, and the control
-    phase draws on from where the odd phase stopped."""
+    """Every loop size, and trial counts at the edges of the sampler's
+    blocks: a family may end just before, at or just after the end of a
+    block, and the control family draws on from where the odd one stopped."""
     cfg = GridConfig(seed=seed)
+    b = probes.LOOP_BLOCK
     for n in (1, 2, 3):
-        for trials in (1, 15, 16, 17, 40):
+        for trials in (1, b - 1, b, b + 1, 2 * b + 1):
             _assert_parity_probe_matches_per_entry_oracle(monkeypatch, n, trials, cfg)
+
+
+@pytest.mark.parametrize("n_circle", [8, 16])
+def test_parity_sampler_matches_per_entry_oracle_on_small_grids(monkeypatch, n_circle):
+    """Grids with fewer points than a determinant of size 2 or 3 has
+    coefficients (13 or 19), where most loops fail a winding guard and a
+    trial can use several blocks."""
+    cfg = GridConfig(n_circle=n_circle)
+    for n in (1, 2, 3):
+        for trials in (1, 4):
+            _assert_parity_probe_matches_per_entry_oracle(monkeypatch, n, trials, cfg)
+
+
+@pytest.mark.parametrize("grid", [720, 64, 16, 8])
+@pytest.mark.parametrize("seed", [20130915, 7])
+def test_parity_probe_matches_per_loop_oracle(grid, seed):
+    """The block pipeline against the loop-at-a-time path it replaced
+    (np.convolve coefficients, a Fourier table product, winding_number per
+    loop): the same report.  Fewer trials on the small grids, where most
+    loops fail a guard."""
+    cfg = GridConfig(n_circle=grid, seed=seed)
+    trials = 40 if grid >= 64 else 6
+    for n in (1, 2, 3):
+        fast = equivariant_parity_probe(n, trials, cfg)
+        slow, _ = per_loop_parity_probe(n, trials, cfg)
+        assert (fast.windings, fast.control_windings, fast.resamples) == (
+            slow.windings,
+            slow.control_windings,
+            slow.resamples,
+        ), (grid, n)
 
 
 @pytest.mark.parametrize("seed", [20130915, 1, 7])
 def test_det_coeffs_match_fraction_leibniz(monkeypatch, seed):
     """probes.det_coeffs on the sampler's own draws against the exact
-    determinant coefficients (oracles.fraction_det_coeffs).  Bound, a priori:
-    on any path from a real monomial of the Leibniz sum to a computed
-    coefficient there are at most K = 8 * (n - 1) + n! - 1 roundings, namely
-    per np.convolve stage one real product, one combination of two into a
-    part of a complex product and at most 6 additions over at most 7 terms,
-    then n! - 1 additions across the permutations.  So each real part errs by
-    at most gamma_K * M, M the majorant sum of the monomials' absolute values
-    and gamma_K = K u / (1 - K u), u = 2**-53.  For n = 1, K = 0: exact.
-    An odd loop's even-degree coefficients are exactly 0."""
+    determinant coefficients (oracles.fraction_det_coeffs), on every loop a
+    block used.  Bound, a priori: on any path from a real monomial of the
+    Leibniz sum to a computed coefficient there are at most
+    K = 8 * (n - 1) + n! - 1 roundings, namely per product stage one real
+    product, one combination of two into a part of a complex product and at
+    most 6 additions over at most 7 shifted terms (the first lands on an
+    exact 0), then n! - 1 additions across the permutations.  So each real
+    part errs by at most gamma_K * M, M the majorant sum of the monomials'
+    absolute values and gamma_K = K u / (1 - K u), u = 2**-53.  For n = 1,
+    K = 0: exact.  An odd loop's even-degree coefficients are exactly 0."""
     u = Fraction(1, 2**53)
     for n in (1, 2, 3):
         k = 8 * (n - 1) + factorial(n) - 1
         gamma = k * u / (1 - k * u)
-        recorded = []
-        coeffs = probes.det_coeffs
-
-        def record(c):
-            d = coeffs(c)
-            recorded[-1].append((c.copy(), d))
-            return d
-
+        checked = []
         with monkeypatch.context() as m:
-            m.setattr(probes, "det_coeffs", record)
-            loops = probes.LoopSampler(GridConfig(seed=seed).rng(4), n, circle_angles(64))
+            blocks = _watch_parity_blocks(m)
+            loops = probes.LoopSampler(GridConfig(seed=seed).rng(4), n, 64)
             for first_row in ("odd", "even", "odd", "even"):
-                recorded.append([first_row])
-                loops.next_dets(first_row)
-        for first_row, *pairs in recorded:
-            for c, got in pairs:
+                start = len(blocks)
+                loops.windings(first_row, 1)
+                checked += [(first_row, b) for b in blocks[start:]]
+        for first_row, b in checked:
+            for c, got in zip(b["c"][: b["used"]], b["d"][: b["used"]]):
                 exact, majorant = oracles.fraction_det_coeffs(c)
                 assert len(exact) == got.size == 6 * n + 1
                 for deg, (z, e, mj) in enumerate(zip(got, exact, majorant), start=-3 * n):
