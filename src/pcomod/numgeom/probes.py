@@ -3,6 +3,7 @@ Peter-Weyl identities, and the surjectivity-criterion conditions."""
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import permutations
@@ -34,19 +35,22 @@ MAX_PHASE_JUMP = np.pi / 2
 LOOP_BLOCK = 16
 
 
-def winding_numbers(dets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def winding_numbers(dets: np.ndarray, min_abs: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Accumulated phase of each sampled loop of determinants divided by 2 pi.
 
-    dets: (..., N) complex samples of each loop at N angles in order.
+    dets: (..., N) complex samples of each loop at N angles in order;
+    min_abs, when the caller has it, the least modulus of each loop.
     Returns the windings and whether each loop passes the guards: no sample
     below SINGULAR_TOL in modulus, and every phase step between neighbours
     below MAX_PHASE_JUMP (otherwise the rounding of the total phase would not
     be provably correct).  A loop that fails them has winding 0."""
+    if min_abs is None:
+        min_abs = np.abs(dets).min(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         jumps = np.roll(dets, -1, axis=-1)
         jumps /= dets
         jumps = np.angle(jumps)
-        ok = (np.abs(dets).min(axis=-1) >= SINGULAR_TOL) & (np.abs(jumps).max(axis=-1) < MAX_PHASE_JUMP)
+        ok = (min_abs >= SINGULAR_TOL) & (np.abs(jumps).max(axis=-1) < MAX_PHASE_JUMP)
         total = np.where(ok, jumps.sum(axis=-1), 0.0)
     return np.rint(total / (2 * np.pi)).astype(int), ok
 
@@ -137,19 +141,22 @@ class LoopSampler:
     first row the other rows are even, with an even first row they are
     unconstrained.
 
-    A block is one pass: det_coeffs forms the determinant coefficients of
-    every loop (a Fourier polynomial of degree <= n*max_deg), the samples
-    follow from them, winding_numbers reads every loop with its guards, and
-    replay walks the loops in order.  The samples are the even- and
-    odd-degree parts E and O of each determinant, each by Horner's rule in
-    z**2 on the first half of the grid times its lowest power of z: the
-    grid is symmetric (8 | n_circle), and at the antipode -z of a point z
-    the determinant is E - O.  No matrix is formed and no BLAS or LAPACK
-    call made.  The samples agree with LAPACK's determinants of the sampled
-    matrices to within rounding, not bit for bit (tests/test_numgeom.py
-    bounds the gap).  An odd loop's determinant is odd, and that is checked
-    exactly: each of its even-degree coefficients is a sum of products with
-    an exact-zero factor, so it is exactly 0, and its E is not evaluated.
+    A pass reads the pending loops the family still needs, at most the rest
+    of the block (a loop that fails the filter or a guard costs another
+    pass): det_coeffs forms the determinant coefficients of every loop (a
+    Fourier polynomial of degree <= n*max_deg), the samples follow from
+    them, one min |det| per loop serves the filter and winding_numbers'
+    singular guard, and replay walks the loops in order.  The samples are
+    the even- and odd-degree parts E and O of each determinant, each by
+    Horner's rule in z**2 on the first half of the grid times its lowest
+    power of z: the grid is symmetric (8 | n_circle), and at the antipode
+    -z of a point z the determinant is E - O.  No matrix is formed and no
+    BLAS or LAPACK call made.  The samples agree with LAPACK's determinants
+    of the sampled matrices to within rounding, not bit for bit
+    (tests/test_numgeom.py bounds the gap).  An odd loop's determinant is
+    odd, and that is checked exactly: each of its even-degree coefficients
+    is a sum of products with an exact-zero factor, so it is exactly 0, and
+    its E is not evaluated.
 
     Every step is elementwise on the block, not a matrix product or an FFT:
     a matrix product goes to OpenBLAS, whose threads then spin on a second
@@ -202,18 +209,21 @@ class LoopSampler:
         np.subtract(even_part, odd_part, out=dets[:, half:])
         return dets
 
-    def _block(self, first_row: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The pending loops as the family ``first_row``: whether each passes
-        the min |det| filter, its winding and whether that passes the guards."""
-        raw = self.pending
+    def _block(self, first_row: str, need: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The first ``need`` pending loops (all of them if fewer) as the
+        family ``first_row``: whether each passes the min |det| filter, its
+        winding and whether that passes the guards.  Loops past ``need`` stay
+        unread: a family that ends partway through a block leaves them to the
+        next call, which may read them as the other family."""
+        raw = self.pending[:need]
         c = raw[..., 0, :] + 1j * raw[..., 1, :]
         c[:, self.drop[first_row]] = 0.0
         d = det_coeffs(c)
         if first_row == "odd":
             assert not d[:, self.parts["even"][0]].any(), "an odd loop's det has an even-degree term"
         dets = self._samples(d, first_row)
-        kept = np.abs(dets).min(axis=1) > 1e-3
-        return (kept, *winding_numbers(dets))
+        min_abs = np.abs(dets).min(axis=1)
+        return (min_abs > 1e-3, *winding_numbers(dets, min_abs))
 
     def windings(self, first_row: str, count: int) -> tuple[list, int]:
         """The winding numbers of the next ``count`` loops whose first row has
@@ -224,7 +234,8 @@ class LoopSampler:
         while len(taken) < count:
             if not len(self.pending):
                 self.pending = self.rng.normal(size=(LOOP_BLOCK,) + self.pending.shape[1:])
-            used, got, bad = replay(*self._block(first_row), count - len(taken))
+            need = count - len(taken)
+            used, got, bad = replay(*self._block(first_row, need), need)
             self.pending = self.pending[used:]
             taken += got
             resamples += bad
@@ -264,21 +275,32 @@ def peter_weyl_report(samples: int, cfg: GridConfig, degrees=(-2, -1, 0, 1, 2)) 
     out["zero_identity"] = float(np.max(np.abs((1 - omega2 * aa) * (1 - omega2 * cc))))
     # the factor supported on each patch vanishes there
     apatch = aa >= 0.5
-    out["a_patch_unitary"] = float(np.max(np.abs(omega2[apatch] * aa[apatch] - 1.0)))
-    out["c_patch_unitary"] = float(np.max(np.abs(omega2[~apatch] * cc[~apatch] - 1.0)))
+    # a patch, and so the cleaving set, may be empty at a few samples
+    out["a_patch_unitary"] = float(np.max(np.abs(omega2[apatch] * aa[apatch] - 1.0), initial=0.0))
+    out["c_patch_unitary"] = float(np.max(np.abs(omega2[~apatch] * cc[~apatch] - 1.0), initial=0.0))
     # cleaving multiplicativity on the a-patch: (omega a)^(n+m) = (omega a)^n (omega a)^m
     # with negative powers via the conjugate (unitarity makes this the inverse)
     omega = np.sqrt(omega2)
     wa = omega[apatch] * a[apatch]
 
     def power(z, k):
+        """z**k, the conjugate's power for k < 0.  At k = 0 and +-1 numpy's
+        general complex power (tests/oracles.peter_weyl_loop) returns
+        exactly 1, z and conj(z) (a zero's sign aside, which the residuals'
+        abs erases), at several times the cost of z**2."""
+        if k == 0:
+            return np.ones_like(z)
+        if k == 1:
+            return z
+        if k == -1:
+            return np.conj(z)
         return z**k if k >= 0 else np.conj(z) ** (-k)
 
     pw = {k: power(wa, k) for k in {*degrees, *(nn + mm for nn in degrees for mm in degrees)}}
     worst = 0.0
     for nn in degrees:
         for mm in degrees:
-            worst = max(worst, float(np.max(np.abs(pw[nn + mm] - pw[nn] * pw[mm]))))
+            worst = max(worst, float(np.max(np.abs(pw[nn + mm] - pw[nn] * pw[mm]), initial=0.0)))
     del pw
     out["cleaving_multiplicative"] = worst
     # line-bundle equivariance: f = omega^n a^n satisfies f(e^{i phi} x) = f(x) e^{i n phi}
@@ -293,7 +315,8 @@ def peter_weyl_report(samples: int, cfg: GridConfig, degrees=(-2, -1, 0, 1, 2)) 
     for phi in phis:
         g = np.exp(1j * phi)
         wa_rot = wa_of(a * g, c * g)
-        for nn in degrees:
+        # nn = 0 is skipped: its residual is 1 - 1 * exp(0j), exactly 0
+        for nn in filter(None, degrees):
             resid = power(wa_rot, nn) - power(wa_all, nn) * np.exp(1j * nn * phi)
             worst = max(worst, float(np.max(np.abs(resid))))
     out["line_bundle_equivariance"] = worst
@@ -370,6 +393,73 @@ def _corner_residual(rng, trials: int = 16) -> float:
     return float(np.max(np.abs(sides[:, 0] - sides[:, 1])))
 
 
+def integers_from_words(ints: np.ndarray, has_uint32: int, uinteger: int) -> int | None:
+    """The integers that Generator.integers(-3, 4, size=20) draws trial by
+    trial on a PCG64 generator, read from the raw words of the trials.
+
+    ints: (T, 20) int64 whose columns 10..19 hold each trial's 10 raw words
+    (bit_generator.random_raw(10), as little-endian uint64 bits); the 20
+    integers of each trial overwrite its row.  has_uint32 and uinteger: the
+    generator's buffered 32-bit half at entry.  numpy takes each integer
+    from one 32-bit half u by Lemire's multiply-shift, m = 7 u, integer
+    (m >> 32) - 3, and reads the halves as PCG64's next32 does: a word's low
+    half, then its high half.  A half buffered at entry is a carry: each
+    trial then takes the carry and 19 halves, and its last high half is the
+    next trial's carry.  Either way each trial reads exactly 10 words.
+
+    Returns the generator's 'uinteger' after the trials (the last high
+    half); has_uint32 does not change.  Returns None when the low word of
+    any m is below 7, where numpy may reject u and draw again (it rejects
+    below (2**32 - 7) % 7 = 4), so that the words do not fix the integers.
+    One column at a time keeps every temporary to one column."""
+    if not len(ints):
+        return uinteger
+    halves = ints.view("<u4")  # the low and high halves of word i: 20 + 2i, 21 + 2i
+    last = int(halves[-1, -1])
+    if has_uint32:  # each trial's carry goes in the half before its first word
+        halves[0, 19] = uinteger
+        halves[1:, 19] = halves[:-1, -1]
+    m = ints.view(np.uint64)
+    # integer j reads half 20 - has_uint32 + j and overwrites halves 2j and
+    # 2j + 1, which no later integer reads
+    for j, u in enumerate(halves[:, 20 - has_uint32 : 40 - has_uint32].T):
+        np.multiply(u, 7, out=m[:, j], dtype=np.uint64)
+    low = int(sys.byteorder == "big")  # the low half of a native uint64
+    if ints.view(np.uint32)[:, low::2].min() < 7:
+        return None
+    m >>= 32
+    ints -= 3
+    return last
+
+
+def _condition2_draws(rng, n_random: int) -> tuple[np.ndarray, np.ndarray]:
+    """The integers of b and the pair g of each of n_random trials, each
+    trial drawing rng.integers(-3, 4, size=20) and then rng.normal(size=2).
+    A trial draws its integers as the 10 raw words they come from, and
+    integers_from_words reads them after the loop: the stream, every value
+    and the final generator state are those of the integers calls, at a
+    seventh of their cost.  Where a word may have been rejected, the trials
+    are drawn again from the entry state with the integers calls."""
+    ints = np.empty((n_random, 20), dtype=np.int64)  # (re, im) of the 10 basis words
+    g = np.empty((n_random, 2, 1, 1))
+    bitgen = rng.bit_generator
+    assert isinstance(bitgen, np.random.PCG64), "GridConfig.rng hands out PCG64 generators"
+    entry = bitgen.state
+    words = ints.view("<u8")[:, 10:]
+    for t in range(n_random):
+        words[t] = bitgen.random_raw(10)
+        g[t, :, 0, 0] = rng.normal(size=2)
+    uinteger = integers_from_words(ints, entry["has_uint32"], entry["uinteger"])
+    if uinteger is None:
+        bitgen.state = entry
+        for t in range(n_random):
+            ints[t] = rng.integers(-3, 4, size=ints.shape[1])
+            g[t, :, 0, 0] = rng.normal(size=2)
+    else:
+        bitgen.state = {**bitgen.state, "uinteger": uinteger}
+    return ints, g
+
+
 def _condition2_residual(rng, n_random: int) -> float:
     """Condition (2) on n_random random b (x) g, b a degree-<=3 Toeplitz
     element and g in C(Z2): the composite paths
@@ -378,15 +468,15 @@ def _condition2_residual(rng, n_random: int) -> float:
 
     Both paths read the symbol of b only at angles fixed by the grid: the
     four angle sets (path A or B, c = +-1) and their exp(i k theta) tables are
-    built once per call and stacked into one array.  Each trial draws the
-    integers of b, then g, as the composed closures do
+    built once per call and stacked into one array.  _condition2_draws
+    draws every trial's b and g as the composed closures do
     (tests/oracles.condition2_closures); toeplitz.fold_symbol_draws folds
     all the integers into symbols in one array pass, and
     toeplitz.eval_symbols sums every symbol over the four angle sets a term
     at a time, in symbol's order, in one pass over all trials; the Z2 parts
-    combine as omega_2 does.  So every
-    element gets the closures' float operations; a zero (padding) term adds
-    a signed zero, which the final abs erases."""
+    combine as omega_2 does.  So every element gets the closures' float
+    operations; a zero (padding) term adds a signed zero, which the final
+    abs erases."""
     max_deg = 3
     aas = Z2[:, None, None]
     xs = np.array([1.0, -1.0])[None, :, None]
@@ -400,11 +490,7 @@ def _condition2_residual(rng, n_random: int) -> float:
         angles[i] = delta_angle(1 if path == "A" else 2, cv, phi_hat(1, th[path])).ravel()
         phi2[i] = phi_hat(2, th[path]).ravel()
     tables = np.stack([np.exp(1j * k * angles) for k in range(-max_deg, max_deg + 1)])
-    ints = np.empty((n_random, 20), dtype=np.int64)  # (re, im) of the 10 basis words
-    g = np.empty((n_random, 2, 1, 1))
-    for t in range(n_random):
-        ints[t] = rng.integers(-3, 4, size=ints.shape[1])
-        g[t, :, 0, 0] = rng.normal(size=2)
+    ints, g = _condition2_draws(rng, n_random)
     e = eval_symbols(*fold_symbol_draws(ints, max_deg), tables)
     gp = g[:, 0] + g[:, 1] * np.asarray(1.0)
     gm = g[:, 0] + g[:, 1] * np.asarray(-1.0)

@@ -315,6 +315,80 @@ def test_mattprop_condition2_matches_closures(monkeypatch, seed):
         assert states[0] == states[1]
 
 
+def _integers_then_normals(rng, n_random):
+    """The per-trial draws that probes._condition2_draws reads from raw
+    words: rng.integers(-3, 4, size=20), then rng.normal(size=2)."""
+    ints, g = np.empty((n_random, 20), dtype=np.int64), np.empty((n_random, 2))
+    for t in range(n_random):
+        ints[t] = rng.integers(-3, 4, size=20)
+        g[t] = rng.normal(size=2)
+    return ints, g
+
+
+@pytest.mark.parametrize("buffered_half", [False, True])
+def test_condition2_draws_match_integers_calls(buffered_half):
+    """The raw-word reader against Generator.integers, with and without a
+    32-bit half buffered at entry (an odd integers draw leaves one): the
+    same integers, the same normals and the same generator state, the
+    buffered half included."""
+    for seed in range(200):
+        for n_random in (0, 1, 2, 1000):
+            fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+            if buffered_half:
+                fast.integers(-3, 4, size=3)
+                slow.integers(-3, 4, size=3)
+            assert fast.bit_generator.state["has_uint32"] == buffered_half
+            ints, g = probes._condition2_draws(fast, n_random)
+            want_ints, want_g = _integers_then_normals(slow, n_random)
+            assert np.array_equal(ints, want_ints), (seed, n_random)
+            assert g.reshape(-1, 2).tobytes() == want_g.tobytes(), (seed, n_random)
+            assert fast.bit_generator.state == slow.bit_generator.state, (seed, n_random)
+
+
+def test_integers_from_words_declines_a_half_numpy_may_reject():
+    """numpy redraws a half u whose product 7 u has a low word below
+    (2**32 - 7) % 7 = 4; the reader declines every u with a low word below 7,
+    the one u = ceil(k 2**32 / 7) for each k = 0..6, at any position, the
+    buffered half included, and reads u + 1 (low word 7 more)."""
+    rejected = [-(-k * 2**32 // 7) for k in range(7)]
+    assert sorted(7 * u % 2**32 for u in rejected) == list(range(7))
+    words = np.random.default_rng(3).bit_generator.random_raw((3, 10))
+
+    def read(half, u, has_uint32=0, uinteger=0):
+        ints = np.empty((3, 20), dtype=np.int64)
+        ints.view("<u8")[:, 10:] = words
+        if half is not None:
+            ints.view("<u4")[half // 20, 20 + half % 20] = u
+        return probes.integers_from_words(ints, has_uint32, uinteger)
+
+    for u in rejected:
+        for half in (0, 1, 19, 20, 33, 59):
+            assert read(half, u) is None, (u, half)
+            assert read(half, u + 1) is not None, (u, half)
+        assert read(None, None, 1, u) is None
+        assert read(None, None, 1, u + 1) is not None
+
+
+@pytest.mark.parametrize("seed", [20130915, 1, 31])
+def test_condition2_replays_the_integers_calls_where_the_reader_declines(monkeypatch, seed):
+    """With the reader declining every draw, condition (2) draws again from
+    the entry state: the report and the generator state are still the
+    closures'."""
+    declined = []
+    monkeypatch.setattr(probes, "integers_from_words", lambda *args: declined.append(args[0].shape))
+    cfg = GridConfig(seed=seed)
+    for n_random in (0, 1, 100):
+        states = []
+        with monkeypatch.context() as m:
+            m.setattr(probes, "_condition2_residual", _state_after(probes._condition2_residual, states))
+            fast = mattprop_report(cfg, n_random)
+        with monkeypatch.context() as m:
+            m.setattr(probes, "_condition2_residual", _state_after(condition2_closures, states))
+            slow = mattprop_report(cfg, n_random)
+        assert fast == slow and states[0] == states[1], n_random
+        assert declined.pop() == (n_random, 20)
+
+
 class RecordingGrid(GridConfig):
     """A GridConfig that keeps every generator it hands out, so that a test
     can read the state a report leaves them in."""
@@ -507,9 +581,9 @@ def _watch_parity_blocks(m):
         blocks.append({"c": c.copy(), "d": d})
         return d
 
-    def at_windings(dets):
+    def at_windings(dets, min_abs=None):
         blocks[-1]["dets"] = dets.copy()
-        return windings(dets)
+        return windings(dets, min_abs)
 
     def at_replay(kept, w, ok, need):
         used, taken, resamples = replay(kept, w, ok, need)
@@ -628,6 +702,19 @@ def test_det_coeffs_match_fraction_leibniz(monkeypatch, seed):
                         assert not e and z == 0, (n, deg)
 
 
+@pytest.mark.parametrize("seed", [20130915, 1, 7])
+def test_parity_passes_read_only_loops_they_use(monkeypatch, seed):
+    """A pass reads at most the loops its family still needs, so it uses
+    every loop it reads: a family that ends partway through a block leaves
+    the rest unread for the other family."""
+    cfg = GridConfig(seed=seed)
+    for n, trials in ((2, 100), (3, 17), (1, 5)):
+        with monkeypatch.context() as m:
+            blocks = _watch_parity_blocks(m)
+            probes.equivariant_parity_probe(n, trials, cfg)
+        assert all(b["used"] == len(b["c"]) for b in blocks), (n, trials)
+
+
 def test_parity_mutant_witness_matches_loop_oracle():
     witness = mutants._parity_mislabeled_generator()
     assert witness and witness == oracles.parity_mislabeled_loop()
@@ -670,6 +757,21 @@ def test_peter_weyl_matches_degree_loop(seed):
     cfg = GridConfig(seed=seed)
     for samples, degrees in ((2000, (-2, -1, 0, 1, 2)), (300, (3, -1)), (50, (0,))):
         assert peter_weyl_report(samples, cfg, degrees) == oracles.peter_weyl_loop(samples, cfg, degrees)
+
+
+def test_peter_weyl_at_a_few_samples_matches_degree_loop():
+    """At 1, 2 and 3 samples a patch, and with the a-patch the cleaving set,
+    can be empty; its maxima are then 0.  Seed 1 at one sample empties the
+    a-patch, the default seed the c-patch."""
+    empty = set()
+    for seed in (20130915, 1):
+        cfg = GridConfig(seed=seed)
+        for samples in (1, 2, 3):
+            assert peter_weyl_report(samples, cfg) == oracles.peter_weyl_loop(samples, cfg)
+            v = cfg.rng(5).normal(size=(samples, 4))
+            a_patch = v[:, 0] ** 2 + v[:, 1] ** 2 >= v[:, 2] ** 2 + v[:, 3] ** 2
+            empty |= {"a"} if not a_patch.any() else {"c"} if a_patch.all() else set()
+    assert empty == {"a", "c"}
 
 
 @pytest.mark.parametrize("re, im", [(0, 0), (0, 5), (-7, 0), (-3, -4), (10**40, -(10**30)), (-(2**200), 1)])

@@ -204,6 +204,20 @@ def test_cli_counts_below_one_are_config_errors(capsys, suite, flag, value):
     assert "CONFIG_ERROR" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("samples", ["1", "2", "3"])
+def test_cli_peter_weyl_at_a_few_samples_reports(capsys, samples):
+    """Every sample falls in the a-patch at these sample counts at the
+    default seed, so the c-patch is empty; the suite still reports every
+    identity."""
+    assert main(["verify", "--suite", "peter-weyl", "--samples", samples]) == 0
+    records = json.loads(capsys.readouterr().out)["records"]
+    assert sorted(r["id"] for r in records) == [
+        "peter-weyl/cleaving_multiplicative",
+        "peter-weyl/line_bundle_equivariance",
+        "peter-weyl/zero_identity",
+    ]
+
+
 @pytest.mark.parametrize(
     "suite, flag, value",
     [("sphere-gluing", "--grid-circle", "100"), ("disc-decomposition", "--grid-circle", "0"),
