@@ -10,10 +10,13 @@ pair to pair.  Every suite outcome goes through the benchmark's correctness
 gate (``benchmark/workloads.py``).
 
 For each end-to-end metric of a pass it prints each side's median and
-quartiles, the number of pairs the change won (lower wins; ties count for
-neither) and whether a gain may be claimed: the change won at least nine
-tenths of the pairs and its median is below the parent's by more than the
-parent's interquartile range.  The last line of stdout is one JSON object
+quartiles, the median and quartiles of the per-pair ratio change/parent, the
+number of pairs the change won (lower wins; ties count for neither) and
+whether a gain may be claimed: the change won at least nine tenths of the
+pairs and its median is below the parent's by more than the parent's
+interquartile range.  The ratio is read within each pair, so it is the figure
+to trust on a host whose speed drifts between passes; the claim rule reads
+the side medians and the wins.  The last line of stdout is one JSON object
 with the same figures and every run.  Exit status 1 when a pass fails the
 gate.
 """
@@ -54,9 +57,10 @@ def spread(values: list[float]) -> dict:
 
 def compare(parent: list[float], change: list[float]) -> dict:
     p, c = spread(parent), spread(change)
+    ratio = spread([b / a for a, b in zip(parent, change)])
     wins = sum(b < a for a, b in zip(parent, change))
     gain = wins >= 0.9 * len(parent) and p["median"] - c["median"] > p["q3"] - p["q1"]
-    return {"parent": p, "change": c, "wins": wins, "gain": gain}
+    return {"parent": p, "change": c, "ratio": ratio, "wins": wins, "gain": gain}
 
 
 def main(argv=None) -> int:
@@ -88,10 +92,17 @@ def main(argv=None) -> int:
                 problems += [f"{side}: {p}" for p in found if f"{side}: {p}" not in problems]
     metrics = {m: compare(runs["parent"][m], runs["change"][m]) for m in METRICS}
     print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs; parent {sides['parent']}")
-    print(f"{'metric':<12} {'parent median [q1, q3]':>30} {'change median [q1, q3]':>30} {'wins':>6}  gain")
+    print(
+        f"{'metric':<12} {'parent median [q1, q3]':>30} {'change median [q1, q3]':>30}"
+        f" {'change/parent [q1, q3]':>24} {'wins':>6}  gain"
+    )
     for m, r in metrics.items():
         cols = [f"{r[s]['median']:.4f} [{r[s]['q1']:.4f}, {r[s]['q3']:.4f}]" for s in ("parent", "change")]
-        print(f"{m:<12} {cols[0]:>30} {cols[1]:>30} {r['wins']:>3}/{args.pairs:<2}  {'yes' if r['gain'] else 'no'}")
+        ratio = f"{r['ratio']['median']:.3f} [{r['ratio']['q1']:.3f}, {r['ratio']['q3']:.3f}]"
+        print(
+            f"{m:<12} {cols[0]:>30} {cols[1]:>30} {ratio:>24}"
+            f" {r['wins']:>3}/{args.pairs:<2}  {'yes' if r['gain'] else 'no'}"
+        )
     for p in problems:
         print(p)
     print(json.dumps({

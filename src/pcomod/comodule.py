@@ -53,15 +53,11 @@ class ComoduleAlgebra:
     def coact(self, p: NCPoly) -> Tensor:
         return self.rho.apply(p)
 
-    def over(
-        self, system: RewriteSystem, hopf: HopfAlgebra | None = None, name: str = ""
-    ) -> "ComoduleAlgebra":
+    def over(self, system: RewriteSystem, name: str = "") -> "ComoduleAlgebra":
         """The same coaction table read in ``system``, a quotient of this
-        algebra, over ``hopf`` (a quotient of this Hopf algebra; the same one
-        when omitted)."""
-        hopf = hopf or self.hopf
-        coaction = {g: Tensor((system, hopf.system), t.terms) for g, t in self.coaction_table.items()}
-        return ComoduleAlgebra(system, hopf, coaction, name=name)
+        algebra."""
+        coaction = {g: Tensor((system, self.hopf.system), t.terms) for g, t in self.coaction_table.items()}
+        return ComoduleAlgebra(system, self.hopf, coaction, name=name)
 
     def is_coinvariant(self, p: NCPoly) -> bool:
         p = self.system.normal_form(p)

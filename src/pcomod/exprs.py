@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .ncpoly import Alphabet, NCPoly, Word
+from .ncpoly import Alphabet, NCPoly, Word, add_terms
 from .scalars import S_Q, GaussRat, Scalar
 
 _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|\d+|\^|\*|\+|-|#|\(|\)|/|=)")
@@ -185,15 +185,7 @@ def _add(a: Value, b: Value, alphabet: Alphabet) -> Value:
         legs = len(next(iter((a if a.kind == "tensor" else b).data)))
         ta = a.as_tensor_terms(alphabet, legs)
         tb = b.as_tensor_terms(alphabet, legs)
-        out = dict(ta)
-        for k, c in tb.items():
-            v = out.get(k)
-            v = v + c if v is not None else c
-            if v.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = v
-        return Value("tensor", out)
+        return Value("tensor", add_terms(dict(ta), tb.items()))
     if a.kind == "scalar" and b.kind == "scalar":
         return Value.scalar(a.data + b.data)
     return Value.poly(a.as_poly(alphabet) + b.as_poly(alphabet))
@@ -224,11 +216,7 @@ def _tensor(a: Value, b: Value, alphabet: Alphabet) -> Value:
     }
     out: dict = {}
     for k1, c1 in ta.items():
-        for k2, c2 in tb.items():
-            k = k1 + k2
-            c = c1 * c2
-            prev = out.get(k)
-            out[k] = prev + c if prev is not None else c
+        add_terms(out, ((k1 + k2, c2) for k2, c2 in tb.items()), c1)
     return Value("tensor", out)
 
 

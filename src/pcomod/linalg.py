@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable, Sequence
 
-from .scalars import S_ONE, S_ZERO, Scalar
+from .ncpoly import add_terms
+from .scalars import S_ONE
 
 Vec = dict  # dict[Hashable, Scalar], sparse
 
@@ -18,26 +19,14 @@ class RowSpace:
     def __init__(self):
         self.rows: dict[Hashable, Vec] = {}
 
-    @staticmethod
-    def _leading(v: Vec) -> Hashable | None:
-        # deterministic pivot choice: lexicographically smallest repr
-        keys = [k for k, c in v.items() if not c.is_zero()]
-        if not keys:
-            return None
-        return min(keys, key=repr)
-
     def reduce(self, v: Vec) -> Vec:
-        v = {k: c for k, c in v.items() if not c.is_zero()}
+        v = add_terms({}, v.items())
         changed = True
         while changed:
             changed = False
             for k in list(v):
                 if k in self.rows:
-                    c = v[k]
-                    row = self.rows[k]
-                    for kk, cc in row.items():
-                        v[kk] = v.get(kk, S_ZERO) - c * cc
-                    v = {kk: cc for kk, cc in v.items() if not cc.is_zero()}
+                    add_terms(v, self.rows[k].items(), -v[k])
                     changed = True
                     break
         return v
@@ -45,20 +34,16 @@ class RowSpace:
     def add(self, v: Vec) -> bool:
         """Insert v; returns True if it enlarged the span."""
         v = self.reduce(v)
-        lead = self._leading(v)
-        if lead is None:
+        if not v:
             return False
+        # deterministic pivot choice: lexicographically smallest repr
+        lead = min(v, key=repr)
         inv = v[lead].inv()
         v = {k: c * inv for k, c in v.items()}
         # re-reduce existing rows by the new one
         for piv, row in list(self.rows.items()):
             if lead in row:
-                c = row[lead]
-                new = {k: cc - c * v.get(k, S_ZERO) for k, cc in row.items()}
-                for k, cc in v.items():
-                    if k not in row:
-                        new[k] = -c * cc
-                self.rows[piv] = {k: cc for k, cc in new.items() if not cc.is_zero()}
+                self.rows[piv] = add_terms(dict(row), v.items(), -row[lead])
         self.rows[lead] = v
         return True
 
@@ -100,10 +85,7 @@ def intersect_spans(a: Sequence[Vec], b: Sequence[Vec]) -> list[Vec]:
             combo: Vec = {}
             for k, c in red.items():
                 if isinstance(k, tuple) and len(k) == 3 and k[0] == "aux" and k[1] == "a":
-                    i = k[2]
-                    for kk, cc in a[i].items():
-                        combo[kk] = combo.get(kk, S_ZERO) + c * cc
-            combo = {k: c for k, c in combo.items() if not c.is_zero()}
+                    add_terms(combo, a[k[2]].items(), c)
             if combo:
                 out.append(combo)
         sp.add(w)

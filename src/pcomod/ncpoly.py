@@ -87,6 +87,27 @@ def word_str(word: Word) -> str:
     return "*".join(out)
 
 
+def add_terms(acc: dict, pairs: Iterable[tuple], scale: Scalar | None = None) -> dict:
+    """Add each coefficient of ``pairs`` (key, coeff), times ``scale`` when
+    given, into ``acc`` at its key, and drop every key whose sum is zero.
+    Returns ``acc``.  This is the one merge of terms in the exact layer:
+    polynomials, tensors, normal forms and sparse vectors all sum through it.
+    A key added anew, or again after its sum was dropped, goes to the end of
+    ``acc``."""
+    get = acc.get
+    for k, c in pairs:
+        if scale is not None:
+            c = c * scale
+        prev = get(k)
+        if prev is not None:
+            c = prev + c
+        if c.is_zero():
+            acc.pop(k, None)
+        else:
+            acc[k] = c
+    return acc
+
+
 class NCPoly:
     """Finite map word -> Scalar with no zero coefficients stored."""
 
@@ -94,19 +115,17 @@ class NCPoly:
 
     def __init__(self, alphabet: Alphabet, terms: Mapping[Word, Scalar] | None = None):
         self.alphabet = alphabet
-        t: dict[Word, Scalar] = {}
-        if terms:
-            for w, c in terms.items():
-                if c.is_zero():
-                    continue
-                w = alphabet.canon(w)
-                prev = t.get(w)
-                c = prev + c if prev is not None else c
-                if c.is_zero():
-                    t.pop(w, None)
-                else:
-                    t[w] = c
-        self.terms = t
+        canon = alphabet.canon
+        self.terms = add_terms({}, ((canon(w), c) for w, c in terms.items())) if terms else {}
+
+    @staticmethod
+    def _of(alphabet: Alphabet, terms: dict[Word, Scalar]) -> "NCPoly":
+        """The polynomial with these terms as they stand: the caller passes
+        canonical words and no zero coefficient, and gives up the dict."""
+        out = NCPoly.__new__(NCPoly)
+        out.alphabet = alphabet
+        out.terms = terms
+        return out
 
     # -- constructors -----------------------------------------------------
     @staticmethod
@@ -137,71 +156,32 @@ class NCPoly:
             return self
         if not self.terms:
             return other
-        t = dict(self.terms)
-        for w, c in other.terms.items():
-            prev = t.get(w)
-            c = prev + c if prev is not None else c
-            if c.is_zero():
-                t.pop(w, None)
-            else:
-                t[w] = c
-        out = NCPoly.__new__(NCPoly)
-        out.alphabet = self.alphabet
-        out.terms = t
-        return out
+        return NCPoly._of(self.alphabet, add_terms(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other: "NCPoly") -> "NCPoly":
         """self + (-other) without the negated copy: the same terms in the
         same order."""
         if not other.terms:
             return self
-        t = dict(self.terms)
-        for w, c in other.terms.items():
-            prev = t.get(w)
-            c = prev - c if prev is not None else -c
-            if c.is_zero():
-                t.pop(w, None)
-            else:
-                t[w] = c
-        out = NCPoly.__new__(NCPoly)
-        out.alphabet = self.alphabet
-        out.terms = t
-        return out
+        return NCPoly._of(self.alphabet, add_terms(dict(self.terms), other.terms.items(), -S_ONE))
 
     def __neg__(self) -> "NCPoly":
-        out = NCPoly.__new__(NCPoly)
-        out.alphabet = self.alphabet
-        out.terms = {w: -c for w, c in self.terms.items()}
-        return out
+        return NCPoly._of(self.alphabet, {w: -c for w, c in self.terms.items()})
 
     def scale(self, c: Scalar) -> "NCPoly":
         if c.is_zero():
             return NCPoly.zero(self.alphabet)
         if c.is_one():
             return self
-        out = NCPoly.__new__(NCPoly)
-        out.alphabet = self.alphabet
-        out.terms = {w: cc * c for w, cc in self.terms.items()}
-        return out
+        return NCPoly._of(self.alphabet, {w: cc * c for w, cc in self.terms.items()})
 
     def concat(self, other: "NCPoly") -> "NCPoly":
         """Free (concatenation) product; no rewriting."""
         canon = self.alphabet.canon
         t: dict[Word, Scalar] = {}
         for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = canon(w1 + w2)
-                c = c1 * c2
-                prev = t.get(w)
-                c = prev + c if prev is not None else c
-                if c.is_zero():
-                    t.pop(w, None)
-                else:
-                    t[w] = c
-        out = NCPoly.__new__(NCPoly)
-        out.alphabet = self.alphabet
-        out.terms = t
-        return out
+            add_terms(t, ((canon(w1 + w2), c2) for w2, c2 in other.terms.items()), c1)
+        return NCPoly._of(self.alphabet, t)
 
     # -- queries -----------------------------------------------------------
     def is_zero(self) -> bool:

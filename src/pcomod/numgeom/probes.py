@@ -273,11 +273,8 @@ def peter_weyl_report(samples: int, cfg: GridConfig, degrees=(-2, -1, 0, 1, 2)) 
     omega2 = 2.0 / (1.0 + np.abs(aa - cc))
     out = {}
     out["zero_identity"] = float(np.max(np.abs((1 - omega2 * aa) * (1 - omega2 * cc))))
-    # the factor supported on each patch vanishes there
+    # the a-patch, and so the cleaving set, may be empty at a few samples
     apatch = aa >= 0.5
-    # a patch, and so the cleaving set, may be empty at a few samples
-    out["a_patch_unitary"] = float(np.max(np.abs(omega2[apatch] * aa[apatch] - 1.0), initial=0.0))
-    out["c_patch_unitary"] = float(np.max(np.abs(omega2[~apatch] * cc[~apatch] - 1.0), initial=0.0))
     # cleaving multiplicativity on the a-patch: (omega a)^(n+m) = (omega a)^n (omega a)^m
     # with negative powers via the conjugate (unitarity makes this the inverse)
     omega = np.sqrt(omega2)

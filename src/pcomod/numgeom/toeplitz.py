@@ -11,8 +11,7 @@ from functools import cache
 
 import numpy as np
 
-from ..ncpoly import NCPoly
-from ..scalars import S_ZERO, Scalar
+from ..ncpoly import NCPoly, add_terms
 
 
 class FourierPoly:
@@ -43,14 +42,7 @@ def symbol_degree(w) -> int:
 def symbol(p: NCPoly) -> FourierPoly:
     """The symbol s -> z of a Toeplitz *-polynomial as floats: each degree is
     summed exactly, then read as a complex number once."""
-    out: dict[int, Scalar] = {}
-    for w, c in p.terms.items():
-        k = symbol_degree(w)
-        v = out.get(k, S_ZERO) + c
-        if v.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = v
+    out = add_terms({}, ((symbol_degree(w), c) for w, c in p.terms.items()))
     return FourierPoly({k: c.to_complex() for k, c in out.items()})
 
 
@@ -58,10 +50,7 @@ def toeplitz_flip(p: NCPoly) -> NCPoly:
     """alpha_{-1}: s -> -s, ss -> -ss (the Z2 action on the quantum square).
     The words of p are canonical and a sign keeps a coefficient nonzero, so
     the result is built as it stands."""
-    out = NCPoly.__new__(NCPoly)
-    out.alphabet = p.alphabet
-    out.terms = {w: (c if len(w) % 2 == 0 else -c) for w, c in p.terms.items()}
-    return out
+    return NCPoly._of(p.alphabet, {w: (c if len(w) % 2 == 0 else -c) for w, c in p.terms.items()})
 
 
 @cache

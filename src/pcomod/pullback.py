@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 from .comodule import CleavingMap, ComoduleAlgebra
-from .hopf import CheckFailure, HopfAlgebra, HopfIdeal, quotient_hopf
+from .hopf import CheckFailure, HopfAlgebra, HopfIdeal
 from .linalg import RowSpace, intersect_spans, same_span, span_of
 from .maps import LinearMap, gens_map, relation_mismatches
 from .ncpoly import Alphabet, NCPoly, Word, word_str
@@ -275,8 +275,6 @@ def transition_checks(triv: Trivialisation, bound: int = 3) -> list[CheckFailure
 class ReducibilityVerdict:
     reducible: bool
     witnesses: list[CheckFailure] = field(default_factory=list)
-    reduced_pieces: list[ComoduleAlgebra] = field(default_factory=list)
-    descended_cleavings: list[LinearMap] = field(default_factory=list)
 
     def __repr__(self):
         return "reducible-witnessed" if self.reducible else f"obstructed({self.witnesses[:1]})"
@@ -284,8 +282,9 @@ class ReducibilityVerdict:
 
 def reducibility_check(triv: Trivialisation, J: HopfIdeal) -> ReducibilityVerdict:
     """(a) T_ij(J) = 0 for all pairs; (b) J |>_i B_i = 0 with
-    h |>_i b = gamma_i(h_(1)) b gamma_i(S(h_(2))).  On success, emits reduced
-    pieces and descended H/J-cleavings."""
+    h |>_i b = gamma_i(h_(1)) b gamma_i(S(h_(2))).  Reducible when both hold;
+    the reduced pieces and descended H/J-cleavings this licenses are not
+    built, as no report reads them."""
     H = triv.hopf
     witnesses: list[CheckFailure] = []
     n = triv.covering.size
@@ -324,28 +323,7 @@ def reducibility_check(triv: Trivialisation, J: HopfIdeal) -> ReducibilityVerdic
                             f"{acc!r} != 0",
                         )
                     )
-    if witnesses:
-        return ReducibilityVerdict(False, witnesses)
-    qH, _ = quotient_hopf(H, J)
-    reduced = []
-    descended = []
-    for i in range(n):
-        piece = triv.covering.pieces[i]
-        gamma = triv.cleavings[i].j
-        psys = piece.comodule.system
-        image_gens = [gamma.apply(g) for g in J.gens]
-        rsys = psys.extend_by_ideal(image_gens, name=f"{psys.name}/gamma(J)")
-        reduced.append(piece.comodule.over(rsys, qH, name=f"{piece.comodule.name}/J"))
-        descended.append(
-            gens_map(
-                f"gammabar[{i}]",
-                qH.system,
-                rsys,
-                {g: rsys.normal_form(gamma.apply_word((g,))) for g in qH.system.alphabet.gens},
-                check=True,
-            )
-        )
-    return ReducibilityVerdict(True, [], reduced, descended)
+    return ReducibilityVerdict(not witnesses, witnesses)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ from functools import cached_property
 from itertools import product
 from typing import Sequence
 
-from .ncpoly import EMPTY, Alphabet, NCPoly, Word, word_str
-from .scalars import S_ONE, S_ZERO, Scalar
+from .ncpoly import EMPTY, Alphabet, NCPoly, Word, add_terms, word_str
+from .scalars import S_ONE, Scalar
 
 
 class OrderViolation(ValueError):
@@ -277,15 +277,7 @@ class RewriteSystem:
                 acc = {}
                 # last term first: the order in which a path-by-path search meets the leaves
                 for ww, cc in reversed(reduct):
-                    for x, cx in memo[ww].items():
-                        v = cc * cx
-                        prev = acc.get(x)
-                        if prev is not None:
-                            v = prev + v
-                            if v.is_zero():
-                                del acc[x]
-                                continue
-                        acc[x] = v
+                    add_terms(acc, memo[ww].items(), cc)
                 memo[w] = acc
             if len(stack) + len(acc) > self.term_cap:
                 raise SizeLimitError(
@@ -294,7 +286,7 @@ class RewriteSystem:
         acc = memo[word]
         if self.suffix_system is not None:
             acc = self._zone_canon(acc)
-        out = NCPoly(self.alphabet, acc)
+        out = NCPoly._of(self.alphabet, acc)
         if len(cache) > 400_000:
             cache.clear()
         cache[word] = out
@@ -310,34 +302,23 @@ class RewriteSystem:
         for w, coeff in acc.items():
             pre, suf = self._split_zone(w)
             if not suf:
-                out[w] = out.get(w, S_ZERO) + coeff
+                add_terms(out, ((w, coeff),))
                 continue
             nf = self.suffix_system._nf_word(self.suffix_system.alphabet.canon(suf))
             for sw, sc in nf.terms.items():
                 ww = pre + sw
                 if sw == suf or self._match(ww) is None:
-                    terms = ((ww, sc),)
+                    add_terms(out, ((ww, sc),), coeff)
                 else:
-                    terms = ((x, sc * cx) for x, cx in self._nf_word(ww).terms.items())
-                for x, cx in terms:
-                    v = out.get(x, S_ZERO) + coeff * cx
-                    if v.is_zero():
-                        out.pop(x, None)
-                    else:
-                        out[x] = v
-        return {w: c for w, c in out.items() if not c.is_zero()}
+                    add_terms(out, self._nf_word(ww).terms.items(), sc * coeff)
+        return out
 
     def normal_form(self, p: NCPoly) -> NCPoly:
+        canon = self.alphabet.canon
         acc: dict[Word, Scalar] = {}
         for w, c in p.terms.items():
-            nf = self._nf_word(self.alphabet.canon(w))
-            for ww, cc in nf.terms.items():
-                v = acc.get(ww, S_ZERO) + c * cc
-                if v.is_zero():
-                    acc.pop(ww, None)
-                else:
-                    acc[ww] = v
-        return NCPoly(self.alphabet, acc)
+            add_terms(acc, self._nf_word(canon(w)).terms.items(), c)
+        return NCPoly._of(self.alphabet, acc)
 
     def mul(self, p: NCPoly, r: NCPoly) -> NCPoly:
         return self.normal_form(p.concat(r))

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from typing import Callable, Sequence, TypeVar
 
-from .ncpoly import NCPoly, Word, word_str
+from .ncpoly import NCPoly, Word, add_terms, word_str
 from .rewrite import RewriteSystem
-from .scalars import S_ONE, S_ZERO, Scalar
+from .scalars import S_ONE, Scalar
 
 V = TypeVar("V", NCPoly, "Tensor")
 
@@ -21,21 +21,10 @@ def linear_image(p: NCPoly | Tensor, f: Callable[[Word], V], zero: V) -> V:
     """
     acc: dict = {}
     for w, c in p.terms.items():
-        for k, cc in f(w).terms.items():
-            v = cc * c
-            prev = acc.get(k)
-            if prev is not None:
-                v = prev + v
-            if v.is_zero():
-                acc.pop(k, None)
-            else:
-                acc[k] = v
+        add_terms(acc, f(w).terms.items(), c)
     if isinstance(zero, Tensor):
         return Tensor(zero.systems, acc, _normalized=True)
-    out = NCPoly.__new__(NCPoly)
-    out.alphabet = zero.alphabet
-    out.terms = acc
-    return out
+    return NCPoly._of(zero.alphabet, acc)
 
 
 class Tensor:
@@ -49,12 +38,14 @@ class Tensor:
         terms: dict | None = None,
         _normalized: bool = False,
     ):
+        """``_normalized=True`` takes ``terms`` as they stand: every leg in
+        normal form and no zero coefficient."""
         self.systems = tuple(systems)
         if not terms:
             self.terms = {}
             return
         if _normalized:
-            self.terms = {k: c for k, c in terms.items() if not c.is_zero()}
+            self.terms = terms
             return
         acc: dict[tuple, Scalar] = {}
         for key, coeff in terms.items():
@@ -64,17 +55,8 @@ class Tensor:
             expanded = [((), coeff)]
             for leg, sys in zip(key, self.systems):
                 nf = sys._nf_word(sys.alphabet.canon(tuple(leg)))
-                nxt = []
-                for prefix, c in expanded:
-                    for w, cc in nf.terms.items():
-                        nxt.append((prefix + (w,), c * cc))
-                expanded = nxt
-            for k, c in expanded:
-                v = acc.get(k, S_ZERO) + c
-                if v.is_zero():
-                    acc.pop(k, None)
-                else:
-                    acc[k] = v
+                expanded = [(prefix + (w,), c * cc) for prefix, c in expanded for w, cc in nf.terms.items()]
+            add_terms(acc, expanded)
         self.terms = acc
 
     # -- constructors -------------------------------------------------------
@@ -82,14 +64,9 @@ class Tensor:
     def of(systems: Sequence[RewriteSystem], *polys: NCPoly) -> "Tensor":
         """Outer product of polynomials, one per leg."""
         assert len(polys) == len(systems)
-        terms: dict[tuple, Scalar] = {(): S_ONE}
         key_terms = [((), S_ONE)]
         for p in polys:
-            nxt = []
-            for k, c in key_terms:
-                for w, cc in p.terms.items():
-                    nxt.append((k + (w,), c * cc))
-            key_terms = nxt
+            key_terms = [(k + (w,), c * cc) for k, c in key_terms for w, cc in p.terms.items()]
         return Tensor(systems, dict(key_terms))
 
     @staticmethod
@@ -98,17 +75,10 @@ class Tensor:
 
     # -- algebra ---------------------------------------------------------------
     def __add__(self, other: "Tensor") -> "Tensor":
-        acc = dict(self.terms)
-        for k, c in other.terms.items():
-            v = acc.get(k, S_ZERO) + c
-            if v.is_zero():
-                acc.pop(k, None)
-            else:
-                acc[k] = v
-        return Tensor(self.systems, acc, _normalized=True)
+        return Tensor(self.systems, add_terms(dict(self.terms), other.terms.items()), _normalized=True)
 
     def __sub__(self, other: "Tensor") -> "Tensor":
-        return self + other.scale(-S_ONE)
+        return Tensor(self.systems, add_terms(dict(self.terms), other.terms.items(), -S_ONE), _normalized=True)
 
     def scale(self, c: Scalar) -> "Tensor":
         if c.is_zero():
@@ -121,11 +91,7 @@ class Tensor:
         """Componentwise product (a1 x a2 x ...)(b1 x b2 x ...) = a1b1 x a2b2 x ..."""
         acc: dict[tuple, Scalar] = {}
         for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                key = tuple(w1 + w2 for w1, w2 in zip(k1, k2))
-                c = c1 * c2
-                prev = acc.get(key)
-                acc[key] = prev + c if prev is not None else c
+            add_terms(acc, ((tuple(w1 + w2 for w1, w2 in zip(k1, k2)), c2) for k2, c2 in other.terms.items()), c1)
         return Tensor(self.systems, acc)
 
     def is_zero(self) -> bool:
@@ -149,14 +115,7 @@ class Tensor:
             systems[i] = codomain
         acc: dict[tuple, Scalar] = {}
         for k, c in self.terms.items():
-            img = f(k[i])
-            for w, cc in img.terms.items():
-                key = k[:i] + (w,) + k[i + 1 :]
-                v = acc.get(key, S_ZERO) + c * cc
-                if v.is_zero():
-                    acc.pop(key, None)
-                else:
-                    acc[key] = v
+            add_terms(acc, ((k[:i] + (w,) + k[i + 1 :], cc) for w, cc in f(k[i]).terms.items()), c)
         return Tensor(systems, acc)
 
     def expand_leg(self, i: int, f: Callable[[Word], "Tensor"]) -> "Tensor":
@@ -167,41 +126,21 @@ class Tensor:
             img = f(k[i])
             if out_systems is None:
                 out_systems = self.systems[:i] + img.systems + self.systems[i + 1 :]
-            for kk, cc in img.terms.items():
-                key = k[:i] + kk + k[i + 1 :]
-                v = acc.get(key, S_ZERO) + c * cc
-                if v.is_zero():
-                    acc.pop(key, None)
-                else:
-                    acc[key] = v
+            add_terms(acc, ((k[:i] + kk + k[i + 1 :], cc) for kk, cc in img.terms.items()), c)
         if out_systems is None:
             raise ValueError("cannot infer systems of an empty expansion")
         return Tensor(out_systems, acc, _normalized=True)
 
     def contract_leg(self, i: int, f: Callable[[Word], Scalar]) -> "Tensor":
         systems = self.systems[:i] + self.systems[i + 1 :]
-        acc: dict[tuple, Scalar] = {}
-        for k, c in self.terms.items():
-            v = c * f(k[i])
-            if v.is_zero():
-                continue
-            key = k[:i] + k[i + 1 :]
-            prev = acc.get(key, S_ZERO) + v
-            if prev.is_zero():
-                acc.pop(key, None)
-            else:
-                acc[key] = prev
+        acc = add_terms({}, ((k[:i] + k[i + 1 :], c * f(k[i])) for k, c in self.terms.items()))
         return Tensor(systems, acc, _normalized=True)
 
     def merge_legs(self, i: int, system: RewriteSystem | None = None) -> "Tensor":
         """Multiply legs i and i+1 inside one algebra."""
         sys_m = system or self.systems[i]
         systems = self.systems[:i] + (sys_m,) + self.systems[i + 2 :]
-        acc: dict[tuple, Scalar] = {}
-        for k, c in self.terms.items():
-            key = k[:i] + (k[i] + k[i + 1],) + k[i + 2 :]
-            prev = acc.get(key)
-            acc[key] = prev + c if prev is not None else c
+        acc = add_terms({}, ((k[:i] + (k[i] + k[i + 1],) + k[i + 2 :], c) for k, c in self.terms.items()))
         return Tensor(systems, acc)
 
     def swap_legs(self, i: int, j: int) -> "Tensor":
@@ -215,14 +154,11 @@ class Tensor:
         return Tensor(systems, acc, _normalized=True)
 
     def leg_poly(self, i: int) -> NCPoly:
-        """Collapse a rank-1 tensor factor: only valid when all other legs are empty."""
-        alph = self.systems[i].alphabet
-        acc: dict[Word, Scalar] = {}
-        for k, c in self.terms.items():
-            if any(k[j] for j in range(len(k)) if j != i):
-                raise ValueError("tensor is not concentrated in one leg")
-            acc[k[i]] = acc.get(k[i], S_ZERO) + c
-        return NCPoly(alph, acc)
+        """Collapse a rank-1 tensor factor: only valid when all other legs are
+        empty, so each key is its leg-i word, already a normal form."""
+        if any(w for k in self.terms for j, w in enumerate(k) if j != i):
+            raise ValueError("tensor is not concentrated in one leg")
+        return NCPoly._of(self.systems[i].alphabet, {k[i]: c for k, c in self.terms.items()})
 
     def __repr__(self):
         if not self.terms:

@@ -1043,8 +1043,6 @@ def peter_weyl_loop(samples: int, cfg, degrees=(-2, -1, 0, 1, 2)) -> dict:
     out = {}
     out["zero_identity"] = float(np.max(np.abs((1 - omega2 * aa) * (1 - omega2 * cc))))
     apatch = aa >= 0.5
-    out["a_patch_unitary"] = float(np.max(np.abs(omega2[apatch] * aa[apatch] - 1.0), initial=0.0))
-    out["c_patch_unitary"] = float(np.max(np.abs(omega2[~apatch] * cc[~apatch] - 1.0), initial=0.0))
     omega = np.sqrt(omega2)
     wa = omega[apatch] * a[apatch]
 

@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 from itertools import product
 
 import pytest
@@ -7,9 +8,9 @@ from hypothesis import strategies as st
 
 from pcomod import builtin, suites
 from pcomod.exprs import parse_poly
-from pcomod.ncpoly import Alphabet, NCPoly, word_str
+from pcomod.ncpoly import Alphabet, NCPoly, add_terms, word_str
 from pcomod.rewrite import NoStarError, OrderViolation, RewriteSystem, SizeLimitError
-from pcomod.scalars import GaussRat, S_ONE, S_Q, S_QINV, Scalar
+from pcomod.scalars import GaussRat, S_ONE, S_Q, S_QINV, S_ZERO, Scalar
 
 from oracles import (
     Z2Model,
@@ -296,13 +297,26 @@ def suite_quotients():
     return built
 
 
+def _patch_reduced_along_gamma() -> RewriteSystem:
+    """The prolonged patch piece modulo gamma(J) for the gamma kernel J: the
+    reduced piece of the patch's reducibility verdict, which the verdict no
+    longer builds."""
+    triv = builtin.patch_prolonged().trivialisation
+    psys = triv.covering.pieces[0].comodule.system
+    gamma = triv.cleavings[0].j
+    return psys.extend_by_ideal([gamma.apply(g) for g in builtin.su_gamma_ideal().gens], name=f"{psys.name}/gamma(J)")
+
+
 def test_normal_form_idempotent_on_suite_quotients(suite_quotients):
     """nf(nf(p)) = nf(p) for every basis word of degree <= 3 and every product
-    of two generators, in every quotient the suites build, and nf agrees with
-    the worklist oracle there.  In pw_patch box su_q2/gamma(J), with G -> 0, the
-    suffix zone turns A*As into 1 + (-q^2)*G*Gs, which must be reduced again."""
-    assert "pw_patch box su_q2/gamma(J)" in {system.name for system in suite_quotients}
-    for system in suite_quotients:
+    of two generators, in every quotient the suites build and in the reduced
+    patch, and nf agrees with the worklist oracle there.  In the reduced patch
+    pw_patch box su_q2/gamma(J), with G -> 0, the suffix zone turns A*As into
+    1 + (-q^2)*G*Gs, which must be reduced again."""
+    reduced = _patch_reduced_along_gamma()
+    assert reduced.name == "pw_patch box su_q2/gamma(J)"
+    assert reduced.normal_form(reduced.gen("G")).is_zero()
+    for system in suite_quotients + [reduced]:
         nf = system.normal_form
         gens = [system.gen(g) for g in system.alphabet.gens]
         polys = [NCPoly.word(system.alphabet, w) for w in system.basis_words(3)]
@@ -477,3 +491,66 @@ def test_subtraction_matches_adding_the_negation():
         got, want = p - q, p + (-q)
         assert list(got.terms.items()) == list(want.terms.items())
         assert not any(c.is_zero() for c in got.terms.values())
+
+
+# ---------------------------------------------------------------------------
+# the one accumulator of terms
+# ---------------------------------------------------------------------------
+
+# formal-q coefficients that cancel in pairs, and zero
+FORMAL = [S_ONE, -S_ONE, S_Q, -S_Q, S_Q - S_ONE, S_ONE - S_Q, (S_Q + S_ONE).inv(), Scalar.of(GaussRat(2, -1))]
+
+
+def grouped_sum(acc: dict, pairs, scale) -> dict:
+    """add_terms' reference: every coefficient grouped by key, each group
+    summed with Scalar.__add__, zero sums dropped."""
+    groups: dict = {}
+    for k, c in [*acc.items(), *((k, c if scale is None else c * scale) for k, c in pairs)]:
+        groups.setdefault(k, []).append(c)
+    sums = {k: reduce(Scalar.__add__, cs) for k, cs in groups.items()}
+    return {k: c for k, c in sums.items() if not c.is_zero()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(st.integers(0, 4), st.sampled_from(FORMAL)),
+    st.lists(st.tuples(st.integers(0, 4), st.sampled_from(FORMAL + [S_ZERO])), max_size=10),
+    st.integers(0, 3),
+    st.sampled_from([None, S_ZERO, S_ONE, -S_ONE, S_QINV - S_Q, (S_Q + S_ONE).inv()]),
+)
+def test_add_terms_matches_grouped_sums(acc, pairs, cancel, scale):
+    """On cancelling pairs, zero coefficients and every kind of scale, the
+    accumulator agrees with the grouped sums and keeps no zero."""
+    pairs += [(k, -c) for k, c in pairs[:cancel]]
+    got = dict(acc)
+    assert add_terms(got, pairs, scale) is got
+    assert got == grouped_sum(acc, pairs, scale)
+
+
+def _assert_stored_as_built(p: NCPoly) -> None:
+    """No zero coefficient is stored, and every word is canonical: the
+    normalising constructor gives p back."""
+    assert not any(c.is_zero() for c in p.terms.values())
+    assert NCPoly(p.alphabet, p.terms) == p
+
+
+def test_poly_results_store_only_canonical_nonzero_terms(gl, su):
+    """Sums, products and normal forms, built from their terms as they stand,
+    equal what the normalising constructor makes of those terms, on random
+    polynomials with cancelling coefficients. The prolonged patch's
+    system rewrites a suffix zone and has central letters."""
+    patch = builtin.patch_prolonged().trivialisation.covering.pieces[0].comodule.system
+    rng = random.Random(26)
+    for system in (gl.system, su.system, patch):
+        al = system.alphabet
+        words = system.all_words(3)
+        rand = lambda: NCPoly(al, {rng.choice(words): rng.choice(FORMAL) for _ in range(rng.randint(0, 5))})
+        for _ in range(40):
+            p, q = rand(), rand()
+            assert p + q == NCPoly(al, grouped_sum(p.terms, q.terms.items(), None))
+            assert p - q == NCPoly(al, grouped_sum(p.terms, q.terms.items(), -S_ONE))
+            for r in (p + q, p - q, p - p, p.concat(q), -p, p.scale(S_Q - S_ONE)):
+                _assert_stored_as_built(r)
+            for r in (system.normal_form(p), system.mul(p, q)):
+                _assert_stored_as_built(r)
+                assert all(system.is_irreducible(w) for w in r.terms)

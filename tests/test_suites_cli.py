@@ -386,4 +386,5 @@ def test_bench_pairs_smoke_run_against_itself():
         r = result["metrics"][metric]
         assert len(r["parent"]["runs"]) == len(r["change"]["runs"]) == 1
         assert r["parent"]["q1"] == r["parent"]["median"] == r["parent"]["q3"] > 0
+        assert r["ratio"]["runs"] == [r["change"]["median"] / r["parent"]["median"]]
         assert r["wins"] in (0, 1)

@@ -8,7 +8,7 @@ from pcomod.comodule import CleavingMap
 from pcomod.maps import NotWellDefinedError, gens_map
 from pcomod.ncpoly import Alphabet, NCPoly, word_str
 from pcomod.rewrite import RewriteSystem
-from pcomod.scalars import GaussRat, S_ONE, Scalar
+from pcomod.scalars import GaussRat, S_ONE, S_Q, Scalar
 from pcomod.tensors import Tensor, linear_image
 
 from oracles import (
@@ -46,6 +46,40 @@ def test_tensor_surgery(z2):
     assert t.contract_leg(1, z2.counit_word).leg_poly(0) == u
     tt = t.expand_leg(0, z2.delta_word)
     assert tt == Tensor.of((sysm, sysm, sysm), u, u, u)
+
+
+def test_tensor_results_store_normal_legs_and_no_zero(su):
+    """Sums, products and leg surgery on random tensors with cancelling
+    coefficients store no zero and only normal legs: the normalising
+    constructor gives each result back."""
+    sysm = su.system
+    a = NCPoly.gen(sysm.alphabet, "a")
+    words = sysm.all_words(2)
+    coeffs = [S_ONE, -S_ONE, S_Q, -S_Q, S_Q - S_ONE, (S_Q + S_ONE).inv()]
+    rng = random.Random(26)
+
+    def rand(legs):
+        raw = {tuple(rng.choice(words) for _ in range(legs)): rng.choice(coeffs) for _ in range(rng.randint(0, 5))}
+        return Tensor((sysm,) * legs, raw)
+
+    for _ in range(40):
+        t, u = rand(2), rand(2)
+        results = [
+            t + u,
+            t - u,
+            t - t,
+            t.mul(u),
+            t.map_leg(1, lambda w: sysm.mul(NCPoly.word(sysm.alphabet, w), a)),
+            t.contract_leg(1, su.counit_word),
+            t.merge_legs(0),
+        ]
+        if t.terms:
+            results.append(t.expand_leg(0, su.delta_word))
+        for r in results:
+            assert not any(c.is_zero() for c in r.terms.values())
+            assert Tensor(r.systems, r.terms) == r
+        poly = t.merge_legs(0).leg_poly(0)
+        assert NCPoly(poly.alphabet, poly.terms) == poly
 
 
 def test_linear_map_modes_and_validation(z2, u1):
