@@ -19,17 +19,19 @@ def make_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="run a verification suite")
+    # the defaults are SuiteConfig's and GridConfig's own
+    d = SuiteConfig(suite="all")
     v.add_argument("--suite", required=True, help="suite name (see list-suites) or 'all'")
     v.add_argument("--algebra", help="restrict an axiom suite to one builtin")
     v.add_argument("--covering", help="covering JSON file for the covering/transition suites")
-    v.add_argument("--degree", type=int, default=4, help="symbolic degree bound")
-    v.add_argument("--q", default="formal", help="'formal', 'cbrt1', or an integer")
-    v.add_argument("--grid-circle", type=int, default=720)
-    v.add_argument("--grid-interval", type=int, default=257)
-    v.add_argument("--tol", type=float, default=1e-9)
-    v.add_argument("--seed", type=int, default=20130915)
-    v.add_argument("--trials", type=int, default=100)
-    v.add_argument("--samples", type=int, default=10_000, help="Monte-Carlo sample count")
+    v.add_argument("--degree", type=int, default=d.degree, help="symbolic degree bound")
+    v.add_argument("--q", default=str(d.q), help="'formal', 'cbrt1', or an integer")
+    v.add_argument("--grid-circle", type=int, default=d.grid.n_circle)
+    v.add_argument("--grid-interval", type=int, default=d.grid.m_interval)
+    v.add_argument("--tol", type=float, default=d.grid.tol)
+    v.add_argument("--seed", type=int, default=d.grid.seed)
+    v.add_argument("--trials", type=int, default=d.trials)
+    v.add_argument("--samples", type=int, default=d.mc_samples, help="Monte-Carlo sample count")
     v.add_argument("--format", choices=("json", "md"), default="json")
     v.add_argument("--out", help="write the report to this path (atomic)")
 

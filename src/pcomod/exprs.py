@@ -41,13 +41,16 @@ def tokenize(s: str) -> list[str]:
 
 class Value:
     """Intermediate parse value: scalar, polynomial, or raw tensor
-    (dict[tuple[Word, ...], Scalar] over the union alphabet)."""
+    (dict[tuple[Word, ...], Scalar] over the union alphabet).  `legs` is the
+    tensor's leg count, carried on the value so that a tensor whose terms
+    cancel keeps it; a scalar or polynomial has one leg."""
 
-    __slots__ = ("kind", "data")
+    __slots__ = ("kind", "data", "legs")
 
-    def __init__(self, kind, data):
+    def __init__(self, kind, data, legs: int = 1):
         self.kind = kind
         self.data = data
+        self.legs = legs
 
     @staticmethod
     def scalar(c: Scalar) -> "Value":
@@ -65,14 +68,11 @@ class Value:
         raise ParseError("tensor where a polynomial was expected")
 
     def as_tensor_terms(self, alphabet: Alphabet, legs: int) -> dict:
+        if self.legs != legs:
+            raise ParseError(f"tensor has {self.legs} legs, expected {legs}")
         if self.kind == "tensor":
-            terms = self.data
-        else:
-            terms = {(w,): c for w, c in self.as_poly(alphabet).terms.items()}
-        for key in terms:
-            if len(key) != legs:
-                raise ParseError(f"tensor has {len(key)} legs, expected {legs}")
-        return terms
+            return self.data
+        return {(w,): c for w, c in self.as_poly(alphabet).terms.items()}
 
 
 class Parser:
@@ -177,15 +177,15 @@ def _neg(v: Value) -> Value:
         return Value.scalar(-v.data)
     if v.kind == "poly":
         return Value.poly(-v.data)
-    return Value("tensor", {k: -c for k, c in v.data.items()})
+    return Value("tensor", {k: -c for k, c in v.data.items()}, v.legs)
 
 
 def _add(a: Value, b: Value, alphabet: Alphabet) -> Value:
     if a.kind == "tensor" or b.kind == "tensor":
-        legs = len(next(iter((a if a.kind == "tensor" else b).data)))
+        legs = (a if a.kind == "tensor" else b).legs
         ta = a.as_tensor_terms(alphabet, legs)
         tb = b.as_tensor_terms(alphabet, legs)
-        return Value("tensor", add_terms(dict(ta), tb.items()))
+        return Value("tensor", add_terms(dict(ta), tb.items()), legs)
     if a.kind == "scalar" and b.kind == "scalar":
         return Value.scalar(a.data + b.data)
     return Value.poly(a.as_poly(alphabet) + b.as_poly(alphabet))
@@ -197,27 +197,23 @@ def _mul(a: Value, b: Value) -> Value:
     if a.kind == "scalar":
         if b.kind == "poly":
             return Value.poly(b.data.scale(a.data))
-        return Value("tensor", {k: c * a.data for k, c in b.data.items()})
+        return Value("tensor", {k: c * a.data for k, c in b.data.items()}, b.legs)
     if b.kind == "scalar":
         if a.kind == "poly":
             return Value.poly(a.data.scale(b.data))
-        return Value("tensor", {k: c * b.data for k, c in a.data.items()})
+        return Value("tensor", {k: c * b.data for k, c in a.data.items()}, a.legs)
     if a.kind == "poly" and b.kind == "poly":
         return Value.poly(a.data.concat(b.data))
     raise ParseError("cannot multiply tensors")
 
 
 def _tensor(a: Value, b: Value, alphabet: Alphabet) -> Value:
-    ta = a.as_tensor_terms(alphabet, None) if a.kind == "tensor" else {
-        (w,): c for w, c in a.as_poly(alphabet).terms.items()
-    }
-    tb = b.as_tensor_terms(alphabet, None) if b.kind == "tensor" else {
-        (w,): c for w, c in b.as_poly(alphabet).terms.items()
-    }
+    ta = a.as_tensor_terms(alphabet, a.legs)
+    tb = b.as_tensor_terms(alphabet, b.legs)
     out: dict = {}
     for k1, c1 in ta.items():
         add_terms(out, ((k1 + k2, c2) for k2, c2 in tb.items()), c1)
-    return Value("tensor", out)
+    return Value("tensor", out, a.legs + b.legs)
 
 
 def _pow(v: Value, k: int, alphabet: Alphabet) -> Value:

@@ -158,11 +158,10 @@ class LoopSampler:
     is a sum of products with an exact-zero factor, so it is exactly 0, and
     its E is not evaluated.
 
-    Every step is elementwise on the block, not a matrix product or an FFT:
-    a matrix product goes to OpenBLAS, whose threads then spin on a second
-    core (on 2 vCPUs a numeric benchmark pass took 0.24 s CPU with it and
-    0.19 s without, at equal wall time), and an inverse-FFT evaluation
-    would load numpy.fft inside the exact workloads' negative control."""
+    Every step is elementwise on the block, not an FFT: an inverse-FFT
+    evaluation would load numpy.fft inside the exact workloads' negative
+    control.  Nor is any step a matrix product, so the probe makes no BLAS
+    call and runs on the one thread the numgeom import leaves OpenBLAS."""
 
     def __init__(self, rng, n: int, n_circle: int, max_deg: int = 3):
         self.rng = rng

@@ -1,5 +1,10 @@
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -947,3 +952,66 @@ def test_shared_interpolant_values_are_read_only():
         assert v.tobytes() == h(points).tobytes()
         with pytest.raises(ValueError):
             v += 1.0
+
+
+# A fresh interpreter imports pcomod.numgeom, runs the parity probe and prints
+# its thread count, the BLAS thread variables, and every write to os.environ
+# made after the prelude.  The environment it starts with is the test's own,
+# minus the three variables, plus `preset`.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+_THREAD_PROBE = """
+import json, os
+{prelude}
+writes = []
+_set, _del = os._Environ.__setitem__, os._Environ.__delitem__
+os._Environ.__setitem__ = lambda self, k, v: (writes.append(("set", k)), _set(self, k, v))[1]
+os._Environ.__delitem__ = lambda self, k: (writes.append(("del", k)), _del(self, k))[1]
+before = dict(os.environ)
+import pcomod.numgeom
+from pcomod.suites import SuiteConfig, run_suite
+assert run_suite(SuiteConfig(suite="parity-probe")).passed
+print(json.dumps({{
+    "threads": len(os.listdir("/proc/self/task")),
+    "environ_unchanged": dict(os.environ) == before,
+    "vars": {{v: os.environ.get(v) for v in {names!r}}},
+    "writes": writes,
+}}))
+"""
+
+
+def _fresh_thread_probe(prelude: str = "", **preset) -> dict:
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
+    env.update(preset, PYTHONPATH=str(src))
+    code = _THREAD_PROBE.format(prelude=prelude, names=_BLAS_THREAD_VARS)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
+
+
+needs_task_list = pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+
+
+@needs_task_list
+def test_numgeom_import_starts_no_blas_thread():
+    """No check calls BLAS, so the import pins OpenBLAS to the calling thread
+    and gives the environment back as it found it."""
+    got = _fresh_thread_probe()
+    assert got["threads"] == 1
+    assert got["environ_unchanged"]
+    assert got["vars"] == dict.fromkeys(_BLAS_THREAD_VARS)
+
+
+@needs_task_list
+@pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_numgeom_import_keeps_a_users_blas_thread_setting(var):
+    got = _fresh_thread_probe(**{var: "2"})
+    assert got["vars"] == {**dict.fromkeys(_BLAS_THREAD_VARS), var: "2"}
+    assert got["writes"] == [] and got["environ_unchanged"]
+
+
+@needs_task_list
+def test_numgeom_import_after_numpy_changes_nothing():
+    got = _fresh_thread_probe(prelude="import numpy")
+    assert got["vars"] == dict.fromkeys(_BLAS_THREAD_VARS)
+    assert got["writes"] == [] and got["environ_unchanged"]

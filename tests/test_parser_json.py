@@ -42,6 +42,20 @@ def test_relation_and_tensor_parsing():
     assert terms[(("a",), ("b",))] == Scalar.q_power(1)
 
 
+@pytest.mark.parametrize("expr, second", [("a#b - a#b + a#a", "a"), ("(a-a)#b + a#b", "b"), ("0#b + a#b", "b")])
+def test_tensor_whose_terms_cancel_keeps_its_legs(expr, second):
+    """A tensor carries its leg count, so a part that cancels or is zero is
+    the zero tensor of that many legs, not a leg count read off a first term."""
+    assert parse_tensor_terms(expr, AL, 2) == {(("a",), (second,)): S_ONE}
+
+
+def test_tensor_leg_counts_must_agree():
+    assert parse_tensor_terms("a#b#a", AL, 3) == {(("a",), ("b",), ("a",)): S_ONE}
+    for expr, legs in (("a#b - a#b + a", 2), ("(a-a)#b + a#b#a", 3), ("a#b", 3), ("a", 2)):
+        with pytest.raises(ParseError, match="legs"):
+            parse_tensor_terms(expr, AL, legs)
+
+
 def test_parse_errors():
     with pytest.raises(ParseError):
         parse_poly("a *", AL)
