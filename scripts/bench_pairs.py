@@ -6,8 +6,11 @@
 Each pair runs this tree's ``benchmark/fresh_pass.py`` (the timed pass of
 ``benchmark/run.py``) once on ``<parent>/src`` and once on this tree's
 ``src``, each in a fresh interpreter; which side goes first alternates from
-pair to pair.  Every suite outcome goes through the benchmark's correctness
-gate (``benchmark/workloads.py``).
+pair to pair.  Both ``src`` trees are first copied into sibling temporary
+directories whose paths have the same length, since ``peak_rss_mb`` moves
+with the length of the path the package is imported from.  Every suite
+outcome goes through the benchmark's correctness gate
+(``benchmark/workloads.py``).
 
 For each end-to-end metric of a pass it prints each side's median and
 quartiles, the median and quartiles of the per-pair ratio change/parent, the
@@ -23,9 +26,11 @@ gate.
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -72,10 +77,19 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
-    sides = {"parent": args.parent.resolve() / "src", "change": ROOT / "src"}
-    for side, src in sides.items():
+    trees = {"parent": args.parent.resolve() / "src", "change": ROOT / "src"}
+    for side, src in trees.items():
         if not (src / "pcomod" / "__init__.py").is_file():
             ap.error(f"no pcomod package under {src} ({side})")
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
+        # "parent" and "change" have the same length
+        sides = {side: Path(tmp) / side / "src" for side in trees}
+        for side, src in trees.items():
+            shutil.copytree(src, sides[side], ignore=shutil.ignore_patterns("__pycache__"))
+        return run_pairs(args, trees, sides)
+
+
+def run_pairs(args, trees: dict, sides: dict) -> int:
     workload = WORKLOADS[args.workload]
     reference = load_reference(workload)
     runs = {side: {m: [] for m in METRICS} for side in sides}
@@ -91,7 +105,7 @@ def main(argv=None) -> int:
                 failed[side] += bool(found or "error" in outcome)
                 problems += [f"{side}: {p}" for p in found if f"{side}: {p}" not in problems]
     metrics = {m: compare(runs["parent"][m], runs["change"][m]) for m in METRICS}
-    print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs; parent {sides['parent']}")
+    print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs; parent {trees['parent']}")
     print(
         f"{'metric':<12} {'parent median [q1, q3]':>30} {'change median [q1, q3]':>30}"
         f" {'change/parent [q1, q3]':>24} {'wins':>6}  gain"

@@ -11,7 +11,7 @@ import sys
 
 from .builtin import UnknownNameError
 from .numgeom import GridConfig
-from .suites import ConfigError, SuiteConfig, list_suites, run_suite
+from .suites import ConfigError, SuiteConfig, list_suites, run_suite, write_atomic
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -53,6 +53,14 @@ def _parse_q(q: str):
         raise ConfigError(f"--q must be 'formal', 'cbrt1' or an integer, got {q!r}")
 
 
+def _write_out(path: str, text: str):
+    """An --out path that cannot be written is bad input, not a failed run."""
+    try:
+        write_atomic(path, text)
+    except OSError as e:
+        raise ConfigError(f"--out {path}: {e.strerror or e}")
+
+
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
@@ -65,8 +73,7 @@ def main(argv=None) -> int:
             doc = export_presentation(args.algebra)
             text = json.dumps(doc, indent=2)
             if args.out:
-                with open(args.out, "w") as fh:
-                    fh.write(text)
+                _write_out(args.out, text)
             else:
                 print(text)
             return 0
@@ -86,12 +93,10 @@ def main(argv=None) -> int:
             mc_samples=args.samples,
         )
         report = run_suite(cfg)
+        text = report.to_markdown() if args.format == "md" else report.to_json()
         if args.out:
-            report.write(args.out, args.format)
-        if args.format == "md":
-            print(report.to_markdown())
-        else:
-            print(report.to_json())
+            _write_out(args.out, text)
+        print(text)
         return report.exit_code
     except (ConfigError, UnknownNameError) as e:
         print(f"CONFIG_ERROR: {e}", file=sys.stderr)

@@ -46,6 +46,11 @@ def _axiom_mutant(name: str, suite: str, table: Callable[[], HopfAlgebra | Comod
     return Mutant(name, suite, lambda: _witnesses(check(table())), table)
 
 
+def _cleaving_mutant(name: str, suite: str, cleaving: Callable[[], CleavingMap]) -> Mutant:
+    """A corrupted cleaving, caught by its generator certificate."""
+    return Mutant(name, suite, lambda: _witnesses(cleaving().verify()))
+
+
 def _witnesses(failures) -> list[str]:
     return [f"{f.check} @ {f.where}" for f in failures]
 
@@ -116,33 +121,25 @@ def _pw_patch_wrong_grade() -> ComoduleAlgebra:
 
 def _connection_drops_fiber() -> list[str]:
     sm = builtin.toeplitz_z2_smash()
-    ell = StrongConnection.from_cleaving(sm.cleaving(), 2)
-    one2 = Tensor.of((sm.system, sm.system), sm.system.one(), sm.system.one())
-    ell.table[("u",)] = Tensor(
-        (sm.system, sm.system), {(("u",), ()): S_ONE}
-    )  # (1 (x) u) (x) (1 (x) 1): the right leg loses u
-    return _witnesses(verify_strong_connection(ell, 2))
+    ell = StrongConnection.from_cleaving(sm.cleaving())
+    # (1 (x) u) (x) (1 (x) 1): the right leg loses u
+    bad = Tensor((sm.system, sm.system), {(("u",), ()): S_ONE})
+    dropped = StrongConnection(sm, lambda w: bad if w == ("u",) else ell.apply_word(w))
+    return _witnesses(verify_strong_connection(dropped, 2))
 
 
 def _connection_not_unital() -> list[str]:
     sm = builtin.toeplitz_z2_smash()
-    ell = StrongConnection.from_cleaving(sm.cleaving(), 2)
-    ell.table[()] = ell.table[()].scale(Scalar.of(2))
-    return _witnesses(verify_strong_connection(ell, 2))
+    ell = StrongConnection.from_cleaving(sm.cleaving())
+    doubled = StrongConnection(sm, lambda w: ell.apply_word(w).scale(Scalar.of(1 if w else 2)))
+    return _witnesses(verify_strong_connection(doubled, 2))
 
 
-def _cleaving_not_colinear() -> list[str]:
-    P, cl = builtin.pw_patch()
-    H = P.hopf
-    j = gens_map(
-        "gamma_bad",
-        H.system,
-        P.system,
-        {"u": NCPoly.word(P.system.alphabet, ("w", "w")), "ui": NCPoly.word(P.system.alphabet, ("wi", "wi"))},
-        check=False,
-    )
-    bad = CleavingMap(P, j)
-    return _witnesses(bad.verify(2))
+def _patch_cleaving_squared() -> CleavingMap:
+    P, _ = builtin.pw_patch()
+    al = P.system.alphabet
+    squares = {"u": NCPoly.word(al, ("w", "w")), "ui": NCPoly.word(al, ("wi", "wi"))}
+    return CleavingMap(P, gens_map("gamma_bad", P.hopf.system, P.system, squares, check=False))
 
 
 # -- smash mutants ------------------------------------------------------------------
@@ -204,21 +201,12 @@ def _not_a_hopf_ideal() -> list[str]:
     return _witnesses(J.validate())
 
 
-def _prolonged_cleaving_wrong_power() -> list[str]:
-    pro = builtin.sphere_prolonged()
-    triv = pro.trivialisation
-    piece = triv.covering.pieces[0]
-    al = piece.comodule.system.alphabet
-    H = triv.hopf
-    j = gens_map(
-        "gamma-bad",
-        H.system,
-        piece.comodule.system,
-        {"u": NCPoly.word(al, ("U", "U")), "ui": NCPoly.word(al, ("Ui", "Ui"))},
-        check=False,
-    )
-    bad = CleavingMap(piece.comodule, j)
-    return _witnesses(bad.verify(2))
+def _prolonged_cleaving_squared() -> CleavingMap:
+    triv = builtin.sphere_prolonged().trivialisation
+    P = triv.covering.pieces[0].comodule
+    al = P.system.alphabet
+    squares = {"u": NCPoly.word(al, ("U", "U")), "ui": NCPoly.word(al, ("Ui", "Ui"))}
+    return CleavingMap(P, gens_map("gamma-bad", triv.hopf.system, P.system, squares, check=False))
 
 
 def _surjection_not_algebra_map() -> list[str]:
@@ -302,7 +290,7 @@ MUTANTS: list[Mutant] = [
     _axiom_mutant("patch-coaction-wrong-grade", "comodule-axioms", _pw_patch_wrong_grade),
     Mutant("connection-drops-fiber", "strong-connection", _connection_drops_fiber),
     Mutant("connection-not-unital", "strong-connection", _connection_not_unital),
-    Mutant("cleaving-not-colinear", "strong-connection", _cleaving_not_colinear),
+    _cleaving_mutant("cleaving-not-colinear", "strong-connection", _patch_cleaving_squared),
     Mutant("action-wrong-weight", "smash", partial(_plane_action_mutant, "a", "x", -1)),
     Mutant("action-breaks-diagonal-weight", "smash", partial(_plane_action_mutant, "d", "y", -1)),
     Mutant("action-breaks-determinant", "smash", partial(_plane_action_mutant, "Di", "x", 2)),
@@ -310,7 +298,7 @@ MUTANTS: list[Mutant] = [
     Mutant("constant-fiber-tuple-rejected", "covering", _constant_fiber_tuple_rejected),
     Mutant("kernel-overlap-detected", "covering", _kernel_overlap_detected),
     Mutant("counit-does-not-kill", "reduction-theorem", _not_a_hopf_ideal),
-    Mutant("descended-cleaving-wrong-power", "reduction-theorem", _prolonged_cleaving_wrong_power),
+    _cleaving_mutant("descended-cleaving-wrong-power", "reduction-theorem", _prolonged_cleaving_squared),
     Mutant("surjection-not-algebra-map", "reduction-theorem", _surjection_not_algebra_map),
     Mutant("chart-wrong-slope", "sphere-gluing", _phi_wrong_slope),
     Mutant("face-sign-flip", "sphere-gluing", _face_sign_flip),

@@ -196,7 +196,7 @@ class Trivialisation:
         for idx, cl in enumerate(self.cleavings):
             failures.extend(
                 CheckFailure(f.check, f"piece[{idx}] {f.where}", f.detail)
-                for f in cl.verify(degree_bound)
+                for f in cl.verify()
             )
         return failures
 

@@ -156,12 +156,24 @@ class SuiteReport:
         return "\n".join(lines)
 
     def write(self, path: str, fmt: str = "json"):
-        data = self.to_json() if fmt == "json" else self.to_markdown()
-        d = os.path.dirname(os.path.abspath(path)) or "."
-        fd, tmp = tempfile.mkstemp(dir=d, prefix=".report-")
+        write_atomic(path, self.to_json() if fmt == "json" else self.to_markdown())
+
+
+def write_atomic(path: str, text: str):
+    """Write ``text`` to a temp file beside ``path``, then move it into place
+    with the mode a plain ``open`` would give it (mkstemp's is 0600); on
+    failure the temp file is removed and the OSError propagates."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".report-")
+    umask = os.umask(0)
+    os.umask(umask)
+    try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(data)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
+            fh.write(text)
         os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _check(id_: str, claim: str, ok, witness: str = "", residual=None) -> CheckRecord:
@@ -215,15 +227,14 @@ def suite_strong_connection(cfg: SuiteConfig) -> Iterator[CheckRecord]:
     ]
     for name, sm in instances:
         cl = sm.cleaving()
-        yield _no_failures(f"cleaving/{name}", "unital colinear convolution-invertible cleaving", cl.verify(deg))
-        ell = StrongConnection.from_cleaving(cl, deg)
+        yield _no_failures(f"cleaving/{name}", "unital colinear convolution-invertible cleaving", cl.verify())
         yield _no_failures(
             f"strong-connection/{name}",
             "three lifting axioms plus h^[1] h^[2] = eps(h) on every basis word",
-            verify_strong_connection(ell, deg),
+            verify_strong_connection(StrongConnection.from_cleaving(cl), deg),
         )
     P, cl = builtin.pw_patch()
-    fails = cl.verify(2) + verify_strong_connection(StrongConnection.from_cleaving(cl, 2), 2)
+    fails = cl.verify() + verify_strong_connection(StrongConnection.from_cleaving(cl), 2)
     yield _no_failures("strong-connection/pw_patch", "patch cleaving and its connection at degree 2", fails)
     # the determinant pair carries a degree-one certificate: beyond the
     # generators the canonical lifts satisfy the axioms only up to

@@ -7,8 +7,9 @@ per block of trials replaced, the per-check copies of the three gluings that
 one table replaced, the product loops and the composition that the memoised
 algebra maps (Delta, the coactions, the prolongation dictionary, j o S)
 replaced, the three-slot decomposition loop that the one-slot certificate
-replaced, the degree-bounded axiom loops that the relation-plus-generator
-certificates replaced, and the build-at-formal-q-then-substitute path that
+replaced, the degree-bounded axiom and cleaving loops that the
+relation-plus-generator certificates replaced, the strong-connection tables
+that the memoised word maps replaced, and the build-at-formal-q-then-substitute path that
 parsing at a fixed q replaced.  It also holds the helpers only tests call: the
 presentation dumper, eta o eps, the group-like basis words, the identity and
 the convolution tabulated on basis words, q substituted into a scalar, a
@@ -27,7 +28,7 @@ import numpy as np
 
 from pcomod import builtin
 from pcomod.builtin import toeplitz_system
-from pcomod.comodule import ComoduleAlgebra
+from pcomod.comodule import CleavingMap, ComoduleAlgebra
 from pcomod.exprs import ParseError
 from pcomod.hopf import CheckFailure, HopfAlgebra
 from pcomod.maps import LinearMap, gens_map
@@ -1356,6 +1357,70 @@ def bounded_coaction_axioms(P: ComoduleAlgebra, bound: int) -> list[CheckFailure
         if ce != wp:
             failures.append(CheckFailure("coaction-counit", ws, f"{ce!r} != {wp!r}"))
     return failures
+
+
+# ---------------------------------------------------------------------------
+# cleavings and strong connections on every basis word up to a degree bound
+# (reference for the relation-plus-generator certificate of
+# CleavingMap.verify and the memoised StrongConnection word maps)
+# ---------------------------------------------------------------------------
+
+def bounded_cleaving_checks(cl: CleavingMap, bound: int) -> list[CheckFailure]:
+    """j(1) = 1, then colinearity and both convolution-inverse laws of j and
+    j o S on every normal-form word of H up to the bound. Checks no relation
+    of H."""
+    failures = []
+    P, H = cl.P, cl.P.hopf
+    one = P.system.one()
+    if cl.j.apply(H.system.one()) != one:
+        failures.append(CheckFailure("cleaving-unital", "1", f"j(1) = {cl.j.apply(H.system.one())!r}"))
+    for w in H.system.basis_words(bound):
+        ws = word_str(w)
+        lhs = P.coact(cl.j.apply_word(w))
+        rhs = H.delta_word(w).map_leg(0, cl.j.apply_word, codomain=P.system)
+        if lhs != rhs:
+            failures.append(CheckFailure("cleaving-colinear", ws, f"{lhs!r} != {rhs!r}"))
+        conv = H.convolve(w, cl.j.apply_word, cl.j_inv.apply_word, P.system)
+        vnoc = H.convolve(w, cl.j_inv.apply_word, cl.j.apply_word, P.system)
+        target = one.scale(H.counit_word(w))
+        if conv != target:
+            failures.append(CheckFailure("cleaving-inverse-right", ws, f"{conv!r} != {target!r}"))
+        if vnoc != target:
+            failures.append(CheckFailure("cleaving-inverse-left", ws, f"{vnoc!r} != {target!r}"))
+    return failures
+
+
+def cleaving_connection_table(cl: CleavingMap, bound: int) -> dict:
+    """ell = (j o S (x) j) o Delta filled in eagerly on the basis words up to
+    the bound, with the uncached coproduct and j o S composed per word."""
+    P, H = cl.P, cl.P.hopf
+    return {
+        w: looped_delta_word(H, w)
+        .map_leg(0, lambda v: composed_word_image(cl.j, H.S, v), codomain=P.system)
+        .map_leg(1, cl.j.apply_word, codomain=P.system)
+        for w in H.system.basis_words(bound)
+    }
+
+
+def quotient_lift_table(H: HopfAlgebra, qH: HopfAlgebra, bound: int) -> dict:
+    """The sandwich lift ell([v g]) = S(g_(1)) ell([v])<1> (x) ell([v])<2> g_(2)
+    filled in a table of the basis words of qH up to the bound, shortest
+    first."""
+    Hs = H.system
+    one = Hs.one()
+    table = {(): Tensor.of((Hs, Hs), one, one)}
+    for w in sorted(qH.system.basis_words(bound), key=len):
+        if not w:
+            continue
+        prev = table[w[:-1]]
+        table[w] = summed_image(
+            looped_delta_word(H, w[-1:]),
+            lambda k: Tensor.of((Hs, Hs), H.S.apply_word(k[0]), one)
+            .mul(prev)
+            .mul(Tensor.of((Hs, Hs), one, NCPoly.word(Hs.alphabet, k[1]))),
+            Tensor.zero((Hs, Hs)),
+        )
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,12 @@ import time
 import numpy as np
 import pytest
 
-from oracles import bounded_coaction_axioms, bounded_hopf_axioms, random_decomposition_roundtrips
+from oracles import (
+    bounded_cleaving_checks,
+    bounded_coaction_axioms,
+    bounded_hopf_axioms,
+    random_decomposition_roundtrips,
+)
 from pcomod import builtin
 from pcomod.comodule import StrongConnection, verify_strong_connection
 from pcomod.hopf import check_hopf_axioms
@@ -58,11 +63,12 @@ def test_criterion_2_strong_connection_degree_4():
     failures = []
     for sm in (builtin.toeplitz_z2_smash(), builtin.toeplitz_u1_smash()):
         cl = sm.cleaving()
-        failures += cl.verify(4)
-        ell = StrongConnection.from_cleaving(cl, 4)
-        failures += verify_strong_connection(ell, 4)
+        failures += cl.verify()
+        failures += bounded_cleaving_checks(cl, 4)
+        failures += verify_strong_connection(StrongConnection.from_cleaving(cl), 4)
     report(
-        "2. smash strong connections: all axioms + translation on basis words of degree <= 4, exactly",
+        "2. smash cleavings in every degree and on basis words of degree <= 4; strong connections:"
+        " all axioms + translation on basis words of degree <= 4, exactly",
         not failures,
         f"{len(failures)} failures",
     )

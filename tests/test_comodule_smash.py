@@ -1,8 +1,9 @@
 import random
+from pathlib import Path
 
 import pytest
 
-from pcomod import builtin
+from pcomod import builtin, mutants
 from pcomod.comodule import (
     CleavingMap,
     NotModuleAlgebraError,
@@ -14,11 +15,13 @@ from pcomod.comodule import (
     verify_theta_properties,
 )
 from pcomod.exprs import parse_poly
+from pcomod.maps import gens_map
 from pcomod.ncpoly import NCPoly
 from pcomod.scalars import GaussRat, S_ONE, S_Q, Scalar
+from pcomod.suites import SuiteConfig, _load_trivialisation
 from pcomod.tensors import Tensor
 
-from oracles import unit_counit_map
+from oracles import bounded_cleaving_checks, cleaving_connection_table, quotient_lift_table, unit_counit_map
 
 
 def test_coinvariance_examples():
@@ -44,7 +47,7 @@ def test_canonical_map_examples(z2_smash):
     got = canonical_map(T, Tensor.of((sysm, sysm), one, s))
     assert got == Tensor((sysm, T.hopf.system), {(("s",), ("u",)): S_ONE})
     # axiom-1 composition on every basis word of the fiber
-    ell = StrongConnection.from_cleaving(z2_smash.cleaving(), 4)
+    ell = StrongConnection.from_cleaving(z2_smash.cleaving())
     H = z2_smash.hopf
     for w in H.system.basis_words(4):
         got = canonical_map(z2_smash, ell.apply_word(w))
@@ -52,7 +55,7 @@ def test_canonical_map_examples(z2_smash):
 
 
 def test_smash_strong_connection_values(z2_smash):
-    ell = StrongConnection.from_cleaving(z2_smash.cleaving(), 4)
+    ell = StrongConnection.from_cleaving(z2_smash.cleaving())
     sysm = z2_smash.system
     u = sysm.alphabet
     # ell(u) = (1 (x) u) (x) (1 (x) u) in the flat presentation
@@ -62,14 +65,15 @@ def test_smash_strong_connection_values(z2_smash):
 
 
 def test_u1_smash_strong_connection(u1_smash):
-    ell = StrongConnection.from_cleaving(u1_smash.cleaving(), 4)
+    ell = StrongConnection.from_cleaving(u1_smash.cleaving())
     assert verify_strong_connection(ell, 4) == []
 
 
 def test_pw_patch_connection():
     P, cl = builtin.pw_patch()
-    assert cl.verify(2) == []
-    ell = StrongConnection.from_cleaving(cl, 2)
+    assert cl.verify() == []
+    assert bounded_cleaving_checks(cl, 2) == []
+    ell = StrongConnection.from_cleaving(cl)
     sysm = P.system
     # ell(u) = (omega a)^* (x) (omega a) in the patch avatar
     assert ell.apply_word(("u",)) == Tensor(
@@ -79,11 +83,11 @@ def test_pw_patch_connection():
 
 
 def test_corrupted_connection_fails_axiom_1(z2_smash):
-    ell = StrongConnection.from_cleaving(z2_smash.cleaving(), 2)
-    ell.table[("u",)] = Tensor(
-        (z2_smash.system, z2_smash.system), {(("u",), ()): S_ONE}
+    ell = StrongConnection.from_cleaving(z2_smash.cleaving())
+    bad = Tensor((z2_smash.system, z2_smash.system), {(("u",), ()): S_ONE})
+    fails = verify_strong_connection(
+        StrongConnection(z2_smash, lambda w: bad if w == ("u",) else ell.apply_word(w)), 2
     )
-    fails = verify_strong_connection(ell, 2)
     assert any(f.check == "connection-axiom-1" and f.where == "u" for f in fails)
 
 
@@ -181,3 +185,74 @@ def test_principal_pair_certificates(u1, gl):
     assert fails == []
     fails, ell, P = principal_quotient_pair_certificate(gl, builtin.gl_mod_det_ideal(gl), 1)
     assert fails == []
+
+
+# -- the generator certificate and the memoised connections against the word loops
+
+def _patch_breaks_relation() -> CleavingMap:
+    """j(u) = j(ui) = w: colinear at u, but j(u) j(ui) = w^2 is not 1."""
+    P, _ = builtin.pw_patch()
+    w = NCPoly.gen(P.system.alphabet, "w")
+    return CleavingMap(P, gens_map("j_breaks_relation", P.hopf.system, P.system, {"u": w, "ui": w}, check=False))
+
+
+EXAMPLE = Path(__file__).resolve().parents[1] / "scripts" / "example_covering.json"
+
+_CLEAVINGS = {
+    "toeplitz_z2_smash": lambda: [builtin.toeplitz_z2_smash().cleaving()],
+    "toeplitz_u1_smash": lambda: [builtin.toeplitz_u1_smash().cleaving()],
+    "pw_patch": lambda: [builtin.pw_patch()[1]],
+    "sphere_covering": lambda: builtin.sphere_covering().cleavings,
+    "sphere_prolonged": lambda: builtin.sphere_prolonged().trivialisation.cleavings,
+    "patch_prolonged-formal": lambda: builtin.patch_prolonged("formal").trivialisation.cleavings,
+    "patch_prolonged-3": lambda: builtin.patch_prolonged(3).trivialisation.cleavings,
+    "plane_gl_smash-formal": lambda: [builtin.plane_gl_smash("formal").cleaving()],
+    "plane_gl_smash-3": lambda: [builtin.plane_gl_smash(3).cleaving()],
+    "example_covering": lambda: _load_trivialisation(SuiteConfig(suite="covering", covering=str(EXAMPLE))).cleavings,
+}
+_BAD_CLEAVINGS = {
+    "mutant/cleaving-not-colinear": mutants._patch_cleaving_squared,
+    "mutant/descended-cleaving-wrong-power": mutants._prolonged_cleaving_squared,
+    "pw_patch-breaks-relation": _patch_breaks_relation,
+}
+
+
+@pytest.mark.parametrize("name", list(_CLEAVINGS))
+def test_cleaving_certificate_agrees_with_word_loop(name):
+    """Every cleaving the program builds passes the generator certificate and
+    the word loop at degree 4."""
+    for cl in _CLEAVINGS[name]():
+        assert cl.verify() == []
+        assert bounded_cleaving_checks(cl, 4) == []
+
+
+@pytest.mark.parametrize("name", list(_BAD_CLEAVINGS))
+def test_bad_cleavings_fail_certificate_and_word_loop(name):
+    """The certificate and the word loop at degree 4 both reject each bad
+    cleaving; the colinear mutants get the same first witness from both."""
+    cl = _BAD_CLEAVINGS[name]()
+    new, old = cl.verify(), bounded_cleaving_checks(cl, 4)
+    assert new and old
+    if name.startswith("mutant/"):
+        assert (new[0].check, new[0].where) == (old[0].check, old[0].where) == ("cleaving-colinear", "u")
+    else:
+        assert [(f.check, f.where) for f in new] == [("cleaving-well-defined", "u*ui"), ("cleaving-colinear", "ui")]
+
+
+@pytest.mark.parametrize("name", list(_CLEAVINGS))
+def test_memoised_connection_matches_eager_table(name):
+    """ell = (j o S (x) j) o Delta on every basis word of degree <= 4 equals
+    the table filled eagerly from the uncached coproduct and j o S."""
+    for cl in _CLEAVINGS[name]():
+        ell = StrongConnection.from_cleaving(cl)
+        for w, want in cleaving_connection_table(cl, 4).items():
+            assert ell.apply_word(w) == want, (cl.j.name, w)
+
+
+def test_quotient_lift_matches_eager_table(u1, gl):
+    """The memoised sandwich lift of each quotient pair equals the table
+    filled shortest word first, on every quotient basis word of degree <= 4."""
+    for H, J in ((u1, builtin.u1_mod_z2_ideal(u1)), (gl, builtin.gl_mod_det_ideal(gl))):
+        _, ell, P = principal_quotient_pair_certificate(H, J, 1)
+        for w, want in quotient_lift_table(H, P.hopf, 4).items():
+            assert ell.apply_word(w) == want, (J.name, w)

@@ -144,6 +144,41 @@ def test_cli_out_writes_the_printed_report(fmt, tmp_path, capsys):
         assert json.loads(printed)["suite"] == "transition"
 
 
+@pytest.mark.parametrize("command", [["verify", "--suite", "smash"], ["export", "--algebra", "su_q2"]])
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+def test_cli_bad_out_path_is_a_config_error(command, target, tmp_path, capsys):
+    """An --out path that cannot be written exits 2 with CONFIG_ERROR and
+    leaves no temp file beside it."""
+    out = tmp_path / "out"
+    out.mkdir()
+    path = out if target == "directory" else tmp_path / "missing" / "r.json"
+    assert main(command + ["--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("CONFIG_ERROR: --out ") and captured.out == ""
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["out"]
+
+
+@pytest.mark.parametrize("command", [["verify", "--suite", "smash"], ["export", "--algebra", "su_q2"]])
+def test_cli_out_file_takes_the_mode_open_would_give(command, tmp_path, capsys):
+    path = tmp_path / "r.json"
+    umask = os.umask(0o027)
+    try:
+        assert main(command + ["--out", str(path)]) == 0
+    finally:
+        os.umask(umask)
+    assert path.stat().st_mode & 0o777 == 0o640
+
+
+def test_atomic_write_removes_its_temp_file_on_failure(tmp_path, monkeypatch):
+    def fail(*args):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="replace failed"):
+        suites.write_atomic(str(tmp_path / "r.json"), "{}")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("suite", ["all", "covering"])
 def test_cli_verify_without_flags_builds_the_default_config(monkeypatch, suite):
     """The verify flags take their defaults from SuiteConfig and GridConfig."""
