@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .builtin import UnknownNameError
@@ -53,6 +54,14 @@ def _parse_q(q: str):
         raise ConfigError(f"--q must be 'formal', 'cbrt1' or an integer, got {q!r}")
 
 
+def _check_out(path: str):
+    """Reject a directory or a path under a missing one before any suite runs."""
+    if os.path.isdir(path):
+        raise ConfigError(f"--out {path}: Is a directory")
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise ConfigError(f"--out {path}: No such file or directory")
+
+
 def _write_out(path: str, text: str):
     """An --out path that cannot be written is bad input, not a failed run."""
     try:
@@ -67,6 +76,8 @@ def main(argv=None) -> int:
         if args.command == "list-suites":
             print(list_suites(machine=args.format == "json"))
             return 0
+        if args.out:
+            _check_out(args.out)
         if args.command == "export":
             from .builtin import export_presentation
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import permutations
 from typing import Callable
 
 from .linalg import RowSpace
@@ -180,9 +181,10 @@ def check_hopf_axioms(H: HopfAlgebra) -> list[CheckFailure]:
 # ----------------------------------------------------------------------------
 
 class HopfIdeal:
-    """Two-sided ideal J given by generators, with the Hopf-ideal axioms
-    (counit kill, coideal containment, antipode stability) certified by
-    bounded reduction in the quotient."""
+    """Two-sided ideal J given by generators. ``validate`` checks the
+    Hopf-ideal axioms (counit kill, coideal containment, antipode stability)
+    on the generators, by reduction in the quotient; as eps and Delta are
+    algebra maps and S an anti-algebra map, that covers all of J."""
 
     def __init__(self, H: HopfAlgebra, gens: list[NCPoly], name: str = "J"):
         self.hopf = H
@@ -304,31 +306,23 @@ def coinvariant_compatibility_check(
     H = triv.hopf
     failures: list[CheckFailure] = []
     dwords = coinvariant_basis_words(H, J, bound)
-    n = triv.covering.size
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            target, mi, mj = triv.covering.pair_maps(i, j)
-            for w in dwords:
-                left = mi.apply(triv.cleavings[i].j.apply_word(w))
-                right = mj.apply(triv.cleavings[j].j.apply_word(w))
-                if target.system.normal_form(left - right) != target.system.zero():
-                    failures.append(
-                        CheckFailure(
-                            "coinvariant-compatibility",
-                            f"pi^{i}_{j}(gamma_{i}({word_str(w)}))",
-                            f"{left!r} != {right!r}",
-                        )
+    for i, j in permutations(range(triv.covering.size), 2):
+        target, mi, mj = triv.covering.pair_maps(i, j)
+        for w in dwords:
+            left = mi.apply(triv.cleavings[i].j.apply_word(w))
+            right = mj.apply(triv.cleavings[j].j.apply_word(w))
+            if target.system.normal_form(left - right) != target.system.zero():
+                failures.append(
+                    CheckFailure(
+                        "coinvariant-compatibility",
+                        f"pi^{i}_{j}(gamma_{i}({word_str(w)}))",
+                        f"{left!r} != {right!r}",
                     )
-                tij = triv.transition(i, j, w)
-                want = target.system.one().scale(H.counit_word(w))
-                if tij != want:
-                    failures.append(
-                        CheckFailure(
-                            "transition-counit-on-D",
-                            f"T_{i}{j}({word_str(w)})",
-                            f"{tij!r} != {want!r}",
-                        )
-                    )
+                )
+            tij = triv.transition(i, j, w)
+            want = target.system.one().scale(H.counit_word(w))
+            if tij != want:
+                failures.append(
+                    CheckFailure("transition-counit-on-D", f"T_{i}{j}({word_str(w)})", f"{tij!r} != {want!r}")
+                )
     return failures

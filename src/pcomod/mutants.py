@@ -159,7 +159,9 @@ def _plane_action_mutant(z: str, b: str, power: int) -> list[str]:
 
 # -- covering / transition mutants ----------------------------------------------------
 
-def _edge_map_forgets_twist() -> list[str]:
+def _edge_map_forgets_twist() -> Covering:
+    """The sphere covering with the twisted map of pair (0,1) sending u to v:
+    well defined, but not colinear at u."""
     cov = builtin.sphere_covering().covering
     pair = cov.pairs[(0, 1)]
     al = pair.target.system.alphabet
@@ -171,8 +173,7 @@ def _edge_map_forgets_twist() -> list[str]:
         check=True,
     )
     pairs = {**cov.pairs, (0, 1): replace(pair, map_j=bad_map)}
-    bad = Covering(cov.pieces, pairs, base=cov.base, kernels=cov.kernels, name=cov.name)
-    return _witnesses(bad.validate(2))
+    return Covering(cov.pieces, pairs, base=cov.base, kernels=cov.kernels, name=cov.name)
 
 
 def _constant_fiber_tuple_rejected() -> list[str]:
@@ -294,7 +295,7 @@ MUTANTS: list[Mutant] = [
     Mutant("action-wrong-weight", "smash", partial(_plane_action_mutant, "a", "x", -1)),
     Mutant("action-breaks-diagonal-weight", "smash", partial(_plane_action_mutant, "d", "y", -1)),
     Mutant("action-breaks-determinant", "smash", partial(_plane_action_mutant, "Di", "x", 2)),
-    Mutant("edge-map-forgets-twist", "covering", _edge_map_forgets_twist),
+    Mutant("edge-map-forgets-twist", "covering", lambda: _witnesses(_edge_map_forgets_twist().validate())),
     Mutant("constant-fiber-tuple-rejected", "covering", _constant_fiber_tuple_rejected),
     Mutant("kernel-overlap-detected", "covering", _kernel_overlap_detected),
     Mutant("counit-does-not-kill", "reduction-theorem", _not_a_hopf_ideal),

@@ -54,7 +54,6 @@ from .pullback import (
     multipullback_membership,
     piece_glue,
     reducibility_check,
-    transition_checks,
 )
 from .scalars import S_ONE, Scalar
 
@@ -293,10 +292,13 @@ def suite_smash(cfg: SuiteConfig) -> Iterator[CheckRecord]:
 
 def suite_covering(cfg: SuiteConfig) -> Iterator[CheckRecord]:
     triv = _load_trivialisation(cfg)
+    failures = triv.validate()
+    if triv.covering.kernels is not None:
+        failures += triv.covering.kernel_intersection_certificate(min(cfg.degree, 2))
     yield _no_failures(
         "covering/validate",
         "pieces, base generators and double-quotient maps are colinear and well-defined",
-        triv.validate(min(cfg.degree, 2)),
+        failures,
     )
     al = triv.covering.pieces[0].comodule.system.alphabet
     one = NCPoly.one(al)
@@ -409,7 +411,7 @@ def suite_transition(cfg: SuiteConfig) -> Iterator[CheckRecord]:
     yield _no_failures(
         "transition/laws",
         "T_ii = eta eps, T_ij * T_ji = eta eps, images coaction-invariant",
-        transition_checks(triv, min(cfg.degree, 2)),
+        triv.validate(),
     )
     tv = triv.transition(0, 1, ("u",)) if "u" in triv.hopf.system.alphabet.rank else None
     yield _check(
@@ -502,8 +504,9 @@ def suite_prolong(cfg: SuiteConfig) -> Iterator[CheckRecord]:
     pro = builtin.sphere_prolonged()
     yield _no_failures("prolong/sphere", "prolonged pieces certified", pro.report)
     triv = pro.trivialisation
-    yield _no_failures("prolong/covering-valid", "prolonged covering validates", triv.validate(2))
-    yield _no_failures("prolong/transitions", "prolonged transition laws", transition_checks(triv, 2))
+    failures = triv.validate()
+    yield _no_failures("prolong/covering-valid", "prolonged covering validates", failures)
+    yield _no_failures("prolong/transitions", "prolonged transition laws", failures)
     # membership of the u^2-glued tuple (the coinvariant fiber square)
     H = builtin.o_u1()
     u2 = NCPoly.word(H.system.alphabet, ("u", "u"))

@@ -7,8 +7,8 @@ per block of trials replaced, the per-check copies of the three gluings that
 one table replaced, the product loops and the composition that the memoised
 algebra maps (Delta, the coactions, the prolongation dictionary, j o S)
 replaced, the three-slot decomposition loop that the one-slot certificate
-replaced, the degree-bounded axiom and cleaving loops that the
-relation-plus-generator certificates replaced, the strong-connection tables
+replaced, the degree-bounded axiom, cleaving and transition-law loops that
+the relation-plus-generator certificates replaced, the strong-connection tables
 that the memoised word maps replaced, and the build-at-formal-q-then-substitute path that
 parsing at a fixed q replaced.  It also holds the helpers only tests call: the
 presentation dumper, eta o eps, the group-like basis words, the identity and
@@ -1400,6 +1400,52 @@ def cleaving_connection_table(cl: CleavingMap, bound: int) -> dict:
         .map_leg(1, cl.j.apply_word, codomain=P.system)
         for w in H.system.basis_words(bound)
     }
+
+
+def diagonal_transition(triv, i: int, w: Word) -> NCPoly:
+    """T_ii(w) = gamma_i(w_(1)) gamma_i(S(w_(2))) in piece i."""
+    cl = triv.cleavings[i]
+    return triv.hopf.convolve(w, cl.j.apply_word, cl.j_inv.apply_word, triv.covering.pieces[i].comodule.system)
+
+
+def bounded_transition_checks(triv, bound: int) -> list[CheckFailure]:
+    """T_ii = eta o eps, T_ij * T_ji = eta o eps and T_ij coinvariant on
+    every normal-form word of H up to the bound (``diagonal_transition`` for
+    T_ii). Checks no premise of ``Trivialisation.validate``."""
+    failures = []
+    H = triv.hopf
+    n = triv.covering.size
+    words = H.system.basis_words(bound)
+    for i in range(n):
+        sys_i = triv.covering.pieces[i].comodule.system
+        for w in words:
+            got = diagonal_transition(triv, i, w)
+            want = sys_i.one().scale(H.counit_word(w))
+            if got != want:
+                failures.append(CheckFailure("transition-diagonal", f"T_{i}{i}({word_str(w)})", f"{got!r}"))
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            target, _, _ = triv.covering.pair_maps(i, j)
+            for w in words:
+                img = triv.transition(i, j, w)
+                if not target.is_coinvariant(img):
+                    failures.append(
+                        CheckFailure("transition-coinvariant", f"T_{i}{j}({word_str(w)})", f"{img!r}")
+                    )
+                conv = H.convolve(
+                    w,
+                    lambda v: triv.transition(i, j, v),
+                    lambda v: triv.transition(j, i, v),
+                    target.system,
+                )
+                want = target.system.one().scale(H.counit_word(w))
+                if conv != want:
+                    failures.append(
+                        CheckFailure("transition-convolution", f"(T_{i}{j}*T_{j}{i})({word_str(w)})", f"{conv!r}")
+                    )
+    return failures
 
 
 def quotient_lift_table(H: HopfAlgebra, qH: HopfAlgebra, bound: int) -> dict:

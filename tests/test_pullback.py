@@ -1,8 +1,11 @@
+from dataclasses import replace
 from itertools import product
+from pathlib import Path
 
 import pytest
 
-from pcomod import builtin
+from pcomod import builtin, mutants
+from pcomod.comodule import CleavingMap, ComoduleAlgebra
 from pcomod.exprs import parse_poly
 from pcomod.hopf import HopfIdeal
 from pcomod.maps import gens_map
@@ -25,16 +28,18 @@ from pcomod.pullback import (
     piece_glue,
     prolong,
     reducibility_check,
-    transition_checks,
 )
 from pcomod.rewrite import RewriteSystem
 from pcomod.ncpoly import Alphabet
 from pcomod.scalars import S_ONE, S_Q, Scalar
+from pcomod.suites import SuiteConfig, _load_trivialisation
 from pcomod.tensors import Tensor
+
+from oracles import bounded_transition_checks, diagonal_transition
 
 
 def test_sphere_covering_validates(sphere):
-    assert sphere.validate(2) == []
+    assert sphere.validate() == []
 
 
 def test_membership_examples(sphere):
@@ -78,10 +83,90 @@ def test_transition_values_and_laws(sphere):
     assert t01 == NCPoly.gen(edge.system.alphabet, "v")
     assert edge.is_coinvariant(t01)
     assert sphere.transition(0, 1, ()) == NCPoly.one(edge.system.alphabet)
-    assert transition_checks(sphere, 2) == []
-    assert sphere.transition(0, 0, ("u",)) == NCPoly.one(sphere.covering.pieces[0].comodule.system.alphabet).scale(
+    assert sphere.validate() == []
+    assert bounded_transition_checks(sphere, 2) == []
+    assert diagonal_transition(sphere, 0, ("u",)) == NCPoly.one(sphere.covering.pieces[0].comodule.system.alphabet).scale(
         sphere.hopf.counit_word(("u",))
     )
+
+
+# -- the transition certificate against the word loop
+
+EXAMPLE = Path(__file__).resolve().parents[1] / "scripts" / "example_covering.json"
+
+
+def _with_cleavings(triv: Trivialisation, cleavings) -> Trivialisation:
+    return Trivialisation(triv.covering, triv.hopf, cleavings, name=triv.name)
+
+
+def _squared_cleaving(triv: Trivialisation, i: int) -> CleavingMap:
+    """gamma_i(u) = U^2, gamma_i(ui) = Ui^2 on a prolonged sphere piece."""
+    P = triv.covering.pieces[i].comodule
+    al = P.system.alphabet
+    squares = {"u": NCPoly.word(al, ("U", "U")), "ui": NCPoly.word(al, ("Ui", "Ui"))}
+    return CleavingMap(P, gens_map(f"gamma-squared[{i}]", triv.hopf.system, P.system, squares, check=False))
+
+
+def _every_cleaving_squared() -> Trivialisation:
+    triv = builtin.sphere_prolonged().trivialisation
+    return _with_cleavings(triv, [_squared_cleaving(triv, i) for i in range(triv.covering.size)])
+
+
+def _edge_coaction_breaks_relation() -> Trivialisation:
+    """The sphere with the (0,1) edge coacting z -> z (x) u: z*zi = 1 goes to
+    1 (x) u, which is not 1 (x) 1."""
+    sphere = builtin.sphere_covering()
+    cov = sphere.covering
+    pair = cov.pairs[(0, 1)]
+    edge = pair.target
+    z = Tensor((edge.system, edge.hopf.system), {(("z",), ("u",)): S_ONE})
+    bad = ComoduleAlgebra(edge.system, edge.hopf, {**edge.coaction_table, "z": z}, name="bad edge")
+    pairs = {**cov.pairs, (0, 1): replace(pair, target=bad)}
+    return Trivialisation(Covering(cov.pieces, pairs, name=cov.name), sphere.hopf, sphere.cleavings)
+
+
+_TRIVIALISATIONS = {
+    "sphere_covering": builtin.sphere_covering,
+    "sphere_prolonged": lambda: builtin.sphere_prolonged().trivialisation,
+    "patch_prolonged-formal": lambda: builtin.patch_prolonged("formal").trivialisation,
+    "patch_prolonged-3": lambda: builtin.patch_prolonged(3).trivialisation,
+    "example_covering": lambda: _load_trivialisation(SuiteConfig(suite="transition", covering=str(EXAMPLE))),
+}
+
+
+@pytest.mark.parametrize("name", list(_TRIVIALISATIONS))
+def test_transition_certificate_agrees_with_word_loop(name):
+    """Every trivialisation the program builds passes the certificate and the
+    transition-law word loop at degree 3."""
+    triv = _TRIVIALISATIONS[name]()
+    assert triv.validate() == []
+    assert bounded_transition_checks(triv, 3) == []
+
+
+def test_bad_trivialisations_fail_the_certificate_where_the_word_loop_does():
+    """Each trivialisation the word loop at degree 3 rejects, the certificate
+    rejects too; the certificate also rejects two that the loop passes, whose
+    transition laws hold but whose premises do not."""
+    sphere = builtin.sphere_covering()
+    pro = builtin.sphere_prolonged().trivialisation
+    cases = {
+        "edge-map-forgets-twist": Trivialisation(mutants._edge_map_forgets_twist(), sphere.hopf, sphere.cleavings),
+        "piece-0-cleaving-squared": _with_cleavings(pro, [mutants._prolonged_cleaving_squared()] + pro.cleavings[1:]),
+        "every-cleaving-squared": _every_cleaving_squared(),
+        "edge-coaction-breaks-relation": _edge_coaction_breaks_relation(),
+    }
+    found = {}
+    for name, triv in cases.items():
+        new, old = triv.validate(), bounded_transition_checks(triv, 3)
+        assert new or not old, name
+        found[name] = ({f.check for f in new}, [(f.check, f.where) for f in old])
+    checks, old = found["edge-map-forgets-twist"]
+    assert "pair-map-colinear" in checks and old[0] == ("transition-coinvariant", "T_01(u)")
+    checks, old = found["piece-0-cleaving-squared"]
+    assert "cleaving-colinear" in checks and old
+    assert found["every-cleaving-squared"] == ({"cleaving-colinear"}, [])
+    checks, old = found["edge-coaction-breaks-relation"]
+    assert "pair-coaction-well-defined" in checks and old == []
 
 
 def test_equal_cleavings_give_counit_transitions(z2_smash):
@@ -162,8 +247,8 @@ def test_cotensor_membership_examples(u1):
 def test_prolong_certificates_and_identity(sphere, sphere_pro):
     assert sphere_pro.report == []
     triv = sphere_pro.trivialisation
-    assert triv.validate(2) == []
-    assert transition_checks(triv, 2) == []
+    assert triv.validate() == []
+    assert bounded_transition_checks(triv, 2) == []
     # prolonging along the identity reproduces the transition data
     H = builtin.c_z2()
     ident = gens_map(

@@ -146,13 +146,16 @@ def test_cli_out_writes_the_printed_report(fmt, tmp_path, capsys):
 
 @pytest.mark.parametrize("command", [["verify", "--suite", "smash"], ["export", "--algebra", "su_q2"]])
 @pytest.mark.parametrize("target", ["directory", "missing-parent"])
-def test_cli_bad_out_path_is_a_config_error(command, target, tmp_path, capsys):
+def test_cli_bad_out_path_is_a_config_error(command, target, tmp_path, monkeypatch, capsys):
     """An --out path that cannot be written exits 2 with CONFIG_ERROR and
-    leaves no temp file beside it."""
+    leaves no temp file beside it; verify rejects it before any suite runs."""
+    calls = []
+    monkeypatch.setattr("pcomod.cli.run_suite", calls.append)
     out = tmp_path / "out"
     out.mkdir()
     path = out if target == "directory" else tmp_path / "missing" / "r.json"
     assert main(command + ["--out", str(path)]) == 2
+    assert calls == []
     captured = capsys.readouterr()
     assert captured.err.startswith("CONFIG_ERROR: --out ") and captured.out == ""
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["out"]
@@ -313,6 +316,24 @@ def test_covering_json_file(tmp_path):
     cfg = mini_cfg("transition", covering=str(path))
     rep = run_suite(cfg)
     assert rep.passed
+
+
+def test_covering_file_with_intersecting_kernels(tmp_path):
+    """Two pieces sharing the kernel 1 - s*ss: the covering suite's kernel
+    certificate rejects the file, and the transition laws still hold, as they
+    do not depend on the kernels meeting in zero."""
+    doc = {
+        "base": "toeplitz_z2_smash",
+        "base_gens": [["s", "ss"], ["s", "ss"]],
+        "pieces": [{"kernel": ["1 - s*ss"], "cleaving": {"u": "u"}}] * 2,
+    }
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps(doc))
+    records = {r.id: r for r in run_suite(mini_cfg("covering", covering=str(path))).records}
+    assert records["covering/validate"].status == "fail"
+    assert records["covering/validate"].witness.startswith("FAIL[kernel-intersection @ degree<=2]")
+    records = {r.id: r for r in run_suite(mini_cfg("transition", covering=str(path))).records}
+    assert records["transition/laws"].status == "pass"
 
 
 def test_covering_file_without_base_is_a_config_error(tmp_path, capsys):
