@@ -10,7 +10,6 @@ from .hopf import (
     HopfAlgebra,
     HopfIdeal,
     check_hopf_axioms,
-    left_coinvariant_test,
     quotient_hopf,
 )
 from .comodule import (

@@ -166,8 +166,27 @@ class StrongConnection:
 
     @staticmethod
     def from_cleaving(j: CleavingMap) -> "StrongConnection":
-        """ell = (j^-1 (x) j) o Delta, a strong connection in every degree
-        once j is a cleaving (cleft implies principal; Brzezinski-Hajac)."""
+        """ell = (j o S (x) j) o Delta, a strong connection in every degree
+        once ``j.verify()`` passes (cleft implies principal; Brzezinski-Hajac).
+
+        The premises: j is a unital algebra map, colinear on every word
+        (``CleavingMap.verify``), with the Hopf and coaction axioms
+        (``check_hopf_axioms``, ``ComoduleAlgebra.check_axioms``). Write
+        ell(h) = j(S(h_(1))) (x) j(h_(2)).
+
+        - ell(1) = j(1) (x) j(1) = 1 (x) 1.
+        - can(ell(h)) = j(S(h_(1))) j(h_(2)) (x) h_(3) = j(S(h_(1)) h_(2)) (x) h_(3)
+          = 1 (x) h, by colinearity, the antipode law and the counit law.
+        - ell(h)<1> ell(h)<2> = j(S(h_(1)) h_(2)) = eps(h) 1.
+        - Right colinearity of the second leg: j(S(h_(1))) (x) rho(j(h_(2)))
+          = j(S(h_(1))) (x) j(h_(2)) (x) h_(3) = ell(h_(1)) (x) h_(2), by
+          colinearity and coassociativity.
+        - Left colinearity of the first leg: rho(j(S(h_(1)))) =
+          j(S(h_(2))) (x) S(h_(1)), as S is anti-coalgebra; flipped and next
+          to j(h_(3)) that is S(h_(1)) (x) ell(h_(2)).
+
+        ``verify_strong_connection`` checks the same axioms word by word;
+        it stays for word maps that no generator check certifies."""
         P, H = j.P, j.P.hopf
         return StrongConnection(
             P,
@@ -179,7 +198,8 @@ class StrongConnection:
 
 def verify_strong_connection(ell: StrongConnection, degree_bound: int) -> list[CheckFailure]:
     """The three strong-connection axioms plus h^[1] h^[2] = eps(h), on basis
-    words up to the bound."""
+    words up to the bound: for connections that are no cleaving's, such as
+    the sandwich lift of ``principal_quotient_pair_certificate``."""
     failures = []
     P = ell.P
     H = P.hopf

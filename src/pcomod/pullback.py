@@ -258,6 +258,11 @@ class ReducibilityVerdict:
     reducible: bool
     witnesses: list[CheckFailure] = field(default_factory=list)
 
+    @property
+    def transition_witnesses(self) -> list[CheckFailure]:
+        """The witnesses of part (a) of ``reducibility_check``."""
+        return [w for w in self.witnesses if w.check != "action-annihilates-base"]
+
     def __repr__(self):
         return "reducible-witnessed" if self.reducible else f"obstructed({self.witnesses[:1]})"
 
@@ -268,12 +273,30 @@ def reducibility_check(triv: Trivialisation, J: HopfIdeal) -> ReducibilityVerdic
     the reduced pieces and descended H/J-cleavings this licenses are not
     built, as no report reads them.
 
-    (a) is checked on the generators of J. That proves T_ij(J) = 0 when the
-    pair target is commutative, as every shipped one is: T_ij is then a
-    convolution of algebra maps into a commutative algebra, so an algebra
-    map, and an algebra map that kills the generators of J kills J."""
+    (a) is checked on the generators of J, which proves it for all of J when
+    every pair target is commutative. That premise is checked first: a
+    noncommutative target is the witness ``pair-target-commutative`` and
+    means "not certified", not "obstructed". With a commutative target,
+    T_ij is a convolution of algebra maps into a commutative algebra, so an
+    algebra map (``Trivialisation.validate`` gives the rest), and an algebra
+    map that kills the generators of J kills J.
+
+    So T_ij = T o pi factors through pi: H -> H/J. Two corollaries, which
+    the reports read from the witnesses of (a): let h lie in the left
+    coinvariants D = {h : (pi (x) id) Delta h = 1 (x) h}. Applying T (x) id
+    gives T_ij(h_(1)) (x) h_(2) = 1 (x) h, so
+    - T_ij(h) = eps(h) 1, by the counit on the second leg;
+    - pi^i_j(gamma_i(h)) = T_ij(h_(1)) pi^j_i(gamma_j(h_(2))) = pi^j_i(gamma_j(h)),
+      as gamma_j o S is the convolution inverse of gamma_j: the
+      trivialisations agree on D through the double quotients.
+    The bounded word loop over both is the oracle
+    ``bounded_coinvariant_compatibility`` in the tests."""
     H = triv.hopf
-    witnesses: list[CheckFailure] = []
+    witnesses: list[CheckFailure] = [
+        CheckFailure("pair-target-commutative", f"({i},{j})", f"{pair.target.system.name} is not commutative")
+        for (i, j), pair in triv.covering.pairs.items()
+        if not _is_commutative(pair.target.system)
+    ]
     n = triv.covering.size
     for i, j in permutations(range(n), 2):
         for g_idx, g in enumerate(J.gens):

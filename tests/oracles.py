@@ -8,7 +8,9 @@ one table replaced, the product loops and the composition that the memoised
 algebra maps (Delta, the coactions, the prolongation dictionary, j o S)
 replaced, the three-slot decomposition loop that the one-slot certificate
 replaced, the degree-bounded axiom, cleaving and transition-law loops that
-the relation-plus-generator certificates replaced, the strong-connection tables
+the relation-plus-generator certificates replaced, the rank loop that the
+inverse on generators replaced in the quotient isomorphisms, the coinvariant
+compatibility loop that part (a) of reducibility_check replaced, the strong-connection tables
 that the memoised word maps replaced, and the build-at-formal-q-then-substitute path that
 parsing at a fixed q replaced.  It also holds the helpers only tests call: the
 presentation dumper, eta o eps, the group-like basis words, the identity and
@@ -22,6 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import partial
+from itertools import permutations
 from math import lcm
 
 import numpy as np
@@ -30,8 +33,9 @@ from pcomod import builtin
 from pcomod.builtin import toeplitz_system
 from pcomod.comodule import CleavingMap, ComoduleAlgebra
 from pcomod.exprs import ParseError
-from pcomod.hopf import CheckFailure, HopfAlgebra
-from pcomod.maps import LinearMap, gens_map
+from pcomod.hopf import CheckFailure, HopfAlgebra, HopfIdeal
+from pcomod.linalg import RowSpace
+from pcomod.maps import LinearMap, NotWellDefinedError, gens_map
 from pcomod.ncpoly import NCPoly, Word, word_str
 from pcomod.numgeom import membership, probes
 from pcomod.numgeom.circle import (
@@ -1467,6 +1471,96 @@ def quotient_lift_table(H: HopfAlgebra, qH: HopfAlgebra, bound: int) -> dict:
             Tensor.zero((Hs, Hs)),
         )
     return table
+
+
+# ---------------------------------------------------------------------------
+# quotient isomorphisms and coinvariant compatibility on every basis word up
+# to a degree bound (reference for the inverse-on-generators certificate of
+# generator_map_isomorphism_problems and for the corollaries of part (a) of
+# reducibility_check)
+# ---------------------------------------------------------------------------
+
+def bounded_isomorphism_checks(
+    H1: HopfAlgebra, H2: HopfAlgebra, gen_map: dict, bound: int
+) -> list[CheckFailure]:
+    """phi = ``gen_map`` well defined and intertwining Delta, the counit and S
+    on generators, then injective on the basis words of H1 up to the bound
+    (by rank) and onto the basis words of H2 up to the bound (each in the
+    image span). Needs no inverse."""
+    failures: list[CheckFailure] = []
+    try:
+        phi = gens_map("phi", H1.system, H2.system, gen_map, check=True)
+    except NotWellDefinedError as e:
+        return [CheckFailure("iso-well-defined", "rules", str(e))]
+    for g in H1.system.alphabet.gens:
+        img = phi.apply_word((g,))
+        lhs = H1.delta_word((g,)).map_leg(0, phi.apply_word, codomain=H2.system).map_leg(
+            1, phi.apply_word, codomain=H2.system
+        )
+        rhs = H2.delta(img)
+        if lhs != rhs:
+            failures.append(CheckFailure("iso-coproduct", g, f"{lhs!r} != {rhs!r}"))
+        if H1.counit_table[g] != H2.counit(img):
+            failures.append(CheckFailure("iso-counit", g, ""))
+        if phi.apply(H1.antipode_table[g]) != H2.S.apply(img):
+            failures.append(CheckFailure("iso-antipode", g, ""))
+    basis1 = H1.system.basis_words(bound)
+    space = RowSpace()
+    indep = sum(1 for w in basis1 if space.add(dict(phi.apply_word(w).terms)))
+    if indep != len(basis1):
+        failures.append(CheckFailure("iso-injective", f"degree<={bound}", f"rank {indep} < {len(basis1)}"))
+    for w in H2.system.basis_words(bound):
+        if not space.contains({w: S_ONE}):
+            failures.append(CheckFailure("iso-surjective", word_str(w), "not in the image span"))
+            break
+    return failures
+
+
+def left_coinvariant_test(H: HopfAlgebra, J: HopfIdeal, p: NCPoly) -> bool:
+    """True iff (pi (x) id)(Delta p) = [1] (x) p in (H/J) (x) H."""
+    qs = J.quotient_system()
+    p = H.system.normal_form(p)
+    lhs = Tensor((qs, H.system), H.delta(p).terms)
+    rhs = Tensor((qs, H.system), {((), w): c for w, c in p.terms.items()})
+    return lhs == rhs
+
+
+def coinvariant_basis_words(H: HopfAlgebra, J: HopfIdeal, bound: int) -> list[Word]:
+    """The basis words of H up to the bound that are left coinvariant."""
+    return [
+        w
+        for w in H.system.basis_words(bound)
+        if left_coinvariant_test(H, J, NCPoly.word(H.system.alphabet, w))
+    ]
+
+
+def bounded_coinvariant_compatibility(triv, J: HopfIdeal, bound: int) -> list[CheckFailure]:
+    """pi^i_j(gamma_i(h)) = pi^j_i(gamma_j(h)) and T_ij(h) = eps(h) for every
+    left-coinvariant basis word h of H up to the bound, for every ordered
+    pair i != j. Checks no premise of ``reducibility_check``."""
+    H = triv.hopf
+    failures: list[CheckFailure] = []
+    dwords = coinvariant_basis_words(H, J, bound)
+    for i, j in permutations(range(triv.covering.size), 2):
+        target, mi, mj = triv.covering.pair_maps(i, j)
+        for w in dwords:
+            left = mi.apply(triv.cleavings[i].j.apply_word(w))
+            right = mj.apply(triv.cleavings[j].j.apply_word(w))
+            if target.system.normal_form(left - right) != target.system.zero():
+                failures.append(
+                    CheckFailure(
+                        "coinvariant-compatibility",
+                        f"pi^{i}_{j}(gamma_{i}({word_str(w)}))",
+                        f"{left!r} != {right!r}",
+                    )
+                )
+            tij = triv.transition(i, j, w)
+            want = target.system.one().scale(H.counit_word(w))
+            if tij != want:
+                failures.append(
+                    CheckFailure("transition-counit-on-D", f"T_{i}{j}({word_str(w)})", f"{tij!r} != {want!r}")
+                )
+    return failures
 
 
 # ---------------------------------------------------------------------------

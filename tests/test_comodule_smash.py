@@ -239,6 +239,19 @@ def test_bad_cleavings_fail_certificate_and_word_loop(name):
         assert [(f.check, f.where) for f in new] == [("cleaving-well-defined", "u*ui"), ("cleaving-colinear", "ui")]
 
 
+@pytest.mark.parametrize("name", ["toeplitz_z2_smash", "toeplitz_u1_smash", "pw_patch", *_BAD_CLEAVINGS])
+def test_strong_connection_records_agree_with_word_loop(name):
+    """The strong-connection records read the cleaving certificate
+    (StrongConnection.from_cleaving): it passes on the three shipped cleavings
+    exactly where their connections pass the axioms on every basis word of
+    degree <= 4, and it fails on each bad cleaving, whose connection fails
+    them too."""
+    cl = _BAD_CLEAVINGS[name]() if name in _BAD_CLEAVINGS else _CLEAVINGS[name]()[0]
+    new = cl.verify()
+    old = verify_strong_connection(StrongConnection.from_cleaving(cl), 4)
+    assert bool(new) == bool(old) == (name in _BAD_CLEAVINGS)
+
+
 @pytest.mark.parametrize("name", list(_CLEAVINGS))
 def test_memoised_connection_matches_eager_table(name):
     """ell = (j o S (x) j) o Delta on every basis word of degree <= 4 equals

@@ -11,9 +11,7 @@ from pcomod.hopf import (
     HopfIdeal,
     NotHopfIdealError,
     check_hopf_axioms,
-    coinvariant_basis_words,
     generator_map_isomorphism_problems,
-    left_coinvariant_test,
     quotient_hopf,
 )
 from pcomod.mutants import MUTANTS
@@ -22,7 +20,15 @@ from pcomod.rewrite import RewriteSystem
 from pcomod.scalars import S_ONE, S_Q, S_ZERO
 from pcomod.tensors import Tensor
 
-from oracles import Z2Model, bounded_coaction_axioms, bounded_hopf_axioms, group_like_words
+from oracles import (
+    Z2Model,
+    bounded_coaction_axioms,
+    bounded_hopf_axioms,
+    bounded_isomorphism_checks,
+    coinvariant_basis_words,
+    group_like_words,
+    left_coinvariant_test,
+)
 
 
 def test_delta_examples(z2, su):
@@ -76,9 +82,9 @@ def test_quotient_u1_is_z2_by_structure_constants(u1, z2):
         assert qH.delta_word(w) == Tensor((qH.system, qH.system), legs)
         assert qH.counit_word(w) == S_ONE
         assert qH.S.apply_word(w) == NCPoly.word(qH.system.alphabet, ("u",) * Z2Model.antipode(i))
-    assert generator_map_isomorphism_problems(
-        qH, z2, {"u": NCPoly.gen(z2.system.alphabet, "u"), "ui": NCPoly.gen(z2.system.alphabet, "u")}, 3
-    ) == []
+    gm = {"u": z2.system.gen("u"), "ui": z2.system.gen("u")}
+    assert generator_map_isomorphism_problems(qH, z2, gm, {"u": qH.system.gen("u")}) == []
+    assert bounded_isomorphism_checks(qH, z2, gm, 3) == []
 
 
 def test_quotient_gl_is_sl(gl, sl):
@@ -87,7 +93,55 @@ def test_quotient_gl_is_sl(gl, sl):
     qG, _ = quotient_hopf(gl, J)
     gm = {g: NCPoly.gen(sl.system.alphabet, g) for g in ("a", "b", "c", "d")}
     gm["Di"] = NCPoly.one(sl.system.alphabet)
-    assert generator_map_isomorphism_problems(qG, sl, gm, 3) == []
+    inverse = {g: qG.system.gen(g) for g in ("a", "b", "c", "d")}
+    assert generator_map_isomorphism_problems(qG, sl, gm, inverse) == []
+    assert bounded_isomorphism_checks(qG, sl, gm, 3) == []
+
+
+def _quotient_identifications(q):
+    """(H/J, target, phi on generators, its inverse on generators) for
+    O(U(1))/<u^2 - 1> = C[Z/2] and GL_q(2)/<D - 1> = SL_q(2), as the
+    ``reduction/quotient-identifications`` record states them."""
+    z2 = builtin.c_z2()
+    u1 = builtin.o_u1()
+    qh, _ = quotient_hopf(u1, builtin.u1_mod_z2_ideal(u1))
+    yield qh, z2, {"u": z2.system.gen("u"), "ui": z2.system.gen("u")}, {"u": qh.system.gen("u")}
+    gl, sl = builtin.gl_q2(q), builtin.sl_q2(q)
+    qg, _ = quotient_hopf(gl, builtin.gl_mod_det_ideal(gl))
+    abcd = ("a", "b", "c", "d")
+    yield qg, sl, {**{g: sl.system.gen(g) for g in abcd}, "Di": sl.system.one()}, {g: qg.system.gen(g) for g in abcd}
+
+
+@pytest.mark.parametrize("q", ["formal", 3])
+def test_quotient_isomorphisms_agree_with_rank_loop(q):
+    """The inverse-on-generators certificate and the rank loop at degree 3
+    both accept each quotient identification, and both reject a Hopf map
+    that is not injective (u -> 1, the counit)."""
+    for H1, H2, gm, inverse in _quotient_identifications(q):
+        assert generator_map_isomorphism_problems(H1, H2, gm, inverse) == []
+        assert bounded_isomorphism_checks(H1, H2, gm, 3) == []
+    qh, z2, _, inverse = next(_quotient_identifications(q))
+    counit = {"u": z2.system.one(), "ui": z2.system.one()}
+    new = generator_map_isomorphism_problems(qh, z2, counit, inverse)
+    old = bounded_isomorphism_checks(qh, z2, counit, 3)
+    assert [(f.check, f.where) for f in new] == [
+        ("iso-inverse", "psi(phi(u))"),
+        ("iso-inverse", "psi(phi(ui))"),
+        ("iso-inverse", "phi(psi(u))"),
+    ]
+    assert [f.check for f in old] == ["iso-injective", "iso-surjective"]
+
+
+def test_wrong_inverse_is_an_inverse_witness():
+    """phi: O(U(1))/<u^2 - 1> -> C[Z/2] is an isomorphism, but u -> 1 is not
+    its inverse: the certificate names the round trip that fails."""
+    qh, z2, gm, _ = next(_quotient_identifications("formal"))
+    fails = generator_map_isomorphism_problems(qh, z2, gm, {"u": qh.system.one()})
+    assert [(f.check, f.where) for f in fails] == [
+        ("iso-inverse", "psi(phi(u))"),
+        ("iso-inverse", "psi(phi(ui))"),
+        ("iso-inverse", "phi(psi(u))"),
+    ]
 
 
 def test_quotient_by_zero_ideal(z2):

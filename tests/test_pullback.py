@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 from itertools import product
 from pathlib import Path
@@ -35,7 +36,7 @@ from pcomod.scalars import S_ONE, S_Q, Scalar
 from pcomod.suites import SuiteConfig, _load_trivialisation
 from pcomod.tensors import Tensor
 
-from oracles import bounded_transition_checks, diagonal_transition
+from oracles import bounded_coinvariant_compatibility, bounded_transition_checks, diagonal_transition
 
 
 def test_sphere_covering_validates(sphere):
@@ -214,11 +215,48 @@ def test_transition_kills_ideal_exactly(sphere_pro):
 
 def test_cleavings_agree_on_coinvariants(sphere_pro):
     """Annihilating the ideal makes the trivialisations compatible on the
-    coinvariant subalgebra: the glued reduction map is well defined."""
-    from pcomod.hopf import coinvariant_compatibility_check
-
+    coinvariant subalgebra: the glued reduction map is well defined. Part (a)
+    of the verdict proves it in every degree; the word loop checks degree 2."""
     J = builtin.u1_mod_z2_ideal()
-    assert coinvariant_compatibility_check(sphere_pro.trivialisation, J, 2) == []
+    assert reducibility_check(sphere_pro.trivialisation, J).transition_witnesses == []
+    assert bounded_coinvariant_compatibility(sphere_pro.trivialisation, J, 2) == []
+
+
+def _unit_ideal(H) -> HopfIdeal:
+    """<u - 1>, the kernel of the counit of C[Z/2]."""
+    return HopfIdeal(H, [H.system.gen("u") - H.system.one()], name="<u-1>")
+
+
+def test_twisted_sphere_fails_part_a_and_the_coinvariant_loop(sphere):
+    """For J = <u - 1> every element of C[Z/2] is left coinvariant, and the
+    sphere's parity twist makes T_01(u) the class v, not 1: part (a) of the
+    verdict and the word loop both reject it."""
+    J = _unit_ideal(sphere.hopf)
+    verdict = reducibility_check(sphere, J)
+    assert verdict.transition_witnesses
+    assert {f.check for f in verdict.transition_witnesses} == {"transition-annihilates-J"}
+    old = bounded_coinvariant_compatibility(sphere, J, 2)
+    assert ("transition-counit-on-D", "T_01(u)") in [(f.check, f.where) for f in old]
+
+
+def test_noncommutative_pair_target_is_not_certified(tmp_path):
+    """Two pieces of toeplitz_z2_smash with empty kernels: the pair target is
+    the smash product itself, where s*ss != ss*s, so T_01 killing the
+    generator of J = <u - 1> proves nothing about J. The verdict says so with
+    ``pair-target-commutative``. T_01 = eta eps on all of C[Z/2], so it does
+    kill J here: the premise fails, the claim does not."""
+    doc = {"base": "toeplitz_z2_smash", "pieces": [{"kernel": [], "cleaving": {"u": "u"}}] * 2}
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps(doc))
+    triv = _load_trivialisation(SuiteConfig(suite="transition", covering=str(path)))
+    H = triv.hopf
+    verdict = reducibility_check(triv, _unit_ideal(H))
+    assert not verdict.reducible
+    assert [(f.check, f.where) for f in verdict.witnesses] == [("pair-target-commutative", "(0,1)")]
+    target = triv.covering.pair_maps(0, 1)[0].system
+    for w in H.system.basis_words(2):
+        assert triv.transition(0, 1, w) == target.one().scale(H.counit_word(w))
+    assert bounded_coinvariant_compatibility(triv, _unit_ideal(H), 2) == []
 
 
 def test_cotensor_membership_examples(u1):

@@ -318,6 +318,19 @@ def test_covering_json_file(tmp_path):
     assert rep.passed
 
 
+def test_one_piece_covering_file_reports(tmp_path, capsys):
+    """A covering of one piece has no pair and no T_01: the transition suite
+    reports on it instead of ending in an IndexError."""
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps({"base": "toeplitz_z2_smash", "pieces": [{"kernel": [], "cleaving": {"u": "u"}}]}))
+    records = run_suite(mini_cfg("transition", covering=str(path))).records
+    assert [(r.id, r.status, r.witness) for r in records] == [
+        ("transition/laws", "pass", ""),
+        ("transition/values", "pass", ""),
+    ]
+    assert main(["verify", "--suite", "transition", "--covering", str(path)]) == 0
+
+
 def test_covering_file_with_intersecting_kernels(tmp_path):
     """Two pieces sharing the kernel 1 - s*ss: the covering suite's kernel
     certificate rejects the file, and the transition laws still hold, as they
