@@ -6,11 +6,10 @@ write or check the manifest of those hashes.
     python3 scripts/hash_sweep.py --check    compare against it; exit 1 on a mismatch
 
 The sweep covers every suite at q = formal, cbrt1, 1, 2, 3 and -1; the
-degree-bounded exact suites at --degree 1, 2, 3 and 5; the covering and
-transition suites on scripts/example_covering.json; and the numeric suites at
-two grids and two seeds.  Each report is hashed as the sha256 of
-SuiteReport.canonical_json(), and each of its records on its own, so that a
-mismatch names the report and the first record that differs.  A change that
+covering and transition suites on scripts/example_covering.json; and the
+numeric suites at two grids and two seeds.  Each report is hashed as the
+sha256 of SuiteReport.canonical_json(), and each of its records on its own,
+so that a mismatch names the report and the first record that differs.  A change that
 claims to keep every report byte-identical must pass --check unchanged.
 """
 
@@ -30,8 +29,6 @@ from pcomod.numgeom import GridConfig  # noqa: E402
 from pcomod.suites import SUITES, SuiteConfig, run_suite  # noqa: E402
 
 QS = ("formal", "cbrt1", 1, 2, 3, -1)
-DEGREES = (1, 2, 3, 5)  # 4 is the default, hashed in the q sweep
-DEGREE_SUITES = ("hopf-axioms", "strong-connection", "covering", "transition")
 COVERING = "scripts/example_covering.json"  # relative: reports name the file as given
 NUMERIC_SUITES = ("quantum-rp2", "sphere-gluing", "mattprop", "disc-decomposition", "parity-probe", "peter-weyl")
 GRIDS = ((720, 257), (64, 33))
@@ -43,9 +40,6 @@ def sweep():
     for q in QS:
         for suite in SUITES:
             yield f"{suite} q={q}", SuiteConfig(suite=suite, q=q)
-    for degree in DEGREES:
-        for suite in DEGREE_SUITES:
-            yield f"{suite} degree={degree}", SuiteConfig(suite=suite, degree=degree)
     for suite in ("covering", "transition"):
         yield f"{suite} covering={COVERING}", SuiteConfig(suite=suite, covering=COVERING)
     for n, m in GRIDS:

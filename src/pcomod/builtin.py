@@ -597,43 +597,32 @@ def export_presentation(name: str) -> dict:
 # quantum-plane unit certificate
 # ---------------------------------------------------------------------------
 
-@dataclass
-class UnitsCertificate:
-    max_degree: int
-    pairs_checked: int
-    ok: bool
-    detail: str = ""
+def quantum_plane_units_certificate(B: RewriteSystem) -> list[CheckFailure]:
+    """Certify from its one rule that the only invertible elements of B are
+    the nonzero scalars, in every degree.
 
-
-def quantum_plane_units_certificate(B: RewriteSystem, max_degree: int = 6) -> UnitsCertificate:
-    """Desk-scale certificate that the only invertible elements are scalars.
-
-    Checks that the product of any two basis monomials up to the bound is a
-    single nonzero monomial whose bidegree is the sum of the factors'.  Since
-    the lexicographically largest bidegree of a product is then the sum of
-    the factors' largest bidegrees with nonzero coefficient, a product p*r of
-    nonzero elements with deg p >= 1 can never collapse to a scalar, so no
-    element of positive degree has an inverse of degree <= the bound.
+    The premise, checked here: B has two noncentral generators x < y and
+    exactly one rule, y*x -> c*x*y with c != 0.  Its normal forms are then the
+    words x^a y^b, one in each bidegree (a, b).  Each reduction step sends a
+    word to a nonzero multiple of one word with the same letters, so
+    x^a y^b * x^e y^f is a nonzero multiple of x^(a+e) y^(b+f).  Order the
+    bidegrees lexicographically: the top bidegree of a product p*r of nonzero
+    elements is the sum of the factors' top bidegrees, with the product of
+    their top coefficients times a power of c, which is not zero.  So p*r = 1
+    forces both top bidegrees to be (0, 0): p and r are scalars.
     """
-    basis = B.basis_words(max_degree)
-    pairs = 0
-    for w1 in basis:
-        for w2 in basis:
-            if not w1 and not w2:
-                continue
-            if len(w1) + len(w2) > max_degree:
-                continue
-            pairs += 1
-            prod = B.mul(NCPoly.word(B.alphabet, w1), NCPoly.word(B.alphabet, w2))
-            if len(prod.terms) != 1:
-                return UnitsCertificate(max_degree, pairs, False, f"{word_str(w1)}*{word_str(w2)} not monomial")
-            (w, c), = prod.terms.items()
-            if c.is_zero():
-                return UnitsCertificate(max_degree, pairs, False, f"{word_str(w1)}*{word_str(w2)} vanishes")
-            bidg = lambda ww: (sum(1 for g in ww if g == "x"), sum(1 for g in ww if g == "y"))
-            if bidg(w) != tuple(a + b for a, b in zip(bidg(w1), bidg(w2))):
-                return UnitsCertificate(max_degree, pairs, False, f"bidegree drop at {word_str(w1)}*{word_str(w2)}")
-    return UnitsCertificate(max_degree, pairs, True)
+    al = B.alphabet
+    if len(al.gens) != 2 or al.central:
+        return [CheckFailure("units-premise", "generators", f"{al.gens} with central {sorted(al.central)}")]
+    if len(B.rules) != 1:
+        return [CheckFailure("units-premise", "rules", f"{len(B.rules)} rules, not one")]
+    x, y = al.gens
+    (rule,) = B.rules
+    terms = rule.rhs.terms
+    if rule.lhs_word != (y, x) or list(terms) != [(x, y)] or terms[(x, y)].is_zero():
+        want = f"{y}*{x} -> c*{x}*{y} with c != 0"
+        return [CheckFailure("units-premise", word_str(rule.lhs_word), f"rule {rule!r} is not {want}")]
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -662,12 +651,12 @@ def frame_bundle_obstruction(q="formal") -> ObstructionVerdict:
     steps: list[str] = []
     smash = plane_gl_smash(q)
     steps.append("action well-defined: module-algebra axioms pass on all generator/relation pairs")
-    cert = quantum_plane_units_certificate(smash.b_system, 6)
-    if not cert.ok:
-        raise RuntimeError(f"units certificate failed: {cert.detail}")
+    fails = quantum_plane_units_certificate(smash.b_system)
+    if fails:
+        raise RuntimeError(f"units certificate failed: {fails[0]}")
     steps.append(
-        f"units certificate: {cert.pairs_checked} monomial products up to degree {cert.max_degree} "
-        "stay monomial, so invertibles are scalars and theta(Di) = mu*1"
+        "units certificate: the one rule y*x -> c*x*y with c != 0 keeps products of monomials "
+        "monomial in every degree, so invertibles are scalars and theta(Di) = mu*1"
     )
     H = smash.hopf
     B = smash.b_system

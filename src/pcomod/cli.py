@@ -25,7 +25,6 @@ def make_parser() -> argparse.ArgumentParser:
     v.add_argument("--suite", required=True, help="suite name (see list-suites) or 'all'")
     v.add_argument("--algebra", help="restrict an axiom suite to one builtin")
     v.add_argument("--covering", help="covering JSON file for the covering/transition suites")
-    v.add_argument("--degree", type=int, default=d.degree, help="symbolic degree bound")
     v.add_argument("--q", default=str(d.q), help="'formal', 'cbrt1', or an integer")
     v.add_argument("--grid-circle", type=int, default=d.grid.n_circle)
     v.add_argument("--grid-interval", type=int, default=d.grid.m_interval)
@@ -92,7 +91,6 @@ def main(argv=None) -> int:
             suite=args.suite,
             algebra=args.algebra,
             covering=args.covering,
-            degree=args.degree,
             q=_parse_q(args.q),
             grid=GridConfig(
                 n_circle=args.grid_circle,

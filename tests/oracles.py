@@ -10,7 +10,8 @@ replaced, the three-slot decomposition loop that the one-slot certificate
 replaced, the degree-bounded axiom, cleaving and transition-law loops that
 the relation-plus-generator certificates replaced, the rank loop that the
 inverse on generators replaced in the quotient isomorphisms, the coinvariant
-compatibility loop that part (a) of reducibility_check replaced, the strong-connection tables
+compatibility loop that part (a) of reducibility_check replaced, the
+quantum plane's degree-6 units loop that its one-rule certificate replaced, the strong-connection tables
 that the memoised word maps replaced, and the build-at-formal-q-then-substitute path that
 parsing at a fixed q replaced.  It also holds the helpers only tests call: the
 presentation dumper, eta o eps, the group-like basis words, the identity and
@@ -1561,6 +1562,37 @@ def bounded_coinvariant_compatibility(triv, J: HopfIdeal, bound: int) -> list[Ch
                     CheckFailure("transition-counit-on-D", f"T_{i}{j}({word_str(w)})", f"{tij!r} != {want!r}")
                 )
     return failures
+
+
+# ---------------------------------------------------------------------------
+# the quantum plane's units on every product of basis monomials up to a degree
+# bound (reference for the one-rule certificate of
+# builtin.quantum_plane_units_certificate)
+# ---------------------------------------------------------------------------
+
+def bounded_units_check(B: RewriteSystem, max_degree: int = 6) -> tuple[int, str]:
+    """(pairs checked, reason) for the products of any two basis monomials
+    up to the bound: each must be a single nonzero monomial whose bidegree
+    is the sum of the factors'.  The reason is "" when all pass."""
+    basis = B.basis_words(max_degree)
+    pairs = 0
+    for w1 in basis:
+        for w2 in basis:
+            if not w1 and not w2:
+                continue
+            if len(w1) + len(w2) > max_degree:
+                continue
+            pairs += 1
+            prod = B.mul(NCPoly.word(B.alphabet, w1), NCPoly.word(B.alphabet, w2))
+            if len(prod.terms) != 1:
+                return pairs, f"{word_str(w1)}*{word_str(w2)} not monomial"
+            (w, c), = prod.terms.items()
+            if c.is_zero():
+                return pairs, f"{word_str(w1)}*{word_str(w2)} vanishes"
+            bidg = lambda ww: (sum(1 for g in ww if g == "x"), sum(1 for g in ww if g == "y"))
+            if bidg(w) != tuple(a + b for a, b in zip(bidg(w1), bidg(w2))):
+                return pairs, f"bidegree drop at {word_str(w1)}*{word_str(w2)}"
+    return pairs, ""
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 import oracles
 from pcomod import builtin
 from pcomod.cli import main
-from pcomod.exprs import parse_poly, parse_tensor_terms
+from pcomod.exprs import load_presentation, parse_poly, parse_tensor_terms
 from pcomod.hopf import HopfAlgebra
 from pcomod.ncpoly import NCPoly
 from pcomod.scalars import GaussRat, S_ONE, Scalar
@@ -54,8 +54,21 @@ def test_q_one_degenerations():
 
 
 def test_units_certificate():
-    cert = builtin.quantum_plane_units_certificate(builtin.quantum_plane(), 6)
-    assert cert.ok and cert.pairs_checked == 209
+    """The one-rule certificate and the degree-6 product loop both pass, at
+    formal q, at q = 1 and at q = 3."""
+    for q in ("formal", 1, 3):
+        B = builtin.quantum_plane(q)
+        assert builtin.quantum_plane_units_certificate(B) == [], q
+        assert oracles.bounded_units_check(B, 6) == (209, ""), q
+
+
+@pytest.mark.parametrize("relation", ["x*y = Q*y*x + x", "x*y = 0"])
+def test_units_certificate_rejects_mutant_planes(relation):
+    """A rule with two terms and a rule that kills x*y: the certificate and
+    the degree-6 product loop both reject each plane."""
+    B, _ = load_presentation({**builtin.PRESENTATIONS["quantum_plane"], "relations": [relation]})
+    assert [f.check for f in builtin.quantum_plane_units_certificate(B)] == ["units-premise"]
+    assert oracles.bounded_units_check(B, 6)[1]
 
 
 def test_su_to_u1_surjection_checks():

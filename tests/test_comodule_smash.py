@@ -187,6 +187,16 @@ def test_principal_pair_certificates(u1, gl):
     assert fails == []
 
 
+def test_u1_mod_z2_pair_covers_every_word_at_bound_one(u1):
+    """The o_u1-mod-z2 quotient C[Z/2] has the basis {1, u}, so the pair's
+    certificate at bound 1 checks every quotient word: it finds what bound 3
+    finds, which is nothing."""
+    J = builtin.u1_mod_z2_ideal(u1)
+    fails, _, P = principal_quotient_pair_certificate(u1, J, 1)
+    assert P.hopf.system.basis_words(5) == [(), ("u",)]
+    assert fails == principal_quotient_pair_certificate(u1, J, 3)[0] == []
+
+
 # -- the generator certificate and the memoised connections against the word loops
 
 def _patch_breaks_relation() -> CleavingMap:

@@ -25,7 +25,7 @@ from pcomod.suites import (
 
 def mini_cfg(suite, **kw):
     grid = GridConfig(n_circle=720, m_interval=65, seed=7)
-    return SuiteConfig(suite=suite, grid=grid, **{"degree": 2, "trials": 10, "mc_samples": 500, **kw})
+    return SuiteConfig(suite=suite, grid=grid, **{"trials": 10, "mc_samples": 500, **kw})
 
 
 def test_run_single_suites():
@@ -105,9 +105,10 @@ def test_record_seeds_are_id_labels():
 
 
 def test_jobs_is_a_constant_and_not_a_flag(capsys):
-    """Neither "jobs" nor "trunc" is a flag; the report keeps both as constants."""
+    """None of "jobs", "trunc" and "degree" is a flag; the report keeps each
+    as a constant."""
     params = run_suite(mini_cfg("transition")).params
-    for key, value in (("jobs", 1), ("trunc", 64)):
+    for key, value in (("jobs", 1), ("trunc", 64), ("degree", 4)):
         assert params[key] == value
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "transition", f"--{key}", "2"])
@@ -240,7 +241,7 @@ def test_cli_algebra_of_the_wrong_kind_is_a_config_error(capsys, suite, algebra)
 
 
 def test_cli_algebra_restricts_only_the_axiom_suite_that_has_it(capsys):
-    args = ["--degree", "2", "--trials", "10", "--samples", "500", "--grid-interval", "65"]
+    args = ["--trials", "10", "--samples", "500", "--grid-interval", "65"]
     assert main(["verify", "--suite", "all", "--algebra", "su_q2", *args]) == 0
     ids = [r["id"] for r in json.loads(capsys.readouterr().out)["records"]]
     assert [i for i in ids if i.startswith("hopf-axioms/")] == ["hopf-axioms/su_q2"]
@@ -250,8 +251,7 @@ def test_cli_algebra_restricts_only_the_axiom_suite_that_has_it(capsys):
 
 @pytest.mark.parametrize(
     "suite, flag, value",
-    [("peter-weyl", "--samples", "0"), ("parity-probe", "--trials", "0"), ("covering", "--degree", "-1"),
-     ("covering", "--degree", "0"), ("hopf-axioms", "--q", "0")],
+    [("peter-weyl", "--samples", "0"), ("parity-probe", "--trials", "0"), ("hopf-axioms", "--q", "0")],
 )
 def test_cli_counts_below_one_are_config_errors(capsys, suite, flag, value):
     assert main(["verify", "--suite", suite, flag, value]) == 2
@@ -320,15 +320,28 @@ def test_covering_json_file(tmp_path):
 
 def test_one_piece_covering_file_reports(tmp_path, capsys):
     """A covering of one piece has no pair and no T_01: the transition suite
-    reports on it instead of ending in an IndexError."""
+    reports on it instead of ending in an IndexError, and leaves the values
+    record undecided instead of passing it unchecked."""
     path = tmp_path / "cover.json"
     path.write_text(json.dumps({"base": "toeplitz_z2_smash", "pieces": [{"kernel": [], "cleaving": {"u": "u"}}]}))
     records = run_suite(mini_cfg("transition", covering=str(path))).records
     assert [(r.id, r.status, r.witness) for r in records] == [
         ("transition/laws", "pass", ""),
-        ("transition/values", "pass", ""),
+        ("transition/values", "undecided", "no T_01(u): the covering has one piece"),
     ]
-    assert main(["verify", "--suite", "transition", "--covering", str(path)]) == 0
+    assert main(["verify", "--suite", "transition", "--covering", str(path)]) == 3
+
+
+def test_covering_file_over_h_without_u_leaves_values_undecided(tmp_path):
+    """Over GL_q(2), which has no generator u, there is no T_01(u): the
+    values record is undecided and says why."""
+    piece = {"kernel": [], "cleaving": {g: g for g in ("a", "b", "c", "d", "Di")}}
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps({"base": "plane_gl_smash", "pieces": [piece, piece]}))
+    records = {r.id: r for r in run_suite(mini_cfg("transition", covering=str(path))).records}
+    assert records["transition/laws"].status == "pass"
+    values = records["transition/values"]
+    assert (values.status, values.witness) == ("undecided", "no T_01(u): H has no generator u")
 
 
 def test_covering_file_with_intersecting_kernels(tmp_path):
@@ -447,7 +460,6 @@ def small_configs(draw):
     n_circle = draw(st.integers(1, 8).map(lambda k: 8 * k) | st.integers(8, 64))
     return SuiteConfig(
         suite=draw(st.sampled_from([*suites.SUITES, "all"])),
-        degree=draw(st.integers(1, 3)),
         q=draw(st.sampled_from(["formal", 1, 2, -1, 3])),
         grid=GridConfig(n_circle=n_circle, m_interval=draw(st.integers(2, 33)),
                         seed=draw(st.sampled_from([20130915, 1, 7]))),
