@@ -28,10 +28,7 @@ def make_parser() -> argparse.ArgumentParser:
     v.add_argument("--q", default=str(d.q), help="'formal', 'cbrt1', or an integer")
     v.add_argument("--grid-circle", type=int, default=d.grid.n_circle)
     v.add_argument("--grid-interval", type=int, default=d.grid.m_interval)
-    v.add_argument("--tol", type=float, default=d.grid.tol)
     v.add_argument("--seed", type=int, default=d.grid.seed)
-    v.add_argument("--trials", type=int, default=d.trials)
-    v.add_argument("--samples", type=int, default=d.mc_samples, help="Monte-Carlo sample count")
     v.add_argument("--format", choices=("json", "md"), default="json")
     v.add_argument("--out", help="write the report to this path (atomic)")
 
@@ -92,14 +89,7 @@ def main(argv=None) -> int:
             algebra=args.algebra,
             covering=args.covering,
             q=_parse_q(args.q),
-            grid=GridConfig(
-                n_circle=args.grid_circle,
-                m_interval=args.grid_interval,
-                tol=args.tol,
-                seed=args.seed,
-            ),
-            trials=args.trials,
-            mc_samples=args.samples,
+            grid=GridConfig(n_circle=args.grid_circle, m_interval=args.grid_interval, seed=args.seed),
         )
         report = run_suite(cfg)
         text = report.to_markdown() if args.format == "md" else report.to_json()

@@ -231,14 +231,14 @@ def _surjection_not_algebra_map() -> list[str]:
 
 def _phi_wrong_slope() -> list[str]:
     from .numgeom.circle import _angdist, delta_angle
-    from .numgeom.grids import GridConfig, Z2, interval_nodes
+    from .numgeom.grids import TOL, GridConfig, Z2, interval_nodes
 
     cfg = GridConfig()
     bad_phi = lambda th: np.clip(2.0 - (3.0 / np.pi) * _angdist(th, 0.0), -1.0, 1.0)
     t = interval_nodes(cfg.m_interval)[None, :]
     k = Z2[:, None]
     resid = float(np.max(np.abs(bad_phi(delta_angle(1, k, t)) - k)))
-    return [f"chart composition residual {resid:.3f}"] if resid > cfg.tol else []
+    return [f"chart composition residual {resid:.3f}"] if resid > TOL else []
 
 
 def _face_sign_flip() -> list[str]:
@@ -258,7 +258,7 @@ def _face_sign_flip() -> list[str]:
 
 
 def _omega_wrong_denominator() -> list[str]:
-    from .numgeom.grids import GridConfig
+    from .numgeom.grids import TOL, GridConfig
 
     cfg = GridConfig()
     rng = cfg.rng(99)
@@ -269,7 +269,7 @@ def _omega_wrong_denominator() -> list[str]:
     aa, cc = np.abs(a) ** 2, np.abs(c) ** 2
     omega2 = 2.0 / (1.0 + aa)  # wrong: drops the |a|^2-|c|^2 fold
     resid = float(np.max(np.abs((1 - omega2 * aa) * (1 - omega2 * cc))))
-    return [f"zero-identity residual {resid:.3f}"] if resid > cfg.tol else []
+    return [f"zero-identity residual {resid:.3f}"] if resid > TOL else []
 
 
 def _parity_mislabeled_generator() -> list[str]:

@@ -14,7 +14,7 @@ if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_
     finally:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
-from .grids import GridConfig, circle_angles, interval_nodes
+from .grids import TOL, GridConfig, circle_angles, interval_nodes
 from .circle import (
     delta_angle,
     gauge_conjugation_report,

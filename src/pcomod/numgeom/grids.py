@@ -6,12 +6,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# every numeric pass gate: a residual passes when it is below TOL
+TOL = 1e-9
+
 
 @dataclass
 class GridConfig:
     n_circle: int = 720          # uniform angles, 8 | n so quarter breakpoints are grid points
     m_interval: int = 257        # Chebyshev nodes on [-1, 1], endpoints included
-    tol: float = 1e-9
     seed: int = 20130915
 
     def rng(self, salt: int = 0) -> np.random.Generator:

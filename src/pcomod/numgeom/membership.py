@@ -12,7 +12,7 @@ import numpy as np
 from ..ncpoly import NCPoly
 from ..scalars import S_ONE, Scalar
 from .circle import delta_angle
-from .grids import GridConfig, Z2, interval_nodes
+from .grids import TOL, GridConfig, Z2, interval_nodes
 from .toeplitz import _toeplitz_basis, symbol, toeplitz_flip
 
 _HALF = Scalar.of(Fraction(1, 2))
@@ -75,7 +75,7 @@ def rp2_membership(tup: Sequence[NCPoly], cfg: GridConfig) -> tuple[bool, float]
     r = 0.0
     for _, a, b, i, j in GLUINGS:
         r = max(r, _sup(F[a].eval(delta_angle(i, k, t)) - F[b].eval(delta_angle(j, k, k * t))))
-    return r < cfg.tol, r
+    return r < TOL, r
 
 
 def disc_membership(tup: Sequence[NCPoly], cfg: GridConfig) -> tuple[bool, float]:
@@ -86,7 +86,7 @@ def disc_membership(tup: Sequence[NCPoly], cfg: GridConfig) -> tuple[bool, float
     r = 0.0
     for _, a, b, i, j in GLUINGS:
         r = max(r, _sup(F[a].eval(delta_angle(i, -1.0, t)) - F[b].eval(delta_angle(j, -1.0, t))))
-    return r < cfg.tol, r
+    return r < TOL, r
 
 
 def face_atlas(elt: SphereElement, cfg: GridConfig) -> dict:
@@ -109,7 +109,7 @@ def face_atlas(elt: SphereElement, cfg: GridConfig) -> dict:
             for c in (1.0, -1.0):
                 edges[(key, int(a), int(c))] = _sup(face(pa, i, a, c) - face(pb, j, c, a))
     worst = max(edges.values())
-    return {"edges": edges, "max_residual": worst, "pass": worst < cfg.tol}
+    return {"edges": edges, "max_residual": worst, "pass": worst < TOL}
 
 
 # ---------------------------------------------------------------------------

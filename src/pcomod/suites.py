@@ -7,7 +7,6 @@ A suite body is a generator that does its work and yields one
 from __future__ import annotations
 
 import json
-import math
 import os
 import tempfile
 import time
@@ -22,6 +21,7 @@ from .hopf import check_hopf_axioms, generator_map_isomorphism_problems, quotien
 from .maps import NotWellDefinedError, gens_map, relation_mismatches
 from .ncpoly import NCPoly
 from .numgeom import (
+    TOL,
     GridConfig,
     SphereElement,
     decomposition_report,
@@ -79,8 +79,9 @@ class SuiteConfig:
     covering: str | None = None
     q: str | int = "formal"
     grid: GridConfig = field(default_factory=GridConfig)
-    trials: int = 100
-    mc_samples: int = 10_000
+
+
+PARITY_TRIALS = 100  # the parity probe's loops of each family, params["trials"]
 
 
 @dataclass
@@ -137,7 +138,9 @@ class SuiteReport:
         lines = [f"# suite {self.suite}", "", "| check | status | residual | witness |", "|---|---|---|---|"]
         for r in self.records:
             res = "" if r.residual is None else f"{r.residual:.2e}"
-            lines.append(f"| {r.id} | {r.status} | {res} | {r.witness[:80]} |")
+            # a witness may hold "|" (the action symbol |>), which would split the cell
+            witness = r.witness[:80].replace("|", "\\|")
+            lines.append(f"| {r.id} | {r.status} | {res} | {witness} |")
         lines.append("")
         lines.append(f"result: {'pass' if self.passed else 'FAIL'} ({self.n_fail} fail, {self.n_undecided} undecided)")
         return "\n".join(lines)
@@ -348,6 +351,11 @@ def load_covering_file(path: str):
         raise ConfigError(f"covering file {path}: base_gens {unknown} are not generators of {doc['base']}")
     kernels = [[_parse_file_poly(path, e, base.system.alphabet) for e in piece.get("kernel", ())]
                for piece in doc["pieces"]]
+    for idx, piece in enumerate(doc["pieces"]):
+        for expr, k in zip(piece.get("kernel", ()), kernels[idx]):
+            nf = base.system.normal_form(k)
+            if list(nf.terms) == [()]:  # a zero piece; no rewrite rule has an empty left side
+                raise ConfigError(f"covering file {path}: piece {idx} kernel generator {expr!r} is the constant {nf!r}")
     cov = Covering.from_kernels(base, kernels, base_gens=[tuple(b) for b in bg] if bg else None,
                                 name=doc.get("name", os.path.basename(path)))
     cleavings = []
@@ -559,13 +567,13 @@ def suite_sphere_gluing(cfg: SuiteConfig) -> Iterator[CheckRecord]:
     yield _check("sphere/chart-identities", "quarter-chart compositions and oddness", worst < 1e-12, residual=worst)
     worst = max(splitting_identities_report(cfg.grid).values())
     yield _check(
-        "sphere/splitting-identities", "the colinear splittings invert the charts", worst < cfg.grid.tol, residual=worst
+        "sphere/splitting-identities", "the colinear splittings invert the charts", worst < TOL, residual=worst
     )
     worst = max(gauge_conjugation_report(cfg.grid).values())
     yield _check(
         "sphere/gauge-conjugation",
         "the gauge is involutive and conjugates the gluings to the swaps",
-        worst < 1e-9,
+        worst < TOL,
         residual=worst,
     )
     ts = builtin.toeplitz_system()
@@ -581,12 +589,12 @@ def suite_sphere_gluing(cfg: SuiteConfig) -> Iterator[CheckRecord]:
 
 
 def suite_mattprop(cfg: SuiteConfig) -> Iterator[CheckRecord]:
-    rep = mattprop_report(cfg.grid, n_random=min(1000, max(100, cfg.trials * 10)))
+    rep = mattprop_report(cfg.grid)
     for key in ("condition1_splitting", "condition1_kernel_image", "corner_identity", "condition2_residual"):
         yield _check(
             f"mattprop/{key}",
             "surjectivity-criterion condition holds on the sampled family",
-            rep[key] < cfg.grid.tol,
+            rep[key] < TOL,
             residual=rep[key],
         )
 
@@ -606,7 +614,7 @@ def suite_disc_decomposition(cfg: SuiteConfig) -> Iterator[CheckRecord]:
 
 
 def suite_parity_probe(cfg: SuiteConfig) -> Iterator[CheckRecord]:
-    rep = equivariant_parity_probe(2, cfg.trials, cfg.grid)
+    rep = equivariant_parity_probe(2, PARITY_TRIALS, cfg.grid)
     yield _check(
         "parity/equivariant-all-odd",
         "every equivariant determinant loop has odd winding",
@@ -622,12 +630,12 @@ def suite_parity_probe(cfg: SuiteConfig) -> Iterator[CheckRecord]:
 
 
 def suite_peter_weyl(cfg: SuiteConfig) -> Iterator[CheckRecord]:
-    rep = peter_weyl_report(cfg.mc_samples, cfg.grid)
+    rep = peter_weyl_report(10_000, cfg.grid)
     for key in ("zero_identity", "cleaving_multiplicative", "line_bundle_equivariance"):
         yield _check(
             f"peter-weyl/{key}",
             "patch identity holds over the Monte-Carlo sample",
-            rep[key] < cfg.grid.tol,
+            rep[key] < TOL,
             residual=rep[key],
         )
 
@@ -700,9 +708,6 @@ def _suite_names(cfg: SuiteConfig) -> list[str]:
         builtin.q_value(cfg.q)
     except builtin.QZeroError as e:
         raise ConfigError(str(e))
-    for key, value in (("trials", cfg.trials), ("mc_samples", cfg.mc_samples)):
-        if value < 1:
-            raise ConfigError(f"{key} must be at least 1, got {value}")
     # 8 | n puts the charts' quarter breakpoints on circle grid points, and the
     # interval grid holds both endpoints
     circle, interval = cfg.grid.n_circle, cfg.grid.m_interval
@@ -710,11 +715,6 @@ def _suite_names(cfg: SuiteConfig) -> list[str]:
         raise ConfigError(f"grid_circle must be a positive multiple of 8, got {circle}")
     if interval < 2:
         raise ConfigError(f"grid_interval must be at least 2, got {interval}")
-    # a residual passes when it is below tol: at nan or tol <= 0 nothing
-    # passes, and at inf everything does
-    tol = cfg.grid.tol
-    if not (math.isfinite(tol) and tol > 0):
-        raise ConfigError(f"tol must be finite and positive, got {tol}")
     if cfg.algebra is not None and not any(cfg.algebra in AXIOM_SUITES.get(n, ()) for n in names):
         takes = "; ".join(f"{n} takes {', '.join(b)}" for n, b in AXIOM_SUITES.items())
         raise ConfigError(f"suite {cfg.suite!r} checks no algebra {cfg.algebra!r} ({takes})")
@@ -735,19 +735,18 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
     records.sort(key=lambda r: r.id)
     params = {
         "suite": cfg.suite,
-        # "degree", "trunc" and "jobs" are constants: each degree-bounded
-        # check runs at its own fixed bound, no check truncates by a
-        # configured size, and suites run one after another.  The keys stay
-        # because the reports in benchmark/reference/ hold them and
-        # canonical_json() must match them
+        # "degree", "tol", "trunc", "trials" and "jobs" are constants: fixed
+        # degree bounds, one numeric tolerance, no truncation, one parity
+        # budget, suites run in turn.  The keys stay because the reports in
+        # benchmark/reference/ hold them and canonical_json() must match them
         "degree": 4,
         "q": str(cfg.q),
         "grid_circle": cfg.grid.n_circle,
         "grid_interval": cfg.grid.m_interval,
-        "tol": cfg.grid.tol,
+        "tol": TOL,
         "trunc": 64,
         "seed": cfg.grid.seed,
-        "trials": cfg.trials,
+        "trials": PARITY_TRIALS,
         "jobs": 1,
     }
     # what was checked, when it is not the default; left out otherwise, so

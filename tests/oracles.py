@@ -47,7 +47,7 @@ from pcomod.numgeom.circle import (
     phi_tilde_pullback,
 )
 from pcomod.numgeom.circle import phi_gauged_pullback as circle_phi_gauged_pullback
-from pcomod.numgeom.grids import Z2, GridConfig, circle_angles, interval_nodes
+from pcomod.numgeom.grids import TOL, Z2, GridConfig, circle_angles, interval_nodes
 from pcomod.numgeom.toeplitz import _basis_degrees, _toeplitz_basis, symbol
 from pcomod.rewrite import Conflict, ConfluenceReport, RewriteSystem, SizeLimitError
 from pcomod.scalars import GR_ZERO, P_ONE, S_ONE, S_ZERO, GaussRat, Scalar, ScalarError
@@ -460,7 +460,7 @@ def random_decomposition_roundtrips(cfg, n_random: int, max_deg: int = 3) -> dic
                 worst_bwd = max(
                     worst_bwd, symbol(p0).sup_norm_bound() + symbol(p1).sup_norm_bound()
                 )
-    ok = max(worst_fwd, worst_bwd, worst_split) < cfg.tol
+    ok = max(worst_fwd, worst_bwd, worst_split) < TOL
     return {
         "forward_roundtrip": worst_fwd,
         "backward_roundtrip": worst_bwd,
@@ -754,7 +754,7 @@ def rp2_membership(tup, cfg) -> tuple[bool, float]:
     kk = Z2[None, :]
     r = max(r, float(np.max(np.abs(F2[0](xx, kk) - psi_pullback("02", F1[2])(xx, kk)))))
     r = max(r, float(np.max(np.abs(F2[1](xx, kk) - psi_pullback("12", F2[2])(xx, kk)))))
-    return r < cfg.tol, r
+    return r < TOL, r
 
 
 def sphere_membership(elt, cfg) -> tuple[bool, float]:
@@ -779,7 +779,7 @@ def sphere_membership(elt, cfg) -> tuple[bool, float]:
         "12", lambda T, A, C: _sigma_eval(c2[0], 2, A, T) + _sigma_eval(c2[1], 2, A, T) * C
     )(t, a, c)
     r = max(r, float(np.max(np.abs(lhs3 - rhs3))))
-    return r < cfg.tol, r
+    return r < TOL, r
 
 
 def disc_membership(tup, cfg) -> tuple[bool, float]:
@@ -790,7 +790,7 @@ def disc_membership(tup, cfg) -> tuple[bool, float]:
     r = max(r, float(np.max(np.abs(_sigma_eval(p0, 1, -1.0, x) - _sigma_eval(p1, 1, -1.0, x)))))
     r = max(r, float(np.max(np.abs(_sigma_eval(p0, 2, -1.0, x) - _sigma_eval(p2, 1, -1.0, x)))))
     r = max(r, float(np.max(np.abs(_sigma_eval(p1, 2, -1.0, x) - _sigma_eval(p2, 2, -1.0, x)))))
-    return r < cfg.tol, r
+    return r < TOL, r
 
 
 def face_atlas(elt, cfg) -> dict:
@@ -810,7 +810,7 @@ def face_atlas(elt, cfg) -> dict:
                 rhs = _sigma_eval(right[0], sj, c, x) + _sigma_eval(right[1], sj, c, x) * a
                 edges[(key, int(a), int(c))] = float(np.max(np.abs(lhs - rhs)))
     worst = max(edges.values())
-    return {"edges": edges, "max_residual": worst, "pass": worst < cfg.tol}
+    return {"edges": edges, "max_residual": worst, "pass": worst < TOL}
 
 
 class WindingError(RuntimeError):
@@ -1071,7 +1071,6 @@ def peter_weyl_loop(samples: int, cfg, degrees=(-2, -1, 0, 1, 2)) -> dict:
             g = np.exp(1j * phi)
             worst = max(worst, float(np.max(np.abs(f(a * g, c * g) - base * np.exp(1j * nn * phi)))))
     out["line_bundle_equivariance"] = worst
-    out["pass"] = max(out["zero_identity"], out["cleaving_multiplicative"], out["line_bundle_equivariance"]) < cfg.tol
     out["samples"] = samples
     return out
 

@@ -53,10 +53,10 @@ from pcomod.numgeom import (
 from pcomod.numgeom import membership, probes
 from pcomod.numgeom import circle
 from pcomod.numgeom.circle import interval_fn, read_once
-from pcomod.numgeom.grids import Z2, circle_angles, interval_nodes
+from pcomod.numgeom.grids import TOL, Z2, circle_angles, interval_nodes
 from pcomod.numgeom.toeplitz import draw_symbols, fold_symbol_draws
 from pcomod.scalars import S_ONE, GaussRat, Scalar
-from pcomod.suites import SuiteConfig, run_suite, symbol_relation_residual
+from pcomod.suites import symbol_relation_residual
 
 CFG = GridConfig()
 
@@ -140,7 +140,7 @@ def test_face_atlas_localizes_corruption():
     assert good["pass"] and len(good["edges"]) == 12
     bad = face_atlas(SphereElement([(one, zero), (-one, zero), (one, zero)]), CFG)
     assert not bad["pass"]
-    broken = [k for k, v in bad["edges"].items() if v > CFG.tol]
+    broken = [k for k, v in bad["edges"].items() if v > TOL]
     assert broken and all(k[0] in ("01", "12") for k in broken)
 
 
@@ -257,7 +257,7 @@ def test_decomposition_mutants_rejected(monkeypatch, mutate, broken):
     cert = decomposition_report()
     sampled = random_decomposition_roundtrips(CFG, n_random=40)
     for rep in (cert, sampled):
-        assert not rep["pass"] and rep[broken] > CFG.tol
+        assert not rep["pass"] and rep[broken] > TOL
 
 
 def _coefficients_dropped(pi_inv):
@@ -274,7 +274,7 @@ def test_decomposition_backward_roundtrip_is_an_independent_claim(monkeypatch):
     cert = decomposition_report()
     assert not cert["pass"]
     assert cert["forward_roundtrip"] == 0.0 and cert["eigenspace"] == 0.0
-    assert cert["backward_roundtrip"] > CFG.tol
+    assert cert["backward_roundtrip"] > TOL
     assert not random_decomposition_roundtrips(CFG, n_random=8)["pass"]
 
 
@@ -405,7 +405,7 @@ class RecordingGrid(GridConfig):
 
 
 def _report_and_states(report, cfg, *args):
-    grid = RecordingGrid(cfg.n_circle, cfg.m_interval, cfg.tol, cfg.seed)
+    grid = RecordingGrid(cfg.n_circle, cfg.m_interval, cfg.seed)
     out = report(grid, *args)
     return out, [gen.bit_generator.state for gen in grid.handed]
 
@@ -892,24 +892,14 @@ def test_peter_weyl_spot_values():
     omega2 = 2.0 / (1.0 + abs(0.5 - 0.5))
     assert omega2 == 2.0 and (1 - omega2 * 0.5) == 0.0
     rep = peter_weyl_report(2000, CFG)
-    assert rep["pass"]
+    for key in ("zero_identity", "cleaving_multiplicative", "line_bundle_equivariance"):
+        assert rep[key] < TOL, key
 
 
 def test_mattprop_report():
     rep = mattprop_report(CFG, n_random=100)
-    assert rep["pass"]
-
-
-def test_mattprop_pass_reads_the_configured_tolerance():
-    """At tol 1e-12, under the condition (1) splitting residual (3.6e-11 at
-    the default grid), the report's verdict agrees with the suite's records."""
-    grid = GridConfig(tol=1e-12)
-    rep = mattprop_report(grid, n_random=1000)
-    keys = ("condition1_splitting", "condition1_kernel_image", "corner_identity", "condition2_residual")
-    assert rep["pass"] == all(rep[key] < grid.tol for key in keys)
-    assert not rep["pass"]
-    records = run_suite(SuiteConfig(suite="mattprop", grid=grid)).records
-    assert rep["pass"] == all(r.status == "pass" for r in records)
+    for key in ("condition1_splitting", "condition1_kernel_image", "corner_identity", "condition2_residual"):
+        assert rep[key] < TOL, key
 
 
 def _counting_interval_fn(calls):

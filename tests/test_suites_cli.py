@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import zlib
@@ -10,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pcomod import builtin, suites
-from pcomod.cli import main
+from pcomod.cli import main, make_parser
 from pcomod.exprs import parse_poly
 from pcomod.numgeom import GridConfig
 from pcomod.suites import (
@@ -25,7 +27,7 @@ from pcomod.suites import (
 
 def mini_cfg(suite, **kw):
     grid = GridConfig(n_circle=720, m_interval=65, seed=7)
-    return SuiteConfig(suite=suite, grid=grid, **{"trials": 10, "mc_samples": 500, **kw})
+    return SuiteConfig(suite=suite, grid=grid, **kw)
 
 
 def test_run_single_suites():
@@ -105,13 +107,14 @@ def test_record_seeds_are_id_labels():
 
 
 def test_jobs_is_a_constant_and_not_a_flag(capsys):
-    """None of "jobs", "trunc" and "degree" is a flag; the report keeps each
-    as a constant."""
+    """None of "jobs", "trunc", "degree", "tol", "trials" and "samples" is a
+    flag; the report keeps each but "samples" as a constant."""
     params = run_suite(mini_cfg("transition")).params
-    for key, value in (("jobs", 1), ("trunc", 64), ("degree", 4)):
+    for key, value in (("jobs", 1), ("trunc", 64), ("degree", 4), ("tol", 1e-9), ("trials", 100)):
         assert params[key] == value
+    for key, arg in (("jobs", "2"), ("trunc", "2"), ("degree", "2"), ("tol", "1"), ("trials", "5"), ("samples", "5")):
         with pytest.raises(SystemExit) as exc:
-            main(["verify", "--suite", "transition", f"--{key}", "2"])
+            main(["verify", "--suite", "transition", f"--{key}", arg])
         assert exc.value.code == 2
         assert f"--{key}" in capsys.readouterr().err
 
@@ -125,6 +128,7 @@ def test_params_name_the_covering_and_the_algebra():
     report keeps exactly the keys of the reference reports."""
     builtin_cover = run_suite(SuiteConfig(suite="covering"))
     assert list(builtin_cover.params) == DEFAULT_PARAMS
+    assert (builtin_cover.params["tol"], builtin_cover.params["trials"]) == (1e-09, 100)
     file_cover = run_suite(SuiteConfig(suite="covering", covering=EXAMPLE_COVERING))
     assert list(file_cover.params) == DEFAULT_PARAMS + ["covering"]
     assert file_cover.params["covering"] == EXAMPLE_COVERING
@@ -197,6 +201,27 @@ def test_cli_verify_without_flags_builds_the_default_config(monkeypatch, suite):
     assert built == [SuiteConfig(suite=suite)]
 
 
+@pytest.mark.parametrize("args", [["--suite", "negative-controls"], ["--suite", "frame-obstruction", "--q", "2"]])
+def test_markdown_rows_have_four_cells(capsys, args):
+    """A witness holding the action symbol |> stays in its cell."""
+    main(["verify", *args, "--format", "md"])
+    rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("|")]
+    assert any("\\|>" in row for row in rows)
+    # a row's cells lie between its unescaped |s
+    assert [len(re.split(r"(?<!\\)\|", row.strip())) - 2 for row in rows] == [4] * len(rows)
+
+
+def test_readme_flags_name_exactly_the_verify_options():
+    """The Flags paragraph of README's Command line section names every
+    option of verify and no other."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    paragraph = section.split("\nFlags:", 1)[1].split("\n\n", 1)[0]
+    verify = next(a for a in make_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices["verify"]
+    options = {o for a in verify._actions for o in a.option_strings if a.dest != "help"}
+    assert set(re.findall(r"--[a-z][a-z-]*", paragraph)) == options
+
+
 def test_cli_list_and_export(tmp_path, capsys):
     assert main(["list-suites"]) == 0
     out = capsys.readouterr().out
@@ -241,35 +266,17 @@ def test_cli_algebra_of_the_wrong_kind_is_a_config_error(capsys, suite, algebra)
 
 
 def test_cli_algebra_restricts_only_the_axiom_suite_that_has_it(capsys):
-    args = ["--trials", "10", "--samples", "500", "--grid-interval", "65"]
-    assert main(["verify", "--suite", "all", "--algebra", "su_q2", *args]) == 0
+    assert main(["verify", "--suite", "all", "--algebra", "su_q2", "--grid-interval", "65"]) == 0
     ids = [r["id"] for r in json.loads(capsys.readouterr().out)["records"]]
     assert [i for i in ids if i.startswith("hopf-axioms/")] == ["hopf-axioms/su_q2"]
     assert not [i for i in ids if i.startswith("comodule-axioms/")]
     assert "covering/validate" in ids
 
 
-@pytest.mark.parametrize(
-    "suite, flag, value",
-    [("peter-weyl", "--samples", "0"), ("parity-probe", "--trials", "0"), ("hopf-axioms", "--q", "0")],
-)
+@pytest.mark.parametrize("suite, flag, value", [("hopf-axioms", "--q", "0")])
 def test_cli_counts_below_one_are_config_errors(capsys, suite, flag, value):
     assert main(["verify", "--suite", suite, flag, value]) == 2
     assert "CONFIG_ERROR" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("samples", ["1", "2", "3"])
-def test_cli_peter_weyl_at_a_few_samples_reports(capsys, samples):
-    """Every sample falls in the a-patch at these sample counts at the
-    default seed, so the c-patch is empty; the suite still reports every
-    identity."""
-    assert main(["verify", "--suite", "peter-weyl", "--samples", samples]) == 0
-    records = json.loads(capsys.readouterr().out)["records"]
-    assert sorted(r["id"] for r in records) == [
-        "peter-weyl/cleaving_multiplicative",
-        "peter-weyl/line_bundle_equivariance",
-        "peter-weyl/zero_identity",
-    ]
 
 
 @pytest.mark.parametrize(
@@ -279,13 +286,6 @@ def test_cli_peter_weyl_at_a_few_samples_reports(capsys, samples):
 )
 def test_cli_grids_the_charts_do_not_fit_are_config_errors(capsys, suite, flag, value):
     assert main(["verify", "--suite", suite, flag, value]) == 2
-    assert "CONFIG_ERROR" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
-def test_cli_tol_not_finite_and_positive_is_a_config_error(capsys, tol):
-    """At nan or tol <= 0 every numeric check would fail, at inf every one pass."""
-    assert main(["verify", "--suite", "sphere-gluing", "--tol", tol]) == 2
     assert "CONFIG_ERROR" in capsys.readouterr().err
 
 
@@ -389,20 +389,37 @@ _UNIT_PIECE = {"kernel": [], "cleaving": {"u": "u"}}
         ({"pieces": [{"kernel": [], "cleaving": {"zz": "u"}}]}, "image for each of"),
         ({"pieces": [{"kernel": [], "cleaving": {"u": "s"}}]}, "not an algebra map"),
         ({"pieces": [{"kernel": ["(s#ss - s#ss) + s"], "cleaving": {"u": "u"}}]}, "legs, expected 2"),
+        # a nonzero constant makes its piece zero
+        ({"pieces": [{"kernel": ["ss*s"], "cleaving": {"u": "u"}}]}, r"piece 0 kernel generator 'ss\*s' is the constant 1"),
+        ({"pieces": [_UNIT_PIECE, {"kernel": ["s", "2 - 2*ss*s + 3"], "cleaving": {"u": "u"}}]},
+         r"piece 1 kernel generator '2 - 2\*ss\*s \+ 3' is the constant 3"),
     ],
     ids=[
         "kernel", "cleaving", "pieces-not-a-list", "no-pieces", "piece-not-an-object",
         "kernel-not-strings", "base-gens-not-lists", "base-gens-unknown", "cleaving-not-an-object",
         "cleaving-misses-a-generator", "cleaving-not-an-algebra-map", "kernel-tensor-that-cancels",
+        "kernel-holding-one", "kernel-holding-a-constant",
     ],
 )
 def test_covering_file_that_does_not_parse_is_a_config_error(tmp_path, capsys, doc, match):
     path = tmp_path / "cover.json"
     path.write_text(json.dumps({"base": "toeplitz_z2_smash", **doc}))
-    with pytest.raises(ConfigError, match=match):
-        run_suite(mini_cfg("transition", covering=str(path)))
+    for suite in ("covering", "transition"):
+        with pytest.raises(ConfigError, match=match):
+            run_suite(mini_cfg(suite, covering=str(path)))
     assert main(["verify", "--suite", "transition", "--covering", str(path)]) == 2
     assert "CONFIG_ERROR" in capsys.readouterr().err
+
+
+def test_covering_kernel_holding_a_unit_fails_the_coaction_record(tmp_path):
+    """The kernel ["ss"] holds no constant, though ss*s = 1 puts 1 in its
+    ideal: the file loads, and the covering's coaction premise fails with a
+    witness."""
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps({"base": "toeplitz_z2_smash", "pieces": [{"kernel": ["ss"], "cleaving": {"u": "u"}}]}))
+    records = {r.id: r for r in run_suite(mini_cfg("covering", covering=str(path))).records}
+    assert records["covering/validate"].status == "fail"
+    assert records["covering/validate"].witness.startswith("FAIL[coaction-well-defined @ piece[0] ss*s]")
 
 
 def test_verify_all_help_prints_usage_and_runs_nothing(tmp_path):
@@ -446,11 +463,6 @@ KNOWN_FAULTS = {
     "frame/consistency@q≠1": lambda rec, cfg: (
         isinstance(cfg.q, int) and cfg.q != 1 and rec.id == f"frame/consistency@q={cfg.q}"
     ),
-    # item 15: with k = trials control loops all parities agree with
-    # probability about 2^(1-k), so at small trials the record fails by chance
-    "parity/control-both-parities": lambda rec, cfg: (
-        cfg.trials <= 10 and rec.id == "parity/control-both-parities"
-    ),
 }
 
 
@@ -463,8 +475,6 @@ def small_configs(draw):
         q=draw(st.sampled_from(["formal", 1, 2, -1, 3])),
         grid=GridConfig(n_circle=n_circle, m_interval=draw(st.integers(2, 33)),
                         seed=draw(st.sampled_from([20130915, 1, 7]))),
-        trials=draw(st.integers(1, 10)),
-        mc_samples=draw(st.integers(1, 5)),
     )
 
 
@@ -481,6 +491,62 @@ def test_every_small_config_reports_or_is_a_config_error(cfg):
     for rec in report.records:
         if rec.status != "pass":
             assert any(known(rec, cfg) for known in KNOWN_FAULTS.values()), (rec.id, rec.status, rec.witness)
+
+
+# The generators of each base of the covering-file sweep, and of its Hopf
+# algebra: the letters of its words.
+SWEEP_BASES = {
+    "toeplitz_z2_smash": (("s", "ss", "u"), ("u",)),
+    "toeplitz_u1_smash": (("s", "ss", "u", "ui"), ("u", "ui")),
+}
+
+
+@st.composite
+def covering_files(draw):
+    """Small covering files over the two Toeplitz smash products: kernels and
+    cleavings from words of degree <= 2, and now and then a malformed key."""
+    base = draw(st.sampled_from(sorted(SWEEP_BASES)))
+    gens, hgens = SWEEP_BASES[base]
+    words = st.lists(st.sampled_from(gens), max_size=2).map(lambda w: "*".join(w) or "1")
+    terms = st.tuples(st.sampled_from(["-2", "-1", "1", "2"]), words).map("*".join)
+    polys = st.lists(terms, min_size=1, max_size=2).map(" + ".join)
+    identity = {g: g for g in hgens}
+    cleavings = st.just(identity) | st.fixed_dictionaries({g: words for g in hgens})
+    pieces = st.lists(
+        st.fixed_dictionaries({"kernel": st.lists(polys, max_size=2), "cleaving": cleavings}), min_size=1, max_size=3
+    )
+    doc = {"base": base, "pieces": draw(pieces)}
+    n = len(doc["pieces"])
+    if draw(st.booleans()):
+        doc["base_gens"] = draw(st.lists(st.lists(st.sampled_from(["s", "ss"]), max_size=2), min_size=n, max_size=n))
+    malformed = {
+        "base": ("base", "nope"),
+        "pieces": ("pieces", []),
+        "piece": ("pieces", ["x"]),
+        "base_gens": ("base_gens", [["s"]] * (n + 1)),
+        "kernel": ("pieces", [{"kernel": ["s**"], "cleaving": identity}]),
+        "cleaving": ("pieces", [{"kernel": [], "cleaving": {"zz": "u"}}]),
+    }
+    fault = draw(st.sampled_from([None] * 6 + sorted(malformed)))
+    if fault:
+        key, value = malformed[fault]
+        doc[key] = value
+    return doc
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=covering_files())
+def test_every_small_covering_file_reports_or_is_a_config_error(tmp_path, doc):
+    """The covering and transition suites end every small covering file in a
+    report or a configuration error, what verify exits 2 on; any other
+    exception fails the test."""
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps(doc))
+    for suite in ("covering", "transition"):
+        try:
+            run_suite(mini_cfg(suite, covering=str(path)))
+        except (ConfigError, builtin.UnknownNameError):
+            pass
 
 
 def test_hash_sweep_matches_the_manifest():
