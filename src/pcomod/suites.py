@@ -82,6 +82,7 @@ class SuiteConfig:
 
 
 PARITY_TRIALS = 100  # the parity probe's loops of each family, params["trials"]
+PETER_WEYL_SAMPLES = 10_000  # the peter-weyl suite's Monte-Carlo points
 
 
 @dataclass
@@ -630,7 +631,7 @@ def suite_parity_probe(cfg: SuiteConfig) -> Iterator[CheckRecord]:
 
 
 def suite_peter_weyl(cfg: SuiteConfig) -> Iterator[CheckRecord]:
-    rep = peter_weyl_report(10_000, cfg.grid)
+    rep = peter_weyl_report(PETER_WEYL_SAMPLES, cfg.grid)
     for key in ("zero_identity", "cleaving_multiplicative", "line_bundle_equivariance"):
         yield _check(
             f"peter-weyl/{key}",

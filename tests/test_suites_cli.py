@@ -107,12 +107,12 @@ def test_record_seeds_are_id_labels():
 
 
 def test_jobs_is_a_constant_and_not_a_flag(capsys):
-    """None of "jobs", "trunc", "degree", "tol", "trials" and "samples" is a
-    flag; the report keeps each but "samples" as a constant."""
+    """None of "jobs", "trunc" and "degree" is a flag; the report keeps each,
+    and "tol" and "trials", as a constant."""
     params = run_suite(mini_cfg("transition")).params
     for key, value in (("jobs", 1), ("trunc", 64), ("degree", 4), ("tol", 1e-9), ("trials", 100)):
         assert params[key] == value
-    for key, arg in (("jobs", "2"), ("trunc", "2"), ("degree", "2"), ("tol", "1"), ("trials", "5"), ("samples", "5")):
+    for key, arg in (("jobs", "2"), ("trunc", "2"), ("degree", "2")):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "transition", f"--{key}", arg])
         assert exc.value.code == 2
@@ -273,10 +273,43 @@ def test_cli_algebra_restricts_only_the_axiom_suite_that_has_it(capsys):
     assert "covering/validate" in ids
 
 
-@pytest.mark.parametrize("suite, flag, value", [("hopf-axioms", "--q", "0")])
-def test_cli_counts_below_one_are_config_errors(capsys, suite, flag, value):
-    assert main(["verify", "--suite", suite, flag, value]) == 2
-    assert "CONFIG_ERROR" in capsys.readouterr().err
+def _verify_exit(capsys, argv):
+    """Run verify; an argparse usage error exits 2 like a config error does."""
+    try:
+        code = main(["verify", *argv])
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize(
+    "suite, flag, value, message",
+    [pytest.param("peter-weyl", "--samples", "0", "unrecognized arguments: --samples 0", id="peter-weyl---samples-0"),
+     pytest.param("parity-probe", "--trials", "0", "unrecognized arguments: --trials 0", id="parity-probe---trials-0"),
+     pytest.param("hopf-axioms", "--q", "0", "CONFIG_ERROR", id="hopf-axioms---q-0")],
+)
+def test_cli_counts_below_one_are_config_errors(capsys, suite, flag, value, message):
+    """--q 0 fails the range check; the sample and trial counts are constants
+    now, so --samples and --trials, at any count, are usage errors."""
+    code, out, err = _verify_exit(capsys, ["--suite", suite, flag, value])
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+@pytest.mark.parametrize("samples", [1, 2, 3])
+def test_cli_peter_weyl_at_a_few_samples_reports(capsys, monkeypatch, samples):
+    """Every sample falls in the a-patch at these sample counts at the
+    default seed, so the c-patch is empty; the suite still reports every
+    identity."""
+    monkeypatch.setattr(suites, "PETER_WEYL_SAMPLES", samples)
+    assert main(["verify", "--suite", "peter-weyl"]) == 0
+    records = json.loads(capsys.readouterr().out)["records"]
+    assert sorted(r["id"] for r in records) == [
+        "peter-weyl/cleaving_multiplicative",
+        "peter-weyl/line_bundle_equivariance",
+        "peter-weyl/zero_identity",
+    ]
 
 
 @pytest.mark.parametrize(
@@ -287,6 +320,15 @@ def test_cli_counts_below_one_are_config_errors(capsys, suite, flag, value):
 def test_cli_grids_the_charts_do_not_fit_are_config_errors(capsys, suite, flag, value):
     assert main(["verify", "--suite", suite, flag, value]) == 2
     assert "CONFIG_ERROR" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
+def test_cli_tol_not_finite_and_positive_is_a_config_error(capsys, tol):
+    """The pass gate is the constant TOL, so no --tol value, these that would
+    fail or pass every numeric check included, reaches a suite."""
+    code, out, err = _verify_exit(capsys, ["--suite", "sphere-gluing", "--tol", tol])
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: --tol {tol}" in err
 
 
 def test_cli_internal_key_error_is_not_a_config_error(monkeypatch):
