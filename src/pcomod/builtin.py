@@ -489,7 +489,7 @@ def _sphere_edge() -> "ComoduleAlgebra":
         (("v", "v"), one),
         (("w", "w"), one),
     ]
-    sys = RewriteSystem(alpha, rules, name="sphere_edge", scalar_tower="Q(i)")
+    sys = RewriteSystem(alpha, rules, name="sphere_edge")
     H = c_z2()
     Ts = (sys, H.system)
     coaction = {g: Tensor(Ts, {((g,), ()): S_ONE}) for g in ("z", "zi", "z2", "z2i", "v")}

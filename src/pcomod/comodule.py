@@ -390,7 +390,6 @@ def smash_product(
         rules,
         name=name or f"{b_system.name}x|{H.name}",
         suffix_system=suffix,
-        scalar_tower=b_system.scalar_tower,
     )
     coaction: dict[str, Tensor] = {}
     for b in b_gens:

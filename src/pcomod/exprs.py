@@ -5,19 +5,25 @@ Expression grammar (whitespace insignificant):
             unit), `Q` (the parameter q: formal, or the value the parser
             was given, so a presentation is built once at its q)
     ops:    `*` (left-assoc), `+`, `-` (binary and unary), `^` integer power
-            (negative exponents only on scalar atoms), `#` (tensor separator,
+            (negative exponents only on constants), `#` (tensor separator,
             binds between `*` and `+`), parentheses.
+
+A subexpression whose value is a constant acts as a scalar: `(s - s + 2)^-1`
+is 1/2.  A zero denominator, a negative power of zero and an integer literal
+that `int()` rejects are parse errors.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 
-from .ncpoly import Alphabet, NCPoly, Word, add_terms
-from .scalars import S_Q, GaussRat, Scalar
+from .ncpoly import EMPTY, Alphabet, NCPoly, add_terms
+from .scalars import S_ONE, S_Q, S_ZERO, GaussRat, Scalar
 
 _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|\d+|\^|\*|\+|-|#|\(|\)|/|=)")
+_MINUS_ONE = -S_ONE
 
 
 class ParseError(ValueError):
@@ -39,40 +45,44 @@ def tokenize(s: str) -> list[str]:
     return out
 
 
-class Value:
-    """Intermediate parse value: scalar, polynomial, or raw tensor
-    (dict[tuple[Word, ...], Scalar] over the union alphabet).  `legs` is the
-    tensor's leg count, carried on the value so that a tensor whose terms
-    cancel keeps it; a scalar or polynomial has one leg."""
+def _int(tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError as e:
+        raise ParseError(f"bad integer literal {tok[:12]!r}...: {e}") from None
 
-    __slots__ = ("kind", "data", "legs")
 
-    def __init__(self, kind, data, legs: int = 1):
-        self.kind = kind
-        self.data = data
+class Parsed:
+    """A parsed expression: its terms {(word, ..., word): coeff} over the
+    union alphabet, with no zero coefficient, and its leg count, carried so
+    that a tensor whose terms cancel keeps it.  A polynomial has one leg; a
+    scalar is a one-leg value whose only word is the empty word."""
+
+    __slots__ = ("terms", "legs")
+
+    def __init__(self, terms: dict, legs: int = 1):
+        self.terms = terms
         self.legs = legs
 
     @staticmethod
-    def scalar(c: Scalar) -> "Value":
-        return Value("scalar", c)
+    def scalar(c: Scalar) -> "Parsed":
+        return Parsed({} if c.is_zero() else {(EMPTY,): c})
 
-    @staticmethod
-    def poly(p: NCPoly) -> "Value":
-        return Value("poly", p)
+    def constant(self) -> Scalar | None:
+        """The scalar this value is, or None."""
+        if self.legs != 1 or len(self.terms) > 1:
+            return None
+        return self.terms.get((EMPTY,)) if self.terms else S_ZERO
 
-    def as_poly(self, alphabet: Alphabet) -> NCPoly:
-        if self.kind == "scalar":
-            return NCPoly.const(alphabet, self.data)
-        if self.kind == "poly":
-            return self.data
-        raise ParseError("tensor where a polynomial was expected")
+    def scale(self, c: Scalar) -> "Parsed":
+        return Parsed(add_terms({}, self.terms.items(), c), self.legs)
 
-    def as_tensor_terms(self, alphabet: Alphabet, legs: int) -> dict:
-        if self.legs != legs:
-            raise ParseError(f"tensor has {self.legs} legs, expected {legs}")
-        if self.kind == "tensor":
-            return self.data
-        return {(w,): c for w, c in self.as_poly(alphabet).terms.items()}
+    def product(self, other: "Parsed", join, legs: int) -> "Parsed":
+        """Every term of self times every term of other, their keys joined."""
+        out: dict = {}
+        for k1, c1 in self.terms.items():
+            add_terms(out, ((join(k1, k2), c2) for k2, c2 in other.terms.items()), c1)
+        return Parsed(out, legs)
 
 
 class Parser:
@@ -96,148 +106,121 @@ class Parser:
             raise ParseError(f"expected {t!r}, got {got!r}")
 
     # expr := tensor (('+'|'-') tensor)*
-    def expr(self) -> Value:
+    def expr(self) -> Parsed:
         v = self.tensor()
         while self.peek() in ("+", "-"):
-            op = self.take()
+            sign = None if self.take() == "+" else _MINUS_ONE
             w = self.tensor()
-            v = _add(v, w if op == "+" else _neg(w), self.alphabet)
+            if w.legs != v.legs:
+                raise ParseError(f"tensor has {w.legs} legs, expected {v.legs}")
+            v = Parsed(add_terms(dict(v.terms), w.terms.items(), sign), v.legs)
         return v
 
     # tensor := product ('#' product)*
-    def tensor(self) -> Value:
+    def tensor(self) -> Parsed:
         v = self.product()
         while self.peek() == "#":
             self.take()
             w = self.product()
-            v = _tensor(v, w, self.alphabet)
+            v = v.product(w, operator.add, v.legs + w.legs)
         return v
 
     # product := unary ('*' unary)*
-    def product(self) -> Value:
+    def product(self) -> Parsed:
         v = self.unary()
         while self.peek() == "*":
             self.take()
-            v = _mul(v, self.unary())
+            v = self.times(v, self.unary())
         return v
 
-    def unary(self) -> Value:
+    def times(self, a: Parsed, b: Parsed) -> Parsed:
+        c = a.constant()
+        if c is not None:
+            return b.scale(c)
+        c = b.constant()
+        if c is not None:
+            return a.scale(c)
+        if a.legs != 1 or b.legs != 1:
+            raise ParseError("cannot multiply tensors")
+        canon = self.alphabet.canon
+        return a.product(b, lambda k1, k2: (canon(k1[0] + k2[0]),), 1)
+
+    def unary(self) -> Parsed:
         if self.peek() == "-":
             self.take()
-            return _neg(self.unary())
+            return self.unary().scale(_MINUS_ONE)
         return self.power()
 
-    def power(self) -> Value:
+    def power(self) -> Parsed:
         v = self.atom()
-        if self.peek() == "^":
+        if self.peek() != "^":
+            return v
+        self.take()
+        sign = 1
+        if self.peek() == "-":
             self.take()
-            sign = 1
-            if self.peek() == "-":
-                self.take()
-                sign = -1
-            tok = self.take()
-            if not tok.isdigit():
-                raise ParseError(f"bad exponent {tok!r}")
-            k = sign * int(tok)
-            v = _pow(v, k, self.alphabet)
-        return v
+            sign = -1
+        tok = self.take()
+        if not tok.isdigit():
+            raise ParseError(f"bad exponent {tok!r}")
+        k = sign * _int(tok)
+        c = v.constant()
+        if c is not None:
+            if k < 0 and c.is_zero():
+                raise ParseError("negative power of zero")
+            return Parsed.scalar(c**k)
+        if v.legs != 1:
+            raise ParseError("cannot raise a tensor to a power")
+        if k < 0:
+            raise ParseError("negative powers are only defined for constants")
+        out = Parsed.scalar(S_ONE)
+        for _ in range(k):
+            out = self.times(out, v)
+        return out
 
-    def atom(self) -> Value:
+    def atom(self) -> Parsed:
         tok = self.take()
         if tok == "(":
             v = self.expr()
             self.expect(")")
             return v
         if tok.isdigit():
-            num = int(tok)
+            num = _int(tok)
             if self.peek() == "/":
                 self.take()
                 den = self.take()
                 if not den.isdigit():
                     raise ParseError(f"bad fraction denominator {den!r}")
-                return Value.scalar(Scalar.of(Fraction(num, int(den))))
-            return Value.scalar(Scalar.of(num))
+                den = _int(den)
+                if not den:
+                    raise ParseError("zero denominator")
+                return Parsed.scalar(Scalar.of(Fraction(num, den)))
+            return Parsed.scalar(Scalar.of(num))
         if tok == "I":
-            return Value.scalar(Scalar.i())
+            return Parsed.scalar(Scalar.i())
         if tok == "Q":
-            return Value.scalar(self.q)
+            return Parsed.scalar(self.q)
         if tok in self.alphabet.rank:
-            return Value.poly(NCPoly.gen(self.alphabet, tok))
+            return Parsed({((tok,),): S_ONE})
         raise ParseError(f"unknown atom {tok!r}")
 
-    def finish(self) -> Value:
+    def finish(self, legs: int = 1) -> Parsed:
         v = self.expr()
         if self.peek() != "<end>":
             raise ParseError(f"trailing input at {self.peek()!r}")
+        if v.legs != legs:
+            raise ParseError(f"tensor has {v.legs} legs, expected {legs}")
         return v
 
 
-def _neg(v: Value) -> Value:
-    if v.kind == "scalar":
-        return Value.scalar(-v.data)
-    if v.kind == "poly":
-        return Value.poly(-v.data)
-    return Value("tensor", {k: -c for k, c in v.data.items()}, v.legs)
-
-
-def _add(a: Value, b: Value, alphabet: Alphabet) -> Value:
-    if a.kind == "tensor" or b.kind == "tensor":
-        legs = (a if a.kind == "tensor" else b).legs
-        ta = a.as_tensor_terms(alphabet, legs)
-        tb = b.as_tensor_terms(alphabet, legs)
-        return Value("tensor", add_terms(dict(ta), tb.items()), legs)
-    if a.kind == "scalar" and b.kind == "scalar":
-        return Value.scalar(a.data + b.data)
-    return Value.poly(a.as_poly(alphabet) + b.as_poly(alphabet))
-
-
-def _mul(a: Value, b: Value) -> Value:
-    if a.kind == "scalar" and b.kind == "scalar":
-        return Value.scalar(a.data * b.data)
-    if a.kind == "scalar":
-        if b.kind == "poly":
-            return Value.poly(b.data.scale(a.data))
-        return Value("tensor", {k: c * a.data for k, c in b.data.items()}, b.legs)
-    if b.kind == "scalar":
-        if a.kind == "poly":
-            return Value.poly(a.data.scale(b.data))
-        return Value("tensor", {k: c * b.data for k, c in a.data.items()}, a.legs)
-    if a.kind == "poly" and b.kind == "poly":
-        return Value.poly(a.data.concat(b.data))
-    raise ParseError("cannot multiply tensors")
-
-
-def _tensor(a: Value, b: Value, alphabet: Alphabet) -> Value:
-    ta = a.as_tensor_terms(alphabet, a.legs)
-    tb = b.as_tensor_terms(alphabet, b.legs)
-    out: dict = {}
-    for k1, c1 in ta.items():
-        add_terms(out, ((k1 + k2, c2) for k2, c2 in tb.items()), c1)
-    return Value("tensor", out, a.legs + b.legs)
-
-
-def _pow(v: Value, k: int, alphabet: Alphabet) -> Value:
-    if v.kind == "scalar":
-        return Value.scalar(v.data**k)
-    if v.kind == "poly":
-        if k < 0:
-            raise ParseError("negative powers are only defined for scalar atoms")
-        out = NCPoly.one(alphabet)
-        for _ in range(k):
-            out = out.concat(v.data)
-        return Value.poly(out)
-    raise ParseError("cannot raise a tensor to a power")
-
-
 def parse_poly(s: str, alphabet: Alphabet, q: GaussRat | None = None) -> NCPoly:
-    return Parser(s, alphabet, q).finish().as_poly(alphabet)
+    terms = Parser(s, alphabet, q).finish().terms
+    return NCPoly._of(alphabet, {w: c for (w,), c in terms.items()})
 
 
 def parse_scalar(s: str, q: GaussRat | None = None) -> Scalar:
-    v = Parser(s, Alphabet(()), q).finish()
-    if v.kind != "scalar":
-        raise ParseError(f"{s!r} is not a scalar expression")
-    return v.data
+    # over the empty alphabet every one-leg value is a constant
+    return Parser(s, Alphabet(()), q).finish().constant()
 
 
 def parse_relation(s: str, alphabet: Alphabet, q: GaussRat | None = None) -> tuple[NCPoly, NCPoly]:
@@ -249,7 +232,7 @@ def parse_relation(s: str, alphabet: Alphabet, q: GaussRat | None = None) -> tup
 
 def parse_tensor_terms(s: str, alphabet: Alphabet, legs: int, q: GaussRat | None = None) -> dict:
     """Raw tensor terms dict[(Word,)*legs -> Scalar] over a union alphabet."""
-    return Parser(s, alphabet, q).finish().as_tensor_terms(alphabet, legs)
+    return Parser(s, alphabet, q).finish(legs).terms
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +259,7 @@ def load_presentation(doc: dict, q: GaussRat | None = None):
         star = {g: parse_poly(e, alphabet, q) for g, e in doc["star"].items()}
         for g in gens:
             star.setdefault(g, NCPoly.gen(alphabet, g))
-    system = RewriteSystem.from_relations(
-        alphabet, relations, star=star, name=doc.get("name", ""), scalar_tower=tower
-    )
+    system = RewriteSystem.from_relations(alphabet, relations, star=star, name=doc.get("name", ""))
     for rule in system.rules:
         for c in rule.rhs.terms.values():
             if not c.in_tower(tower):

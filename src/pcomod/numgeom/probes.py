@@ -57,8 +57,6 @@ def winding_numbers(dets: np.ndarray, min_abs: np.ndarray | None = None) -> tupl
 
 @dataclass
 class ParityReport:
-    size: int
-    trials: int
     windings: list = field(default_factory=list)
     control_windings: list = field(default_factory=list)
     resamples: int = 0
@@ -247,7 +245,7 @@ def equivariant_parity_probe(n: int, trials: int, cfg: GridConfig) -> ParityRepo
     shows both parities.  One LoopSampler draws both families, the control
     from where the odd family stopped."""
     loops = LoopSampler(cfg.rng(4), n, cfg.n_circle)
-    report = ParityReport(size=n, trials=trials)
+    report = ParityReport()
     report.windings, odd_resamples = loops.windings("odd", trials)
     report.control_windings, even_resamples = loops.windings("even", trials)
     report.resamples = odd_resamples + even_resamples
@@ -316,7 +314,6 @@ def peter_weyl_report(samples: int, cfg: GridConfig, degrees=(-2, -1, 0, 1, 2)) 
             resid = power(wa_rot, nn) - power(wa_all, nn) * np.exp(1j * nn * phi)
             worst = max(worst, float(np.max(np.abs(resid))))
     out["line_bundle_equivariance"] = worst
-    out["samples"] = samples
     return out
 
 
@@ -338,7 +335,6 @@ def mattprop_report(cfg: GridConfig, n_random: int = 1000) -> dict:
     )
     out["corner_identity"] = _corner_residual(rng)
     out["condition2_residual"] = _condition2_residual(rng, n_random)
-    out["trials"] = n_random
     return out
 
 

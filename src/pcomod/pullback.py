@@ -393,7 +393,7 @@ def _rename_system(system: RewriteSystem, names: dict[str, str], name: str) -> R
         (rw(r.lhs_word), NCPoly(alpha, {rw(w): c for w, c in r.rhs.terms.items()}))
         for r in system.rules
     ]
-    return RewriteSystem(alpha, rules, name=name, scalar_tower=system.scalar_tower)
+    return RewriteSystem(alpha, rules, name=name)
 
 
 def prolong(
@@ -451,7 +451,7 @@ def prolong(
         else:
             lifted.extend(((z, b), NCPoly.word(alpha, (b, z))) for z in fiber_gens for b in letters)
         system = RewriteSystem(
-            alpha, lifted, name=f"{base.system.name} box {H.name}", scalar_tower="Q(i)(q)",
+            alpha, lifted, name=f"{base.system.name} box {H.name}",
             suffix_system=None if h_comm else fiber_sys,
         )
         coaction = {

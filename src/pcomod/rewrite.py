@@ -92,7 +92,6 @@ class RewriteSystem:
         name: str = "",
         term_cap: int = 100_000,
         suffix_system: "RewriteSystem | None" = None,
-        scalar_tower: str = "Q(i)(q)",
     ):
         self.alphabet = alphabet
         self.name = name
@@ -100,7 +99,6 @@ class RewriteSystem:
         self.star_table = star
         self.suffix_system = suffix_system
         self.suffix_gens = frozenset(suffix_system.alphabet.gens) if suffix_system else frozenset()
-        self.scalar_tower = scalar_tower
         self.rules: list[Rule] = []
         for lhs, rhs in rules:
             rule = self._make_rule(tuple(lhs), rhs)
@@ -152,7 +150,6 @@ class RewriteSystem:
             name=name or f"{self.name}+quot",
             term_cap=self.term_cap,
             suffix_system=self.suffix_system,
-            scalar_tower=self.scalar_tower,
         )
 
     def extend_by_ideal(self, gens: Sequence[NCPoly], name: str = "") -> "RewriteSystem":

@@ -12,9 +12,11 @@ the relation-plus-generator certificates replaced, the rank loop that the
 inverse on generators replaced in the quotient isomorphisms, the coinvariant
 compatibility loop that part (a) of reducibility_check replaced, the
 quantum plane's degree-6 units loop that its one-rule certificate replaced, the strong-connection tables
-that the memoised word maps replaced, and the build-at-formal-q-then-substitute path that
-parsing at a fixed q replaced.  It also holds the helpers only tests call: the
-presentation dumper, eta o eps, the group-like basis words, the identity and
+that the memoised word maps replaced, the build-at-formal-q-then-substitute path that
+parsing at a fixed q replaced, and a tree walk of the expression grammar by
+NCPoly arithmetic that the parser is checked against.  It also holds the
+helpers only tests call: the presentation dumper, the expression-tree
+renderer, eta o eps, the group-like basis words, the identity and
 the convolution tabulated on basis words, q substituted into a scalar, a
 symbol evaluated at points z, the exact Laurent symbol, random Toeplitz
 *-polynomials, the chart delta_i as a point of the circle, and the truncated
@@ -466,7 +468,6 @@ def random_decomposition_roundtrips(cfg, n_random: int, max_deg: int = 3) -> dic
         "backward_roundtrip": worst_bwd,
         "eigenspace": worst_split,
         "pass": ok,
-        "trials": n_random,
     }
 
 
@@ -865,7 +866,7 @@ def per_entry_parity_probe(n: int, trials: int, cfg) -> tuple:
     every loop it drew, those the min |det| filter rejected included."""
     rng = cfg.rng(4)
     theta = circle_angles(cfg.n_circle)
-    report = probes.ParityReport(size=n, trials=trials)
+    report = probes.ParityReport()
     dets_seen = []
     draws = []
 
@@ -930,7 +931,7 @@ def per_loop_parity_probe(n: int, trials: int, cfg, max_deg: int = 3) -> tuple:
     every loop handed to winding_number."""
     rng = cfg.rng(4)
     table = fourier_table(circle_angles(cfg.n_circle), n * max_deg)
-    report = probes.ParityReport(size=n, trials=trials)
+    report = probes.ParityReport()
     seen = []
     ks = np.arange(-max_deg, max_deg + 1)
 
@@ -1071,7 +1072,6 @@ def peter_weyl_loop(samples: int, cfg, degrees=(-2, -1, 0, 1, 2)) -> dict:
             g = np.exp(1j * phi)
             worst = max(worst, float(np.max(np.abs(f(a * g, c * g) - base * np.exp(1j * nn * phi)))))
     out["line_bundle_equivariance"] = worst
-    out["samples"] = samples
     return out
 
 
@@ -1199,7 +1199,6 @@ def substituted_system(system: RewriteSystem, qv: GaussRat) -> RewriteSystem:
         name=f"{system.name}@q",
         term_cap=system.term_cap,
         suffix_system=suffix,
-        scalar_tower=system.scalar_tower,
     )
 
 
@@ -1697,7 +1696,6 @@ def dump_presentation(
         "name": name,
         "generators": list(system.alphabet.gens),
         "precedence": list(system.alphabet.gens),
-        "scalar_tower": system.scalar_tower,
         "relations": relations_src
         if relations_src is not None
         else [
@@ -1719,6 +1717,122 @@ def dump_presentation(
     if extra:
         doc.update(extra)
     return doc
+
+
+# ---------------------------------------------------------------------------
+# expression trees: the grammar walked node by node (reference for exprs.Parser)
+# ---------------------------------------------------------------------------
+
+# A tree is a tuple: ("gen", name), ("int", n), ("frac", n, m), ("I",), ("Q",),
+# ("neg", x), ("^", x, k), or (op, left, right) for op in + - * #.
+_TREE_LEVEL = {"+": 1, "-": 1, "#": 2, "*": 3, "neg": 4, "^": 5}
+
+
+class ExprTreeError(ValueError):
+    """The tree has no value, so the parser must reject its text."""
+
+
+def expr_tree_to_text(tree) -> str:
+    """The tree in the expression grammar, with the parentheses its binding
+    strengths need and no others."""
+    op = tree[0]
+    if op in ("gen", "int"):
+        return str(tree[1])
+    if op == "frac":
+        return f"{tree[1]}/{tree[2]}"
+    if op in ("I", "Q"):
+        return op
+
+    def wrap(t, level: int) -> str:
+        s = expr_tree_to_text(t)
+        return s if _TREE_LEVEL.get(t[0], 6) >= level else f"({s})"
+
+    if op == "neg":
+        return "-" + wrap(tree[1], 4)
+    if op == "^":
+        return f"{wrap(tree[1], 6)}^{tree[2]}"
+    return f"{wrap(tree[1], _TREE_LEVEL[op])} {op} {wrap(tree[2], _TREE_LEVEL[op] + 1)}"
+
+
+def _tree_terms(legs: int, v) -> dict:
+    return {(w,): c for w, c in v.terms.items()} if legs == 1 else v
+
+
+def _tree_constant(legs: int, v) -> Scalar | None:
+    if legs == 1 and set(v.terms) <= {()}:
+        return v.terms.get((), S_ZERO)
+    return None
+
+
+def _tree_scale(legs: int, v, c: Scalar):
+    if legs == 1:
+        return v.scale(c)
+    return {} if c.is_zero() else {k: x * c for k, x in v.items()}
+
+
+def eval_expr_tree(tree, alphabet) -> tuple:
+    """The value of a tree: (1, NCPoly) for one leg, or (legs, {(word, ...):
+    coeff}) for a tensor of two or more legs, by NCPoly arithmetic and
+    products of tensor terms.  A constant acts as a scalar wherever it stands.
+    Raises ExprTreeError where the grammar gives no value: legs that differ
+    across + or -, a product of two non-constants that are not both
+    polynomials, a power of a tensor, a negative power of a non-constant or
+    of zero, and a zero denominator."""
+    op = tree[0]
+    if op == "gen":
+        return 1, NCPoly.gen(alphabet, tree[1])
+    if op == "I":
+        return 1, NCPoly.const(alphabet, Scalar.i())
+    if op == "Q":
+        return 1, NCPoly.const(alphabet, Scalar.q_power(1))
+    if op in ("int", "frac"):
+        if op == "frac" and tree[2] == 0:
+            raise ExprTreeError("zero denominator")
+        return 1, NCPoly.const(alphabet, Scalar.of(Fraction(*tree[1:])))
+    if op == "neg":
+        legs, v = eval_expr_tree(tree[1], alphabet)
+        return legs, _tree_scale(legs, v, -S_ONE)
+    if op == "^":
+        legs, v = eval_expr_tree(tree[1], alphabet)
+        k = tree[2]
+        if legs != 1:
+            raise ExprTreeError("power of a tensor")
+        c = _tree_constant(legs, v)
+        if c is not None:
+            if k < 0 and c.is_zero():
+                raise ExprTreeError("negative power of zero")
+            return 1, NCPoly.const(alphabet, c**k)
+        if k < 0:
+            raise ExprTreeError("negative power of a non-constant")
+        out = NCPoly.one(alphabet)
+        for _ in range(k):
+            out = out.concat(v)
+        return 1, out
+    (la, a), (lb, b) = eval_expr_tree(tree[1], alphabet), eval_expr_tree(tree[2], alphabet)
+    if op in ("+", "-"):
+        if la != lb:
+            raise ExprTreeError("legs differ")
+        if la == 1:
+            return 1, a + b if op == "+" else a - b
+        out = dict(a)
+        for k, c in b.items():
+            out[k] = out.get(k, S_ZERO) + (c if op == "+" else -c)
+        return la, {k: c for k, c in out.items() if not c.is_zero()}
+    if op == "*":
+        ca, cb = _tree_constant(la, a), _tree_constant(lb, b)
+        if ca is not None:
+            return lb, _tree_scale(lb, b, ca)
+        if cb is not None:
+            return la, _tree_scale(la, a, cb)
+        if la == lb == 1:
+            return 1, a.concat(b)
+        raise ExprTreeError("product of tensors")
+    # op == "#": every term of the left times every term of the right
+    out = {}
+    for k1, c1 in _tree_terms(la, a).items():
+        for k2, c2 in _tree_terms(lb, b).items():
+            out[k1 + k2] = out.get(k1 + k2, S_ZERO) + c1 * c2
+    return la + lb, {k: c for k, c in out.items() if not c.is_zero()}
 
 
 def unit_counit_map(H: HopfAlgebra, codomain: RewriteSystem | None = None) -> LinearMap:

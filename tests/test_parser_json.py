@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pcomod import builtin
 from pcomod.exprs import (
@@ -12,7 +14,14 @@ from pcomod.exprs import (
 from pcomod.ncpoly import Alphabet, NCPoly
 from pcomod.scalars import GaussRat, S_ONE, Scalar
 
-from oracles import dump_presentation, poly_to_expr, scalar_to_expr
+from oracles import (
+    ExprTreeError,
+    dump_presentation,
+    eval_expr_tree,
+    expr_tree_to_text,
+    poly_to_expr,
+    scalar_to_expr,
+)
 
 
 AL = Alphabet(["a", "b"])
@@ -67,6 +76,73 @@ def test_parse_errors():
         parse_relation("a = b = 1", AL)
     with pytest.raises(ParseError):
         parse_scalar("a # b")
+    # a bad number is a parse error, not an arithmetic one
+    for expr in ("1/0", "0^-1", "(Q-Q)^-1", "1" * 4301):
+        with pytest.raises(ParseError):
+            parse_poly(expr, AL)
+
+
+_TREE_ATOMS = st.one_of(
+    st.just(("gen", "a")),
+    st.just(("gen", "b")),
+    st.sampled_from([("I",), ("Q",)]),
+    st.integers(1, 3).map(lambda n: ("int", n)),
+    st.tuples(st.integers(1, 3), st.integers(1, 3)).map(lambda nm: ("frac", *nm)),
+)
+
+
+def _is_atom(tree) -> bool:
+    return tree[0] in ("gen", "int", "frac", "I", "Q")
+
+
+def _holds_tensor(tree) -> bool:
+    return tree[0] == "#" or any(isinstance(t, tuple) and _holds_tensor(t) for t in tree[1:])
+
+
+def _tree_nodes(sub):
+    """One operator over smaller trees.  Atoms are nonzero, a negative
+    exponent sits only on an atom, and a tensor is multiplied only by an atom
+    or by another tensor: the trees keep clear of the bad-number cases, which
+    test_parse_errors pins, and of a non-atomic constant multiplying a tensor."""
+
+    @st.composite
+    def node(draw):
+        op = draw(st.sampled_from(["+", "-", "#", "*", "^", "neg"]))
+        x = draw(sub)
+        if op == "neg":
+            return ("neg", x)
+        if op == "^":
+            k = draw(st.integers(-2, 3))
+            return ("^", x, k if _is_atom(x) else abs(k))
+        y = draw(sub)
+        if op == "*":
+            assume(_holds_tensor(x) == _holds_tensor(y) or _is_atom(x) or _is_atom(y))
+        return (op, x, y)
+
+    return node()
+
+
+@settings(max_examples=500, deadline=None)
+@given(tree=st.recursive(_TREE_ATOMS, _tree_nodes, max_leaves=8))
+def test_parser_matches_tree_walking_oracle(tree):
+    """parse_poly and parse_tensor_terms read a rendered expression tree as
+    the oracle's tree walk values it, and both reject a tree with no value."""
+    text = expr_tree_to_text(tree)
+    try:
+        legs, value = eval_expr_tree(tree, AL)
+    except ExprTreeError:
+        with pytest.raises(ParseError):
+            parse_poly(text, AL)
+        with pytest.raises(ParseError):
+            parse_tensor_terms(text, AL, 2)
+        return
+    if legs == 1:
+        assert parse_poly(text, AL).terms == value.terms
+        value = {(w,): c for w, c in value.terms.items()}
+    else:
+        with pytest.raises(ParseError):
+            parse_poly(text, AL)
+    assert parse_tensor_terms(text, AL, legs) == value
 
 
 def test_rendering_roundtrip():
@@ -81,7 +157,7 @@ def test_rendering_roundtrip():
 def test_presentation_roundtrip(name):
     doc = builtin.export_presentation(name)
     system, hopf = load_presentation(doc)
-    extra = {k: doc[k] for k in ("coaction", "action", "cleaving") if k in doc}
+    extra = {k: doc[k] for k in ("scalar_tower", "coaction", "action", "cleaving") if k in doc}
     dumped = dump_presentation(
         doc["name"], system, hopf, relations_src=doc["relations"], extra=extra
     )

@@ -435,12 +435,18 @@ _UNIT_PIECE = {"kernel": [], "cleaving": {"u": "u"}}
         ({"pieces": [{"kernel": ["ss*s"], "cleaving": {"u": "u"}}]}, r"piece 0 kernel generator 'ss\*s' is the constant 1"),
         ({"pieces": [_UNIT_PIECE, {"kernel": ["s", "2 - 2*ss*s + 3"], "cleaving": {"u": "u"}}]},
          r"piece 1 kernel generator '2 - 2\*ss\*s \+ 3' is the constant 3"),
+        # a bad number is a parse error, not an arithmetic one
+        ({"pieces": [{"kernel": ["1/0"], "cleaving": {"u": "u"}}]}, "cannot parse"),
+        ({"pieces": [{"kernel": ["0^-1"], "cleaving": {"u": "u"}}]}, "cannot parse"),
+        ({"pieces": [{"kernel": ["(Q-Q)^-1"], "cleaving": {"u": "u"}}]}, "cannot parse"),
+        ({"pieces": [{"kernel": ["1" * 4301], "cleaving": {"u": "u"}}]}, "cannot parse"),
     ],
     ids=[
         "kernel", "cleaving", "pieces-not-a-list", "no-pieces", "piece-not-an-object",
         "kernel-not-strings", "base-gens-not-lists", "base-gens-unknown", "cleaving-not-an-object",
         "cleaving-misses-a-generator", "cleaving-not-an-algebra-map", "kernel-tensor-that-cancels",
-        "kernel-holding-one", "kernel-holding-a-constant",
+        "kernel-holding-one", "kernel-holding-a-constant", "kernel-zero-denominator",
+        "kernel-negative-power-of-zero", "kernel-negative-power-of-a-zero-constant", "kernel-over-long-literal",
     ],
 )
 def test_covering_file_that_does_not_parse_is_a_config_error(tmp_path, capsys, doc, match):
@@ -450,7 +456,8 @@ def test_covering_file_that_does_not_parse_is_a_config_error(tmp_path, capsys, d
         with pytest.raises(ConfigError, match=match):
             run_suite(mini_cfg(suite, covering=str(path)))
     assert main(["verify", "--suite", "transition", "--covering", str(path)]) == 2
-    assert "CONFIG_ERROR" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("CONFIG_ERROR") and "Traceback" not in err
 
 
 def test_covering_kernel_holding_a_unit_fails_the_coaction_record(tmp_path):
@@ -568,6 +575,7 @@ def covering_files(draw):
         "base_gens": ("base_gens", [["s"]] * (n + 1)),
         "kernel": ("pieces", [{"kernel": ["s**"], "cleaving": identity}]),
         "cleaving": ("pieces", [{"kernel": [], "cleaving": {"zz": "u"}}]),
+        "zero-denominator": ("pieces", [{"kernel": ["1/0"], "cleaving": identity}]),
     }
     fault = draw(st.sampled_from([None] * 6 + sorted(malformed)))
     if fault:
