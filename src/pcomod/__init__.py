@@ -26,7 +26,7 @@ from .pullback import (
     Covering,
     Trivialisation,
     cotensor_membership,
-    multipullback_membership,
+    pair_differences,
     piece_glue,
     prolong,
     reducibility_check,

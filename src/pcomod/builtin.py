@@ -564,7 +564,7 @@ _BUILDERS = {
     "quantum_plane": quantum_plane,
     "toeplitz": lambda q: toeplitz_comodule(),
     "o_u1_over_z2": lambda q: o_u1_over_z2(),
-    "pw_patch": lambda q: pw_patch(),
+    "pw_patch": lambda q: pw_patch()[0],
     "toeplitz_z2_smash": lambda q: toeplitz_z2_smash(),
     "toeplitz_u1_smash": lambda q: toeplitz_u1_smash(),
     "plane_gl_smash": plane_gl_smash,

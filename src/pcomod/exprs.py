@@ -10,7 +10,9 @@ Expression grammar (whitespace insignificant):
 
 A subexpression whose value is a constant acts as a scalar: `(s - s + 2)^-1`
 is 1/2.  A zero denominator, a negative power of zero and an integer literal
-that `int()` rejects are parse errors.
+that `int()` rejects are parse errors, and so are an exponent above
+MAX_EXPONENT in absolute value and a power whose expansion passes TERM_CAP
+terms.
 """
 
 from __future__ import annotations
@@ -20,10 +22,12 @@ import re
 from fractions import Fraction
 
 from .ncpoly import EMPTY, Alphabet, NCPoly, add_terms
+from .rewrite import TERM_CAP, RewriteSystem
 from .scalars import S_ONE, S_Q, S_ZERO, GaussRat, Scalar
 
 _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|\d+|\^|\*|\+|-|#|\(|\)|/|=)")
 _MINUS_ONE = -S_ONE
+MAX_EXPONENT = 1000
 
 
 class ParseError(ValueError):
@@ -164,6 +168,8 @@ class Parser:
         if not tok.isdigit():
             raise ParseError(f"bad exponent {tok!r}")
         k = sign * _int(tok)
+        if abs(k) > MAX_EXPONENT:
+            raise ParseError(f"exponent {k} is over {MAX_EXPONENT} in absolute value")
         c = v.constant()
         if c is not None:
             if k < 0 and c.is_zero():
@@ -176,6 +182,8 @@ class Parser:
         out = Parsed.scalar(S_ONE)
         for _ in range(k):
             out = self.times(out, v)
+            if len(out.terms) > TERM_CAP:
+                raise ParseError(f"power has over {TERM_CAP} terms")
         return out
 
     def atom(self) -> Parsed:
@@ -244,7 +252,6 @@ def load_presentation(doc: dict, q: GaussRat | None = None):
     document, reading `Q` as q (formal when q is None).  Returns
     (system, hopf_or_none)."""
     from .hopf import HopfAlgebra
-    from .rewrite import RewriteSystem
     from .tensors import Tensor
 
     gens = list(doc["generators"])

@@ -21,7 +21,7 @@ from .comodule import (
 from .hopf import HopfAlgebra, HopfIdeal, check_hopf_axioms
 from .maps import NotWellDefinedError, gens_map
 from .ncpoly import NCPoly
-from .pullback import Covering, multipullback_membership
+from .pullback import Covering, pair_differences
 from .scalars import S_ONE, Scalar
 from .tensors import Tensor
 
@@ -181,8 +181,7 @@ def _constant_fiber_tuple_rejected() -> list[str]:
     fiber tuple must NOT be a member (the bundle is nontrivial)."""
     triv = builtin.sphere_covering()
     u = NCPoly.gen(triv.covering.pieces[0].comodule.system.alphabet, "u")
-    ok, failures = multipullback_membership(triv.covering, [u, u, u])
-    return _witnesses(failures) if not ok else []
+    return [f"multipullback @ ({i},{j})" for i, j, _ in pair_differences(triv.covering, [u, u, u])]
 
 
 def _kernel_overlap_detected() -> list[str]:

@@ -16,12 +16,6 @@ from .rewrite import RewriteSystem
 from .tensors import Tensor, TensorSpace, linear_image
 
 
-class IncompatibleError(ValueError):
-    def __init__(self, i, j, difference):
-        self.i, self.j, self.difference = i, j, difference
-        super().__init__(f"INCOMPATIBLE({i},{j}): difference {difference!r}")
-
-
 class NotSurjectiveError(ValueError):
     pass
 
@@ -172,22 +166,16 @@ class Covering:
 
 def pair_differences(cov: Covering, tup: Sequence[NCPoly]) -> Iterator[tuple[int, int, NCPoly]]:
     """(i, j, pi^i_j(t_i) - pi^j_i(t_j)) in normal form, for each pair of the
-    covering where the two double-quotient images of the tuple differ."""
+    covering where the two double-quotient images of the tuple differ.  The
+    tuple lies in the multipullback exactly when this yields nothing.  A
+    tuple without one entry per piece is a ValueError."""
+    if len(tup) != cov.size:
+        raise ValueError(f"{cov.name} has {cov.size} pieces, the tuple {len(tup)} entries")
     for (i, j) in cov.pairs:
         target, mi, mj = cov.pair_maps(i, j)
         diff = target.system.normal_form(mi.apply(tup[i]) - mj.apply(tup[j]))
         if not diff.is_zero():
             yield i, j, diff
-
-
-def multipullback_membership(cov: Covering, tup: Sequence[NCPoly]) -> tuple[bool, list[CheckFailure]]:
-    """True iff all double-quotient images agree."""
-    assert len(tup) == cov.size
-    failures = [
-        CheckFailure("multipullback", f"({i},{j})", f"difference {diff!r}")
-        for i, j, diff in pair_differences(cov, tup)
-    ]
-    return (not failures, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -253,25 +241,11 @@ class Trivialisation:
 # reducibility criterion
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ReducibilityVerdict:
-    reducible: bool
-    witnesses: list[CheckFailure] = field(default_factory=list)
-
-    @property
-    def transition_witnesses(self) -> list[CheckFailure]:
-        """The witnesses of part (a) of ``reducibility_check``."""
-        return [w for w in self.witnesses if w.check != "action-annihilates-base"]
-
-    def __repr__(self):
-        return "reducible-witnessed" if self.reducible else f"obstructed({self.witnesses[:1]})"
-
-
-def reducibility_check(triv: Trivialisation, J: HopfIdeal) -> ReducibilityVerdict:
+def reducibility_check(triv: Trivialisation, J: HopfIdeal) -> list[CheckFailure]:
     """(a) T_ij(J) = 0 for all pairs; (b) J |>_i B_i = 0 with
-    h |>_i b = gamma_i(h_(1)) b gamma_i(S(h_(2))).  Reducible when both hold;
-    the reduced pieces and descended H/J-cleavings this licenses are not
-    built, as no report reads them.
+    h |>_i b = gamma_i(h_(1)) b gamma_i(S(h_(2))).  Returns the witnesses;
+    reducible when there are none.  The reduced pieces and descended
+    H/J-cleavings this licenses are not built, as no report reads them.
 
     (a) is checked on the generators of J, which proves it for all of J when
     every pair target is commutative. That premise is checked first: a
@@ -282,9 +256,10 @@ def reducibility_check(triv: Trivialisation, J: HopfIdeal) -> ReducibilityVerdic
     map that kills the generators of J kills J.
 
     So T_ij = T o pi factors through pi: H -> H/J. Two corollaries, which
-    the reports read from the witnesses of (a): let h lie in the left
-    coinvariants D = {h : (pi (x) id) Delta h = 1 (x) h}. Applying T (x) id
-    gives T_ij(h_(1)) (x) h_(2) = 1 (x) h, so
+    the reports read from the witnesses of (a), the ones whose check is not
+    ``action-annihilates-base``: let h lie in the left coinvariants
+    D = {h : (pi (x) id) Delta h = 1 (x) h}. Applying T (x) id gives
+    T_ij(h_(1)) (x) h_(2) = 1 (x) h, so
     - T_ij(h) = eps(h) 1, by the counit on the second leg;
     - pi^i_j(gamma_i(h)) = T_ij(h_(1)) pi^j_i(gamma_j(h_(2))) = pi^j_i(gamma_j(h)),
       as gamma_j o S is the convolution inverse of gamma_j: the
@@ -330,7 +305,7 @@ def reducibility_check(triv: Trivialisation, J: HopfIdeal) -> ReducibilityVerdic
                             f"{acc!r} != 0",
                         )
                     )
-    return ReducibilityVerdict(not witnesses, witnesses)
+    return witnesses
 
 
 # ---------------------------------------------------------------------------
@@ -574,18 +549,12 @@ def prolong(
 def piece_glue(
     triv: Trivialisation, base_tuple: Sequence[NCPoly], fiber: NCPoly
 ) -> list[NCPoly]:
-    """Assemble (b_i gamma_i(fiber))_i and certify multipullback membership;
-    raises IncompatibleError with the difference when the twisted base classes
-    disagree."""
-    cov = triv.covering
-    tup = []
-    for i in range(cov.size):
-        psys = cov.pieces[i].comodule.system
-        tup.append(psys.mul(base_tuple[i], triv.cleavings[i].j.apply(fiber)))
-    first = next(pair_differences(cov, tup), None)
-    if first is not None:
-        raise IncompatibleError(*first)
-    return tup
+    """The tuple (b_i gamma_i(fiber))_i, one entry per piece (else a
+    ValueError).  It glues when ``pair_differences`` yields nothing."""
+    return [
+        piece.comodule.system.mul(b, cl.j.apply(fiber))
+        for piece, cl, b in zip(triv.covering.pieces, triv.cleavings, base_tuple, strict=True)
+    ]
 
 
 # ---------------------------------------------------------------------------

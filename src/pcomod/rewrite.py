@@ -12,6 +12,9 @@ from .ncpoly import EMPTY, Alphabet, NCPoly, Word, add_terms, word_str
 from .scalars import S_ONE, Scalar
 
 
+TERM_CAP = 100_000  # the most terms a reduction or a parsed power may hold
+
+
 class OrderViolation(ValueError):
     """A rule's right-hand side is not strictly smaller in the monomial order."""
 
@@ -90,7 +93,7 @@ class RewriteSystem:
         rules: Sequence[tuple[Word, NCPoly]] = (),
         star: dict[str, NCPoly] | None = None,
         name: str = "",
-        term_cap: int = 100_000,
+        term_cap: int = TERM_CAP,
         suffix_system: "RewriteSystem | None" = None,
     ):
         self.alphabet = alphabet

@@ -38,9 +38,8 @@ from .numgeom import (
 from .pullback import (
     Covering,
     CoveringPiece,
-    IncompatibleError,
     Trivialisation,
-    multipullback_membership,
+    pair_differences,
     piece_glue,
     reducibility_check,
 )
@@ -204,8 +203,7 @@ def suite_comodule_axioms(cfg: SuiteConfig) -> Iterator[CheckRecord]:
     for name in builtin.COMODULE_NAMES:
         if cfg.algebra not in (None, name):
             continue
-        obj = builtin.build(name, cfg.q)
-        P = obj[0] if isinstance(obj, tuple) else obj
+        P = builtin.build(name, cfg.q)
         yield _no_failures(
             f"comodule-axioms/{name}",
             "coaction well-defined, coassociative, counital on the basis",
@@ -299,9 +297,9 @@ def suite_covering(cfg: SuiteConfig) -> Iterator[CheckRecord]:
     al = triv.covering.pieces[0].comodule.system.alphabet
     one = NCPoly.one(al)
     zero = NCPoly.zero(al)
-    ok1, _ = multipullback_membership(triv.covering, [one] * triv.covering.size)
+    ok1 = next(pair_differences(triv.covering, [one] * triv.covering.size), None) is None
     bad_tuple = [one] + [zero] * (triv.covering.size - 1)
-    ok2, _ = multipullback_membership(triv.covering, bad_tuple)
+    ok2 = next(pair_differences(triv.covering, bad_tuple), None) is None
     good = ok1 and (not ok2 if triv.covering.size > 1 else True)
     yield _check(
         "covering/membership",
@@ -309,14 +307,18 @@ def suite_covering(cfg: SuiteConfig) -> Iterator[CheckRecord]:
         good,
         witness="" if good else "membership oracle inconsistent",
     )
-    try:
-        piece_glue(triv, [one] * triv.covering.size, NCPoly.one(triv.hopf.system.alphabet))
-        glue_ok = True
-        wit = ""
-    except IncompatibleError as e:
-        glue_ok = False
-        wit = str(e)
-    yield _check("covering/glue-unit", "the unit tuple glues", glue_ok, wit)
+    first = _glue_difference(triv, [one] * triv.covering.size, NCPoly.one(triv.hopf.system.alphabet))
+    yield _check("covering/glue-unit", "the unit tuple glues", first is None, _incompatible(first))
+
+
+def _glue_difference(triv: Trivialisation, base_tuple, fiber):
+    """The first (i, j, difference) at which (b_i gamma_i(fiber))_i fails to
+    glue, or None when it glues."""
+    return next(pair_differences(triv.covering, piece_glue(triv, base_tuple, fiber)), None)
+
+
+def _incompatible(first) -> str:
+    return "" if first is None else "INCOMPATIBLE({},{}): difference {!r}".format(*first)
 
 
 def _load_trivialisation(cfg: SuiteConfig):
@@ -335,8 +337,7 @@ def load_covering_file(path: str):
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read covering file {path}: {e}")
     _check_covering_shape(path, doc)
-    obj = builtin.build(doc["base"])
-    base = obj[0] if isinstance(obj, tuple) else obj
+    base = builtin.build(doc["base"])
     if not hasattr(base, "coact_word"):
         raise ConfigError(f"base {doc['base']!r} is not a comodule algebra")
     hgens = set(base.hopf.system.alphabet.gens)
@@ -429,34 +430,34 @@ def suite_reduction_theorem(cfg: SuiteConfig) -> Iterator[CheckRecord]:
     yield _no_failures("reduction/prolong-certificates", "cotensor membership and imported relations", pro.report)
     J = builtin.u1_mod_z2_ideal()
     yield _no_failures("reduction/ideal-axioms", "the reducing ideal is a Hopf ideal", J.validate())
-    verdict = reducibility_check(pro.trivialisation, J)
-    yield _check(
+    witnesses = reducibility_check(pro.trivialisation, J)
+    yield _no_failures(
         "reduction/sphere-instance",
         "transition functions annihilate the ideal and its base action vanishes",
-        verdict.reducible,
-        witness="" if verdict.reducible else str(verdict.witnesses[0]),
+        witnesses,
     )
-    # both follow from part (a) of the verdict (reducibility_check)
+    # both follow from part (a) of reducibility_check
+    transition = [w for w in witnesses if w.check != "action-annihilates-base"]
     yield _no_failures(
         "reduction/transition-kills-ideal",
         "T_ij of every ideal generator is exactly zero",
-        verdict.transition_witnesses,
+        transition,
     )
     yield _no_failures(
         "reduction/coinvariant-compatibility",
         "the trivialisations agree on the coinvariant subalgebra through the double quotients",
-        verdict.transition_witnesses,
+        transition,
     )
     # the second positive instance: the quantum-group prolongation of the
     # Peter-Weyl patch reduces along the gamma kernel
     ppro = builtin.patch_prolonged(cfg.q)
     JS = builtin.su_gamma_ideal(ppro.trivialisation.hopf)
-    pverdict = reducibility_check(ppro.trivialisation, JS)
+    pwitnesses = reducibility_check(ppro.trivialisation, JS)
     yield _check(
         "reduction/patch-instance",
         "the quantum-group prolongation of the patch reduces along the gamma kernel",
-        ppro.report == [] and pverdict.reducible,
-        witness="" if pverdict.reducible else str(pverdict.witnesses[0]),
+        ppro.report == [] and not pwitnesses,
+        witness=f"{pwitnesses[0]}" if pwitnesses else "",
     )
     # the obstructed instance: the quantum-plane frame bundle at generic q
     # (the cube-root mode belongs to the frame-obstruction suite, which reduces
@@ -467,13 +468,13 @@ def suite_reduction_theorem(cfg: SuiteConfig) -> Iterator[CheckRecord]:
     cov = Covering([piece], {}, name="frame-bundle-single-piece")
     triv = Trivialisation(cov, sm.hopf, [sm.cleaving()], name="frame")
     JG = builtin.gl_mod_det_ideal(sm.hopf)
-    verdict = reducibility_check(triv, JG)
+    witnesses = reducibility_check(triv, JG)
     expected_obstructed = cfg.q != 1
     yield _check(
         "reduction/frame-bundle-obstructed",
         "the determinant ideal acts nontrivially on the plane unless q^3 = 1",
-        (not verdict.reducible) if expected_obstructed else verdict.reducible,
-        witness=str(verdict.witnesses[0]) if verdict.witnesses else "",
+        bool(witnesses) == expected_obstructed,
+        witness=f"{witnesses[0]}" if witnesses else "",
     )
     # quotient identifications
     u1 = builtin.o_u1()
@@ -507,19 +508,17 @@ def suite_prolong(cfg: SuiteConfig) -> Iterator[CheckRecord]:
     H = builtin.o_u1()
     u2 = NCPoly.word(H.system.alphabet, ("u", "u"))
     one = NCPoly.one(triv.covering.pieces[0].comodule.system.alphabet)
-    try:
-        piece_glue(triv, [one] * 3, u2)
-        ok, wit = True, ""
-    except IncompatibleError as e:
-        ok, wit = False, str(e)
-    yield _check("prolong/glue-even-fiber", "the even fiber power glues across all faces", ok, wit)
-    u1g = NCPoly.gen(H.system.alphabet, "u")
-    try:
-        piece_glue(triv, [one] * 3, u1g)
-        ok, wit = False, "odd fiber glued but the bundle is nontrivial"
-    except IncompatibleError as e:
-        ok, wit = True, f"difference {e.difference!r}"
-    yield _check("prolong/odd-fiber-rejected", "the odd fiber power does not glue (nontriviality)", ok, wit)
+    first = _glue_difference(triv, [one] * 3, u2)
+    yield _check(
+        "prolong/glue-even-fiber", "the even fiber power glues across all faces", first is None, _incompatible(first)
+    )
+    first = _glue_difference(triv, [one] * 3, NCPoly.gen(H.system.alphabet, "u"))
+    yield _check(
+        "prolong/odd-fiber-rejected",
+        "the odd fiber power does not glue (nontriviality)",
+        first is not None,
+        "odd fiber glued but the bundle is nontrivial" if first is None else f"difference {first[2]!r}",
+    )
 
 
 def symbol_relation_residual(system) -> float:

@@ -46,8 +46,7 @@ def test_criterion_1_axiom_suites_exact():
         conf = H.system.check_local_confluence(6)
         failures += conf.conflicts
     for name in builtin.COMODULE_NAMES:
-        obj = builtin.build(name)
-        P = obj[0] if isinstance(obj, tuple) else obj
+        P = builtin.build(name)
         failures += P.check_axioms()
         failures += bounded_coaction_axioms(P, 4)
     dt = time.monotonic() - t0
@@ -77,7 +76,7 @@ def test_criterion_2_strong_connection_degree_4():
 def test_criterion_3_reduction_theorem_instance():
     pro = builtin.sphere_prolonged()
     J = builtin.u1_mod_z2_ideal()
-    verdict = reducibility_check(pro.trivialisation, J)
+    witnesses = reducibility_check(pro.trivialisation, J)
     tij_zero = True
     for i in range(3):
         for j in range(3):
@@ -88,7 +87,7 @@ def test_criterion_3_reduction_theorem_instance():
                     tij_zero = False
     report(
         "3. prolonged sphere reduces along the parity ideal; T_ij(u^2 - 1) = 0 exactly for all pairs",
-        pro.report == [] and verdict.reducible and tij_zero,
+        pro.report == [] and witnesses == [] and tij_zero,
     )
 
 

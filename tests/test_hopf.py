@@ -220,7 +220,6 @@ def test_generator_certificate_agrees_with_bounded_oracle(subject, q, bound):
     every corrupted axiom table gets the same first witness from both."""
     if isinstance(subject, str):
         obj = builtin.build(subject, q)
-        obj = obj[0] if isinstance(obj, tuple) else obj
     else:
         obj = subject.table()
     if isinstance(obj, HopfAlgebra):

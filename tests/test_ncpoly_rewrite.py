@@ -130,8 +130,7 @@ def test_ambiguity_check_agrees_on_builtins(name, q):
 @pytest.mark.parametrize("name", builtin.COMODULE_NAMES)
 def test_ambiguity_check_agrees_on_comodule_builtins(name):
     """Includes plane_gl_smash, whose normal forms pass through a suffix system."""
-    obj = builtin.build(name)
-    system = (obj[0] if isinstance(obj, tuple) else obj).system
+    system = builtin.build(name).system
     for bound in range(2, 5):
         assert _assert_agrees_with_brute_force(system, bound).confluent
 
@@ -262,7 +261,6 @@ def test_normal_form_idempotent_and_associative(gl):
 
 def _builtin_system(name, q):
     obj = builtin.build(name, q)
-    obj = obj[0] if isinstance(obj, tuple) else obj
     return obj if isinstance(obj, RewriteSystem) else obj.system
 
 
@@ -382,8 +380,7 @@ def test_normal_form_agrees_with_worklist_on_builtins(name, q):
 @pytest.mark.parametrize("name", builtin.COMODULE_NAMES)
 def test_normal_form_agrees_with_worklist_on_comodule_builtins(name):
     """Includes plane_gl_smash, whose normal forms pass through a suffix system."""
-    obj = builtin.build(name)
-    system = (obj[0] if isinstance(obj, tuple) else obj).system
+    system = builtin.build(name).system
     words = system.all_words(4)
     _assert_agrees_with_worklist(system, random.Random(29).sample(words, min(150, len(words))))
 

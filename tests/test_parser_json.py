@@ -80,6 +80,12 @@ def test_parse_errors():
     for expr in ("1/0", "0^-1", "(Q-Q)^-1", "1" * 4301):
         with pytest.raises(ParseError):
             parse_poly(expr, AL)
+    # a power is bounded in its exponent and in its terms: (a+b)^17 has
+    # 2^17 words, while central letters keep (c+d)^20 at 21 terms
+    for expr, match in (("a^1001", "exponent 1001"), ("(a+b)^17", "over 100000 terms")):
+        with pytest.raises(ParseError, match=match):
+            parse_poly(expr, AL)
+    assert len(parse_poly("(c+d)^20", Alphabet(["c", "d"], central=["c", "d"])).terms) == 21
 
 
 _TREE_ATOMS = st.one_of(

@@ -16,7 +16,6 @@ from pcomod.numgeom.toeplitz import _toeplitz_basis, toeplitz_flip
 from pcomod.pullback import (
     Covering,
     CoveringPiece,
-    IncompatibleError,
     NotSurjectiveError,
     PairData,
     Trivialisation,
@@ -24,7 +23,6 @@ from pcomod.pullback import (
     cotensor_membership,
     ideal_distributivity_check,
     ideal_span,
-    multipullback_membership,
     pair_differences,
     piece_glue,
     prolong,
@@ -46,16 +44,25 @@ def test_sphere_covering_validates(sphere):
 def test_membership_examples(sphere):
     al = sphere.covering.pieces[0].comodule.system.alphabet
     one, zero = NCPoly.one(al), NCPoly.zero(al)
-    ok, _ = multipullback_membership(sphere.covering, [one, one, one])
-    assert ok
-    ok, _ = multipullback_membership(sphere.covering, [zero, zero, zero])
-    assert ok
-    ok, fails = multipullback_membership(sphere.covering, [one, zero, zero])
-    assert not ok and fails
+    assert list(pair_differences(sphere.covering, [one, one, one])) == []
+    assert list(pair_differences(sphere.covering, [zero, zero, zero])) == []
+    assert list(pair_differences(sphere.covering, [one, zero, zero]))
     # chi-image tuples are members: project any element of one smash copy
     p = NCPoly.word(al, ("s", "u"))
-    ok, _ = multipullback_membership(sphere.covering, [p, p, p])
-    assert not ok  # the twisted identification separates the copies
+    # the twisted identification separates the copies
+    assert list(pair_differences(sphere.covering, [p, p, p]))
+
+
+def test_pair_differences_needs_one_entry_per_piece(sphere):
+    """A short or long tuple is a ValueError, for the membership test and for
+    the gluing, rather than a tuple cut to the number of pieces."""
+    al = sphere.covering.pieces[0].comodule.system.alphabet
+    fiber = NCPoly.one(sphere.hopf.system.alphabet)
+    for size in (2, 4):
+        with pytest.raises(ValueError, match="3 pieces"):
+            next(pair_differences(sphere.covering, [NCPoly.one(al)] * size))
+        with pytest.raises(ValueError):
+            piece_glue(sphere, [NCPoly.one(al)] * size, fiber)
 
 
 def test_exact_sphere_membership_agrees_with_rp2(sphere):
@@ -71,7 +78,7 @@ def test_exact_sphere_membership_agrees_with_rp2(sphere):
     cfg = GridConfig()
     members = 0
     for tup in product(elements, repeat=3):
-        exact, _ = multipullback_membership(sphere.covering, [NCPoly(al, p.terms) for p in tup])
+        exact = next(pair_differences(sphere.covering, [NCPoly(al, p.terms) for p in tup]), None) is None
         assert exact == rp2_membership(tup, cfg)[0], tup
         members += exact
     assert members == 64
@@ -189,20 +196,19 @@ def test_equal_cleavings_give_counit_transitions(z2_smash):
 
 def test_reducibility_positive_and_negative(sphere_pro, plane_smash):
     J = builtin.u1_mod_z2_ideal()
-    verdict = reducibility_check(sphere_pro.trivialisation, J)
-    assert verdict.reducible
+    assert reducibility_check(sphere_pro.trivialisation, J) == []
     # the frame bundle is obstructed at generic q
     sm = plane_smash
     cov = Covering([CoveringPiece(sm, base_gens=("x", "y"))], {}, name="single")
     triv = Trivialisation(cov, sm.hopf, [sm.cleaving()])
     JG = builtin.gl_mod_det_ideal(sm.hopf)
-    verdict = reducibility_check(triv, JG)
-    assert not verdict.reducible
-    w = next(f for f in verdict.witnesses if f.check == "action-annihilates-base")
+    witnesses = reducibility_check(triv, JG)
+    assert witnesses
+    w = next(f for f in witnesses if f.check == "action-annihilates-base")
     assert "x" in w.detail and "q^3" in w.detail
     # and trivially reducible for the zero ideal
     J0 = HopfIdeal(sm.hopf, [], name="<0>")
-    assert reducibility_check(triv, J0).reducible
+    assert reducibility_check(triv, J0) == []
 
 
 def test_transition_kills_ideal_exactly(sphere_pro):
@@ -218,7 +224,8 @@ def test_cleavings_agree_on_coinvariants(sphere_pro):
     coinvariant subalgebra: the glued reduction map is well defined. Part (a)
     of the verdict proves it in every degree; the word loop checks degree 2."""
     J = builtin.u1_mod_z2_ideal()
-    assert reducibility_check(sphere_pro.trivialisation, J).transition_witnesses == []
+    witnesses = reducibility_check(sphere_pro.trivialisation, J)
+    assert [f for f in witnesses if f.check != "action-annihilates-base"] == []
     assert bounded_coinvariant_compatibility(sphere_pro.trivialisation, J, 2) == []
 
 
@@ -232,9 +239,9 @@ def test_twisted_sphere_fails_part_a_and_the_coinvariant_loop(sphere):
     sphere's parity twist makes T_01(u) the class v, not 1: part (a) of the
     verdict and the word loop both reject it."""
     J = _unit_ideal(sphere.hopf)
-    verdict = reducibility_check(sphere, J)
-    assert verdict.transition_witnesses
-    assert {f.check for f in verdict.transition_witnesses} == {"transition-annihilates-J"}
+    transition = [f for f in reducibility_check(sphere, J) if f.check != "action-annihilates-base"]
+    assert transition
+    assert {f.check for f in transition} == {"transition-annihilates-J"}
     old = bounded_coinvariant_compatibility(sphere, J, 2)
     assert ("transition-counit-on-D", "T_01(u)") in [(f.check, f.where) for f in old]
 
@@ -250,9 +257,9 @@ def test_noncommutative_pair_target_is_not_certified(tmp_path):
     path.write_text(json.dumps(doc))
     triv = _load_trivialisation(SuiteConfig(suite="transition", covering=str(path)))
     H = triv.hopf
-    verdict = reducibility_check(triv, _unit_ideal(H))
-    assert not verdict.reducible
-    assert [(f.check, f.where) for f in verdict.witnesses] == [("pair-target-commutative", "(0,1)")]
+    witnesses = reducibility_check(triv, _unit_ideal(H))
+    assert witnesses
+    assert [(f.check, f.where) for f in witnesses] == [("pair-target-commutative", "(0,1)")]
     target = triv.covering.pair_maps(0, 1)[0].system
     for w in H.system.basis_words(2):
         assert triv.transition(0, 1, w) == target.one().scale(H.counit_word(w))
@@ -326,8 +333,7 @@ def test_patch_prolongation_reduces_back():
     pro = builtin.patch_prolonged()
     J = builtin.su_gamma_ideal()
     assert J.validate() == []
-    verdict = reducibility_check(pro.trivialisation, J)
-    assert verdict.reducible
+    assert reducibility_check(pro.trivialisation, J) == []
 
 
 def test_prolong_at_the_classical_point():
@@ -341,7 +347,7 @@ def test_prolong_at_the_classical_point():
     assert all(r.rhs != NCPoly.word(al, r.lhs_word) for r in psys.rules)
     ag = NCPoly.word(al, ("A", "G"))
     assert psys.normal_form(ag) == NCPoly.word(al, ("G", "A"))
-    assert reducibility_check(pro.trivialisation, builtin.su_gamma_ideal(builtin.su_q2(1))).reducible
+    assert reducibility_check(pro.trivialisation, builtin.su_gamma_ideal(builtin.su_q2(1))) == []
 
 
 def test_prolong_requires_surjection(sphere):
@@ -361,32 +367,34 @@ def test_piece_glue(sphere, sphere_pro):
     one = NCPoly.one(al)
     tup = piece_glue(sphere, [one] * 3, NCPoly.one(sphere.hopf.system.alphabet))
     assert all(p == one for p in tup)
+    assert list(pair_differences(sphere.covering, tup)) == []
     u = NCPoly.gen(sphere.hopf.system.alphabet, "u")
-    with pytest.raises(IncompatibleError) as exc:
-        piece_glue(sphere, [one] * 3, u)
-    assert not exc.value.difference.is_zero()
+    first = next(pair_differences(sphere.covering, piece_glue(sphere, [one] * 3, u)), None)
+    assert first is not None and not first[2].is_zero()
     # the even fiber glues on the prolonged covering
     triv = sphere_pro.trivialisation
     alp = triv.covering.pieces[0].comodule.system.alphabet
     u2 = NCPoly.word(builtin.o_u1().system.alphabet, ("u", "u"))
     tup = piece_glue(triv, [NCPoly.one(alp)] * 3, u2)
     assert all(p == NCPoly.word(alp, ("U", "U")) for p in tup)
+    assert list(pair_differences(triv.covering, tup)) == []
 
 
 def test_membership_and_glue_share_the_pair_differences(sphere):
-    """multipullback_membership reports every pair that pair_differences
-    yields, and piece_glue raises on the first, with the same difference."""
+    """piece_glue of the unit base tuple and the fiber u is the tuple of
+    cleaving images of u; pair_differences yields a nonzero difference at a
+    pair of the covering for each pair where it fails to glue, the same
+    ones on both, and the negative control's witnesses name those pairs."""
     u = NCPoly.gen(sphere.hopf.system.alphabet, "u")
     pieces = sphere.covering.pieces
     tup = [cl.j.apply(u) for cl in sphere.cleavings]
     diffs = list(pair_differences(sphere.covering, tup))
     assert diffs
-    ok, fails = multipullback_membership(sphere.covering, tup)
-    assert not ok
-    assert [(f.where, f.detail) for f in fails] == [(f"({i},{j})", f"difference {d!r}") for i, j, d in diffs]
-    with pytest.raises(IncompatibleError) as exc:
-        piece_glue(sphere, [NCPoly.one(p.comodule.system.alphabet) for p in pieces], u)
-    assert (exc.value.i, exc.value.j, exc.value.difference) == diffs[0]
+    assert all((i, j) in sphere.covering.pairs and not d.is_zero() for i, j, d in diffs)
+    glued = piece_glue(sphere, [NCPoly.one(p.comodule.system.alphabet) for p in pieces], u)
+    assert glued == tup
+    assert list(pair_differences(sphere.covering, glued)) == diffs
+    assert mutants._constant_fiber_tuple_rejected() == [f"multipullback @ ({i},{j})" for i, j, _ in diffs]
 
 
 def test_ideal_spans_and_distributivity():

@@ -440,6 +440,9 @@ _UNIT_PIECE = {"kernel": [], "cleaving": {"u": "u"}}
         ({"pieces": [{"kernel": ["0^-1"], "cleaving": {"u": "u"}}]}, "cannot parse"),
         ({"pieces": [{"kernel": ["(Q-Q)^-1"], "cleaving": {"u": "u"}}]}, "cannot parse"),
         ({"pieces": [{"kernel": ["1" * 4301], "cleaving": {"u": "u"}}]}, "cannot parse"),
+        # a power is bounded in its exponent and in its terms
+        ({"pieces": [{"kernel": ["s^1001"], "cleaving": {"u": "u"}}]}, "cannot parse.*exponent 1001"),
+        ({"pieces": [{"kernel": ["(s+ss)^17"], "cleaving": {"u": "u"}}]}, "cannot parse.*over 100000 terms"),
     ],
     ids=[
         "kernel", "cleaving", "pieces-not-a-list", "no-pieces", "piece-not-an-object",
@@ -447,6 +450,7 @@ _UNIT_PIECE = {"kernel": [], "cleaving": {"u": "u"}}
         "cleaving-misses-a-generator", "cleaving-not-an-algebra-map", "kernel-tensor-that-cancels",
         "kernel-holding-one", "kernel-holding-a-constant", "kernel-zero-denominator",
         "kernel-negative-power-of-zero", "kernel-negative-power-of-a-zero-constant", "kernel-over-long-literal",
+        "kernel-exponent-over-the-bound", "kernel-power-over-the-term-cap",
     ],
 )
 def test_covering_file_that_does_not_parse_is_a_config_error(tmp_path, capsys, doc, match):
@@ -576,6 +580,8 @@ def covering_files(draw):
         "kernel": ("pieces", [{"kernel": ["s**"], "cleaving": identity}]),
         "cleaving": ("pieces", [{"kernel": [], "cleaving": {"zz": "u"}}]),
         "zero-denominator": ("pieces", [{"kernel": ["1/0"], "cleaving": identity}]),
+        "exponent-over-the-bound": ("pieces", [{"kernel": ["s^1001"], "cleaving": identity}]),
+        "power-over-the-term-cap": ("pieces", [{"kernel": ["(s+ss)^17"], "cleaving": identity}]),
     }
     fault = draw(st.sampled_from([None] * 6 + sorted(malformed)))
     if fault:

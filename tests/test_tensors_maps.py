@@ -284,8 +284,7 @@ def test_coaction_map_matches_product_loop(name, q):
             for w in _words_twice(piece.system):
                 assert _same_terms(d.apply_word(w), looped_dictionary_word(bsys, hsys, fiber, w)), w
     else:
-        obj = builtin.build(name, q)
-        comodules = [obj[0] if isinstance(obj, tuple) else obj]
+        comodules = [builtin.build(name, q)]
     for P in comodules:
         for w in _words_twice(P.system):
             assert _same_terms(P.coact_word(w), looped_coact_word(P, w)), (P.name, w)
