@@ -351,28 +351,16 @@ def pw_patch() -> tuple[ComoduleAlgebra, CleavingMap]:
     return P, CleavingMap(P, j)
 
 
-def trivial_action(H: HopfAlgebra, B: RewriteSystem) -> dict[tuple[str, str], NCPoly]:
-    table = {}
-    for z in H.system.alphabet.gens:
-        for b in B.alphabet.gens:
-            table[(z, b)] = NCPoly.gen(B.alphabet, b).scale(H.counit_table[z])
-    return table
-
-
 @functools.cache
 def toeplitz_z2_smash() -> SmashProduct:
     """The sphere building block T (x) C(Z2): smash with trivial action."""
-    B = toeplitz_system()
-    H = c_z2()
-    return smash_product(B, H, trivial_action(H, B), name="toeplitz_z2_smash", h_central=True)
+    return smash_product(toeplitz_system(), c_z2(), name="toeplitz_z2_smash")
 
 
 @functools.cache
 def toeplitz_u1_smash() -> SmashProduct:
     """Prolonged building block T (x) O(U(1))."""
-    B = toeplitz_system()
-    H = o_u1()
-    return smash_product(B, H, trivial_action(H, B), name="toeplitz_u1_smash", h_central=True)
+    return smash_product(toeplitz_system(), o_u1(), name="toeplitz_u1_smash")
 
 
 @_memo_by_q
@@ -473,28 +461,15 @@ def pi_u1_to_z2() -> LinearMap:
 
 
 @functools.cache
-def _sphere_edge() -> "ComoduleAlgebra":
+def _sphere_edge() -> SmashProduct:
     """Edge avatar for one face pair: two circle unitaries (untwisted and
-    twisted symbol images), the base Z2 coordinate v, and the fiber copy w."""
-    gens = ("z", "zi", "z2", "z2i", "v", "w")
+    twisted symbol images) and the base Z2 coordinate v, tensored with
+    C(Z2), whose letter is the fiber copy w."""
+    gens = ("z", "zi", "z2", "z2i", "v")
     alpha = Alphabet(gens, central=gens)
     one = NCPoly.one(alpha)
-
-    def word(*w):
-        return NCPoly.word(alpha, tuple(w))
-
-    rules = [
-        (("z", "zi"), one),
-        (("z2", "z2i"), one),
-        (("v", "v"), one),
-        (("w", "w"), one),
-    ]
-    sys = RewriteSystem(alpha, rules, name="sphere_edge")
-    H = c_z2()
-    Ts = (sys, H.system)
-    coaction = {g: Tensor(Ts, {((g,), ()): S_ONE}) for g in ("z", "zi", "z2", "z2i", "v")}
-    coaction["w"] = Tensor(Ts, {(("w",), ("u",)): S_ONE})
-    return ComoduleAlgebra(sys, H, coaction, name="sphere_edge over c_z2")
+    base = RewriteSystem(alpha, [(("z", "zi"), one), (("z2", "z2i"), one), (("v", "v"), one)])
+    return smash_product(base, c_z2(), name="sphere_edge", fiber_names={"u": "w"})
 
 
 @functools.cache

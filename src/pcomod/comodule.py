@@ -238,13 +238,14 @@ def verify_strong_connection(ell: StrongConnection, degree_bound: int) -> list[C
 # ---------------------------------------------------------------------------
 
 class SmashProduct(ComoduleAlgebra):
-    """B x| H on the flat alphabet (B-generators then H-generators), with the
-    cross relations h b = (h_(1) |> b) h_(2) installed as rewrite rules."""
+    """B x| H on the flat alphabet (B-generators then H-generators, the latter
+    under their fiber names), built by ``smash_product``."""
 
-    def __init__(self, system, hopf, coaction, b_system, action, name=""):
+    def __init__(self, system, hopf, coaction, b_system, action, fiber_names, name=""):
         super().__init__(system, hopf, coaction, name=name)
         self.b_system = b_system
-        self.action = action  # ActionData
+        self.action = action  # ActionData, or None for the trivial action
+        self.fiber_names = fiber_names  # H-generator -> its letter here
 
     @property
     def b_gens(self) -> tuple[str, ...]:
@@ -252,14 +253,15 @@ class SmashProduct(ComoduleAlgebra):
 
     @property
     def h_gens(self) -> tuple[str, ...]:
-        return self.hopf.system.alphabet.gens
+        return tuple(self.fiber_names[z] for z in self.hopf.system.alphabet.gens)
 
     def cleaving(self) -> CleavingMap:
+        """The algebra map sending each H-generator to its fiber letter."""
         j = gens_map(
             f"j_{self.name}",
             self.hopf.system,
             self.system,
-            {g: NCPoly.gen(self.system.alphabet, g) for g in self.h_gens},
+            {z: NCPoly.gen(self.system.alphabet, f) for z, f in self.fiber_names.items()},
             check=False,
         )
         return CleavingMap(self, j)
@@ -338,71 +340,73 @@ class ActionData:
 def smash_product(
     b_system: RewriteSystem,
     H: HopfAlgebra,
-    action_table: dict[tuple[str, str], NCPoly],
+    action_table: dict[tuple[str, str], NCPoly] | None = None,
     name: str = "",
-    h_central: bool = False,
+    fiber_names: dict[str, str] | None = None,
 ) -> SmashProduct:
-    """Build B x| H; raises NotModuleAlgebraError when the action fails
-    the module-algebra axioms (checked on all generator/relation pairs)."""
-    action = ActionData(H, b_system, action_table)
-    problems = action.module_algebra_problems()
-    if problems:
-        raise NotModuleAlgebraError(f"{name or 'smash'}: {problems[0]}")
+    """Build B x| H on B's letters, then H's under ``fiber_names``; raises
+    NotModuleAlgebraError when the action fails the module-algebra axioms
+    (checked on all generator/relation pairs).
+
+    No table is the trivial action h |> b = eps(h) b, whose smash product is
+    B (x) H; it is a module-algebra action, as eps is an algebra map. With it
+    and H commutative, H's letters are central and H's rules join B's.
+    Otherwise the cross rules z b -> (z_(1) |> b) z_(2), b z for the trivial
+    action, move H's letters right past B's, and H's renamed system reduces
+    that suffix zone. B's letters are coinvariant and H's carry Delta."""
+    action = None
+    if action_table is not None:
+        action = ActionData(H, b_system, action_table)
+        problems = action.module_algebra_problems()
+        if problems:
+            raise NotModuleAlgebraError(f"{name or 'smash'}: {problems[0]}")
+    fiber = H.system.renamed(fiber_names) if fiber_names else H.system
+    fiber_names = fiber_names or {z: z for z in H.system.alphabet.gens}
     b_gens = b_system.alphabet.gens
-    h_gens = H.system.alphabet.gens
-    overlap = set(b_gens) & set(h_gens)
+    f_gens = fiber.alphabet.gens
+    overlap = set(b_gens) & set(f_gens)
     if overlap:
         raise NotModuleAlgebraError(f"generator names shared between B and H: {sorted(overlap)}")
-    central = tuple(b_system.alphabet.central) + (h_gens if h_central else ())
-    alpha = Alphabet(b_gens + h_gens, central=central)
+    central_fiber = action_table is None and H.system.is_commutative()
+    central = tuple(b_system.alphabet.central) + (f_gens if central_fiber else ())
+    alpha = Alphabet(b_gens + f_gens, central=central)
 
-    def lift_b(p: NCPoly) -> NCPoly:
-        return NCPoly(alpha, dict(p.terms))
+    def rename(w: Word) -> Word:
+        return tuple(fiber_names[g] for g in w)
 
-    rules: list[tuple[Word, NCPoly]] = []
-    for rule in b_system.rules:
-        rules.append((rule.lhs_word, lift_b(rule.rhs)))
-    if h_central:
-        # centrality already encodes the cross relations; only the trivial
-        # action is compatible with it
-        for (z, b), p in action.table.items():
-            expected = NCPoly.gen(b_system.alphabet, b).scale(H.counit_table[z])
-            if b_system.normal_form(p - expected) != b_system.zero():
-                raise NotModuleAlgebraError(
-                    f"h_central smash requires the trivial action; {z}|>{b} = {p!r}"
-                )
-        for rule in H.system.rules:
-            rules.append((rule.lhs_word, NCPoly(alpha, dict(rule.rhs.terms))))
-        suffix = None
+    rules = [(r.lhs_word, NCPoly(alpha, r.rhs.terms)) for r in b_system.rules]
+    if central_fiber:
+        for r in fiber.rules:
+            rhs = NCPoly(alpha, r.rhs.terms)
+            # a commutation rule of H reads w -> w once its letters are central
+            if rhs != NCPoly.word(alpha, alpha.canon(r.lhs_word)):
+                rules.append((r.lhs_word, rhs))
     else:
-        suffix = H.system
-        for z in h_gens:
+        for z in H.system.alphabet.gens:
             for b in b_gens:
-                # z b = (z_(1) |> b) z_(2)
-                rhs = linear_image(
-                    H.delta_word((z,)),
-                    lambda k: NCPoly(alpha, {bw + k[1]: c for bw, c in action.act(k[0], (b,)).terms.items()}),
-                    NCPoly.zero(alpha),
-                )
-                rules.append(((z, b), rhs))
+                if action is None:
+                    rhs = NCPoly.word(alpha, (b, fiber_names[z]))
+                else:
+                    rhs = linear_image(
+                        H.delta_word((z,)),
+                        lambda k: NCPoly(
+                            alpha, {bw + rename(k[1]): c for bw, c in action.act(k[0], (b,)).terms.items()}
+                        ),
+                        NCPoly.zero(alpha),
+                    )
+                rules.append(((fiber_names[z], b), rhs))
     system = RewriteSystem(
         alpha,
         rules,
         name=name or f"{b_system.name}x|{H.name}",
-        suffix_system=suffix,
+        suffix_system=None if central_fiber else fiber,
     )
-    coaction: dict[str, Tensor] = {}
-    for b in b_gens:
-        coaction[b] = Tensor.of((system, H.system), NCPoly.gen(alpha, b), H.system.one())
-    for z in h_gens:
-        coaction[z] = Tensor(
-            (system, H.system),
-            {
-                (w1, w2): c
-                for (w1, w2), c in H.delta_word((z,)).terms.items()
-            },
+    coaction = {b: Tensor.of((system, H.system), NCPoly.gen(alpha, b), H.system.one()) for b in b_gens}
+    for z in H.system.alphabet.gens:
+        coaction[fiber_names[z]] = Tensor(
+            (system, H.system), {(rename(w1), w2): c for (w1, w2), c in H.delta_word((z,)).terms.items()}
         )
-    return SmashProduct(system, H, coaction, b_system, action, name=name or system.name)
+    return SmashProduct(system, H, coaction, b_system, action, fiber_names, name=system.name)
 
 
 # ---------------------------------------------------------------------------

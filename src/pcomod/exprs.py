@@ -12,7 +12,7 @@ A subexpression whose value is a constant acts as a scalar: `(s - s + 2)^-1`
 is 1/2.  A zero denominator, a negative power of zero and an integer literal
 that `int()` rejects are parse errors, and so are an exponent above
 MAX_EXPONENT in absolute value and a power whose expansion passes TERM_CAP
-terms.
+terms, a word of WORD_CAP letters or a scalar of SCALAR_CAP bits.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ from .scalars import S_ONE, S_Q, S_ZERO, GaussRat, Scalar
 _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|\d+|\^|\*|\+|-|#|\(|\)|/|=)")
 _MINUS_ONE = -S_ONE
 MAX_EXPONENT = 1000
+WORD_CAP = 10_000  # the most letters in a word of a parsed power
+SCALAR_CAP = 100_000  # the most bits in a parsed power of a constant (``_bits``)
 
 
 class ParseError(ValueError):
@@ -47,6 +49,12 @@ def tokenize(s: str) -> list[str]:
         pos = m.end()
     out.append("<end>")
     return out
+
+
+def _bits(c: Scalar) -> int:
+    """The size of c written out densely: the bits of every coefficient of
+    its numerator and denominator, plus one for each power of q it carries."""
+    return abs(c.v) + sum(g.a.bit_length() + g.b.bit_length() + g.d.bit_length() for g in c.n + c.d)
 
 
 def _int(tok: str) -> int:
@@ -172,15 +180,27 @@ class Parser:
             raise ParseError(f"exponent {k} is over {MAX_EXPONENT} in absolute value")
         c = v.constant()
         if c is not None:
-            if k < 0 and c.is_zero():
-                raise ParseError("negative power of zero")
-            return Parsed.scalar(c**k)
+            if k < 0:
+                if c.is_zero():
+                    raise ParseError("negative power of zero")
+                c, k = c.inv(), -k
+            out = S_ONE
+            for _ in range(k):
+                out = out * c
+                if _bits(out) > SCALAR_CAP:
+                    raise ParseError(f"power has over {SCALAR_CAP} bits")
+            return Parsed.scalar(out)
         if v.legs != 1:
             raise ParseError("cannot raise a tensor to a power")
         if k < 0:
             raise ParseError("negative powers are only defined for constants")
+        # a power of a polynomial of degree d has degree exactly k*d: words
+        # multiply with no cancellation among the top terms
+        d = max(len(w) for (w,) in v.terms)
         out = Parsed.scalar(S_ONE)
-        for _ in range(k):
+        for i in range(1, k + 1):
+            if i * d > WORD_CAP:
+                raise ParseError(f"power has a word of over {WORD_CAP} letters")
             out = self.times(out, v)
             if len(out.terms) > TERM_CAP:
                 raise ParseError(f"power has over {TERM_CAP} terms")

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Callable, Iterator, Sequence
 
-from .comodule import CleavingMap, ComoduleAlgebra
+from .comodule import CleavingMap, ComoduleAlgebra, smash_product
 from .hopf import CheckFailure, HopfAlgebra, HopfIdeal
 from .linalg import RowSpace, intersect_spans, same_span, span_of
 from .maps import LinearMap, gens_map, relation_mismatches
@@ -270,7 +270,7 @@ def reducibility_check(triv: Trivialisation, J: HopfIdeal) -> list[CheckFailure]
     witnesses: list[CheckFailure] = [
         CheckFailure("pair-target-commutative", f"({i},{j})", f"{pair.target.system.name} is not commutative")
         for (i, j), pair in triv.covering.pairs.items()
-        if not _is_commutative(pair.target.system)
+        if not pair.target.system.is_commutative()
     ]
     n = triv.covering.size
     for i, j in permutations(range(n), 2):
@@ -331,46 +331,6 @@ class Prolongation:
     report: list[CheckFailure] = field(default_factory=list)
 
 
-def _is_commutative(system: RewriteSystem) -> bool:
-    gens = system.alphabet.gens
-    for i, g in enumerate(gens):
-        for h in gens[i + 1 :]:
-            diff = system.normal_form(
-                NCPoly.word(system.alphabet, (g, h)) - NCPoly.word(system.alphabet, (h, g))
-            )
-            if not diff.is_zero():
-                return False
-    return True
-
-
-def _central_fiber_rules(fiber_sys: RewriteSystem, alpha: Alphabet) -> list[tuple[Word, NCPoly]]:
-    """The rules of a commutative fiber algebra over ``alpha``, in which its
-    generators are central.  A commutation rule then reads w -> w after
-    canonicalisation and is dropped."""
-    rules = []
-    for r in fiber_sys.rules:
-        rhs = NCPoly(alpha, dict(r.rhs.terms))
-        if rhs != NCPoly.word(alpha, alpha.canon(r.lhs_word)):
-            rules.append((r.lhs_word, rhs))
-    return rules
-
-
-def _rename_system(system: RewriteSystem, names: dict[str, str], name: str) -> RewriteSystem:
-    alpha = Alphabet(
-        tuple(names[g] for g in system.alphabet.gens),
-        central=tuple(names[g] for g in system.alphabet.central),
-    )
-
-    def rw(w: Word) -> Word:
-        return tuple(names[g] for g in w)
-
-    rules = [
-        (rw(r.lhs_word), NCPoly(alpha, {rw(w): c for w, c in r.rhs.terms.items()}))
-        for r in system.rules
-    ]
-    return RewriteSystem(alpha, rules, name=name)
-
-
 def prolong(
     base_triv: Trivialisation,
     pi: LinearMap,
@@ -380,14 +340,16 @@ def prolong(
 ) -> Prolongation:
     """Prolongation along a Hopf surjection pi: H -> Hbar.
 
-    Builds the cotensor pieces Pbar_i box H as presented algebras (base
-    generators plus fiber generators U_z = gammabar_i(pi(z_(1))) (x) z_(2)),
-    certifies the declared generators by cotensor membership and the
-    dictionary (the algebra map sending U_z to its cotensor and each base
-    generator b to b (x) 1) on every defining relation of Pbar_i box H
-    (``RewriteSystem.relations``: rules, centrality pairs, the fiber's suffix
-    relations), and installs the prolonged covering maps so transition
-    functions can be computed.
+    Presents each cotensor piece Pbar_i box H as the tensor product
+    (``smash_product``, trivial action) of the rules among its base
+    generators with H, whose letters are the fiber generators
+    U_z = gammabar_i(pi(z_(1))) (x) z_(2), and each double quotient likewise
+    from the base pair target. It certifies the fiber generators by cotensor
+    membership and the dictionary (the algebra map sending U_z to its
+    cotensor and each base generator b to b (x) 1) on every defining relation
+    of Pbar_i box H (``RewriteSystem.relations``: rules, centrality pairs,
+    the fiber's suffix relations), and installs the prolonged covering maps
+    so transition functions can be computed.
     """
     Hbar = base_triv.hopf
     report: list[CheckFailure] = []
@@ -401,43 +363,9 @@ def prolong(
         ):
             raise NotSurjectiveError(f"no generator-level preimage of {g} under {pi.name}")
     fiber_names = fiber_names or {z: f"{z}'" for z in H.system.alphabet.gens}
-    fiber_sys = _rename_system(H.system, fiber_names, name=f"fiber({H.name})")
 
     def fiber_word(w: Word) -> Word:
         return tuple(fiber_names[z] for z in w)
-
-    h_comm = _is_commutative(H.system)
-    fiber_gens = fiber_sys.alphabet.gens
-
-    def cotensor(
-        base: ComoduleAlgebra, letters: Sequence[str], rules, central: Sequence[str]
-    ) -> ComoduleAlgebra:
-        """``base`` (x) H presented on ``letters`` plus the fiber letters, with
-        the given base rules.  Base letters are coinvariant and fiber letters
-        carry Delta_H.  A commutative H makes the fiber (and ``central``)
-        central; otherwise fiber letters move right past base letters."""
-        if h_comm:
-            alpha = Alphabet(tuple(letters) + fiber_gens, central=tuple(central) + fiber_gens)
-        else:
-            alpha = Alphabet(tuple(letters) + fiber_gens)
-        lifted = [(r.lhs_word, NCPoly(alpha, dict(r.rhs.terms))) for r in rules]
-        if h_comm:
-            lifted.extend(_central_fiber_rules(fiber_sys, alpha))
-        else:
-            lifted.extend(((z, b), NCPoly.word(alpha, (b, z))) for z in fiber_gens for b in letters)
-        system = RewriteSystem(
-            alpha, lifted, name=f"{base.system.name} box {H.name}",
-            suffix_system=None if h_comm else fiber_sys,
-        )
-        coaction = {
-            b: Tensor.of((system, H.system), NCPoly.gen(alpha, b), H.system.one()) for b in letters
-        }
-        for z in H.system.alphabet.gens:
-            coaction[fiber_names[z]] = Tensor(
-                (system, H.system),
-                {(fiber_word(w1), w2): c for (w1, w2), c in H.delta_word((z,)).terms.items()},
-            )
-        return ComoduleAlgebra(system, H, coaction, name=f"{base.name} box {H.name}")
 
     pieces: list[CoveringPiece] = []
     cleavings: list[CleavingMap] = []
@@ -448,13 +376,18 @@ def prolong(
         bsys = base_piece.comodule.system
         bgens = base_piece.base_gens
         # declared presentation of Pbar_i box H: the rules among base generators
+        # (as letters with no central markers) tensored with H
         bset = set(bgens)
-        base_sub_rules = [
-            r
-            for r in bsys.rules
-            if all(g in bset for g in r.lhs_word) and all(all(g in bset for g in w) for w in r.rhs.terms)
-        ]
-        prolonged = cotensor(base_piece.comodule, bgens, base_sub_rules, ())
+        sub = RewriteSystem(
+            Alphabet(bgens),
+            [
+                (r.lhs_word, r.rhs)
+                for r in bsys.rules
+                if all(g in bset for g in r.lhs_word) and all(all(g in bset for g in w) for w in r.rhs.terms)
+            ],
+            name=bsys.name,
+        )
+        prolonged = smash_product(sub, H, name=f"{bsys.name} box {H.name}", fiber_names=fiber_names)
         psys = prolonged.system
         # fiber dictionary U_z -> gammabar(pi(z1)) (x) z2 and its certificates
         dct: dict[str, Tensor] = {}
@@ -496,21 +429,14 @@ def prolong(
                 )
             )
         pieces.append(CoveringPiece(prolonged, tuple(bgens)))
-        gamma = gens_map(
-            f"gamma[{i}]",
-            H.system,
-            psys,
-            {z: NCPoly.gen(psys.alphabet, fiber_names[z]) for z in H.system.alphabet.gens},
-            check=True,
-        )
-        cleavings.append(CleavingMap(prolonged, gamma))
+        cleavings.append(prolonged.cleaving())
         dictionaries.append(dmap)
     # prolonged double quotients: base pair target extended by the same fiber;
     # every old-target generator sits in the base leg, hence is coinvariant
     pairs: dict[tuple[int, int], PairData] = {}
     for (i, j), pair in base_triv.covering.pairs.items():
         tsys = pair.target.system
-        target = cotensor(pair.target, tsys.alphabet.gens, tsys.rules, tsys.alphabet.central)
+        target = smash_product(tsys, H, name=f"{tsys.name} box {H.name}", fiber_names=fiber_names)
         qsys = target.system
         alpha = qsys.alphabet
 

@@ -160,6 +160,32 @@ class RewriteSystem:
         nfs = (self.normal_form(g) for g in gens)
         return self.extend([_orient(g) for g in nfs if not g.is_zero()], name=name)
 
+    def renamed(self, names: dict[str, str], name: str = "") -> "RewriteSystem":
+        """The same presentation with each generator g called ``names[g]``,
+        in the same precedence, central set and rule order."""
+        alpha = Alphabet(
+            tuple(names[g] for g in self.alphabet.gens),
+            central=tuple(names[g] for g in self.alphabet.central),
+        )
+
+        def rw(w: Word) -> Word:
+            return tuple(names[g] for g in w)
+
+        rules = [
+            (rw(r.lhs_word), NCPoly(alpha, {rw(w): c for w, c in r.rhs.terms.items()}))
+            for r in self.rules
+        ]
+        return RewriteSystem(alpha, rules, name=name or self.name, term_cap=self.term_cap)
+
+    def is_commutative(self) -> bool:
+        """Every two generators commute in the presented algebra."""
+        a, gens = self.alphabet, self.alphabet.gens
+        return all(
+            self.normal_form(NCPoly.word(a, (g, h)) - NCPoly.word(a, (h, g))).is_zero()
+            for i, g in enumerate(gens)
+            for h in gens[i + 1 :]
+        )
+
     @cached_property
     def relations(self) -> list[tuple[Word, NCPoly]]:
         """The defining relations w = p of the presented algebra, as (w, p):

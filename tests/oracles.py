@@ -14,7 +14,8 @@ compatibility loop that part (a) of reducibility_check replaced, the
 quantum plane's degree-6 units loop that its one-rule certificate replaced, the strong-connection tables
 that the memoised word maps replaced, the build-at-formal-q-then-substitute path that
 parsing at a fixed q replaced, and a tree walk of the expression grammar by
-NCPoly arithmetic that the parser is checked against.  It also holds the
+NCPoly arithmetic that the parser is checked against, and the three
+former builders of B (x) H presentations that ``smash_product`` replaced.  It also holds the
 helpers only tests call: the presentation dumper, the expression-tree
 renderer, eta o eps, the group-like basis words, the identity and
 the convolution tabulated on basis words, q substituted into a scalar, a
@@ -34,12 +35,12 @@ import numpy as np
 
 from pcomod import builtin
 from pcomod.builtin import toeplitz_system
-from pcomod.comodule import CleavingMap, ComoduleAlgebra
+from pcomod.comodule import ActionData, CleavingMap, ComoduleAlgebra
 from pcomod.exprs import ParseError
 from pcomod.hopf import CheckFailure, HopfAlgebra, HopfIdeal
 from pcomod.linalg import RowSpace
 from pcomod.maps import LinearMap, NotWellDefinedError, gens_map
-from pcomod.ncpoly import NCPoly, Word, word_str
+from pcomod.ncpoly import Alphabet, NCPoly, Word, word_str
 from pcomod.numgeom import membership, probes
 from pcomod.numgeom.circle import (
     delta_angle,
@@ -1913,3 +1914,126 @@ def masked_residual(a: np.ndarray, b: np.ndarray, margin: int) -> float:
     n = a.shape[0]
     m = n - margin
     return float(np.max(np.abs(a[:m, :m] - b[:m, :m]))) if m > 0 else 0.0
+
+
+# ---------------------------------------------------------------------------
+# the B (x) H presentations as the three former builders wrote them: the
+# smash product with its caller-set centrality flag, the cotensor closure of
+# prolong and the hand-written sphere edge (reference for
+# comodule.smash_product); each returns (system, coaction table)
+# ---------------------------------------------------------------------------
+
+def _commutative(system: RewriteSystem) -> bool:
+    a, gens = system.alphabet, system.alphabet.gens
+    for i, g in enumerate(gens):
+        for h in gens[i + 1 :]:
+            if not system.normal_form(NCPoly.word(a, (g, h)) - NCPoly.word(a, (h, g))).is_zero():
+                return False
+    return True
+
+
+def _renamed_system(system: RewriteSystem, names: dict, name: str) -> RewriteSystem:
+    alpha = Alphabet(
+        tuple(names[g] for g in system.alphabet.gens),
+        central=tuple(names[g] for g in system.alphabet.central),
+    )
+
+    def rw(w):
+        return tuple(names[g] for g in w)
+
+    rules = [(rw(r.lhs_word), NCPoly(alpha, {rw(w): c for w, c in r.rhs.terms.items()})) for r in system.rules]
+    return RewriteSystem(alpha, rules, name=name)
+
+
+def reference_smash(b_system: RewriteSystem, H: HopfAlgebra, action_table: dict, name: str, h_central: bool):
+    """B x| H as the former ``smash_product`` built it: with ``h_central``
+    (which the caller kept to trivial actions) H's letters are central and
+    H's rules are appended; else the cross rules z b -> (z_(1) |> b) z_(2)
+    and H's system as the suffix system."""
+    action = ActionData(H, b_system, action_table)
+    b_gens, h_gens = b_system.alphabet.gens, H.system.alphabet.gens
+    alpha = Alphabet(b_gens + h_gens, central=tuple(b_system.alphabet.central) + (h_gens if h_central else ()))
+    rules = [(r.lhs_word, NCPoly(alpha, dict(r.rhs.terms))) for r in b_system.rules]
+    if h_central:
+        rules += [(r.lhs_word, NCPoly(alpha, dict(r.rhs.terms))) for r in H.system.rules]
+    else:
+        for z in h_gens:
+            for b in b_gens:
+                rhs = NCPoly.zero(alpha)
+                for (w1, w2), c in H.delta_word((z,)).terms.items():
+                    act = action.act(w1, (b,))
+                    rhs = rhs + NCPoly(alpha, {bw + w2: cc for bw, cc in act.terms.items()}).scale(c)
+                rules.append(((z, b), rhs))
+    system = RewriteSystem(alpha, rules, name=name, suffix_system=None if h_central else H.system)
+    coaction = {b: Tensor.of((system, H.system), NCPoly.gen(alpha, b), H.system.one()) for b in b_gens}
+    for z in h_gens:
+        coaction[z] = Tensor((system, H.system), dict(H.delta_word((z,)).terms))
+    return system, coaction
+
+
+def reference_cotensor(base_system: RewriteSystem, letters, rules, central, H: HopfAlgebra, fiber_names: dict):
+    """``base`` (x) H as the former ``cotensor`` closure of ``prolong`` built
+    it: on ``letters`` and the fiber letters, with the given base rules. A
+    commutative H makes the fiber (and ``central``) central and appends the
+    fiber rules that stay rules; otherwise no letter is central, fiber
+    letters move right past base letters and the fiber system is the suffix
+    system."""
+    fiber_sys = _renamed_system(H.system, fiber_names, name=f"fiber({H.name})")
+    fiber_gens = fiber_sys.alphabet.gens
+    h_comm = _commutative(H.system)
+    if h_comm:
+        alpha = Alphabet(tuple(letters) + fiber_gens, central=tuple(central) + fiber_gens)
+    else:
+        alpha = Alphabet(tuple(letters) + fiber_gens)
+    lifted = [(r.lhs_word, NCPoly(alpha, dict(r.rhs.terms))) for r in rules]
+    if h_comm:
+        for r in fiber_sys.rules:
+            rhs = NCPoly(alpha, dict(r.rhs.terms))
+            if rhs != NCPoly.word(alpha, alpha.canon(r.lhs_word)):
+                lifted.append((r.lhs_word, rhs))
+    else:
+        lifted.extend(((z, b), NCPoly.word(alpha, (b, z))) for z in fiber_gens for b in letters)
+    system = RewriteSystem(
+        alpha, lifted, name=f"{base_system.name} box {H.name}", suffix_system=None if h_comm else fiber_sys
+    )
+    coaction = {b: Tensor.of((system, H.system), NCPoly.gen(alpha, b), H.system.one()) for b in letters}
+    for z in H.system.alphabet.gens:
+        coaction[fiber_names[z]] = Tensor(
+            (system, H.system),
+            {(tuple(fiber_names[g] for g in w1), w2): c for (w1, w2), c in H.delta_word((z,)).terms.items()},
+        )
+    return system, coaction
+
+
+def reference_prolonged_presentations(base_triv, H: HopfAlgebra, fiber_names: dict):
+    """The prolonged pieces, then the prolonged pair targets in the order of
+    the base covering's pairs, as the former ``prolong`` presented them: a
+    piece on its base generators and the rules among them with nothing
+    central, a pair target on all its letters, rules and central set."""
+    out = []
+    for piece in base_triv.covering.pieces:
+        bsys, bset = piece.comodule.system, set(piece.base_gens)
+        rules = [
+            r for r in bsys.rules
+            if all(g in bset for g in r.lhs_word) and all(all(g in bset for g in w) for w in r.rhs.terms)
+        ]
+        out.append(reference_cotensor(bsys, piece.base_gens, rules, (), H, fiber_names))
+    for pair in base_triv.covering.pairs.values():
+        tsys = pair.target.system
+        out.append(reference_cotensor(tsys, tsys.alphabet.gens, tsys.rules, tsys.alphabet.central, H, fiber_names))
+    return out
+
+
+def reference_sphere_edge():
+    """The sphere's edge avatar as it was written by hand: six central
+    letters, four rules, the fiber copy w group-like."""
+    gens = ("z", "zi", "z2", "z2i", "v", "w")
+    alpha = Alphabet(gens, central=gens)
+    one = NCPoly.one(alpha)
+    rules = [(("z", "zi"), one), (("z2", "z2i"), one), (("v", "v"), one), (("w", "w"), one)]
+    system = RewriteSystem(alpha, rules, name="sphere_edge")
+    H = builtin.c_z2()
+    Ts = (system, H.system)
+    coaction = {g: Tensor(Ts, {((g,), ()): S_ONE}) for g in ("z", "zi", "z2", "z2i", "v")}
+    coaction["w"] = Tensor(Ts, {(("w",), ("u",)): S_ONE})
+    return system, coaction

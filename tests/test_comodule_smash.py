@@ -1,4 +1,5 @@
 import random
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,15 @@ from pcomod.scalars import GaussRat, S_ONE, S_Q, Scalar
 from pcomod.suites import SuiteConfig, _load_trivialisation
 from pcomod.tensors import Tensor
 
-from oracles import bounded_cleaving_checks, cleaving_connection_table, quotient_lift_table, unit_counit_map
+from oracles import (
+    bounded_cleaving_checks,
+    cleaving_connection_table,
+    quotient_lift_table,
+    reference_prolonged_presentations,
+    reference_smash,
+    reference_sphere_edge,
+    unit_counit_map,
+)
 
 
 def test_coinvariance_examples():
@@ -109,6 +118,110 @@ def test_smash_construction_and_failure():
     with pytest.raises(NotModuleAlgebraError) as exc:
         smash_product(B, H, table, name="bad")
     assert "module-algebra" in str(exc.value)
+
+
+def test_tensor_check_commutator_reads_the_action():
+    """The smash/trivial-action-tensor record's u*s - s*u comes from the
+    action table: zero for the trivial action, -2 s*u for the flip u |> s = -s."""
+    from pcomod.suites import _tensor_check_commutator
+
+    assert _tensor_check_commutator({"s": "s", "ss": "ss"}).is_zero()
+    flip = _tensor_check_commutator({"s": "-s", "ss": "-ss"})
+    assert not flip.is_zero()
+    assert flip == NCPoly.word(flip.alphabet, ("s", "u")).scale(Scalar.of(-2))
+
+
+_PATCH_FIBER = {"a": "A", "as": "As", "g": "G", "gs": "Gs"}
+
+
+def test_trivial_smash_fiber_is_central_exactly_when_h_is_commutative():
+    """With no action table H's letters are central when H is commutative;
+    over SU_q(2) they move right past B's letters and H reduces the suffix."""
+    B = builtin.toeplitz_system()
+    for H in (builtin.c_z2(), builtin.o_u1()):
+        sm = smash_product(B, H)
+        assert sm.system.alphabet.central == frozenset(H.system.alphabet.gens)
+        assert sm.system.suffix_system is None
+    H = builtin.su_q2()
+    sm = smash_product(B, H, fiber_names=_PATCH_FIBER)
+    al = sm.system.alphabet
+    assert al.central == frozenset() and sm.h_gens == ("G", "Gs", "A", "As")
+    assert sm.system.suffix_system == H.system.renamed(_PATCH_FIBER)
+    assert sm.system.normal_form(NCPoly.word(al, ("G", "s"))) == NCPoly.word(al, ("s", "G"))
+    assert sm.check_axioms() == [] and sm.cleaving().verify() == []
+
+
+def _trivial_table(H, B):
+    return {
+        (z, b): NCPoly.gen(B.alphabet, b).scale(H.counit_table[z])
+        for z in H.system.alphabet.gens
+        for b in B.alphabet.gens
+    }
+
+
+def _patch_trivialisation():
+    from pcomod.pullback import Covering, CoveringPiece, Trivialisation
+
+    P, cl = builtin.pw_patch()
+    return Trivialisation(Covering([CoveringPiece(P, base_gens=("t",))], {}), P.hopf, [cl])
+
+
+def _sphere_prolonged_reference(k: int):
+    """The k-th prolonged sphere piece (k < 3), else pair target k - 3."""
+    return reference_prolonged_presentations(builtin.sphere_covering(), builtin.o_u1(), {"u": "U", "ui": "Ui"})[k]
+
+
+def _sphere_prolonged_built(k: int):
+    cov = builtin.sphere_prolonged().trivialisation.covering
+    return cov.pieces[k].comodule if k < 3 else list(cov.pairs.values())[k - 3].target
+
+
+# name -> (the builtin B (x) H, its presentation by the former builder)
+_PRESENTATIONS = {
+    **{
+        name: (
+            lambda name=name: builtin.build(name),
+            lambda hopf=hopf, name=name: reference_smash(
+                builtin.toeplitz_system(), hopf(), _trivial_table(hopf(), builtin.toeplitz_system()), name, True
+            ),
+        )
+        for name, hopf in (("toeplitz_z2_smash", builtin.c_z2), ("toeplitz_u1_smash", builtin.o_u1))
+    },
+    **{
+        f"plane_gl_smash-{q}": (
+            lambda q=q: builtin.plane_gl_smash(q),
+            lambda q=q: reference_smash(
+                builtin.quantum_plane(q), builtin.gl_q2(q), builtin.plane_action_table(q), "plane_gl_smash", False
+            ),
+        )
+        for q in ("formal", 3)
+    },
+    "sphere_edge": (builtin._sphere_edge, reference_sphere_edge),
+    **{
+        f"sphere_prolonged-{label}": (partial(_sphere_prolonged_built, k), partial(_sphere_prolonged_reference, k))
+        for k, label in enumerate(["piece0", "piece1", "piece2", "pair01", "pair02", "pair12"])
+    },
+    **{
+        f"patch_prolonged-{q}-piece0": (
+            lambda q=q: builtin.patch_prolonged(q).trivialisation.covering.pieces[0].comodule,
+            lambda q=q: reference_prolonged_presentations(_patch_trivialisation(), builtin.su_q2(q), _PATCH_FIBER)[0],
+        )
+        for q in ("formal", 3)
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(_PRESENTATIONS))
+def test_presentation_matches_its_former_builder(name):
+    """smash_product presents each B (x) H exactly as the builder it replaced:
+    the same alphabet, central set, rules in order and suffix system, the
+    same system name and the same coaction table."""
+    built, ref = _PRESENTATIONS[name]
+    P = built()
+    system, coaction = ref()
+    assert P.system == system
+    assert P.system.name == system.name
+    assert P.coaction_table == coaction
 
 
 def test_smash_coinvariants(z2_smash):

@@ -85,6 +85,16 @@ def test_parse_errors():
     for expr, match in (("a^1001", "exponent 1001"), ("(a+b)^17", "over 100000 terms")):
         with pytest.raises(ParseError, match=match):
             parse_poly(expr, AL)
+    # a nested power is bounded in its words' letters and its scalars' bits
+    for expr, match in (
+        ("(a^1000)^300", "word of over 10000 letters"),
+        ("((2^1000)^1000)^100*a", "over 100000 bits"),
+        ("((Q+1)^100)^10*a", "over 100000 bits"),
+    ):
+        with pytest.raises(ParseError, match=match):
+            parse_poly(expr, AL)
+    assert parse_poly("(a^1000)^10", AL) == NCPoly.word(AL, ("a",) * 10_000)
+    assert parse_poly("(2^1000)^50*a", AL) == NCPoly.gen(AL, "a").scale(Scalar.of(2**50_000))
     assert len(parse_poly("(c+d)^20", Alphabet(["c", "d"], central=["c", "d"])).terms) == 21
 
 

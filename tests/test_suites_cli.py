@@ -443,6 +443,10 @@ _UNIT_PIECE = {"kernel": [], "cleaving": {"u": "u"}}
         # a power is bounded in its exponent and in its terms
         ({"pieces": [{"kernel": ["s^1001"], "cleaving": {"u": "u"}}]}, "cannot parse.*exponent 1001"),
         ({"pieces": [{"kernel": ["(s+ss)^17"], "cleaving": {"u": "u"}}]}, "cannot parse.*over 100000 terms"),
+        # and a nested power in its words' letters and its scalars' bits
+        ({"pieces": [{"kernel": ["(s^1000)^300"], "cleaving": {"u": "u"}}]}, "cannot parse.*over 10000 letters"),
+        ({"pieces": [{"kernel": ["((2^1000)^1000)^100*s"], "cleaving": {"u": "u"}}]}, "cannot parse.*over 100000 bits"),
+        ({"pieces": [{"kernel": ["((Q+1)^100)^10*s"], "cleaving": {"u": "u"}}]}, "cannot parse.*over 100000 bits"),
     ],
     ids=[
         "kernel", "cleaving", "pieces-not-a-list", "no-pieces", "piece-not-an-object",
@@ -450,7 +454,8 @@ _UNIT_PIECE = {"kernel": [], "cleaving": {"u": "u"}}
         "cleaving-misses-a-generator", "cleaving-not-an-algebra-map", "kernel-tensor-that-cancels",
         "kernel-holding-one", "kernel-holding-a-constant", "kernel-zero-denominator",
         "kernel-negative-power-of-zero", "kernel-negative-power-of-a-zero-constant", "kernel-over-long-literal",
-        "kernel-exponent-over-the-bound", "kernel-power-over-the-term-cap",
+        "kernel-exponent-over-the-bound", "kernel-power-over-the-term-cap", "kernel-power-over-the-word-cap",
+        "kernel-integer-power-over-the-scalar-cap", "kernel-q-power-over-the-scalar-cap",
     ],
 )
 def test_covering_file_that_does_not_parse_is_a_config_error(tmp_path, capsys, doc, match):
@@ -582,6 +587,9 @@ def covering_files(draw):
         "zero-denominator": ("pieces", [{"kernel": ["1/0"], "cleaving": identity}]),
         "exponent-over-the-bound": ("pieces", [{"kernel": ["s^1001"], "cleaving": identity}]),
         "power-over-the-term-cap": ("pieces", [{"kernel": ["(s+ss)^17"], "cleaving": identity}]),
+        "power-over-the-word-cap": ("pieces", [{"kernel": ["(s^1000)^300"], "cleaving": identity}]),
+        "integer-power-over-the-scalar-cap": ("pieces", [{"kernel": ["((2^1000)^1000)^100*s"], "cleaving": identity}]),
+        "q-power-over-the-scalar-cap": ("pieces", [{"kernel": ["((Q+1)^100)^10*s"], "cleaving": identity}]),
     }
     fault = draw(st.sampled_from([None] * 6 + sorted(malformed)))
     if fault:
