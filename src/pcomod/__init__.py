@@ -20,7 +20,6 @@ from .comodule import (
     canonical_map,
     smash_product,
     verify_strong_connection,
-    verify_theta_properties,
 )
 from .pullback import (
     Covering,

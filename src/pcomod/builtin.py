@@ -7,8 +7,10 @@ Every q-taking builder parses its presentation at that q: at a fixed q the
 parser reads `Q` as the value itself, so every table holds constant scalars.
 
 Each builder builds its object once per process and returns that same object
-on every later call; q-taking builders are memoised on ``q_value(q)``, so
-'formal' and 'cbrt1' share one object, as do 3 and GaussRat(3).  Outputs are
+on every later call; q-taking builders are memoised on ``q_value(q)``, so 3
+and GaussRat(3) share one object.  They build at formal q or at an exact
+value, never at 'cbrt1': only ``frame_bundle_obstruction`` takes that mode,
+building at formal q and reducing modulo q^2 + q + 1.  Outputs are
 shared and read-only by contract: a caller that wants a changed table or map
 copies it first (``dict(table)``, ``dataclasses.replace``) and builds its own
 object from the copy."""
@@ -24,7 +26,6 @@ from .comodule import (
     ComoduleAlgebra,
     SmashProduct,
     smash_product,
-    verify_theta_properties,
 )
 from .exprs import load_presentation, parse_poly, parse_tensor_terms
 from .hopf import CheckFailure, HopfAlgebra, HopfIdeal
@@ -47,7 +48,7 @@ def nearest_match_hint(name: str, choices) -> str:
     return f"; nearest match: {near[0]}" if near else ""
 
 
-class QZeroError(ValueError):
+class QValueError(ValueError):
     pass
 
 
@@ -231,23 +232,25 @@ PLANE_ACTION: dict[str, str] = {
 # ---------------------------------------------------------------------------
 
 def q_value(q) -> GaussRat | None:
-    """None for the formal modes ('formal'/'cbrt1'), else an exact Gaussian rational."""
-    if q in ("formal", "cbrt1", None):
+    """None for formal q, an exact Gaussian rational for a nonzero number;
+    q = 0 and any other value, 'cbrt1' among them, raise QValueError."""
+    if q in ("formal", None):
         return None
     if isinstance(q, GaussRat):
         v = q
     elif isinstance(q, (int, Fraction)):
         v = GaussRat(q)
     else:
-        raise QZeroError(f"unsupported q specialization {q!r}")
+        raise QValueError(f"unsupported q specialization {q!r}")
     if not v:
-        raise QZeroError("q = 0 is not allowed")
+        raise QValueError("q = 0 is not allowed")
     return v
 
 
 def _memo_by_q(builder):
     """Memoise a q-taking builder on ``q_value(q)``; its body receives that
-    value.  q = 0 raises QZeroError on every call, before the memo is read."""
+    value.  A q that ``q_value`` refuses (0, 'cbrt1') raises QValueError on
+    every call, before the memo is read."""
     memo = functools.cache(builder)
 
     @functools.wraps(builder)
@@ -621,10 +624,13 @@ def frame_bundle_obstruction(q="formal") -> ObstructionVerdict:
     only units of the plane are scalars, and runs the unital-map constraint
     chain: theta(D^-1) theta(D) = 1 forces theta(D^-1) = mu, and the
     commutation rule at (D^-1, x) forces mu = q^3 mu.  Obstruction: q^3 - 1.
+    The failed commutation rule is the one failure; there is none where it
+    holds.  At q = 'cbrt1' the chain runs at formal q and the obstruction is
+    reduced modulo q^2 + q + 1.
     """
     mode = q if isinstance(q, str) else repr(q)
     steps: list[str] = []
-    smash = plane_gl_smash(q)
+    smash = plane_gl_smash("formal" if q == "cbrt1" else q)
     steps.append("action well-defined: module-algebra axioms pass on all generator/relation pairs")
     fails = quantum_plane_units_certificate(smash.b_system)
     if fails:
@@ -633,37 +639,25 @@ def frame_bundle_obstruction(q="formal") -> ObstructionVerdict:
         "units certificate: the one rule y*x -> c*x*y with c != 0 keeps products of monomials "
         "monomial in every degree, so invertibles are scalars and theta(Di) = mu*1"
     )
-    H = smash.hopf
     B = smash.b_system
-    al = H.system.alphabet
-    D = H.antipode_table["Di"]  # a*d - q*b*c
     steps.append("anti-multiplicativity: theta(D Di) = theta(Di) theta(D) = theta(1) = 1, so mu is invertible")
     # commutation rule b*theta(k) = theta(k_(1)) (k_(2) |> b) at k = Di (group-like), b = x, mu = 1
-    x = NCPoly.gen(B.alphabet, "x")
-    lhs = x  # x * theta(Di) with mu = 1
+    lhs = NCPoly.gen(B.alphabet, "x")  # x * theta(Di) with mu = 1
     rhs = smash.action.act(("Di",), ("x",))  # theta(Di) * (Di |> x)
     diff = B.normal_form(lhs - rhs)  # (1 - q^3) x
-    coeff = diff.coeff(("x",))
-    obstruction = -coeff  # q^3 - 1
-    # the same failure through the generic theta machinery, for the report;
-    # theta(Di^n) = mu^n with mu = 1 wlog is the counit-based candidate
-    theta = gens_map(
-        "theta_mu1",
-        H.system,
-        B,
-        {g: NCPoly.const(B.alphabet, H.counit_table[g]) for g in al.gens},
-        check=False,
-    )
-    dpolys = [NCPoly.word(al, ("Di",)), D]
-    failures = verify_theta_properties(theta, smash, dpolys)
-    if q_value(q) is not None:
-        consistent = obstruction.is_zero()
-    elif q == "cbrt1":
+    obstruction = -diff.coeff(("x",))  # q^3 - 1
+    failures = []
+    if not diff.is_zero():
+        detail = f"b theta(k) = {lhs!r} != theta(k1)(k2|>b) = {rhs!r}"
+        failures.append(CheckFailure("theta-commutation", "(k=Di, b=x)", detail))
+    if q == "cbrt1":
         consistent = obstruction.vanishes_mod(CUBE_ROOT_MINPOLY)
         steps.append("q a primitive cube root of 1: obstruction reduced modulo q^2 + q + 1")
-    else:
+    elif q_value(q) is None:
         consistent = None
         steps.append(f"formal parameter: obstruction polynomial {obstruction!r}")
+    else:
+        consistent = obstruction.is_zero()
     witness = "" if (consistent or diff.is_zero()) else f"mu*x - theta(Di)*(Di|>x) = {(-diff)!r} != 0"
     return ObstructionVerdict(mode, obstruction, consistent, witness, steps, failures)
 

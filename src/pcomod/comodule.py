@@ -1,11 +1,10 @@
-"""Comodule algebras, cleaving maps, strong connections, smash products, the
-reduction-data properties of a map theta: D -> B on a smash product, and the
-principality certificate for quotient pairs."""
+"""Comodule algebras, cleaving maps, strong connections, smash products and
+the principality certificate for quotient pairs."""
 
 from __future__ import annotations
 
 from functools import cache
-from typing import Callable, Sequence
+from typing import Callable
 
 from .hopf import CheckFailure, HopfAlgebra, HopfIdeal, quotient_hopf
 from .maps import LinearMap, gens_map, relation_mismatches
@@ -407,56 +406,6 @@ def smash_product(
             (system, H.system), {(rename(w1), w2): c for (w1, w2), c in H.delta_word((z,)).terms.items()}
         )
     return SmashProduct(system, H, coaction, b_system, action, fiber_names, name=system.name)
-
-
-# ---------------------------------------------------------------------------
-# reduction data on smash products
-# ---------------------------------------------------------------------------
-
-def verify_theta_properties(
-    theta: LinearMap, smash: SmashProduct, dpolys: Sequence[NCPoly]
-) -> list[CheckFailure]:
-    """Check a map theta: D -> B as reduction data on the smash product.
-    theta must send 1 to 1 and, on the given elements k, l of D, have the two
-    properties: anti-multiplicativity, theta(kl) = theta(l) theta(k), and the
-    commutation rule, b theta(k) = theta(k_(1)) (k_(2) |> b) for each
-    generator b of B."""
-    failures = []
-    H = smash.hopf
-    B = smash.b_system
-    act = smash.action
-    one = B.one()
-    if theta.apply(H.system.one()) != one:
-        failures.append(CheckFailure("theta-unital", "1", f"theta(1) = {theta.apply(H.system.one())!r}"))
-    for k in dpolys:
-        for l in dpolys:
-            lhs = theta.apply(H.system.mul(k, l))
-            rhs = B.mul(theta.apply(l), theta.apply(k))
-            if B.normal_form(lhs - rhs) != B.zero():
-                failures.append(
-                    CheckFailure(
-                        "theta-antimultiplicative",
-                        f"(k={k!r}, l={l!r})",
-                        f"theta(kl)={lhs!r} != theta(l)theta(k)={rhs!r}",
-                    )
-                )
-    for k in dpolys:
-        for b in smash.b_gens:
-            lhs = B.mul(NCPoly.gen(B.alphabet, b), theta.apply(k))
-            rhs = linear_image(
-                k,
-                lambda w: H.convolve(w, theta.apply_word, lambda v: act.act(v, (b,)), B),
-                B.zero(),
-            )
-            if lhs != rhs:
-                failures.append(
-                    CheckFailure(
-                        "theta-commutation",
-                        f"(k={k!r}, b={b})",
-                        f"b theta(k) = {lhs!r} != theta(k1)(k2|>b) = {rhs!r}",
-                    )
-                )
-    return failures
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ A subexpression whose value is a constant acts as a scalar: `(s - s + 2)^-1`
 is 1/2.  A zero denominator, a negative power of zero and an integer literal
 that `int()` rejects are parse errors, and so are an exponent above
 MAX_EXPONENT in absolute value and a power whose expansion passes TERM_CAP
-terms, a word of WORD_CAP letters or a scalar of SCALAR_CAP bits.
+terms, a word of WORD_CAP letters or a scalar or coefficient of SCALAR_CAP
+bits.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|\d+|\^|\*|\+|-|#|\(|\)|/|=)")
 _MINUS_ONE = -S_ONE
 MAX_EXPONENT = 1000
 WORD_CAP = 10_000  # the most letters in a word of a parsed power
-SCALAR_CAP = 100_000  # the most bits in a parsed power of a constant (``_bits``)
+SCALAR_CAP = 100_000  # the most bits in a parsed power's constant or coefficient (``_bits``)
 
 
 class ParseError(ValueError):
@@ -204,6 +205,8 @@ class Parser:
             out = self.times(out, v)
             if len(out.terms) > TERM_CAP:
                 raise ParseError(f"power has over {TERM_CAP} terms")
+            if any(_bits(c) > SCALAR_CAP for c in out.terms.values()):
+                raise ParseError(f"power has a coefficient of over {SCALAR_CAP} bits")
         return out
 
     def atom(self) -> Parsed:

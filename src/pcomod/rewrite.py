@@ -93,12 +93,10 @@ class RewriteSystem:
         rules: Sequence[tuple[Word, NCPoly]] = (),
         star: dict[str, NCPoly] | None = None,
         name: str = "",
-        term_cap: int = TERM_CAP,
         suffix_system: "RewriteSystem | None" = None,
     ):
         self.alphabet = alphabet
         self.name = name
-        self.term_cap = term_cap
         self.star_table = star
         self.suffix_system = suffix_system
         self.suffix_gens = frozenset(suffix_system.alphabet.gens) if suffix_system else frozenset()
@@ -151,7 +149,6 @@ class RewriteSystem:
             base + list(extra_rules),
             star=self.star_table,
             name=name or f"{self.name}+quot",
-            term_cap=self.term_cap,
             suffix_system=self.suffix_system,
         )
 
@@ -175,7 +172,7 @@ class RewriteSystem:
             (rw(r.lhs_word), NCPoly(alpha, {rw(w): c for w, c in r.rhs.terms.items()}))
             for r in self.rules
         ]
-        return RewriteSystem(alpha, rules, name=name or self.name, term_cap=self.term_cap)
+        return RewriteSystem(alpha, rules, name=name or self.name)
 
     def is_commutative(self) -> bool:
         """Every two generators commute in the presented algebra."""
@@ -272,7 +269,7 @@ class RewriteSystem:
         twice in one call. Only the requested word enters the persistent
         cache. ``SizeLimitError`` is raised when the pending words on the
         stack plus the terms of the last assembled normal form exceed
-        ``term_cap``; nothing is cached then.
+        ``TERM_CAP``; nothing is cached then.
         """
         cache = self._nf_cache
         cached = cache.get(word)
@@ -305,10 +302,8 @@ class RewriteSystem:
                 for ww, cc in reversed(reduct):
                     add_terms(acc, memo[ww].items(), cc)
                 memo[w] = acc
-            if len(stack) + len(acc) > self.term_cap:
-                raise SizeLimitError(
-                    f"term count exceeded cap {self.term_cap} while reducing {word_str(word)}"
-                )
+            if len(stack) + len(acc) > TERM_CAP:
+                raise SizeLimitError(f"term count exceeded cap {TERM_CAP} while reducing {word_str(word)}")
         acc = memo[word]
         if self.suffix_system is not None:
             acc = self._zone_canon(acc)

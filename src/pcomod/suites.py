@@ -325,7 +325,7 @@ def _incompatible(first) -> str:
 
 
 def _load_trivialisation(cfg: SuiteConfig):
-    if cfg.covering:
+    if cfg.covering is not None:
         return load_covering_file(cfg.covering)
     return builtin.sphere_covering()
 
@@ -463,9 +463,6 @@ def suite_reduction_theorem(cfg: SuiteConfig) -> Iterator[CheckRecord]:
         witness=f"{pwitnesses[0]}" if pwitnesses else "",
     )
     # the obstructed instance: the quantum-plane frame bundle at generic q
-    # (the cube-root mode belongs to the frame-obstruction suite, which reduces
-    # the obstruction modulo the minimal polynomial; the builders read cbrt1
-    # as formal q, so here it runs the formal check)
     sm = builtin.plane_gl_smash(cfg.q)
     piece = CoveringPiece(sm, base_gens=("x", "y"))
     cov = Covering([piece], {}, name="frame-bundle-single-piece")
@@ -696,6 +693,8 @@ SUITES = {
 
 # the builtins each axiom suite checks; SuiteConfig.algebra picks one of them
 AXIOM_SUITES = {"hopf-axioms": builtin.HOPF_NAMES, "comodule-axioms": builtin.COMODULE_NAMES}
+# the suites that read SuiteConfig.covering
+COVERING_SUITES = ("covering", "transition")
 
 
 def _suite_names(cfg: SuiteConfig) -> list[str]:
@@ -707,10 +706,16 @@ def _suite_names(cfg: SuiteConfig) -> list[str]:
     else:
         hint = builtin.nearest_match_hint(cfg.suite, list(SUITES) + ["all"])
         raise ConfigError(f"unknown suite {cfg.suite!r}{hint}")
-    try:
-        builtin.q_value(cfg.q)
-    except builtin.QZeroError as e:
-        raise ConfigError(str(e))
+    if cfg.q == "cbrt1":
+        # the builders compute at formal q or at an exact value; only the
+        # obstruction reduces its result modulo q^2 + q + 1
+        if names != ["frame-obstruction"]:
+            raise ConfigError(f"q 'cbrt1' is computed by frame-obstruction alone, not by suite {cfg.suite!r}")
+    else:
+        try:
+            builtin.q_value(cfg.q)
+        except builtin.QValueError as e:
+            raise ConfigError(str(e))
     # 8 | n puts the charts' quarter breakpoints on circle grid points, and the
     # interval grid holds both endpoints
     circle, interval = cfg.grid.n_circle, cfg.grid.m_interval
@@ -721,6 +726,8 @@ def _suite_names(cfg: SuiteConfig) -> list[str]:
     if cfg.algebra is not None and not any(cfg.algebra in AXIOM_SUITES.get(n, ()) for n in names):
         takes = "; ".join(f"{n} takes {', '.join(b)}" for n, b in AXIOM_SUITES.items())
         raise ConfigError(f"suite {cfg.suite!r} checks no algebra {cfg.algebra!r} ({takes})")
+    if cfg.covering is not None and not set(names) & set(COVERING_SUITES):
+        raise ConfigError(f"suite {cfg.suite!r} reads no covering file (only {' and '.join(COVERING_SUITES)} do)")
     return names
 
 

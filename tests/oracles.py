@@ -11,7 +11,9 @@ replaced, the degree-bounded axiom, cleaving and transition-law loops that
 the relation-plus-generator certificates replaced, the rank loop that the
 inverse on generators replaced in the quotient isomorphisms, the coinvariant
 compatibility loop that part (a) of reducibility_check replaced, the
-quantum plane's degree-6 units loop that its one-rule certificate replaced, the strong-connection tables
+quantum plane's degree-6 units loop that its one-rule certificate replaced, the
+generic reduction-data check of a map theta that the frame-bundle obstruction's
+one commutation failure replaced, the strong-connection tables
 that the memoised word maps replaced, the build-at-formal-q-then-substitute path that
 parsing at a fixed q replaced, and a tree walk of the expression grammar by
 NCPoly arithmetic that the parser is checked against, and the three
@@ -33,7 +35,7 @@ from math import lcm
 
 import numpy as np
 
-from pcomod import builtin
+from pcomod import builtin, rewrite
 from pcomod.builtin import toeplitz_system
 from pcomod.comodule import ActionData, CleavingMap, ComoduleAlgebra
 from pcomod.exprs import ParseError
@@ -343,8 +345,8 @@ def worklist_normal_form(system, word):
     acc = {}
     work = [(word, S_ONE)]
     while work:
-        if len(work) + len(acc) > system.term_cap:
-            raise SizeLimitError(f"term count exceeded cap {system.term_cap}")
+        if len(work) + len(acc) > rewrite.TERM_CAP:
+            raise SizeLimitError(f"term count exceeded cap {rewrite.TERM_CAP}")
         w, coeff = work.pop()
         m = system._match(w)
         if m is None:
@@ -1198,7 +1200,6 @@ def substituted_system(system: RewriteSystem, qv: GaussRat) -> RewriteSystem:
         rules,
         star=star,
         name=f"{system.name}@q",
-        term_cap=system.term_cap,
         suffix_system=suffix,
     )
 
@@ -1592,6 +1593,56 @@ def bounded_units_check(B: RewriteSystem, max_degree: int = 6) -> tuple[int, str
             if bidg(w) != tuple(a + b for a, b in zip(bidg(w1), bidg(w2))):
                 return pairs, f"bidegree drop at {word_str(w1)}*{word_str(w2)}"
     return pairs, ""
+
+
+# ---------------------------------------------------------------------------
+# reduction data on a smash product: the unital, anti-multiplicative and
+# commutation properties of a map theta: D -> B (reference for the one
+# commutation failure of builtin.frame_bundle_obstruction)
+# ---------------------------------------------------------------------------
+
+def verify_theta_properties(theta: LinearMap, smash, dpolys) -> list[CheckFailure]:
+    """Check a map theta: D -> B as reduction data on the smash product.
+    theta must send 1 to 1 and, on the given elements k, l of D, have the two
+    properties: anti-multiplicativity, theta(kl) = theta(l) theta(k), and the
+    commutation rule, b theta(k) = theta(k_(1)) (k_(2) |> b) for each
+    generator b of B."""
+    failures = []
+    H = smash.hopf
+    B = smash.b_system
+    act = smash.action
+    one = B.one()
+    if theta.apply(H.system.one()) != one:
+        failures.append(CheckFailure("theta-unital", "1", f"theta(1) = {theta.apply(H.system.one())!r}"))
+    for k in dpolys:
+        for l in dpolys:
+            lhs = theta.apply(H.system.mul(k, l))
+            rhs = B.mul(theta.apply(l), theta.apply(k))
+            if B.normal_form(lhs - rhs) != B.zero():
+                failures.append(
+                    CheckFailure(
+                        "theta-antimultiplicative",
+                        f"(k={k!r}, l={l!r})",
+                        f"theta(kl)={lhs!r} != theta(l)theta(k)={rhs!r}",
+                    )
+                )
+    for k in dpolys:
+        for b in smash.b_gens:
+            lhs = B.mul(NCPoly.gen(B.alphabet, b), theta.apply(k))
+            rhs = summed_image(
+                k,
+                lambda w: H.convolve(w, theta.apply_word, lambda v: act.act(v, (b,)), B),
+                B.zero(),
+            )
+            if lhs != rhs:
+                failures.append(
+                    CheckFailure(
+                        "theta-commutation",
+                        f"(k={k!r}, b={b})",
+                        f"b theta(k) = {lhs!r} != theta(k1)(k2|>b) = {rhs!r}",
+                    )
+                )
+    return failures
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ def test_registry_and_errors():
     with pytest.raises(builtin.UnknownNameError) as exc:
         builtin.build("su_q3")
     assert "su_q2" in str(exc.value)  # nearest-match hint
-    with pytest.raises(builtin.QZeroError):
+    with pytest.raises(builtin.QValueError):
         builtin.build("gl_q2", 0)
 
 
@@ -200,19 +200,23 @@ def test_fixed_q_builders_never_make_formal_q():
 
 
 def test_builders_are_memoised_on_the_q_value(capsys):
-    """One object per q value: 'formal' and 'cbrt1' share one, as do 3,
-    GaussRat(3) and Fraction(3); q = 0 raises on every call."""
+    """One object per q value: 3, GaussRat(3) and Fraction(3) share one;
+    q = 0 and 'cbrt1', which no builder computes at, raise on every call."""
     assert builtin.gl_q2(3) is builtin.gl_q2(GaussRat(3)) is builtin.gl_q2(Fraction(3))
-    assert builtin.su_q2("formal") is builtin.su_q2("cbrt1") is builtin.su_q2()
+    assert builtin.su_q2("formal") is builtin.su_q2()
     assert builtin.plane_gl_smash(3) is builtin.build("plane_gl_smash", GaussRat(3))
     assert builtin.plane_gl_smash(3) is not builtin.plane_gl_smash(2)
     assert builtin.build("toeplitz_z2_smash", 3) is builtin.toeplitz_z2_smash()
     assert builtin.sphere_covering() is builtin.sphere_covering()
     for _ in range(2):
-        with pytest.raises(builtin.QZeroError):
+        with pytest.raises(builtin.QValueError):
             builtin.gl_q2(0)
-        with pytest.raises(builtin.QZeroError):
+        with pytest.raises(builtin.QValueError):
             builtin.plane_action_table(0)
+        with pytest.raises(builtin.QValueError):
+            builtin.q_value("cbrt1")
+        with pytest.raises(builtin.QValueError):
+            builtin.su_q2("cbrt1")
         assert main(["verify", "--suite", "all", "--q", "0"]) == 2
         assert "CONFIG_ERROR" in capsys.readouterr().err
     with pytest.raises(builtin.UnknownNameError, match="nearest match: gl_q2"):

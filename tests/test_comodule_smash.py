@@ -13,7 +13,6 @@ from pcomod.comodule import (
     principal_quotient_pair_certificate,
     smash_product,
     verify_strong_connection,
-    verify_theta_properties,
 )
 from pcomod.exprs import parse_poly
 from pcomod.maps import gens_map
@@ -30,6 +29,7 @@ from oracles import (
     reference_smash,
     reference_sphere_edge,
     unit_counit_map,
+    verify_theta_properties,
 )
 
 
@@ -275,9 +275,10 @@ def test_frame_candidate_mismatch(plane_smash):
 
 
 def test_theta_roundtrip_and_obstruction(plane_smash):
-    """verify_theta_properties on the candidate of frame_bundle_obstruction,
-    theta = eps as an algebra map into the plane: it is anti-multiplicative
-    on D, but the commutation rule fails at (Di, x) by a factor q^3."""
+    """The reference theta check on the candidate of frame_bundle_obstruction,
+    theta = eps as an algebra map into the plane: it is unital and
+    anti-multiplicative on D (D Di = 1 in GL_q(2)), but the commutation rule
+    fails at (Di, x) by a factor q^3."""
     sm = plane_smash
     H = sm.hopf
     al = H.system.alphabet

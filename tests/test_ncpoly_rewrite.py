@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcomod import builtin, suites
+from pcomod import builtin, rewrite, suites
 from pcomod.exprs import parse_poly
 from pcomod.ncpoly import Alphabet, NCPoly, add_terms, word_str
 from pcomod.rewrite import NoStarError, OrderViolation, RewriteSystem, SizeLimitError
@@ -338,23 +338,19 @@ def test_all_paths_oracle_agrees(su):
         assert finals == {frozenset(nf.terms.items())}
 
 
-def test_size_limit_guard():
+def test_size_limit_guard(monkeypatch):
+    monkeypatch.setattr(rewrite, "TERM_CAP", 3)
     gl = builtin.gl_q2()
-    small = RewriteSystem(
-        gl.system.alphabet,
-        [(r.lhs_word, r.rhs) for r in gl.system.rules],
-        term_cap=3,
-    )
+    small = RewriteSystem(gl.system.alphabet, [(r.lhs_word, r.rhs) for r in gl.system.rules])
     al = gl.system.alphabet
     with pytest.raises(SizeLimitError):
         small.normal_form(NCPoly.word(al, ("d", "a", "d", "a", "d", "a")))
 
 
-def test_size_limit_leaves_no_cache_entry():
+def test_size_limit_leaves_no_cache_entry(monkeypatch):
+    monkeypatch.setattr(rewrite, "TERM_CAP", 3)
     gl = builtin.gl_q2()
-    small = RewriteSystem(
-        gl.system.alphabet, [(r.lhs_word, r.rhs) for r in gl.system.rules], term_cap=3
-    )
+    small = RewriteSystem(gl.system.alphabet, [(r.lhs_word, r.rhs) for r in gl.system.rules])
     word = ("d", "a", "d", "a", "d", "a")
     with pytest.raises(SizeLimitError):
         small._nf_word(word)

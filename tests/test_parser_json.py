@@ -90,11 +90,15 @@ def test_parse_errors():
         ("(a^1000)^300", "word of over 10000 letters"),
         ("((2^1000)^1000)^100*a", "over 100000 bits"),
         ("((Q+1)^100)^10*a", "over 100000 bits"),
+        # and so is a power of a polynomial in its coefficients' bits
+        ("((2^1000*a)^1000)^10", "coefficient of over 100000 bits"),
+        ("(2^1000*a)^1000", "coefficient of over 100000 bits"),
     ):
         with pytest.raises(ParseError, match=match):
             parse_poly(expr, AL)
     assert parse_poly("(a^1000)^10", AL) == NCPoly.word(AL, ("a",) * 10_000)
     assert parse_poly("(2^1000)^50*a", AL) == NCPoly.gen(AL, "a").scale(Scalar.of(2**50_000))
+    assert parse_poly("(2^1000*a)^50", AL) == NCPoly.word(AL, ("a",) * 50).scale(Scalar.of(2**50_000))
     assert len(parse_poly("(c+d)^20", Alphabet(["c", "d"], central=["c", "d"])).terms) == 21
 
 

@@ -265,6 +265,38 @@ def test_cli_algebra_of_the_wrong_kind_is_a_config_error(capsys, suite, algebra)
     assert "CONFIG_ERROR" in capsys.readouterr().err
 
 
+def _refused_settings():
+    for suite in [*suites.SUITES, "all"]:
+        if suite != "frame-obstruction":
+            yield pytest.param(suite, "--q", "cbrt1", id=f"{suite}-q-cbrt1")
+        if suite not in ("covering", "transition", "all"):
+            yield pytest.param(suite, "--covering", EXAMPLE_COVERING, id=f"{suite}-covering")
+
+
+@pytest.mark.parametrize("suite, flag, value", list(_refused_settings()))
+def test_cli_setting_no_selected_suite_computes_is_a_config_error(capsys, suite, flag, value):
+    """q = cbrt1 is computed by frame-obstruction alone, and a covering file
+    is read by covering and transition alone: any other selection refuses
+    them as it refuses an --algebra it does not check."""
+    assert main(["verify", "--suite", suite, flag, value]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("CONFIG_ERROR") and "Traceback" not in err and out == ""
+
+
+def test_cli_empty_covering_path_is_a_config_error(capsys):
+    """An empty path names no file: the suite that reads it refuses it and
+    does not check the builtin sphere covering in its place."""
+    assert main(["verify", "--suite", "covering", "--covering", ""]) == 2
+    assert capsys.readouterr().err.startswith("CONFIG_ERROR: cannot read covering file")
+
+
+def test_cli_all_reads_a_covering_file(capsys):
+    assert main(["verify", "--suite", "all", "--covering", EXAMPLE_COVERING]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["params"]["covering"] == EXAMPLE_COVERING
+    assert "covering/validate" in [r["id"] for r in report["records"]]
+
+
 def test_cli_algebra_restricts_only_the_axiom_suite_that_has_it(capsys):
     assert main(["verify", "--suite", "all", "--algebra", "su_q2", "--grid-interval", "65"]) == 0
     ids = [r["id"] for r in json.loads(capsys.readouterr().out)["records"]]
@@ -447,6 +479,9 @@ _UNIT_PIECE = {"kernel": [], "cleaving": {"u": "u"}}
         ({"pieces": [{"kernel": ["(s^1000)^300"], "cleaving": {"u": "u"}}]}, "cannot parse.*over 10000 letters"),
         ({"pieces": [{"kernel": ["((2^1000)^1000)^100*s"], "cleaving": {"u": "u"}}]}, "cannot parse.*over 100000 bits"),
         ({"pieces": [{"kernel": ["((Q+1)^100)^10*s"], "cleaving": {"u": "u"}}]}, "cannot parse.*over 100000 bits"),
+        # and a power of a polynomial in its coefficients' bits
+        ({"pieces": [{"kernel": ["((2^1000*s)^1000)^10"], "cleaving": {"u": "u"}}]}, "cannot parse.*coefficient of over"),
+        ({"pieces": [{"kernel": ["(2^1000*s)^1000"], "cleaving": {"u": "u"}}]}, "cannot parse.*coefficient of over"),
     ],
     ids=[
         "kernel", "cleaving", "pieces-not-a-list", "no-pieces", "piece-not-an-object",
@@ -456,6 +491,7 @@ _UNIT_PIECE = {"kernel": [], "cleaving": {"u": "u"}}
         "kernel-negative-power-of-zero", "kernel-negative-power-of-a-zero-constant", "kernel-over-long-literal",
         "kernel-exponent-over-the-bound", "kernel-power-over-the-term-cap", "kernel-power-over-the-word-cap",
         "kernel-integer-power-over-the-scalar-cap", "kernel-q-power-over-the-scalar-cap",
+        "kernel-nested-power-over-the-coefficient-cap", "kernel-power-over-the-coefficient-cap",
     ],
 )
 def test_covering_file_that_does_not_parse_is_a_config_error(tmp_path, capsys, doc, match):
@@ -590,6 +626,8 @@ def covering_files(draw):
         "power-over-the-word-cap": ("pieces", [{"kernel": ["(s^1000)^300"], "cleaving": identity}]),
         "integer-power-over-the-scalar-cap": ("pieces", [{"kernel": ["((2^1000)^1000)^100*s"], "cleaving": identity}]),
         "q-power-over-the-scalar-cap": ("pieces", [{"kernel": ["((Q+1)^100)^10*s"], "cleaving": identity}]),
+        "nested-power-over-the-coefficient-cap": ("pieces", [{"kernel": ["((2^1000*s)^1000)^10"], "cleaving": identity}]),
+        "power-over-the-coefficient-cap": ("pieces", [{"kernel": ["(2^1000*s)^1000"], "cleaving": identity}]),
     }
     fault = draw(st.sampled_from([None] * 6 + sorted(malformed)))
     if fault:

@@ -255,7 +255,7 @@ def _words_twice(system):
     return list(reversed(words)) + words
 
 
-@pytest.mark.parametrize("q", ["formal", 3, "cbrt1"])
+@pytest.mark.parametrize("q", ["formal", 3])
 @pytest.mark.parametrize("name", builtin.HOPF_NAMES)
 def test_coproduct_map_matches_product_loop(name, q):
     H = builtin.build(name, q)
@@ -264,7 +264,7 @@ def test_coproduct_map_matches_product_loop(name, q):
 
 
 def _coaction_cases():
-    for q in ("formal", 3, "cbrt1"):
+    for q in ("formal", 3):
         for name in builtin.COMODULE_NAMES:
             yield pytest.param(name, q, id=f"{name}-{q}")
         yield pytest.param("patch_prolonged", q, id=f"patch_prolonged-{q}")
