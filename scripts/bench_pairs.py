@@ -19,9 +19,11 @@ whether a gain may be claimed: the change won at least nine tenths of the
 pairs and its median is below the parent's by more than the parent's
 interquartile range.  The ratio is read within each pair, so it is the figure
 to trust on a host whose speed drifts between passes; the claim rule reads
-the side medians and the wins.  The last line of stdout is one JSON object
-with the same figures and every run.  Exit status 1 when a pass fails the
-gate.
+the side medians and the wins.  It also prints whether the change's median
+is within the metric's ``bound`` in BENCHMARK.json of the parent's median,
+the figure a change that claims no gain must keep.  The last line of stdout
+is one JSON object with the same figures and every run.  Exit status 1 when
+a pass fails the gate.
 """
 
 import argparse
@@ -40,6 +42,8 @@ sys.path.insert(0, str(BENCH))
 from workloads import WORKLOADS, check_outcome, load_reference  # noqa: E402
 
 METRICS = ("wall_s", "setup_s", "cpu_s", "peak_rss_mb")
+# metric -> its entry under "end_to_end" in BENCHMARK.json: "bound", "better"
+END_TO_END = {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
 PASS_TIMEOUT_S = 170
 
 
@@ -60,12 +64,16 @@ def spread(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "runs": values}
 
 
-def compare(parent: list[float], change: list[float]) -> dict:
+def compare(parent: list[float], change: list[float], bound: float) -> dict:
+    """The side spreads, the per-pair ratio, the wins and the claim rule of a
+    lower-is-better metric, and whether the change's median exceeds the
+    parent's by at most the fraction ``bound``."""
     p, c = spread(parent), spread(change)
     ratio = spread([b / a for a, b in zip(parent, change)])
     wins = sum(b < a for a, b in zip(parent, change))
     gain = wins >= 0.9 * len(parent) and p["median"] - c["median"] > p["q3"] - p["q1"]
-    return {"parent": p, "change": c, "ratio": ratio, "wins": wins, "gain": gain}
+    within = c["median"] <= p["median"] * (1 + bound)
+    return {"parent": p, "change": c, "ratio": ratio, "wins": wins, "gain": gain, "within_bound": within}
 
 
 def main(argv=None) -> int:
@@ -104,18 +112,19 @@ def run_pairs(args, trees: dict, sides: dict) -> int:
                 found = check_outcome(workload, suite, outcome, reference, args.seed)
                 failed[side] += bool(found or "error" in outcome)
                 problems += [f"{side}: {p}" for p in found if f"{side}: {p}" not in problems]
-    metrics = {m: compare(runs["parent"][m], runs["change"][m]) for m in METRICS}
+    metrics = {m: compare(runs["parent"][m], runs["change"][m], END_TO_END[m]["bound"]) for m in METRICS}
     print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs; parent {trees['parent']}")
     print(
         f"{'metric':<12} {'parent median [q1, q3]':>30} {'change median [q1, q3]':>30}"
-        f" {'change/parent [q1, q3]':>24} {'wins':>6}  gain"
+        f" {'change/parent [q1, q3]':>24} {'wins':>6}  gain  within bound"
     )
     for m, r in metrics.items():
         cols = [f"{r[s]['median']:.4f} [{r[s]['q1']:.4f}, {r[s]['q3']:.4f}]" for s in ("parent", "change")]
         ratio = f"{r['ratio']['median']:.3f} [{r['ratio']['q1']:.3f}, {r['ratio']['q3']:.3f}]"
         print(
             f"{m:<12} {cols[0]:>30} {cols[1]:>30} {ratio:>24}"
-            f" {r['wins']:>3}/{args.pairs:<2}  {'yes' if r['gain'] else 'no'}"
+            f" {r['wins']:>3}/{args.pairs:<2}  {'yes' if r['gain'] else 'no':<4}"
+            f"  {'yes' if r['within_bound'] else 'NO'} (+{END_TO_END[m]['bound']:.0%})"
         )
     for p in problems:
         print(p)

@@ -7,10 +7,14 @@ Every q-taking builder parses its presentation at that q: at a fixed q the
 parser reads `Q` as the value itself, so every table holds constant scalars.
 
 Each builder builds its object once per process and returns that same object
-on every later call; q-taking builders are memoised on ``q_value(q)``, so 3
-and GaussRat(3) share one object.  They build at formal q or at an exact
-value, never at 'cbrt1': only ``frame_bundle_obstruction`` takes that mode,
-building at formal q and reducing modulo q^2 + q + 1.  Outputs are
+on every later call; q-taking builders, the Hopf ideals ``gl_mod_det_ideal``
+and ``su_gamma_ideal`` among them, are memoised on ``q_value(q)``, so 3 and
+GaussRat(3) share one object.  They
+build at formal q or at an exact value, never at 'cbrt1': only
+``frame_bundle_obstruction`` takes that mode, building at formal q and
+reducing modulo q^2 + q + 1.  A structure of repeated parts holds each part
+once: the sphere's three faces are one piece with one cleaving, and its
+three pairs one edge with its two maps.  Outputs are
 shared and read-only by contract: a caller that wants a changed table or map
 copies it first (``dict(table)``, ``dataclasses.replace``) and builds its own
 object from the copy."""
@@ -398,9 +402,10 @@ def su_q2_to_u1_map(q="formal") -> LinearMap:
     return gens_map("pi_su_u1", su.system, u1.system, _su_u1_images(u1.system.alphabet), check=True)
 
 
-def u1_mod_z2_ideal(H: HopfAlgebra | None = None) -> HopfIdeal:
+@functools.cache
+def u1_mod_z2_ideal() -> HopfIdeal:
     """<u^2 - 1> in O(U(1)), saturated with ui - u (same two-sided ideal)."""
-    H = H or o_u1()
+    H = o_u1()
     al = H.system.alphabet
     u = NCPoly.gen(al, "u")
     ui = NCPoly.gen(al, "ui")
@@ -408,10 +413,11 @@ def u1_mod_z2_ideal(H: HopfAlgebra | None = None) -> HopfIdeal:
     return HopfIdeal(H, [u.concat(u) - one, ui - u], name="<u^2-1>")
 
 
-def gl_mod_det_ideal(H: HopfAlgebra | None = None) -> HopfIdeal:
-    """<D - 1> in O(GL_q(2)), saturated with Di - 1 (same two-sided ideal);
-    D = S(Di) = a*d - q*b*c at the q that H was built at."""
-    H = H or gl_q2()
+@_memo_by_q
+def gl_mod_det_ideal(q="formal") -> HopfIdeal:
+    """<D - 1> in O(GL_q(2)) at q, saturated with Di - 1 (same two-sided
+    ideal); D = S(Di) = a*d - q*b*c."""
+    H = gl_q2(q)
     al = H.system.alphabet
     D = H.antipode_table["Di"]
     Di = NCPoly.gen(al, "Di")
@@ -419,9 +425,11 @@ def gl_mod_det_ideal(H: HopfAlgebra | None = None) -> HopfIdeal:
     return HopfIdeal(H, [D - one, Di - one], name="<D-1>")
 
 
-def su_gamma_ideal(H: HopfAlgebra | None = None) -> HopfIdeal:
-    """The kernel <gamma, gamma*> of the surjection onto the circle algebra."""
-    H = H or su_q2()
+@_memo_by_q
+def su_gamma_ideal(q="formal") -> HopfIdeal:
+    """The kernel <gamma, gamma*> in O(SU_q(2)) at q of the surjection onto
+    the circle algebra."""
+    H = su_q2(q)
     al = H.system.alphabet
     return HopfIdeal(H, [NCPoly.gen(al, "g"), NCPoly.gen(al, "gs")], name="<g,gs>")
 
@@ -477,41 +485,22 @@ def _sphere_edge() -> SmashProduct:
 
 @functools.cache
 def sphere_covering():
-    """The ungauged quantum-sphere trivialisation: three T (x) C(Z2) faces,
-    pairwise glued through edge avatars with the identity twisting choice
-    (fiber image v*w on the twisted side)."""
+    """The ungauged quantum-sphere trivialisation.  Its three faces are one
+    piece, T (x) C(Z2) with its one cleaving, and its three pairs one edge
+    pattern: the edge avatar, reached from the lower face by the untwisted
+    map and from the higher face by the twisted one (the identity twisting
+    choice, fiber image v*w)."""
     from .pullback import Covering, CoveringPiece, PairData, Trivialisation
 
-    H = c_z2()
-    pieces = []
-    cleavings = []
-    piece_objs = []
-    for i in range(3):
-        sm = toeplitz_z2_smash()
-        piece_objs.append(sm)
-        pieces.append(CoveringPiece(sm, base_gens=("s", "ss")))
-        cleavings.append(sm.cleaving())
-    pairs = {}
-    for (i, j) in ((0, 1), (0, 2), (1, 2)):
-        edge = _sphere_edge()
-        al = edge.system.alphabet
-        untwisted = {
-            "s": NCPoly.gen(al, "z"),
-            "ss": NCPoly.gen(al, "zi"),
-            "u": NCPoly.gen(al, "w"),
-        }
-        twisted = {
-            "s": NCPoly.gen(al, "z2"),
-            "ss": NCPoly.gen(al, "z2i"),
-            "u": NCPoly.word(al, ("v", "w")),
-        }
-        pairs[(i, j)] = PairData(
-            edge,
-            gens_map(f"pi^{i}_{j}", piece_objs[i].system, edge.system, untwisted, check=True),
-            gens_map(f"pi^{j}_{i}", piece_objs[j].system, edge.system, twisted, check=True),
-        )
-    cov = Covering(pieces, pairs, name="quantum_sphere_covering")
-    return Trivialisation(cov, H, cleavings, name="quantum_sphere_trivialisation")
+    face = toeplitz_z2_smash()
+    edge = _sphere_edge()
+    z, zi, z2, z2i, w = (NCPoly.gen(edge.system.alphabet, g) for g in ("z", "zi", "z2", "z2i", "w"))
+    vw = NCPoly.word(edge.system.alphabet, ("v", "w"))
+    untwisted = gens_map("pi_untwisted", face.system, edge.system, {"s": z, "ss": zi, "u": w}, check=True)
+    twisted = gens_map("pi_twisted", face.system, edge.system, {"s": z2, "ss": z2i, "u": vw}, check=True)
+    pairs = dict.fromkeys(((0, 1), (0, 2), (1, 2)), PairData(edge, untwisted, twisted))
+    cov = Covering([CoveringPiece(face, base_gens=("s", "ss"))] * 3, pairs, name="quantum_sphere_covering")
+    return Trivialisation(cov, c_z2(), [face.cleaving()] * 3, name="quantum_sphere_trivialisation")
 
 
 @functools.cache
@@ -689,7 +678,7 @@ def su_q2_to_u1_checks(q="formal") -> list[CheckFailure]:
         then_star = pi.apply(su.system.star(NCPoly.gen(su.system.alphabet, g)))
         if star_then != then_star:
             failures.append(CheckFailure("surjection-star", g, f"{star_then!r} != {then_star!r}"))
-    failures.extend(su_gamma_ideal(su).validate())
+    failures.extend(su_gamma_ideal(q).validate())
     for g in ("g", "gs"):
         if not pi.apply_word((g,)).is_zero():
             failures.append(CheckFailure("surjection-kills-ideal", g, f"pi({g}) != 0"))

@@ -3,6 +3,7 @@ cotensor prolongations and the reducibility criterion."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Callable, Iterator, Sequence
@@ -350,9 +351,13 @@ def prolong(
     of Pbar_i box H (``RewriteSystem.relations``: rules, centrality pairs,
     the fiber's suffix relations), and installs the prolonged covering maps
     so transition functions can be computed.
+
+    Each distinct face (comodule, base generators, cleaving), pair target
+    and pair map is prolonged once, and pieces and pairs that share one
+    share its prolongation; a face's certificate failures are reported once
+    for each piece index that holds it.
     """
     Hbar = base_triv.hopf
-    report: list[CheckFailure] = []
     # surjectivity of pi: every Hbar-generator needs a preimage
     for g in Hbar.system.alphabet.gens:
         w = (preimages or {}).get(g)
@@ -367,15 +372,14 @@ def prolong(
     def fiber_word(w: Word) -> Word:
         return tuple(fiber_names[z] for z in w)
 
-    pieces: list[CoveringPiece] = []
-    cleavings: list[CleavingMap] = []
-    dictionaries: list[LinearMap] = []
-    for i in range(base_triv.covering.size):
-        base_piece = base_triv.covering.pieces[i]
-        gbar = base_triv.cleavings[i].j
-        bsys = base_piece.comodule.system
-        bgens = base_piece.base_gens
-        # declared presentation of Pbar_i box H: the rules among base generators
+    @functools.cache
+    def prolong_face(comodule: ComoduleAlgebra, bgens: tuple[str, ...], cleaving: CleavingMap):
+        """Pbar box H for one distinct face: its piece, cleaving, dictionary
+        and certificate failures, each ``where`` without the piece index."""
+        gbar = cleaving.j
+        bsys = comodule.system
+        failures: list[CheckFailure] = []
+        # declared presentation of Pbar box H: the rules among base generators
         # (as letters with no central markers) tensored with H
         bset = set(bgens)
         sub = RewriteSystem(
@@ -398,20 +402,18 @@ def prolong(
             dct[fiber_names[z]] = t
             ok = cotensor_membership(
                 t,
-                base_piece.comodule.coact_word,
+                comodule.coact_word,
                 lambda w: Tensor(
                     (Hbar.system, H.system),
                     {(w1, w2): c for (w1, w2), c in H.delta_word(w).terms.items()},
                 ).map_leg(0, pi.apply_word, codomain=Hbar.system),
             )
             if not ok:
-                report.append(
-                    CheckFailure("cotensor-membership", f"piece[{i}] fiber {z}", f"{t!r}")
-                )
-        # relations imported: the dictionary, an algebra map into Pbar_i (x) H,
+                failures.append(CheckFailure("cotensor-membership", f"fiber {z}", f"{t!r}"))
+        # relations imported: the dictionary, an algebra map into Pbar (x) H,
         # must respect every defining relation of the declared presentation
         dmap = LinearMap(
-            f"dict[{i}]",
+            f"dict[{bsys.name}]",
             psys,
             TensorSpace((bsys, H.system)),
             gen_images={
@@ -421,51 +423,56 @@ def prolong(
             check=False,
         )
         for w, p, lhs_t, rhs_t in relation_mismatches(psys, dmap.apply_word, dmap.apply):
-            report.append(
-                CheckFailure(
-                    "imported-relation",
-                    f"piece[{i}] rule {word_str(w)} -> {p!r}",
-                    f"{lhs_t!r} != {rhs_t!r}",
-                )
+            failures.append(
+                CheckFailure("imported-relation", f"rule {word_str(w)} -> {p!r}", f"{lhs_t!r} != {rhs_t!r}")
             )
-        pieces.append(CoveringPiece(prolonged, tuple(bgens)))
-        cleavings.append(prolonged.cleaving())
-        dictionaries.append(dmap)
+        return CoveringPiece(prolonged, bgens), prolonged.cleaving(), dmap, failures
+
     # prolonged double quotients: base pair target extended by the same fiber;
     # every old-target generator sits in the base leg, hence is coinvariant
-    pairs: dict[tuple[int, int], PairData] = {}
-    for (i, j), pair in base_triv.covering.pairs.items():
-        tsys = pair.target.system
-        target = smash_product(tsys, H, name=f"{tsys.name} box {H.name}", fiber_names=fiber_names)
-        qsys = target.system
+    @functools.cache
+    def prolong_target(target: ComoduleAlgebra) -> ComoduleAlgebra:
+        tsys = target.system
+        return smash_product(tsys, H, name=f"{tsys.name} box {H.name}", fiber_names=fiber_names)
+
+    @functools.cache
+    def prolong_map(base_map: LinearMap, face: tuple, target: ComoduleAlgebra) -> LinearMap:
+        """base_map box id, from the prolonged face into the prolonged target."""
+        piece = prolong_face(*face)[0]
+        qsys = prolong_target(target).system
         alpha = qsys.alphabet
+        images = {b: NCPoly(alpha, dict(base_map.apply_word((b,)).terms)) for b in piece.base_gens}
+        gbar = face[2].j
 
-        def prolonged_map(base_map: LinearMap, piece_idx: int, label: str) -> LinearMap:
-            images = {}
-            for b in pieces[piece_idx].base_gens:
-                img = base_map.apply_word((b,))
-                images[b] = NCPoly(alpha, dict(img.terms))
-            gbar = base_triv.cleavings[piece_idx].j
+        def fiber_image(k: tuple[Word, Word]) -> NCPoly:
+            # pi^i_j(gammabar(pi(z_(1)))) z_(2)'
+            bar_img = base_map.apply(gbar.apply(pi.apply_word(k[0])))
+            return qsys.normal_form(
+                NCPoly(alpha, {bw + fiber_word(k[1]): c for bw, c in bar_img.terms.items()})
+            )
 
-            def fiber_image(k: tuple[Word, Word]) -> NCPoly:
-                # pi^i_j(gammabar(pi(z_(1)))) z_(2)'
-                bar_img = base_map.apply(gbar.apply(pi.apply_word(k[0])))
-                return qsys.normal_form(
-                    NCPoly(alpha, {bw + fiber_word(k[1]): c for bw, c in bar_img.terms.items()})
-                )
+        for z in H.system.alphabet.gens:
+            images[fiber_names[z]] = linear_image(H.delta_word((z,)), fiber_image, qsys.zero())
+        return gens_map(f"{base_map.name} box id", piece.comodule.system, qsys, images, check=True)
 
-            for z in H.system.alphabet.gens:
-                images[fiber_names[z]] = linear_image(H.delta_word((z,)), fiber_image, qsys.zero())
-            return gens_map(label, pieces[piece_idx].comodule.system, qsys, images, check=True)
-
-        pairs[(i, j)] = PairData(
-            target,
-            prolonged_map(pair.map_i, i, f"pi^{i}_{j} box id"),
-            prolonged_map(pair.map_j, j, f"pi^{j}_{i} box id"),
+    faces = [
+        (piece.comodule, tuple(piece.base_gens), cl)
+        for piece, cl in zip(base_triv.covering.pieces, base_triv.cleavings, strict=True)
+    ]
+    built = [prolong_face(*face) for face in faces]
+    report = [CheckFailure(f.check, f"piece[{i}] {f.where}", f.detail) for i, b in enumerate(built) for f in b[3]]
+    pieces, cleavings, dictionaries, _ = zip(*built)
+    pairs = {
+        (i, j): PairData(
+            prolong_target(pair.target),
+            prolong_map(pair.map_i, faces[i], pair.target),
+            prolong_map(pair.map_j, faces[j], pair.target),
         )
+        for (i, j), pair in base_triv.covering.pairs.items()
+    }
     covering = Covering(pieces, pairs, name=f"{base_triv.covering.name} box {H.name}")
     triv = Trivialisation(covering, H, cleavings, name=f"prolong({base_triv.name})")
-    return Prolongation(triv, fiber_names, dictionaries, report)
+    return Prolongation(triv, fiber_names, list(dictionaries), report)
 
 
 # ---------------------------------------------------------------------------

@@ -232,13 +232,8 @@ def suite_strong_connection(cfg: SuiteConfig) -> Iterator[CheckRecord]:
     # determinant pair carries only a degree-one certificate: beyond the
     # generators the canonical lifts satisfy the axioms only up to
     # tensor-over-base balancing, which multiplication erases
-    for name, J_builder, H_builder in (
-        ("o_u1-mod-z2", builtin.u1_mod_z2_ideal, builtin.o_u1),
-        ("gl-mod-det", builtin.gl_mod_det_ideal, lambda: builtin.gl_q2(cfg.q)),
-    ):
-        H = H_builder()
-        J = J_builder(H)
-        fails, _, _ = principal_quotient_pair_certificate(H, J, 1)
+    for name, J in (("o_u1-mod-z2", builtin.u1_mod_z2_ideal()), ("gl-mod-det", builtin.gl_mod_det_ideal(cfg.q))):
+        fails, _, _ = principal_quotient_pair_certificate(J.hopf, J, 1)
         yield _no_failures(
             f"quotient-pair-principal/{name}",
             "explicit strong connection for the quotient coaction on the pair",
@@ -363,6 +358,14 @@ def load_covering_file(path: str):
                 raise ConfigError(f"covering file {path}: piece {idx} kernel generator {expr!r} is the constant {nf!r}")
     cov = Covering.from_kernels(base, kernels, base_gens=[tuple(b) for b in bg] if bg else None,
                                 name=doc.get("name", os.path.basename(path)))
+    # in a system whose rules conflict a nonzero normal form proves nothing
+    # (Bergman's diamond lemma), so a conflict up to degree 6 refuses the file
+    systems = [(f"piece {i}", p.comodule.system) for i, p in enumerate(cov.pieces)]
+    systems += [(f"pair ({i},{j})", d.target.system) for (i, j), d in cov.pairs.items()]
+    for where, system in systems:
+        conflicts = system.check_local_confluence(6).conflicts
+        if conflicts:
+            raise ConfigError(f"covering file {path}: the quotient rules of {where} conflict: {conflicts[0]!r}")
     cleavings = []
     for idx, piece in enumerate(doc["pieces"]):
         psys = cov.pieces[idx].comodule.system
@@ -454,7 +457,7 @@ def suite_reduction_theorem(cfg: SuiteConfig) -> Iterator[CheckRecord]:
     # the second positive instance: the quantum-group prolongation of the
     # Peter-Weyl patch reduces along the gamma kernel
     ppro = builtin.patch_prolonged(cfg.q)
-    JS = builtin.su_gamma_ideal(ppro.trivialisation.hopf)
+    JS = builtin.su_gamma_ideal(cfg.q)
     pwitnesses = reducibility_check(ppro.trivialisation, JS)
     yield _check(
         "reduction/patch-instance",
@@ -467,7 +470,7 @@ def suite_reduction_theorem(cfg: SuiteConfig) -> Iterator[CheckRecord]:
     piece = CoveringPiece(sm, base_gens=("x", "y"))
     cov = Covering([piece], {}, name="frame-bundle-single-piece")
     triv = Trivialisation(cov, sm.hopf, [sm.cleaving()], name="frame")
-    JG = builtin.gl_mod_det_ideal(sm.hopf)
+    JG = builtin.gl_mod_det_ideal(cfg.q)
     witnesses = reducibility_check(triv, JG)
     expected_obstructed = cfg.q != 1
     yield _check(
@@ -479,13 +482,13 @@ def suite_reduction_theorem(cfg: SuiteConfig) -> Iterator[CheckRecord]:
     # quotient identifications
     u1 = builtin.o_u1()
     z2 = builtin.c_z2()
-    qh, _ = quotient_hopf(u1, builtin.u1_mod_z2_ideal(u1))
+    qh, _ = quotient_hopf(u1, builtin.u1_mod_z2_ideal())
     fails = generator_map_isomorphism_problems(
         qh, z2, {"u": z2.system.gen("u"), "ui": z2.system.gen("u")}, {"u": qh.system.gen("u")}
     )
     gl = builtin.gl_q2(cfg.q)
     sl = builtin.sl_q2(cfg.q)
-    qg, _ = quotient_hopf(gl, builtin.gl_mod_det_ideal(gl))
+    qg, _ = quotient_hopf(gl, builtin.gl_mod_det_ideal(cfg.q))
     abcd = ("a", "b", "c", "d")
     gm = {g: sl.system.gen(g) for g in abcd}
     gm["Di"] = sl.system.one()

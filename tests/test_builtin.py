@@ -166,7 +166,7 @@ def test_determinant_is_the_antipode_of_its_inverse(q):
     if qv is not None:
         D = oracles.substituted_poly(D, qv)
     assert _ordered(gl.antipode_table["Di"]) == _ordered(D)
-    assert builtin.gl_mod_det_ideal(gl).gens[0] == D - NCPoly.one(gl.system.alphabet)
+    assert builtin.gl_mod_det_ideal(q).gens[0] == D - NCPoly.one(gl.system.alphabet)
 
 
 _FIXED_Q_BUILDS = """
@@ -180,7 +180,8 @@ Scalar.q_power = staticmethod(formal_q)
 for name in builtin.registry():
     builtin.build(name, 3)
 builtin.plane_action_table(3)
-builtin.gl_mod_det_ideal(builtin.gl_q2(3))
+builtin.gl_mod_det_ideal(3)
+builtin.su_gamma_ideal(3)
 assert builtin.patch_prolonged(3).report == []
 assert builtin.su_q2_to_u1_checks(3) == []
 assert builtin.frame_bundle_obstruction(3).consistent is False
@@ -221,3 +222,47 @@ def test_builders_are_memoised_on_the_q_value(capsys):
         assert "CONFIG_ERROR" in capsys.readouterr().err
     with pytest.raises(builtin.UnknownNameError, match="nearest match: gl_q2"):
         builtin.build("gl_q3")
+
+
+def _pair_maps(cov):
+    return [m for d in cov.pairs.values() for m in (d.map_i, d.map_j)]
+
+
+# name -> (the parts a structure lists for its pieces or pairs, how many distinct)
+_SHARED_PARTS = {
+    "sphere-pieces": (lambda: builtin.sphere_covering().covering.pieces, 1),
+    "sphere-cleavings": (lambda: builtin.sphere_covering().cleavings, 1),
+    "sphere-pair-maps": (lambda: _pair_maps(builtin.sphere_covering().covering), 2),
+    "prolonged-faces": (
+        lambda: [p.comodule for p in builtin.sphere_prolonged().trivialisation.covering.pieces], 1
+    ),
+    "prolonged-edges": (
+        lambda: [d.target for d in builtin.sphere_prolonged().trivialisation.covering.pairs.values()], 1
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SHARED_PARTS))
+def test_sphere_builds_each_shared_part_once(name):
+    """The sphere's three faces are one piece with one cleaving, its three
+    pairs one edge with an untwisted and a twisted map, and prolongation
+    keeps that sharing: one prolonged face and one prolonged edge."""
+    parts, distinct = _SHARED_PARTS[name]
+    listed = parts()
+    assert len(listed) in (3, 6) and len({id(x) for x in listed}) == distinct
+
+
+_IDEALS = {
+    "u1_mod_z2": (lambda q: builtin.u1_mod_z2_ideal(), lambda q: builtin.o_u1()),
+    "gl_mod_det": (builtin.gl_mod_det_ideal, builtin.gl_q2),
+    "su_gamma": (builtin.su_gamma_ideal, builtin.su_q2),
+}
+
+
+@pytest.mark.parametrize("q", ("formal", 3), ids=str)
+@pytest.mark.parametrize("name", sorted(_IDEALS))
+def test_hopf_ideal_builders_are_memoised_on_q(name, q):
+    """Each ideal builder returns one object per q, an ideal of the Hopf
+    algebra its builder gives at that q."""
+    ideal, hopf = _IDEALS[name]
+    assert ideal(q) is ideal(q) and ideal(q).hopf is hopf(q)

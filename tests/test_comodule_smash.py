@@ -295,9 +295,9 @@ def test_theta_roundtrip_and_obstruction(plane_smash):
 
 
 def test_principal_pair_certificates(u1, gl):
-    fails, ell, P = principal_quotient_pair_certificate(u1, builtin.u1_mod_z2_ideal(u1), 3)
+    fails, ell, P = principal_quotient_pair_certificate(u1, builtin.u1_mod_z2_ideal(), 3)
     assert fails == []
-    fails, ell, P = principal_quotient_pair_certificate(gl, builtin.gl_mod_det_ideal(gl), 1)
+    fails, ell, P = principal_quotient_pair_certificate(gl, builtin.gl_mod_det_ideal(), 1)
     assert fails == []
 
 
@@ -305,7 +305,7 @@ def test_u1_mod_z2_pair_covers_every_word_at_bound_one(u1):
     """The o_u1-mod-z2 quotient C[Z/2] has the basis {1, u}, so the pair's
     certificate at bound 1 checks every quotient word: it finds what bound 3
     finds, which is nothing."""
-    J = builtin.u1_mod_z2_ideal(u1)
+    J = builtin.u1_mod_z2_ideal()
     fails, _, P = principal_quotient_pair_certificate(u1, J, 1)
     assert P.hopf.system.basis_words(5) == [(), ("u",)]
     assert fails == principal_quotient_pair_certificate(u1, J, 3)[0] == []
@@ -389,7 +389,7 @@ def test_memoised_connection_matches_eager_table(name):
 def test_quotient_lift_matches_eager_table(u1, gl):
     """The memoised sandwich lift of each quotient pair equals the table
     filled shortest word first, on every quotient basis word of degree <= 4."""
-    for H, J in ((u1, builtin.u1_mod_z2_ideal(u1)), (gl, builtin.gl_mod_det_ideal(gl))):
+    for H, J in ((u1, builtin.u1_mod_z2_ideal()), (gl, builtin.gl_mod_det_ideal())):
         _, ell, P = principal_quotient_pair_certificate(H, J, 1)
         for w, want in quotient_lift_table(H, P.hopf, 4).items():
             assert ell.apply_word(w) == want, (J.name, w)

@@ -62,7 +62,7 @@ def test_corrupted_coproduct_fails_counit(z2):
 
 
 def test_quotient_u1_is_z2_by_structure_constants(u1, z2):
-    J = builtin.u1_mod_z2_ideal(u1)
+    J = builtin.u1_mod_z2_ideal()
     assert J.validate() == []
     qH, proj = quotient_hopf(u1, J)
     # 2-dimensional: basis {1, u}; compare against the finite group model
@@ -88,7 +88,7 @@ def test_quotient_u1_is_z2_by_structure_constants(u1, z2):
 
 
 def test_quotient_gl_is_sl(gl, sl):
-    J = builtin.gl_mod_det_ideal(gl)
+    J = builtin.gl_mod_det_ideal()
     assert J.validate() == []
     qG, _ = quotient_hopf(gl, J)
     gm = {g: NCPoly.gen(sl.system.alphabet, g) for g in ("a", "b", "c", "d")}
@@ -104,10 +104,10 @@ def _quotient_identifications(q):
     ``reduction/quotient-identifications`` record states them."""
     z2 = builtin.c_z2()
     u1 = builtin.o_u1()
-    qh, _ = quotient_hopf(u1, builtin.u1_mod_z2_ideal(u1))
+    qh, _ = quotient_hopf(u1, builtin.u1_mod_z2_ideal())
     yield qh, z2, {"u": z2.system.gen("u"), "ui": z2.system.gen("u")}, {"u": qh.system.gen("u")}
     gl, sl = builtin.gl_q2(q), builtin.sl_q2(q)
-    qg, _ = quotient_hopf(gl, builtin.gl_mod_det_ideal(gl))
+    qg, _ = quotient_hopf(gl, builtin.gl_mod_det_ideal(q))
     abcd = ("a", "b", "c", "d")
     yield qg, sl, {**{g: sl.system.gen(g) for g in abcd}, "Di": sl.system.one()}, {g: qg.system.gen(g) for g in abcd}
 
@@ -152,17 +152,17 @@ def test_quotient_by_zero_ideal(z2):
 
 
 def test_left_coinvariants(gl, u1):
-    JG = builtin.gl_mod_det_ideal(gl)
+    JG = builtin.gl_mod_det_ideal()
     al = gl.system.alphabet
     assert left_coinvariant_test(gl, JG, NCPoly.gen(al, "Di"))
     assert left_coinvariant_test(gl, JG, parse_poly("a*d - Q*b*c", al))
     assert left_coinvariant_test(gl, JG, NCPoly.one(al))
-    JU = builtin.u1_mod_z2_ideal(u1)
+    JU = builtin.u1_mod_z2_ideal()
     assert not left_coinvariant_test(u1, JU, NCPoly.gen(u1.system.alphabet, "u"))
 
 
 def test_coinvariant_words_closed_under_multiplication(u1):
-    J = builtin.u1_mod_z2_ideal(u1)
+    J = builtin.u1_mod_z2_ideal()
     words = coinvariant_basis_words(u1, J, 2)
     assert ("u", "u") in words and ("u",) not in words
     for w1 in words:

@@ -201,7 +201,7 @@ def test_reducibility_positive_and_negative(sphere_pro, plane_smash):
     sm = plane_smash
     cov = Covering([CoveringPiece(sm, base_gens=("x", "y"))], {}, name="single")
     triv = Trivialisation(cov, sm.hopf, [sm.cleaving()])
-    JG = builtin.gl_mod_det_ideal(sm.hopf)
+    JG = builtin.gl_mod_det_ideal()
     witnesses = reducibility_check(triv, JG)
     assert witnesses
     w = next(f for f in witnesses if f.check == "action-annihilates-base")
@@ -347,7 +347,7 @@ def test_prolong_at_the_classical_point():
     assert all(r.rhs != NCPoly.word(al, r.lhs_word) for r in psys.rules)
     ag = NCPoly.word(al, ("A", "G"))
     assert psys.normal_form(ag) == NCPoly.word(al, ("G", "A"))
-    assert reducibility_check(pro.trivialisation, builtin.su_gamma_ideal(builtin.su_q2(1))) == []
+    assert reducibility_check(pro.trivialisation, builtin.su_gamma_ideal(1)) == []
 
 
 def test_prolong_requires_surjection(sphere):
@@ -427,3 +427,17 @@ def test_kernel_covering_certificate(z2_smash):
     bad = Covering.from_kernels(z2_smash, [[proj], [proj]], base_gens=[("s", "ss")] * 2)
     fails = bad.kernel_intersection_certificate(3)
     assert fails and fails[0].check == "kernel-intersection"
+
+
+def test_prolong_reports_a_shared_face_once_per_piece(sphere):
+    """A face that several pieces share is prolonged once, and its
+    certificate failures are reported under each piece index that holds
+    it: here the cleaving u -> 1, which is not colinear."""
+    face = sphere.covering.pieces[0].comodule
+    one = gens_map("gamma-one", sphere.hopf.system, face.system, {"u": face.system.one()}, check=True)
+    triv = Trivialisation(sphere.covering, sphere.hopf, [CleavingMap(face, one)] * 3)
+    pro = prolong(triv, builtin.pi_u1_to_z2(), builtin.o_u1(), fiber_names={"u": "U", "ui": "Ui"})
+    assert [f.where for f in pro.report if f.check == "cotensor-membership"] == [
+        f"piece[{i}] fiber {z}" for i in range(3) for z in ("u", "ui")
+    ]
+    assert len({id(p.comodule) for p in pro.trivialisation.covering.pieces}) == 1

@@ -505,15 +505,31 @@ def test_covering_file_that_does_not_parse_is_a_config_error(tmp_path, capsys, d
     assert err.startswith("CONFIG_ERROR") and "Traceback" not in err
 
 
-def test_covering_kernel_holding_a_unit_fails_the_coaction_record(tmp_path):
-    """The kernel ["ss"] holds no constant, though ss*s = 1 puts 1 in its
-    ideal: the file loads, and the covering's coaction premise fails with a
-    witness."""
+@pytest.mark.parametrize(
+    "kernel, conflict",
+    [
+        # ss*s = 1 puts 1 in the ideal of ["ss"], though it holds no constant
+        ("ss", "CONFLICT(ss*s: 1 vs 0)"),
+        # s^2 = s makes s idempotent, and ss*s = 1 then forces s = 1
+        ("s*s - s", "CONFLICT(ss*s^2: s vs 1)"),
+        ("s*s", "CONFLICT(ss*s^2: s vs 0)"),
+    ],
+    ids=["kernel-holding-a-unit", "kernel-idempotent-isometry", "kernel-nilpotent-isometry"],
+)
+def test_covering_file_whose_quotient_rules_conflict_is_a_config_error(tmp_path, capsys, kernel, conflict):
+    """A kernel whose quotient rules are not confluent refuses the file with
+    the piece and the conflicting word: there a nonzero normal form proves
+    nothing, so a pair difference would be no witness.  Each conflict
+    shows first at piece 1; the pair (0, 1) holds it too."""
     path = tmp_path / "cover.json"
-    path.write_text(json.dumps({"base": "toeplitz_z2_smash", "pieces": [{"kernel": ["ss"], "cleaving": {"u": "u"}}]}))
-    records = {r.id: r for r in run_suite(mini_cfg("covering", covering=str(path))).records}
-    assert records["covering/validate"].status == "fail"
-    assert records["covering/validate"].witness.startswith("FAIL[coaction-well-defined @ piece[0] ss*s]")
+    doc = {"base": "toeplitz_z2_smash", "pieces": [_UNIT_PIECE, {"kernel": [kernel], "cleaving": {"u": "u"}}]}
+    path.write_text(json.dumps(doc))
+    for suite in ("covering", "transition"):
+        with pytest.raises(ConfigError, match=re.escape(f"the quotient rules of piece 1 conflict: {conflict}")):
+            run_suite(mini_cfg(suite, covering=str(path)))
+    assert main(["verify", "--suite", "covering", "--covering", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("CONFIG_ERROR") and conflict in err and "Traceback" not in err
 
 
 def test_verify_all_help_prints_usage_and_runs_nothing(tmp_path):
@@ -543,7 +559,10 @@ def test_no_state_leaks_between_suites():
     assert EXACT_SUITES[-1] == "negative-controls"
     again = [run_suite(SuiteConfig(suite=name)).canonical_json() for name in reversed(EXACT_SUITES)]
     assert again[::-1] == first
-    assert builtin.sphere_covering().covering.pairs[(0, 1)].map_j.name == "pi^1_0"
+    # pair (0, 1) still holds the builder's own twisted map, which the mutant
+    # edge-map-forgets-twist replaces only in its copy
+    pairs = builtin.sphere_covering().covering.pairs
+    assert pairs[(0, 1)].map_j is pairs[(1, 2)].map_j and pairs[(0, 1)].map_j.name == "pi_twisted"
     al = builtin.quantum_plane().alphabet
     parsed = {tuple(key.split(",")): parse_poly(e, al) for key, e in builtin.PLANE_ACTION.items()}
     assert builtin.plane_action_table("formal") == parsed
@@ -677,6 +696,26 @@ def test_bench_record_check_names_what_a_record_lacks(tmp_path):
     assert "result lacks 'metrics'" in found
     assert "detail 'numeric' lacks 'machine'" in found
     assert "n = 4 does not match the file name" in found
+
+
+def test_bench_pairs_compare_reads_the_bound():
+    """compare keeps the claim rule and says whether the change's median is
+    within the bound of the parent's; BENCHMARK.json gives each bound."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+    path = list(sys.path)
+    try:
+        sys.path.insert(0, str(script.parent))
+        import bench_pairs
+    finally:
+        sys.path[:] = path
+    assert bench_pairs.END_TO_END["wall_s"]["bound"] == 0.25
+    parent = [1.0, 1.0, 1.1, 0.9]
+    r = bench_pairs.compare(parent, [1.2, 1.3, 1.2, 1.0], 0.25)
+    assert r["change"]["median"] == 1.2 and r["within_bound"] and not r["gain"]
+    r = bench_pairs.compare(parent, [1.3, 1.3, 1.2, 1.3], 0.25)
+    assert not r["within_bound"] and r["wins"] == 0
+    r = bench_pairs.compare(parent, [0.5, 0.5, 0.5, 0.5], 0.25)
+    assert r["within_bound"] and r["gain"] and r["wins"] == 4 and r["ratio"]["median"] == 0.5
 
 
 def test_bench_pairs_smoke_run_against_itself():
