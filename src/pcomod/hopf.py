@@ -234,6 +234,28 @@ def quotient_hopf(H: HopfAlgebra, J: HopfIdeal) -> tuple[HopfAlgebra, LinearMap]
     return quotient, proj
 
 
+def hopf_map_problems(phi: LinearMap, H1: HopfAlgebra, H2: HopfAlgebra) -> list[CheckFailure]:
+    """Certify the algebra map phi: H1 -> H2 (premise: ``gens_map`` with
+    check=True; H1, H2 pass ``check_hopf_axioms``) a Hopf map in every degree.
+    (phi (x) phi) o Delta and Delta o phi, eps o phi and eps are pairs of
+    algebra maps, phi o S and S o phi of anti-algebra maps, so each pair
+    agrees everywhere when it agrees on the generators of H1."""
+    failures: list[CheckFailure] = []
+    for g in H1.system.alphabet.gens:
+        img = phi.apply_word((g,))
+        lhs = H1.delta_word((g,)).map_leg(0, phi.apply_word, codomain=H2.system).map_leg(
+            1, phi.apply_word, codomain=H2.system
+        )
+        rhs = H2.delta(img)
+        if lhs != rhs:
+            failures.append(CheckFailure("hopf-map-coproduct", g, f"{lhs!r} != {rhs!r}"))
+        if H1.counit_table[g] != H2.counit(img):
+            failures.append(CheckFailure("hopf-map-counit", g, f"{H1.counit_table[g]!r} != {H2.counit(img)!r}"))
+        if phi.apply(H1.antipode_table[g]) != H2.S.apply(img):
+            failures.append(CheckFailure("hopf-map-antipode", g, ""))
+    return failures
+
+
 def generator_map_isomorphism_problems(
     H1: HopfAlgebra, H2: HopfAlgebra, gen_map: dict[str, NCPoly], inverse: dict[str, NCPoly]
 ) -> list[CheckFailure]:
@@ -245,9 +267,8 @@ def generator_map_isomorphism_problems(
     check=True), so they are algebra maps. psi o phi and the identity of H1
     are algebra maps; when they agree on the generators of H1, they agree
     everywhere, and likewise phi o psi and the identity of H2. So phi is
-    bijective. It intertwines Delta and the counit, algebra maps, and S, an
-    anti-algebra map, on generators, hence on every element. The premise is
-    that H1 and H2 are Hopf algebras (``check_hopf_axioms``)."""
+    bijective, and a Hopf map by ``hopf_map_problems``. The premise is that
+    H1 and H2 are Hopf algebras (``check_hopf_axioms``)."""
     try:
         phi = gens_map("phi", H1.system, H2.system, gen_map, check=True)
     except NotWellDefinedError as e:
@@ -256,19 +277,7 @@ def generator_map_isomorphism_problems(
         psi = gens_map("psi", H2.system, H1.system, inverse, check=True)
     except NotWellDefinedError as e:
         return [CheckFailure("iso-inverse-well-defined", "rules", str(e))]
-    failures: list[CheckFailure] = []
-    for g in H1.system.alphabet.gens:
-        img = phi.apply_word((g,))
-        lhs = H1.delta_word((g,)).map_leg(0, phi.apply_word, codomain=H2.system).map_leg(
-            1, phi.apply_word, codomain=H2.system
-        )
-        rhs = H2.delta(img)
-        if lhs != rhs:
-            failures.append(CheckFailure("iso-coproduct", g, f"{lhs!r} != {rhs!r}"))
-        if H1.counit_table[g] != H2.counit(img):
-            failures.append(CheckFailure("iso-counit", g, ""))
-        if phi.apply(H1.antipode_table[g]) != H2.S.apply(img):
-            failures.append(CheckFailure("iso-antipode", g, ""))
+    failures = hopf_map_problems(phi, H1, H2)
     for there, back, dom in ((phi, psi, H1), (psi, phi, H2)):
         for g in dom.system.alphabet.gens:
             got = back.apply(there.apply_word((g,)))

@@ -9,7 +9,7 @@ from itertools import permutations
 from typing import Callable, Iterator, Sequence
 
 from .comodule import CleavingMap, ComoduleAlgebra, smash_product
-from .hopf import CheckFailure, HopfAlgebra, HopfIdeal
+from .hopf import CheckFailure, HopfAlgebra, HopfIdeal, hopf_map_problems
 from .linalg import RowSpace, intersect_spans, same_span, span_of
 from .maps import LinearMap, gens_map, relation_mismatches
 from .ncpoly import Alphabet, NCPoly, Word, word_str
@@ -339,9 +339,10 @@ def prolong(
     fiber_names: dict[str, str] | None = None,
     preimages: dict[str, Word] | None = None,
 ) -> Prolongation:
-    """Prolongation along a Hopf surjection pi: H -> Hbar.
-
-    Presents each cotensor piece Pbar_i box H as the tensor product
+    """Prolongation along a Hopf surjection pi: H -> Hbar, an algebra map
+    with a preimage of each generator of Hbar (else NotSurjectiveError);
+    ``hopf_map_problems(pi, H, Hbar)`` heads the report. Presents each
+    cotensor piece Pbar_i box H as the tensor product
     (``smash_product``, trivial action) of the rules among its base
     generators with H, whose letters are the fiber generators
     U_z = gammabar_i(pi(z_(1))) (x) z_(2), and each double quotient likewise
@@ -460,7 +461,8 @@ def prolong(
         for piece, cl in zip(base_triv.covering.pieces, base_triv.cleavings, strict=True)
     ]
     built = [prolong_face(*face) for face in faces]
-    report = [CheckFailure(f.check, f"piece[{i}] {f.where}", f.detail) for i, b in enumerate(built) for f in b[3]]
+    report = hopf_map_problems(pi, H, Hbar)
+    report += [CheckFailure(f.check, f"piece[{i}] {f.where}", f.detail) for i, b in enumerate(built) for f in b[3]]
     pieces, cleavings, dictionaries, _ = zip(*built)
     pairs = {
         (i, j): PairData(

@@ -1476,35 +1476,43 @@ def quotient_lift_table(H: HopfAlgebra, qH: HopfAlgebra, bound: int) -> dict:
 
 # ---------------------------------------------------------------------------
 # quotient isomorphisms and coinvariant compatibility on every basis word up
-# to a degree bound (reference for the inverse-on-generators certificate of
-# generator_map_isomorphism_problems and for the corollaries of part (a) of
-# reducibility_check)
+# to a degree bound (reference for hopf_map_problems, for the
+# inverse-on-generators certificate of generator_map_isomorphism_problems and
+# for the corollaries of part (a) of reducibility_check)
 # ---------------------------------------------------------------------------
+
+def bounded_hopf_map_checks(phi, H1: HopfAlgebra, H2: HopfAlgebra, bound: int) -> list[CheckFailure]:
+    """(phi (x) phi) Delta = Delta phi, eps phi = eps and phi S = S phi on
+    every basis word of H1 up to the bound, under the labels of
+    ``hopf_map_problems``: the reference for that generator certificate."""
+    failures: list[CheckFailure] = []
+    for w in H1.system.basis_words(bound):
+        ws = word_str(w)
+        img = phi.apply_word(w)
+        lhs = H1.delta_word(w).map_leg(0, phi.apply_word, codomain=H2.system).map_leg(
+            1, phi.apply_word, codomain=H2.system
+        )
+        if lhs != H2.delta(img):
+            failures.append(CheckFailure("hopf-map-coproduct", ws, f"{lhs!r} != {H2.delta(img)!r}"))
+        if H1.counit_word(w) != H2.counit(img):
+            failures.append(CheckFailure("hopf-map-counit", ws, ""))
+        if phi.apply(H1.S.apply_word(w)) != H2.S.apply(img):
+            failures.append(CheckFailure("hopf-map-antipode", ws, ""))
+    return failures
+
 
 def bounded_isomorphism_checks(
     H1: HopfAlgebra, H2: HopfAlgebra, gen_map: dict, bound: int
 ) -> list[CheckFailure]:
-    """phi = ``gen_map`` well defined and intertwining Delta, the counit and S
-    on generators, then injective on the basis words of H1 up to the bound
-    (by rank) and onto the basis words of H2 up to the bound (each in the
-    image span). Needs no inverse."""
-    failures: list[CheckFailure] = []
+    """phi = ``gen_map`` well defined and a Hopf map on the basis words of H1
+    up to the bound (``bounded_hopf_map_checks``), then injective on those
+    words (by rank) and onto the basis words of H2 up to the bound (each in
+    the image span). Needs no inverse."""
     try:
         phi = gens_map("phi", H1.system, H2.system, gen_map, check=True)
     except NotWellDefinedError as e:
         return [CheckFailure("iso-well-defined", "rules", str(e))]
-    for g in H1.system.alphabet.gens:
-        img = phi.apply_word((g,))
-        lhs = H1.delta_word((g,)).map_leg(0, phi.apply_word, codomain=H2.system).map_leg(
-            1, phi.apply_word, codomain=H2.system
-        )
-        rhs = H2.delta(img)
-        if lhs != rhs:
-            failures.append(CheckFailure("iso-coproduct", g, f"{lhs!r} != {rhs!r}"))
-        if H1.counit_table[g] != H2.counit(img):
-            failures.append(CheckFailure("iso-counit", g, ""))
-        if phi.apply(H1.antipode_table[g]) != H2.S.apply(img):
-            failures.append(CheckFailure("iso-antipode", g, ""))
+    failures = bounded_hopf_map_checks(phi, H1, H2, bound)
     basis1 = H1.system.basis_words(bound)
     space = RowSpace()
     indep = sum(1 for w in basis1 if space.add(dict(phi.apply_word(w).terms)))

@@ -24,10 +24,10 @@ PROGRAM_DIRS = ("src", "scripts", "benchmark")
 
 # name -> why it stays although nothing in the program calls it
 ALLOWLIST = {
-    "ideal_distributivity_check": "the distributivity of ideals in the base; a report record through "
-    "ROADMAP item 2",
-    "cotensor_ideal_sum_check": "the cotensor/ideal-sum identity; a report record through ROADMAP item 2",
-    "su_q2_to_u1_checks": "the SU_q(2) -> U(1) quotient checks; a report record through ROADMAP item 2",
+    "ideal_distributivity_check": "the distributivity of ideals in the base; a record of the new "
+    "covering-lattice suite (ROADMAP item 14)",
+    "cotensor_ideal_sum_check": "the cotensor/ideal-sum identity; a record of the new covering-lattice "
+    "suite (ROADMAP item 14)",
     "registry": "builtin's public list of algebra names, the index of ``builtin.build``",
     "confluent": "ConfluenceReport's verdict, the documented reading of a confluence report",
 }

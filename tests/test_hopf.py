@@ -12,8 +12,10 @@ from pcomod.hopf import (
     NotHopfIdealError,
     check_hopf_axioms,
     generator_map_isomorphism_problems,
+    hopf_map_problems,
     quotient_hopf,
 )
+from pcomod.maps import gens_map
 from pcomod.mutants import MUTANTS
 from pcomod.ncpoly import Alphabet, NCPoly
 from pcomod.rewrite import RewriteSystem
@@ -24,6 +26,7 @@ from oracles import (
     Z2Model,
     bounded_coaction_axioms,
     bounded_hopf_axioms,
+    bounded_hopf_map_checks,
     bounded_isomorphism_checks,
     coinvariant_basis_words,
     group_like_words,
@@ -130,6 +133,31 @@ def test_quotient_isomorphisms_agree_with_rank_loop(q):
         ("iso-inverse", "phi(psi(u))"),
     ]
     assert [f.check for f in old] == ["iso-injective", "iso-surjective"]
+
+
+def _identification_map(k):
+    """The forward map of the k-th quotient identification, with its ends."""
+    H1, H2, gm, _ = list(_quotient_identifications("formal"))[k]
+    return gens_map("phi", H1.system, H2.system, gm, check=True), H1, H2
+
+
+# each Hopf map the reports use, as (phi, H1, H2)
+SHIPPED_HOPF_MAPS = {
+    "pi_u1_to_z2": lambda: (builtin.pi_u1_to_z2(), builtin.o_u1(), builtin.c_z2()),
+    "su_q2_to_u1@formal": lambda: (builtin.su_q2_to_u1_map(), builtin.su_q2(), builtin.o_u1()),
+    "su_q2_to_u1@3": lambda: (builtin.su_q2_to_u1_map(3), builtin.su_q2(3), builtin.o_u1()),
+    "u1-mod-z2-is-z2": lambda: _identification_map(0),
+    "gl-mod-det-is-sl": lambda: _identification_map(1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_HOPF_MAPS))
+def test_hopf_map_certificate_agrees_with_the_word_loop(name):
+    """Every shipped Hopf map passes the generator certificate and the
+    forward part of the bounded isomorphism oracle up to degree 3."""
+    phi, H1, H2 = SHIPPED_HOPF_MAPS[name]()
+    assert hopf_map_problems(phi, H1, H2) == []
+    assert bounded_hopf_map_checks(phi, H1, H2, 3) == []
 
 
 def test_wrong_inverse_is_an_inverse_witness():

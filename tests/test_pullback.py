@@ -7,8 +7,8 @@ import pytest
 
 from pcomod import builtin, mutants
 from pcomod.comodule import CleavingMap, ComoduleAlgebra
-from pcomod.exprs import parse_poly
-from pcomod.hopf import HopfIdeal
+from pcomod.exprs import load_presentation, parse_poly
+from pcomod.hopf import HopfIdeal, check_hopf_axioms, hopf_map_problems
 from pcomod.maps import gens_map
 from pcomod.ncpoly import NCPoly
 from pcomod.numgeom import GridConfig, rp2_membership
@@ -34,7 +34,12 @@ from pcomod.scalars import S_ONE, S_Q, Scalar
 from pcomod.suites import SuiteConfig, _load_trivialisation
 from pcomod.tensors import Tensor
 
-from oracles import bounded_coinvariant_compatibility, bounded_transition_checks, diagonal_transition
+from oracles import (
+    bounded_coinvariant_compatibility,
+    bounded_hopf_map_checks,
+    bounded_transition_checks,
+    diagonal_transition,
+)
 
 
 def test_sphere_covering_validates(sphere):
@@ -360,6 +365,43 @@ def test_prolong_requires_surjection(sphere):
     )
     with pytest.raises(NotSurjectiveError):
         prolong(sphere, not_onto, H, preimages={})
+
+
+# C[Z/2 x Z/2]: two commuting group-like involutions
+Z2_X_Z2 = {
+    "name": "c_z2xz2",
+    "generators": ["u", "v"],
+    "central": ["u", "v"],
+    "scalar_tower": "Q",
+    "relations": ["u*u = 1", "v*v = 1"],
+    "hopf": {
+        "delta": {"u": "u # u", "v": "v # v"},
+        "counit": {"u": "1", "v": "1"},
+        "antipode": {"u": "u", "v": "v"},
+        "antipode_inv": {"u": "u", "v": "v"},
+    },
+}
+
+
+def test_prolong_along_a_surjection_that_is_not_a_hopf_map(sphere):
+    """u -> u, v -> -1 is an algebra map C[Z/2 x Z/2] -> C[Z/2] with a
+    preimage of each generator, but not a coalgebra map: Delta(v) = v (x) v
+    goes to 1 (x) 1, and eps(v) = 1 to -1. The certificate and the degree-2
+    word loop reject it at v, and prolong along it reports that first."""
+    _, H = load_presentation(Z2_X_Z2)
+    z2 = builtin.c_z2()
+    assert check_hopf_axioms(H) == []
+    al = z2.system.alphabet
+    pi = gens_map("pi_bad", H.system, z2.system, {"u": NCPoly.gen(al, "u"), "v": -NCPoly.one(al)}, check=True)
+    fails = hopf_map_problems(pi, H, z2)
+    assert [(f.check, f.where) for f in fails] == [("hopf-map-coproduct", "v"), ("hopf-map-counit", "v")]
+    words = {f.where for f in fails}
+    assert [(f.check, f.where) for f in bounded_hopf_map_checks(pi, H, z2, 2) if f.where in words] == [
+        (f.check, f.where) for f in fails
+    ]
+    pro = prolong(sphere, pi, H, fiber_names={"u": "U", "v": "V"})
+    assert pro.report[: len(fails)] == fails
+    assert builtin.sphere_prolonged().report == []
 
 
 def test_piece_glue(sphere, sphere_pro):

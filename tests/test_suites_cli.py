@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from pcomod import builtin, suites
 from pcomod.cli import main, make_parser
 from pcomod.exprs import parse_poly
+from pcomod.hopf import CheckFailure
 from pcomod.numgeom import GridConfig
 from pcomod.suites import (
     CheckRecord,
@@ -54,6 +55,19 @@ def test_classical_point_reduction_and_prolong(capsys):
         assert rep.passed, (name, [r for r in rep.records if r.status != "pass"])
     assert main(["verify", "--suite", "reduction-theorem", "--q", "1"]) == 0
     capsys.readouterr()
+
+
+def test_patch_instance_reads_the_surjection_checks_first(monkeypatch):
+    """reduction/patch-instance rests on the surjection's star and kernel
+    checks: a failure there fails the record, and its witness comes before
+    any reducibility witness."""
+    bad = CheckFailure("surjection-star", "a", "ui != u")
+    monkeypatch.setattr(builtin, "su_q2_to_u1_checks", lambda q="formal": [bad])
+    records = {r.id: r for r in run_suite(SuiteConfig(suite="reduction-theorem")).records}
+    assert (records["reduction/patch-instance"].status, records["reduction/patch-instance"].witness) == (
+        "fail",
+        repr(bad),
+    )
 
 
 def test_unknown_suite_nearest_match():
@@ -513,8 +527,22 @@ def test_covering_file_that_does_not_parse_is_a_config_error(tmp_path, capsys, d
         # s^2 = s makes s idempotent, and ss*s = 1 then forces s = 1
         ("s*s - s", "CONFLICT(ss*s^2: s vs 1)"),
         ("s*s", "CONFLICT(ss*s^2: s vs 0)"),
+        # each first conflict lies past degree 6, within twice the longest
+        # left side less one
+        ("ss^6", "CONFLICT(ss^6*s: 0 vs ss^5)"),
+        ("s^6 - s", "CONFLICT(ss*s^6: s^5 vs 1)"),
+        ("s^7", "CONFLICT(ss*s^7: s^6 vs 0)"),
+        ("s^3*ss^3 - s*ss", "CONFLICT(s^3*ss^3*s: s vs s^3*ss^2)"),
     ],
-    ids=["kernel-holding-a-unit", "kernel-idempotent-isometry", "kernel-nilpotent-isometry"],
+    ids=[
+        "kernel-holding-a-unit",
+        "kernel-idempotent-isometry",
+        "kernel-nilpotent-isometry",
+        "kernel-holding-a-unit-past-degree-6",
+        "kernel-idempotent-isometry-past-degree-6",
+        "kernel-nilpotent-isometry-past-degree-6",
+        "kernel-with-a-degree-6-left-side",
+    ],
 )
 def test_covering_file_whose_quotient_rules_conflict_is_a_config_error(tmp_path, capsys, kernel, conflict):
     """A kernel whose quotient rules are not confluent refuses the file with
@@ -647,6 +675,10 @@ def covering_files(draw):
         "q-power-over-the-scalar-cap": ("pieces", [{"kernel": ["((Q+1)^100)^10*s"], "cleaving": identity}]),
         "nested-power-over-the-coefficient-cap": ("pieces", [{"kernel": ["((2^1000*s)^1000)^10"], "cleaving": identity}]),
         "power-over-the-coefficient-cap": ("pieces", [{"kernel": ["(2^1000*s)^1000"], "cleaving": identity}]),
+        "conflict-past-degree-6-unit": ("pieces", [{"kernel": ["ss^6"], "cleaving": identity}]),
+        "conflict-past-degree-6-idempotent": ("pieces", [{"kernel": ["s^6 - s"], "cleaving": identity}]),
+        "conflict-past-degree-6-nilpotent": ("pieces", [{"kernel": ["s^7"], "cleaving": identity}]),
+        "conflict-of-a-degree-6-rule": ("pieces", [{"kernel": ["s^3*ss^3 - s*ss"], "cleaving": identity}]),
     }
     fault = draw(st.sampled_from([None] * 6 + sorted(malformed)))
     if fault:
