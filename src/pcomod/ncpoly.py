@@ -33,16 +33,12 @@ class Alphabet:
             raise AlphabetError(f"central generators not in alphabet: {sorted(unknown)}")
 
     def canon(self, word: Word) -> Word:
-        if not self.central or not word:
+        central = self.central
+        if not central or central.isdisjoint(word):
             return word
-        nc = []
-        c = []
-        for g in word:
-            (c if g in self.central else nc).append(g)
-        if not c:
-            return word
-        c.sort(key=self.rank.__getitem__)
-        return tuple(nc) + tuple(c)
+        nc = tuple(g for g in word if g not in central)
+        c = sorted((g for g in word if g in central), key=self.rank.__getitem__)
+        return nc + tuple(c)
 
     def split_central(self, word: Word) -> tuple[Word, Word]:
         """Split a *canonical* word into (noncentral prefix, central suffix)."""
@@ -57,7 +53,7 @@ class Alphabet:
         """Monomial-order key: degree, then noncentral deglex, then sorted central part."""
         nc, c = self.split_central(word)
         r = self.rank
-        return (len(word), len(nc), tuple(r[g] for g in nc), tuple(sorted(r[g] for g in c)))
+        return (len(word), len(nc), tuple(map(r.__getitem__, nc)), tuple(sorted(map(r.__getitem__, c))))
 
     def __eq__(self, other):
         return (

@@ -43,6 +43,7 @@ from .pullback import (
     piece_glue,
     reducibility_check,
 )
+from .rewrite import SizeLimitError
 from .scalars import S_ONE, Scalar
 
 
@@ -359,13 +360,14 @@ def load_covering_file(path: str):
     cov = Covering.from_kernels(base, kernels, base_gens=[tuple(b) for b in bg] if bg else None,
                                 name=doc.get("name", os.path.basename(path)))
     # in a system whose rules conflict a nonzero normal form proves nothing
-    # (Bergman's diamond lemma), so a conflict refuses the file; two left
-    # sides of at most L letters overlap in a word of at most 2L - 1
+    # (Bergman's diamond lemma), so a conflict refuses the file
     systems = [(f"piece {i}", p.comodule.system) for i, p in enumerate(cov.pieces)]
     systems += [(f"pair ({i},{j})", d.target.system) for (i, j), d in cov.pairs.items()]
     for where, system in systems:
-        bound = max(6, 2 * max((len(r.lhs_word) for r in system.rules), default=0) - 1)
-        conflicts = system.check_local_confluence(bound).conflicts
+        try:
+            conflicts = system.check_local_confluence(6, every_overlap=True).conflicts
+        except SizeLimitError as e:
+            raise ConfigError(f"covering file {path}: the quotient rules of {where} are too large to check: {e}")
         if conflicts:
             raise ConfigError(f"covering file {path}: the quotient rules of {where} conflict: {conflicts[0]!r}")
     cleavings = []

@@ -523,16 +523,19 @@ def test_covering_file_that_does_not_parse_is_a_config_error(tmp_path, capsys, d
     "kernel, conflict",
     [
         # ss*s = 1 puts 1 in the ideal of ["ss"], though it holds no constant
-        ("ss", "CONFLICT(ss*s: 1 vs 0)"),
+        (["ss"], "CONFLICT(ss*s: 1 vs 0)"),
         # s^2 = s makes s idempotent, and ss*s = 1 then forces s = 1
-        ("s*s - s", "CONFLICT(ss*s^2: s vs 1)"),
-        ("s*s", "CONFLICT(ss*s^2: s vs 0)"),
+        (["s*s - s"], "CONFLICT(ss*s^2: s vs 1)"),
+        (["s*s"], "CONFLICT(ss*s^2: s vs 0)"),
         # each first conflict lies past degree 6, within twice the longest
         # left side less one
-        ("ss^6", "CONFLICT(ss^6*s: 0 vs ss^5)"),
-        ("s^6 - s", "CONFLICT(ss*s^6: s^5 vs 1)"),
-        ("s^7", "CONFLICT(ss*s^7: s^6 vs 0)"),
-        ("s^3*ss^3 - s*ss", "CONFLICT(s^3*ss^3*s: s vs s^3*ss^2)"),
+        (["ss^6"], "CONFLICT(ss^6*s: 0 vs ss^5)"),
+        (["s^6 - s"], "CONFLICT(ss*s^6: s^5 vs 1)"),
+        (["s^7"], "CONFLICT(ss*s^7: s^6 vs 0)"),
+        (["s^3*ss^3 - s*ss"], "CONFLICT(s^3*ss^3*s: s vs s^3*ss^2)"),
+        # s*u -> s takes the central u from anywhere, so its gap words
+        # s*x*s*u grow with the bound; only they are cut, at degree 6
+        (["s*u - s", "s^12"], "CONFLICT(ss*s*u: u vs 1)"),
     ],
     ids=[
         "kernel-holding-a-unit",
@@ -542,6 +545,7 @@ def test_covering_file_that_does_not_parse_is_a_config_error(tmp_path, capsys, d
         "kernel-idempotent-isometry-past-degree-6",
         "kernel-nilpotent-isometry-past-degree-6",
         "kernel-with-a-degree-6-left-side",
+        "kernel-with-a-rule-sharing-a-central-letter",
     ],
 )
 def test_covering_file_whose_quotient_rules_conflict_is_a_config_error(tmp_path, capsys, kernel, conflict):
@@ -550,7 +554,7 @@ def test_covering_file_whose_quotient_rules_conflict_is_a_config_error(tmp_path,
     nothing, so a pair difference would be no witness.  Each conflict
     shows first at piece 1; the pair (0, 1) holds it too."""
     path = tmp_path / "cover.json"
-    doc = {"base": "toeplitz_z2_smash", "pieces": [_UNIT_PIECE, {"kernel": [kernel], "cleaving": {"u": "u"}}]}
+    doc = {"base": "toeplitz_z2_smash", "pieces": [_UNIT_PIECE, {"kernel": kernel, "cleaving": {"u": "u"}}]}
     path.write_text(json.dumps(doc))
     for suite in ("covering", "transition"):
         with pytest.raises(ConfigError, match=re.escape(f"the quotient rules of piece 1 conflict: {conflict}")):
@@ -558,6 +562,20 @@ def test_covering_file_whose_quotient_rules_conflict_is_a_config_error(tmp_path,
     assert main(["verify", "--suite", "covering", "--covering", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("CONFIG_ERROR") and conflict in err and "Traceback" not in err
+
+
+def test_covering_file_too_large_to_check_is_a_config_error(tmp_path, capsys):
+    """A kernel word of 10,000 letters overlaps itself in ambiguity words of
+    over AMBIGUITY_CAP letters in all, so the file is refused at once rather
+    than checked for minutes."""
+    path = tmp_path / "cover.json"
+    doc = {"base": "toeplitz_z2_smash", "pieces": [{"kernel": ["(s^1000)^10 - s"], "cleaving": {"u": "u"}}]}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match="the quotient rules of piece 0 are too large to check: overlap words exceed"):
+        run_suite(mini_cfg("covering", covering=str(path)))
+    assert main(["verify", "--suite", "covering", "--covering", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("CONFIG_ERROR") and "Traceback" not in err
 
 
 def test_verify_all_help_prints_usage_and_runs_nothing(tmp_path):
@@ -679,6 +697,8 @@ def covering_files(draw):
         "conflict-past-degree-6-idempotent": ("pieces", [{"kernel": ["s^6 - s"], "cleaving": identity}]),
         "conflict-past-degree-6-nilpotent": ("pieces", [{"kernel": ["s^7"], "cleaving": identity}]),
         "conflict-of-a-degree-6-rule": ("pieces", [{"kernel": ["s^3*ss^3 - s*ss"], "cleaving": identity}]),
+        "conflict-of-a-rule-sharing-a-central-letter": ("pieces", [{"kernel": ["s*u - s", "s^12"], "cleaving": identity}]),
+        "ambiguities-over-the-cap": ("pieces", [{"kernel": ["(s^1000)^10 - s"], "cleaving": identity}]),
     }
     fault = draw(st.sampled_from([None] * 6 + sorted(malformed)))
     if fault:
