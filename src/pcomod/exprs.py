@@ -289,7 +289,7 @@ def load_presentation(doc: dict, q: GaussRat | None = None):
         star = {g: parse_poly(e, alphabet, q) for g, e in doc["star"].items()}
         for g in gens:
             star.setdefault(g, NCPoly.gen(alphabet, g))
-    system = RewriteSystem.from_relations(alphabet, relations, star=star, name=doc.get("name", ""))
+    system = RewriteSystem(alphabet, star=star).extend_by_ideal([a - b for a, b in relations], name=doc.get("name", ""))
     for rule in system.rules:
         for c in rule.rhs.terms.values():
             if not c.in_tower(tower):

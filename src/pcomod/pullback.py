@@ -13,7 +13,7 @@ from .hopf import CheckFailure, HopfAlgebra, HopfIdeal, hopf_map_problems
 from .linalg import RowSpace, intersect_spans, same_span, span_of
 from .maps import LinearMap, gens_map, relation_mismatches
 from .ncpoly import Alphabet, NCPoly, Word, word_str
-from .rewrite import RewriteSystem
+from .rewrite import RewriteSystem, UnitIdealError
 from .tensors import Tensor, TensorSpace, linear_image
 
 
@@ -77,9 +77,15 @@ class Covering:
         base_gens: Sequence[Sequence[str]] | None = None,
         name: str = "covering",
     ) -> "Covering":
+        def quotient(gens, tag, where):
+            try:
+                return base.system.extend_by_ideal(gens, name=f"{base.name}/{tag}")
+            except UnitIdealError as e:
+                raise UnitIdealError(f"the kernel of {where} holds a unit: {e}") from None
+
         pieces = []
         for idx, kern in enumerate(kernels):
-            qsys = base.system.extend_by_ideal(list(kern), name=f"{base.name}/k{idx}")
+            qsys = quotient(list(kern), f"k{idx}", f"piece {idx}")
             piece = base.over(qsys, name=f"{base.name}[{idx}]")
             pieces.append(
                 CoveringPiece(piece, tuple(base_gens[idx]) if base_gens else ())
@@ -87,9 +93,7 @@ class Covering:
         pairs = {}
         for i in range(len(kernels)):
             for j in range(i + 1, len(kernels)):
-                qsys = base.system.extend_by_ideal(
-                    list(kernels[i]) + list(kernels[j]), name=f"{base.name}/k{i}{j}"
-                )
+                qsys = quotient(list(kernels[i]) + list(kernels[j]), f"k{i}{j}", f"pair ({i},{j})")
                 target = base.over(qsys, name=f"{base.name}[{i},{j}]")
                 ident = {g: NCPoly.gen(qsys.alphabet, g) for g in base.system.alphabet.gens}
                 pairs[(i, j)] = PairData(

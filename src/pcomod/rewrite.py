@@ -24,6 +24,10 @@ class SizeLimitError(RuntimeError):
     """Intermediate term count exceeded the configured cap."""
 
 
+class UnitIdealError(ValueError):
+    """An ideal holds a nonzero constant, so its quotient is the zero algebra."""
+
+
 class NoStarError(ValueError):
     """The rewrite system carries no star table."""
 
@@ -47,14 +51,6 @@ def _holds_central(c: Word, rule: Rule) -> bool:
     return all(c.count(g) >= k for g, k in Counter(rule.lhs_central).items())
 
 
-def _orient(p: NCPoly) -> tuple[Word, NCPoly]:
-    """The rule lead -> rest that sets the nonzero p to zero: its leading word
-    rewrites to minus the other terms over the leading coefficient."""
-    lead = p.leading_word()
-    rest = NCPoly(p.alphabet, {w: c for w, c in p.terms.items() if w != lead})
-    return lead, rest.scale(-(p.terms[lead].inv()))
-
-
 @dataclass
 class Conflict:
     word: Word
@@ -70,8 +66,8 @@ class ConfluenceReport:
     degree_bound: int
     words_checked: int
     conflicts: list[Conflict] = field(default_factory=list)
-    # the checked words are every ambiguity of any degree, so a confluent
-    # report certifies confluence beyond the bound
+    # no gap family: the checked words are every ambiguity of any degree, so a
+    # confluent report certifies confluence beyond the bound
     complete: bool = False
 
     @property
@@ -102,21 +98,23 @@ class RewriteSystem:
         self.suffix_system = suffix_system
         self.suffix_gens = frozenset(suffix_system.alphabet.gens) if suffix_system else frozenset()
         self.rules: list[Rule] = []
-        for lhs, rhs in rules:
-            rule = self._make_rule(tuple(lhs), rhs)
-            if rule not in self.rules:  # x*Di = 1 and Di*x = 1 canonicalise alike
-                self.rules.append(rule)
         self._nf_cache: dict[Word, NCPoly] = {}
         # index plain rules by first noncentral letter for fast matching
         self._by_first: dict[str, list[Rule]] = {}
         self._central_only: list[Rule] = []
-        for r in self.rules:
-            if r.lhs_nc:
-                self._by_first.setdefault(r.lhs_nc[0], []).append(r)
-            else:
-                self._central_only.append(r)
+        for lhs, rhs in rules:
+            self._add(lhs, rhs)
 
     # -- construction ------------------------------------------------------
+    def _add(self, lhs: Word, rhs: NCPoly) -> None:
+        """Append and index the rule lhs -> rhs unless it is there; drop the cached normal forms."""
+        rule = self._make_rule(tuple(lhs), rhs)
+        bucket = self._by_first.setdefault(rule.lhs_nc[0], []) if rule.lhs_nc else self._central_only
+        if rule not in bucket:  # x*Di = 1 and Di*x = 1 canonicalise alike; copies share a bucket
+            self.rules.append(rule)
+            bucket.append(rule)
+            self._nf_cache.clear()
+
     def _make_rule(self, lhs: Word, rhs: NCPoly) -> Rule:
         a = self.alphabet
         lhs = a.canon(lhs)
@@ -133,30 +131,41 @@ class RewriteSystem:
         nc, c = a.split_central(lhs)
         return Rule(nc, c, rhs)
 
-    @staticmethod
-    def from_relations(
-        alphabet: Alphabet,
-        relations: Sequence[tuple[NCPoly, NCPoly]],
-        **kw,
-    ) -> "RewriteSystem":
-        """Orient each relation lhs = rhs by its leading word automatically."""
-        diffs = (left - right for left, right in relations)
-        return RewriteSystem(alphabet, [_orient(d) for d in diffs if not d.is_zero()], **kw)
-
-    def extend(self, extra_rules: Sequence[tuple[Word, NCPoly]], name: str = "") -> "RewriteSystem":
-        base = [(r.lhs_word, r.rhs) for r in self.rules]
-        return RewriteSystem(
-            self.alphabet,
-            base + list(extra_rules),
-            star=self.star_table,
-            name=name or f"{self.name}+quot",
-            suffix_system=self.suffix_system,
-        )
-
     def extend_by_ideal(self, gens: Sequence[NCPoly], name: str = "") -> "RewriteSystem":
-        """Quotient rewrite system: orient each (normalized) ideal generator by its leading word."""
-        nfs = (self.normal_form(g) for g in gens)
-        return self.extend([_orient(g) for g in nfs if not g.is_zero()], name=name)
+        """The quotient by the two-sided ideal of ``gens``, interreduced
+        (Bergman 1978, section 5; Mora, Theor. Comput. Sci. 134, 1994): each
+        queued element is normalised and, unless zero, oriented into a rule;
+        each rule whose left side that rule reduces (a longer one, as the new
+        left side is irreducible) is removed and its difference lhs - rhs
+        queued again; right sides are normalised last. The ideal of rules and
+        queue never changes: a new rule differs from its queued element by a
+        combination of rules. The loop ends: a step keeps or lowers the
+        multiset of their leading words in the deglex well-order, and when it
+        keeps it, the popped word now leads a rule and the moved ones are
+        reducible by it, so fewer queued leading words are irreducible.
+        ``UnitIdealError`` when an element reduces to a nonzero constant, so
+        that the quotient is zero. A step rebuilds the system only when it
+        removes a rule."""
+        def build(rules):
+            return RewriteSystem(self.alphabet, rules, star=self.star_table, name=name, suffix_system=self.suffix_system)
+
+        queue, system = list(gens), build([(r.lhs_word, r.rhs) for r in self.rules])
+        while queue:
+            p = queue.pop(0)
+            nf = system.normal_form(p)
+            if nf.is_zero():
+                continue
+            lead = nf.leading_word()
+            if lead == EMPTY:
+                raise UnitIdealError(f"{p!r} reduces to the nonzero constant {nf!r}")
+            rule = (lead, NCPoly.word(self.alphabet, lead) - nf.scale(nf.terms[lead].inv()))  # sets nf to 0
+            reduces = RewriteSystem(self.alphabet, [rule])._match
+            moved = [r for r in system.rules if len(r.lhs_word) > len(lead) and reduces(r.lhs_word)]
+            queue += [NCPoly.word(self.alphabet, r.lhs_word) - r.rhs for r in moved]
+            if moved:
+                system = build([(r.lhs_word, r.rhs) for r in system.rules if r not in moved])
+            system._add(*rule)
+        return build([(r.lhs_word, system.normal_form(r.rhs)) for r in system.rules])
 
     def renamed(self, names: dict[str, str], name: str = "") -> "RewriteSystem":
         """The same presentation with each generator g called ``names[g]``,
@@ -216,10 +225,11 @@ class RewriteSystem:
             for r in self._central_only:
                 if _holds_central(c, r):
                     yield r, 0, nc, c
-        for i in range(len(nc)):
+        n = len(nc)
+        for i in range(n):
             for r in self._by_first.get(nc[i], ()):
                 k = len(r.lhs_nc)  # a start too near the end fits no left side; skip its slice
-                if i + k <= len(nc) and nc[i : i + k] == r.lhs_nc and (not r.lhs_central or _holds_central(c, r)):
+                if i + k <= n and nc[i : i + k] == r.lhs_nc and (not r.lhs_central or _holds_central(c, r)):
                     yield r, i, nc, c
 
     def _match(self, word: Word):
@@ -392,10 +402,9 @@ class RewriteSystem:
         return out
 
     # -- confluence ---------------------------------------------------------------
-    def _ambiguities(self, degree_bound: int, every_overlap: bool):
-        """The ambiguities of degree <= degree_bound as {canonical word: [pair
-        of redexes (rule, pos) spanning it]}, and whether these are all the
-        ambiguities of any degree.
+    def _ambiguities(self, degree_bound: int):
+        """The ambiguities as {canonical word: [pair of redexes (rule, pos)
+        spanning it]}, and whether these are all the ambiguities of any degree.
 
         Two redexes that do not overlap resolve through a common reduct, so by
         Bergman's diamond lemma the smallest word with two one-step reducts of
@@ -404,15 +413,13 @@ class RewriteSystem:
 
         (a) the noncentral parts N1, N2 of two left sides overlapping, or one
             inside the other, with the multiset max of their central parts:
-            finitely many, each of at most 2L - 1 noncentral letters for left
-            sides of at most L;
+            finitely many, each of at most 2L - 1 letters for left sides of at
+            most L, all listed whatever their degree;
         (b) N1*x*N2 with that central max, for two rules whose central parts
             share a letter: ``Alphabet.canon`` lets a rule take a central letter
             from anywhere in the word, so redexes with disjoint noncentral parts
             still compete for it. x runs over every noncentral word, which makes
-            the family infinite when N1 and N2 are both nonempty.
-
-        ``every_overlap`` keeps the finite families whatever the degree.
+            the family infinite when N1 and N2 are both nonempty; the bound cuts only it.
         """
         a = self.alphabet
         letters = [g for g in a.gens if g not in a.central]
@@ -442,19 +449,16 @@ class RewriteSystem:
                     room = degree_bound - len(n1) - len(n2) - len(cmax)
                     spans += [(n1 + x + n2, len(n1) + k) for k in range(room + 1) for x in product(letters, repeat=k)]
                 for nc, pos in spans:
-                    if every_overlap or len(nc) + len(cmax) <= degree_bound:
-                        found.setdefault(a.canon(nc + cmax), []).append(((r1, 0), (r2, pos)))
-                    else:
-                        complete = False
+                    found.setdefault(a.canon(nc + cmax), []).append(((r1, 0), (r2, pos)))
         return dict(sorted(found.items(), key=lambda kv: a.key(kv[0]))), complete
 
-    def check_local_confluence(self, degree_bound: int, every_overlap: bool = False) -> ConfluenceReport:
+    def check_local_confluence(self, degree_bound: int) -> ConfluenceReport:
         """The two redexes spanning each ambiguity word must reduce to one
-        normal form. Up to the bound the verdict and the smallest conflicting
-        word equal those of testing every one-step reduct of every word; a
-        confluent ``complete`` report holds at every degree. Never throws on
-        conflicts; ``SizeLimitError`` past ``AMBIGUITY_CAP``."""
-        found, complete = self._ambiguities(degree_bound, every_overlap)
+        normal form. Up to the bound the smallest conflicting word is that of
+        testing every one-step reduct of every word; a confluent ``complete``
+        report holds at every degree. Never throws on conflicts;
+        ``SizeLimitError`` past ``AMBIGUITY_CAP``."""
+        found, complete = self._ambiguities(degree_bound)
         report = ConfluenceReport(degree_bound, len(found), complete=complete)
         for w, pairs in found.items():
             nc, c = self.alphabet.split_central(w)
@@ -467,30 +471,18 @@ class RewriteSystem:
         return report
 
     # -- structural identity ------------------------------------------------------
+    @cached_property
     def _signature(self):
-        sig = getattr(self, "_sig", None)
-        if sig is None:
-            star = (
-                frozenset((g, p) for g, p in self.star_table.items())
-                if self.star_table
-                else None
-            )
-            sig = (
-                self.alphabet,
-                tuple(self.rules),
-                star,
-                self.suffix_system._signature() if self.suffix_system else None,
-            )
-            self._sig = sig
-        return sig
+        star = frozenset(self.star_table.items()) if self.star_table else None
+        return self.alphabet, tuple(self.rules), star, self.suffix_system._signature if self.suffix_system else None
 
     def __eq__(self, other):
         if self is other:
             return True
-        return isinstance(other, RewriteSystem) and self._signature() == other._signature()
+        return isinstance(other, RewriteSystem) and self._signature == other._signature
 
     def __hash__(self):
-        return hash(self._signature())
+        return hash(self._signature)
 
     def __repr__(self):
         return f"RewriteSystem({self.name or self.alphabet.gens}, {len(self.rules)} rules)"

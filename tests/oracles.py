@@ -301,6 +301,19 @@ def brute_force_confluence(system, degree_bound: int) -> ConfluenceReport:
     return report
 
 
+def oriented_extension(system, gens) -> RewriteSystem:
+    """The quotient by the ideal of ``gens`` as ``extend_by_ideal`` built it
+    before it interreduced: each normalised nonzero generator oriented by its
+    leading word into one more rule after the system's own."""
+    rules = [(r.lhs_word, r.rhs) for r in system.rules]
+    for g in map(system.normal_form, gens):
+        if not g.is_zero():
+            lead = g.leading_word()
+            rest = NCPoly(g.alphabet, {w: c for w, c in g.terms.items() if w != lead})
+            rules.append((lead, rest.scale(-(g.terms[lead].inv()))))
+    return RewriteSystem(system.alphabet, rules, star=system.star_table, suffix_system=system.suffix_system)
+
+
 def normal_forms_all_paths(system, word, cap: int = 2000) -> set:
     """The set of fully reduced forms reachable by *any* reduction strategy
     (as hashable term-sets). Exponential; small inputs only."""

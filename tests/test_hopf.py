@@ -217,6 +217,18 @@ def test_not_hopf_ideal_raises(u1):
         quotient_hopf(u1, J)
 
 
+def test_not_hopf_ideal_lists_only_true_failures(u1):
+    """u + 1 is no Hopf ideal: eps(u + 1) = 2 and Delta(u + 1) = 2 (1 # 1)
+    mod J.  S(u + 1) = ui + 1 is in J, as the interreduced quotient
+    {u -> -1, ui -> -1} shows, so antipode stability holds.  The first
+    failure is the negative control's witness."""
+    al = u1.system.alphabet
+    J = HopfIdeal(u1, [NCPoly.gen(al, "u") + NCPoly.one(al)], name="<u+1>")
+    report = J.validate()
+    assert [f.check for f in report] == ["counit-kill", "coideal"]
+    assert str(report[0]) == "FAIL[counit-kill @ gen[0]=1 + u]: eps(g) = 2"
+
+
 def test_anti_coalgebra_property_randomized(su):
     rng = random.Random(29)
     words = su.system.basis_words(3)

@@ -1,4 +1,6 @@
+import functools
 import random
+from collections import Counter
 from functools import reduce
 from itertools import product
 
@@ -16,6 +18,7 @@ from oracles import (
     Z2Model,
     brute_force_confluence,
     normal_forms_all_paths,
+    oriented_extension,
     plane_normal_form,
     scanned_one_step_reducts,
     toeplitz_normal_word,
@@ -105,17 +108,38 @@ def test_confluence_conflict_detected():
     assert any(len(c.word) == 3 for c in rep.conflicts)
 
 
+def _is_gap_word(system, word) -> bool:
+    """The word is N1*x*N2 times central letters, for redexes of two rules at
+    its two ends whose noncentral parts N1, N2 are nonempty and disjoint and
+    whose central parts share a letter: found by scanning every rule at every
+    position, not by the ambiguity lister."""
+    nc, c = system.alphabet.split_central(word)
+    redexes = [(i, r) for r in system.rules if r.lhs_nc and not Counter(r.lhs_central) - Counter(c)
+               for i in range(len(nc) - len(r.lhs_nc) + 1) if nc[i : i + len(r.lhs_nc)] == r.lhs_nc]
+    return any(i1 == 0 and len(r1.lhs_nc) <= i2 and i2 + len(r2.lhs_nc) == len(nc)
+               and set(r1.lhs_central) & set(r2.lhs_central)
+               for i1, r1 in redexes for i2, r2 in redexes)
+
+
 def _assert_agrees_with_brute_force(system, bound):
-    """Same verdict and same smallest conflict word as the exhaustive search;
-    a confluent complete report also holds one degree past its bound."""
+    """Against the exhaustive search up to the degree of the longest listed
+    ambiguity word, 2L - 1 for left sides of at most L letters: the same
+    verdict and smallest conflict word, unless that word is a gap word past
+    the bound, which the report may miss; a confluent complete report also
+    holds one degree further."""
     rep = system.check_local_confluence(bound)
-    oracle = brute_force_confluence(system, bound)
-    assert rep.confluent == oracle.confluent, (system.rules, bound)
-    if not rep.confluent:
-        smallest = min((c.word for c in oracle.conflicts), key=system.alphabet.key)
-        assert rep.conflicts[0].word == smallest
-    elif rep.complete:
-        assert brute_force_confluence(system, bound + 1).confluent
+    degree = max(bound, 2 * max(len(r.lhs_word) for r in system.rules) - 1)
+    oracle = brute_force_confluence(system, degree)
+    words = sorted((c.word for c in oracle.conflicts), key=system.alphabet.key)
+    if rep.complete or not words or len(words[0]) <= bound:
+        assert rep.confluent == oracle.confluent, (system.rules, bound)
+        assert rep.confluent or rep.conflicts[0].word == words[0]
+    elif rep.confluent:
+        assert _is_gap_word(system, words[0]), (system.rules, bound, words[0])
+    else:
+        assert rep.conflicts[0].word in words
+    if rep.complete and rep.confluent:
+        assert brute_force_confluence(system, degree + 1).confluent
     return rep
 
 
@@ -192,11 +216,39 @@ def test_central_letter_shared_by_disjoint_redexes():
     assert rep.conflicts[0].word == ("c", "a", "c", "z")
 
 
+def test_overlap_past_the_bound_is_checked_beside_a_gap_family():
+    """b*a -> a*b and b*a*a -> 1 conflict on b*a*a, one letter past the bound
+    2. The gap family of c*z -> 2 makes the report not complete, yet the
+    overlap word is listed and its conflict found."""
+    al = Alphabet(["a", "b", "c", "z"], central=["z"])
+    system = RewriteSystem(al, [
+        (("b", "a"), NCPoly.word(al, ("a", "b"))),
+        (("b", "a", "a"), NCPoly.one(al)),
+        (("c", "z"), NCPoly.const(al, Scalar.of(2))),
+    ])
+    rep = _assert_agrees_with_brute_force(system, 2)
+    assert not rep.complete and rep.conflicts[0].word == ("b", "a", "a")
+
+
 def test_confluence_report_complete(z2, u1, su, gl, sl):
     for H in (su, sl, z2, u1):
         assert H.system.check_local_confluence(6).complete
     assert not gl.system.check_local_confluence(6).complete
-    assert not su.system.check_local_confluence(2).complete
+    # every overlap is listed whatever the bound; only a gap family is cut
+    assert su.system.check_local_confluence(2).complete
+
+
+def test_ambiguity_cap_counts_the_overlap_letters(monkeypatch):
+    """a^5 -> 0 nests in itself (5 letters) and overlaps itself at four shifts
+    (6, 7, 8 and 9 letters): 35 letters, checked at a cap of 35 and refused
+    at 34 before any word is normalised."""
+    al = Alphabet(["a"])
+    system = RewriteSystem(al, [(("a",) * 5, NCPoly.zero(al))])
+    monkeypatch.setattr(rewrite, "AMBIGUITY_CAP", 35)
+    assert system.check_local_confluence(2).confluent
+    monkeypatch.setattr(rewrite, "AMBIGUITY_CAP", 34)
+    with pytest.raises(SizeLimitError, match="overlap words exceed 34 letters"):
+        system.check_local_confluence(2)
 
 
 def test_duplicate_rules_dropped(u1, gl):
@@ -278,21 +330,67 @@ def test_normal_form_idempotent_on_every_word(name, q):
 
 
 @pytest.fixture(scope="module")
-def suite_quotients():
-    """Every quotient system (RewriteSystem.extend_by_ideal) that the suites
-    build at their defaults, in the order they build them."""
+def suite_ideals():
+    """Every (system, ideal generators, quotient) of RewriteSystem.extend_by_ideal
+    that the suites build at their defaults, in the order they build them,
+    but the presentations: quotients of the free algebra, which has no rules.
+    The memoised builders start afresh, so that what earlier tests built is
+    built again here."""
     built = []
     extend = RewriteSystem.extend_by_ideal
 
     def record(self, gens, name=""):
-        built.append(extend(self, gens, name))
-        return built[-1]
+        quotient = extend(self, gens, name)
+        if self.rules:
+            built.append((self, list(gens), quotient))
+        return quotient
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(RewriteSystem, "extend_by_ideal", record)
+        for key, builder in vars(builtin).items():
+            if getattr(builder, "__module__", None) == builtin.__name__ and hasattr(builder, "__wrapped__"):
+                memo = functools.cache if hasattr(builder, "cache_clear") else builtin._memo_by_q
+                m.setattr(builtin, key, memo(builder.__wrapped__))
         for suite in suites.SUITES:
             suites.run_suite(suites.SuiteConfig(suite))
     return built
+
+
+@pytest.fixture(scope="module")
+def suite_quotients(suite_ideals):
+    """Every quotient system that the suites build."""
+    return [quotient for _, _, quotient in suite_ideals]
+
+
+def test_suite_quotients_are_complete_and_confluent(suite_quotients):
+    """Each quotient the suites build has no gap family and no conflict, so a
+    nonzero normal form there proves an element nonzero (Bergman's diamond
+    lemma)."""
+    assert len(suite_quotients) == 7
+    for system in suite_quotients:
+        rep = system.check_local_confluence(2)
+        assert rep.complete and rep.confluent, (system.name, system.rules, rep)
+
+
+def test_interreduction_keeps_the_ideal(suite_ideals):
+    """In each interreduced quotient every ideal generator and every removed
+    rule of the system reduces to 0, and on every word up to degree 4 the
+    normal form is that of the system with each normalised generator
+    oriented into one more rule, wherever that system has no conflict."""
+    conflicting = []
+    for system, gens, quotient in suite_ideals:
+        nf = quotient.normal_form
+        kept = set(quotient.rules)
+        removed = [NCPoly.word(system.alphabet, r.lhs_word) - r.rhs for r in system.rules if r not in kept]
+        assert all(nf(p).is_zero() for p in gens + removed), quotient.name
+        oriented = oriented_extension(system, gens)
+        if not oriented.check_local_confluence(6).confluent:
+            conflicting.append(quotient.name)
+            continue
+        for w in system.all_words(4):
+            p = NCPoly.word(system.alphabet, w)
+            assert nf(p) == oriented.normal_form(p), (quotient.name, word_str(w))
+    assert conflicting == ["o_u1/<u+1>"]
 
 
 def _patch_reduced_along_gamma() -> RewriteSystem:
@@ -357,10 +455,16 @@ def test_size_limit_leaves_no_cache_entry(monkeypatch):
     assert word not in small._nf_cache
 
 
+def _fresh(system):
+    """A copy of the system whose normal-form cache starts empty."""
+    return RewriteSystem(system.alphabet, [(r.lhs_word, r.rhs) for r in system.rules],
+                         star=system.star_table, suffix_system=system.suffix_system)
+
+
 def _assert_agrees_with_worklist(system, words):
     """The memoised normal form equals the path-by-path one, word by word, on
     a copy of the system whose normal-form cache starts empty."""
-    fresh = system.extend([])
+    fresh = _fresh(system)
     for w in words:
         assert fresh._nf_word(w) == worklist_normal_form(system, w), (system.rules, w)
 
@@ -417,11 +521,11 @@ def test_normal_form_matches_each_word_once(gl):
     where the path-by-path oracle repeats words; only the requested word is
     kept in the persistent cache."""
     word = ("d", "d", "c", "b", "a", "a")
-    system = gl.system.extend([])
+    system = _fresh(gl.system)
     seen = _matched_words(system, word, RewriteSystem._nf_word)
     assert seen and len(seen) == len(set(seen))
     assert list(system._nf_cache) == [word]
-    seen = _matched_words(gl.system.extend([]), word, worklist_normal_form)
+    seen = _matched_words(_fresh(gl.system), word, worklist_normal_form)
     assert len(seen) > len(set(seen))
     # c -> a + b puts a on the stack before b -> a reaches it a second time
     al = Alphabet(["a", "b", "c"])

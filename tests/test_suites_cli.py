@@ -4,7 +4,9 @@ import os
 import re
 import subprocess
 import sys
+import time
 import zlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ from pcomod.cli import main, make_parser
 from pcomod.exprs import parse_poly
 from pcomod.hopf import CheckFailure
 from pcomod.numgeom import GridConfig
+from pcomod.rewrite import RewriteSystem
 from pcomod.suites import (
     CheckRecord,
     ConfigError,
@@ -477,10 +480,11 @@ _UNIT_PIECE = {"kernel": [], "cleaving": {"u": "u"}}
         ({"pieces": [{"kernel": [], "cleaving": {"zz": "u"}}]}, "image for each of"),
         ({"pieces": [{"kernel": [], "cleaving": {"u": "s"}}]}, "not an algebra map"),
         ({"pieces": [{"kernel": ["(s#ss - s#ss) + s"], "cleaving": {"u": "u"}}]}, "legs, expected 2"),
-        # a nonzero constant makes its piece zero
-        ({"pieces": [{"kernel": ["ss*s"], "cleaving": {"u": "u"}}]}, r"piece 0 kernel generator 'ss\*s' is the constant 1"),
+        # a nonzero constant makes its piece zero; with s = 0, ss*s is 0, so 2 - 2*ss*s + 3 is 5
+        ({"pieces": [{"kernel": ["ss*s"], "cleaving": {"u": "u"}}]},
+         r"the kernel of piece 0 holds a unit: ss\*s reduces to the nonzero constant 1$"),
         ({"pieces": [_UNIT_PIECE, {"kernel": ["s", "2 - 2*ss*s + 3"], "cleaving": {"u": "u"}}]},
-         r"piece 1 kernel generator '2 - 2\*ss\*s \+ 3' is the constant 3"),
+         r"the kernel of piece 1 holds a unit: 5 - 2\*ss\*s reduces to the nonzero constant 5$"),
         # a bad number is a parse error, not an arithmetic one
         ({"pieces": [{"kernel": ["1/0"], "cleaving": {"u": "u"}}]}, "cannot parse"),
         ({"pieces": [{"kernel": ["0^-1"], "cleaving": {"u": "u"}}]}, "cannot parse"),
@@ -520,22 +524,23 @@ def test_covering_file_that_does_not_parse_is_a_config_error(tmp_path, capsys, d
 
 
 @pytest.mark.parametrize(
-    "kernel, conflict",
+    "kernel, message",
     [
-        # ss*s = 1 puts 1 in the ideal of ["ss"], though it holds no constant
-        (["ss"], "CONFLICT(ss*s: 1 vs 0)"),
+        # ss*s = 1 puts 1 in the ideal of ["ss"], though it holds no constant:
+        # the rule ss -> 0 reduces ss*s -> 1, whose difference is -1 + ss*s
+        (["ss"], "the kernel of piece 1 holds a unit: -1 + ss*s reduces to the nonzero constant -1"),
         # s^2 = s makes s idempotent, and ss*s = 1 then forces s = 1
-        (["s*s - s"], "CONFLICT(ss*s^2: s vs 1)"),
-        (["s*s"], "CONFLICT(ss*s^2: s vs 0)"),
+        (["s*s - s"], "the quotient rules of piece 1 conflict: CONFLICT(ss*s^2: s vs 1)"),
+        (["s*s"], "the quotient rules of piece 1 conflict: CONFLICT(ss*s^2: s vs 0)"),
         # each first conflict lies past degree 6, within twice the longest
         # left side less one
-        (["ss^6"], "CONFLICT(ss^6*s: 0 vs ss^5)"),
-        (["s^6 - s"], "CONFLICT(ss*s^6: s^5 vs 1)"),
-        (["s^7"], "CONFLICT(ss*s^7: s^6 vs 0)"),
-        (["s^3*ss^3 - s*ss"], "CONFLICT(s^3*ss^3*s: s vs s^3*ss^2)"),
+        (["ss^6"], "the quotient rules of piece 1 conflict: CONFLICT(ss^6*s: 0 vs ss^5)"),
+        (["s^6 - s"], "the quotient rules of piece 1 conflict: CONFLICT(ss*s^6: s^5 vs 1)"),
+        (["s^7"], "the quotient rules of piece 1 conflict: CONFLICT(ss*s^7: s^6 vs 0)"),
+        (["s^3*ss^3 - s*ss"], "the quotient rules of piece 1 conflict: CONFLICT(s^3*ss^3*s: s vs s^3*ss^2)"),
         # s*u -> s takes the central u from anywhere, so its gap words
         # s*x*s*u grow with the bound; only they are cut, at degree 6
-        (["s*u - s", "s^12"], "CONFLICT(ss*s*u: u vs 1)"),
+        (["s*u - s", "s^12"], "the quotient rules of piece 1 conflict: CONFLICT(ss*s*u: u vs 1)"),
     ],
     ids=[
         "kernel-holding-a-unit",
@@ -548,20 +553,23 @@ def test_covering_file_that_does_not_parse_is_a_config_error(tmp_path, capsys, d
         "kernel-with-a-rule-sharing-a-central-letter",
     ],
 )
-def test_covering_file_whose_quotient_rules_conflict_is_a_config_error(tmp_path, capsys, kernel, conflict):
+def test_covering_file_whose_quotient_rules_conflict_is_a_config_error(tmp_path, capsys, kernel, message):
     """A kernel whose quotient rules are not confluent refuses the file with
     the piece and the conflicting word: there a nonzero normal form proves
-    nothing, so a pair difference would be no witness.  Each conflict
-    shows first at piece 1; the pair (0, 1) holds it too."""
+    nothing, so a pair difference would be no witness.  One in whose ideal
+    interreduction reaches a nonzero constant, the extreme conflict, is
+    refused with the element that reduces to it; the unit ideal of ``s*s``
+    is not reached so and shows as a conflict.  Each shows first at piece 1;
+    the pair (0, 1) holds it too."""
     path = tmp_path / "cover.json"
     doc = {"base": "toeplitz_z2_smash", "pieces": [_UNIT_PIECE, {"kernel": kernel, "cleaving": {"u": "u"}}]}
     path.write_text(json.dumps(doc))
     for suite in ("covering", "transition"):
-        with pytest.raises(ConfigError, match=re.escape(f"the quotient rules of piece 1 conflict: {conflict}")):
+        with pytest.raises(ConfigError, match=re.escape(message)):
             run_suite(mini_cfg(suite, covering=str(path)))
     assert main(["verify", "--suite", "covering", "--covering", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("CONFIG_ERROR") and conflict in err and "Traceback" not in err
+    assert err.startswith("CONFIG_ERROR") and message in err and "Traceback" not in err
 
 
 def test_covering_file_too_large_to_check_is_a_config_error(tmp_path, capsys):
@@ -576,6 +584,32 @@ def test_covering_file_too_large_to_check_is_a_config_error(tmp_path, capsys):
     assert main(["verify", "--suite", "covering", "--covering", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("CONFIG_ERROR") and "Traceback" not in err
+
+
+def test_covering_file_of_hundreds_of_kernel_words_loads_in_linear_work(tmp_path, monkeypatch):
+    """301 kernel words s^a*ss^b and s^a*ss^b*u of one length, none a
+    subword of another. Interreduction adds each to the system it grows
+    without rebuilding it, and tests only the longer left sides against a
+    new one, so it makes about three rules and matches about one word per
+    generator: a rebuild per generator would make n^2/2 rules, and testing
+    every left side would match n^2/2 words. The file is refused as too
+    large to check within the 60 s a covering file is allowed."""
+    n = 150
+    kernel = ["*".join(["s"] * a + ["ss"] * (n - a)) for a in range(n + 1)]
+    kernel += ["*".join(["s"] * a + ["ss"] * (n - 1 - a) + ["u"]) for a in range(n)]
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps({"base": "toeplitz_z2_smash", "pieces": [{"kernel": kernel, "cleaving": {"u": "u"}}]}))
+    calls = Counter()
+    for method in ("_make_rule", "_match"):
+        def counted(self, *args, _method=method, _orig=getattr(RewriteSystem, method)):
+            calls[_method] += 1
+            return _orig(self, *args)
+        monkeypatch.setattr(RewriteSystem, method, counted)
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match="the quotient rules of piece 0 are too large to check"):
+        suites.load_covering_file(str(path))
+    assert time.perf_counter() - start < 60
+    assert calls["_make_rule"] <= 4 * len(kernel) and calls["_match"] <= 2 * len(kernel), calls
 
 
 def test_verify_all_help_prints_usage_and_runs_nothing(tmp_path):
@@ -693,6 +727,7 @@ def covering_files(draw):
         "q-power-over-the-scalar-cap": ("pieces", [{"kernel": ["((Q+1)^100)^10*s"], "cleaving": identity}]),
         "nested-power-over-the-coefficient-cap": ("pieces", [{"kernel": ["((2^1000*s)^1000)^10"], "cleaving": identity}]),
         "power-over-the-coefficient-cap": ("pieces", [{"kernel": ["(2^1000*s)^1000"], "cleaving": identity}]),
+        "holding-a-unit": ("pieces", [{"kernel": ["-2*s"], "cleaving": identity}]),
         "conflict-past-degree-6-unit": ("pieces", [{"kernel": ["ss^6"], "cleaving": identity}]),
         "conflict-past-degree-6-idempotent": ("pieces", [{"kernel": ["s^6 - s"], "cleaving": identity}]),
         "conflict-past-degree-6-nilpotent": ("pieces", [{"kernel": ["s^7"], "cleaving": identity}]),
