@@ -36,6 +36,7 @@ class Mutant:
 
 
 REWRITE_TESTS = "tests/test_ncpoly_rewrite.py::"
+COMODULE_TESTS = "tests/test_comodule_smash.py::"
 
 MUTANTS = [
     Mutant(
@@ -98,6 +99,18 @@ MUTANTS = [
         "        if c.is_zero():\n            acc.pop(k, None)\n        else:\n            acc[k] = c\n",
         "        acc[k] = c\n",
         (REWRITE_TESTS + "test_add_terms_matches_grouped_sums",),
+    ),
+    Mutant(
+        "cleaving-relations-not-checked", "comodule.py",
+        "for w, _, lhs, rhs in relation_mismatches(H.system, self.j.apply_word, self.j.apply)",
+        "for w, _, lhs, rhs in []",
+        (COMODULE_TESTS + "test_gl_mod_det_unscaled_a_is_not_well_defined",),
+    ),
+    Mutant(
+        "cleaving-colinearity-not-compared", "comodule.py",
+        'if lhs != rhs:\n                failures.append(CheckFailure("cleaving-colinear"',
+        'if False:\n                failures.append(CheckFailure("cleaving-colinear"',
+        (COMODULE_TESTS + "test_gl_mod_det_rescaled_cleaving_is_not_colinear",),
     ),
 ]
 

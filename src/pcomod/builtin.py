@@ -29,14 +29,16 @@ from .comodule import (
     CleavingMap,
     ComoduleAlgebra,
     SmashProduct,
+    StrongConnection,
+    over_quotient,
     smash_product,
 )
 from .exprs import load_presentation, parse_poly, parse_tensor_terms
-from .hopf import CheckFailure, HopfAlgebra, HopfIdeal
+from .hopf import CheckFailure, HopfAlgebra, HopfIdeal, quotient_hopf
 from .maps import LinearMap, gens_map
 from .ncpoly import Alphabet, NCPoly, word_str
 from .rewrite import RewriteSystem
-from .scalars import CUBE_ROOT_MINPOLY, GaussRat, S_ONE, Scalar
+from .scalars import CUBE_ROOT_MINPOLY, GaussRat, Scalar
 from .tensors import Tensor
 
 
@@ -325,15 +327,10 @@ def toeplitz_comodule() -> ComoduleAlgebra:
 
 @functools.cache
 def o_u1_over_z2() -> ComoduleAlgebra:
-    """O(U(1)) as a C(Z2)-comodule algebra via the parity surjection."""
-    system = o_u1().system
-    H = c_z2()
-    Ts = (system, H.system)
-    coaction = {
-        "u": Tensor(Ts, {(("u",), ("u",)): S_ONE}),
-        "ui": Tensor(Ts, {(("ui",), ("u",)): S_ONE}),
-    }
-    return ComoduleAlgebra(system, H, coaction, name="o_u1 over c_z2")
+    """O(U(1)) as a C(Z2)-comodule algebra along the parity surjection
+    ``pi_u1_to_z2``: the coaction (id (x) pi) o Delta sends u to u (x) u and
+    ui to ui (x) u."""
+    return over_quotient(pi_u1_to_z2(), o_u1(), c_z2())
 
 
 @functools.cache
@@ -416,6 +413,43 @@ def gl_mod_det_ideal(q="formal") -> HopfIdeal:
     return HopfIdeal(H, [D - one, Di - one], name="<D-1>")
 
 
+@functools.cache
+def u1_mod_z2_connection() -> StrongConnection:
+    """O(U(1)) over its quotient C[Z/2] by ``u1_mod_z2_ideal``, with the
+    one-step lift ell(h) = S(h_(1)) (x) h_(2) of each quotient word h, read
+    as a word of O(U(1)). ``verify_strong_connection`` checks it at bound 1,
+    which covers every element: the quotient has no irreducible word of
+    degree 2 (a premise its record checks), so its basis is {1, u}."""
+    H = o_u1()
+    Hbar, pi = quotient_hopf(H, u1_mod_z2_ideal())
+    return StrongConnection(over_quotient(pi, H, Hbar), lambda w: H.delta_word(w).map_leg(0, H.S.apply_word))
+
+
+@_memo_by_q
+def gl_mod_det_cleaving(q="formal") -> CleavingMap:
+    """O(GL_q(2)) over its quotient SL_q(2) by ``gl_mod_det_ideal``, with the
+    cleaving j: a -> Di*a, b -> Di*b, c -> c, d -> d, Di -> 1 (Di = D^-1,
+    D = a*d - q*b*c). Cleft implies principal (``StrongConnection.from_cleaving``),
+    so ``check_axioms`` and ``CleavingMap.verify`` certify the pair in every degree.
+
+    j is well defined (``gens_map`` checks each relation of the quotient,
+    which follow from those of GL_q(2) and D = Di = 1). Each relation of
+    GL_q(2) but the determinant ones is homogeneous in the first-row letters
+    a, b: each of its words holds the same number k of them. Di is central,
+    so j sends such a relation to Di^k times itself, which is 0. Each word of
+    D holds one of a, b, so j(D) = Di*D = 1; and j(Di) = 1. So D = Di = 1,
+    D*Di = 1 and the centrality of Di go to true relations.
+
+    j is colinear: as pi(Di) = 1, rho(Di*a) = Di*a (x) a + Di*b (x) c =
+    (j (x) id) Delta(a), likewise at b; at c, d and Di both sides agree as
+    j fixes c, d and sends Di to 1."""
+    H = gl_q2(q)
+    Hbar, pi = quotient_hopf(H, gl_mod_det_ideal(q))
+    table = {"a": "Di*a", "b": "Di*b", "c": "c", "d": "d", "Di": "1"}
+    images = {g: parse_poly(e, H.system.alphabet) for g, e in table.items()}
+    return CleavingMap(over_quotient(pi, H, Hbar), gens_map("j_gl_sl", Hbar.system, H.system, images, check=True))
+
+
 @_memo_by_q
 def su_gamma_ideal(q="formal") -> HopfIdeal:
     """The kernel <gamma, gamma*> in O(SU_q(2)) at q of the surjection onto
@@ -439,7 +473,6 @@ def patch_prolonged(q="formal"):
         su_q2_to_u1_map(q),
         su_q2(q),
         fiber_names={"a": "A", "as": "As", "g": "G", "gs": "Gs"},
-        preimages={"u": ("a",), "ui": ("as",)},
     )
 
 
@@ -500,13 +533,7 @@ def sphere_prolonged():
     surjection; the reduction back is the shipped instance of the criterion."""
     from .pullback import prolong
 
-    return prolong(
-        sphere_covering(),
-        pi_u1_to_z2(),
-        o_u1(),
-        fiber_names={"u": "U", "ui": "Ui"},
-        preimages={"u": ("u",)},
-    )
+    return prolong(sphere_covering(), pi_u1_to_z2(), o_u1(), fiber_names={"u": "U", "ui": "Ui"})
 
 
 # ---------------------------------------------------------------------------

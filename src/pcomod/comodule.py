@@ -1,12 +1,12 @@
-"""Comodule algebras, cleaving maps, strong connections, smash products and
-the principality certificate for quotient pairs."""
+"""Comodule algebras, Hopf algebras over their quotients, cleaving maps,
+strong connections and smash products."""
 
 from __future__ import annotations
 
 from functools import cache
 from typing import Callable
 
-from .hopf import CheckFailure, HopfAlgebra, HopfIdeal, quotient_hopf
+from .hopf import CheckFailure, HopfAlgebra
 from .maps import LinearMap, gens_map, relation_mismatches
 from .ncpoly import Alphabet, NCPoly, Word, word_str
 from .rewrite import RewriteSystem
@@ -95,6 +95,15 @@ class ComoduleAlgebra:
 
     def __repr__(self):
         return f"ComoduleAlgebra({self.name})"
+
+
+def over_quotient(pi: LinearMap, H: HopfAlgebra, Hbar: HopfAlgebra) -> ComoduleAlgebra:
+    """H as a right Hbar-comodule algebra along the Hopf surjection
+    pi: H -> Hbar: the coaction (id (x) pi) o Delta, declared on generators."""
+    coaction = {
+        g: H.delta_table[g].map_leg(1, pi.apply_word, codomain=Hbar.system) for g in H.system.alphabet.gens
+    }
+    return ComoduleAlgebra(H.system, Hbar, coaction, name=f"{H.name} over {Hbar.name}")
 
 
 def canonical_map(P: ComoduleAlgebra, t: Tensor) -> Tensor:
@@ -198,7 +207,8 @@ class StrongConnection:
 def verify_strong_connection(ell: StrongConnection, degree_bound: int) -> list[CheckFailure]:
     """The three strong-connection axioms plus h^[1] h^[2] = eps(h), on basis
     words up to the bound: for connections that are no cleaving's, such as
-    the sandwich lift of ``principal_quotient_pair_certificate``."""
+    the one-step lift of the ``o_u1-mod-z2`` pair, whose Hopf algebra has no
+    basis word past degree 1."""
     failures = []
     P = ell.P
     H = P.hopf
@@ -406,44 +416,3 @@ def smash_product(
             (system, H.system), {(rename(w1), w2): c for (w1, w2), c in H.delta_word((z,)).terms.items()}
         )
     return SmashProduct(system, H, coaction, b_system, action, fiber_names, name=system.name)
-
-
-# ---------------------------------------------------------------------------
-# principality certificate for quotient pairs
-# ---------------------------------------------------------------------------
-
-def principal_quotient_pair_certificate(H: HopfAlgebra, J: HopfIdeal, bound: int):
-    """Certify that H is a principal H/J-comodule algebra (for the coaction
-    (id (x) pi) o Delta) by exhibiting a strong connection and verifying its
-    axioms up to the bound.
-
-    The connection is the memoised recursive lift on quotient words:
-    ell(1) = 1 (x) 1 and ell([v g]) = S(g_(1)) ell([v])<1> (x) ell([v])<2> g_(2),
-    the sandwich construction for quotients of matrix quantum groups.
-
-    Returns (failures, connection, comodule).
-    """
-    qH, proj = quotient_hopf(H, J)
-    coaction = {
-        g: H.delta_table[g].map_leg(1, proj.apply_word, codomain=qH.system)
-        for g in H.system.alphabet.gens
-    }
-    P = ComoduleAlgebra(H.system, qH, coaction, name=f"{H.name} over {qH.name}")
-    Hs = H.system
-    one = Hs.one()
-
-    def lift(w: Word) -> Tensor:
-        if not w:
-            return Tensor.of((Hs, Hs), one, one)
-        prev = ell.apply_word(w[:-1])
-        # left-multiply leg 0 by S(g_(1)), right-multiply leg 1 by g_(2)
-        return linear_image(
-            H.delta_word(w[-1:]),
-            lambda k: Tensor.of((Hs, Hs), H.S.apply_word(k[0]), one)
-            .mul(prev)
-            .mul(Tensor.of((Hs, Hs), one, NCPoly.word(Hs.alphabet, k[1]))),
-            Tensor.zero((Hs, Hs)),
-        )
-
-    ell = StrongConnection(P, lift)
-    return verify_strong_connection(ell, bound), ell, P

@@ -109,37 +109,41 @@ class Covering:
         maps well defined and colinear on generators and the target's
         coaction respecting the target's relations, so that colinearity on
         generators extends to every word. ``kernel_intersection_certificate``
-        is separate and bounded."""
+        is separate and bounded. Each distinct face, pair map and pair target
+        is certified once, and its failures reported for each index holding it."""
+        target_failures = functools.cache(lambda T: relation_mismatches(T.system, T.coact_word, T.coact))
+
+        @functools.cache
+        def face_failures(P: ComoduleAlgebra, bgens: tuple[str, ...]) -> list[CheckFailure]:
+            return P.check_axioms() + [
+                CheckFailure("base-gen-coinvariant", b, "not coinvariant")
+                for b in bgens
+                if not P.is_coinvariant(P.system.gen(b))
+            ]
+
+        @functools.cache
+        def map_failures(mp: LinearMap, P: ComoduleAlgebra, target: ComoduleAlgebra) -> list[CheckFailure]:
+            probs = mp.rule_compatibility_problems()
+            failures = [CheckFailure("pair-map-well-defined", mp.name, probs[0])] if probs else []
+            for g in P.system.alphabet.gens:
+                lhs = target.coact(mp.apply_word((g,)))
+                rhs = P.coact_word((g,)).map_leg(0, mp.apply_word, codomain=target.system)
+                if lhs != rhs:
+                    failures.append(CheckFailure("pair-map-colinear", f"{mp.name} at {g}", f"{lhs!r} != {rhs!r}"))
+            return failures
+
         failures: list[CheckFailure] = []
         for idx, piece in enumerate(self.pieces):
             failures.extend(
                 CheckFailure(f.check, f"piece[{idx}] {f.where}", f.detail)
-                for f in piece.comodule.check_axioms()
+                for f in face_failures(piece.comodule, tuple(piece.base_gens))
             )
-            for b in piece.base_gens:
-                if not piece.comodule.is_coinvariant(NCPoly.gen(piece.comodule.system.alphabet, b)):
-                    failures.append(
-                        CheckFailure("base-gen-coinvariant", f"piece[{idx}] {b}", "not coinvariant")
-                    )
         for (i, j), pair in self.pairs.items():
             for mp, piece in ((pair.map_i, self.pieces[i]), (pair.map_j, self.pieces[j])):
-                probs = mp.rule_compatibility_problems()
-                if probs:
-                    failures.append(CheckFailure("pair-map-well-defined", f"{mp.name}", probs[0]))
-                for g in piece.comodule.system.alphabet.gens:
-                    lhs = pair.target.coact(mp.apply_word((g,)))
-                    rhs = piece.comodule.coact_word((g,)).map_leg(
-                        0, mp.apply_word, codomain=pair.target.system
-                    )
-                    if lhs != rhs:
-                        failures.append(
-                            CheckFailure("pair-map-colinear", f"{mp.name} at {g}", f"{lhs!r} != {rhs!r}")
-                        )
+                failures.extend(map_failures(mp, piece.comodule, pair.target))
             failures.extend(
                 CheckFailure("pair-coaction-well-defined", f"({i},{j}) {word_str(w)}", f"{lhs!r} != {rhs!r}")
-                for w, _, lhs, rhs in relation_mismatches(
-                    pair.target.system, pair.target.coact_word, pair.target.coact
-                )
+                for w, _, lhs, rhs in target_failures(pair.target)
             )
         return failures
 
@@ -218,11 +222,9 @@ class Trivialisation:
         ``bounded_transition_checks`` in the tests.
         """
         failures = self.covering.validate()
+        verify = functools.cache(lambda cl: cl.verify())  # each distinct cleaving once
         for idx, cl in enumerate(self.cleavings):
-            failures.extend(
-                CheckFailure(f.check, f"piece[{idx}] {f.where}", f.detail)
-                for f in cl.verify()
-            )
+            failures.extend(CheckFailure(f.check, f"piece[{idx}] {f.where}", f.detail) for f in verify(cl))
         return failures
 
     def transition(self, i: int, j: int, h_word: Word) -> NCPoly:
@@ -341,10 +343,10 @@ def prolong(
     pi: LinearMap,
     H: HopfAlgebra,
     fiber_names: dict[str, str] | None = None,
-    preimages: dict[str, Word] | None = None,
 ) -> Prolongation:
     """Prolongation along a Hopf surjection pi: H -> Hbar, an algebra map
-    with a preimage of each generator of Hbar (else NotSurjectiveError);
+    that sends some generator of H to each generator of Hbar (else
+    NotSurjectiveError);
     ``hopf_map_problems(pi, H, Hbar)`` heads the report. Presents each
     cotensor piece Pbar_i box H as the tensor product
     (``smash_product``, trivial action) of the rules among its base
@@ -363,14 +365,10 @@ def prolong(
     for each piece index that holds it.
     """
     Hbar = base_triv.hopf
-    # surjectivity of pi: every Hbar-generator needs a preimage
+    # surjectivity of pi: every Hbar-generator is the image of a generator
+    images = {pi.apply_word((z,)) for z in H.system.alphabet.gens}
     for g in Hbar.system.alphabet.gens:
-        w = (preimages or {}).get(g)
-        candidates = [w] if w else [(z,) for z in H.system.alphabet.gens]
-        if not any(
-            pi.apply_word(c) == Hbar.system.normal_form(NCPoly.gen(Hbar.system.alphabet, g))
-            for c in candidates
-        ):
+        if Hbar.system.normal_form(Hbar.system.gen(g)) not in images:
             raise NotSurjectiveError(f"no generator-level preimage of {g} under {pi.name}")
     fiber_names = fiber_names or {z: f"{z}'" for z in H.system.alphabet.gens}
 

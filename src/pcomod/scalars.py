@@ -482,14 +482,9 @@ class Scalar:
         return _scalar(_pconj(self.n), d if d is P_ONE else _pconj(d), self.v)
 
     # -- specialization ---------------------------------------------------
-    def to_complex(self, q: complex | None = None) -> complex:
-        if self.uses_q():
-            if q is None:
-                raise ScalarError(f"{self} depends on q; a value is required")
-            n = sum(c.to_complex() * q**k for k, c in enumerate(self.num))
-            d = sum(c.to_complex() * q**k for k, c in enumerate(self.den))
-            return n / d
-        return self.constant_value().to_complex() if self.n else 0j
+    def to_complex(self) -> complex:
+        """The value of a constant; a scalar that depends on q is a ScalarError."""
+        return self.constant_value().to_complex()
 
     def vanishes_mod(self, minpoly: Poly) -> bool:
         """True iff this scalar is 0 after reducing q by the given minimal polynomial."""

@@ -15,11 +15,11 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 
 from . import builtin
-from .comodule import CleavingMap, principal_quotient_pair_certificate, smash_product
+from .comodule import CleavingMap, smash_product, verify_strong_connection
 from .exprs import ParseError, parse_poly
-from .hopf import check_hopf_axioms, generator_map_isomorphism_problems, quotient_hopf
+from .hopf import CheckFailure, check_hopf_axioms, generator_map_isomorphism_problems, quotient_hopf
 from .maps import NotWellDefinedError, gens_map, relation_mismatches
-from .ncpoly import NCPoly
+from .ncpoly import NCPoly, word_str
 from .numgeom import (
     TOL,
     GridConfig,
@@ -146,8 +146,8 @@ class SuiteReport:
         lines.append(f"result: {'pass' if self.passed else 'FAIL'} ({self.n_fail} fail, {self.n_undecided} undecided)")
         return "\n".join(lines)
 
-    def write(self, path: str, fmt: str = "json"):
-        write_atomic(path, self.to_json() if fmt == "json" else self.to_markdown())
+    def write(self, path: str):
+        write_atomic(path, self.to_json())
 
 
 def write_atomic(path: str, text: str):
@@ -227,13 +227,20 @@ def suite_strong_connection(cfg: SuiteConfig) -> Iterator[CheckRecord]:
         )
     _, cl = builtin.pw_patch()
     yield _no_failures("strong-connection/pw_patch", "patch cleaving and its connection at degree 2", cl.verify())
-    # both pairs are checked on quotient words of degree <= 1.  For
-    # o_u1-mod-z2 that is every word: C[Z/2] has the basis {1, u}.  The
-    # determinant pair carries only a degree-one certificate: beyond the
-    # generators the canonical lifts satisfy the axioms only up to
-    # tensor-over-base balancing, which multiplication erases
-    for name, J in (("o_u1-mod-z2", builtin.u1_mod_z2_ideal()), ("gl-mod-det", builtin.gl_mod_det_ideal(cfg.q))):
-        fails, _, _ = principal_quotient_pair_certificate(J.hopf, J, 1)
+    # cleft implies principal: the cleaving certifies the determinant pair in
+    # every degree; C[Z/2] has no irreducible word of degree 2, so bound 1
+    # checks the one-step lift on all of its basis {1, u}
+    ell = builtin.u1_mod_z2_connection()
+    premise = [
+        CheckFailure("quotient-basis", word_str(w), "irreducible word of degree 2")
+        for w in ell.P.hopf.system.basis_words(2)
+        if len(w) == 2
+    ]
+    cl = builtin.gl_mod_det_cleaving(cfg.q)
+    for name, fails in (
+        ("o_u1-mod-z2", premise + verify_strong_connection(ell, 1)),
+        ("gl-mod-det", cl.P.check_axioms() + cl.verify()),
+    ):
         yield _no_failures(
             f"quotient-pair-principal/{name}",
             "explicit strong connection for the quotient coaction on the pair",

@@ -1466,27 +1466,6 @@ def bounded_transition_checks(triv, bound: int) -> list[CheckFailure]:
     return failures
 
 
-def quotient_lift_table(H: HopfAlgebra, qH: HopfAlgebra, bound: int) -> dict:
-    """The sandwich lift ell([v g]) = S(g_(1)) ell([v])<1> (x) ell([v])<2> g_(2)
-    filled in a table of the basis words of qH up to the bound, shortest
-    first."""
-    Hs = H.system
-    one = Hs.one()
-    table = {(): Tensor.of((Hs, Hs), one, one)}
-    for w in sorted(qH.system.basis_words(bound), key=len):
-        if not w:
-            continue
-        prev = table[w[:-1]]
-        table[w] = summed_image(
-            looped_delta_word(H, w[-1:]),
-            lambda k: Tensor.of((Hs, Hs), H.S.apply_word(k[0]), one)
-            .mul(prev)
-            .mul(Tensor.of((Hs, Hs), one, NCPoly.word(Hs.alphabet, k[1]))),
-            Tensor.zero((Hs, Hs)),
-        )
-    return table
-
-
 # ---------------------------------------------------------------------------
 # quotient isomorphisms and coinvariant compatibility on every basis word up
 # to a degree bound (reference for hopf_map_problems, for the

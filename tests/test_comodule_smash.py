@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
@@ -10,21 +11,20 @@ from pcomod.comodule import (
     NotModuleAlgebraError,
     StrongConnection,
     canonical_map,
-    principal_quotient_pair_certificate,
+    over_quotient,
     smash_product,
     verify_strong_connection,
 )
 from pcomod.exprs import parse_poly
-from pcomod.maps import gens_map
+from pcomod.maps import NotWellDefinedError, gens_map
 from pcomod.ncpoly import NCPoly
 from pcomod.scalars import GaussRat, S_ONE, S_Q, Scalar
-from pcomod.suites import SuiteConfig, _load_trivialisation
+from pcomod.suites import SuiteConfig, _load_trivialisation, suite_strong_connection
 from pcomod.tensors import Tensor
 
 from oracles import (
     bounded_cleaving_checks,
     cleaving_connection_table,
-    quotient_lift_table,
     reference_prolonged_presentations,
     reference_smash,
     reference_sphere_edge,
@@ -294,21 +294,92 @@ def test_theta_roundtrip_and_obstruction(plane_smash):
     assert DDi == H.system.one()
 
 
-def test_principal_pair_certificates(u1, gl):
-    fails, ell, P = principal_quotient_pair_certificate(u1, builtin.u1_mod_z2_ideal(), 3)
-    assert fails == []
-    fails, ell, P = principal_quotient_pair_certificate(gl, builtin.gl_mod_det_ideal(), 1)
-    assert fails == []
+def test_principal_pair_certificates():
+    """Both quotient pairs pass the certificates their records read: the
+    circle pair its one-step lift on every quotient word, the determinant
+    pair its comodule axioms and its cleaving."""
+    ell = builtin.u1_mod_z2_connection()
+    assert ell.P.check_axioms() == verify_strong_connection(ell, 3) == []
+    cl = builtin.gl_mod_det_cleaving()
+    assert cl.P.check_axioms() == cl.verify() == []
 
 
-def test_u1_mod_z2_pair_covers_every_word_at_bound_one(u1):
-    """The o_u1-mod-z2 quotient C[Z/2] has the basis {1, u}, so the pair's
-    certificate at bound 1 checks every quotient word: it finds what bound 3
-    finds, which is nothing."""
-    J = builtin.u1_mod_z2_ideal()
-    fails, _, P = principal_quotient_pair_certificate(u1, J, 1)
-    assert P.hopf.system.basis_words(5) == [(), ("u",)]
-    assert fails == principal_quotient_pair_certificate(u1, J, 3)[0] == []
+def test_u1_mod_z2_pair_covers_every_word_at_bound_one():
+    """The o_u1-mod-z2 quotient C[Z/2] has no irreducible word of degree 2,
+    so its basis is {1, u}, and the one-step lift at bound 1 checks every
+    quotient word: it finds what bound 3 finds, which is nothing."""
+    ell = builtin.u1_mod_z2_connection()
+    assert ell.P.name == "o_u1 over o_u1/<u^2-1>"
+    assert [w for w in ell.P.hopf.system.basis_words(2) if len(w) == 2] == []
+    assert ell.P.hopf.system.basis_words(5) == [(), ("u",)]
+    assert verify_strong_connection(ell, 1) == verify_strong_connection(ell, 3) == []
+
+
+def test_u1_mod_z2_record_fails_without_its_basis_premise(monkeypatch, u1):
+    """The o_u1-mod-z2 record reads bound 1 as every element only where the
+    quotient has no irreducible word of degree 2: on O(U(1)) over itself,
+    whose lift passes at bound 1, it fails on the premise."""
+    ident = gens_map("id", u1.system, u1.system, {g: u1.system.gen(g) for g in u1.system.alphabet.gens})
+    ell = StrongConnection(over_quotient(ident, u1, u1), lambda w: u1.delta_word(w).map_leg(0, u1.S.apply_word))
+    assert verify_strong_connection(ell, 1) == []
+    monkeypatch.setattr(builtin, "u1_mod_z2_connection", lambda: ell)
+    records = {r.id: r for r in suite_strong_connection(SuiteConfig(suite="strong-connection"))}
+    rec = records["quotient-pair-principal/o_u1-mod-z2"]
+    assert rec.status == "fail" and rec.witness.startswith("FAIL[quotient-basis @ ")
+
+
+def test_o_u1_over_z2_is_the_quotient_builder_on_the_parity_map(u1, z2):
+    """over_quotient along pi_u1_to_z2 gives the table u -> u (x) u,
+    ui -> ui (x) u under the name o_u1 over c_z2."""
+    P = builtin.o_u1_over_z2()
+    Ts = (u1.system, z2.system)
+    assert P.name == "o_u1 over c_z2" and P.system is u1.system and P.hopf is z2
+    assert P.coaction_table == {
+        "u": Tensor(Ts, {(("u",), ("u",)): S_ONE}),
+        "ui": Tensor(Ts, {(("ui",), ("u",)): S_ONE}),
+    }
+
+
+def _gl_sl_variant(images: dict, check: bool) -> CleavingMap:
+    """The determinant pair's cleaving with some generator images replaced."""
+    cl = builtin.gl_mod_det_cleaving()
+    P = cl.P
+    return CleavingMap(P, gens_map("j_variant", P.hopf.system, P.system, {**cl.j.gen_images, **images}, check=check))
+
+
+@pytest.mark.parametrize("q", ["formal", 1, 2, 3, -1])
+def test_gl_mod_det_cleaving_certified_at_each_q(q):
+    """GL_q(2) is cleft over SL_q(2): the cleaving a -> Di*a, b -> Di*b,
+    c -> c, d -> d, Di -> 1 passes its certificate, and the comodule its
+    axioms, at formal q and at q = 1, 2, 3, -1."""
+    cl = builtin.gl_mod_det_cleaving(q)
+    assert cl.P.name == "gl_q2 over gl_q2/<D-1>"
+    assert cl.P.check_axioms() == []
+    assert cl.verify() == []
+
+
+def test_gl_mod_det_rescaled_cleaving_is_not_colinear():
+    """b -> 2*Di*b, c -> c/2 respects every relation (each relation has as
+    many b's as c's in each word), so gens_map accepts it, but it is not
+    colinear: rho(j(a)) has Di*b (x) c where (j (x) id) Delta(a) has
+    2*Di*b (x) c."""
+    cl = builtin.gl_mod_det_cleaving()
+    sysH = cl.P.system
+    half = Scalar.of(GaussRat(Fraction(1, 2)))
+    bad = _gl_sl_variant({"b": cl.j.gen_images["b"].scale(Scalar.of(2)), "c": sysH.gen("c").scale(half)}, check=True)
+    fails = bad.verify()
+    assert (fails[0].check, fails[0].where) == ("cleaving-colinear", "a")
+
+
+def test_gl_mod_det_unscaled_a_is_not_well_defined():
+    """j(a) = a breaks the row grading: q*a*d = q*d*a + (q^2 - 1)*b*c goes to
+    a relation with Di in one word only. gens_map refuses it, and the
+    cleaving certificate names the broken relation first."""
+    a = builtin.gl_mod_det_cleaving().P.system.gen("a")
+    with pytest.raises(NotWellDefinedError):
+        _gl_sl_variant({"a": a}, check=True)
+    fails = _gl_sl_variant({"a": a}, check=False).verify()
+    assert fails[0].check == "cleaving-well-defined"
 
 
 # -- the generator certificate and the memoised connections against the word loops
@@ -332,6 +403,8 @@ _CLEAVINGS = {
     "patch_prolonged-3": lambda: builtin.patch_prolonged(3).trivialisation.cleavings,
     "plane_gl_smash-formal": lambda: [builtin.plane_gl_smash("formal").cleaving()],
     "plane_gl_smash-3": lambda: [builtin.plane_gl_smash(3).cleaving()],
+    "gl_mod_det-formal": lambda: [builtin.gl_mod_det_cleaving("formal")],
+    "gl_mod_det-3": lambda: [builtin.gl_mod_det_cleaving(3)],
     "example_covering": lambda: _load_trivialisation(SuiteConfig(suite="covering", covering=str(EXAMPLE))).cleavings,
 }
 _BAD_CLEAVINGS = {
@@ -363,13 +436,15 @@ def test_bad_cleavings_fail_certificate_and_word_loop(name):
         assert [(f.check, f.where) for f in new] == [("cleaving-well-defined", "u*ui"), ("cleaving-colinear", "ui")]
 
 
-@pytest.mark.parametrize("name", ["toeplitz_z2_smash", "toeplitz_u1_smash", "pw_patch", *_BAD_CLEAVINGS])
+@pytest.mark.parametrize(
+    "name", ["toeplitz_z2_smash", "toeplitz_u1_smash", "pw_patch", "gl_mod_det-formal", *_BAD_CLEAVINGS]
+)
 def test_strong_connection_records_agree_with_word_loop(name):
-    """The strong-connection records read the cleaving certificate
-    (StrongConnection.from_cleaving): it passes on the three shipped cleavings
-    exactly where their connections pass the axioms on every basis word of
-    degree <= 4, and it fails on each bad cleaving, whose connection fails
-    them too."""
+    """The strong-connection and quotient-pair records read the cleaving
+    certificate (StrongConnection.from_cleaving): it passes on the four
+    shipped cleavings exactly where their connections pass the axioms on
+    every basis word of degree <= 4, and it fails on each bad cleaving, whose
+    connection fails them too."""
     cl = _BAD_CLEAVINGS[name]() if name in _BAD_CLEAVINGS else _CLEAVINGS[name]()[0]
     new = cl.verify()
     old = verify_strong_connection(StrongConnection.from_cleaving(cl), 4)
@@ -384,12 +459,3 @@ def test_memoised_connection_matches_eager_table(name):
         ell = StrongConnection.from_cleaving(cl)
         for w, want in cleaving_connection_table(cl, 4).items():
             assert ell.apply_word(w) == want, (cl.j.name, w)
-
-
-def test_quotient_lift_matches_eager_table(u1, gl):
-    """The memoised sandwich lift of each quotient pair equals the table
-    filled shortest word first, on every quotient basis word of degree <= 4."""
-    for H, J in ((u1, builtin.u1_mod_z2_ideal()), (gl, builtin.gl_mod_det_ideal())):
-        _, ell, P = principal_quotient_pair_certificate(H, J, 1)
-        for w, want in quotient_lift_table(H, P.hopf, 4).items():
-            assert ell.apply_word(w) == want, (J.name, w)

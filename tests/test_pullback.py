@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from dataclasses import replace
 from itertools import product
 from pathlib import Path
@@ -9,7 +10,7 @@ from pcomod import builtin, mutants
 from pcomod.comodule import CleavingMap, ComoduleAlgebra
 from pcomod.exprs import load_presentation, parse_poly
 from pcomod.hopf import HopfIdeal, check_hopf_axioms, hopf_map_problems
-from pcomod.maps import gens_map
+from pcomod.maps import LinearMap, gens_map
 from pcomod.ncpoly import NCPoly
 from pcomod.numgeom import GridConfig, rp2_membership
 from pcomod.numgeom.toeplitz import _toeplitz_basis, toeplitz_flip
@@ -44,6 +45,43 @@ from oracles import (
 
 def test_sphere_covering_validates(sphere):
     assert sphere.validate() == []
+
+
+def _count_certificates(monkeypatch) -> Counter:
+    """Count the calls of the comodule, pair-map and cleaving certificates."""
+    counts = Counter()
+    for cls, name in (
+        (ComoduleAlgebra, "check_axioms"),
+        (LinearMap, "rule_compatibility_problems"),
+        (CleavingMap, "verify"),
+    ):
+        def counted(self, _orig=getattr(cls, name), _name=name):
+            counts[_name] += 1
+            return _orig(self)
+
+        monkeypatch.setattr(cls, name, counted)
+    return counts
+
+
+def test_validate_certifies_each_shared_part_once(sphere, monkeypatch):
+    """The sphere's three faces are one comodule with one cleaving, and its
+    three pairs one target reached by two maps: one validate certifies the
+    face, each map and the cleaving once."""
+    counts = _count_certificates(monkeypatch)
+    assert sphere.validate() == []
+    assert counts == {"check_axioms": 1, "rule_compatibility_problems": 2, "verify": 1}
+
+
+def test_shared_failures_are_reported_for_each_index(sphere, monkeypatch):
+    """A cleaving shared by the three faces, j(u) = 1, is well defined but not
+    colinear: it is verified once and its failure reported for each piece."""
+    face = sphere.covering.pieces[0].comodule
+    one = gens_map("j_one", sphere.hopf.system, face.system, {"u": face.system.one()}, check=True)
+    triv = Trivialisation(sphere.covering, sphere.hopf, [CleavingMap(face, one)] * 3)
+    counts = _count_certificates(monkeypatch)
+    fails = triv.validate()
+    assert [(f.check, f.where) for f in fails] == [("cleaving-colinear", f"piece[{i}] u") for i in range(3)]
+    assert counts["verify"] == 1
 
 
 def test_membership_examples(sphere):
@@ -304,7 +342,7 @@ def test_prolong_certificates_and_identity(sphere, sphere_pro):
     ident = gens_map(
         "id", H.system, H.system, {"u": NCPoly.gen(H.system.alphabet, "u")}, check=False
     )
-    pro_id = prolong(sphere, ident, H, fiber_names={"u": "uf"}, preimages={"u": ("u",)})
+    pro_id = prolong(sphere, ident, H, fiber_names={"u": "uf"})
     assert pro_id.report == []
     t_base = sphere.transition(0, 1, ("u",))
     t_pro = pro_id.trivialisation.transition(0, 1, ("u",))
@@ -364,7 +402,7 @@ def test_prolong_requires_surjection(sphere):
         {"u": NCPoly.one(alz), "ui": NCPoly.one(alz)}, check=True,
     )
     with pytest.raises(NotSurjectiveError):
-        prolong(sphere, not_onto, H, preimages={})
+        prolong(sphere, not_onto, H)
 
 
 # C[Z/2 x Z/2]: two commuting group-like involutions

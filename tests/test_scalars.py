@@ -80,6 +80,16 @@ def test_substitution_and_towers():
         substitute_q(S_ONE / S_Q, GaussRat(0))
 
 
+def test_to_complex_reads_constants_only():
+    """A constant scalar converts to its complex value, zero included; one
+    that depends on q has no value and is a ScalarError."""
+    assert Scalar.of(GaussRat(Fraction(1, 2), -3)).to_complex() == complex(0.5, -3)
+    assert (S_Q - S_Q).to_complex() == 0j
+    for x in (S_Q, S_ONE / S_Q, S_Q * Scalar.of(GaussRat(0, 1))):
+        with pytest.raises(ScalarError):
+            x.to_complex()
+
+
 def test_reduced_form_is_canonical():
     a = (S_Q**2 - S_ONE) / (S_Q - S_ONE)   # = q + 1
     assert a == S_Q + S_ONE
