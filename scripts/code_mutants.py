@@ -37,6 +37,7 @@ class Mutant:
 
 REWRITE_TESTS = "tests/test_ncpoly_rewrite.py::"
 COMODULE_TESTS = "tests/test_comodule_smash.py::"
+PULLBACK_TESTS = "tests/test_pullback.py::"
 
 MUTANTS = [
     Mutant(
@@ -102,7 +103,7 @@ MUTANTS = [
     ),
     Mutant(
         "cleaving-relations-not-checked", "comodule.py",
-        "for w, _, lhs, rhs in relation_mismatches(H.system, self.j.apply_word, self.j.apply)",
+        "for w, _, lhs, rhs in self.j.mismatches",
         "for w, _, lhs, rhs in []",
         (COMODULE_TESTS + "test_gl_mod_det_unscaled_a_is_not_well_defined",),
     ),
@@ -111,6 +112,25 @@ MUTANTS = [
         'if lhs != rhs:\n                failures.append(CheckFailure("cleaving-colinear"',
         'if False:\n                failures.append(CheckFailure("cleaving-colinear"',
         (COMODULE_TESTS + "test_gl_mod_det_rescaled_cleaving_is_not_colinear",),
+    ),
+    Mutant(
+        "relation-check-recomputed-on-every-read", "maps.py",
+        "@cached_property\n    def mismatches",
+        "@property\n    def mismatches",
+        ("tests/test_suites_cli.py::test_each_generator_map_has_its_relations_checked_once",),
+    ),
+    Mutant(
+        "trivialisation-skips-the-hopf-premise", "pullback.py",
+        "failures = check_hopf_axioms(self.hopf) + self.covering.validate()",
+        "failures = self.covering.validate()",
+        (PULLBACK_TESTS + "test_validate_checks_the_hopf_premise",),
+    ),
+    Mutant(
+        "cotensor-check-reads-h-words-in-hbar", "pullback.py",
+        "lambda w: H.delta_word(w).map_leg(0, pi.apply_word, codomain=Hbar.system),",
+        "lambda w: Tensor((Hbar.system, H.system), H.delta_word(w).terms).map_leg(\n"
+        "                    0, pi.apply_word, codomain=Hbar.system),",
+        (PULLBACK_TESTS + "test_prolong_keeps_each_leg_in_its_alphabet",),
     ),
 ]
 

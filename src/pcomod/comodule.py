@@ -3,11 +3,11 @@ strong connections and smash products."""
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, cached_property
 from typing import Callable
 
 from .hopf import CheckFailure, HopfAlgebra
-from .maps import LinearMap, gens_map, relation_mismatches
+from .maps import LinearMap, gens_map
 from .ncpoly import Alphabet, NCPoly, Word, word_str
 from .rewrite import RewriteSystem
 from .scalars import S_ONE
@@ -78,7 +78,7 @@ class ComoduleAlgebra:
         H = self.hopf
         failures = [
             CheckFailure("coaction-well-defined", word_str(w), f"{lhs!r} != {rhs!r}")
-            for w, _, lhs, rhs in relation_mismatches(self.system, self.coact_word, self.coact)
+            for w, _, lhs, rhs in self.rho.mismatches
         ]
         for w in self.system.basis_words(1):
             ws = word_str(w)
@@ -154,7 +154,7 @@ class CleavingMap:
         P, H = self.P, self.P.hopf
         failures = [
             CheckFailure("cleaving-well-defined", word_str(w), f"{lhs!r} != {rhs!r}")
-            for w, _, lhs, rhs in relation_mismatches(H.system, self.j.apply_word, self.j.apply)
+            for w, _, lhs, rhs in self.j.mismatches
         ]
         for g in H.system.alphabet.gens:
             lhs = P.coact(self.j.apply_word((g,)))
@@ -265,7 +265,12 @@ class SmashProduct(ComoduleAlgebra):
         return tuple(self.fiber_names[z] for z in self.hopf.system.alphabet.gens)
 
     def cleaving(self) -> CleavingMap:
-        """The algebra map sending each H-generator to its fiber letter."""
+        """The algebra map sending each H-generator to its fiber letter, the
+        same object on every call."""
+        return self._cleaving
+
+    @cached_property
+    def _cleaving(self) -> CleavingMap:
         j = gens_map(
             f"j_{self.name}",
             self.hopf.system,

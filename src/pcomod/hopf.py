@@ -4,7 +4,7 @@ convolution, Hopf ideals, quotients and Hopf isomorphisms."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable
 
 from .maps import LinearMap, NotWellDefinedError, gens_map, relation_mismatches
@@ -36,7 +36,8 @@ class HopfAlgebra:
     explicitly) as anti-algebra maps; Delta, S and S_inv are memoised
     LinearMaps.
     Nothing is checked at construction; ``check_hopf_axioms`` certifies that
-    the tables respect the relations and satisfy the axioms.
+    the tables respect the relations and satisfy the axioms, once, and
+    stores its failures in ``axiom_failures``.
     """
 
     def __init__(
@@ -63,6 +64,7 @@ class HopfAlgebra:
         self.S_inv = LinearMap(
             f"S^-1_{self.name}", system, system, mode="anti", gen_images=antipode_inv, check=False
         )
+        self.axiom_failures: list[CheckFailure] | None = None
 
     # -- structure maps ------------------------------------------------------
     def delta_word(self, w: Word) -> Tensor:
@@ -128,8 +130,11 @@ def check_hopf_axioms(H: HopfAlgebra) -> list[CheckFailure]:
     A pass needs no confluence: every reduction step keeps the class in the
     quotient, so equal normal forms prove equality there. The generator
     checks run first, so the first failure of a corrupted table names a
-    generator when one is wrong.
+    generator when one is wrong. Each H is checked once: the failures are
+    stored in ``H.axiom_failures`` and shared, so read-only.
     """
+    if H.axiom_failures is not None:
+        return H.axiom_failures
     failures: list[CheckFailure] = []
     sysm = H.system
     one = sysm.one()
@@ -165,12 +170,13 @@ def check_hopf_axioms(H: HopfAlgebra) -> list[CheckFailure]:
         if lhs != rhs:
             failures.append(CheckFailure("anti-coalgebra", ws, f"{lhs!r} != {rhs!r}"))
     for check, mismatches in (
-        ("delta-well-defined", relation_mismatches(sysm, H.delta_word, H.delta)),
+        ("delta-well-defined", H.Delta.mismatches),
         ("counit-well-defined", relation_mismatches(sysm, H.counit_word, H.counit)),
-        ("antipode-well-defined", relation_mismatches(sysm, H.S.apply_word, H.S.apply)),
-        ("antipode-inverse-well-defined", relation_mismatches(sysm, H.S_inv.apply_word, H.S_inv.apply)),
+        ("antipode-well-defined", H.S.mismatches),
+        ("antipode-inverse-well-defined", H.S_inv.mismatches),
     ):
         failures += [CheckFailure(check, word_str(w), f"{lhs!r} != {rhs!r}") for w, _, lhs, rhs in mismatches]
+    H.axiom_failures = failures
     return failures
 
 
@@ -182,25 +188,24 @@ class HopfIdeal:
     """Two-sided ideal J given by generators. ``validate`` checks the
     Hopf-ideal axioms (counit kill, coideal containment, antipode stability)
     on the generators, by reduction in the quotient; as eps and Delta are
-    algebra maps and S an anti-algebra map, that covers all of J."""
+    algebra maps and S an anti-algebra map, that covers all of J. The
+    quotient system, the failures and the quotient are each built once and
+    shared, so read-only."""
 
     def __init__(self, H: HopfAlgebra, gens: list[NCPoly], name: str = "J"):
         self.hopf = H
         self.gens = [H.system.normal_form(g) for g in gens]
         self.name = name
-        self._qsys: RewriteSystem | None = None
 
+    @cached_property
     def quotient_system(self) -> RewriteSystem:
-        if self._qsys is None:
-            self._qsys = self.hopf.system.extend_by_ideal(
-                self.gens, name=f"{self.hopf.name}/{self.name}"
-            )
-        return self._qsys
+        return self.hopf.system.extend_by_ideal(self.gens, name=f"{self.hopf.name}/{self.name}")
 
-    def validate(self) -> list[CheckFailure]:
+    @cached_property
+    def _failures(self) -> list[CheckFailure]:
         H = self.hopf
         failures: list[CheckFailure] = []
-        qs = self.quotient_system()
+        qs = self.quotient_system
         zero2 = Tensor.zero((qs, qs))
         for i, g in enumerate(self.gens):
             where = f"gen[{i}]={g!r}"
@@ -215,23 +220,26 @@ class HopfIdeal:
                 failures.append(CheckFailure("antipode-stability", where, f"S(g) = {sg!r} mod J"))
         return failures
 
+    def validate(self) -> list[CheckFailure]:
+        return self._failures
 
-def quotient_hopf(H: HopfAlgebra, J: HopfIdeal) -> tuple[HopfAlgebra, LinearMap]:
-    """H/J with inherited structure maps, plus the canonical surjection."""
-    problems = J.validate()
-    if problems:
-        raise NotHopfIdealError(f"{J.name}: {problems[0]}")
-    qs = J.quotient_system()
-    delta = {g: Tensor((qs, qs), t.terms) for g, t in H.delta_table.items()}
-    antipode = {g: qs.normal_form(p) for g, p in H.antipode_table.items()}
-    antipode_inv = {g: qs.normal_form(p) for g, p in H.antipode_inv_table.items()}
-    quotient = HopfAlgebra(
-        qs, delta, dict(H.counit_table), antipode, antipode_inv, name=f"{H.name}/{J.name}"
-    )
-    proj = gens_map(f"pi_{H.name}/{J.name}", H.system, qs,
-                    {g: NCPoly.gen(qs.alphabet, g) for g in H.system.alphabet.gens},
-                    check=False)
-    return quotient, proj
+    @cached_property
+    def quotient(self) -> tuple[HopfAlgebra, LinearMap]:
+        """H/J with inherited structure maps, plus the canonical surjection;
+        NotHopfIdealError when ``validate`` fails."""
+        if self._failures:
+            raise NotHopfIdealError(f"{self.name}: {self._failures[0]}")
+        H, qs = self.hopf, self.quotient_system
+        delta = {g: Tensor((qs, qs), t.terms) for g, t in H.delta_table.items()}
+        antipode = {g: qs.normal_form(p) for g, p in H.antipode_table.items()}
+        antipode_inv = {g: qs.normal_form(p) for g, p in H.antipode_inv_table.items()}
+        quotient = HopfAlgebra(
+            qs, delta, dict(H.counit_table), antipode, antipode_inv, name=f"{H.name}/{self.name}"
+        )
+        proj = gens_map(f"pi_{H.name}/{self.name}", H.system, qs,
+                        {g: NCPoly.gen(qs.alphabet, g) for g in H.system.alphabet.gens},
+                        check=False)
+        return quotient, proj
 
 
 def hopf_map_problems(phi: LinearMap, H1: HopfAlgebra, H2: HopfAlgebra) -> list[CheckFailure]:

@@ -3,6 +3,7 @@ or anti-algebra maps."""
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable
 
 from .ncpoly import NCPoly, Word, word_str
@@ -32,6 +33,11 @@ def relation_mismatches(
     return out
 
 
+def mismatch_message(w: Word, p: NCPoly, lhs, rhs) -> str:
+    """A ``relation_mismatches`` entry as one line."""
+    return f"rule {word_str(w)} -> {p!r} not respected: {lhs!r} vs {rhs!r}"
+
+
 class NotWellDefinedError(ValueError):
     """A generator-table map does not respect the domain's rewrite rules."""
 
@@ -42,10 +48,11 @@ class LinearMap:
     - "algebra": multiplicative extension,
     - "anti": anti-multiplicative extension (words reversed).
 
-    With ``check`` the map is certified at construction to respect every
-    defining relation of the domain (both sides must agree in the codomain).
-    Word images are memoised. The codomain may be a ``TensorSpace``, whose
-    images are Tensors.
+    ``mismatches`` lists the defining relations of the domain whose two sides
+    the map sends apart; it is computed once and shared, so read-only. With
+    ``check`` a nonempty list raises at construction. Word images are
+    memoised. The codomain may be a ``TensorSpace``, whose images are
+    Tensors.
     """
 
     def __init__(
@@ -67,10 +74,8 @@ class LinearMap:
         missing = set(domain.alphabet.gens) - set(gen_images or ())
         if missing:
             raise NotWellDefinedError(f"{name}: no image for generators {sorted(missing)}")
-        if check:
-            problems = self.rule_compatibility_problems()
-            if problems:
-                raise NotWellDefinedError(f"{name}: {problems[0]}")
+        if check and self.mismatches:
+            raise NotWellDefinedError(f"{name}: {mismatch_message(*self.mismatches[0])}")
 
     # -- application -----------------------------------------------------------
     def apply_word(self, w: Word) -> NCPoly | Tensor:
@@ -89,15 +94,11 @@ class LinearMap:
     def apply(self, p: NCPoly) -> NCPoly | Tensor:
         return linear_image(p, self.apply_word, self.codomain.zero())
 
-    # -- checks -------------------------------------------------------------------
-    def rule_compatibility_problems(self) -> list[str]:
-        """One message per defining relation of the domain (rules and
-        centrality pairs, ``RewriteSystem.relations``) whose two sides this
-        map sends to different normal forms."""
-        return [
-            f"rule {word_str(w)} -> {p!r} not respected: {lhs!r} vs {rhs!r}"
-            for w, p, lhs, rhs in relation_mismatches(self.domain, self.apply_word, self.apply)
-        ]
+    @cached_property
+    def mismatches(self) -> list[tuple[Word, NCPoly, object, object]]:
+        """``relation_mismatches`` of this map over the defining relations of
+        the domain (rules and centrality pairs, ``RewriteSystem.relations``)."""
+        return relation_mismatches(self.domain, self.apply_word, self.apply)
 
     def __repr__(self):
         return f"LinearMap({self.name}: {self.domain.name} -> {self.codomain.name}, {self.mode})"

@@ -9,9 +9,9 @@ from itertools import permutations
 from typing import Callable, Iterator, Sequence
 
 from .comodule import CleavingMap, ComoduleAlgebra, smash_product
-from .hopf import CheckFailure, HopfAlgebra, HopfIdeal, hopf_map_problems
+from .hopf import CheckFailure, HopfAlgebra, HopfIdeal, check_hopf_axioms, hopf_map_problems
 from .linalg import RowSpace, intersect_spans, same_span, span_of
-from .maps import LinearMap, gens_map, relation_mismatches
+from .maps import LinearMap, gens_map, mismatch_message
 from .ncpoly import Alphabet, NCPoly, Word, word_str
 from .rewrite import RewriteSystem, UnitIdealError
 from .tensors import Tensor, TensorSpace, linear_image
@@ -109,9 +109,8 @@ class Covering:
         maps well defined and colinear on generators and the target's
         coaction respecting the target's relations, so that colinearity on
         generators extends to every word. ``kernel_intersection_certificate``
-        is separate and bounded. Each distinct face, pair map and pair target
-        is certified once, and its failures reported for each index holding it."""
-        target_failures = functools.cache(lambda T: relation_mismatches(T.system, T.coact_word, T.coact))
+        is separate and bounded. Each distinct face and pair map is certified
+        once, and its failures reported for each index holding it."""
 
         @functools.cache
         def face_failures(P: ComoduleAlgebra, bgens: tuple[str, ...]) -> list[CheckFailure]:
@@ -123,8 +122,9 @@ class Covering:
 
         @functools.cache
         def map_failures(mp: LinearMap, P: ComoduleAlgebra, target: ComoduleAlgebra) -> list[CheckFailure]:
-            probs = mp.rule_compatibility_problems()
-            failures = [CheckFailure("pair-map-well-defined", mp.name, probs[0])] if probs else []
+            failures = [
+                CheckFailure("pair-map-well-defined", mp.name, mismatch_message(*m)) for m in mp.mismatches[:1]
+            ]
             for g in P.system.alphabet.gens:
                 lhs = target.coact(mp.apply_word((g,)))
                 rhs = P.coact_word((g,)).map_leg(0, mp.apply_word, codomain=target.system)
@@ -143,7 +143,7 @@ class Covering:
                 failures.extend(map_failures(mp, piece.comodule, pair.target))
             failures.extend(
                 CheckFailure("pair-coaction-well-defined", f"({i},{j}) {word_str(w)}", f"{lhs!r} != {rhs!r}")
-                for w, _, lhs, rhs in target_failures(pair.target)
+                for w, _, lhs, rhs in pair.target.rho.mismatches
             )
         return failures
 
@@ -199,12 +199,12 @@ class Trivialisation:
         self.name = name or f"triv({covering.name})"
 
     def validate(self) -> list[CheckFailure]:
-        """The covering's checks, then each piece's cleaving.
+        """The Hopf axioms, the covering's checks, then each piece's cleaving.
 
         These prove the three transition laws in every degree, into any pair
-        target, commutative or not. The premises: the Hopf axioms
-        (``check_hopf_axioms``); the piece axioms, the pair maps well defined
-        and colinear on generators, and each pair target's coaction
+        target, commutative or not, from premises all checked here: the Hopf
+        axioms (``check_hopf_axioms``); the piece axioms, the pair maps well
+        defined and colinear on generators, and each pair target's coaction
         respecting its relations (``pair-coaction-well-defined``), all in
         ``Covering.validate``; the cleavings (``CleavingMap.verify``). So the
         pair maps and cleavings are unital algebra maps, colinear on every
@@ -221,7 +221,7 @@ class Trivialisation:
         The bounded word loop over the laws is the oracle
         ``bounded_transition_checks`` in the tests.
         """
-        failures = self.covering.validate()
+        failures = check_hopf_axioms(self.hopf) + self.covering.validate()
         verify = functools.cache(lambda cl: cl.verify())  # each distinct cleaving once
         for idx, cl in enumerate(self.cleavings):
             failures.extend(CheckFailure(f.check, f"piece[{idx}] {f.where}", f.detail) for f in verify(cl))
@@ -342,7 +342,7 @@ def prolong(
     base_triv: Trivialisation,
     pi: LinearMap,
     H: HopfAlgebra,
-    fiber_names: dict[str, str] | None = None,
+    fiber_names: dict[str, str],
 ) -> Prolongation:
     """Prolongation along a Hopf surjection pi: H -> Hbar, an algebra map
     that sends some generator of H to each generator of Hbar (else
@@ -350,14 +350,14 @@ def prolong(
     ``hopf_map_problems(pi, H, Hbar)`` heads the report. Presents each
     cotensor piece Pbar_i box H as the tensor product
     (``smash_product``, trivial action) of the rules among its base
-    generators with H, whose letters are the fiber generators
-    U_z = gammabar_i(pi(z_(1))) (x) z_(2), and each double quotient likewise
-    from the base pair target. It certifies the fiber generators by cotensor
-    membership and the dictionary (the algebra map sending U_z to its
-    cotensor and each base generator b to b (x) 1) on every defining relation
-    of Pbar_i box H (``RewriteSystem.relations``: rules, centrality pairs,
-    the fiber's suffix relations), and installs the prolonged covering maps
-    so transition functions can be computed.
+    generators with H, whose letters, named by ``fiber_names``, are the
+    fiber generators U_z = gammabar_i(pi(z_(1))) (x) z_(2), and each double
+    quotient likewise from the base pair target. It certifies the fiber
+    generators by cotensor membership and the dictionary (the algebra map
+    sending U_z to its cotensor and each base generator b to b (x) 1) on
+    every defining relation of Pbar_i box H (``RewriteSystem.relations``:
+    rules, centrality pairs, the fiber's suffix relations), and installs the
+    prolonged covering maps so transition functions can be computed.
 
     Each distinct face (comodule, base generators, cleaving), pair target
     and pair map is prolonged once, and pieces and pairs that share one
@@ -370,7 +370,6 @@ def prolong(
     for g in Hbar.system.alphabet.gens:
         if Hbar.system.normal_form(Hbar.system.gen(g)) not in images:
             raise NotSurjectiveError(f"no generator-level preimage of {g} under {pi.name}")
-    fiber_names = fiber_names or {z: f"{z}'" for z in H.system.alphabet.gens}
 
     def fiber_word(w: Word) -> Word:
         return tuple(fiber_names[z] for z in w)
@@ -406,10 +405,7 @@ def prolong(
             ok = cotensor_membership(
                 t,
                 comodule.coact_word,
-                lambda w: Tensor(
-                    (Hbar.system, H.system),
-                    {(w1, w2): c for (w1, w2), c in H.delta_word(w).terms.items()},
-                ).map_leg(0, pi.apply_word, codomain=Hbar.system),
+                lambda w: H.delta_word(w).map_leg(0, pi.apply_word, codomain=Hbar.system),
             )
             if not ok:
                 failures.append(CheckFailure("cotensor-membership", f"fiber {z}", f"{t!r}"))
@@ -425,7 +421,7 @@ def prolong(
             },
             check=False,
         )
-        for w, p, lhs_t, rhs_t in relation_mismatches(psys, dmap.apply_word, dmap.apply):
+        for w, p, lhs_t, rhs_t in dmap.mismatches:
             failures.append(
                 CheckFailure("imported-relation", f"rule {word_str(w)} -> {p!r}", f"{lhs_t!r} != {rhs_t!r}")
             )

@@ -248,18 +248,6 @@ class RewriteSystem:
         for w, coeff in rule.rhs.terms.items():
             yield a.canon(left + w + right + rem_t), coeff
 
-    def is_irreducible(self, word: Word) -> bool:
-        word = self.alphabet.canon(word)
-        if self._match(word) is not None:
-            return False
-        if self.suffix_system is not None:
-            pre, suf = self._split_zone(word)
-            if suf:
-                nf = self.suffix_system._nf_word(self.suffix_system.alphabet.canon(suf))
-                if list(nf.terms.items()) != [(suf, S_ONE)]:
-                    return False
-        return True
-
     # -- normal form ----------------------------------------------------------
     def _split_zone(self, word: Word) -> tuple[Word, Word]:
         k = len(word)
@@ -396,8 +384,10 @@ class RewriteSystem:
         return out
 
     def basis_words(self, max_deg: int) -> list[Word]:
-        """Irreducible (normal-form) words up to max_deg, in monomial order."""
-        out = [w for w in self.all_words(max_deg) if self.is_irreducible(w)]
+        """Irreducible (normal-form) words up to max_deg, in monomial order:
+        the words that are their own normal form, as every rule lowers the
+        words it rewrites."""
+        out = [w for w in self.all_words(max_deg) if self._nf_word(w).terms == {w: S_ONE}]
         out.sort(key=self.alphabet.key)
         return out
 

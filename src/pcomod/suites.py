@@ -17,8 +17,8 @@ from dataclasses import dataclass, field, fields
 from . import builtin
 from .comodule import CleavingMap, smash_product, verify_strong_connection
 from .exprs import ParseError, parse_poly
-from .hopf import CheckFailure, check_hopf_axioms, generator_map_isomorphism_problems, quotient_hopf
-from .maps import NotWellDefinedError, gens_map, relation_mismatches
+from .hopf import CheckFailure, check_hopf_axioms, generator_map_isomorphism_problems
+from .maps import NotWellDefinedError, gens_map
 from .ncpoly import NCPoly, word_str
 from .numgeom import (
     TOL,
@@ -487,15 +487,13 @@ def suite_reduction_theorem(cfg: SuiteConfig) -> Iterator[CheckRecord]:
         witness=f"{witnesses[0]}" if witnesses else "",
     )
     # quotient identifications
-    u1 = builtin.o_u1()
     z2 = builtin.c_z2()
-    qh, _ = quotient_hopf(u1, builtin.u1_mod_z2_ideal())
+    qh, _ = builtin.u1_mod_z2_ideal().quotient
     fails = generator_map_isomorphism_problems(
         qh, z2, {"u": z2.system.gen("u"), "ui": z2.system.gen("u")}, {"u": qh.system.gen("u")}
     )
-    gl = builtin.gl_q2(cfg.q)
     sl = builtin.sl_q2(cfg.q)
-    qg, _ = quotient_hopf(gl, builtin.gl_mod_det_ideal(cfg.q))
+    qg, _ = builtin.gl_mod_det_ideal(cfg.q).quotient
     abcd = ("a", "b", "c", "d")
     gm = {g: sl.system.gen(g) for g in abcd}
     gm["Di"] = sl.system.one()
@@ -545,7 +543,7 @@ def symbol_relation_residual(system) -> float:
     u, ui = NCPoly.gen(U.alphabet, "u"), NCPoly.gen(U.alphabet, "ui")
     S = gens_map("symbol", system, U, {"s": u, "ss": ui}, check=False)
     worst = 0.0
-    for _, _, lhs, rhs in relation_mismatches(system, S.apply_word, S.apply):
+    for _, _, lhs, rhs in S.mismatches:
         worst = max(worst, float(sum(abs(c.to_complex()) for c in (lhs - rhs).terms.values())))
     return worst
 

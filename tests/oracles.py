@@ -1519,7 +1519,7 @@ def bounded_isomorphism_checks(
 
 def left_coinvariant_test(H: HopfAlgebra, J: HopfIdeal, p: NCPoly) -> bool:
     """True iff (pi (x) id)(Delta p) = [1] (x) p in (H/J) (x) H."""
-    qs = J.quotient_system()
+    qs = J.quotient_system
     p = H.system.normal_form(p)
     lhs = Tensor((qs, H.system), H.delta(p).terms)
     rhs = Tensor((qs, H.system), {((), w): c for w, c in p.terms.items()})

@@ -7,10 +7,12 @@ from pathlib import Path
 import pytest
 
 from pcomod import builtin, mutants
-from pcomod.comodule import CleavingMap, ComoduleAlgebra
+from pcomod import hopf as hopf_module
+from pcomod import maps as maps_module
+from pcomod.comodule import CleavingMap, ComoduleAlgebra, smash_product
 from pcomod.exprs import load_presentation, parse_poly
 from pcomod.hopf import HopfIdeal, check_hopf_axioms, hopf_map_problems
-from pcomod.maps import LinearMap, gens_map
+from pcomod.maps import gens_map
 from pcomod.ncpoly import NCPoly
 from pcomod.numgeom import GridConfig, rp2_membership
 from pcomod.numgeom.toeplitz import _toeplitz_basis, toeplitz_flip
@@ -47,29 +49,48 @@ def test_sphere_covering_validates(sphere):
     assert sphere.validate() == []
 
 
-def _count_certificates(monkeypatch) -> Counter:
-    """Count the calls of the comodule, pair-map and cleaving certificates."""
+def _count_certificates(monkeypatch, triv) -> Counter:
+    """Forget the relation checks and Hopf axioms stored on the parts of
+    ``triv``, then count the calls of the comodule and cleaving
+    certificates, and the relation checks by the name of the map (the Hopf
+    algebra's, for the counit) whose relations they check."""
+    maps = [triv.hopf.Delta, triv.hopf.S, triv.hopf.S_inv]
+    maps += [p.comodule.rho for p in triv.covering.pieces] + [cl.j for cl in triv.cleavings]
+    for pair in triv.covering.pairs.values():
+        maps += [pair.map_i, pair.map_j, pair.target.rho]
+    for m in maps:
+        monkeypatch.delitem(vars(m), "mismatches", raising=False)
+    monkeypatch.setattr(triv.hopf, "axiom_failures", None)
     counts = Counter()
-    for cls, name in (
-        (ComoduleAlgebra, "check_axioms"),
-        (LinearMap, "rule_compatibility_problems"),
-        (CleavingMap, "verify"),
-    ):
+    for cls, name in ((ComoduleAlgebra, "check_axioms"), (CleavingMap, "verify")):
         def counted(self, _orig=getattr(cls, name), _name=name):
             counts[_name] += 1
             return _orig(self)
 
         monkeypatch.setattr(cls, name, counted)
+
+    def counted_relations(domain, word_image, poly_image, _orig=maps_module.relation_mismatches):
+        counts[word_image.__self__.name] += 1
+        return _orig(domain, word_image, poly_image)
+
+    for module in (maps_module, hopf_module):
+        monkeypatch.setattr(module, "relation_mismatches", counted_relations)
     return counts
 
 
 def test_validate_certifies_each_shared_part_once(sphere, monkeypatch):
     """The sphere's three faces are one comodule with one cleaving, and its
-    three pairs one target reached by two maps: one validate certifies the
-    face, each map and the cleaving once."""
-    counts = _count_certificates(monkeypatch)
+    three pairs one target reached by two maps: one validate checks the Hopf
+    axioms and certifies the face, each map, the target and the cleaving
+    once, each relation check included."""
+    counts = _count_certificates(monkeypatch, sphere)
     assert sphere.validate() == []
-    assert counts == {"check_axioms": 1, "rule_compatibility_problems": 2, "verify": 1}
+    face = sphere.covering.pieces[0].comodule
+    edge = sphere.covering.pairs[(0, 1)].target
+    H = sphere.hopf
+    relation_checks = [H.Delta.name, H.name, H.S.name, H.S_inv.name, face.rho.name, "pi_untwisted",
+                       "pi_twisted", edge.rho.name, sphere.cleavings[0].j.name]
+    assert counts == {"check_axioms": 1, "verify": 1, **dict.fromkeys(relation_checks, 1)}
 
 
 def test_shared_failures_are_reported_for_each_index(sphere, monkeypatch):
@@ -78,10 +99,45 @@ def test_shared_failures_are_reported_for_each_index(sphere, monkeypatch):
     face = sphere.covering.pieces[0].comodule
     one = gens_map("j_one", sphere.hopf.system, face.system, {"u": face.system.one()}, check=True)
     triv = Trivialisation(sphere.covering, sphere.hopf, [CleavingMap(face, one)] * 3)
-    counts = _count_certificates(monkeypatch)
+    counts = _count_certificates(monkeypatch, triv)
     fails = triv.validate()
     assert [(f.check, f.where) for f in fails] == [("cleaving-colinear", f"piece[{i}] u") for i in range(3)]
-    assert counts["verify"] == 1
+    assert counts["verify"] == 1 and counts["j_one"] == 1
+
+
+def test_validate_checks_the_hopf_premise():
+    """A trivialisation over a Hopf algebra that fails its axioms does not
+    validate: the su-antipode-sign mutant, S(gamma) = +q gamma, under the one
+    piece B (x) H with its cleaving, whose coaction and cleaving checks read
+    only Delta and eps and so pass."""
+    H = mutants._su_antipode_sign()
+    B = RewriteSystem(Alphabet(["x"]), [], name="line")
+    sm = smash_product(B, H, name="line x su_q2/corrupt-S")
+    assert sm.check_axioms() == [] and sm.cleaving().verify() == []
+    triv = Trivialisation(Covering([CoveringPiece(sm, base_gens=("x",))], {}), H, [sm.cleaving()])
+    fails = triv.validate()
+    assert [(f.check, f.where) for f in fails[:1]] == [("antipode-left", "g")]
+    assert fails == check_hopf_axioms(H)
+
+
+def test_prolong_keeps_each_leg_in_its_alphabet(monkeypatch):
+    """Prolonging the sphere and the patch builds no tensor with a letter
+    outside its leg's algebra: the cotensor check maps Delta(w)'s first leg
+    through pi into Hbar, rather than reading H's words in Hbar's rules."""
+    foreign = []
+    init = Tensor.__init__
+
+    def checked_init(self, systems, terms=None, _normalized=False):
+        init(self, systems, terms, _normalized)
+        for key in self.terms:
+            for w, system in zip(key, self.systems):
+                if not set(w) <= set(system.alphabet.gens):
+                    foreign.append((system.name, w))
+
+    monkeypatch.setattr(Tensor, "__init__", checked_init)
+    builtin.sphere_prolonged.__wrapped__()
+    builtin.patch_prolonged.__wrapped__(builtin.q_value("formal"))
+    assert foreign == []
 
 
 def test_membership_examples(sphere):
@@ -402,7 +458,7 @@ def test_prolong_requires_surjection(sphere):
         {"u": NCPoly.one(alz), "ui": NCPoly.one(alz)}, check=True,
     )
     with pytest.raises(NotSurjectiveError):
-        prolong(sphere, not_onto, H)
+        prolong(sphere, not_onto, H, fiber_names={"u": "U", "ui": "Ui"})
 
 
 # C[Z/2 x Z/2]: two commuting group-like involutions

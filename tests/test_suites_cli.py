@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from pcomod import builtin, suites
 from pcomod.cli import main, make_parser
 from pcomod.exprs import parse_poly
-from pcomod.hopf import CheckFailure
+from pcomod.hopf import CheckFailure, HopfAlgebra
 from pcomod.numgeom import GridConfig
 from pcomod.rewrite import RewriteSystem
 from pcomod.suites import (
@@ -628,6 +628,82 @@ def test_verify_all_help_prints_usage_and_runs_nothing(tmp_path):
 EXACT_SUITES = [name for name in suites.SUITES if name not in (
     "quantum-rp2", "sphere-gluing", "mattprop", "disc-decomposition", "parity-probe", "peter-weyl"
 )]
+
+
+def exact_certificate_counts() -> dict:
+    """Run the ten exact suites at formal q in this interpreter and count:
+    each relation check, under the object whose word map it checks (a
+    LinearMap's ``apply_word``, or a Hopf algebra's ``counit_word``, whose
+    relation check only ``check_hopf_axioms`` makes); and the quotient Hopf
+    algebras H/J built for each builtin Hopf ideal J, by name.
+    Patches the package for good, so it runs in an interpreter of its own."""
+    import pcomod.maps
+
+    # (id, word map name) -> [owner, word map name, count]; the owner stays referenced, so no id is reused
+    checked = {}
+    orig = pcomod.maps.relation_mismatches
+
+    def counted(domain, word_image, poly_image):
+        key = (id(word_image.__self__), word_image.__name__)
+        entry = checked.setdefault(key, [word_image.__self__, word_image.__name__, 0])
+        entry[2] += 1
+        return orig(domain, word_image, poly_image)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("pcomod") and getattr(module, "relation_mismatches", None) is orig:
+            module.relation_mismatches = counted
+    hopf_names = []
+    init = HopfAlgebra.__init__
+
+    def counted_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        hopf_names.append(self.name)
+
+    HopfAlgebra.__init__ = counted_init
+    for name in EXACT_SUITES:
+        assert run_suite(SuiteConfig(suite=name)).passed, name
+    ideals = (builtin.u1_mod_z2_ideal(), builtin.gl_mod_det_ideal())
+    return {
+        "relation_checks": [(owner.name, n) for owner, f, n in checked.values() if f != "counit_word"],
+        "axiom_runs": [(owner.name, n) for owner, f, n in checked.values() if f == "counit_word"],
+        "quotients": {J.name: hopf_names.count(f"{J.hopf.name}/{J.name}") for J in ideals},
+    }
+
+
+@pytest.fixture(scope="module")
+def exact_counts():
+    """``exact_certificate_counts`` in a fresh interpreter, where no
+    certificate is stored yet."""
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+    code = "import json, test_suites_cli as t; print(json.dumps(t.exact_certificate_counts()))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr[-2000:]
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_each_generator_map_has_its_relations_checked_once(exact_counts):
+    """``LinearMap.mismatches`` is computed once per map: no map of the exact
+    suites has its relations checked twice (the sphere's pair maps and face
+    coaction were checked four times each when every reader recomputed them)."""
+    checks = exact_counts["relation_checks"]
+    assert len(checks) > 50
+    assert [(name, n) for name, n in checks if n != 1] == []
+
+
+def test_each_hopf_algebra_has_its_axioms_run_once(exact_counts):
+    """``check_hopf_axioms`` runs once per Hopf algebra, though the hopf-axioms
+    suite and each ``Trivialisation.validate`` ask for it."""
+    runs = exact_counts["axiom_runs"]
+    assert {"c_z2", "o_u1", "su_q2", "gl_q2", "sl_q2"} <= {name for name, _ in runs}
+    assert [(name, n) for name, n in runs if n != 1] == []
+
+
+def test_each_hopf_ideal_builds_its_quotient_once(exact_counts):
+    """A Hopf ideal owns its quotient: the strong-connection and
+    reduction-theorem suites both read H/J of ``<u^2-1>`` and ``<D-1>``, and
+    one quotient Hopf algebra is built for each."""
+    assert exact_counts["quotients"] == {"<u^2-1>": 1, "<D-1>": 1}
 
 
 def test_no_state_leaks_between_suites():

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from pcomod import builtin
-from pcomod.comodule import CleavingMap
+from pcomod.comodule import CleavingMap, SmashProduct
 from pcomod.maps import NotWellDefinedError, gens_map
 from pcomod.ncpoly import Alphabet, NCPoly, word_str
 from pcomod.rewrite import RewriteSystem
@@ -293,22 +293,33 @@ def test_coaction_map_matches_product_loop(name, q):
 def test_cleaving_inverse_matches_composition(monkeypatch):
     """j_inv, the anti-algebra map with images j(S(g)), equals j applied after
     S on every basis word of degree <= 3, for every cleaving the suites build
-    or take from a builder (builders memoise, so theirs may predate the run)."""
+    or read from a smash product or take from a builder (builders and smash
+    products memoise, so theirs may predate the run)."""
     from pcomod.suites import SuiteConfig, run_suite
 
     built = []
     init = CleavingMap.__init__
+    cleaving = SmashProduct.cleaving
 
     def recording_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
         built.append(self)
 
+    def recording_cleaving(self):
+        built.append(cleaving(self))
+        return built[-1]
+
     monkeypatch.setattr(CleavingMap, "__init__", recording_init)
+    monkeypatch.setattr(SmashProduct, "cleaving", recording_cleaving)
     for q in ("formal", 3):
         run_suite(SuiteConfig(suite="all", q=q))
     example = Path(__file__).resolve().parents[1] / "scripts" / "example_covering.json"
     run_suite(SuiteConfig(suite="covering", covering=str(example)))
-    assert len(built) > 10
+    # both recorders work: they saw the smash cleavings the strong-connection
+    # suite reads, and the cleavings built for the file's two pieces
+    seen = {id(cl) for cl in built}
+    assert {id(sm.cleaving()) for sm in (builtin.toeplitz_z2_smash(), builtin.toeplitz_u1_smash())} <= seen
+    assert sum(cl.j.name.startswith("gamma[") for cl in built) >= 2
     built += [builtin.pw_patch()[1], *builtin.sphere_covering().cleavings]
     built += builtin.sphere_prolonged().trivialisation.cleavings
     for q in ("formal", 3):
