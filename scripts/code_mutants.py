@@ -120,6 +120,24 @@ MUTANTS = [
         ("tests/test_suites_cli.py::test_each_generator_map_has_its_relations_checked_once",),
     ),
     Mutant(
+        "stored-recomputes-on-every-read", "hopf.py",
+        "if key not in kept:",
+        "if True:",
+        ("tests/test_suites_cli.py::test_each_comodule_certificate_runs_once_per_object",),
+    ),
+    Mutant(
+        "hopf-map-counit-not-compared", "hopf.py",
+        "if H1.counit_table[g] != H2.counit(img):",
+        "if False:",
+        (PULLBACK_TESTS + "test_prolong_along_a_surjection_that_is_not_a_hopf_map",),
+    ),
+    Mutant(
+        "pair-differences-skips-the-length-check", "pullback.py",
+        "if len(tup) != cov.size:",
+        "if False:",
+        (PULLBACK_TESTS + "test_pair_differences_needs_one_entry_per_piece",),
+    ),
+    Mutant(
         "trivialisation-skips-the-hopf-premise", "pullback.py",
         "failures = check_hopf_axioms(self.hopf) + self.covering.validate()",
         "failures = self.covering.validate()",

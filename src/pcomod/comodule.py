@@ -3,10 +3,10 @@ strong connections and smash products."""
 
 from __future__ import annotations
 
-from functools import cache, cached_property
+from functools import cache
 from typing import Callable
 
-from .hopf import CheckFailure, HopfAlgebra
+from .hopf import CheckFailure, HopfAlgebra, stored
 from .maps import LinearMap, gens_map
 from .ncpoly import Alphabet, NCPoly, Word, word_str
 from .rewrite import RewriteSystem
@@ -26,7 +26,7 @@ class ComoduleAlgebra:
     """Presented algebra P with an H-coaction declared on generators and
     extended as an algebra map, the memoised LinearMap ``rho`` into
     ``TensorSpace((system, hopf.system))``. Nothing is checked at
-    construction; ``check_axioms`` certifies it."""
+    construction; ``check_axioms`` certifies it, once (``stored``)."""
 
     def __init__(
         self,
@@ -62,6 +62,7 @@ class ComoduleAlgebra:
         )
         return self.coact(p) == target
 
+    @stored
     def check_axioms(self) -> list[CheckFailure]:
         """The coaction respects every defining relation of P
         (``RewriteSystem.relations``), then is coassociative and counital on
@@ -137,6 +138,7 @@ class CleavingMap:
             check=False,
         )
 
+    @stored
     def verify(self) -> list[CheckFailure]:
         """j respects every defining relation of H, then rho(j(g)) =
         (j (x) id) Delta(g) on each generator g.
@@ -264,13 +266,10 @@ class SmashProduct(ComoduleAlgebra):
     def h_gens(self) -> tuple[str, ...]:
         return tuple(self.fiber_names[z] for z in self.hopf.system.alphabet.gens)
 
+    @stored
     def cleaving(self) -> CleavingMap:
         """The algebra map sending each H-generator to its fiber letter, the
         same object on every call."""
-        return self._cleaving
-
-    @cached_property
-    def _cleaving(self) -> CleavingMap:
         j = gens_map(
             f"j_{self.name}",
             self.hopf.system,
@@ -318,6 +317,7 @@ class ActionData:
     def act_hpoly(self, hp: NCPoly, bp: NCPoly) -> NCPoly:
         return linear_image(hp, lambda hw: self.act_poly(hw, bp), self.b_system.zero())
 
+    @stored
     def module_algebra_problems(self) -> list[CheckFailure]:
         """Well-definedness on both presentations: every (B-rule, H-gen) and
         (H-rule, B-gen) pair must agree."""

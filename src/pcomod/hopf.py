@@ -4,7 +4,7 @@ convolution, Hopf ideals, quotients and Hopf isomorphisms."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, partial, wraps
 from typing import Callable
 
 from .maps import LinearMap, NotWellDefinedError, gens_map, relation_mismatches
@@ -16,6 +16,23 @@ from .tensors import Tensor, TensorSpace, linear_image
 
 class NotHopfIdealError(ValueError):
     pass
+
+
+def stored(certificate: Callable) -> Callable:
+    """Run ``certificate`` once per object it certifies: its result is kept in
+    the object's ``__dict__`` under the certificate's qualified name (a
+    method's holds a dot, so the method stays callable), and every later
+    call returns it. The result is shared, so read-only."""
+    key = certificate.__qualname__
+
+    @wraps(certificate)
+    def read(obj):
+        kept = vars(obj)
+        if key not in kept:
+            kept[key] = certificate(obj)
+        return kept[key]
+
+    return read
 
 
 @dataclass
@@ -36,8 +53,8 @@ class HopfAlgebra:
     explicitly) as anti-algebra maps; Delta, S and S_inv are memoised
     LinearMaps.
     Nothing is checked at construction; ``check_hopf_axioms`` certifies that
-    the tables respect the relations and satisfy the axioms, once, and
-    stores its failures in ``axiom_failures``.
+    the tables respect the relations and satisfy the axioms, once
+    (``stored``).
     """
 
     def __init__(
@@ -64,7 +81,6 @@ class HopfAlgebra:
         self.S_inv = LinearMap(
             f"S^-1_{self.name}", system, system, mode="anti", gen_images=antipode_inv, check=False
         )
-        self.axiom_failures: list[CheckFailure] | None = None
 
     # -- structure maps ------------------------------------------------------
     def delta_word(self, w: Word) -> Tensor:
@@ -105,6 +121,7 @@ class HopfAlgebra:
 # axiom suite
 # ----------------------------------------------------------------------------
 
+@stored
 def check_hopf_axioms(H: HopfAlgebra) -> list[CheckFailure]:
     """Coassociativity, counit law, antipode law, antipode invertibility and
     the anti-coalgebra property of S, certified in every degree.
@@ -130,11 +147,8 @@ def check_hopf_axioms(H: HopfAlgebra) -> list[CheckFailure]:
     A pass needs no confluence: every reduction step keeps the class in the
     quotient, so equal normal forms prove equality there. The generator
     checks run first, so the first failure of a corrupted table names a
-    generator when one is wrong. Each H is checked once: the failures are
-    stored in ``H.axiom_failures`` and shared, so read-only.
+    generator when one is wrong.
     """
-    if H.axiom_failures is not None:
-        return H.axiom_failures
     failures: list[CheckFailure] = []
     sysm = H.system
     one = sysm.one()
@@ -176,7 +190,6 @@ def check_hopf_axioms(H: HopfAlgebra) -> list[CheckFailure]:
         ("antipode-inverse-well-defined", H.S_inv.mismatches),
     ):
         failures += [CheckFailure(check, word_str(w), f"{lhs!r} != {rhs!r}") for w, _, lhs, rhs in mismatches]
-    H.axiom_failures = failures
     return failures
 
 
@@ -201,8 +214,8 @@ class HopfIdeal:
     def quotient_system(self) -> RewriteSystem:
         return self.hopf.system.extend_by_ideal(self.gens, name=f"{self.hopf.name}/{self.name}")
 
-    @cached_property
-    def _failures(self) -> list[CheckFailure]:
+    @stored
+    def validate(self) -> list[CheckFailure]:
         H = self.hopf
         failures: list[CheckFailure] = []
         qs = self.quotient_system
@@ -220,15 +233,13 @@ class HopfIdeal:
                 failures.append(CheckFailure("antipode-stability", where, f"S(g) = {sg!r} mod J"))
         return failures
 
-    def validate(self) -> list[CheckFailure]:
-        return self._failures
-
     @cached_property
     def quotient(self) -> tuple[HopfAlgebra, LinearMap]:
         """H/J with inherited structure maps, plus the canonical surjection;
         NotHopfIdealError when ``validate`` fails."""
-        if self._failures:
-            raise NotHopfIdealError(f"{self.name}: {self._failures[0]}")
+        failures = self.validate()
+        if failures:
+            raise NotHopfIdealError(f"{self.name}: {failures[0]}")
         H, qs = self.hopf, self.quotient_system
         delta = {g: Tensor((qs, qs), t.terms) for g, t in H.delta_table.items()}
         antipode = {g: qs.normal_form(p) for g, p in H.antipode_table.items()}

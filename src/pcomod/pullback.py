@@ -9,7 +9,7 @@ from itertools import permutations
 from typing import Callable, Iterator, Sequence
 
 from .comodule import CleavingMap, ComoduleAlgebra, smash_product
-from .hopf import CheckFailure, HopfAlgebra, HopfIdeal, check_hopf_axioms, hopf_map_problems
+from .hopf import CheckFailure, HopfAlgebra, HopfIdeal, check_hopf_axioms, hopf_map_problems, stored
 from .linalg import RowSpace, intersect_spans, same_span, span_of
 from .maps import LinearMap, gens_map, mismatch_message
 from .ncpoly import Alphabet, NCPoly, Word, word_str
@@ -104,21 +104,14 @@ class Covering:
         return Covering(pieces, pairs, base=base, kernels=kernels, name=name)
 
     # -- validation -----------------------------------------------------------
+    @stored
     def validate(self) -> list[CheckFailure]:
         """The piece axioms, coinvariant base generators, and per pair both
         maps well defined and colinear on generators and the target's
         coaction respecting the target's relations, so that colinearity on
         generators extends to every word. ``kernel_intersection_certificate``
-        is separate and bounded. Each distinct face and pair map is certified
-        once, and its failures reported for each index holding it."""
-
-        @functools.cache
-        def face_failures(P: ComoduleAlgebra, bgens: tuple[str, ...]) -> list[CheckFailure]:
-            return P.check_axioms() + [
-                CheckFailure("base-gen-coinvariant", b, "not coinvariant")
-                for b in bgens
-                if not P.is_coinvariant(P.system.gen(b))
-            ]
+        is separate and bounded. Each face and each distinct pair map is
+        certified once, and its failures reported for each index holding it."""
 
         @functools.cache
         def map_failures(mp: LinearMap, P: ComoduleAlgebra, target: ComoduleAlgebra) -> list[CheckFailure]:
@@ -134,10 +127,13 @@ class Covering:
 
         failures: list[CheckFailure] = []
         for idx, piece in enumerate(self.pieces):
-            failures.extend(
-                CheckFailure(f.check, f"piece[{idx}] {f.where}", f.detail)
-                for f in face_failures(piece.comodule, tuple(piece.base_gens))
-            )
+            P = piece.comodule
+            face = P.check_axioms() + [
+                CheckFailure("base-gen-coinvariant", b, "not coinvariant")
+                for b in piece.base_gens
+                if not P.is_coinvariant(P.system.gen(b))
+            ]
+            failures.extend(CheckFailure(f.check, f"piece[{idx}] {f.where}", f.detail) for f in face)
         for (i, j), pair in self.pairs.items():
             for mp, piece in ((pair.map_i, self.pieces[i]), (pair.map_j, self.pieces[j])):
                 failures.extend(map_failures(mp, piece.comodule, pair.target))
@@ -198,6 +194,7 @@ class Trivialisation:
         self.cleavings = list(cleavings)
         self.name = name or f"triv({covering.name})"
 
+    @stored
     def validate(self) -> list[CheckFailure]:
         """The Hopf axioms, the covering's checks, then each piece's cleaving.
 
@@ -222,9 +219,8 @@ class Trivialisation:
         ``bounded_transition_checks`` in the tests.
         """
         failures = check_hopf_axioms(self.hopf) + self.covering.validate()
-        verify = functools.cache(lambda cl: cl.verify())  # each distinct cleaving once
         for idx, cl in enumerate(self.cleavings):
-            failures.extend(CheckFailure(f.check, f"piece[{idx}] {f.where}", f.detail) for f in verify(cl))
+            failures.extend(CheckFailure(f.check, f"piece[{idx}] {f.where}", f.detail) for f in cl.verify())
         return failures
 
     def transition(self, i: int, j: int, h_word: Word) -> NCPoly:

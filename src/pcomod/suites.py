@@ -293,7 +293,7 @@ def suite_covering(cfg: SuiteConfig) -> Iterator[CheckRecord]:
     triv = _load_trivialisation(cfg)
     failures = triv.validate()
     if triv.covering.kernels is not None:
-        failures += triv.covering.kernel_intersection_certificate(2)
+        failures = failures + triv.covering.kernel_intersection_certificate(2)
     yield _no_failures(
         "covering/validate",
         "pieces, base generators and double-quotient maps are colinear and well-defined",

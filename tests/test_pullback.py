@@ -1,3 +1,5 @@
+import functools
+import inspect
 import json
 from collections import Counter
 from dataclasses import replace
@@ -11,7 +13,7 @@ from pcomod import hopf as hopf_module
 from pcomod import maps as maps_module
 from pcomod.comodule import CleavingMap, ComoduleAlgebra, smash_product
 from pcomod.exprs import load_presentation, parse_poly
-from pcomod.hopf import HopfIdeal, check_hopf_axioms, hopf_map_problems
+from pcomod.hopf import HopfIdeal, check_hopf_axioms, hopf_map_problems, stored
 from pcomod.maps import gens_map
 from pcomod.ncpoly import NCPoly
 from pcomod.numgeom import GridConfig, rp2_membership
@@ -50,24 +52,33 @@ def test_sphere_covering_validates(sphere):
 
 
 def _count_certificates(monkeypatch, triv) -> Counter:
-    """Forget the relation checks and Hopf axioms stored on the parts of
-    ``triv``, then count the calls of the comodule and cleaving
-    certificates, and the relation checks by the name of the map (the Hopf
-    algebra's, for the counit) whose relations they check."""
+    """Forget the relation checks and the certificates ``stored`` on the
+    parts of ``triv``, then count the runs (not the calls) of the comodule
+    and cleaving certificates, and the relation checks by the name of the
+    map (the Hopf algebra's, for the counit) whose relations they check."""
     maps = [triv.hopf.Delta, triv.hopf.S, triv.hopf.S_inv]
     maps += [p.comodule.rho for p in triv.covering.pieces] + [cl.j for cl in triv.cleavings]
+    parts = [triv, triv.covering, triv.hopf] + [p.comodule for p in triv.covering.pieces] + list(triv.cleavings)
     for pair in triv.covering.pairs.values():
         maps += [pair.map_i, pair.map_j, pair.target.rho]
+        parts.append(pair.target)
     for m in maps:
         monkeypatch.delitem(vars(m), "mismatches", raising=False)
-    monkeypatch.setattr(triv.hopf, "axiom_failures", None)
+    certificates = (check_hopf_axioms, ComoduleAlgebra.check_axioms, CleavingMap.verify, Covering.validate,
+                    Trivialisation.validate)
+    for part in parts:
+        for c in certificates:
+            monkeypatch.delitem(vars(part), c.__qualname__, raising=False)
     counts = Counter()
     for cls, name in ((ComoduleAlgebra, "check_axioms"), (CleavingMap, "verify")):
-        def counted(self, _orig=getattr(cls, name), _name=name):
-            counts[_name] += 1
-            return _orig(self)
+        body = inspect.unwrap(getattr(cls, name))
 
-        monkeypatch.setattr(cls, name, counted)
+        @functools.wraps(body)
+        def counted(self, _body=body, _name=name):
+            counts[_name] += 1
+            return _body(self)
+
+        monkeypatch.setattr(cls, name, stored(counted))
 
     def counted_relations(domain, word_image, poly_image, _orig=maps_module.relation_mismatches):
         counts[word_image.__self__.name] += 1

@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import json
 import os
 import re
@@ -453,6 +454,23 @@ def test_covering_file_with_intersecting_kernels(tmp_path):
     assert records["transition/laws"].status == "pass"
 
 
+def test_covering_suite_leaves_the_stored_validation_as_it_was(monkeypatch):
+    """The covering suite adds its kernel certificate to a new list, not to
+    the one ``Trivialisation.validate`` stores: run on one trivialisation
+    after the covering suite, with a kernel failure, the transition laws
+    still pass."""
+    example = Path(__file__).resolve().parents[1] / "scripts" / "example_covering.json"
+    triv = suites.load_covering_file(str(example))
+    kernel_failure = CheckFailure("kernel-intersection", "degree<=2", "joint rank 0 < 1")
+    monkeypatch.setattr(triv.covering, "kernel_intersection_certificate", lambda bound: [kernel_failure])
+    monkeypatch.setattr(suites, "_load_trivialisation", lambda cfg: triv)
+    records = {r.id: r for r in run_suite(mini_cfg("covering")).records}
+    assert records["covering/validate"].witness == repr(kernel_failure)
+    records = {r.id: r for r in run_suite(mini_cfg("transition")).records}
+    assert records["transition/laws"].status == "pass"
+    assert triv.validate() == []
+
+
 def test_covering_file_without_base_is_a_config_error(tmp_path, capsys):
     path = tmp_path / "cover.json"
     path.write_text(json.dumps({"pieces": [{"kernel": [], "cleaving": {"u": "u"}}]}))
@@ -634,10 +652,14 @@ def exact_certificate_counts() -> dict:
     """Run the ten exact suites at formal q in this interpreter and count:
     each relation check, under the object whose word map it checks (a
     LinearMap's ``apply_word``, or a Hopf algebra's ``counit_word``, whose
-    relation check only ``check_hopf_axioms`` makes); and the quotient Hopf
-    algebras H/J built for each builtin Hopf ideal J, by name.
+    relation check only ``check_hopf_axioms`` makes); the runs of the body
+    of each comodule-side certificate, under the object it certifies,
+    whatever wrapper its public name is; and the quotient Hopf algebras H/J
+    built for each builtin Hopf ideal J, by name.
     Patches the package for good, so it runs in an interpreter of its own."""
     import pcomod.maps
+    from pcomod.comodule import ActionData, CleavingMap, ComoduleAlgebra
+    from pcomod.pullback import Covering, Trivialisation
 
     # (id, word map name) -> [owner, word map name, count]; the owner stays referenced, so no id is reused
     checked = {}
@@ -660,12 +682,37 @@ def exact_certificate_counts() -> dict:
         hopf_names.append(self.name)
 
     HopfAlgebra.__init__ = counted_init
-    for name in EXACT_SUITES:
-        assert run_suite(SuiteConfig(suite=name)).passed, name
+    certificates = (ComoduleAlgebra.check_axioms, CleavingMap.verify, ActionData.module_algebra_problems,
+                    Covering.validate, Trivialisation.validate)
+    bodies = {inspect.unwrap(c).__code__: c.__qualname__ for c in certificates}
+    # (id, body) -> [owner, certificate, runs]; the owner stays referenced, so no id is reused
+    runs = {}
+
+    def count_runs(frame, event, arg):
+        if event == "call" and frame.f_code in bodies:
+            owner = frame.f_locals["self"]
+            entry = runs.setdefault((id(owner), frame.f_code), [owner, bodies[frame.f_code], 0])
+            entry[2] += 1
+
+    sys.setprofile(count_runs)
+    try:
+        for name in EXACT_SUITES:
+            assert run_suite(SuiteConfig(suite=name)).passed, name
+    finally:
+        sys.setprofile(None)
     ideals = (builtin.u1_mod_z2_ideal(), builtin.gl_mod_det_ideal())
+
+    def owner_name(owner) -> str:
+        if isinstance(owner, CleavingMap):
+            return owner.j.name
+        if isinstance(owner, ActionData):
+            return f"{owner.hopf.name} on {owner.b_system.name}"
+        return owner.name
+
     return {
         "relation_checks": [(owner.name, n) for owner, f, n in checked.values() if f != "counit_word"],
         "axiom_runs": [(owner.name, n) for owner, f, n in checked.values() if f == "counit_word"],
+        "certificate_runs": [(c, owner_name(owner), n) for owner, c, n in runs.values()],
         "quotients": {J.name: hopf_names.count(f"{J.hopf.name}/{J.name}") for J in ideals},
     }
 
@@ -697,6 +744,22 @@ def test_each_hopf_algebra_has_its_axioms_run_once(exact_counts):
     runs = exact_counts["axiom_runs"]
     assert {"c_z2", "o_u1", "su_q2", "gl_q2", "sl_q2"} <= {name for name, _ in runs}
     assert [(name, n) for name, n in runs if n != 1] == []
+
+
+def test_each_comodule_certificate_runs_once_per_object(exact_counts):
+    """Each comodule-side certificate runs once per object it certifies
+    (``hopf.stored``), though several suites and validations ask for it: when
+    each call ran its body, ``toeplitz_z2_smash``'s ``check_axioms`` ran 4
+    times, ``j_toeplitz_z2_smash``'s ``verify`` 3 times, and the sphere's
+    covering and trivialisation were validated twice each."""
+    runs = exact_counts["certificate_runs"]
+    assert {c for c, _, _ in runs} == {
+        "ComoduleAlgebra.check_axioms", "CleavingMap.verify", "ActionData.module_algebra_problems",
+        "Covering.validate", "Trivialisation.validate",
+    }
+    assert {("ComoduleAlgebra.check_axioms", "toeplitz_z2_smash"), ("CleavingMap.verify", "j_toeplitz_z2_smash"),
+            ("Covering.validate", "quantum_sphere_covering")} <= {(c, name) for c, name, _ in runs}
+    assert [(c, name, n) for c, name, n in runs if n != 1] == []
 
 
 def test_each_hopf_ideal_builds_its_quotient_once(exact_counts):
