@@ -96,6 +96,12 @@ MUTANTS = [
         (REWRITE_TESTS + "test_ambiguity_cap_counts_the_overlap_letters",),
     ),
     Mutant(
+        "central-only-rule-left-out-of-the-index", "rewrite.py",
+        "if rule.lhs_nc else self._central_only",
+        "if rule.lhs_nc else []",
+        (REWRITE_TESTS + "test_redex_scan_agrees_with_scanning_oracle[toeplitz_z2_smash]",),
+    ),
+    Mutant(
         "add-terms-keeps-zero-sums", "ncpoly.py",
         "        if c.is_zero():\n            acc.pop(k, None)\n        else:\n            acc[k] = c\n",
         "        acc[k] = c\n",
@@ -149,6 +155,30 @@ MUTANTS = [
         "lambda w: Tensor((Hbar.system, H.system), H.delta_word(w).terms).map_leg(\n"
         "                    0, pi.apply_word, codomain=Hbar.system),",
         (PULLBACK_TESTS + "test_prolong_keeps_each_leg_in_its_alphabet",),
+    ),
+    Mutant(
+        "reducibility-skips-the-commutativity-premise", "pullback.py",
+        "if not pair.target.system.is_commutative()",
+        "if False",
+        (PULLBACK_TESTS + "test_noncommutative_pair_target_is_not_certified",),
+    ),
+    Mutant(
+        "pair-coaction-not-checked", "pullback.py",
+        "for w, _, lhs, rhs in pair.target.rho.mismatches",
+        "for w, _, lhs, rhs in []",
+        (PULLBACK_TESTS + "test_bad_trivialisations_fail_the_certificate_where_the_word_loop_does",),
+    ),
+    Mutant(
+        "power-exponent-cap-ignored", "exprs.py",
+        "if abs(k) > MAX_EXPONENT:",
+        "if False:",
+        ("tests/test_parser_json.py::test_parse_errors",),
+    ),
+    Mutant(
+        "sphere-slot-u-part-never-read", "numgeom/membership.py",
+        "add_terms(parts[len(us) % 2], ((nc, c),))",
+        "add_terms(parts[0], ((nc, c),))",
+        ("tests/test_numgeom.py::test_memberships",),
     ),
 ]
 

@@ -270,8 +270,9 @@ def hopf_map_problems(phi: LinearMap, H1: HopfAlgebra, H2: HopfAlgebra) -> list[
             failures.append(CheckFailure("hopf-map-coproduct", g, f"{lhs!r} != {rhs!r}"))
         if H1.counit_table[g] != H2.counit(img):
             failures.append(CheckFailure("hopf-map-counit", g, f"{H1.counit_table[g]!r} != {H2.counit(img)!r}"))
-        if phi.apply(H1.antipode_table[g]) != H2.S.apply(img):
-            failures.append(CheckFailure("hopf-map-antipode", g, ""))
+        lhs, rhs = phi.apply(H1.antipode_table[g]), H2.S.apply(img)
+        if lhs != rhs:
+            failures.append(CheckFailure("hopf-map-antipode", g, f"{lhs!r} != {rhs!r}"))
     return failures
 
 

@@ -242,14 +242,11 @@ def _phi_wrong_slope() -> list[str]:
 
 def _face_sign_flip() -> list[str]:
     from .numgeom.grids import GridConfig
-    from .numgeom.membership import SphereElement, face_atlas
+    from .numgeom.membership import face_atlas
 
     cfg = GridConfig()
-    ts = builtin.toeplitz_system()
-    one = NCPoly.one(ts.alphabet)
-    zero = NCPoly.zero(ts.alphabet)
-    bad = SphereElement([(one, zero), (-one, zero), (one, zero)])
-    fa = face_atlas(bad, cfg)
+    one = builtin.toeplitz_z2_smash().system.one()
+    fa = face_atlas([one, -one, one], cfg)
     if fa["pass"]:
         return []
     worst = max(fa["edges"], key=fa["edges"].get)

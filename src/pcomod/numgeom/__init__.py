@@ -29,7 +29,6 @@ from .toeplitz import (
     toeplitz_flip,
 )
 from .membership import (
-    SphereElement,
     decomposition_report,
     disc_membership,
     equivariant_parts,

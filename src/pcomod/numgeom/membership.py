@@ -1,15 +1,20 @@
 """Membership in the quantum real projective plane, the quantum sphere and the
-quantum disc; the six-face atlas; and the Z2-decomposition isomorphisms."""
+quantum disc; the six-face atlas; and the Z2-decomposition isomorphisms.
+
+A sphere slot is an element of T (x) C(Z2), the ``builtin.toeplitz_z2_smash``
+algebra: one polynomial p = p0 + p1 u in s, ss and the central u, whose
+Toeplitz parts p0 and p1 ``_u_parts`` reads.  The diagonal Z2-action negates
+s, ss and u, so it is ``toeplitz_flip``.  A disc slot is a Toeplitz
+polynomial."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from ..ncpoly import NCPoly
+from ..ncpoly import NCPoly, add_terms
 from ..scalars import S_ONE, Scalar
 from .circle import delta_angle
 from .grids import TOL, GridConfig, Z2, interval_nodes
@@ -18,41 +23,27 @@ from .toeplitz import _toeplitz_basis, symbol, toeplitz_flip
 _HALF = Scalar.of(Fraction(1, 2))
 
 
-@dataclass
-class SphereElement:
-    """Element of (T (x) C(Z2))^k, one pair (u-degree-0 part, u-degree-1 part)
-    per slot: k = 3 for a sphere element, k = 1 for the one-slot elements
-    of decomposition_report (every map here acts slot by slot)."""
+def _u_parts(p: NCPoly) -> tuple[NCPoly, NCPoly]:
+    """The Toeplitz polynomials p0, p1 with p = p0 + p1 u: u is central, so
+    each word of p is a Toeplitz word times a power of u, and u^2 = 1 sends
+    it to p0 or p1 by the parity of that power."""
+    from ..builtin import toeplitz_system
 
-    components: list  # one pair (p0: NCPoly, p1: NCPoly) per slot
+    parts = ({}, {})
+    for w, c in p.terms.items():
+        nc, us = p.alphabet.split_central(w)
+        add_terms(parts[len(us) % 2], ((nc, c),))
+    alphabet = toeplitz_system().alphabet
+    return NCPoly._of(alphabet, parts[0]), NCPoly._of(alphabet, parts[1])
 
-    def flip(self) -> "SphereElement":
-        """The diagonal Z2-action: alpha_T on the Toeplitz leg, u -> -u."""
-        return SphereElement(
-            [(toeplitz_flip(p0), toeplitz_flip(p1).scale(-S_ONE)) for p0, p1 in self.components]
-        )
 
-    def sub(self, other: "SphereElement") -> "SphereElement":
-        return SphereElement(
-            [
-                (p0 - q0, p1 - q1)
-                for (p0, p1), (q0, q1) in zip(self.components, other.components)
-            ]
-        )
+def _with_u(p0: NCPoly, p1: NCPoly) -> NCPoly:
+    """p0 + p1 u in T (x) C(Z2), for Toeplitz polynomials p0 and p1."""
+    from ..builtin import toeplitz_z2_smash
 
-    def scale(self, c) -> "SphereElement":
-        return SphereElement([(p0.scale(c), p1.scale(c)) for p0, p1 in self.components])
-
-    def add(self, other: "SphereElement") -> "SphereElement":
-        return SphereElement(
-            [
-                (p0 + q0, p1 + q1)
-                for (p0, p1), (q0, q1) in zip(self.components, other.components)
-            ]
-        )
-
-    def is_zero(self) -> bool:
-        return all(p0.is_zero() and p1.is_zero() for p0, p1 in self.components)
+    terms = dict(p0.terms)
+    terms.update((w + ("u",), c) for w, c in p1.terms.items())
+    return NCPoly._of(toeplitz_z2_smash().system.alphabet, terms)
 
 
 GLUINGS = (("01", 0, 1, 1, 1), ("02", 0, 2, 2, 1), ("12", 1, 2, 2, 2))
@@ -89,14 +80,14 @@ def disc_membership(tup: Sequence[NCPoly], cfg: GridConfig) -> tuple[bool, float
     return r < TOL, r
 
 
-def face_atlas(elt: SphereElement, cfg: GridConfig) -> dict:
-    """The twelve edge identifications of the six faces T_{i,+-1}: at each
-    corner (a, c) of Z2 x Z2 and each gluing, (sigma_i (x) id)(piece a) at
-    (a, t, c) equals (sigma_j (x) id)(piece b) at the swapped point (c, t, a),
-    where (sigma (x) id)(p0 (x) 1 + p1 (x) u) at (a, t, c) is
-    sigma(p0)(a, t) + sigma(p1)(a, t) c."""
+def face_atlas(slots: Sequence[NCPoly], cfg: GridConfig) -> dict:
+    """The twelve edge identifications of the six faces T_{i,+-1} for three
+    slots of T (x) C(Z2): at each corner (a, c) of Z2 x Z2 and each gluing,
+    (sigma_i (x) id)(piece a) at (a, t, c) equals (sigma_j (x) id)(piece b) at
+    the swapped point (c, t, a), where (sigma (x) id)(p0 + p1 u) at (a, t, c)
+    is sigma(p0)(a, t) + sigma(p1)(a, t) c."""
     t = interval_nodes(cfg.m_interval)
-    F = [(symbol(p0), symbol(p1)) for p0, p1 in elt.components]
+    F = [tuple(map(symbol, _u_parts(p))) for p in slots]
 
     def face(piece: int, i: int, a: float, c: float) -> np.ndarray:
         F0, F1 = F[piece]
@@ -116,42 +107,34 @@ def face_atlas(elt: SphereElement, cfg: GridConfig) -> dict:
 # Z2 decomposition (the disc pieces of the sphere)
 # ---------------------------------------------------------------------------
 
-def equivariant_parts(elt: SphereElement) -> tuple[SphereElement, SphereElement]:
-    """Unique splitting into the +1 and -1 eigenparts of the diagonal action."""
-    flipped = elt.flip()
-    plus = elt.add(flipped).scale(_HALF)
-    minus = elt.sub(flipped).scale(_HALF)
-    return plus, minus
+def equivariant_parts(p: NCPoly) -> tuple[NCPoly, NCPoly]:
+    """Unique splitting of a slot of T (x) C(Z2) into the +1 and -1
+    eigenparts of the diagonal action."""
+    flipped = toeplitz_flip(p)
+    return (p + flipped).scale(_HALF), (p - flipped).scale(_HALF)
 
 
-def pi_n(elt: SphereElement, n: int) -> list[NCPoly]:
-    """pi_n(p (x) t) = alpha_{(-1)^n}(p) t((-1)^{n+1}), componentwise."""
-    out = []
-    for p0, p1 in elt.components:
-        if n == 1:
-            q0, q1 = toeplitz_flip(p0), toeplitz_flip(p1)
-            out.append(q0 + q1)  # t evaluated at +1
-        else:
-            out.append(p0 - p1)  # alpha_{+1} = id, t evaluated at -1
-    return out
+def pi_n(p: NCPoly, n: int) -> NCPoly:
+    """pi_n(p (x) t) = alpha_{(-1)^n}(p) t((-1)^{n+1}).  The diagonal action
+    alpha negates u as well, so this is p0 - p1 for the u-parts of
+    alpha^n(p)."""
+    p0, p1 = _u_parts(toeplitz_flip(p) if n == 1 else p)
+    return p0 - p1
 
 
-def pi_n_inverse(triple: Sequence[NCPoly], n: int, sign: int) -> SphereElement:
+def pi_n_inverse(p: NCPoly, n: int, sign: int) -> NCPoly:
     """n = 1: alpha_{-1}(p) (x) 1_{+1} +- p (x) 1_{-1};
     n = 2: p (x) 1_{-1} +- alpha_{-1}(p) (x) 1_{+1};
-    with the indicators 1_{+-1} = (1 +- u)/2."""
+    with the indicators 1_{+-1} = (1 +- u)/2, for a Toeplitz slot p."""
     sgn = S_ONE if sign > 0 else -S_ONE
-    comps = []
-    for p in triple:
-        ap = toeplitz_flip(p)
-        if n == 1:
-            p0 = (ap + p.scale(sgn)).scale(_HALF)
-            p1 = (ap - p.scale(sgn)).scale(_HALF)
-        else:
-            p0 = (p + ap.scale(sgn)).scale(_HALF)
-            p1 = (ap.scale(sgn) - p).scale(_HALF)
-        comps.append((p0, p1))
-    return SphereElement(comps)
+    ap = toeplitz_flip(p)
+    if n == 1:
+        p0 = (ap + p.scale(sgn)).scale(_HALF)
+        p1 = (ap - p.scale(sgn)).scale(_HALF)
+    else:
+        p0 = (p + ap.scale(sgn)).scale(_HALF)
+        p1 = (ap.scale(sgn) - p).scale(_HALF)
+    return _with_u(p0, p1)
 
 
 def decomposition_report() -> dict:
@@ -161,22 +144,22 @@ def decomposition_report() -> dict:
     action (backward), and the inverse lands in that eigenspace.
 
     toeplitz_flip, pi_n, pi_n_inverse and equivariant_parts are Q(i)-linear,
-    act slot by slot, and send each word w to a multiple of w that depends
-    only on len(w) % 2, n and the sign.  So each identity holds on every
-    triple once it holds on every (word, slot, n, sign) case.  The maps act
-    on every slot by the same function, so a case computed on a one-slot
-    element covers that word in each of the three slots: the 40 cases
-    computed here, in exact NCPoly arithmetic, are the 10 basis words of
-    degree <= 3 (both parities) for the 4 (n, sign) pairs, and ``cases``
-    counts the 120 (word, slot, n, sign) cases they cover.  By the parity
-    argument they prove the identities for Toeplitz *-polynomial triples of
-    every degree.  The backward identity is checked on the eigenparts of
-    w (x) 1 and w (x) u, which span the eigenspace, not on the image of the
-    inverse, where it would follow from the forward one.  A residual is the
-    symbol sup-norm bound of the worst nonzero difference, 0.0 on a pass.
-    The maps are read through this module, so a test can swap one of them
-    for a mutant (tests/oracles.decomposition_three_slot_loop computes every
-    case on three identical slots)."""
+    act on one slot, and send each word w to a multiple of w (or of w u)
+    that depends only on len(w) % 2, n and the sign.  So each identity holds
+    on every triple once it holds on every (word, slot, n, sign) case.  The
+    maps act on every slot by the same function, so a case computed on one
+    slot covers that word in each of the three slots: the 40 cases computed
+    here, in exact NCPoly arithmetic, are the 10 basis words of degree <= 3
+    (both parities) for the 4 (n, sign) pairs, and ``cases`` counts the 120
+    (word, slot, n, sign) cases they cover.  By the parity argument they
+    prove the identities for Toeplitz *-polynomial triples of every degree.
+    The backward identity is checked on the eigenparts of w (x) 1 and
+    w (x) u, which span the eigenspace, not on the image of the inverse,
+    where it would follow from the forward one.  A residual is the symbol
+    sup-norm bound of the worst nonzero difference, 0.0 on a pass.  The maps
+    are read through this module, so a test can swap one of them for a
+    mutant (tests/oracles.decomposition_three_slot_loop computes every case
+    on three identical slots)."""
     from ..builtin import toeplitz_system
 
     alphabet = toeplitz_system().alphabet
@@ -186,22 +169,21 @@ def decomposition_report() -> dict:
     cases = 0
     for w in _toeplitz_basis(3):
         word = NCPoly(alphabet, {w: S_ONE})
-        slot = [word]
-        parts = [equivariant_parts(SphereElement([leg])) for leg in ((word, zero), (zero, word))]
+        parts = [equivariant_parts(leg) for leg in (_with_u(word, zero), _with_u(zero, word))]
         for n, sign in ((1, 1), (2, 1), (1, -1), (2, -1)):
             cases += 3  # the one slot stands for each of the three
-            elt = pi_n_inverse(slot, n, sign)
+            elt = pi_n_inverse(word, n, sign)
             back = pi_n(elt, n)
             plus, minus = equivariant_parts(elt)
             split = minus if sign > 0 else plus
             eigen = [p[0] if sign > 0 else p[1] for p in parts]
-            misses = [pi_n_inverse(pi_n(x, n), n, sign).sub(x) for x in eigen]
-            if back == slot and split.is_zero() and all(m.is_zero() for m in misses):
+            misses = [pi_n_inverse(pi_n(x, n), n, sign) - x for x in eigen]
+            if back == word and split.is_zero() and all(m.is_zero() for m in misses):
                 continue
             exact = False
-            worst_fwd = max([worst_fwd] + [symbol(p - q).sup_norm_bound() for p, q in zip(back, slot)])
-            worst_split = max([worst_split] + [_pair_bound(pair) for pair in split.components])
-            worst_bwd = max([worst_bwd] + [_pair_bound(pair) for m in misses for pair in m.components])
+            worst_fwd = max(worst_fwd, symbol(back - word).sup_norm_bound())
+            worst_split = max(worst_split, _pair_bound(split))
+            worst_bwd = max([worst_bwd] + [_pair_bound(m) for m in misses])
     return {
         "forward_roundtrip": worst_fwd,
         "backward_roundtrip": worst_bwd,
@@ -211,6 +193,6 @@ def decomposition_report() -> dict:
     }
 
 
-def _pair_bound(pair) -> float:
-    p0, p1 = pair
+def _pair_bound(p: NCPoly) -> float:
+    p0, p1 = _u_parts(p)
     return symbol(p0).sup_norm_bound() + symbol(p1).sup_norm_bound()

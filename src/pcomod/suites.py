@@ -23,7 +23,6 @@ from .ncpoly import NCPoly, word_str
 from .numgeom import (
     TOL,
     GridConfig,
-    SphereElement,
     decomposition_report,
     disc_membership,
     equivariant_parity_probe,
@@ -584,10 +583,7 @@ def suite_sphere_gluing(cfg: SuiteConfig) -> Iterator[CheckRecord]:
         worst < TOL,
         residual=worst,
     )
-    ts = builtin.toeplitz_system()
-    one, zero = NCPoly.one(ts.alphabet), NCPoly.zero(ts.alphabet)
-    elt = SphereElement([(one, zero)] * 3)
-    fa = face_atlas(elt, cfg.grid)
+    fa = face_atlas([builtin.toeplitz_z2_smash().system.one()] * 3, cfg.grid)
     yield _check(
         "sphere/membership-and-faces",
         "glued tuples satisfy the cube conditions and all twelve edges match",

@@ -1,10 +1,11 @@
 """Independent oracles used to freeze expected values: small hand-rolled models
 that do not share code with the engine under test, exhaustive searches that
-find redexes with their own scan and use only the engine's single rewriting
-step and normal form, the sampling loops that exact certificates and
-precomputed tables replaced, the trial-at-a-time loops that one array pass
-per block of trials replaced, the per-check copies of the three gluings that
-one table replaced, the product loops and the composition that the memoised
+find redexes by their own scan of the rules, take each rewriting step
+themselves and use only the engine's normal form, the sampling loops that
+exact certificates and precomputed tables replaced, the trial-at-a-time
+loops that one array pass per block of trials replaced, the per-check
+copies of the three gluings that one table replaced, the product loops and
+the composition that the memoised
 algebra maps (Delta, the coactions, the prolongation dictionary, j o S)
 replaced, the three-slot decomposition loop that the one-slot certificate
 replaced, the degree-bounded axiom, cleaving and transition-law loops that
@@ -22,8 +23,9 @@ helpers only tests call: the presentation dumper, the expression-tree
 renderer, eta o eps, the group-like basis words, the identity and
 the convolution tabulated on basis words, q substituted into a scalar, a
 symbol evaluated at points z, the exact Laurent symbol, random Toeplitz
-*-polynomials, the chart delta_i as a point of the circle, and the truncated
-Toeplitz matrices."""
+*-polynomials, a T (x) C(Z2) slot built from its two u-parts by the smash
+product and read back into them, the chart delta_i as a point of the
+circle, and the truncated Toeplitz matrices."""
 
 from __future__ import annotations
 
@@ -258,28 +260,32 @@ def toeplitz_normal_word(word: tuple[str, ...]) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 def scanned_one_step_reducts(system, word) -> list[NCPoly]:
-    """Every single rewriting step applicable to the word, found by the
-    former ``RewriteSystem.one_step_reducts`` scan: central-only rules first,
-    then every start position of the noncentral part, rules in index order."""
+    """Every single rewriting step applicable to the word, found by scanning
+    ``system.rules`` in index order rather than the engine's index of them:
+    central-only rules first, then every start position of the noncentral
+    part, rules in index order at each start.  Each step is written out
+    here: the left side's letters give way to each right-side word in
+    place, and the central letters it does not use stay."""
     a = system.alphabet
     word = a.canon(word)
     nc, c = a.split_central(word)
     cc = Counter(c)
-    outs = []
-    for r in system._central_only:
-        need = Counter(r.lhs_central)
-        if all(cc[g] >= k for g, k in need.items()):
-            outs.append(NCPoly(a, dict(system._apply(r, 0, nc, c))))
+
+    def holds_central(r) -> bool:
+        return all(cc[g] >= k for g, k in Counter(r.lhs_central).items())
+
+    def step(r, i: int) -> NCPoly:
+        rest = tuple((cc - Counter(r.lhs_central)).elements())
+        right = nc[i + len(r.lhs_nc):]
+        return NCPoly(a, dict((a.canon(nc[:i] + w + right + rest), k) for w, k in r.rhs.terms.items()))
+
+    outs = [step(r, 0) for r in system.rules if not r.lhs_nc and holds_central(r)]
     for i in range(len(nc)):
-        for r in system._by_first.get(nc[i], ()):
-            L = len(r.lhs_nc)
-            if nc[i : i + L] != r.lhs_nc:
-                continue
-            if r.lhs_central:
-                need = Counter(r.lhs_central)
-                if not all(cc[g] >= k for g, k in need.items()):
-                    continue
-            outs.append(NCPoly(a, dict(system._apply(r, i, nc, c))))
+        outs += [
+            step(r, i)
+            for r in system.rules
+            if r.lhs_nc and nc[i : i + len(r.lhs_nc)] == r.lhs_nc and holds_central(r)
+        ]
     return outs
 
 
@@ -408,31 +414,26 @@ def decomposition_three_slot_loop() -> dict:
     worst_fwd = worst_bwd = worst_split = 0.0
     exact = True
     cases = 0
-
-    def bound(pair):
-        return symbol(pair[0]).sup_norm_bound() + symbol(pair[1]).sup_norm_bound()
-
     for w in _toeplitz_basis(3):
         word = NCPoly(alphabet, {w: S_ONE})
         triple = [word] * 3
-        parts = [
-            membership.equivariant_parts(membership.SphereElement([leg] * 3))
-            for leg in ((word, zero), (zero, word))
+        legs = [
+            [membership.equivariant_parts(p) for p in [leg] * 3]
+            for leg in (z2_smash_slot(word, zero), z2_smash_slot(zero, word))
         ]
         for n, sign in ((1, 1), (2, 1), (1, -1), (2, -1)):
             cases += 3
-            elt = membership.pi_n_inverse(triple, n, sign)
-            back = membership.pi_n(elt, n)
-            plus, minus = membership.equivariant_parts(elt)
-            split = minus if sign > 0 else plus
-            eigen = [p[0] if sign > 0 else p[1] for p in parts]
-            misses = [membership.pi_n_inverse(membership.pi_n(x, n), n, sign).sub(x) for x in eigen]
-            if back == triple and split.is_zero() and all(m.is_zero() for m in misses):
+            elt = [membership.pi_n_inverse(p, n, sign) for p in triple]
+            back = [membership.pi_n(x, n) for x in elt]
+            split = [membership.equivariant_parts(x)[1 if sign > 0 else 0] for x in elt]
+            eigen = [parts[0 if sign > 0 else 1] for leg in legs for parts in leg]
+            misses = [membership.pi_n_inverse(membership.pi_n(x, n), n, sign) - x for x in eigen]
+            if back == triple and all(x.is_zero() for x in split) and all(m.is_zero() for m in misses):
                 continue
             exact = False
             worst_fwd = max([worst_fwd] + [symbol(p - q).sup_norm_bound() for p, q in zip(back, triple)])
-            worst_split = max([worst_split] + [bound(pair) for pair in split.components])
-            worst_bwd = max([worst_bwd] + [bound(pair) for m in misses for pair in m.components])
+            worst_split = max([worst_split] + [_legs_bound(x) for x in split])
+            worst_bwd = max([worst_bwd] + [_legs_bound(m) for m in misses])
     return {
         "forward_roundtrip": worst_fwd,
         "backward_roundtrip": worst_bwd,
@@ -455,29 +456,23 @@ def random_decomposition_roundtrips(cfg, n_random: int, max_deg: int = 3) -> dic
         n = 1 if trial % 2 == 0 else 2
         sign = 1 if trial % 4 < 2 else -1
         triple = [random_toeplitz_poly(rng, max_deg) for _ in range(3)]
-        elt = membership.pi_n_inverse(triple, n, sign)
-        back = membership.pi_n(elt, n)
+        elt = [membership.pi_n_inverse(p, n, sign) for p in triple]
+        back = [membership.pi_n(x, n) for x in elt]
         for p, q in zip(back, triple):
             if not (p - q).is_zero():
                 worst_fwd = max(worst_fwd, symbol(p - q).sup_norm_bound())
         # the inverse lands in the +- eigenspace
-        plus, minus = membership.equivariant_parts(elt)
-        want_zero = minus if sign > 0 else plus
-        for p0, p1 in want_zero.components:
-            if not p0.is_zero() or not p1.is_zero():
-                worst_split = max(
-                    worst_split, symbol(p0).sup_norm_bound() + symbol(p1).sup_norm_bound()
-                )
+        for x in elt:
+            want_zero = membership.equivariant_parts(x)[1 if sign > 0 else 0]
+            if not want_zero.is_zero():
+                worst_split = max(worst_split, _legs_bound(want_zero))
         # backward: on the eigenpart of a sphere element the inverse did not
-        # build, legs (t0, t1), (t1, t2), (t2, t0)
-        mixed = membership.SphereElement(list(zip(triple, triple[1:] + triple[:1])))
-        x = membership.equivariant_parts(mixed)[0 if sign > 0 else 1]
-        diffelt = membership.pi_n_inverse(membership.pi_n(x, n), n, sign).sub(x)
-        for p0, p1 in diffelt.components:
-            if not p0.is_zero() or not p1.is_zero():
-                worst_bwd = max(
-                    worst_bwd, symbol(p0).sup_norm_bound() + symbol(p1).sup_norm_bound()
-                )
+        # build, slots t0 + t1 u, t1 + t2 u, t2 + t0 u
+        for p0, p1 in zip(triple, triple[1:] + triple[:1]):
+            x = membership.equivariant_parts(z2_smash_slot(p0, p1))[0 if sign > 0 else 1]
+            diff = membership.pi_n_inverse(membership.pi_n(x, n), n, sign) - x
+            if not diff.is_zero():
+                worst_bwd = max(worst_bwd, _legs_bound(diff))
     ok = max(worst_fwd, worst_bwd, worst_split) < TOL
     return {
         "forward_roundtrip": worst_fwd,
@@ -751,6 +746,28 @@ def _sigma_eval(p: NCPoly, i: int, k, t) -> np.ndarray:
     return symbol(p).eval(delta_angle(i, k, t))
 
 
+def z2_smash_slot(p0: NCPoly, p1: NCPoly) -> NCPoly:
+    """p0 (x) 1 + p1 (x) u in T (x) C(Z2) for Toeplitz polynomials p0 and p1,
+    built by the product of ``builtin.toeplitz_z2_smash``."""
+    S = builtin.toeplitz_z2_smash().system
+    return NCPoly(S.alphabet, p0.terms) + S.mul(NCPoly(S.alphabet, p1.terms), NCPoly.gen(S.alphabet, "u"))
+
+
+def u_legs(p: NCPoly) -> tuple[NCPoly, NCPoly]:
+    """(p0, p1) with p = p0 (x) 1 + p1 (x) u, for p in T (x) C(Z2) normal form:
+    the words without u, and the words ending in u without it."""
+    al = toeplitz_system().alphabet
+    return (
+        NCPoly(al, {w: c for w, c in p.terms.items() if "u" not in w}),
+        NCPoly(al, {w[:-1]: c for w, c in p.terms.items() if "u" in w}),
+    )
+
+
+def _legs_bound(p: NCPoly) -> float:
+    p0, p1 = u_legs(p)
+    return symbol(p0).sup_norm_bound() + symbol(p1).sup_norm_bound()
+
+
 def _component_eval(pair, i: int, a, t, c) -> np.ndarray:
     """(sigma_i (x) id) of p0 (x) 1 + p1 (x) u, evaluated at (a, t, c) or (t, a, c)."""
     p0, p1 = pair
@@ -774,13 +791,13 @@ def rp2_membership(tup, cfg) -> tuple[bool, float]:
     return r < TOL, r
 
 
-def sphere_membership(elt, cfg) -> tuple[bool, float]:
+def sphere_membership(slots, cfg) -> tuple[bool, float]:
     """The gauged gluing conditions of the quantum-sphere triple pullback."""
     x = interval_nodes(cfg.m_interval)
     a = Z2[:, None, None]
     t = x[None, :, None]
     c = Z2[None, None, :]
-    c0, c1, c2 = elt.components
+    c0, c1, c2 = map(u_legs, slots)
     r = 0.0
     # (sigma_1 x id)(c0)(a,t,c) = (sigma_1 x id)(c1) after Phi_01 swap (c,t,a)
     lhs = _component_eval(c0, 1, a, t, c)
@@ -810,12 +827,12 @@ def disc_membership(tup, cfg) -> tuple[bool, float]:
     return r < TOL, r
 
 
-def face_atlas(elt, cfg) -> dict:
+def face_atlas(slots, cfg) -> dict:
     """The twelve edge identifications (the three gluing conditions at the
     four Z2 x Z2 corners), each gluing written out by its own key."""
     x = interval_nodes(cfg.m_interval)
     edges = {}
-    c0, c1, c2 = elt.components
+    c0, c1, c2 = map(u_legs, slots)
     pair_of = {"01": (c0, c1), "02": (c0, c2), "12": (c1, c2)}
     sig_of = {"01": (1, 1), "02": (2, 1), "12": (2, 2)}
     for key in ("01", "02", "12"):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from pcomod import builtin
+from pcomod import builtin, mutants
 from pcomod.comodule import ComoduleAlgebra
 from pcomod.exprs import parse_poly, parse_tensor_terms
 from pcomod.hopf import (
@@ -156,6 +156,16 @@ def test_hopf_map_certificate_agrees_with_the_word_loop(name):
     phi, H1, H2 = SHIPPED_HOPF_MAPS[name]()
     assert hopf_map_problems(phi, H1, H2) == []
     assert bounded_hopf_map_checks(phi, H1, H2, 3) == []
+
+
+def test_hopf_map_antipode_failure_shows_both_sides():
+    """The identity from su_q2 to its su-antipode-sign mutant keeps the
+    coproduct and the counit but not the antipode at g; the failure shows
+    phi(S(g)) and S(phi(g)), as the coproduct and counit failures show theirs."""
+    H, bad = builtin.su_q2(), mutants._su_antipode_sign()
+    gens = {g: NCPoly.gen(bad.system.alphabet, g) for g in H.system.alphabet.gens}
+    phi = gens_map("id", H.system, bad.system, gens, check=True)
+    assert hopf_map_problems(phi, H, bad) == [CheckFailure("hopf-map-antipode", "g", "(-q)*g != (q)*g")]
 
 
 def test_wrong_inverse_is_an_inverse_witness():

@@ -22,6 +22,7 @@ from oracles import (
     random_symbol_coeffs,
     scalar_draw_toeplitz_poly,
     symbol_coefficients,
+    z2_smash_slot,
 )
 from pcomod import builtin, mutants
 from pcomod.exprs import load_presentation
@@ -29,7 +30,6 @@ from pcomod.maps import NotWellDefinedError, gens_map
 from pcomod.ncpoly import NCPoly
 from pcomod.numgeom import (
     GridConfig,
-    SphereElement,
     decomposition_report,
     delta_angle,
     disc_membership,
@@ -48,6 +48,7 @@ from pcomod.numgeom import (
     rp2_membership,
     splitting_identities_report,
     symbol,
+    toeplitz_flip,
     winding_numbers,
 )
 from pcomod.numgeom import membership, probes
@@ -127,18 +128,18 @@ def test_memberships():
     assert not ok and r == pytest.approx(1.0, abs=1e-12)
     ok, _ = disc_membership([one, one, one], CFG)
     assert ok
-    atlas = face_atlas(SphereElement([(one, zero)] * 3), CFG)
+    sm = builtin.toeplitz_z2_smash().system
+    atlas = face_atlas([sm.one()] * 3, CFG)
     assert atlas["pass"] and atlas["max_residual"] == 0.0
-    atlas = face_atlas(SphereElement([(zero, one)] * 3), CFG)
+    atlas = face_atlas([NCPoly.gen(sm.alphabet, "u")] * 3, CFG)
     assert not atlas["pass"] and atlas["max_residual"] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_face_atlas_localizes_corruption():
-    ts = builtin.toeplitz_system()
-    one, zero = NCPoly.one(ts.alphabet), NCPoly.zero(ts.alphabet)
-    good = face_atlas(SphereElement([(one, zero)] * 3), CFG)
+    one = builtin.toeplitz_z2_smash().system.one()
+    good = face_atlas([one] * 3, CFG)
     assert good["pass"] and len(good["edges"]) == 12
-    bad = face_atlas(SphereElement([(one, zero), (-one, zero), (one, zero)]), CFG)
+    bad = face_atlas([one, -one, one], CFG)
     assert not bad["pass"]
     broken = [k for k, v in bad["edges"].items() if v > TOL]
     assert broken and all(k[0] in ("01", "12") for k in broken)
@@ -157,10 +158,10 @@ def test_gluing_table_matches_per_check_oracles(grid):
     for trial in range(200):
         if trial % 5 == 0:
             tup = [random_toeplitz_poly(rng, 0)] * 3
-            elt = SphereElement([(tup[0], zero)] * 3)
+            elt = [z2_smash_slot(tup[0], zero)] * 3
         else:
             tup = [random_toeplitz_poly(rng, 3) for _ in range(3)]
-            elt = SphereElement([(random_toeplitz_poly(rng, 3), random_toeplitz_poly(rng, 3)) for _ in range(3)])
+            elt = [z2_smash_slot(random_toeplitz_poly(rng, 3), random_toeplitz_poly(rng, 3)) for _ in range(3)]
         assert rp2_membership(tup, cfg) == oracles.rp2_membership(tup, cfg)
         assert disc_membership(tup, cfg) == oracles.disc_membership(tup, cfg)
         got, want = face_atlas(elt, cfg), oracles.face_atlas(elt, cfg)
@@ -206,18 +207,14 @@ def test_float_symbol_is_the_exact_symbol_read_by_degree():
 def test_decomposition_roundtrips_and_split():
     rep = decomposition_report()
     assert rep["pass"] and rep["cases"] == 10 * 3 * 4
-    ts = builtin.toeplitz_system()
-    al = ts.alphabet
+    al = builtin.toeplitz_z2_smash().system.alphabet
     s = NCPoly.gen(al, "s")
-    one, zero = NCPoly.one(al), NCPoly.zero(al)
-    elt = SphereElement([(one + s, s)] * 3)
+    elt = NCPoly.one(al) + s + NCPoly.word(al, ("s", "u"))
     plus, minus = equivariant_parts(elt)
-    back = plus.add(minus)
-    for (p0, p1), (q0, q1) in zip(back.components, elt.components):
-        assert (p0 - q0).is_zero() and (p1 - q1).is_zero()
+    assert (plus + minus - elt).is_zero()
     # eigenparts really are eigenvectors
-    fp = plus.flip().sub(plus)
-    assert all(p0.is_zero() and p1.is_zero() for p0, p1 in fp.components)
+    assert (toeplitz_flip(plus) - plus).is_zero()
+    assert (toeplitz_flip(minus) + minus).is_zero()
 
 
 ROUNDTRIP_KEYS = ("forward_roundtrip", "backward_roundtrip", "eigenspace", "pass")
@@ -234,16 +231,15 @@ def test_decomposition_certificate_agrees_with_sampling(seed):
 def _third_for_half(pi_inv):
     """pi_n_inverse with the indicator factor 1/2 replaced by 1/3."""
     two_thirds = Scalar.of(Fraction(2, 3))
-    return lambda triple, n, sign: pi_inv(triple, n, sign).scale(two_thirds)
+    return lambda p, n, sign: pi_inv(p, n, sign).scale(two_thirds)
 
 
 def _odd_words_sign_swapped(pi_inv):
     """pi_n_inverse with the opposite sign on odd-length words."""
 
-    def mutant(triple, n, sign):
-        even = [NCPoly(p.alphabet, {w: c for w, c in p.terms.items() if len(w) % 2 == 0}) for p in triple]
-        odd = [p - e for p, e in zip(triple, even)]
-        return pi_inv(even, n, sign).add(pi_inv(odd, n, -sign))
+    def mutant(p, n, sign):
+        even = NCPoly(p.alphabet, {w: c for w, c in p.terms.items() if len(w) % 2 == 0})
+        return pi_inv(even, n, sign) + pi_inv(p - even, n, -sign)
 
     return mutant
 
@@ -264,9 +260,7 @@ def _coefficients_dropped(pi_inv):
     """pi_n_inverse that reads which words its inputs hold but not their
     coefficients: right on the unit word triples of the forward check, wrong
     on the -w that pi_n gives for some eigenvectors w (x) 1 and w (x) u."""
-    return lambda triple, n, sign: pi_inv(
-        [NCPoly(p.alphabet, dict.fromkeys(p.terms, S_ONE)) for p in triple], n, sign
-    )
+    return lambda p, n, sign: pi_inv(NCPoly(p.alphabet, dict.fromkeys(p.terms, S_ONE)), n, sign)
 
 
 def test_decomposition_backward_roundtrip_is_an_independent_claim(monkeypatch):

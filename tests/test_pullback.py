@@ -16,7 +16,7 @@ from pcomod.exprs import load_presentation, parse_poly
 from pcomod.hopf import HopfIdeal, check_hopf_axioms, hopf_map_problems, stored
 from pcomod.maps import gens_map
 from pcomod.ncpoly import NCPoly
-from pcomod.numgeom import GridConfig, rp2_membership
+from pcomod.numgeom import GridConfig, face_atlas, rp2_membership
 from pcomod.numgeom.toeplitz import _toeplitz_basis, toeplitz_flip
 from pcomod.pullback import (
     Covering,
@@ -192,6 +192,29 @@ def test_exact_sphere_membership_agrees_with_rp2(sphere):
         assert exact == rp2_membership(tup, cfg)[0], tup
         members += exact
     assert members == 64
+
+
+def test_face_atlas_and_exact_covering_read_the_same_slot_triples(sphere):
+    """face_atlas and the exact covering take one toeplitz_z2_smash triple
+    and accept the same ones, over every triple of the monomials of degree
+    <= 2 in s, ss and u (9**3 = 729).  The 8 members are the triples of 1
+    and s*ss, whose symbols are constant: both accept the unit triple, and
+    both reject the constant fiber triple (u, u, u), which the atlas misses
+    by 2.0 on an edge."""
+    al = sphere.covering.pieces[0].comodule.system.alphabet
+    monomials = [NCPoly.word(al, w) for w in sphere.covering.pieces[0].comodule.system.basis_words(2)]
+    cfg = GridConfig()
+    members = []
+    for tup in product(monomials, repeat=3):
+        atlas = face_atlas(tup, cfg)
+        exact = next(pair_differences(sphere.covering, tup), None) is None
+        assert exact == atlas["pass"], tup
+        if exact:
+            members.append(tup)
+    one, u = NCPoly.one(al), NCPoly.gen(al, "u")
+    assert len(members) == 8 and (one, one, one) in members
+    assert next(pair_differences(sphere.covering, [u] * 3), None) is not None
+    assert face_atlas([u] * 3, cfg)["max_residual"] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_transition_values_and_laws(sphere):
