@@ -180,6 +180,12 @@ MUTANTS = [
         "add_terms(parts[0], ((nc, c),))",
         ("tests/test_numgeom.py::test_memberships",),
     ),
+    Mutant(
+        "non-monomial-inverse-returns", "scalars.py",
+        'raise ScalarError(f"{self!r} is not a unit c*q^k of Q(i)[q, q^-1]")',
+        "return _scalar((n[-1].inv(),), -self.v)",
+        ("tests/test_scalars.py::test_reduced_form_is_canonical",),
+    ),
 ]
 
 

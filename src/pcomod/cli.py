@@ -24,7 +24,7 @@ def make_parser() -> argparse.ArgumentParser:
     d = SuiteConfig(suite="all")
     v.add_argument("--suite", required=True, help="suite name (see list-suites) or 'all'")
     v.add_argument("--algebra", help="restrict an axiom suite to one builtin")
-    v.add_argument("--covering", help="covering JSON file for the covering/transition suites (or all)")
+    v.add_argument("--covering", help="covering JSON file for the covering/transition suites (or all), read at --q")
     v.add_argument("--q", default=str(d.q), help="'formal', an integer, or 'cbrt1' (frame-obstruction only)")
     v.add_argument("--grid-circle", type=int, default=d.grid.n_circle)
     v.add_argument("--grid-interval", type=int, default=d.grid.m_interval)

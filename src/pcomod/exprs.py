@@ -5,12 +5,13 @@ Expression grammar (whitespace insignificant):
             unit), `Q` (the parameter q: formal, or the value the parser
             was given, so a presentation is built once at its q)
     ops:    `*` (left-assoc), `+`, `-` (binary and unary), `^` integer power
-            (negative exponents only on constants), `#` (tensor separator,
+            (negative exponents only on units c*Q^k), `#` (tensor separator,
             binds between `*` and `+`), parentheses.
 
 A subexpression whose value is a constant acts as a scalar: `(s - s + 2)^-1`
-is 1/2.  A zero denominator, a negative power of zero and an integer literal
-that `int()` rejects are parse errors, and so are an exponent above
+is 1/2.  A zero denominator, a negative power of zero or of a scalar that is
+not a unit c*Q^k (`(1+Q)^-1`) and an integer literal that `int()` rejects are
+parse errors, and so are an exponent above
 MAX_EXPONENT in absolute value and a power whose expansion passes TERM_CAP
 terms, a word of WORD_CAP letters or a scalar or coefficient of SCALAR_CAP
 bits.
@@ -24,7 +25,7 @@ from fractions import Fraction
 
 from .ncpoly import EMPTY, Alphabet, NCPoly, add_terms
 from .rewrite import TERM_CAP, RewriteSystem
-from .scalars import S_ONE, S_Q, S_ZERO, GaussRat, Scalar
+from .scalars import S_ONE, S_Q, S_ZERO, GaussRat, Scalar, ScalarError
 
 _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|\d+|\^|\*|\+|-|#|\(|\)|/|=)")
 _MINUS_ONE = -S_ONE
@@ -53,9 +54,9 @@ def tokenize(s: str) -> list[str]:
 
 
 def _bits(c: Scalar) -> int:
-    """The size of c written out densely: the bits of every coefficient of
-    its numerator and denominator, plus one for each power of q it carries."""
-    return abs(c.v) + sum(g.a.bit_length() + g.b.bit_length() + g.d.bit_length() for g in c.n + c.d)
+    """The size of c written out densely: the bits of every coefficient,
+    plus one for each power of q it carries."""
+    return abs(c.v) + sum(g.a.bit_length() + g.b.bit_length() + g.d.bit_length() for g in c.n)
 
 
 def _int(tok: str) -> int:
@@ -184,7 +185,10 @@ class Parser:
             if k < 0:
                 if c.is_zero():
                     raise ParseError("negative power of zero")
-                c, k = c.inv(), -k
+                try:
+                    c, k = c.inv(), -k
+                except ScalarError as e:
+                    raise ParseError(f"negative power of a scalar that is not a unit: {e}") from None
             out = S_ONE
             for _ in range(k):
                 out = out * c

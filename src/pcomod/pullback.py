@@ -13,7 +13,7 @@ from .hopf import CheckFailure, HopfAlgebra, HopfIdeal, check_hopf_axioms, hopf_
 from .linalg import RowSpace, intersect_spans, same_span, span_of
 from .maps import LinearMap, gens_map, mismatch_message
 from .ncpoly import Alphabet, NCPoly, Word, word_str
-from .rewrite import RewriteSystem, UnitIdealError
+from .rewrite import NonUnitLeadError, RewriteSystem, UnitIdealError
 from .tensors import Tensor, TensorSpace, linear_image
 
 
@@ -82,6 +82,8 @@ class Covering:
                 return base.system.extend_by_ideal(gens, name=f"{base.name}/{tag}")
             except UnitIdealError as e:
                 raise UnitIdealError(f"the kernel of {where} holds a unit: {e}") from None
+            except NonUnitLeadError as e:
+                raise NonUnitLeadError(f"the kernel of {where} needs a non-unit inverse: {e}") from None
 
         pieces = []
         for idx, kern in enumerate(kernels):

@@ -9,7 +9,7 @@ from itertools import product
 from typing import Sequence
 
 from .ncpoly import EMPTY, Alphabet, NCPoly, Word, add_terms, word_str
-from .scalars import S_ONE, Scalar
+from .scalars import S_ONE, Scalar, ScalarError
 
 
 TERM_CAP = 100_000  # the most terms a reduction or a parsed power may hold
@@ -26,6 +26,11 @@ class SizeLimitError(RuntimeError):
 
 class UnitIdealError(ValueError):
     """An ideal holds a nonzero constant, so its quotient is the zero algebra."""
+
+
+class NonUnitLeadError(ValueError):
+    """An element of an ideal has a leading coefficient that is not a unit
+    c*q^k of Q(i)[q, q^-1], so no formal-q rule presents the quotient."""
 
 
 class NoStarError(ValueError):
@@ -144,7 +149,11 @@ class RewriteSystem:
         keeps it, the popped word now leads a rule and the moved ones are
         reducible by it, so fewer queued leading words are irreducible.
         ``UnitIdealError`` when an element reduces to a nonzero constant, so
-        that the quotient is zero. A step rebuilds the system only when it
+        that the quotient is zero, and ``NonUnitLeadError`` when one reduces
+        to a polynomial whose leading coefficient is not a unit c*q^k: a
+        rule made from it by dividing would not specialise at a root of
+        that coefficient (see :class:`~pcomod.scalars.Scalar`), and can be
+        read at a fixed q instead. A step rebuilds the system only when it
         removes a rule."""
         def build(rules):
             return RewriteSystem(self.alphabet, rules, star=self.star_table, name=name, suffix_system=self.suffix_system)
@@ -158,7 +167,13 @@ class RewriteSystem:
             lead = nf.leading_word()
             if lead == EMPTY:
                 raise UnitIdealError(f"{p!r} reduces to the nonzero constant {nf!r}")
-            rule = (lead, NCPoly.word(self.alphabet, lead) - nf.scale(nf.terms[lead].inv()))  # sets nf to 0
+            try:
+                inv = nf.terms[lead].inv()
+            except ScalarError:
+                raise NonUnitLeadError(
+                    f"{p!r} reduces to {nf!r}, whose leading coefficient {nf.terms[lead]!r} is not a unit c*q^k"
+                ) from None
+            rule = (lead, NCPoly.word(self.alphabet, lead) - nf.scale(inv))  # sets nf to 0
             reduces = RewriteSystem(self.alphabet, [rule])._match
             moved = [r for r in system.rules if len(r.lhs_word) > len(lead) and reduces(r.lhs_word)]
             queue += [NCPoly.word(self.alphabet, r.lhs_word) - r.rhs for r in moved]

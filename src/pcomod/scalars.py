@@ -1,18 +1,17 @@
-"""Exact scalar tower: Q, Q(i), and rational functions in one parameter q over Q(i).
+"""Exact scalar tower: Q, Q(i), and Laurent polynomials in one parameter q over Q(i).
 
-Every coefficient in the symbolic layer is a :class:`Scalar`, a reduced
-rational function q^v * n/d where n, d are polynomials in q with Gaussian
-rational coefficients, neither divisible by q (d monic, gcd(n, d) = 1).
-Constants and Gaussian rationals are the degree-0 special case, so one
-representation serves all three declared towers; each algebra just declares
-which tower its coefficients must stay inside.
+Every coefficient in the symbolic layer is a :class:`Scalar`, a Laurent
+polynomial q^v * n where n is a polynomial in q with Gaussian rational
+coefficients, not divisible by q.  Constants and Gaussian rationals are the
+degree-0 special case, so one representation serves all three declared
+towers; each algebra just declares which tower its coefficients must stay
+inside (the schema still names the widest one "Q(i)(q)").
 
-In practice the coefficients of the q-deformed algebras are Laurent
-polynomials (d = 1).  A product of two of them adds the exponents and
-multiplies the coefficient tuples, and a sum aligns the exponents and strips
-zeros from the two ends; neither takes a gcd, and the power of q is never
-stored as zero coefficients.  Only a genuine denominator d != 1 reaches the
-polynomial gcd.
+A product of two scalars adds the exponents and multiplies the coefficient
+tuples, and a sum aligns the exponents and strips zeros from the two ends;
+neither takes a gcd, and the power of q is never stored as zero
+coefficients.  Only the monomials c*q^k are units: the inverse of any other
+scalar is a ScalarError, so no value has a denominator.
 
 A Gaussian rational is three Python ints ``(a, b, d)`` standing for
 ``(a + b*i)/d`` over one common denominator, so each ring operation takes at
@@ -176,22 +175,6 @@ GR_ONE = GaussRat(1)
 Poly = tuple  # tuple[GaussRat, ...]
 
 
-def _trim(c: Sequence[GaussRat]) -> Poly:
-    n = len(c)
-    while n and not c[n - 1]:
-        n -= 1
-    return tuple(c[:n])
-
-
-def _padd(a: Poly, b: Poly) -> Poly:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, x in enumerate(b):
-        out[i] = out[i] + x
-    return _trim(out)
-
-
 def _pmul(a: Poly, b: Poly) -> Poly:
     """Product of two polynomials with nonzero leading coefficients; the
     product's leading coefficient is then nonzero too, so nothing is trimmed."""
@@ -206,77 +189,13 @@ def _pmul(a: Poly, b: Poly) -> Poly:
     return tuple(out)
 
 
-def _pscale(a: Poly, c: GaussRat) -> Poly:
-    if not c:
-        return ()
-    return _trim([x * c for x in a])
-
-
-def _pdivmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [GR_ZERO] * max(0, len(a) - len(b) + 1)
-    r = list(a)
-    inv_lead = b[-1].inv()
-    while len(r) >= len(b):
-        c = r[-1] * inv_lead
-        d = len(r) - len(b)
-        q[d] = c
-        for i, x in enumerate(b):
-            r[i + d] = r[i + d] - c * x
-        del r[-1]
-        while r and not r[-1]:
-            del r[-1]
-    return _trim(q), _trim(r)
-
-
-def _pgcd(a: Poly, b: Poly) -> Poly:
-    while b:
-        a, b = b, _pdivmod(a, b)[1]
-    if a:
-        a = _pscale(a, a[-1].inv())  # monic
-    return a
-
-
-def _pconj(a: Poly) -> Poly:
-    return tuple(c.conj() for c in a)
-
-
 P_ONE: Poly = (GR_ONE,)
 
 
-def _reduce(num: Sequence[GaussRat], den: Sequence[GaussRat], v: int) -> tuple[Poly, Poly, int]:
-    """Normal form ``(n, d, v')`` of q^v * num/den (see :class:`Scalar`)."""
-    num = _trim(num)
-    den = _trim(den)
-    if not den:
-        raise ZeroDivisionError("Scalar with zero denominator")
-    if not num:
-        return (), P_ONE, 0
-    k = 0
-    while not num[k]:
-        k += 1
-    j = 0
-    while not den[j]:
-        j += 1
-    num, den, v = num[k:], den[j:], v + k - j
-    if len(den) > 1:
-        g = _pgcd(num, den)
-        if len(g) > 1:
-            num = _pdivmod(num, g)[0]
-            den = _pdivmod(den, g)[0]
-    lead = den[-1]
-    if lead != GR_ONE:
-        inv = lead.inv()
-        num = _pscale(num, inv)
-        den = _pscale(den, inv)
-    return num, (P_ONE if len(den) == 1 else den), v
-
-
-def _scalar(n: Poly, d: Poly, v: int) -> "Scalar":
+def _scalar(n: Poly, v: int) -> "Scalar":
     """A Scalar from fields already in normal form."""
     r = _new(Scalar)
-    r.n, r.d, r.v = n, d, v
+    r.n, r.v = n, v
     return r
 
 
@@ -288,7 +207,7 @@ def _laurent_add(n1: Poly, v1: int, n2: Poly, v2: int) -> "Scalar":
     m = len(n1)
     top = k + len(n2)
     if k >= m:  # no overlap, nothing cancels
-        return _scalar(n1 + (GR_ZERO,) * (k - m) + n2, P_ONE, v1)
+        return _scalar(n1 + (GR_ZERO,) * (k - m) + n2, v1)
     out = list(n1)
     if top > m:
         out += n2[m - k:]
@@ -306,35 +225,39 @@ def _laurent_add(n1: Poly, v1: int, n2: Poly, v2: int) -> "Scalar":
     if not k:
         while not out[lo]:
             lo += 1
-    return _scalar(tuple(out[lo:hi]), P_ONE, v1 + lo)
+    return _scalar(tuple(out[lo:hi]), v1 + lo)
 
 
 class Scalar:
-    """Reduced rational function q^v * n / d in q over the Gaussian rationals.
+    """Laurent polynomial q^v * n in q over the Gaussian rationals.
 
-    Invariant: ``n`` and ``d`` are coefficient tuples, lowest degree first,
-    with nonzero lowest and highest coefficients; ``d`` is monic and
-    gcd(n, d) = 1, and ``d is P_ONE`` exactly when the value is a Laurent
-    polynomial.  Zero is ``((), P_ONE, 0)`` and a constant has ``v == 0`` and
-    ``len(n) == 1``.  Every value has one representation, so equality is
-    field by field.  ``num`` and ``den`` give the dense reduced numerator and
-    denominator polynomials with the power of q folded in.
+    Invariant: ``n`` is a coefficient tuple, lowest degree first, with
+    nonzero lowest and highest coefficients.  Zero is ``((), 0)`` and a
+    constant has ``v == 0`` and ``len(n) == 1``.  Every value has one
+    representation, so equality is field by field.  The units are the
+    monomials c*q^k; ``inv`` of any other value is a ScalarError.
+
+    Why no denominators: an ideal whose generators have unit leading
+    coefficients is oriented into rules by inverting units alone, and every
+    q -> q0 != 0 is a ring map Q(i)[q, q^-1] -> Q(i) that keeps a unit a
+    nonzero constant.  So each rule keeps its leading word at q0, each
+    critical pair resolved at formal q stays resolved (Bergman 1978:
+    resolvability is preserved by a ring map), and every formal-q
+    certificate holds at every q0 != 0.  A leading coefficient such as 1 + q
+    would vanish at q0 = -1 and break that, so it is refused instead.
     """
 
-    __slots__ = ("n", "d", "v")
+    __slots__ = ("n", "v")
 
-    def __init__(self, num: Poly, den: Poly = P_ONE):
-        self.n, self.d, self.v = _reduce(num, den, 0)
-
-    @property
-    def num(self) -> Poly:
-        v = self.v
-        return (GR_ZERO,) * v + self.n if v > 0 else self.n
-
-    @property
-    def den(self) -> Poly:
-        v = self.v
-        return (GR_ZERO,) * -v + self.d if v < 0 else self.d
+    def __init__(self, coeffs: Sequence[GaussRat], v: int = 0):
+        """q^v * (coeffs[0] + coeffs[1]*q + ...), brought to normal form."""
+        hi = len(coeffs)
+        while hi and not coeffs[hi - 1]:
+            hi -= 1
+        lo = 0
+        while lo < hi and not coeffs[lo]:
+            lo += 1
+        self.n, self.v = tuple(coeffs[lo:hi]), (v + lo if hi else 0)
 
     # -- constructors ---------------------------------------------------
     @staticmethod
@@ -343,25 +266,25 @@ class Scalar:
             return x
         if not isinstance(x, GaussRat):
             x = GaussRat(x)
-        return _scalar((x,), P_ONE, 0) if x else S_ZERO
+        return _scalar((x,), 0) if x else S_ZERO
 
     @staticmethod
     def i() -> "Scalar":
-        return _scalar((GaussRat(0, 1),), P_ONE, 0)
+        return _scalar((GaussRat(0, 1),), 0)
 
     @staticmethod
     def q_power(k: int) -> "Scalar":
-        return _scalar(P_ONE, P_ONE, k)
+        return _scalar(P_ONE, k)
 
     # -- predicates ------------------------------------------------------
     def is_zero(self) -> bool:
         return not self.n
 
     def is_one(self) -> bool:
-        return not self.v and self.d is P_ONE and self.n == P_ONE
+        return not self.v and self.n == P_ONE
 
     def is_constant(self) -> bool:
-        return len(self.n) <= 1 and not self.v and self.d is P_ONE
+        return len(self.n) <= 1 and not self.v
 
     def constant_value(self) -> GaussRat:
         if not self.is_constant():
@@ -369,10 +292,10 @@ class Scalar:
         return self.n[0] if self.n else GR_ZERO
 
     def uses_i(self) -> bool:
-        return any(not c.is_real() for c in self.n + self.d)
+        return any(not c.is_real() for c in self.n)
 
     def uses_q(self) -> bool:
-        return bool(self.v) or len(self.n) > 1 or self.d is not P_ONE
+        return bool(self.v) or len(self.n) > 1
 
     def in_tower(self, tower: str) -> bool:
         if tower == "Q":
@@ -391,23 +314,15 @@ class Scalar:
         n2 = other.n
         if not n2:
             return self
-        d1, d2 = self.d, other.d
-        if d1 is P_ONE is d2:
-            v = self.v
-            if len(n1) == 1 == len(n2) and v == other.v:
-                c = n1[0] + n2[0]
-                if not c:
-                    return S_ZERO
-                r = _new(Scalar)
-                r.n, r.d, r.v = (c,), P_ONE, v
-                return r
-            return _laurent_add(n1, v, n2, other.v)
-        v = min(self.v, other.v)
-        a = (GR_ZERO,) * (self.v - v) + n1
-        b = (GR_ZERO,) * (other.v - v) + n2
-        if d1 == d2:
-            return _scalar(*_reduce(_padd(a, b), d1, v))
-        return _scalar(*_reduce(_padd(_pmul(a, d2), _pmul(b, d1)), _pmul(d1, d2), v))
+        v = self.v
+        if len(n1) == 1 == len(n2) and v == other.v:
+            c = n1[0] + n2[0]
+            if not c:
+                return S_ZERO
+            r = _new(Scalar)
+            r.n, r.v = (c,), v
+            return r
+        return _laurent_add(n1, v, n2, other.v)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         return self + (-other)
@@ -416,50 +331,41 @@ class Scalar:
         n = self.n
         r = _new(Scalar)
         r.n = (-n[0],) if len(n) == 1 else tuple([-x for x in n])
-        r.d, r.v = self.d, self.v
+        r.v = self.v
         return r
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         n1, n2 = self.n, other.n
         if not n1 or not n2:
             return S_ZERO
-        d1, d2 = self.d, other.d
-        if not self.v and d1 is P_ONE and n1 == P_ONE:
+        if not self.v and n1 == P_ONE:
             return other
-        if not other.v and d2 is P_ONE and n2 == P_ONE:
+        if not other.v and n2 == P_ONE:
             return self
-        v = self.v + other.v
-        if d1 is P_ONE is d2:
-            if len(n1) == 1:
-                c = n1[0]
-                if len(n2) == 1:
-                    n = (c * n2[0],)
-                elif c == GR_ONE:
-                    n = n2
-                else:
-                    n = tuple([c * x for x in n2])
-            elif len(n2) == 1:
-                c = n2[0]
-                n = n1 if c == GR_ONE else tuple([x * c for x in n1])
+        if len(n1) == 1:
+            c = n1[0]
+            if len(n2) == 1:
+                n = (c * n2[0],)
+            elif c == GR_ONE:
+                n = n2
             else:
-                n = _pmul(n1, n2)
-            r = _new(Scalar)
-            r.n, r.d, r.v = n, P_ONE, v
-            return r
-        return _scalar(*_reduce(_pmul(n1, n2), _pmul(d1, d2), v))
+                n = tuple([c * x for x in n2])
+        elif len(n2) == 1:
+            c = n2[0]
+            n = n1 if c == GR_ONE else tuple([x * c for x in n1])
+        else:
+            n = _pmul(n1, n2)
+        r = _new(Scalar)
+        r.n, r.v = n, self.v + other.v
+        return r
 
     def inv(self) -> "Scalar":
         n = self.n
         if not n:
             raise ZeroDivisionError("inverse of zero Scalar")
-        # q^-v * d/n, scaled so that n becomes monic; gcd(d, n) = 1 already
-        c = n[-1].inv()
-        d = self.d
-        return _scalar(
-            (c,) if d is P_ONE else tuple([x * c for x in d]),
-            P_ONE if len(n) == 1 else tuple([x * c for x in n]),
-            -self.v,
-        )
+        if len(n) > 1:
+            raise ScalarError(f"{self!r} is not a unit c*q^k of Q(i)[q, q^-1]")
+        return _scalar((n[0].inv(),), -self.v)
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         return self * other.inv()
@@ -478,8 +384,7 @@ class Scalar:
 
     def conj(self) -> "Scalar":
         """Complex conjugation; the parameter q is fixed (treated as real)."""
-        d = self.d
-        return _scalar(_pconj(self.n), d if d is P_ONE else _pconj(d), self.v)
+        return _scalar(tuple(c.conj() for c in self.n), self.v)
 
     # -- specialization ---------------------------------------------------
     def to_complex(self) -> complex:
@@ -487,23 +392,25 @@ class Scalar:
         return self.constant_value().to_complex()
 
     def vanishes_mod(self, minpoly: Poly) -> bool:
-        """True iff this scalar is 0 after reducing q by the given minimal polynomial."""
-        g = _pgcd(self.den, minpoly)
-        if len(g) > 1:
-            raise ScalarError("denominator not invertible modulo the minimal polynomial")
-        return not _pdivmod(self.num, minpoly)[1]
+        """True iff this scalar is 0 after reducing q by the given monic
+        minimal polynomial of a nonzero value, so that q^v is a unit modulo
+        it and only the remainder of n decides."""
+        r = list(self.n)
+        top = len(minpoly) - 1
+        while len(r) > top:
+            c = r.pop()
+            if c:
+                d = len(r) - top
+                for i, x in enumerate(minpoly[:top]):
+                    r[d + i] = r[d + i] - c * x
+        return not any(r)
 
     # -- plumbing ----------------------------------------------------------
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Scalar)
-            and self.v == other.v
-            and self.n == other.n
-            and self.d == other.d
-        )
+        return isinstance(other, Scalar) and self.v == other.v and self.n == other.n
 
     def __hash__(self):
-        return hash((self.n, self.d, self.v))
+        return hash((self.n, self.v))
 
     def __repr__(self) -> str:
         def poly_str(p: Poly) -> str:
@@ -526,16 +433,15 @@ class Scalar:
             s = " + ".join(parts)
             return s.replace("+ -", "- ")
 
-        num, den = self.num, self.den
-        if den == P_ONE:
-            if len(num) <= 1:
-                return poly_str(num)
-            return f"({poly_str(num)})"
-        return f"({poly_str(num)})/({poly_str(den)})"
+        v = self.v
+        if v < 0:
+            return f"({poly_str(self.n)})/({'q' if v == -1 else f'q^{-v}'})"
+        num = (GR_ZERO,) * v + self.n
+        return poly_str(num) if len(num) <= 1 else f"({poly_str(num)})"
 
 
-S_ZERO = _scalar((), P_ONE, 0)
-S_ONE = _scalar(P_ONE, P_ONE, 0)
+S_ZERO = _scalar((), 0)
+S_ONE = _scalar(P_ONE, 0)
 S_I = Scalar.i()
 S_Q = Scalar.q_power(1)
 S_QINV = Scalar.q_power(-1)

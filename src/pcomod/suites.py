@@ -42,7 +42,7 @@ from .pullback import (
     piece_glue,
     reducibility_check,
 )
-from .rewrite import SizeLimitError, UnitIdealError
+from .rewrite import NonUnitLeadError, SizeLimitError, UnitIdealError
 from .scalars import S_ONE, Scalar
 
 
@@ -327,21 +327,24 @@ def _incompatible(first) -> str:
 
 def _load_trivialisation(cfg: SuiteConfig):
     if cfg.covering is not None:
-        return load_covering_file(cfg.covering)
+        return load_covering_file(cfg.covering, cfg.q)
     return builtin.sphere_covering()
 
 
-def load_covering_file(path: str):
+def load_covering_file(path: str, q="formal"):
     """Covering JSON: {"base": builtin-name, "pieces": [{"kernel": [...],
-    "cleaving": {...}}, ...], "base_gens": [[...], ...]}; kernels/cleavings
-    parsed over the base.  A file of any other shape is a ConfigError."""
+    "cleaving": {...}}, ...], "base_gens": [[...], ...]}; the base built at
+    q, and kernels/cleavings parsed over it with ``Q`` read as q.  A file of
+    any other shape is a ConfigError, and so is one whose kernels need a
+    non-unit inverse at formal q."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read covering file {path}: {e}")
     _check_covering_shape(path, doc)
-    base = builtin.build(doc["base"])
+    base = builtin.build(doc["base"], q)
+    qv = builtin.q_value(q)
     if not hasattr(base, "coact_word"):
         raise ConfigError(f"base {doc['base']!r} is not a comodule algebra")
     hgens = set(base.hopf.system.alphabet.gens)
@@ -355,13 +358,15 @@ def load_covering_file(path: str):
     unknown = sorted({b for gens in bg or () for b in gens} - set(base.system.alphabet.gens))
     if unknown:
         raise ConfigError(f"covering file {path}: base_gens {unknown} are not generators of {doc['base']}")
-    kernels = [[_parse_file_poly(path, e, base.system.alphabet) for e in piece.get("kernel", ())]
+    kernels = [[_parse_file_poly(path, e, base.system.alphabet, qv) for e in piece.get("kernel", ())]
                for piece in doc["pieces"]]
     try:
         cov = Covering.from_kernels(base, kernels, base_gens=[tuple(b) for b in bg] if bg else None,
                                     name=doc.get("name", os.path.basename(path)))
     except UnitIdealError as e:  # a zero piece or pair target; no rule presents it
         raise ConfigError(f"covering file {path}: {e}")
+    except NonUnitLeadError as e:
+        raise ConfigError(f"covering file {path}: {e}; no formal-q rule presents it, read it at a fixed --q")
     # in a system whose rules conflict a nonzero normal form proves nothing
     # (Bergman's diamond lemma), so a conflict refuses the file
     systems = [(f"piece {i}", p.comodule.system) for i, p in enumerate(cov.pieces)]
@@ -376,7 +381,7 @@ def load_covering_file(path: str):
     cleavings = []
     for idx, piece in enumerate(doc["pieces"]):
         psys = cov.pieces[idx].comodule.system
-        images = {g: _parse_file_poly(path, e, psys.alphabet) for g, e in piece["cleaving"].items()}
+        images = {g: _parse_file_poly(path, e, psys.alphabet, qv) for g, e in piece["cleaving"].items()}
         try:
             j = gens_map(f"gamma[{idx}]", base.hopf.system, psys, images, check=True)
         except NotWellDefinedError as e:
@@ -414,9 +419,9 @@ def _check_covering_shape(path: str, doc) -> None:
         raise ConfigError(f"covering file {path}: 'name' must be a string")
 
 
-def _parse_file_poly(path: str, expr: str, alphabet) -> NCPoly:
+def _parse_file_poly(path: str, expr: str, alphabet, qv) -> NCPoly:
     try:
-        return parse_poly(expr, alphabet)
+        return parse_poly(expr, alphabet, qv)
     except ParseError as e:
         raise ConfigError(f"covering file {path}: cannot parse {expr!r}: {e}")
 

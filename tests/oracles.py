@@ -40,7 +40,6 @@ import numpy as np
 from pcomod import builtin, rewrite
 from pcomod.builtin import toeplitz_system
 from pcomod.comodule import ActionData, CleavingMap, ComoduleAlgebra
-from pcomod.exprs import ParseError
 from pcomod.hopf import CheckFailure, HopfAlgebra, HopfIdeal
 from pcomod.linalg import RowSpace
 from pcomod.maps import LinearMap, NotWellDefinedError, gens_map
@@ -57,7 +56,7 @@ from pcomod.numgeom.circle import phi_gauged_pullback as circle_phi_gauged_pullb
 from pcomod.numgeom.grids import TOL, Z2, GridConfig, circle_angles, interval_nodes
 from pcomod.numgeom.toeplitz import _basis_degrees, _toeplitz_basis, symbol
 from pcomod.rewrite import Conflict, ConfluenceReport, RewriteSystem, SizeLimitError
-from pcomod.scalars import GR_ZERO, P_ONE, S_ONE, S_ZERO, GaussRat, Scalar, ScalarError
+from pcomod.scalars import GR_ONE, GR_ZERO, S_ONE, S_ZERO, GaussRat, Scalar, ScalarError
 from pcomod.tensors import Tensor
 
 
@@ -1672,9 +1671,6 @@ def verify_theta_properties(theta: LinearMap, smash, dpolys) -> list[CheckFailur
 # ---------------------------------------------------------------------------
 
 def scalar_to_expr(c: Scalar) -> str:
-    if c.d is not P_ONE:
-        raise ParseError(f"cannot render denominator of {c!r} in the expression grammar")
-
     def gauss(g: GaussRat) -> str:
         parts = []
         if g.re:
@@ -1845,8 +1841,8 @@ def eval_expr_tree(tree, alphabet) -> tuple:
     products of tensor terms.  A constant acts as a scalar wherever it stands.
     Raises ExprTreeError where the grammar gives no value: legs that differ
     across + or -, a product of two non-constants that are not both
-    polynomials, a power of a tensor, a negative power of a non-constant or
-    of zero, and a zero denominator."""
+    polynomials, a power of a tensor, a negative power of a non-constant, of
+    zero or of a constant that is not a unit c*q^k, and a zero denominator."""
     op = tree[0]
     if op == "gen":
         return 1, NCPoly.gen(alphabet, tree[1])
@@ -1870,6 +1866,8 @@ def eval_expr_tree(tree, alphabet) -> tuple:
         if c is not None:
             if k < 0 and c.is_zero():
                 raise ExprTreeError("negative power of zero")
+            if k < 0 and len(c.n) > 1:
+                raise ExprTreeError("negative power of a non-unit")
             return 1, NCPoly.const(alphabet, c**k)
         if k < 0:
             raise ExprTreeError("negative power of a non-constant")
@@ -1941,11 +1939,13 @@ def _peval(a, x: GaussRat) -> GaussRat:
 
 
 def substitute_q(s: Scalar, value: GaussRat) -> Scalar:
-    """s with q set to value; ScalarError when the denominator vanishes there."""
-    den = _peval(s.den, value)
-    if not den:
-        raise ScalarError(f"denominator of {s} vanishes at q={value}")
-    return Scalar.of(_peval(s.num, value) / den)
+    """s with q set to value; ScalarError when s has a negative power of q and value is 0."""
+    if s.v < 0 and not value:
+        raise ScalarError(f"{s} has a negative power of q, which is undefined at q=0")
+    power = GR_ONE
+    for _ in range(abs(s.v)):
+        power = power * value
+    return Scalar.of(_peval(s.n, value) * (power if s.v >= 0 else power.inv()))
 
 
 def fourier_eval_at(F, z) -> np.ndarray:

@@ -2,9 +2,6 @@
 
 import time
 
-import numpy as np
-import pytest
-
 from oracles import (
     bounded_cleaving_checks,
     bounded_coaction_axioms,
@@ -14,7 +11,6 @@ from oracles import (
 from pcomod import builtin
 from pcomod.comodule import StrongConnection, verify_strong_connection
 from pcomod.hopf import check_hopf_axioms
-from pcomod.ncpoly import NCPoly
 from pcomod.numgeom import (
     GridConfig,
     decomposition_report,
@@ -25,8 +21,7 @@ from pcomod.numgeom import (
     splitting_identities_report,
 )
 from pcomod.pullback import reducibility_check
-from pcomod.scalars import GaussRat, S_ONE, Scalar
-from pcomod.suites import SuiteConfig, run_suite
+from pcomod.scalars import S_ONE, Scalar
 
 CFG = GridConfig()  # defaults: 720-point circle, 257-node interval, tol 1e-9
 

@@ -149,6 +149,34 @@ def test_build_at_q_matches_substitution_oracle(name, q):
         assert _system_tables(got) == _system_tables(want)
 
 
+# nonzero values at which a non-unit such as q - 1, q + 1, q^2 + 1 or 2q - 1 vanishes
+SPECIAL_Q = (1, -1, GaussRat(0, 1), GaussRat(0, -1), Fraction(1, 2), GaussRat(1, 1))
+
+
+@pytest.mark.parametrize("name", (*builtin.HOPF_NAMES, "quantum_plane"))
+def test_formal_q_certificates_specialise(name):
+    """A formal-q build has Laurent coefficients and unit leading
+    coefficients, so q -> q0 != 0 is a ring map that keeps each rule's left
+    side and each resolved overlap: the substituted build has the formal
+    left sides, no conflict where the formal one has none, the same
+    completeness, and it is what parsing at q0 builds."""
+    formal = builtin.build(name)
+    fsys = formal.system if isinstance(formal, HopfAlgebra) else formal
+    freport = fsys.check_local_confluence(6)
+    assert not freport.conflicts
+    for q0 in SPECIAL_Q:
+        want = oracles.substituted_build(name, builtin.q_value(q0))
+        wsys = want.system if isinstance(want, HopfAlgebra) else want
+        assert [r.lhs_word for r in wsys.rules] == [r.lhs_word for r in fsys.rules]
+        report = wsys.check_local_confluence(6)
+        assert not report.conflicts and report.complete == freport.complete, q0
+        got = builtin.build(name, q0)
+        if isinstance(want, HopfAlgebra):
+            assert _hopf_tables(got) == _hopf_tables(want)
+        else:
+            assert _system_tables(got) == _system_tables(want)
+
+
 @pytest.mark.parametrize("q", FIXED_Q, ids=str)
 def test_plane_action_at_q_matches_substitution_oracle(q):
     got = builtin.plane_action_table(q)

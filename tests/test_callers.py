@@ -1,4 +1,6 @@
-"""Regrowth guard: every definition in the program has a caller in the program.
+"""Regrowth guards: every definition in the program has a caller in the
+program, and every module under ``src/`` and ``tests/`` reads each name it
+imports (``unread_imports``; the package ``__init__`` re-exports are exempt).
 
 The program is ``src/``, ``scripts/`` and ``benchmark/``; ``tests/`` does not
 count, so a function that only tests call is reported. The scan is by name:
@@ -136,3 +138,30 @@ def test_allowlist_names_only_uncalled_definitions():
     """An allowlist entry that the program does call is stale."""
     dead = {line.split()[-1] for line in unreferenced_definitions(allow=())}
     assert set(ALLOWLIST) <= dead
+
+
+def unread_imports(dirs=("src", "tests")) -> list[str]:
+    """``path:line name`` for each name a module imports and never reads as a
+    name; the package ``__init__`` modules, whose imports are re-exports, and
+    ``from __future__`` imports are exempt."""
+    found = []
+    for d in dirs:
+        for path in sorted((ROOT / d).rglob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text(), filename=str(path))
+            read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    for alias in node.names:
+                        name = (alias.asname or alias.name).split(".")[0]
+                        if name not in read:
+                            found.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
+    return found
+
+
+def test_every_import_is_read():
+    unread = unread_imports()
+    assert not unread, "imported names that nothing reads (delete them):\n" + "\n".join(unread)

@@ -18,7 +18,7 @@ from pcomod.comodule import (
 from pcomod.exprs import parse_poly
 from pcomod.maps import NotWellDefinedError, gens_map
 from pcomod.ncpoly import NCPoly
-from pcomod.scalars import GaussRat, S_ONE, S_Q, Scalar
+from pcomod.scalars import GaussRat, S_ONE, Scalar
 from pcomod.suites import SuiteConfig, _load_trivialisation, suite_strong_connection
 from pcomod.tensors import Tensor
 

@@ -1,7 +1,5 @@
 from fractions import Fraction
 
-import pytest
-
 from pcomod import builtin
 from pcomod.ncpoly import NCPoly
 from pcomod.scalars import GaussRat, S_ONE, Scalar

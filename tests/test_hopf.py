@@ -18,7 +18,7 @@ from pcomod.maps import gens_map
 from pcomod.mutants import MUTANTS
 from pcomod.ncpoly import Alphabet, NCPoly
 from pcomod.rewrite import RewriteSystem
-from pcomod.scalars import S_ONE, S_Q, S_ZERO
+from pcomod.scalars import S_ONE, S_ZERO
 from pcomod.tensors import Tensor
 
 from oracles import (

@@ -43,8 +43,6 @@ from pcomod.numgeom import (
     phi_hat,
     phi_hat_grid,
     phi_identities_report,
-    pi_n,
-    pi_n_inverse,
     rp2_membership,
     splitting_identities_report,
     symbol,

@@ -1,3 +1,6 @@
+import re
+from fractions import Fraction
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -80,6 +83,12 @@ def test_parse_errors():
     for expr in ("1/0", "0^-1", "(Q-Q)^-1", "1" * 4301):
         with pytest.raises(ParseError):
             parse_poly(expr, AL)
+    # a negative power is defined on the units c*Q^k alone: at formal q,
+    # 1 + Q is none, and at q = 2 it is the unit 3
+    with pytest.raises(ParseError, match=re.escape("not a unit: (1 + q) is not a unit c*q^k")):
+        parse_poly("(1+Q)^-1*a", AL)
+    assert parse_poly("(2*Q)^-1*a", AL) == NCPoly.gen(AL, "a").scale(Scalar.of(Fraction(1, 2)) * Scalar.q_power(-1))
+    assert parse_poly("(1+Q)^-1*a", AL, GaussRat(2)) == NCPoly.gen(AL, "a").scale(Scalar.of(Fraction(1, 3)))
     # a power is bounded in its exponent and in its terms: (a+b)^17 has
     # 2^17 words, while central letters keep (c+d)^20 at 21 terms
     for expr, match in (("a^1001", "exponent 1001"), ("(a+b)^17", "over 100000 terms")):

@@ -12,7 +12,7 @@ from pcomod import builtin, mutants
 from pcomod import hopf as hopf_module
 from pcomod import maps as maps_module
 from pcomod.comodule import CleavingMap, ComoduleAlgebra, smash_product
-from pcomod.exprs import load_presentation, parse_poly
+from pcomod.exprs import load_presentation
 from pcomod.hopf import HopfIdeal, check_hopf_axioms, hopf_map_problems, stored
 from pcomod.maps import gens_map
 from pcomod.ncpoly import NCPoly
@@ -35,7 +35,7 @@ from pcomod.pullback import (
 )
 from pcomod.rewrite import RewriteSystem
 from pcomod.ncpoly import Alphabet
-from pcomod.scalars import S_ONE, S_Q, Scalar
+from pcomod.scalars import S_ONE, S_Q
 from pcomod.suites import SuiteConfig, _load_trivialisation
 from pcomod.tensors import Tensor
 

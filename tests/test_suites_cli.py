@@ -8,24 +8,27 @@ import sys
 import time
 import zlib
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from pcomod import builtin, suites
 from pcomod.cli import main, make_parser
 from pcomod.exprs import parse_poly
 from pcomod.hopf import CheckFailure, HopfAlgebra
+from pcomod.ncpoly import NCPoly
 from pcomod.numgeom import GridConfig
 from pcomod.rewrite import RewriteSystem
+from pcomod.scalars import GaussRat
 from pcomod.suites import (
     CheckRecord,
     ConfigError,
     SuiteConfig,
     SuiteReport,
-    list_suites,
     run_suite,
 )
 
@@ -590,6 +593,84 @@ def test_covering_file_whose_quotient_rules_conflict_is_a_config_error(tmp_path,
     assert err.startswith("CONFIG_ERROR") and message in err and "Traceback" not in err
 
 
+_GL_IDENTITY = {g: g for g in ("a", "b", "c", "d", "Di")}
+
+
+@pytest.mark.parametrize(
+    "kernels, message",
+    [
+        ([["(1+Q)^-1*x"]],
+         "cannot parse '(1+Q)^-1*x': negative power of a scalar that is not a unit: (1 + q) is not a unit c*q^k"),
+        # y = x gives (q - 1) x^2 = 0 from y*x = q x*y: x^2 -> 0 would divide by q - 1
+        ([["y - x"], []],
+         "the kernel of piece 0 needs a non-unit inverse: (-1)/(q)*x*y + y*x reduces to (-1 + q)/(q)*x^2, "
+         "whose leading coefficient (-1 + q)/(q) is not a unit c*q^k; no formal-q rule presents it, "
+         "read it at a fixed --q"),
+    ],
+    ids=["kernel-negative-power-of-a-non-unit", "kernel-needing-a-non-unit-inverse"],
+)
+def test_covering_file_needing_a_non_unit_inverse_is_a_config_error_at_formal_q(tmp_path, capsys, kernels, message):
+    """At formal q a covering file whose kernel writes the inverse of a
+    non-unit, or whose interreduction needs one, is refused with the element
+    that needs it: a rule made by that division would not hold at a root of
+    the divisor.  At a fixed --q the same file ends in a report."""
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps({"base": "plane_gl_smash", "pieces": [{"kernel": k, "cleaving": _GL_IDENTITY} for k in kernels]}))
+    for suite in ("covering", "transition"):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            run_suite(mini_cfg(suite, covering=str(path)))
+    assert main(["verify", "--suite", "covering", "--covering", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("CONFIG_ERROR") and message in err and "Traceback" not in err
+    assert main(["verify", "--suite", "covering", "--covering", str(path), "--q", "2"]) in (0, 1, 3)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_covering_file_is_read_at_the_fixed_q(tmp_path, monkeypatch):
+    """--q reaches a covering file: its base is built at q, and Q in its
+    kernels and cleavings reads as q.  At q = 2 the kernel Q*x - 2*x is zero
+    and the cleaving (Q - 1)*a is a, so the file is the base with the
+    identity cleaving; at formal q the kernel's leading coefficient q - 2 is
+    no unit and the file is refused."""
+    path = tmp_path / "cover.json"
+    cleaving = {**_GL_IDENTITY, "a": "(Q - 1)*a"}
+    path.write_text(json.dumps({"base": "plane_gl_smash", "pieces": [{"kernel": ["Q*x - 2*x"], "cleaving": cleaving}]}))
+    builds = []
+    build = builtin.build
+    monkeypatch.setattr(builtin, "build", lambda name, q="formal": builds.append((name, q)) or build(name, q))
+    report = run_suite(mini_cfg("covering", covering=str(path), q=2))
+    assert builds == [("plane_gl_smash", 2)]
+    assert report.params["q"] == "2" and report.passed
+    triv = suites.load_covering_file(str(path), 2)
+    assert triv.covering.pieces[0].comodule.system.rules == builtin.plane_gl_smash(2).system.rules
+    assert triv.cleavings[0].j.apply_word(("a",)) == NCPoly.gen(triv.covering.pieces[0].comodule.system.alphabet, "a")
+    with pytest.raises(ConfigError, match=re.escape("(-2 + q)*x reduces to (-2 + q)*x, whose leading coefficient (-2 + q) is not a unit")):
+        suites.load_covering_file(str(path))
+
+
+def test_formal_q_covering_file_specialises(tmp_path):
+    """A covering file that loads at formal q has unit leading coefficients
+    in every piece and pair system, so substituting any q0 != 0 keeps each
+    left side and leaves no conflict, and gives the systems that reading
+    the file at q0 builds."""
+    path = tmp_path / "cover.json"
+    kernels = [["y^2"], ["x", "y"], []]
+    path.write_text(json.dumps({"base": "plane_gl_smash", "pieces": [{"kernel": k, "cleaving": _GL_IDENTITY} for k in kernels]}))
+
+    def systems(triv):
+        cov = triv.covering
+        return [p.comodule.system for p in cov.pieces] + [d.target.system for _, d in sorted(cov.pairs.items())]
+
+    formal = systems(suites.load_covering_file(str(path)))
+    for q0 in (1, -1, 2, Fraction(1, 2), GaussRat(0, 1)):
+        at_q0 = systems(suites.load_covering_file(str(path), q0))
+        for f, g in zip(formal, at_q0, strict=True):
+            want = oracles.substituted_system(f, builtin.q_value(q0))
+            assert [r.lhs_word for r in want.rules] == [r.lhs_word for r in f.rules]
+            assert not want.check_local_confluence(6).conflicts
+            assert want.rules == g.rules, (q0, f.name)
+
+
 def test_covering_file_too_large_to_check_is_a_config_error(tmp_path, capsys):
     """A kernel word of 10,000 letters overlaps itself in ambiguity words of
     over AMBIGUITY_CAP letters in all, so the file is refused at once rather
@@ -826,21 +907,24 @@ def test_every_small_config_reports_or_is_a_config_error(cfg):
 
 
 # The generators of each base of the covering-file sweep, and of its Hopf
-# algebra: the letters of its words.
+# algebra: the letters of its words.  plane_gl_smash depends on q.
 SWEEP_BASES = {
     "toeplitz_z2_smash": (("s", "ss", "u"), ("u",)),
     "toeplitz_u1_smash": (("s", "ss", "u", "ui"), ("u", "ui")),
+    "plane_gl_smash": (("a", "b", "d", "x", "y"), ("a", "b", "c", "d", "Di")),
 }
 
 
 @st.composite
 def covering_files(draw):
-    """Small covering files over the two Toeplitz smash products: kernels and
-    cleavings from words of degree <= 2, and now and then a malformed key."""
+    """Small covering files over the two Toeplitz smash products and the
+    quantum plane over GL_q(2): kernels and cleavings from words of degree
+    <= 2 with coefficients +-1, +-2 and +-Q, and now and then a malformed
+    key."""
     base = draw(st.sampled_from(sorted(SWEEP_BASES)))
     gens, hgens = SWEEP_BASES[base]
     words = st.lists(st.sampled_from(gens), max_size=2).map(lambda w: "*".join(w) or "1")
-    terms = st.tuples(st.sampled_from(["-2", "-1", "1", "2"]), words).map("*".join)
+    terms = st.tuples(st.sampled_from(["-2", "-1", "1", "2", "-Q", "Q"]), words).map("*".join)
     polys = st.lists(terms, min_size=1, max_size=2).map(" + ".join)
     identity = {g: g for g in hgens}
     cleavings = st.just(identity) | st.fixed_dictionaries({g: words for g in hgens})
@@ -850,35 +934,44 @@ def covering_files(draw):
     doc = {"base": base, "pieces": draw(pieces)}
     n = len(doc["pieces"])
     if draw(st.booleans()):
-        doc["base_gens"] = draw(st.lists(st.lists(st.sampled_from(["s", "ss"]), max_size=2), min_size=n, max_size=n))
+        base_gens = st.sampled_from([g for g in gens if g not in hgens])
+        doc["base_gens"] = draw(st.lists(st.lists(base_gens, max_size=2), min_size=n, max_size=n))
+
+    def over_the_plane(*kernels):
+        return {"base": "plane_gl_smash", "base_gens": None, "pieces": [
+            {"kernel": list(k), "cleaving": {g: g for g in SWEEP_BASES["plane_gl_smash"][1]}} for k in kernels
+        ]}
+
+    # each fault sets the given keys, and removes those set to None
     malformed = {
-        "base": ("base", "nope"),
-        "pieces": ("pieces", []),
-        "piece": ("pieces", ["x"]),
-        "base_gens": ("base_gens", [["s"]] * (n + 1)),
-        "kernel": ("pieces", [{"kernel": ["s**"], "cleaving": identity}]),
-        "cleaving": ("pieces", [{"kernel": [], "cleaving": {"zz": "u"}}]),
-        "zero-denominator": ("pieces", [{"kernel": ["1/0"], "cleaving": identity}]),
-        "exponent-over-the-bound": ("pieces", [{"kernel": ["s^1001"], "cleaving": identity}]),
-        "power-over-the-term-cap": ("pieces", [{"kernel": ["(s+ss)^17"], "cleaving": identity}]),
-        "power-over-the-word-cap": ("pieces", [{"kernel": ["(s^1000)^300"], "cleaving": identity}]),
-        "integer-power-over-the-scalar-cap": ("pieces", [{"kernel": ["((2^1000)^1000)^100*s"], "cleaving": identity}]),
-        "q-power-over-the-scalar-cap": ("pieces", [{"kernel": ["((Q+1)^100)^10*s"], "cleaving": identity}]),
-        "nested-power-over-the-coefficient-cap": ("pieces", [{"kernel": ["((2^1000*s)^1000)^10"], "cleaving": identity}]),
-        "power-over-the-coefficient-cap": ("pieces", [{"kernel": ["(2^1000*s)^1000"], "cleaving": identity}]),
-        "holding-a-unit": ("pieces", [{"kernel": ["-2*s"], "cleaving": identity}]),
-        "conflict-past-degree-6-unit": ("pieces", [{"kernel": ["ss^6"], "cleaving": identity}]),
-        "conflict-past-degree-6-idempotent": ("pieces", [{"kernel": ["s^6 - s"], "cleaving": identity}]),
-        "conflict-past-degree-6-nilpotent": ("pieces", [{"kernel": ["s^7"], "cleaving": identity}]),
-        "conflict-of-a-degree-6-rule": ("pieces", [{"kernel": ["s^3*ss^3 - s*ss"], "cleaving": identity}]),
-        "conflict-of-a-rule-sharing-a-central-letter": ("pieces", [{"kernel": ["s*u - s", "s^12"], "cleaving": identity}]),
-        "ambiguities-over-the-cap": ("pieces", [{"kernel": ["(s^1000)^10 - s"], "cleaving": identity}]),
+        "base": {"base": "nope"},
+        "pieces": {"pieces": []},
+        "piece": {"pieces": ["x"]},
+        "base_gens": {"base_gens": [["s"]] * (n + 1)},
+        "kernel": {"pieces": [{"kernel": ["s**"], "cleaving": identity}]},
+        "cleaving": {"pieces": [{"kernel": [], "cleaving": {"zz": "u"}}]},
+        "zero-denominator": {"pieces": [{"kernel": ["1/0"], "cleaving": identity}]},
+        "exponent-over-the-bound": {"pieces": [{"kernel": ["s^1001"], "cleaving": identity}]},
+        "power-over-the-term-cap": {"pieces": [{"kernel": ["(s+ss)^17"], "cleaving": identity}]},
+        "power-over-the-word-cap": {"pieces": [{"kernel": ["(s^1000)^300"], "cleaving": identity}]},
+        "integer-power-over-the-scalar-cap": {"pieces": [{"kernel": ["((2^1000)^1000)^100*s"], "cleaving": identity}]},
+        "q-power-over-the-scalar-cap": {"pieces": [{"kernel": ["((Q+1)^100)^10*s"], "cleaving": identity}]},
+        "nested-power-over-the-coefficient-cap": {"pieces": [{"kernel": ["((2^1000*s)^1000)^10"], "cleaving": identity}]},
+        "power-over-the-coefficient-cap": {"pieces": [{"kernel": ["(2^1000*s)^1000"], "cleaving": identity}]},
+        "holding-a-unit": {"pieces": [{"kernel": ["-2*s"], "cleaving": identity}]},
+        "conflict-past-degree-6-unit": {"pieces": [{"kernel": ["ss^6"], "cleaving": identity}]},
+        "conflict-past-degree-6-idempotent": {"pieces": [{"kernel": ["s^6 - s"], "cleaving": identity}]},
+        "conflict-past-degree-6-nilpotent": {"pieces": [{"kernel": ["s^7"], "cleaving": identity}]},
+        "conflict-of-a-degree-6-rule": {"pieces": [{"kernel": ["s^3*ss^3 - s*ss"], "cleaving": identity}]},
+        "conflict-of-a-rule-sharing-a-central-letter": {"pieces": [{"kernel": ["s*u - s", "s^12"], "cleaving": identity}]},
+        "ambiguities-over-the-cap": {"pieces": [{"kernel": ["(s^1000)^10 - s"], "cleaving": identity}]},
+        "negative-power-of-a-non-unit": over_the_plane(["(1+Q)^-1*x"]),
+        "non-unit-leading-coefficient": over_the_plane(["y - x"], []),
     }
     fault = draw(st.sampled_from([None] * 6 + sorted(malformed)))
     if fault:
-        key, value = malformed[fault]
-        doc[key] = value
-    return doc
+        doc.update(malformed[fault])
+    return {k: v for k, v in doc.items() if v is not None}
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

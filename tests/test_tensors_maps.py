@@ -55,7 +55,7 @@ def test_tensor_results_store_normal_legs_and_no_zero(su):
     sysm = su.system
     a = NCPoly.gen(sysm.alphabet, "a")
     words = sysm.all_words(2)
-    coeffs = [S_ONE, -S_ONE, S_Q, -S_Q, S_Q - S_ONE, (S_Q + S_ONE).inv()]
+    coeffs = [S_ONE, -S_ONE, S_Q, -S_Q, S_Q - S_ONE, S_Q.inv() + S_ONE]
     rng = random.Random(26)
 
     def rand(legs):
