@@ -8,9 +8,9 @@ src/ and tests/ are copied to a temporary directory, once unmutated and once
 per row with the row's snippet replaced; the snippet must occur exactly once
 in its file.  The named tests of every row must pass on the unmutated copy,
 and at least one named test of each row must fail on its mutant.  A row whose
-mutant survives prints SURVIVED.  Exit status 0 when every mutant is caught,
-1 when one survives or the unmutated copy fails, 2 when a snippet does not
-occur exactly once.
+mutant survives, or whose tests run past PYTEST_TIMEOUT_S, prints SURVIVED.
+Exit status 0 when every mutant is caught, 1 when one survives or the
+unmutated copy fails, 2 when a snippet does not occur exactly once.
 """
 
 import os
@@ -24,6 +24,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKERS = 2
+PYTEST_TIMEOUT_S = 300
 
 
 @dataclass(frozen=True)
@@ -84,6 +85,12 @@ MUTANTS = [
         (REWRITE_TESTS + "test_confluence_report_complete",),
     ),
     Mutant(
+        "gap-family-left-out", "rewrite.py",
+        "if c1 & c2 and n1 and n2:",
+        "if False:",
+        (REWRITE_TESTS + "test_confluence_report_complete",),
+    ),
+    Mutant(
         "normal-form-memo-skipped", "rewrite.py",
         "if w in memo:\n                    continue\n",
         "if False:\n                    continue\n",
@@ -109,7 +116,7 @@ MUTANTS = [
     ),
     Mutant(
         "cleaving-relations-not-checked", "comodule.py",
-        "for w, _, lhs, rhs in self.j.mismatches",
+        "for w, _, lhs, rhs in self.j.mismatches()",
         "for w, _, lhs, rhs in []",
         (COMODULE_TESTS + "test_gl_mod_det_unscaled_a_is_not_well_defined",),
     ),
@@ -120,22 +127,23 @@ MUTANTS = [
         (COMODULE_TESTS + "test_gl_mod_det_rescaled_cleaving_is_not_colinear",),
     ),
     Mutant(
-        "relation-check-recomputed-on-every-read", "maps.py",
-        "@cached_property\n    def mismatches",
-        "@property\n    def mismatches",
-        ("tests/test_suites_cli.py::test_each_generator_map_has_its_relations_checked_once",),
-    ),
-    Mutant(
-        "stored-recomputes-on-every-read", "hopf.py",
+        "stored-recomputes-on-every-read", "rewrite.py",
         "if key not in kept:",
         "if True:",
-        ("tests/test_suites_cli.py::test_each_comodule_certificate_runs_once_per_object",),
+        ("tests/test_suites_cli.py::test_each_comodule_certificate_runs_once_per_object",
+         "tests/test_suites_cli.py::test_each_generator_map_has_its_relations_checked_once"),
     ),
     Mutant(
         "hopf-map-counit-not-compared", "hopf.py",
         "if H1.counit_table[g] != H2.counit(img):",
         "if False:",
         (PULLBACK_TESTS + "test_prolong_along_a_surjection_that_is_not_a_hopf_map",),
+    ),
+    Mutant(
+        "kernel-intersection-rank-not-compared", "pullback.py",
+        "if rank != len(basis):",
+        "if False:",
+        (PULLBACK_TESTS + "test_kernel_covering_certificate",),
     ),
     Mutant(
         "pair-differences-skips-the-length-check", "pullback.py",
@@ -164,7 +172,7 @@ MUTANTS = [
     ),
     Mutant(
         "pair-coaction-not-checked", "pullback.py",
-        "for w, _, lhs, rhs in pair.target.rho.mismatches",
+        "for w, _, lhs, rhs in pair.target.rho.mismatches()",
         "for w, _, lhs, rhs in []",
         (PULLBACK_TESTS + "test_bad_trivialisations_fail_the_certificate_where_the_word_loop_does",),
     ),
@@ -173,6 +181,26 @@ MUTANTS = [
         "if abs(k) > MAX_EXPONENT:",
         "if False:",
         ("tests/test_parser_json.py::test_parse_errors",),
+    ),
+    Mutant(
+        "power-word-cap-ignored", "exprs.py",
+        "if i * d > WORD_CAP:",
+        "if False:",
+        ("tests/test_suites_cli.py::test_covering_file_that_does_not_parse_is_a_config_error"
+         "[kernel-power-over-the-word-cap]",),
+    ),
+    Mutant(
+        "power-term-cap-ignored", "exprs.py",
+        "if len(out.terms) > TERM_CAP:",
+        "if False:",
+        ("tests/test_suites_cli.py::test_covering_file_that_does_not_parse_is_a_config_error"
+         "[kernel-power-over-the-term-cap]",),
+    ),
+    Mutant(
+        "blas-thread-pin-left-in-the-environment", "numgeom/__init__.py",
+        'del os.environ["OPENBLAS_NUM_THREADS"]',
+        "pass",
+        ("tests/test_numgeom.py::test_numgeom_import_starts_no_blas_thread",),
     ),
     Mutant(
         "sphere-slot-u-part-never-read", "numgeom/membership.py",
@@ -209,10 +237,13 @@ def run_tests(mutant: Mutant | None, tests) -> subprocess.CompletedProcess:
             path = Path(tmp) / "src" / "pcomod" / mutant.path
             path.write_text(path.read_text().replace(mutant.snippet, mutant.replacement))
         env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
-        return subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
-            cwd=tmp, env=env, capture_output=True, text=True, timeout=300,
-        )
+        try:
+            return subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+                cwd=tmp, env=env, capture_output=True, text=True, timeout=PYTEST_TIMEOUT_S,
+            )
+        except subprocess.TimeoutExpired as e:
+            return subprocess.CompletedProcess(e.cmd, -1, f"timed out after {e.timeout} s\n", "")
 
 
 def main() -> int:

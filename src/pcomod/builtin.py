@@ -421,7 +421,7 @@ def u1_mod_z2_connection() -> StrongConnection:
     which covers every element: the quotient has no irreducible word of
     degree 2 (a premise its record checks), so its basis is {1, u}."""
     H = o_u1()
-    Hbar, pi = u1_mod_z2_ideal().quotient
+    Hbar, pi = u1_mod_z2_ideal().quotient()
     return StrongConnection(over_quotient(pi, H, Hbar), lambda w: H.delta_word(w).map_leg(0, H.S.apply_word))
 
 
@@ -444,7 +444,7 @@ def gl_mod_det_cleaving(q="formal") -> CleavingMap:
     (j (x) id) Delta(a), likewise at b; at c, d and Di both sides agree as
     j fixes c, d and sends Di to 1."""
     H = gl_q2(q)
-    Hbar, pi = gl_mod_det_ideal(q).quotient
+    Hbar, pi = gl_mod_det_ideal(q).quotient()
     table = {"a": "Di*a", "b": "Di*b", "c": "c", "d": "d", "Di": "1"}
     images = {g: parse_poly(e, H.system.alphabet) for g, e in table.items()}
     return CleavingMap(over_quotient(pi, H, Hbar), gens_map("j_gl_sl", Hbar.system, H.system, images, check=True))

@@ -6,10 +6,10 @@ from __future__ import annotations
 from functools import cache
 from typing import Callable
 
-from .hopf import CheckFailure, HopfAlgebra, stored
+from .hopf import CheckFailure, HopfAlgebra
 from .maps import LinearMap, gens_map
 from .ncpoly import Alphabet, NCPoly, Word, word_str
-from .rewrite import RewriteSystem
+from .rewrite import RewriteSystem, stored
 from .scalars import S_ONE
 from .tensors import Tensor, TensorSpace, linear_image
 
@@ -79,7 +79,7 @@ class ComoduleAlgebra:
         H = self.hopf
         failures = [
             CheckFailure("coaction-well-defined", word_str(w), f"{lhs!r} != {rhs!r}")
-            for w, _, lhs, rhs in self.rho.mismatches
+            for w, _, lhs, rhs in self.rho.mismatches()
         ]
         for w in self.system.basis_words(1):
             ws = word_str(w)
@@ -156,7 +156,7 @@ class CleavingMap:
         P, H = self.P, self.P.hopf
         failures = [
             CheckFailure("cleaving-well-defined", word_str(w), f"{lhs!r} != {rhs!r}")
-            for w, _, lhs, rhs in self.j.mismatches
+            for w, _, lhs, rhs in self.j.mismatches()
         ]
         for g in H.system.alphabet.gens:
             lhs = P.coact(self.j.apply_word((g,)))

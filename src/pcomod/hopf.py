@@ -4,35 +4,18 @@ convolution, Hopf ideals, quotients and Hopf isomorphisms."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial, wraps
+from functools import partial
 from typing import Callable
 
 from .maps import LinearMap, NotWellDefinedError, gens_map, relation_mismatches
 from .ncpoly import NCPoly, Word, word_str
-from .rewrite import RewriteSystem
+from .rewrite import RewriteSystem, stored
 from .scalars import S_ONE, S_ZERO, Scalar
 from .tensors import Tensor, TensorSpace, linear_image
 
 
 class NotHopfIdealError(ValueError):
     pass
-
-
-def stored(certificate: Callable) -> Callable:
-    """Run ``certificate`` once per object it certifies: its result is kept in
-    the object's ``__dict__`` under the certificate's qualified name (a
-    method's holds a dot, so the method stays callable), and every later
-    call returns it. The result is shared, so read-only."""
-    key = certificate.__qualname__
-
-    @wraps(certificate)
-    def read(obj):
-        kept = vars(obj)
-        if key not in kept:
-            kept[key] = certificate(obj)
-        return kept[key]
-
-    return read
 
 
 @dataclass
@@ -184,10 +167,10 @@ def check_hopf_axioms(H: HopfAlgebra) -> list[CheckFailure]:
         if lhs != rhs:
             failures.append(CheckFailure("anti-coalgebra", ws, f"{lhs!r} != {rhs!r}"))
     for check, mismatches in (
-        ("delta-well-defined", H.Delta.mismatches),
+        ("delta-well-defined", H.Delta.mismatches()),
         ("counit-well-defined", relation_mismatches(sysm, H.counit_word, H.counit)),
-        ("antipode-well-defined", H.S.mismatches),
-        ("antipode-inverse-well-defined", H.S_inv.mismatches),
+        ("antipode-well-defined", H.S.mismatches()),
+        ("antipode-inverse-well-defined", H.S_inv.mismatches()),
     ):
         failures += [CheckFailure(check, word_str(w), f"{lhs!r} != {rhs!r}") for w, _, lhs, rhs in mismatches]
     return failures
@@ -210,7 +193,7 @@ class HopfIdeal:
         self.gens = [H.system.normal_form(g) for g in gens]
         self.name = name
 
-    @cached_property
+    @stored
     def quotient_system(self) -> RewriteSystem:
         return self.hopf.system.extend_by_ideal(self.gens, name=f"{self.hopf.name}/{self.name}")
 
@@ -218,7 +201,7 @@ class HopfIdeal:
     def validate(self) -> list[CheckFailure]:
         H = self.hopf
         failures: list[CheckFailure] = []
-        qs = self.quotient_system
+        qs = self.quotient_system()
         zero2 = Tensor.zero((qs, qs))
         for i, g in enumerate(self.gens):
             where = f"gen[{i}]={g!r}"
@@ -233,14 +216,14 @@ class HopfIdeal:
                 failures.append(CheckFailure("antipode-stability", where, f"S(g) = {sg!r} mod J"))
         return failures
 
-    @cached_property
+    @stored
     def quotient(self) -> tuple[HopfAlgebra, LinearMap]:
         """H/J with inherited structure maps, plus the canonical surjection;
         NotHopfIdealError when ``validate`` fails."""
         failures = self.validate()
         if failures:
             raise NotHopfIdealError(f"{self.name}: {failures[0]}")
-        H, qs = self.hopf, self.quotient_system
+        H, qs = self.hopf, self.quotient_system()
         delta = {g: Tensor((qs, qs), t.terms) for g, t in H.delta_table.items()}
         antipode = {g: qs.normal_form(p) for g, p in H.antipode_table.items()}
         antipode_inv = {g: qs.normal_form(p) for g, p in H.antipode_inv_table.items()}

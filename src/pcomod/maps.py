@@ -3,11 +3,10 @@ or anti-algebra maps."""
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Callable
 
 from .ncpoly import NCPoly, Word, word_str
-from .rewrite import RewriteSystem
+from .rewrite import RewriteSystem, stored
 from .tensors import Tensor, TensorSpace, linear_image
 
 
@@ -26,7 +25,7 @@ def relation_mismatches(
     rules are confluent.
     """
     out = []
-    for w, p in domain.relations:
+    for w, p in domain.relations():
         lhs, rhs = word_image(w), poly_image(p)
         if lhs != rhs:
             out.append((w, p, lhs, rhs))
@@ -48,8 +47,8 @@ class LinearMap:
     - "algebra": multiplicative extension,
     - "anti": anti-multiplicative extension (words reversed).
 
-    ``mismatches`` lists the defining relations of the domain whose two sides
-    the map sends apart; it is computed once and shared, so read-only. With
+    ``mismatches()`` lists the defining relations of the domain whose two
+    sides the map sends apart; it is ``stored``, so read-only. With
     ``check`` a nonempty list raises at construction. Word images are
     memoised. The codomain may be a ``TensorSpace``, whose images are
     Tensors.
@@ -74,8 +73,8 @@ class LinearMap:
         missing = set(domain.alphabet.gens) - set(gen_images or ())
         if missing:
             raise NotWellDefinedError(f"{name}: no image for generators {sorted(missing)}")
-        if check and self.mismatches:
-            raise NotWellDefinedError(f"{name}: {mismatch_message(*self.mismatches[0])}")
+        if check and self.mismatches():
+            raise NotWellDefinedError(f"{name}: {mismatch_message(*self.mismatches()[0])}")
 
     # -- application -----------------------------------------------------------
     def apply_word(self, w: Word) -> NCPoly | Tensor:
@@ -94,7 +93,7 @@ class LinearMap:
     def apply(self, p: NCPoly) -> NCPoly | Tensor:
         return linear_image(p, self.apply_word, self.codomain.zero())
 
-    @cached_property
+    @stored
     def mismatches(self) -> list[tuple[Word, NCPoly, object, object]]:
         """``relation_mismatches`` of this map over the defining relations of
         the domain (rules and centrality pairs, ``RewriteSystem.relations``)."""

@@ -183,9 +183,6 @@ class NCPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
-
     def leading_word(self) -> Word:
         if not self.terms:
             raise ValueError("leading word of zero polynomial")

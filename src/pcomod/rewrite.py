@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import wraps
 from itertools import product
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .ncpoly import EMPTY, Alphabet, NCPoly, Word, add_terms, word_str
 from .scalars import S_ONE, Scalar, ScalarError
@@ -14,6 +14,24 @@ from .scalars import S_ONE, Scalar, ScalarError
 
 TERM_CAP = 100_000  # the most terms a reduction or a parsed power may hold
 AMBIGUITY_CAP = 2_000_000  # the most letters of overlap words one confluence check lists
+
+
+def stored(certificate: Callable) -> Callable:
+    """Run ``certificate`` once per object it certifies: its result is kept in
+    the object's ``__dict__`` under the certificate's qualified name (a
+    method's holds a dot, so the method stays callable), and every later
+    call returns it. The result is shared, so read-only. This is the one
+    per-object memo, of quotients and relation lists as of certificates."""
+    key = certificate.__qualname__
+
+    @wraps(certificate)
+    def read(obj):
+        kept = vars(obj)
+        if key not in kept:
+            kept[key] = certificate(obj)
+        return kept[key]
+
+    return read
 
 
 class OrderViolation(ValueError):
@@ -208,7 +226,7 @@ class RewriteSystem:
             for h in gens[i + 1 :]
         )
 
-    @cached_property
+    @stored
     def relations(self) -> list[tuple[Word, NCPoly]]:
         """The defining relations w = p of the presented algebra, as (w, p):
 
@@ -227,7 +245,7 @@ class RewriteSystem:
         for i, c in enumerate(central):
             rels += [((c, x), NCPoly.word(a, (x, c))) for x in a.gens if x != c and x not in central[:i]]
         if self.suffix_system is not None:
-            rels += [(w, NCPoly(a, p.terms)) for w, p in self.suffix_system.relations]
+            rels += [(w, NCPoly(a, p.terms)) for w, p in self.suffix_system.relations()]
         return rels
 
     # -- matching ------------------------------------------------------------
@@ -476,18 +494,18 @@ class RewriteSystem:
         return report
 
     # -- structural identity ------------------------------------------------------
-    @cached_property
+    @stored
     def _signature(self):
         star = frozenset(self.star_table.items()) if self.star_table else None
-        return self.alphabet, tuple(self.rules), star, self.suffix_system._signature if self.suffix_system else None
+        return self.alphabet, tuple(self.rules), star, self.suffix_system._signature() if self.suffix_system else None
 
     def __eq__(self, other):
         if self is other:
             return True
-        return isinstance(other, RewriteSystem) and self._signature == other._signature
+        return isinstance(other, RewriteSystem) and self._signature() == other._signature()
 
     def __hash__(self):
-        return hash(self._signature)
+        return hash(self._signature())
 
     def __repr__(self):
         return f"RewriteSystem({self.name or self.alphabet.gens}, {len(self.rules)} rules)"

@@ -492,12 +492,12 @@ def suite_reduction_theorem(cfg: SuiteConfig) -> Iterator[CheckRecord]:
     )
     # quotient identifications
     z2 = builtin.c_z2()
-    qh, _ = builtin.u1_mod_z2_ideal().quotient
+    qh, _ = builtin.u1_mod_z2_ideal().quotient()
     fails = generator_map_isomorphism_problems(
         qh, z2, {"u": z2.system.gen("u"), "ui": z2.system.gen("u")}, {"u": qh.system.gen("u")}
     )
     sl = builtin.sl_q2(cfg.q)
-    qg, _ = builtin.gl_mod_det_ideal(cfg.q).quotient
+    qg, _ = builtin.gl_mod_det_ideal(cfg.q).quotient()
     abcd = ("a", "b", "c", "d")
     gm = {g: sl.system.gen(g) for g in abcd}
     gm["Di"] = sl.system.one()
@@ -547,7 +547,7 @@ def symbol_relation_residual(system) -> float:
     u, ui = NCPoly.gen(U.alphabet, "u"), NCPoly.gen(U.alphabet, "ui")
     S = gens_map("symbol", system, U, {"s": u, "ss": ui}, check=False)
     worst = 0.0
-    for _, _, lhs, rhs in S.mismatches:
+    for _, _, lhs, rhs in S.mismatches():
         worst = max(worst, float(sum(abs(c.to_complex()) for c in (lhs - rhs).terms.values())))
     return worst
 

@@ -1,6 +1,8 @@
 """Regrowth guards: every definition in the program has a caller in the
-program, and every module under ``src/`` and ``tests/`` reads each name it
-imports (``unread_imports``; the package ``__init__`` re-exports are exempt).
+program, every module under ``src/`` and ``tests/`` reads each name it
+imports (``unread_imports``; the package ``__init__`` re-exports are exempt),
+and no module under ``src/`` memoises with ``functools.cached_property``,
+since ``rewrite.stored`` is the one per-object memo.
 
 The program is ``src/``, ``scripts/`` and ``benchmark/``; ``tests/`` does not
 count, so a function that only tests call is reported. The scan is by name:
@@ -26,10 +28,6 @@ PROGRAM_DIRS = ("src", "scripts", "benchmark")
 
 # name -> why it stays although nothing in the program calls it
 ALLOWLIST = {
-    "ideal_distributivity_check": "the distributivity of ideals in the base; a record of the new "
-    "covering-lattice suite (ROADMAP item 14)",
-    "cotensor_ideal_sum_check": "the cotensor/ideal-sum identity; a record of the new covering-lattice "
-    "suite (ROADMAP item 14)",
     "registry": "builtin's public list of algebra names, the index of ``builtin.build``",
     "confluent": "ConfluenceReport's verdict, the documented reading of a confluence report",
 }
@@ -165,3 +163,25 @@ def unread_imports(dirs=("src", "tests")) -> list[str]:
 def test_every_import_is_read():
     unread = unread_imports()
     assert not unread, "imported names that nothing reads (delete them):\n" + "\n".join(unread)
+
+
+def cached_property_uses(dirs=("src",)) -> list[str]:
+    """``path:line`` for each import or attribute read of ``cached_property``."""
+    found = []
+    for d in dirs:
+        for path in sorted((ROOT / d).rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for node in ast.walk(tree):
+                names = [a.name for a in node.names] if isinstance(node, (ast.Import, ast.ImportFrom)) else []
+                if isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                if "cached_property" in names:
+                    found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    return found
+
+
+def test_no_src_module_uses_cached_property():
+    """Every per-object memo is ``rewrite.stored``: one rule, one key (the
+    qualified name) and one way for a test to forget a result."""
+    uses = cached_property_uses()
+    assert not uses, "memoise with rewrite.stored instead:\n" + "\n".join(uses)

@@ -66,7 +66,7 @@ def test_corrupted_coproduct_fails_counit(z2):
 def test_quotient_u1_is_z2_by_structure_constants(u1, z2):
     J = builtin.u1_mod_z2_ideal()
     assert J.validate() == []
-    qH, proj = J.quotient
+    qH, proj = J.quotient()
     # 2-dimensional: basis {1, u}; compare against the finite group model
     basis = qH.system.basis_words(3)
     assert basis == [(), ("u",)]
@@ -92,7 +92,7 @@ def test_quotient_u1_is_z2_by_structure_constants(u1, z2):
 def test_quotient_gl_is_sl(gl, sl):
     J = builtin.gl_mod_det_ideal()
     assert J.validate() == []
-    qG, _ = J.quotient
+    qG, _ = J.quotient()
     gm = {g: NCPoly.gen(sl.system.alphabet, g) for g in ("a", "b", "c", "d")}
     gm["Di"] = NCPoly.one(sl.system.alphabet)
     inverse = {g: qG.system.gen(g) for g in ("a", "b", "c", "d")}
@@ -105,10 +105,10 @@ def _quotient_identifications(q):
     O(U(1))/<u^2 - 1> = C[Z/2] and GL_q(2)/<D - 1> = SL_q(2), as the
     ``reduction/quotient-identifications`` record states them."""
     z2 = builtin.c_z2()
-    qh, _ = builtin.u1_mod_z2_ideal().quotient
+    qh, _ = builtin.u1_mod_z2_ideal().quotient()
     yield qh, z2, {"u": z2.system.gen("u"), "ui": z2.system.gen("u")}, {"u": qh.system.gen("u")}
     sl = builtin.sl_q2(q)
-    qg, _ = builtin.gl_mod_det_ideal(q).quotient
+    qg, _ = builtin.gl_mod_det_ideal(q).quotient()
     abcd = ("a", "b", "c", "d")
     yield qg, sl, {**{g: sl.system.gen(g) for g in abcd}, "Di": sl.system.one()}, {g: qg.system.gen(g) for g in abcd}
 
@@ -182,7 +182,7 @@ def test_wrong_inverse_is_an_inverse_witness():
 
 def test_quotient_by_zero_ideal(z2):
     J = HopfIdeal(z2, [], name="<0>")
-    qH, _ = J.quotient
+    qH, _ = J.quotient()
     assert qH.system.rules == z2.system.rules
     assert check_hopf_axioms(qH) == []
 
@@ -222,7 +222,7 @@ def test_not_hopf_ideal_raises(u1):
     report = J.validate()
     assert any(f.check == "counit-kill" for f in report)
     with pytest.raises(NotHopfIdealError):
-        J.quotient
+        J.quotient()
 
 
 def test_not_hopf_ideal_lists_only_true_failures(u1):

@@ -13,8 +13,8 @@ from pcomod import hopf as hopf_module
 from pcomod import maps as maps_module
 from pcomod.comodule import CleavingMap, ComoduleAlgebra, smash_product
 from pcomod.exprs import load_presentation
-from pcomod.hopf import HopfIdeal, check_hopf_axioms, hopf_map_problems, stored
-from pcomod.maps import gens_map
+from pcomod.hopf import HopfIdeal, check_hopf_axioms, hopf_map_problems
+from pcomod.maps import LinearMap, gens_map
 from pcomod.ncpoly import NCPoly
 from pcomod.numgeom import GridConfig, face_atlas, rp2_membership
 from pcomod.numgeom.toeplitz import _toeplitz_basis, toeplitz_flip
@@ -24,16 +24,13 @@ from pcomod.pullback import (
     NotSurjectiveError,
     PairData,
     Trivialisation,
-    cotensor_ideal_sum_check,
     cotensor_membership,
-    ideal_distributivity_check,
-    ideal_span,
     pair_differences,
     piece_glue,
     prolong,
     reducibility_check,
 )
-from pcomod.rewrite import RewriteSystem
+from pcomod.rewrite import RewriteSystem, stored
 from pcomod.ncpoly import Alphabet
 from pcomod.scalars import S_ONE, S_Q
 from pcomod.suites import SuiteConfig, _load_trivialisation
@@ -62,11 +59,9 @@ def _count_certificates(monkeypatch, triv) -> Counter:
     for pair in triv.covering.pairs.values():
         maps += [pair.map_i, pair.map_j, pair.target.rho]
         parts.append(pair.target)
-    for m in maps:
-        monkeypatch.delitem(vars(m), "mismatches", raising=False)
-    certificates = (check_hopf_axioms, ComoduleAlgebra.check_axioms, CleavingMap.verify, Covering.validate,
-                    Trivialisation.validate)
-    for part in parts:
+    certificates = (LinearMap.mismatches, check_hopf_axioms, ComoduleAlgebra.check_axioms, CleavingMap.verify,
+                    Covering.validate, Trivialisation.validate)
+    for part in maps + parts:
         for c in certificates:
             monkeypatch.delitem(vars(part), c.__qualname__, raising=False)
     counts = Counter()
@@ -565,28 +560,6 @@ def test_membership_and_glue_share_the_pair_differences(sphere):
     assert glued == tup
     assert list(pair_differences(sphere.covering, glued)) == diffs
     assert mutants._constant_fiber_tuple_rejected() == [f"multipullback @ ({i},{j})" for i, j, _ in diffs]
-
-
-def test_ideal_spans_and_distributivity():
-    sq = Alphabet(("v", "w"), central=("v", "w"))
-    one = NCPoly.one(sq)
-    sysq = RewriteSystem(sq, [(("v", "v"), one), (("w", "w"), one)], name="z2xz2")
-    g1 = [NCPoly.gen(sq, "v") - one]
-    g2 = [NCPoly.gen(sq, "w") - one]
-    g3 = [NCPoly.word(sq, ("v", "w")) - one]
-    assert ideal_distributivity_check(sysq, g1, g2, g3, bound=4) == []
-    span1 = ideal_span(sysq, g1, 3)
-    assert span1.contains(dict(sysq.normal_form(NCPoly.word(sq, ("v", "w")) - NCPoly.gen(sq, "w")).terms))
-    assert not span1.contains(dict(sysq.normal_form(NCPoly.gen(sq, "w") - one).terms))
-
-
-def test_cotensor_ideal_sum(sphere_pro):
-    base = builtin.toeplitz_system()
-    prol = sphere_pro.trivialisation.covering.pieces[0].comodule.system
-    al = base.alphabet
-    k1 = NCPoly.one(al) - NCPoly.word(al, ("s", "ss"))
-    k2 = NCPoly.gen(al, "s") - NCPoly.word(al, ("s", "s", "ss"))
-    assert cotensor_ideal_sum_check(base, prol, k1, k2, bound=3) == []
 
 
 def test_kernel_covering_certificate(z2_smash):

@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -811,7 +811,7 @@ def exact_counts():
 
 
 def test_each_generator_map_has_its_relations_checked_once(exact_counts):
-    """``LinearMap.mismatches`` is computed once per map: no map of the exact
+    """``LinearMap.mismatches()`` is computed once per map: no map of the exact
     suites has its relations checked twice (the sphere's pair maps and face
     coaction were checked four times each when every reader recomputed them)."""
     checks = exact_counts["relation_checks"]
@@ -829,7 +829,7 @@ def test_each_hopf_algebra_has_its_axioms_run_once(exact_counts):
 
 def test_each_comodule_certificate_runs_once_per_object(exact_counts):
     """Each comodule-side certificate runs once per object it certifies
-    (``hopf.stored``), though several suites and validations ask for it: when
+    (``rewrite.stored``), though several suites and validations ask for it: when
     each call ran its body, ``toeplitz_z2_smash``'s ``check_axioms`` ran 4
     times, ``j_toeplitz_z2_smash``'s ``verify`` 3 times, and the sphere's
     covering and trivialisation were validated twice each."""
@@ -915,39 +915,21 @@ SWEEP_BASES = {
 }
 
 
-@st.composite
-def covering_files(draw):
-    """Small covering files over the two Toeplitz smash products and the
-    quantum plane over GL_q(2): kernels and cleavings from words of degree
-    <= 2 with coefficients +-1, +-2 and +-Q, and now and then a malformed
-    key."""
-    base = draw(st.sampled_from(sorted(SWEEP_BASES)))
-    gens, hgens = SWEEP_BASES[base]
-    words = st.lists(st.sampled_from(gens), max_size=2).map(lambda w: "*".join(w) or "1")
-    terms = st.tuples(st.sampled_from(["-2", "-1", "1", "2", "-Q", "Q"]), words).map("*".join)
-    polys = st.lists(terms, min_size=1, max_size=2).map(" + ".join)
-    identity = {g: g for g in hgens}
-    cleavings = st.just(identity) | st.fixed_dictionaries({g: words for g in hgens})
-    pieces = st.lists(
-        st.fixed_dictionaries({"kernel": st.lists(polys, max_size=2), "cleaving": cleavings}), min_size=1, max_size=3
-    )
-    doc = {"base": base, "pieces": draw(pieces)}
-    n = len(doc["pieces"])
-    if draw(st.booleans()):
-        base_gens = st.sampled_from([g for g in gens if g not in hgens])
-        doc["base_gens"] = draw(st.lists(st.lists(base_gens, max_size=2), min_size=n, max_size=n))
+def malformed_entries(n: int, identity: dict) -> dict:
+    """The faults of a covering file of ``n`` pieces, by name: each sets the
+    given keys, and removes those set to None. ``identity`` is the identity
+    cleaving of the file's base."""
 
     def over_the_plane(*kernels):
         return {"base": "plane_gl_smash", "base_gens": None, "pieces": [
             {"kernel": list(k), "cleaving": {g: g for g in SWEEP_BASES["plane_gl_smash"][1]}} for k in kernels
         ]}
 
-    # each fault sets the given keys, and removes those set to None
-    malformed = {
+    return {
         "base": {"base": "nope"},
         "pieces": {"pieces": []},
         "piece": {"pieces": ["x"]},
-        "base_gens": {"base_gens": [["s"]] * (n + 1)},
+        "base_gens": {"base_gens": [[]] * (n + 1)},
         "kernel": {"pieces": [{"kernel": ["s**"], "cleaving": identity}]},
         "cleaving": {"pieces": [{"kernel": [], "cleaving": {"zz": "u"}}]},
         "zero-denominator": {"pieces": [{"kernel": ["1/0"], "cleaving": identity}]},
@@ -968,25 +950,71 @@ def covering_files(draw):
         "negative-power-of-a-non-unit": over_the_plane(["(1+Q)^-1*x"]),
         "non-unit-leading-coefficient": over_the_plane(["y - x"], []),
     }
-    fault = draw(st.sampled_from([None] * 6 + sorted(malformed)))
+
+
+MALFORMED = sorted(malformed_entries(1, {}))
+
+
+def with_fault(doc: dict, fault: str | None) -> dict:
+    """``doc`` with the malformed entry ``fault`` applied (None: as it is)."""
     if fault:
-        doc.update(malformed[fault])
+        identity = {g: g for g in SWEEP_BASES[doc["base"]][1]}
+        doc = {**doc, **malformed_entries(len(doc["pieces"]), identity)[fault]}
     return {k: v for k, v in doc.items() if v is not None}
 
 
+@st.composite
+def covering_files(draw):
+    """Small covering files over the two Toeplitz smash products and the
+    quantum plane over GL_q(2): kernels and cleavings from words of degree
+    <= 2 with coefficients +-1, +-2 and +-Q, and now and then a malformed
+    key. Returns the document and the name of its ``malformed_entries``
+    entry, or None when it drew no fault."""
+    base = draw(st.sampled_from(sorted(SWEEP_BASES)))
+    gens, hgens = SWEEP_BASES[base]
+    words = st.lists(st.sampled_from(gens), max_size=2).map(lambda w: "*".join(w) or "1")
+    terms = st.tuples(st.sampled_from(["-2", "-1", "1", "2", "-Q", "Q"]), words).map("*".join)
+    polys = st.lists(terms, min_size=1, max_size=2).map(" + ".join)
+    identity = {g: g for g in hgens}
+    cleavings = st.just(identity) | st.fixed_dictionaries({g: words for g in hgens})
+    pieces = st.lists(
+        st.fixed_dictionaries({"kernel": st.lists(polys, max_size=2), "cleaving": cleavings}), min_size=1, max_size=3
+    )
+    doc = {"base": base, "pieces": draw(pieces)}
+    if draw(st.booleans()):
+        base_gens = st.sampled_from([g for g in gens if g not in hgens])
+        n = len(doc["pieces"])
+        doc["base_gens"] = draw(st.lists(st.lists(base_gens, max_size=2), min_size=n, max_size=n))
+    fault = draw(st.sampled_from([None] * 6 + MALFORMED))
+    return with_fault(doc, fault), fault
+
+
+def each_fault(test):
+    """Run ``test`` on a two-piece file with each malformed entry, besides its
+    random draws, which reach any one entry seldom."""
+    doc = {"base": "toeplitz_z2_smash", "pieces": [{"kernel": [], "cleaving": {"u": "u"}}] * 2}
+    for fault in MALFORMED:
+        test = example(drawn=(with_fault(doc, fault), fault))(test)
+    return test
+
+
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(doc=covering_files())
-def test_every_small_covering_file_reports_or_is_a_config_error(tmp_path, doc):
+@each_fault
+@given(drawn=covering_files())
+def test_every_small_covering_file_reports_or_is_a_config_error(tmp_path, drawn):
     """The covering and transition suites end every small covering file in a
     report or a configuration error, what verify exits 2 on; any other
-    exception fails the test."""
+    exception fails the test, and so does a report on a file with a
+    malformed entry."""
+    doc, fault = drawn
     path = tmp_path / "cover.json"
     path.write_text(json.dumps(doc))
     for suite in ("covering", "transition"):
         try:
             run_suite(mini_cfg(suite, covering=str(path)))
         except (ConfigError, builtin.UnknownNameError):
-            pass
+            continue
+        assert fault is None, f"the {suite} suite reported on a file with the fault {fault!r}"
 
 
 def test_hash_sweep_matches_the_manifest():
