@@ -7,10 +7,13 @@ snippet of src/ and names the tests that must catch it.
 src/ and tests/ are copied to a temporary directory, once unmutated and once
 per row with the row's snippet replaced; the snippet must occur exactly once
 in its file.  The named tests of every row must pass on the unmutated copy,
-and at least one named test of each row must fail on its mutant.  A row whose
-mutant survives, or whose tests run past PYTEST_TIMEOUT_S, prints SURVIVED.
-Exit status 0 when every mutant is caught, 1 when one survives or the
-unmutated copy fails, 2 when a snippet does not occur exactly once.
+and at least one named test of each row must fail on its mutant by an
+assertion: an AssertionError or pytest's Failed (say, DID NOT RAISE), as
+pytest's -rf summary names it.  A row whose mutant survives, or whose tests
+run past PYTEST_TIMEOUT_S, prints SURVIVED; a row whose tests fail only by
+another exception, or error, prints CRASHED, since no oracle judged it.
+Exit status 0 when every mutant is caught, 1 when one survives or crashes or
+the unmutated copy fails, 2 when a snippet does not occur exactly once.
 """
 
 import os
@@ -134,6 +137,12 @@ MUTANTS = [
          "tests/test_suites_cli.py::test_each_generator_map_has_its_relations_checked_once"),
     ),
     Mutant(
+        "stored-logs-nothing-on-a-read", "rewrite.py",
+        "elif entries is not None:",
+        "elif False:",
+        ("tests/test_suites_cli.py::test_records_list_the_certificates_they_run_or_read",),
+    ),
+    Mutant(
         "hopf-map-counit-not-compared", "hopf.py",
         "if H1.counit_table[g] != H2.counit(img):",
         "if False:",
@@ -179,6 +188,12 @@ MUTANTS = [
     Mutant(
         "power-exponent-cap-ignored", "exprs.py",
         "if abs(k) > MAX_EXPONENT:",
+        "if False:",
+        ("tests/test_parser_json.py::test_parse_errors",),
+    ),
+    Mutant(
+        "scalar-power-cap-ignored", "exprs.py",
+        "if _bits(out) > SCALAR_CAP:",
         "if False:",
         ("tests/test_parser_json.py::test_parse_errors",),
     ),
@@ -236,10 +251,11 @@ def run_tests(mutant: Mutant | None, tests) -> subprocess.CompletedProcess:
         if mutant is not None:
             path = Path(tmp) / "src" / "pcomod" / mutant.path
             path.write_text(path.read_text().replace(mutant.snippet, mutant.replacement))
-        env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+        # wide enough that the -rf lines keep their failure kind
+        env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1", COLUMNS="1000")
         try:
             return subprocess.run(
-                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+                [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *tests],
                 cwd=tmp, env=env, capture_output=True, text=True, timeout=PYTEST_TIMEOUT_S,
             )
         except subprocess.TimeoutExpired as e:
@@ -259,16 +275,25 @@ def main() -> int:
     if clean.returncode != 0:
         print("the named tests fail on the unmutated tree:\n" + clean.stdout[-2000:])
         return 1
-    survived = 0
-    for m, out in zip(MUTANTS, runs):
-        # pytest exits 1 when a test failed; 2 or more is an error of the run itself
-        caught = out.returncode == 1
-        survived += not caught
-        print(f"{'caught' if caught else 'SURVIVED'}  {m.name} (pytest exit {out.returncode})")
-        if not caught:
+    verdicts = [verdict(out) for out in runs]
+    for m, out, v in zip(MUTANTS, runs, verdicts):
+        print(f"{v}  {m.name} (pytest exit {out.returncode})")
+        if v != "caught":
             print(out.stdout[-2000:] + out.stderr[-2000:])
-    print(f"{len(MUTANTS) - survived} of {len(MUTANTS)} mutants caught")
-    return 1 if survived else 0
+    caught = verdicts.count("caught")
+    print(f"{caught} of {len(MUTANTS)} mutants caught")
+    return 0 if caught == len(MUTANTS) else 1
+
+
+def verdict(out: subprocess.CompletedProcess) -> str:
+    """"caught" when a test failed by an assertion, read from the -rf lines
+    ``FAILED <id> - <kind>: <message>`` (a rewritten assert prints
+    ``- assert ...``); "SURVIVED" when every test passed or the run timed
+    out; "CRASHED" otherwise."""
+    kinds = [line.split(" - ", 1)[-1] for line in out.stdout.splitlines() if line.startswith("FAILED ")]
+    if any(k.startswith(("assert ", "AssertionError", "Failed:")) for k in kinds):
+        return "caught"
+    return "SURVIVED" if out.returncode in (0, -1) else "CRASHED"
 
 
 if __name__ == "__main__":

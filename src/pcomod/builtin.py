@@ -42,8 +42,8 @@ from .scalars import CUBE_ROOT_MINPOLY, GaussRat, Scalar
 from .tensors import Tensor
 
 
-class UnknownNameError(KeyError):
-    pass
+class UnknownNameError(LookupError):
+    """No builtin of that name; not a KeyError, whose str() quotes it."""
 
 
 def nearest_match_hint(name: str, choices) -> str:

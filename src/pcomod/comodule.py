@@ -128,6 +128,7 @@ class CleavingMap:
             raise PreconditionError(f"{j.name}: a cleaving must be an algebra map")
         self.P = P
         self.j = j
+        self.name = j.name
         H = P.hopf
         self.j_inv = LinearMap(
             f"{j.name}oS",
@@ -286,6 +287,7 @@ class ActionData:
     def __init__(self, hopf: HopfAlgebra, b_system: RewriteSystem, table: dict[tuple[str, str], NCPoly]):
         self.hopf = hopf
         self.b_system = b_system
+        self.name = f"{hopf.name} on {b_system.name}"
         self.table = {k: b_system.normal_form(v) for k, v in table.items()}
         self._cache: dict[tuple[Word, Word], NCPoly] = {}
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import wraps
 from itertools import product
@@ -16,19 +18,40 @@ TERM_CAP = 100_000  # the most terms a reduction or a parsed power may hold
 AMBIGUITY_CAP = 2_000_000  # the most letters of overlap words one confluence check lists
 
 
+_ledger: ContextVar[list | None] = ContextVar("ledger", default=None)
+
+
+@contextmanager
+def ledger():
+    """Yield a list that gets one ``(certificate, object, "run" | "read")``
+    entry for each ``stored`` call made inside the block: "run" when the
+    call computes the result, "read" when it returns the kept one."""
+    token = _ledger.set([])
+    try:
+        yield _ledger.get()
+    finally:
+        _ledger.reset(token)
+
+
 def stored(certificate: Callable) -> Callable:
     """Run ``certificate`` once per object it certifies: its result is kept in
     the object's ``__dict__`` under the certificate's qualified name (a
     method's holds a dot, so the method stays callable), and every later
     call returns it. The result is shared, so read-only. This is the one
-    per-object memo, of quotients and relation lists as of certificates."""
+    per-object memo, of quotients and relation lists as of certificates,
+    and each call is an entry of the open ``ledger``, if any."""
     key = certificate.__qualname__
 
     @wraps(certificate)
     def read(obj):
         kept = vars(obj)
+        entries = _ledger.get()
         if key not in kept:
+            if entries is not None:
+                entries.append((key, obj, "run"))
             kept[key] = certificate(obj)
+        elif entries is not None:
+            entries.append((key, obj, "read"))
         return kept[key]
 
     return read

@@ -42,7 +42,7 @@ from .pullback import (
     piece_glue,
     reducibility_check,
 )
-from .rewrite import NonUnitLeadError, SizeLimitError, UnitIdealError
+from .rewrite import NonUnitLeadError, SizeLimitError, UnitIdealError, ledger
 from .scalars import S_ONE, Scalar
 
 
@@ -53,8 +53,10 @@ class ConfigError(ValueError):
 @dataclass
 class CheckRecord:
     """One check's verdict.  ``run_suite`` sets ``runtime_ms`` (wall time
-    since the suite's previous record, or since the suite started) and
-    ``seed`` (``crc32(id) & 0xFFFF``, a label no check draws from)."""
+    since the suite's previous record, or since the suite started),
+    ``seed`` (``crc32(id) & 0xFFFF``, a label no check draws from) and
+    ``certificates`` (the ``rewrite.ledger`` of the stored certificates
+    run or read since the suite's previous record)."""
 
     id: str
     claim: str
@@ -63,12 +65,13 @@ class CheckRecord:
     residual: float | None = None
     runtime_ms: float = 0.0
     seed: int | None = None
+    certificates: list = field(default_factory=list)
 
 
 # a report's record dicts are built field by field: dataclasses.asdict would
 # deep-copy values that are already plain
 _RECORD_FIELDS = tuple(f.name for f in fields(CheckRecord))
-_CANONICAL_FIELDS = tuple(k for k in _RECORD_FIELDS if k != "runtime_ms")
+_CANONICAL_FIELDS = tuple(k for k in _RECORD_FIELDS if k not in ("runtime_ms", "certificates"))
 
 
 @dataclass
@@ -121,11 +124,13 @@ class SuiteReport:
             "undecided": self.n_undecided,
             "runtime_ms": self.runtime_ms,
         }
-        return json.dumps(doc, indent=2, default=str)
+        # a ledger entry (certificate, object, "run" | "read") prints its object's name
+        return json.dumps(doc, indent=2, default=lambda obj: obj.name)
 
     def canonical_json(self) -> str:
         """Reproducible form: identical configs + seed give identical bytes
-        (runtimes excluded, everything else included)."""
+        (runtimes and certificate ledgers excluded, everything else
+        included)."""
         doc = {
             "suite": self.suite,
             "params": self.params,
@@ -235,16 +240,10 @@ def suite_strong_connection(cfg: SuiteConfig) -> Iterator[CheckRecord]:
         for w in ell.P.hopf.system.basis_words(2)
         if len(w) == 2
     ]
+    claim = "explicit strong connection for the quotient coaction on the pair"
+    yield _no_failures("quotient-pair-principal/o_u1-mod-z2", claim, premise + verify_strong_connection(ell, 1))
     cl = builtin.gl_mod_det_cleaving(cfg.q)
-    for name, fails in (
-        ("o_u1-mod-z2", premise + verify_strong_connection(ell, 1)),
-        ("gl-mod-det", cl.P.check_axioms() + cl.verify()),
-    ):
-        yield _no_failures(
-            f"quotient-pair-principal/{name}",
-            "explicit strong connection for the quotient coaction on the pair",
-            fails,
-        )
+    yield _no_failures("quotient-pair-principal/gl-mod-det", claim, cl.P.check_axioms() + cl.verify())
 
 
 def _tensor_check_commutator(action: dict[str, str]) -> NCPoly:
@@ -343,7 +342,10 @@ def load_covering_file(path: str, q="formal"):
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read covering file {path}: {e}")
     _check_covering_shape(path, doc)
-    base = builtin.build(doc["base"], q)
+    try:
+        base = builtin.build(doc["base"], q)
+    except builtin.UnknownNameError as e:
+        raise ConfigError(f"covering file {path}: {e}")
     qv = builtin.q_value(q)
     if not hasattr(base, "coact_word"):
         raise ConfigError(f"base {doc['base']!r} is not a comodule algebra")
@@ -745,10 +747,16 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
     records: list[CheckRecord] = []
     for name in _suite_names(cfg):
         last = time.monotonic()
-        for rec in SUITES[name][0](cfg):
+        body = SUITES[name][0](cfg)
+        while True:
+            with ledger() as entries:
+                rec = next(body, None)
+            if rec is None:
+                break
             now = time.monotonic()
             rec.runtime_ms = (now - last) * 1000.0
             rec.seed = zlib.crc32(rec.id.encode()) & 0xFFFF
+            rec.certificates = entries
             records.append(rec)
             last = now
     records.sort(key=lambda r: r.id)

@@ -97,6 +97,7 @@ def test_parse_errors():
     # a nested power is bounded in its words' letters and its scalars' bits
     for expr, match in (
         ("(a^1000)^300", "word of over 10000 letters"),
+        ("(2^1000)^101*a", "over 100000 bits"),
         ("((2^1000)^1000)^100*a", "over 100000 bits"),
         ("((Q+1)^100)^10*a", "over 100000 bits"),
         # and so is a power of a polynomial in its coefficients' bits

@@ -1,5 +1,3 @@
-import functools
-import inspect
 import json
 from collections import Counter
 from dataclasses import replace
@@ -9,8 +7,6 @@ from pathlib import Path
 import pytest
 
 from pcomod import builtin, mutants
-from pcomod import hopf as hopf_module
-from pcomod import maps as maps_module
 from pcomod.comodule import CleavingMap, ComoduleAlgebra, smash_product
 from pcomod.exprs import load_presentation
 from pcomod.hopf import HopfIdeal, check_hopf_axioms, hopf_map_problems
@@ -30,7 +26,7 @@ from pcomod.pullback import (
     prolong,
     reducibility_check,
 )
-from pcomod.rewrite import RewriteSystem, stored
+from pcomod.rewrite import RewriteSystem, ledger
 from pcomod.ncpoly import Alphabet
 from pcomod.scalars import S_ONE, S_Q
 from pcomod.suites import SuiteConfig, _load_trivialisation
@@ -48,11 +44,11 @@ def test_sphere_covering_validates(sphere):
     assert sphere.validate() == []
 
 
-def _count_certificates(monkeypatch, triv) -> Counter:
-    """Forget the relation checks and the certificates ``stored`` on the
-    parts of ``triv``, then count the runs (not the calls) of the comodule
+def _count_certificates(monkeypatch, triv) -> tuple[list, Counter]:
+    """Forget the certificates ``stored`` on the parts of ``triv``, validate
+    it, and count from the ledger the runs (not the reads) of the comodule
     and cleaving certificates, and the relation checks by the name of the
-    map (the Hopf algebra's, for the counit) whose relations they check."""
+    map (the Hopf algebra's, for its axioms) whose relations they check."""
     maps = [triv.hopf.Delta, triv.hopf.S, triv.hopf.S_inv]
     maps += [p.comodule.rho for p in triv.covering.pieces] + [cl.j for cl in triv.cleavings]
     parts = [triv, triv.covering, triv.hopf] + [p.comodule for p in triv.covering.pieces] + list(triv.cleavings)
@@ -64,24 +60,11 @@ def _count_certificates(monkeypatch, triv) -> Counter:
     for part in maps + parts:
         for c in certificates:
             monkeypatch.delitem(vars(part), c.__qualname__, raising=False)
-    counts = Counter()
-    for cls, name in ((ComoduleAlgebra, "check_axioms"), (CleavingMap, "verify")):
-        body = inspect.unwrap(getattr(cls, name))
-
-        @functools.wraps(body)
-        def counted(self, _body=body, _name=name):
-            counts[_name] += 1
-            return _body(self)
-
-        monkeypatch.setattr(cls, name, stored(counted))
-
-    def counted_relations(domain, word_image, poly_image, _orig=maps_module.relation_mismatches):
-        counts[word_image.__self__.name] += 1
-        return _orig(domain, word_image, poly_image)
-
-    for module in (maps_module, hopf_module):
-        monkeypatch.setattr(module, "relation_mismatches", counted_relations)
-    return counts
+    with ledger() as entries:
+        failures = triv.validate()
+    names = {"ComoduleAlgebra.check_axioms": "check_axioms", "CleavingMap.verify": "verify",
+             "LinearMap.mismatches": None, "check_hopf_axioms": None}
+    return failures, Counter(names[c] or obj.name for c, obj, how in entries if how == "run" and c in names)
 
 
 def test_validate_certifies_each_shared_part_once(sphere, monkeypatch):
@@ -89,8 +72,8 @@ def test_validate_certifies_each_shared_part_once(sphere, monkeypatch):
     three pairs one target reached by two maps: one validate checks the Hopf
     axioms and certifies the face, each map, the target and the cleaving
     once, each relation check included."""
-    counts = _count_certificates(monkeypatch, sphere)
-    assert sphere.validate() == []
+    failures, counts = _count_certificates(monkeypatch, sphere)
+    assert failures == []
     face = sphere.covering.pieces[0].comodule
     edge = sphere.covering.pairs[(0, 1)].target
     H = sphere.hopf
@@ -105,8 +88,7 @@ def test_shared_failures_are_reported_for_each_index(sphere, monkeypatch):
     face = sphere.covering.pieces[0].comodule
     one = gens_map("j_one", sphere.hopf.system, face.system, {"u": face.system.one()}, check=True)
     triv = Trivialisation(sphere.covering, sphere.hopf, [CleavingMap(face, one)] * 3)
-    counts = _count_certificates(monkeypatch, triv)
-    fails = triv.validate()
+    fails, counts = _count_certificates(monkeypatch, triv)
     assert [(f.check, f.where) for f in fails] == [("cleaving-colinear", f"piece[{i}] u") for i in range(3)]
     assert counts["verify"] == 1 and counts["j_one"] == 1
 
@@ -163,9 +145,9 @@ def test_pair_differences_needs_one_entry_per_piece(sphere):
     the gluing, rather than a tuple cut to the number of pieces."""
     al = sphere.covering.pieces[0].comodule.system.alphabet
     fiber = NCPoly.one(sphere.hopf.system.alphabet)
-    for size in (2, 4):
+    for size in (4, 2):
         with pytest.raises(ValueError, match="3 pieces"):
-            next(pair_differences(sphere.covering, [NCPoly.one(al)] * size))
+            list(pair_differences(sphere.covering, [NCPoly.one(al)] * size))
         with pytest.raises(ValueError):
             piece_glue(sphere, [NCPoly.one(al)] * size, fiber)
 

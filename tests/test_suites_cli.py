@@ -1,5 +1,4 @@
 import argparse
-import inspect
 import json
 import os
 import re
@@ -19,7 +18,7 @@ import oracles
 from pcomod import builtin, suites
 from pcomod.cli import main, make_parser
 from pcomod.exprs import parse_poly
-from pcomod.hopf import CheckFailure, HopfAlgebra
+from pcomod.hopf import CheckFailure
 from pcomod.ncpoly import NCPoly
 from pcomod.numgeom import GridConfig
 from pcomod.rewrite import RewriteSystem
@@ -273,11 +272,18 @@ def test_cli_verify_and_errors(capsys):
     assert code == 2
 
 
-def test_cli_unknown_names_are_config_errors(capsys):
+def test_cli_unknown_names_are_config_errors(capsys, tmp_path):
+    """An unknown builtin name is a configuration error printed bare (not
+    quoted), and an unknown covering-file base names the file."""
     assert main(["verify", "--suite", "hopf-axioms", "--algebra", "no_such_algebra"]) == 2
     assert "CONFIG_ERROR" in capsys.readouterr().err
-    assert main(["export", "--algebra", "no_such_algebra"]) == 2
-    assert "CONFIG_ERROR" in capsys.readouterr().err
+    assert main(["export", "--algebra", "su_q2_to_u1"]) == 2
+    assert capsys.readouterr().err == "CONFIG_ERROR: no presentation document for 'su_q2_to_u1'; nearest match: su_q2\n"
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps({"base": "toeplitz_z2_smsh", "pieces": [{"kernel": [], "cleaving": {"u": "u"}}]}))
+    assert main(["verify", "--suite", "covering", "--covering", str(path)]) == 2
+    err = f"CONFIG_ERROR: covering file {path}: unknown builtin 'toeplitz_z2_smsh'; nearest match: toeplitz_z2_smash\n"
+    assert capsys.readouterr().err == err
 
 
 @pytest.mark.parametrize("suite, algebra", [("hopf-axioms", "toeplitz"), ("comodule-axioms", "su_q2")])
@@ -730,71 +736,29 @@ EXACT_SUITES = [name for name in suites.SUITES if name not in (
 
 
 def exact_certificate_counts() -> dict:
-    """Run the ten exact suites at formal q in this interpreter and count:
-    each relation check, under the object whose word map it checks (a
-    LinearMap's ``apply_word``, or a Hopf algebra's ``counit_word``, whose
-    relation check only ``check_hopf_axioms`` makes); the runs of the body
-    of each comodule-side certificate, under the object it certifies,
-    whatever wrapper its public name is; and the quotient Hopf algebras H/J
-    built for each builtin Hopf ideal J, by name.
-    Patches the package for good, so it runs in an interpreter of its own."""
-    import pcomod.maps
-    from pcomod.comodule import ActionData, CleavingMap, ComoduleAlgebra
-    from pcomod.pullback import Covering, Trivialisation
-
-    # (id, word map name) -> [owner, word map name, count]; the owner stays referenced, so no id is reused
-    checked = {}
-    orig = pcomod.maps.relation_mismatches
-
-    def counted(domain, word_image, poly_image):
-        key = (id(word_image.__self__), word_image.__name__)
-        entry = checked.setdefault(key, [word_image.__self__, word_image.__name__, 0])
-        entry[2] += 1
-        return orig(domain, word_image, poly_image)
-
-    for module in list(sys.modules.values()):
-        if module.__name__.startswith("pcomod") and getattr(module, "relation_mismatches", None) is orig:
-            module.relation_mismatches = counted
-    hopf_names = []
-    init = HopfAlgebra.__init__
-
-    def counted_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        hopf_names.append(self.name)
-
-    HopfAlgebra.__init__ = counted_init
-    certificates = (ComoduleAlgebra.check_axioms, CleavingMap.verify, ActionData.module_algebra_problems,
-                    Covering.validate, Trivialisation.validate)
-    bodies = {inspect.unwrap(c).__code__: c.__qualname__ for c in certificates}
-    # (id, body) -> [owner, certificate, runs]; the owner stays referenced, so no id is reused
+    """Run the ten exact suites at formal q and count, from the records'
+    certificate ledgers, the runs of each stored certificate on each object:
+    each map's relation check (``LinearMap.mismatches``), each Hopf
+    algebra's ``check_hopf_axioms``, each comodule-side certificate, and
+    the quotient H/J of each builtin Hopf ideal J, by name.  A certificate
+    stored earlier in the interpreter would show as a read, so it runs in
+    an interpreter of its own."""
+    # (id, certificate) -> [object, certificate, runs]; the object stays referenced, so no id is reused
     runs = {}
-
-    def count_runs(frame, event, arg):
-        if event == "call" and frame.f_code in bodies:
-            owner = frame.f_locals["self"]
-            entry = runs.setdefault((id(owner), frame.f_code), [owner, bodies[frame.f_code], 0])
-            entry[2] += 1
-
-    sys.setprofile(count_runs)
-    try:
-        for name in EXACT_SUITES:
-            assert run_suite(SuiteConfig(suite=name)).passed, name
-    finally:
-        sys.setprofile(None)
-    ideals = (builtin.u1_mod_z2_ideal(), builtin.gl_mod_det_ideal())
-
-    def owner_name(owner) -> str:
-        if isinstance(owner, CleavingMap):
-            return owner.j.name
-        if isinstance(owner, ActionData):
-            return f"{owner.hopf.name} on {owner.b_system.name}"
-        return owner.name
-
+    for name in EXACT_SUITES:
+        report = run_suite(SuiteConfig(suite=name))
+        assert report.passed, name
+        for c, obj, how in (entry for rec in report.records for entry in rec.certificates):
+            runs.setdefault((id(obj), c), [obj, c, 0])[2] += how == "run"
+    comodule_side = ("ComoduleAlgebra.check_axioms", "CleavingMap.verify", "ActionData.module_algebra_problems",
+                     "Covering.validate", "Trivialisation.validate")
     return {
-        "relation_checks": [(owner.name, n) for owner, f, n in checked.values() if f != "counit_word"],
-        "axiom_runs": [(owner.name, n) for owner, f, n in checked.values() if f == "counit_word"],
-        "certificate_runs": [(c, owner_name(owner), n) for owner, c, n in runs.values()],
-        "quotients": {J.name: hopf_names.count(f"{J.hopf.name}/{J.name}") for J in ideals},
+        "relation_checks": [(obj.name, n) for obj, c, n in runs.values() if c == "LinearMap.mismatches"],
+        "axiom_runs": [(obj.name, n) for obj, c, n in runs.values() if c == "check_hopf_axioms"],
+        "certificate_runs": [(c, obj.name, n) for obj, c, n in runs.values() if c in comodule_side],
+        "quotients": {J.name: sum(n for obj, c, n in runs.values() if c == "HopfIdeal.quotient"
+                                  and (obj.hopf.name, obj.name) == (J.hopf.name, J.name))
+                      for J in (builtin.u1_mod_z2_ideal(), builtin.gl_mod_det_ideal())},
     }
 
 
@@ -848,6 +812,31 @@ def test_each_hopf_ideal_builds_its_quotient_once(exact_counts):
     reduction-theorem suites both read H/J of ``<u^2-1>`` and ``<D-1>``, and
     one quotient Hopf algebra is built for each."""
     assert exact_counts["quotients"] == {"<u^2-1>": 1, "<D-1>": 1}
+
+
+def _cli_records(suite: str) -> dict:
+    """The records of ``pcomod verify --suite <suite>``'s JSON report, by id,
+    from an interpreter of its own."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = subprocess.run([sys.executable, "-m", "pcomod.cli", "verify", "--suite", suite],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr[-2000:]
+    return {r["id"]: r for r in json.loads(out.stdout)["records"]}
+
+
+def test_records_list_the_certificates_they_run_or_read():
+    """Each record lists the stored certificates computed or read back for
+    it: in ``verify --suite all`` ``transition/laws`` reads the
+    trivialisation's validation that ``covering/validate`` ran, and alone it
+    runs it; the canonical form leaves the lists out."""
+    validation = ["Trivialisation.validate", "quantum_sphere_trivialisation"]
+    records = _cli_records("all")
+    assert [*validation, "run"] in records["covering/validate"]["certificates"]
+    assert [*validation, "read"] in records["transition/laws"]["certificates"]
+    assert [*validation, "run"] in _cli_records("transition")["transition/laws"]["certificates"]
+    canonical = json.loads(run_suite(SuiteConfig(suite="all")).canonical_json())
+    assert [r["id"] for r in canonical["records"] if "certificates" in r] == []
 
 
 def test_no_state_leaks_between_suites():

@@ -4,7 +4,6 @@ from pathlib import Path
 import pytest
 
 from pcomod import builtin
-from pcomod.comodule import CleavingMap, SmashProduct
 from pcomod.maps import NotWellDefinedError, gens_map
 from pcomod.ncpoly import Alphabet, NCPoly, word_str
 from pcomod.rewrite import RewriteSystem
@@ -290,33 +289,21 @@ def test_coaction_map_matches_product_loop(name, q):
             assert _same_terms(P.coact_word(w), looped_coact_word(P, w)), (P.name, w)
 
 
-def test_cleaving_inverse_matches_composition(monkeypatch):
+def test_cleaving_inverse_matches_composition():
     """j_inv, the anti-algebra map with images j(S(g)), equals j applied after
-    S on every basis word of degree <= 3, for every cleaving the suites build
-    or read from a smash product or take from a builder (builders and smash
-    products memoise, so theirs may predate the run)."""
+    S on every basis word of degree <= 3, for every cleaving the suites
+    verify or read from a smash product, as their records' ledgers list
+    them, or that a builder holds."""
     from pcomod.suites import SuiteConfig, run_suite
 
-    built = []
-    init = CleavingMap.__init__
-    cleaving = SmashProduct.cleaving
-
-    def recording_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        built.append(self)
-
-    def recording_cleaving(self):
-        built.append(cleaving(self))
-        return built[-1]
-
-    monkeypatch.setattr(CleavingMap, "__init__", recording_init)
-    monkeypatch.setattr(SmashProduct, "cleaving", recording_cleaving)
-    for q in ("formal", 3):
-        run_suite(SuiteConfig(suite="all", q=q))
     example = Path(__file__).resolve().parents[1] / "scripts" / "example_covering.json"
-    run_suite(SuiteConfig(suite="covering", covering=str(example)))
-    # both recorders work: they saw the smash cleavings the strong-connection
-    # suite reads, and the cleavings built for the file's two pieces
+    built = []
+    for cfg in (SuiteConfig("all"), SuiteConfig("all", q=3), SuiteConfig("covering", covering=str(example))):
+        for rec in run_suite(cfg).records:
+            built += [obj for c, obj, _ in rec.certificates if c == "CleavingMap.verify"]
+            built += [obj.cleaving() for c, obj, _ in rec.certificates if c == "SmashProduct.cleaving"]
+    # the ledgers list the smash cleavings the strong-connection suite reads,
+    # and the cleavings built for the file's two pieces
     seen = {id(cl) for cl in built}
     assert {id(sm.cleaving()) for sm in (builtin.toeplitz_z2_smash(), builtin.toeplitz_u1_smash())} <= seen
     assert sum(cl.j.name.startswith("gamma[") for cl in built) >= 2
